@@ -30,10 +30,14 @@
    none) so servers can shed work that can no longer meet it, a Shed frame
    kind (18) carries the refusal reason back to the client as a distinct
    retryable class, and the Stats link payload gains the two-lane queue
-   counters (ctrl_hwm, lane_shed).  Peers speaking older versions are
+   counters (ctrl_hwm, lane_shed).  v8: event-driven release gate — the
+   Hb payload gains two trailing varints, [ack] (receipt ack of the
+   addressee's fast-path entry with that stamp time) and [want] (reply
+   with a heartbeat once your clock reaches this value), 0 = none for
+   both.  Peers speaking older versions are
    rejected at decode ("unsupported version N"), which the handshake turns
    into a clean [Error_msg] rather than a crash. *)
-let version = 7
+let version = 8
 let header_len = 12
 let max_payload = 1 lsl 24  (* 16 MiB: far above any entry, guards length bombs *)
 let magic0 = 'T'
@@ -270,6 +274,8 @@ module Make (O : OBJ_CODEC) = struct
         qmode : bool;
         seq : int;
         floor : int;
+        ack : int;
+        want : int;
         shard : int;
       }
     | Forward of {
@@ -324,7 +330,8 @@ module Make (O : OBJ_CODEC) = struct
              p1.entries p2.entries
     | Hb h1, Hb h2 ->
         h1.stamp = h2.stamp && h1.epoch = h2.epoch && h1.qmode = h2.qmode
-        && h1.seq = h2.seq && h1.floor = h2.floor && h1.shard = h2.shard
+        && h1.seq = h2.seq && h1.floor = h2.floor && h1.ack = h2.ack
+        && h1.want = h2.want && h1.shard = h2.shard
     | Forward f1, Forward f2 ->
         f1.qid = f2.qid && f1.origin = f2.origin && O.D.equal_op f1.op f2.op
         && f1.op_id = f2.op_id && f1.trace = f2.trace && f1.shard = f2.shard
@@ -373,10 +380,11 @@ module Make (O : OBJ_CODEC) = struct
         Format.fprintf fmt "catchup{%d entries, hwm=⟨%d,%d⟩ s=%d}"
           (List.length p.entries) p.time p.cpid p.shard
     | Hb h ->
-        Format.fprintf fmt "hb{clk=%d e=%d %s seq=%d floor=%d s=%d}" h.stamp
+        Format.fprintf fmt
+          "hb{clk=%d e=%d %s seq=%d floor=%d ack=%d want=%d s=%d}" h.stamp
           h.epoch
           (if h.qmode then "quorum" else "fast")
-          h.seq h.floor h.shard
+          h.seq h.floor h.ack h.want h.shard
     | Forward f ->
         Format.fprintf fmt "fwd{%a qid=%d from=%d id=%d t=%x s=%d}" O.D.pp_op
           f.op f.qid f.origin f.op_id f.trace f.shard
@@ -472,6 +480,8 @@ module Make (O : OBJ_CODEC) = struct
           Wr.int b (if h.qmode then 1 else 0);
           Wr.int b h.seq;
           Wr.int b h.floor;
+          Wr.int b h.ack;
+          Wr.int b h.want;
           Wr.int b h.shard;
           k_hb
       | Forward f ->
@@ -632,8 +642,10 @@ module Make (O : OBJ_CODEC) = struct
           in
           let seq = Rd.int r in
           let floor = Rd.int r in
+          let ack = Rd.int r in
+          let want = Rd.int r in
           let shard = Rd.int r in
-          Hb { stamp; epoch; qmode; seq; floor; shard }
+          Hb { stamp; epoch; qmode; seq; floor; ack; want; shard }
         end
         else if frame.kind = k_forward then begin
           let qid = Rd.int r in

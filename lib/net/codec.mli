@@ -23,7 +23,7 @@
     [Tcp_transport] and README "Wire format". *)
 
 val version : int
-(** Current wire version (7 — v2 added the trace id to [Entry]/[Invoke]
+(** Current wire version (8 — v2 added the trace id to [Entry]/[Invoke]
     payloads; v3 added the client operation id to both, plus the
     catch-up request/reply frames for post-crash peer anti-entropy; v4
     added the shard id to every op/ack/catch-up payload and the shard
@@ -33,7 +33,10 @@ val version : int
     plus forward/propose/ack/commit/nack/fill, all shard-tagged; v6
     added the clock-synchronization probe frames [Ping]/[Pong]; v7 added
     overload protection — the client deadline on [Invoke], the [Shed]
-    refusal frame, and the two-lane queue counters on [Stats]).  A
+    refusal frame, and the two-lane queue counters on [Stats]; v8 added
+    [ack] and [want] to [Hb], so the fast path's release gate is freed
+    by receipt acks and prompted heartbeats instead of the heartbeat
+    tick).  A
     decoder rejects every other version, so incompatible formats — older
     peers included — fail the handshake cleanly instead of misparsing. *)
 
@@ -174,11 +177,17 @@ module Make (O : OBJ_CODEC) : sig
         qmode : bool;
         seq : int;
         floor : int;
+        ack : int;
+        want : int;
         shard : int;
       }
         (** replica → replicas: failure-detector heartbeat carrying the
             sender's clock, doubling as the mode announcement (epoch,
-            fast/quorum, sequencer pid, stamp floor) — see DESIGN.md §13 *)
+            fast/quorum, sequencer pid, stamp floor) — see DESIGN.md §13.
+            Addressed to one peer it may also carry [ack], a receipt ack
+            of that peer's fast-path entry with this stamp time, or
+            [want], a request for a heartbeat once the addressee's clock
+            reaches this value (0 = none, for both). *)
     | Forward of {
         qid : int;
         origin : int;

@@ -143,8 +143,10 @@ module Make (W : Wire.WIRED) = struct
             entries
         in
         Some (R.of_wire (R.Wire_catchup_rep { entries; time; cpid }))
-    | Ok (C.Hb { stamp; epoch; qmode; seq; floor; shard = 0 }) ->
-        Some (R.of_wire (R.Wire_quorum (R.Hb { stamp; epoch; qmode; seq; floor })))
+    | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard = 0 }) ->
+        Some
+          (R.of_wire
+             (R.Wire_quorum (R.Hb { stamp; epoch; qmode; seq; floor; ack; want })))
     | Ok (C.Forward { qid; origin; op; op_id; trace; shard = 0 }) ->
         Some (R.of_wire (R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace })))
     | Ok (C.Propose { epoch; qseq; time; origin; qid; op; op_id; trace; shard = 0 })
@@ -209,8 +211,8 @@ module Make (W : Wire.WIRED) = struct
     | Some (R.Wire_quorum q) ->
         C.encode
           (match q with
-          | R.Hb { stamp; epoch; qmode; seq; floor } ->
-              C.Hb { stamp; epoch; qmode; seq; floor; shard = 0 }
+          | R.Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
+              C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard = 0 }
           | R.Forward { qid; origin; op; op_id; trace } ->
               C.Forward { qid; origin; op; op_id; trace; shard = 0 }
           | R.Propose { epoch; qseq; p } ->

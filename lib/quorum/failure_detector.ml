@@ -12,8 +12,8 @@
     The detector also tracks the largest {e sender-clock stamp} received
     from each peer.  Over FIFO links this is the replica's knowledge
     horizon: everything peer [q] sent with a stamp below [heard_stamp q]
-    has been received — the fact the fast path's response gate is built
-    on. *)
+    has been received — the evidence the fast path's response gate
+    ({!Gate}) weighs per peer. *)
 
 type t = {
   n : int;
@@ -87,14 +87,5 @@ let all_alive t = alive t = t.n
 let lowest_alive t =
   let rec go p = if p = t.me || not t.suspected.(p) then p else go (p + 1) in
   go 0
-
-(* The smallest knowledge horizon over every peer: a response whose stamp
-   threshold is below this is releasable (see the replica's gate). *)
-let min_heard_stamp t =
-  let m = ref max_int in
-  for p = 0 to t.n - 1 do
-    if p <> t.me && t.heard_stamp.(p) < !m then m := t.heard_stamp.(p)
-  done;
-  if !m = max_int then max_int (* n = 1: the gate is vacuous *) else !m
 
 let heard_stamp t peer = t.heard_stamp.(peer)

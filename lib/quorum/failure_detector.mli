@@ -34,10 +34,6 @@ val lowest_alive : t -> int
 (** Smallest pid not currently suspected (the deterministic sequencer
     choice in quorum mode). *)
 
-val min_heard_stamp : t -> int
-(** Smallest knowledge horizon over all peers: every peer has sent a frame
-    stamped at least this value.  [max_int] when there are no peers. *)
-
 val heard_stamp : t -> int -> int
 (** Largest sender-clock stamp received from a given peer ([min_int] until
     its first frame). *)

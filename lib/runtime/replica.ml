@@ -71,9 +71,20 @@ module Make (D : Spec.Data_type.S) = struct
   }
 
   type qwire =
-    | Hb of { stamp : int; epoch : int; qmode : bool; seq : int; floor : int }
+    | Hb of {
+        stamp : int;
+        epoch : int;
+        qmode : bool;
+        seq : int;
+        floor : int;
+        ack : int;
+        want : int;
+      }
         (** heartbeat doubling as the mode announcement: sender clock
-            stamp plus the sender's (epoch, mode, sequencer, floor) *)
+            stamp plus the sender's (epoch, mode, sequencer, floor); [ack]
+            acknowledges the addressee's entry with that stamp time and
+            [want] asks for a heartbeat once the addressee's clock reaches
+            it (0 = none, for both) *)
     | Forward of { qid : int; origin : int; op : D.op; op_id : int; trace : int }
         (** origin → sequencer: please order this op *)
     | Propose of { epoch : int; qseq : int; p : qpayload }
@@ -167,6 +178,7 @@ module Make (D : Spec.Data_type.S) = struct
     | Heartbeat_t  (** fallback: send a heartbeat, tick the detector *)
     | Qdrain_t  (** fallback: the sequencer's switch barrier elapsed *)
     | Qtick_t  (** fallback: re-send forwards, request Qfills *)
+    | Prompt_t of int  (** fallback: a heartbeat this peer asked for is due *)
     | Sync_t  (** sync: apply the round's correction, broadcast pings *)
 
   type timer_entry = { due : int; tseq : int; timer : rtimer; ttrace : int }
@@ -208,6 +220,10 @@ module Make (D : Spec.Data_type.S) = struct
         (** forwards held during the drain, reversed *)
     mutable gated : (D.result * Prelude.Stamp.t) option;
         (** a fast-path response the release gate is withholding *)
+    gate : Quorum.Gate.t;  (** peers' receipt acks of our entries *)
+    prompts : int array;
+        (** per requester: the clock value it wants a heartbeat at
+            (0 = no reply pending) *)
     mutable next_qid : int;
     mutable must_reconcile : bool;
         (** this replica skipped at least one whole era (its announcements
@@ -351,6 +367,8 @@ module Make (D : Spec.Data_type.S) = struct
             pending_fwd = None;
             buffered = [];
             gated = None;
+            gate = Quorum.Gate.make ~n:cfg.Core.Params.n ~me:pid;
+            prompts = Array.make cfg.Core.Params.n 0;
             next_qid = 1;
             must_reconcile = false;
           })
@@ -484,16 +502,54 @@ module Make (D : Spec.Data_type.S) = struct
     in
     (* The fast path's response release gate (armed only under fallback,
        in fast mode): a response stamped [ts] may be released once every
-       peer's heartbeat clock has passed [ts + d + ε].  A peer whose
-       heartbeat carries that stamp either received our broadcast (its
-       clock reached ts+d+ε at least d after our send, links FIFO) or sits
-       behind a partition that would also have eaten the heartbeat — so a
-       released response is never lost to a peer we later abandon.  A dead
-       or partitioned peer stalls the gate until the failure detector
-       excuses it by switching the object into quorum mode. *)
+       peer either acked the entry (pure mutators only — their reply is
+       state-independent, so all the gate must ensure is that every peer
+       holds the effect) or sent a heartbeat stamped at or past
+       [ts + d + ε] (its clock reached that at least d after our send, so
+       it holds everything stamped up to [ts]; a partition that ate the
+       entry would have eaten the heartbeat too).  Either way a released
+       response is never lost to a peer we later abandon.  Acks come back
+       on receipt; heartbeats are asked for at invoke (see [prompt_peers]),
+       so neither waits for the heartbeat tick.  A dead or partitioned peer
+       stalls the gate until the failure detector excuses it by switching
+       the object into quorum mode. *)
+    let threshold (ts : Prelude.Stamp.t) =
+      ts.Prelude.Stamp.time + cfg.Core.Params.d + cfg.Core.Params.eps
+    in
     let gate_passes f (ts : Prelude.Stamp.t) =
-      Quorum.Failure_detector.min_heard_stamp f.fd
-      >= ts.Prelude.Stamp.time + cfg.Core.Params.d + cfg.Core.Params.eps
+      let mop =
+        match ls.inflight with
+        | Some (_, op, _, _, _) -> D.classify op = Spec.Data_type.Pure_mutator
+        | None -> false
+      in
+      Quorum.Gate.ready f.gate ~fd:f.fd ~mop ~stamp:ts.Prelude.Stamp.time
+        ~due:(threshold ts)
+    in
+    (* A heartbeat to [dst] (everyone when [None]): the clock stamp plus
+       the mode announcement, optionally carrying an ack or a prompt. *)
+    let send_hb f ?dst ?(ack = 0) ?(want = 0) () =
+      let epoch, qmode, seq, floor = Quorum.Mode_controller.announcement f.mc in
+      let hb =
+        Quorum_msg (Hb { stamp = clock (); epoch; qmode; seq; floor; ack; want })
+      in
+      match dst with
+      | Some dst -> Transport_intf.send transport ~trace:0 ~src:pid ~dst hb
+      | None -> Transport_intf.broadcast transport ~trace:0 ~src:pid hb
+    in
+    (* Answer requester [src]'s pending prompt once this replica's clock
+       has reached it; until then re-check on a one-shot timer (the slewed
+       clock may run slow, so a timer can fire short of the mark). *)
+    let serve_prompt f src =
+      let want = f.prompts.(src) in
+      if want <> 0 then
+        if ls.mode <> Up then f.prompts.(src) <- 0
+        else
+          let now = clock () in
+          if now >= want then begin
+            f.prompts.(src) <- 0;
+            send_hb f ~dst:src ()
+          end
+          else arm_timer (Prompt_t src) (want - now)
     in
     let in_quorum f =
       Quorum.Mode_controller.mode f.mc = Quorum.Mode_controller.Quorum
@@ -552,7 +608,7 @@ module Make (D : Spec.Data_type.S) = struct
                     match e.timer with
                     | A t' -> not (Alg.equal_timer t' t)
                     | Unfreeze_t | Catchup_retry_t | Heartbeat_t | Qdrain_t
-                    | Qtick_t | Sync_t ->
+                    | Qtick_t | Prompt_t _ | Sync_t ->
                         true)
                   ls.timers)
         actions
@@ -570,6 +626,7 @@ module Make (D : Spec.Data_type.S) = struct
       | Alg.Waiting_mop e | Alg.Waiting_oop e | Alg.Waiting_aop e ->
           ls.inflight_ts <- e.ts
       | Alg.Idle -> ());
+      prompt_peers ();
       (* The broadcast below carries the op id, so every replica can tie
          the entry's stamp back to the client's operation. *)
       (if dedup then
@@ -579,6 +636,16 @@ module Make (D : Spec.Data_type.S) = struct
              register e.ts op_id
          | Alg.Waiting_aop _ | Alg.Idle -> ());
       handle_actions ~trace actions
+    (* Accessors and other ops answer from local state, so only every
+       peer's horizon passing [ts + d + ε] frees them: ask each peer for a
+       heartbeat at that clock value rather than wait for its next tick.
+       Pure mutators are freed by the receipt acks their broadcast draws. *)
+    and prompt_peers () =
+      match (fb, ls.st.Alg.pending) with
+      | Some f, (Alg.Waiting_aop e | Alg.Waiting_oop e)
+        when cfg.Core.Params.n > 1 && not (in_quorum f) ->
+          send_hb f ~want:(threshold e.ts) ()
+      | _ -> ()
     and start_invoke op trace op_id cell =
       let invoke_us = now_rel () in
       let seq = ls.next_seq in
@@ -855,7 +922,8 @@ module Make (D : Spec.Data_type.S) = struct
           (fun e ->
             match e.timer with
             | Unfreeze_t | Catchup_retry_t -> false
-            | A _ | Heartbeat_t | Qdrain_t | Qtick_t | Sync_t -> true)
+            | A _ | Heartbeat_t | Qdrain_t | Qtick_t | Prompt_t _ | Sync_t ->
+                true)
           ls.timers;
       let replies = ls.reply_hwms in
       ls.reply_hwms <- [];
@@ -872,7 +940,7 @@ module Make (D : Spec.Data_type.S) = struct
           match te.timer with
           | A t -> fire_alg_timer t te.ttrace
           | Unfreeze_t | Catchup_retry_t | Heartbeat_t | Qdrain_t | Qtick_t
-          | Sync_t ->
+          | Prompt_t _ | Sync_t ->
               ())
         thaw;
       next_from_backlog ()
@@ -966,7 +1034,7 @@ module Make (D : Spec.Data_type.S) = struct
       | None -> ()
       | Some f -> (
           match q with
-          | Hb { stamp; epoch; qmode; seq; floor } ->
+          | Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
               (* Heartbeats are timestamped: when sync is armed they double
                  as free one-way offset samples (Lundelius–Lynch midpoint,
                  uncertainty u/2) between probe rounds. *)
@@ -983,6 +1051,17 @@ module Make (D : Spec.Data_type.S) = struct
               if cleared then begin
                 Obs.Recorder.emit ~pid ~kind:Obs.Event.Suspect ~a:src ~b:0 ();
                 f.qcfg.Quorum.Config.on_suspect ~peer:src ~suspected:false
+              end;
+              if ack <> 0 then Quorum.Gate.ack f.gate ~peer:src ~stamp:ack;
+              (* One pending reply per requester: a newer prompt replaces
+                 the older (its op is done).  A pending reply already has
+                 its timer, which re-arms for the new mark when it fires
+                 short; only a mark earlier than the pending one needs its
+                 own. *)
+              if want <> 0 then begin
+                let pending = f.prompts.(src) in
+                f.prompts.(src) <- want;
+                if pending = 0 || want < pending then serve_prompt f src
               end;
               let prev_epoch = Quorum.Mode_controller.epoch f.mc in
               (match
@@ -1136,7 +1215,20 @@ module Make (D : Spec.Data_type.S) = struct
                 (* [Apply] marks the entry's hand-off to the protocol state
                    machine; Algorithm 1 may defer its execution to ts order. *)
                 Obs.Recorder.emit ~pid ~kind:Obs.Event.Apply ~trace ~a:src ();
-                handle_actions ~trace actions
+                handle_actions ~trace actions;
+                (* The entry is now held: ack it to its origin, whose
+                   release gate may be withholding the op's response.  Only
+                   pure mutators are freed by acks, and only an up,
+                   fast-mode replica acks — a frozen one defers, and quorum
+                   mode never gates. *)
+                match fb with
+                | Some f
+                  when ls.mode = Up && src = m.Alg.ts.Prelude.Stamp.pid
+                       && m.Alg.ts.Prelude.Stamp.time <> 0
+                       && D.classify m.Alg.op = Spec.Data_type.Pure_mutator
+                       && not (in_quorum f) ->
+                    send_hb f ~dst:src ~ack:m.Alg.ts.Prelude.Stamp.time ()
+                | _ -> ()
               end);
           loop ()
       | Some (src, Catchup_req { time; cpid }) ->
@@ -1273,12 +1365,7 @@ module Make (D : Spec.Data_type.S) = struct
                   (match fb with
                   | Some f ->
                       (if ls.mode = Up then begin
-                         let epoch, qmode, seq, floor =
-                           Quorum.Mode_controller.announcement f.mc
-                         in
-                         Transport_intf.broadcast transport ~trace:0 ~src:pid
-                           (Quorum_msg
-                              (Hb { stamp = clock (); epoch; qmode; seq; floor }));
+                         send_hb f ();
                          let newly =
                            Quorum.Failure_detector.tick f.fd
                              ~now_us:(Prelude.Mclock.now_us ())
@@ -1399,6 +1486,8 @@ module Make (D : Spec.Data_type.S) = struct
                       arm_timer Qtick_t
                         (max 1 (Quorum.Config.timeout_us f.qcfg / 2))
                   | None -> ())
+              | Prompt_t src ->
+                  (match fb with Some f -> serve_prompt f src | None -> ())
               | Sync_t ->
                   (match sy with
                   | Some s ->

@@ -173,9 +173,21 @@ module Make (D : Spec.Data_type.S) : sig
     | Spong of { seq : int; t0 : int; t_rx : int; t_tx : int }
 
   type qwire =
-    | Hb of { stamp : int; epoch : int; qmode : bool; seq : int; floor : int }
+    | Hb of {
+        stamp : int;
+        epoch : int;
+        qmode : bool;
+        seq : int;
+        floor : int;
+        ack : int;
+        want : int;
+      }
         (** heartbeat doubling as the mode announcement: the sender's
-            clock plus its (epoch, mode, sequencer pid, stamp floor) *)
+            clock plus its (epoch, mode, sequencer pid, stamp floor).
+            [ack] (0 = none) acknowledges receipt of the addressee's
+            fast-path entry with that stamp time; [want] (0 = none) asks
+            the addressee for a heartbeat once its clock reaches that
+            value.  Both feed the release gate ({!Quorum.Gate}). *)
     | Forward of { qid : int; origin : int; op : D.op; op_id : int; trace : int }
         (** origin → sequencer: please order this op *)
     | Propose of { epoch : int; qseq : int; p : qpayload }

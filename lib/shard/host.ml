@@ -139,11 +139,13 @@ module Make (W : Net.Wire.WIRED) = struct
             entries
         in
         Some (shard, R.of_wire (R.Wire_catchup_rep { entries; time; cpid }))
-    | Ok (C.Hb { stamp; epoch; qmode; seq; floor; shard }) when ok shard ->
+    | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard })
+      when ok shard ->
         Some
           ( shard,
-            R.of_wire (R.Wire_quorum (R.Hb { stamp; epoch; qmode; seq; floor }))
-          )
+            R.of_wire
+              (R.Wire_quorum
+                 (R.Hb { stamp; epoch; qmode; seq; floor; ack; want })) )
     | Ok (C.Forward { qid; origin; op; op_id; trace; shard }) when ok shard ->
         Some
           ( shard,
@@ -212,8 +214,8 @@ module Make (W : Net.Wire.WIRED) = struct
     | Some (R.Wire_quorum q) ->
         C.encode
           (match q with
-          | R.Hb { stamp; epoch; qmode; seq; floor } ->
-              C.Hb { stamp; epoch; qmode; seq; floor; shard }
+          | R.Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
+              C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard }
           | R.Forward { qid; origin; op; op_id; trace } ->
               C.Forward { qid; origin; op; op_id; trace; shard }
           | R.Propose { epoch; qseq; p } ->

@@ -95,7 +95,7 @@ let test_version_rejected_by_decoder () =
             msg
       | Net.Codec.Got _ | Net.Codec.Need_more _ ->
           Alcotest.failf "version %d frame must be Corrupt" v)
-    [ 1; 2; 3; 4; 5; 6; 8; 255 ]
+    [ 1; 2; 3; 4; 5; 6; 7; 9; 255 ]
 
 (* An old (v1) peer connecting to a live replica stack: the handshake must
    be rejected cleanly — connection closed, replica healthy for current
@@ -273,6 +273,18 @@ let msg_roundtrip_tests () =
                         };
                   })
           && roundtrip (C.Error_msg "boom")
+          && roundtrip
+               (C.Hb
+                  { stamp = seed * 7919; epoch = seed mod 7; qmode = false;
+                    seq = seed mod 3; floor = min_int; ack = 0; want = 0;
+                    shard })
+          && roundtrip
+               (* acks and prompts are clock values: large, and (for a
+                  corrected clock behind the epoch) possibly negative *)
+               (C.Hb
+                  { stamp = max_int - seed; epoch = seed; qmode = true;
+                    seq = 2; floor = seed * 11; ack = (1 lsl 61) + seed;
+                    want = -(seed + 1); shard })
           && roundtrip (C.Ping { seq = seed; t0 = seed * 7919; shard })
           && roundtrip
                (C.Pong

@@ -5,11 +5,15 @@
    - the mode controller's epoch discipline is "strictly higher wins":
      adoption is exactly once per era, floors are monotone, and the
      decision table matches DESIGN.md §13;
+   - the release gate frees a response only on ack-or-horizon from every
+     peer (acks count for pure mutators only), as a table and a qcheck
+     property;
    - the ordered-commit log never drops or duplicates an acknowledged
      operation, however stores, acks and commits interleave (qcheck);
-   - end to end, a permanent crash and a healed minority partition both
-     leave the in-process cluster linearizable under [~fallback], with the
-     mode switches the availability report expects. *)
+   - end to end, a healthy armed cluster frees writes on acks (MOP p50
+     below d), and a permanent crash and a healed minority partition
+     both leave the in-process cluster linearizable under [~fallback],
+     with the mode switches the availability report expects. *)
 
 let kv = Runtime.Workloads.kv_map
 
@@ -51,21 +55,99 @@ let test_fd_knowledge_horizon () =
   let module FD = Quorum.Failure_detector in
   let fd = FD.make ~n:3 ~me:0 ~hb_us:1_000 ~suspect_after:5 ~now_us:0 in
   Alcotest.(check int) "no frames yet: horizon at min_int" min_int
-    (FD.min_heard_stamp fd);
+    (FD.heard_stamp fd 2);
   ignore (FD.heard fd ~peer:1 ~stamp:300 ~now_us:10);
   ignore (FD.heard fd ~peer:2 ~stamp:120 ~now_us:10);
-  Alcotest.(check int) "horizon is the slowest peer" 120
-    (FD.min_heard_stamp fd);
+  Alcotest.(check (pair int int)) "one horizon per peer" (300, 120)
+    (FD.heard_stamp fd 1, FD.heard_stamp fd 2);
   (* stamps are monotone per peer: an out-of-order frame cannot regress *)
   ignore (FD.heard fd ~peer:2 ~stamp:80 ~now_us:11);
-  Alcotest.(check int) "horizon never regresses" 120 (FD.min_heard_stamp fd);
+  Alcotest.(check int) "horizon never regresses" 120 (FD.heard_stamp fd 2);
   ignore (FD.heard fd ~peer:2 ~stamp:400 ~now_us:12);
-  Alcotest.(check int) "horizon follows the laggard" 300
-    (FD.min_heard_stamp fd);
-  (* n = 1: the gate is vacuous *)
-  let solo = FD.make ~n:1 ~me:0 ~hb_us:1_000 ~suspect_after:5 ~now_us:0 in
-  Alcotest.(check int) "solo horizon is max_int" max_int
-    (FD.min_heard_stamp solo)
+  Alcotest.(check int) "horizon follows the latest frame" 400
+    (FD.heard_stamp fd 2);
+  (* frames from self never move a horizon *)
+  ignore (FD.heard fd ~peer:0 ~stamp:999 ~now_us:12);
+  Alcotest.(check int) "self frames ignored" min_int (FD.heard_stamp fd 0)
+
+(* ---- release gate ---- *)
+
+(* The pure predicate, as a table.  Replica 0 holds a response stamped
+   1_000 with threshold due = 1_000 + d + ε = 4_000; each row gives the
+   peers' acks and heard stamps (index 0 is [me], never consulted). *)
+let test_gate_table () =
+  let stamp = 1_000 and due = 4_000 in
+  let row ~mop ~acked ~heard =
+    let n = Array.length heard in
+    Quorum.Gate.passes ~n ~me:0 ~mop ~stamp ~due ~acked:(Array.get acked)
+      ~heard:(Array.get heard)
+  in
+  let short = [| 0; 3_999; 2_000 |] and past = [| 0; 4_000; 9_000 |] in
+  let none = [| 0; min_int; min_int |] in
+  let cases =
+    [
+      ("MOP: every peer acked, horizon short", true,
+        row ~mop:true ~acked:[| 0; stamp; stamp |] ~heard:short);
+      ("MOP: one peer unacked, horizon short", false,
+        row ~mop:true ~acked:[| 0; stamp; min_int |] ~heard:short);
+      ("MOP: an ack for another entry does not count", false,
+        row ~mop:true ~acked:[| 0; stamp; stamp + 1 |] ~heard:short);
+      ("MOP: horizon alone (acks lost)", true,
+        row ~mop:true ~acked:none ~heard:past);
+      ("MOP: ack for one peer, horizon for the other", true,
+        row ~mop:true ~acked:[| 0; min_int; stamp |] ~heard:[| 0; 4_000; 0 |]);
+      ("AOP/OOP: acks ignored, horizon short", false,
+        row ~mop:false ~acked:[| 0; stamp; stamp |] ~heard:short);
+      ("AOP/OOP: horizon passed", true,
+        row ~mop:false ~acked:none ~heard:past);
+      ("AOP/OOP: one peer one short of due", false,
+        row ~mop:false ~acked:none ~heard:[| 0; 4_000; 3_999 |]);
+      ("n = 1: vacuous for MOP", true,
+        row ~mop:true ~acked:[| min_int |] ~heard:[| min_int |]);
+      ("n = 1: vacuous for AOP/OOP", true,
+        row ~mop:false ~acked:[| min_int |] ~heard:[| min_int |]);
+    ]
+  in
+  List.iter (fun (name, want, got) -> Alcotest.(check bool) name want got) cases
+
+(* Safety, exhaustively over a small grid: a MOP is never released while
+   some peer has neither acked its stamp nor passed the horizon, and an
+   AOP/OOP never while some peer is short of the horizon. *)
+let gate_never_releases_early =
+  QCheck.Test.make ~count:1000 ~name:"gate needs ack-or-horizon from every peer"
+    QCheck.(triple bool (int_range 1 5) int)
+    (fun (mop, n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let stamp = 1_000 and due = 4_000 in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let acked = Array.init n (fun _ -> pick [ min_int; stamp - 1; stamp; stamp + 1 ]) in
+      let heard = Array.init n (fun _ -> pick [ min_int; due - 1; due; due + 1 ]) in
+      let me = Random.State.int rng n in
+      let covered p =
+        p = me || heard.(p) >= due || (mop && acked.(p) = stamp)
+      in
+      Quorum.Gate.passes ~n ~me ~mop ~stamp ~due ~acked:(Array.get acked)
+        ~heard:(Array.get heard)
+      = List.for_all covered (List.init n Fun.id))
+
+let test_gate_acks () =
+  let g = Quorum.Gate.make ~n:3 ~me:1 in
+  Quorum.Gate.ack g ~peer:0 ~stamp:500;
+  Quorum.Gate.ack g ~peer:0 ~stamp:400;
+  Quorum.Gate.ack g ~peer:1 ~stamp:900;
+  Quorum.Gate.ack g ~peer:7 ~stamp:900;
+  Alcotest.(check int) "acks never move backwards" 500 (Quorum.Gate.acked g 0);
+  Alcotest.(check int) "own acks ignored" min_int (Quorum.Gate.acked g 1);
+  Alcotest.(check int) "no ack yet" min_int (Quorum.Gate.acked g 2);
+  let fd =
+    Quorum.Failure_detector.make ~n:3 ~me:1 ~hb_us:1_000 ~suspect_after:5
+      ~now_us:0
+  in
+  ignore (Quorum.Failure_detector.heard fd ~peer:2 ~stamp:3_000 ~now_us:0);
+  Alcotest.(check bool) "MOP: peer 0 acked, peer 2's horizon passed" true
+    (Quorum.Gate.ready g ~fd ~mop:true ~stamp:500 ~due:3_000);
+  Alcotest.(check bool) "OOP: peer 0's horizon still short" false
+    (Quorum.Gate.ready g ~fd ~mop:false ~stamp:500 ~due:3_000)
 
 (* ---- mode controller ---- *)
 
@@ -236,6 +318,32 @@ let test_permanent_kill_linearizable () =
         (t >= kill_at)
   | [] -> Alcotest.fail "no switch into quorum mode recorded"
 
+let test_healthy_gate_is_event_driven () =
+  (* A healthy, armed register: no fault ever fires, so every fast-path
+     response goes through the release gate.  The replicas assume
+     d = 2 ms of network delay plus 5 ms of slack; a receipt ack comes
+     back after two real hops (≤ 4 ms), while the heartbeat horizon only
+     passes ts + d + ε after the peer's clock got there and one more hop.
+     So the MOP median must sit below the assumed d: the gate no longer
+     waits out d + ε. *)
+  let r =
+    Fault.Chaos_run.run ~workload:Runtime.Workloads.register ~n:3 ~d:2000
+      ~u:500 ~mix:(80, 10, 10) ~fallback:fallback_cfg
+      ~plan:(Fault.Fault_plan.empty ~seed:1) ~ops:120 ~seed:4 ()
+  in
+  let run = r.Fault.Chaos_run.run in
+  Alcotest.(check bool) "linearizable" true (Runtime.Loadgen.is_linearizable run);
+  Alcotest.(check bool) "no mode switch" true (run.Runtime.Loadgen.mode_switches = []);
+  let d = run.Runtime.Loadgen.params.Core.Params.d in
+  match
+    List.find_opt (fun c -> c.Runtime.Loadgen.class_name = "MOP")
+      run.Runtime.Loadgen.classes
+  with
+  | Some c ->
+      let p50 = Runtime.Histogram.percentile c.Runtime.Loadgen.hist 50.0 in
+      if p50 >= d then Alcotest.failf "MOP p50 %d us waits out d = %d us" p50 d
+  | None -> Alcotest.fail "no MOP class in the report"
+
 let test_minority_partition_heals_linearizable () =
   (* A minority partition isolates one replica for 200 ms.  The majority
      side degrades to quorum mode and keeps serving; once the partition
@@ -275,9 +383,17 @@ let () =
             test_mc_epoch_discipline;
           Alcotest.test_case "decision table" `Quick test_mc_decisions;
         ] );
+      ( "gate",
+        [
+          Alcotest.test_case "predicate table" `Quick test_gate_table;
+          Alcotest.test_case "acks and detector horizon" `Quick test_gate_acks;
+        ]
+        @ qsuite [ gate_never_releases_early ] );
       ("log", qsuite [ log_no_drop_no_dup; log_majority_fires_once ]);
       ( "fallback",
         [
+          Alcotest.test_case "healthy gate frees MOPs below d" `Quick
+            test_healthy_gate_is_event_driven;
           Alcotest.test_case "permanent kill stays linearizable" `Quick
             test_permanent_kill_linearizable;
           Alcotest.test_case "minority partition heals" `Quick
