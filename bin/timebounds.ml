@@ -9,8 +9,9 @@
     - [timebounds graph <object> [--dot]] — its commutativity graph;
     - [timebounds live --object <w>] — Algorithm 1 on real domains: load
       generator, per-class latency histograms, post-hoc linearizability;
-    - [timebounds serve --pid i --peers h:p,...] — one replica as an OS
-      process over TCP (normally forked by [cluster]);
+    - [timebounds serve --pid i --peers h:p,... [--shards k]] — one replica
+      as an OS process over TCP, hosting [k] independent object instances
+      (normally forked by [cluster] or [shards cluster]);
     - [timebounds cluster --n 3 --object kv --ops 500] — fork n local
       [serve] processes, drive them over loopback TCP, verify;
     - [timebounds chaos --plan "crash(1)@0.4s;restart(1)@0.9s"] — either of
@@ -185,7 +186,7 @@ let graph_cmd () =
       Format.eprintf "unknown object %s@." other;
       exit 1
 
-(* ---- shared timing flags for live / serve / cluster ---- *)
+(* ---- flag groups, each declared once with one parse function ---- *)
 
 let timing_specs =
   [
@@ -203,6 +204,124 @@ let timing_args c =
     Cli.int c "x" ~default:0,
     Cli.int c "slack" ~default:5000 )
 
+(* The run's shape: who drives how much load where.  [load_specs] is the
+   part every load-driving command takes; [net_specs] adds what a TCP
+   cluster needs.  One parse function reads both — a flag a command did
+   not declare can never be given, so it reads as its default. *)
+type shape = {
+  n : int;
+  ops : int;
+  mix : int * int * int;
+  workers : int option;
+  seed : int;
+  round : int;
+  host : string;
+  base_port : int;
+}
+
+let load_specs ~ops =
+  [
+    Cli.value "n" "number of replicas (default 3)";
+    Cli.value "ops" (Printf.sprintf "total operations (default %d)" ops);
+    Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
+    Cli.value "workers" "closed-loop client domains; default n";
+    Cli.value "seed" "RNG seed (default 1)";
+  ]
+
+let net_specs ~round ~base_port =
+  [
+    Cli.value "round"
+      (Printf.sprintf "operations per quiescent round (default %d)" round);
+    Cli.value "host" "bind/connect host (default 127.0.0.1)";
+    Cli.value "base-port"
+      (Printf.sprintf "first replica port (default %d)" base_port);
+  ]
+
+let shape_args c ~ops ?(round = 24) ?(base_port = 7600) () =
+  {
+    n = Cli.int c "n" ~default:3;
+    ops = Cli.int c "ops" ~default:ops;
+    mix = Cli.mix c "mix" ~default:(50, 40, 10);
+    workers = Cli.int_opt c "workers";
+    seed = Cli.int c "seed" ~default:1;
+    round = Cli.int c "round" ~default:round;
+    host = Cli.str c "host" ~default:"127.0.0.1";
+    base_port = Cli.int c "base-port" ~default:base_port;
+  }
+
+let object_spec ~default =
+  Cli.value "object"
+    (Printf.sprintf "wire object (%s; default %s)"
+       (String.concat "|" Net.Wire.names)
+       default)
+
+let wire_object c ~default =
+  let obj = Cli.str c "object" ~default in
+  match Net.Wire.find obj with
+  | Some w -> w
+  | None ->
+      Format.eprintf "unknown wire object %s (have: %s)@." obj
+        (String.concat ", " Net.Wire.names);
+      exit 1
+
+type durable = {
+  dir : string option;
+  fsync : string;  (** the policy as given, forwarded to children *)
+  policy : Durable.Wal.fsync;
+  snapshot_every : int;
+}
+
+let durable_specs =
+  [
+    Cli.value "durable"
+      "durable state directory (WAL + snapshots; one subdirectory per \
+       replica in a cluster, per shard in a multi-shard host): a restarted \
+       replica recovers from it and catches up from peers, and cluster \
+       clients switch to idempotent retries";
+    Cli.value "fsync"
+      "WAL fsync policy: always | interval[:N] | never (default interval)";
+    Cli.value "snapshot-every"
+      "checkpoint after this many WAL records (default 1024; 0 = never)";
+  ]
+
+let durable_args c =
+  let fsync = Cli.str c "fsync" ~default:"interval" in
+  match Durable.Wal.fsync_of_string fsync with
+  | Error e -> Cli.fail c ("bad --fsync: " ^ e)
+  | Ok policy ->
+      {
+        dir = Cli.str_opt c "durable";
+        fsync;
+        policy;
+        snapshot_every = Cli.int c "snapshot-every" ~default:1024;
+      }
+
+(* The fault plan rides [--chaos] everywhere but the [chaos] and [trace]
+   commands, where it is [--plan]. *)
+let chaos_specs ?(flag = "chaos") ?default () =
+  [
+    Cli.value flag
+      (Printf.sprintf
+         "fault plan: rules name(args)[/src>dst][%%shard][@from[-until]] \
+          joined by ';'. Names: drop(P) dup(P) spike(E) jitter(M) \
+          partition(a,b|c,d) crash(P) restart(P) skew(P,OFF) flood(K). \
+          Times take us/ms/s suffixes; %%K scopes a rule to shard K%s"
+         (match default with
+         | Some d -> Printf.sprintf ". Default '%s'" d
+         | None -> ""));
+    Cli.value "chaos-seed"
+      "seed for the plan's coin flips (default: --seed, or 0 without one)";
+  ]
+
+let chaos_args ?(flag = "chaos") ?default c ~seed =
+  match (Cli.str_opt c flag, default) with
+  | None, None -> None
+  | Some spec, _ | None, Some spec -> (
+      let cseed = Cli.int c "chaos-seed" ~default:seed in
+      match Fault.Fault_plan.compile ~seed:cseed ~spec with
+      | Error e -> Cli.fail c (Printf.sprintf "bad --%s: %s" flag e)
+      | Ok p -> Some p)
+
 let fallback_specs =
   [
     Cli.value "fallback"
@@ -217,8 +336,9 @@ let fallback_args c =
   match Cli.str c "fallback" ~default:"none" with
   | "none" -> None
   | "quorum" ->
-      (* In-process runs have no [Net.Serve] hook composition, so verbose
-         mode/suspicion logging is attached here (processes log their own). *)
+      (* In-process runs have no host to log their mode switches and
+         suspicions, so verbose logging is attached here (hosts log their
+         own). *)
       let verbose = Cli.given c "verbose" in
       Some
         {
@@ -263,8 +383,8 @@ let sync_args c ~d ~u =
         Cli.int c "sync-interval-us" ~default:Sync.Config.default_interval_us
       in
       let su = Cli.int c "sync-u" ~default:u in
-      (* In-process runs have no [Net.Serve] hook composition, so verbose
-         achieved-ε logging is attached here (processes log their own). *)
+      (* In-process runs have no host to log achieved ε, so verbose logging
+         is attached here (hosts log their own). *)
       let verbose = Cli.given c "verbose" in
       let on_eps ~eps_us ~peers =
         if verbose then
@@ -272,6 +392,119 @@ let sync_args c ~d ~u =
       in
       Some (Sync.Config.make ~interval_us ~d ~u:su ~on_eps ())
   | other -> Cli.fail c (Printf.sprintf "bad --sync %s (on|off)" other)
+
+(* Trace analysis and exports, for the commands that record traces. *)
+let trace_specs =
+  [
+    Cli.value "trace-dir"
+      "directory for a process cluster's per-replica trace files, kept \
+       after the run (trace --processes: default a fresh dir under the \
+       system temp dir; shards cluster: traces only when given)";
+    Cli.value "grace"
+      "scheduling allowance over each bound, µs (default: slack)";
+    Cli.value "chrome" "export Chrome trace-event JSON to FILE";
+    Cli.value "prom" "export Prometheus text metrics to FILE";
+  ]
+
+(* Merge a process cluster's per-replica trace files onto one timeline. *)
+let read_traces ~dir ~n =
+  let events =
+    List.concat_map
+      (fun i ->
+        match Shard.Cluster.trace_path (Some dir) i with
+        | Some path when Sys.file_exists path -> Obs.Recorder.read_file path
+        | _ -> [])
+      (List.init n Fun.id)
+  in
+  Format.printf "merged %d events from %s@." (List.length events) dir;
+  events
+
+(* Analyse + export.  With [per_shard], the load generator's trace ids
+   carry the target shard in their origin bits, so partitioning the event
+   stream by [Trace_id.origin] attributes every latency to its shard.
+   False on an unexcused bound violation or an export that fails
+   validation. *)
+let analyze c ?recorder ?(per_shard = false) ~params ~slack ~windows events =
+  let grace = Cli.int c "grace" ~default:slack in
+  let events =
+    List.stable_sort
+      (fun (a : Obs.Event.t) (b : Obs.Event.t) ->
+        compare a.Obs.Event.t_us b.Obs.Event.t_us)
+      events
+  in
+  let report = Obs.Analyze.check ~params ~grace_us:grace ~windows events in
+  Format.printf "%a@." Obs.Analyze.pp_report report;
+  if Cli.given c "show-spans" then
+    List.iter
+      (fun ck -> Format.printf "  %a@." Obs.Analyze.pp_checked ck)
+      report.Obs.Analyze.spans;
+  if per_shard then begin
+    let by_shard : (int, Obs.Event.t list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Obs.Event.t) ->
+        if e.Obs.Event.trace <> 0 then begin
+          let k = Obs.Trace_id.origin e.Obs.Event.trace in
+          Hashtbl.replace by_shard k
+            (e :: Option.value ~default:[] (Hashtbl.find_opt by_shard k))
+        end)
+      events;
+    Hashtbl.fold (fun k evs acc -> (k, List.rev evs) :: acc) by_shard []
+    |> List.sort compare
+    |> List.iter (fun (k, evs) ->
+           let r = Obs.Analyze.check ~params ~grace_us:grace ~windows evs in
+           Format.printf
+             "  shard %3d: %3d spans  %d within, %d violated, %d excused, %d \
+              incomplete@."
+             k r.Obs.Analyze.total
+             (r.Obs.Analyze.total - r.Obs.Analyze.violations
+            - r.Obs.Analyze.excused - r.Obs.Analyze.incomplete)
+             r.Obs.Analyze.violations r.Obs.Analyze.excused
+             r.Obs.Analyze.incomplete)
+  end;
+  let export_ok = ref true in
+  (match Cli.str_opt c "chrome" with
+  | None -> ()
+  | Some path -> (
+      let json = Obs.Export.chrome ~report ~events in
+      match Obs.Json.validate json with
+      | Ok () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc json);
+          Format.printf "chrome trace: %s (%d bytes)@." path
+            (String.length json)
+      | Error e ->
+          Format.eprintf "internal error: chrome export is not valid JSON: %s@."
+            e;
+          export_ok := false));
+  (match Cli.str_opt c "prom" with
+  | None -> ()
+  | Some path ->
+      let text = Obs.Export.prometheus ~report ?recorder () in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Format.printf "metrics: %s@." path);
+  report.Obs.Analyze.violations = 0 && !export_ok
+
+(* The plan's assumption-violation windows, as the analyzer's excuses. *)
+let excuse_windows ~plan ~params ~net_d ~offsets =
+  match plan with
+  | None -> []
+  | Some p ->
+      Fault.Assumption_monitor.violations ~plan:p ~params ~net_d ~offsets ()
+      |> List.map (fun (v : Fault.Assumption_monitor.violation) ->
+             ( v.Fault.Assumption_monitor.label,
+               v.Fault.Assumption_monitor.v_from_us,
+               v.Fault.Assumption_monitor.v_until_us ))
+
+(* Log to stderr under [tag] when --verbose was given.  A SIGINT raises
+   [abort], which cuts a cluster run short and falls through to teardown. *)
+let verbose_log c ~tag =
+  if Cli.given c "verbose" then fun s -> Printf.eprintf "[%s] %s\n%!" tag s
+  else fun _ -> ()
+
+let sigint_abort () =
+  let abort = Atomic.make false in
+  Sys.set_signal Sys.sigint
+    (Sys.Signal_handle (fun _ -> Atomic.set abort true));
+  abort
 
 (* ---- live ---- *)
 
@@ -282,16 +515,9 @@ let live_cmd () =
       Cli.value "object"
         (Printf.sprintf "workload (%s; default register)"
            (String.concat "|" Runtime.Workloads.names));
-      Cli.value "n" "number of replicas (default 3)";
     ]
-    @ timing_specs
-    @ [
-        Cli.value "ops" "total operations (default 1000)";
-        Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-        Cli.value "workers" "closed-loop client domains; default n";
-        Cli.value "seed" "RNG seed (default 1)";
-        Cli.value "loss" "percentage of messages dropped (default 0)";
-      ]
+    @ load_specs ~ops:1000 @ timing_specs
+    @ [ Cli.value "loss" "percentage of messages dropped (default 0)" ]
   in
   let c = Cli.parse ~prog ~specs argv in
   let obj = Cli.str c "object" ~default:"register" in
@@ -301,16 +527,13 @@ let live_cmd () =
         (String.concat ", " Runtime.Workloads.names);
       exit 1
   | Some (module L : Runtime.Workloads.LIVE) ->
-      let n = Cli.int c "n" ~default:3 in
+      let s = shape_args c ~ops:1000 () in
       let d, u, eps, x, slack = timing_args c in
-      let ops = Cli.int c "ops" ~default:1000 in
-      let mix = Cli.mix c "mix" ~default:(50, 40, 10) in
-      let workers = Cli.int_opt c "workers" in
-      let seed = Cli.int c "seed" ~default:1 in
       let loss = Cli.int c "loss" ~default:0 in
       let module Gen = Runtime.Loadgen.Make (L) in
       let report =
-        Gen.run ~n ~d ~u ?eps ~x ~slack ?workers ~mix ~loss ~ops ~seed ()
+        Gen.run ~n:s.n ~d ~u ?eps ~x ~slack ?workers:s.workers ~mix:s.mix
+          ~loss ~ops:s.ops ~seed:s.seed ()
       in
       Format.printf "%a@." Runtime.Loadgen.pp_report report;
       if not (Runtime.Loadgen.is_linearizable report) then exit 1
@@ -461,9 +684,8 @@ let serve_cmd () =
       Cli.value "peers"
         "every replica's address as host:port,host:port,... (required; \
          index = pid)";
-      Cli.value "object"
-        (Printf.sprintf "wire object (%s; default register)"
-           (String.concat "|" Net.Wire.names));
+      Cli.value "shards" "independent object instances to host (default 1)";
+      object_spec ~default:"register";
     ]
     @ timing_specs
     @ [
@@ -472,23 +694,11 @@ let serve_cmd () =
           "shared clock epoch, µs on the wall clock (default: now); every \
            replica of a cluster must use the same value";
         Cli.value "watch-parent" "exit when this OS pid disappears";
-        Cli.value "chaos"
-          "fault plan spec, e.g. 'drop(20)/0>1;spike(3ms)@0.2s-0.6s' (see \
-           `timebounds chaos --help`)";
-        Cli.value "chaos-seed" "seed for the fault plan (default 0)";
         Cli.value "trace"
           "write this replica's observability events to FILE (binary; read \
            with `timebounds trace`)";
-        Cli.value "durable"
-          "durable directory: WAL + snapshots; on start, recover and catch \
-           up from peers";
-        Cli.value "fsync"
-          "WAL fsync policy: always | interval[:N] | never (default \
-           interval)";
-        Cli.value "snapshot-every"
-          "checkpoint after this many WAL records (default 1024; 0 = never)";
       ]
-    @ fallback_specs @ sync_specs
+    @ chaos_specs () @ durable_specs @ fallback_specs @ sync_specs
     @ [ Cli.flag "quiet" "suppress per-replica logging" ]
   in
   let c = Cli.parse ~prog ~specs argv in
@@ -505,284 +715,157 @@ let serve_cmd () =
   let n = Array.length addrs in
   if pid < 0 || pid >= n then
     Cli.fail c (Printf.sprintf "--pid %d out of range for %d peers" pid n);
-  let obj = Cli.str c "object" ~default:"register" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown wire object %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) ->
-      let d, u, eps, x, slack = timing_args c in
-      let eps =
-        match eps with Some e -> e | None -> Core.Params.optimal_eps ~n ~u
-      in
-      let params =
-        Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x ()
-      in
-      let offset = Cli.int c "offset" ~default:0 in
-      let start_us = Cli.int_opt c "epoch" in
-      let watch_parent = Cli.int_opt c "watch-parent" in
-      let log =
-        if Cli.given c "quiet" then fun _ -> ()
-        else fun s -> Printf.eprintf "[serve] %s\n%!" s
-      in
-      let wrap =
-        match Cli.str_opt c "chaos" with
-        | None -> None
-        | Some spec -> (
-            let cseed = Cli.int c "chaos-seed" ~default:0 in
-            match Fault.Fault_plan.compile ~seed:cseed ~spec with
-            | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
-            | Ok plan ->
-                Some
-                  (Fault.Chaos_transport.wrapper
-                     (Fault.Chaos_transport.create plan)))
-      in
-      let trace = Cli.str_opt c "trace" in
-      let durable = Cli.str_opt c "durable" in
-      let fsync =
-        match Durable.Wal.fsync_of_string (Cli.str c "fsync" ~default:"interval") with
-        | Ok f -> f
-        | Error e -> Cli.fail c ("bad --fsync: " ^ e)
-      in
-      let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-      let fallback = fallback_args c in
-      let sync =
-        sync_args c ~d:params.Core.Params.d ~u:params.Core.Params.u
-      in
-      let module S = Net.Serve.Make (W) in
-      S.run_until_signalled ?watch_parent ?wrap
-        {
-          Net.Serve.pid;
-          addrs;
-          params;
-          offset;
-          start_us;
-          trace;
-          durable;
-          fsync;
-          snapshot_every;
-          fallback;
-          sync;
-          log;
-        }
+  let shards = Cli.int c "shards" ~default:1 in
+  if shards < 1 then Cli.fail c "--shards must be >= 1";
+  let (module W : Net.Wire.WIRED) = wire_object c ~default:"register" in
+  let d, u, eps, x, slack = timing_args c in
+  let eps =
+    match eps with Some e -> e | None -> Core.Params.optimal_eps ~n ~u
+  in
+  let params = Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x () in
+  let durable = durable_args c in
+  let module H = Shard.Host.Make (W) in
+  H.run_until_signalled
+    ?watch_parent:(Cli.int_opt c "watch-parent")
+    {
+      Shard.Host.pid;
+      shards;
+      addrs;
+      params;
+      offset = Cli.int c "offset" ~default:0;
+      start_us = Cli.int_opt c "epoch";
+      trace = Cli.str_opt c "trace";
+      durable = durable.dir;
+      fsync = durable.policy;
+      snapshot_every = durable.snapshot_every;
+      chaos = chaos_args c ~seed:0;
+      fallback = fallback_args c;
+      sync = sync_args c ~d:params.Core.Params.d ~u:params.Core.Params.u;
+      log =
+        (if Cli.given c "quiet" then fun _ -> ()
+         else fun s -> Printf.eprintf "[serve] %s\n%!" s);
+    }
 
 (* ---- cluster ---- *)
 
 let cluster_cmd () =
   let prog, argv = args "cluster" in
   let specs =
-    [
-      Cli.value "n" "number of replica processes (default 3)";
-      Cli.value "object"
-        (Printf.sprintf "wire object (%s; default register)"
-           (String.concat "|" Net.Wire.names));
-    ]
-    @ timing_specs
-    @ [
-        Cli.value "ops" "total operations (default 500)";
-        Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-        Cli.value "workers" "closed-loop client domains; default n";
-        Cli.value "round" "operations per quiescent round (default 24)";
-        Cli.value "seed" "RNG seed (default 1)";
-        Cli.value "host" "bind/connect host (default 127.0.0.1)";
-        Cli.value "base-port" "first replica port (default 7600)";
-        Cli.value "durable"
-          "directory for per-replica durable state (WAL + snapshots); \
-           clients switch to idempotent retries";
-        Cli.value "fsync"
-          "WAL fsync policy: always | interval[:N] | never (default \
-           interval)";
-        Cli.value "snapshot-every"
-          "checkpoint after this many WAL records (default 1024; 0 = never)";
-      ]
-    @ fallback_specs @ sync_specs
+    [ object_spec ~default:"register" ]
+    @ load_specs ~ops:500 @ timing_specs
+    @ net_specs ~round:48 ~base_port:7600
+    @ durable_specs @ fallback_specs @ sync_specs
     @ [ Cli.flag "verbose" "log child lifecycle to stderr" ]
   in
   let c = Cli.parse ~prog ~specs argv in
-  let obj = Cli.str c "object" ~default:"register" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown wire object %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) ->
-      let n = Cli.int c "n" ~default:3 in
-      let d, u, eps, x, slack = timing_args c in
-      let ops = Cli.int c "ops" ~default:500 in
-      let mix = Cli.mix c "mix" ~default:(50, 40, 10) in
-      let workers = Cli.int_opt c "workers" in
-      let round = Cli.int c "round" ~default:48 in
-      let seed = Cli.int c "seed" ~default:1 in
-      let host = Cli.str c "host" ~default:"127.0.0.1" in
-      let base_port = Cli.int c "base-port" ~default:7600 in
-      let log =
-        if Cli.given c "verbose" then fun s ->
-          Printf.eprintf "[cluster] %s\n%!" s
-        else fun _ -> ()
-      in
-      let abort = Atomic.make false in
-      Sys.set_signal Sys.sigint
-        (Sys.Signal_handle (fun _ -> Atomic.set abort true));
-      let durable_dir = Cli.str_opt c "durable" in
-      let fsync = Cli.str c "fsync" ~default:"interval" in
-      (match Durable.Wal.fsync_of_string fsync with
-      | Ok _ -> ()
-      | Error e -> Cli.fail c ("bad --fsync: " ^ e));
-      let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-      let fallback = fallback_args c in
-      let sync = sync_args c ~d:(d + slack) ~u:(u + slack) in
-      let module Cl = Net.Cluster.Make (W) in
-      let report =
-        Cl.run ~n ~d ~u ?eps ~x ~slack ?workers ~round ~mix ~host ~base_port
-          ~log ~abort ?durable_dir ~fsync ~snapshot_every ?fallback ?sync ~ops
-          ~seed ()
-      in
-      Format.printf "%a@." Net.Cluster.pp_report report;
-      if not (Net.Cluster.ok report) then exit 1
+  let (module W : Net.Wire.WIRED) = wire_object c ~default:"register" in
+  let s = shape_args c ~ops:500 ~round:48 ~base_port:7600 () in
+  let d, u, eps, x, slack = timing_args c in
+  let durable = durable_args c in
+  let module Cl = Shard.Cluster.Make (W) in
+  let report =
+    Cl.run ~n:s.n ~source:(Cl.object_source ~n:s.n ~mix:s.mix) ~d ~u ?eps ~x
+      ~slack ?workers:s.workers ~round:s.round ~host:s.host
+      ~base_port:s.base_port ~log:(verbose_log c ~tag:"cluster")
+      ~abort:(sigint_abort ()) ?durable_dir:durable.dir ~fsync:durable.fsync
+      ~snapshot_every:durable.snapshot_every ?fallback:(fallback_args c)
+      ?sync:(sync_args c ~d:(d + slack) ~u:(u + slack))
+      ~ops:s.ops ~seed:s.seed ()
+  in
+  Format.printf "%a@." Shard.Cluster.pp_report report;
+  if not (Shard.Cluster.ok report) then exit 1
 
 (* ---- chaos ---- *)
 
 let chaos_cmd () =
   let prog, argv = args "chaos" in
   let specs =
-    [
-      Cli.value "object"
-        (Printf.sprintf "workload (%s; default register)"
-           (String.concat "|" Net.Wire.names));
-      Cli.value "n" "number of replicas (default 3)";
-    ]
-    @ timing_specs
+    [ object_spec ~default:"register" ]
+    @ load_specs ~ops:600 @ timing_specs
+    @ chaos_specs ~flag:"plan" ~default:"spike(3ms)@0.2s-0.6s" ()
+    @ net_specs ~round:24 ~base_port:7650
     @ [
-        Cli.value "plan"
-          "fault plan: rules name(args)[/src>dst][@from[-until]] joined by \
-           ';'. Names: drop(P) dup(P) spike(E) jitter(M) \
-           partition(a,b|c,d) crash(P) restart(P) skew(P,OFF) flood(K). \
-           Times take us/ms/s suffixes. Default 'spike(3ms)@0.2s-0.6s'";
-        Cli.value "chaos-seed" "seed for the plan's coin flips (default: seed)";
-        Cli.value "ops" "total operations (default 600)";
-        Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-        Cli.value "workers" "closed-loop client domains; default n";
-        Cli.value "round" "operations per quiescent round (default 24)";
-        Cli.value "seed" "RNG seed for the load (default 1)";
         Cli.flag "processes"
           "run as a real multi-process TCP cluster (crashes become SIGKILL \
            + supervised restart) instead of in-process domains";
-        Cli.value "host" "bind/connect host (default 127.0.0.1)";
-        Cli.value "base-port" "first replica port (default 7650)";
         Cli.flag "recovery"
           "enable durable crash recovery: crashed replicas freeze (or die) \
            with state on disk, recover, catch up from peers; clients retry \
            idempotently — crash/restart runs can then be checked for \
-           linearizability instead of excused";
-        Cli.value "durable"
-          "durable state directory for --processes --recovery (default: a \
-           fresh dir under the system temp dir)";
-        Cli.value "fsync"
-          "WAL fsync policy: always | interval[:N] | never (default \
-           interval)";
-        Cli.value "snapshot-every"
-          "checkpoint after this many WAL records (default 1024; 0 = never)";
+           linearizability instead of excused (--processes: --durable \
+           defaults to a fresh dir under the system temp dir)";
       ]
-    @ fallback_specs @ sync_specs
+    @ durable_specs @ fallback_specs @ sync_specs
     @ [
         Cli.flag "show-log" "print the canonical injected-fault log";
         Cli.flag "verbose" "log fault injection and child lifecycle";
       ]
   in
   let c = Cli.parse ~prog ~specs argv in
-  let obj = Cli.str c "object" ~default:"register" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown workload %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) -> (
-      let n = Cli.int c "n" ~default:3 in
-      let d, u, eps, x, slack = timing_args c in
-      let ops = Cli.int c "ops" ~default:600 in
-      let mix = Cli.mix c "mix" ~default:(50, 40, 10) in
-      let workers = Cli.int_opt c "workers" in
-      let round = Cli.int c "round" ~default:24 in
-      let seed = Cli.int c "seed" ~default:1 in
-      let spec = Cli.str c "plan" ~default:"spike(3ms)@0.2s-0.6s" in
-      let cseed = Cli.int c "chaos-seed" ~default:seed in
-      match Fault.Fault_plan.compile ~seed:cseed ~spec with
-      | Error e -> Cli.fail c ("bad --plan: " ^ e)
-      | Ok plan ->
-          let recovery = Cli.given c "recovery" in
-          let fallback = fallback_args c in
-          let sync = sync_args c ~d:(d + slack) ~u:(u + slack) in
-          if Cli.given c "processes" then begin
-            let host = Cli.str c "host" ~default:"127.0.0.1" in
-            let base_port = Cli.int c "base-port" ~default:7650 in
-            let log =
-              if Cli.given c "verbose" then fun s ->
-                Printf.eprintf "[chaos] %s\n%!" s
-              else fun _ -> ()
-            in
-            let abort = Atomic.make false in
-            Sys.set_signal Sys.sigint
-              (Sys.Signal_handle (fun _ -> Atomic.set abort true));
-            let durable_dir =
-              match Cli.str_opt c "durable" with
-              | Some dir -> Some dir
-              | None ->
-                  if recovery then
-                    Some
-                      (Filename.concat
-                         (Filename.get_temp_dir_name ())
-                         (Printf.sprintf "timebounds-durable-%d"
-                            (Unix.getpid ())))
-                  else None
-            in
-            let fsync = Cli.str c "fsync" ~default:"interval" in
-            (match Durable.Wal.fsync_of_string fsync with
-            | Ok _ -> ()
-            | Error e -> Cli.fail c ("bad --fsync: " ^ e));
-            let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-            let module Cl = Net.Cluster.Make (W) in
-            let report =
-              Cl.run ~n ~d ~u ?eps ~x ~slack ?workers ~round ~mix ~host
-                ~base_port ~log ~abort ~plan ?durable_dir ~fsync
-                ~snapshot_every ?fallback ?sync ~ops ~seed ()
-            in
-            Format.printf "%a@." Net.Cluster.pp_report report;
-            let violations =
-              Fault.Assumption_monitor.violations
-                ~recovery:(durable_dir <> None) ~plan
-                ~params:report.Net.Cluster.params ~net_d:d
-                ~offsets:report.Net.Cluster.offsets ()
-            in
-            let assessment =
-              Fault.Assumption_monitor.assess ~violations
-                ~cuts:report.Net.Cluster.cuts
-                ~verdict:report.Net.Cluster.verdict
-            in
-            Format.printf "chaos verdict: %a@."
-              Fault.Assumption_monitor.pp_assessment assessment;
-            match assessment with
-            | Fault.Assumption_monitor.Genuine _ -> exit 1
-            | _ -> ()
-          end
-          else begin
-            let report =
-              Fault.Chaos_run.run
-                ~workload:(module W.L)
-                ~n ~d ~u ?eps ~x ~slack ?workers ~round ~mix ~plan ~recovery
-                ?fallback ?sync ~ops ~seed ()
-            in
-            Format.printf "%a@." Fault.Chaos_run.pp_report report;
-            if Cli.given c "show-log" then
-              List.iter print_endline report.Fault.Chaos_run.canonical;
-            if Cli.given c "verbose" then
-              List.iter
-                (fun ev ->
-                  Format.eprintf "[chaos] %a@." Fault.Chaos_transport.pp_event
-                    ev)
-                report.Fault.Chaos_run.events;
-            if not (Fault.Chaos_run.ok report) then exit 1
-          end)
+  let (module W : Net.Wire.WIRED) = wire_object c ~default:"register" in
+  let s = shape_args c ~ops:600 ~base_port:7650 () in
+  let d, u, eps, x, slack = timing_args c in
+  let plan =
+    Option.get
+      (chaos_args ~flag:"plan" ~default:"spike(3ms)@0.2s-0.6s" c ~seed:s.seed)
+  in
+  let recovery = Cli.given c "recovery" in
+  let fallback = fallback_args c in
+  let sync = sync_args c ~d:(d + slack) ~u:(u + slack) in
+  if Cli.given c "processes" then begin
+    let durable = durable_args c in
+    let durable_dir =
+      match durable.dir with
+      | Some dir -> Some dir
+      | None when recovery ->
+          Some
+            (Filename.concat
+               (Filename.get_temp_dir_name ())
+               (Printf.sprintf "timebounds-durable-%d" (Unix.getpid ())))
+      | None -> None
+    in
+    let module Cl = Shard.Cluster.Make (W) in
+    let report =
+      Cl.run ~n:s.n ~source:(Cl.object_source ~n:s.n ~mix:s.mix) ~d ~u ?eps ~x
+        ~slack ?workers:s.workers ~round:s.round ~host:s.host
+        ~base_port:s.base_port ~log:(verbose_log c ~tag:"chaos")
+        ~abort:(sigint_abort ()) ~plan ?durable_dir ~fsync:durable.fsync
+        ~snapshot_every:durable.snapshot_every ?fallback ?sync ~ops:s.ops
+        ~seed:s.seed ()
+    in
+    Format.printf "%a@." Shard.Cluster.pp_report report;
+    let violations =
+      Fault.Assumption_monitor.violations ~recovery:(durable_dir <> None) ~plan
+        ~params:report.Shard.Cluster.params ~net_d:d
+        ~offsets:report.Shard.Cluster.offsets ()
+    in
+    let assessment =
+      Fault.Assumption_monitor.assess ~violations
+        ~cuts:report.Shard.Cluster.cuts ~verdict:report.Shard.Cluster.verdict
+    in
+    Format.printf "chaos verdict: %a@." Fault.Assumption_monitor.pp_assessment
+      assessment;
+    match assessment with
+    | Fault.Assumption_monitor.Genuine _ -> exit 1
+    | _ -> ()
+  end
+  else begin
+    let report =
+      Fault.Chaos_run.run
+        ~workload:(module W.L)
+        ~n:s.n ~d ~u ?eps ~x ~slack ?workers:s.workers ~round:s.round
+        ~mix:s.mix ~plan ~recovery ?fallback ?sync ~ops:s.ops ~seed:s.seed ()
+    in
+    Format.printf "%a@." Fault.Chaos_run.pp_report report;
+    if Cli.given c "show-log" then
+      List.iter print_endline report.Fault.Chaos_run.canonical;
+    if Cli.given c "verbose" then
+      List.iter
+        (fun ev ->
+          Format.eprintf "[chaos] %a@." Fault.Chaos_transport.pp_event ev)
+        report.Fault.Chaos_run.events;
+    if not (Fault.Chaos_run.ok report) then exit 1
+  end
 
 (* ---- recover ---- *)
 
@@ -790,14 +873,7 @@ let chaos_cmd () =
    would reconstruct, without touching the files. *)
 let recover_cmd () =
   let prog, argv = args "recover <dir>" in
-  let specs =
-    [
-      Cli.value "object"
-        (Printf.sprintf
-           "wire object the directory belongs to (%s; default register)"
-           (String.concat "|" Net.Wire.names));
-    ]
-  in
+  let specs = [ object_spec ~default:"register" ] in
   let c = Cli.parse ~prog ~specs argv in
   let dir =
     match Cli.positionals c with
@@ -805,370 +881,123 @@ let recover_cmd () =
     | [] -> Cli.fail c "missing DIR argument"
     | _ -> Cli.fail c "expected exactly one DIR argument"
   in
-  let obj = Cli.str c "object" ~default:"register" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown wire object %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
+  let (module W : Net.Wire.WIRED) = wire_object c ~default:"register" in
+  match Durable.Store.inspect ~dir with
+  | Error e ->
+      Format.eprintf "%s@." e;
       exit 1
-  | Some (module W : Net.Wire.WIRED) -> (
-      match Durable.Store.inspect ~dir with
-      | Error e ->
-          Format.eprintf "%s@." e;
-          exit 1
-      | Ok (meta, view) ->
-          let module P = Net.Persist.Make (W.C) in
-          let snap = P.recovered_of view in
-          let decoded =
-            List.length
-              (List.filter_map P.decode_record view.Durable.Store.r_records)
-          in
-          Format.printf "%s@." dir;
-          Format.printf "  META:        %s@." meta;
-          Format.printf "  generation:  %d@." view.Durable.Store.r_generation;
-          Format.printf "  snapshot:    %s@."
-            (match view.Durable.Store.r_snapshot with
-            | None -> "none"
-            | Some p -> Printf.sprintf "%d bytes" (String.length p));
-          Format.printf "  wal records: %d (%d decodable)@."
-            (List.length view.Durable.Store.r_records)
-            decoded;
-          Format.printf "  recovers:    %d mutations, high-water mark \
-                         (time=%d, pid=%d)@."
-            (List.length snap.P.s_applied)
-            snap.P.s_hwm_time snap.P.s_hwm_pid)
+  | Ok (meta, view) ->
+      let module P = Net.Persist.Make (W.C) in
+      let snap = P.recovered_of view in
+      let decoded =
+        List.length
+          (List.filter_map P.decode_record view.Durable.Store.r_records)
+      in
+      Format.printf "%s@." dir;
+      Format.printf "  META:        %s@." meta;
+      Format.printf "  generation:  %d@." view.Durable.Store.r_generation;
+      Format.printf "  snapshot:    %s@."
+        (match view.Durable.Store.r_snapshot with
+        | None -> "none"
+        | Some p -> Printf.sprintf "%d bytes" (String.length p));
+      Format.printf "  wal records: %d (%d decodable)@."
+        (List.length view.Durable.Store.r_records)
+        decoded;
+      Format.printf "  recovers:    %d mutations, high-water mark \
+                     (time=%d, pid=%d)@."
+        (List.length snap.P.s_applied)
+        snap.P.s_hwm_time snap.P.s_hwm_pid
 
 (* ---- trace ---- *)
 
 let trace_cmd () =
   let prog, argv = args "trace" in
   let specs =
-    [
-      Cli.value "object"
-        (Printf.sprintf "workload (%s; default register)"
-           (String.concat "|" Net.Wire.names));
-      Cli.value "n" "number of replicas (default 3)";
-    ]
-    @ timing_specs
+    [ object_spec ~default:"register" ]
+    @ load_specs ~ops:300 @ timing_specs
+    @ chaos_specs ~flag:"plan" ()
+    @ net_specs ~round:24 ~base_port:7700
     @ [
-        Cli.value "ops" "total operations (default 300)";
-        Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-        Cli.value "workers" "closed-loop client domains; default n";
-        Cli.value "round" "operations per quiescent round (default 24)";
-        Cli.value "seed" "RNG seed (default 1)";
-        Cli.value "grace"
-          "scheduling allowance over each bound, µs (default: slack)";
-        Cli.value "plan"
-          "fault plan to run under (requires --processes; see `timebounds \
-           chaos --help`)";
-        Cli.value "chaos-seed" "seed for the plan's coin flips (default: seed)";
         Cli.flag "processes"
           "trace a real multi-process TCP cluster (per-replica trace files, \
-           merged afterwards) instead of in-process domains";
-        Cli.value "host" "bind/connect host (default 127.0.0.1)";
-        Cli.value "base-port" "first replica port (default 7700)";
-        Cli.value "trace-dir"
-          "directory for --processes trace files (default: fresh dir under \
-           the system temp dir; kept after the run)";
-        Cli.value "chrome" "export Chrome trace-event JSON to FILE";
-        Cli.value "prom" "export Prometheus text metrics to FILE";
+           merged afterwards; required by --plan) instead of in-process \
+           domains";
+      ]
+    @ trace_specs
+    @ [
         Cli.flag "show-spans" "print every checked span";
         Cli.flag "verbose" "log child lifecycle to stderr";
       ]
     @ sync_specs
   in
   let c = Cli.parse ~prog ~specs argv in
-  let obj = Cli.str c "object" ~default:"register" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown workload %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) ->
-      let n = Cli.int c "n" ~default:3 in
-      let d, u, eps, x, slack = timing_args c in
-      let sync = sync_args c ~d:(d + slack) ~u:(u + slack) in
-      let ops = Cli.int c "ops" ~default:300 in
-      let mix = Cli.mix c "mix" ~default:(50, 40, 10) in
-      let workers = Cli.int_opt c "workers" in
-      let round = Cli.int c "round" ~default:24 in
-      let seed = Cli.int c "seed" ~default:1 in
-      let grace = Cli.int c "grace" ~default:slack in
-      let plan =
-        match Cli.str_opt c "plan" with
-        | None -> None
-        | Some spec -> (
-            if not (Cli.given c "processes") then
-              Cli.fail c
-                "--plan requires --processes (chaos tracing runs the real \
-                 cluster)";
-            let cseed = Cli.int c "chaos-seed" ~default:seed in
-            match Fault.Fault_plan.compile ~seed:cseed ~spec with
-            | Error e -> Cli.fail c ("bad --plan: " ^ e)
-            | Ok p -> Some p)
-      in
-      (* Analyse + export; shared by both run shapes.  Exit 1 on an
-         unexcused bound violation or an export that fails validation. *)
-      let finish ?recorder ~params ~windows events =
-        let events =
-          List.stable_sort
-            (fun (a : Obs.Event.t) (b : Obs.Event.t) ->
-              compare a.Obs.Event.t_us b.Obs.Event.t_us)
-            events
-        in
-        let report = Obs.Analyze.check ~params ~grace_us:grace ~windows events in
-        Format.printf "%a@." Obs.Analyze.pp_report report;
-        if Cli.given c "show-spans" then
-          List.iter
-            (fun ck -> Format.printf "  %a@." Obs.Analyze.pp_checked ck)
-            report.Obs.Analyze.spans;
-        let export_ok = ref true in
-        (match Cli.str_opt c "chrome" with
-        | None -> ()
-        | Some path -> (
-            let json = Obs.Export.chrome ~report ~events in
-            match Obs.Json.validate json with
-            | Ok () ->
-                Out_channel.with_open_bin path (fun oc ->
-                    output_string oc json);
-                Format.printf "chrome trace: %s (%d bytes)@." path
-                  (String.length json)
-            | Error e ->
-                Format.eprintf
-                  "internal error: chrome export is not valid JSON: %s@." e;
-                export_ok := false));
-        (match Cli.str_opt c "prom" with
-        | None -> ()
-        | Some path ->
-            let text = Obs.Export.prometheus ~report ?recorder () in
-            Out_channel.with_open_bin path (fun oc -> output_string oc text);
-            Format.printf "metrics: %s@." path);
-        if report.Obs.Analyze.violations > 0 || not !export_ok then exit 1
-      in
-      if Cli.given c "processes" then begin
-        let host = Cli.str c "host" ~default:"127.0.0.1" in
-        let base_port = Cli.int c "base-port" ~default:7700 in
-        let trace_dir =
-          match Cli.str_opt c "trace-dir" with
-          | Some dir -> dir
-          | None ->
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "timebounds-trace-%d" (Unix.getpid ()))
-        in
-        let log =
-          if Cli.given c "verbose" then fun s ->
-            Printf.eprintf "[trace] %s\n%!" s
-          else fun _ -> ()
-        in
-        let abort = Atomic.make false in
-        Sys.set_signal Sys.sigint
-          (Sys.Signal_handle (fun _ -> Atomic.set abort true));
-        let module Cl = Net.Cluster.Make (W) in
-        let report =
-          Cl.run ~n ~d ~u ?eps ~x ~slack ?workers ~round ~mix ~host ~base_port
-            ~log ~abort ?plan ?sync ~trace_dir ~ops ~seed ()
-        in
-        Format.printf "%a@.@." Net.Cluster.pp_report report;
-        let events =
-          List.concat_map
-            (fun i ->
-              let path =
-                Filename.concat trace_dir (Printf.sprintf "replica-%d.trace" i)
-              in
-              if Sys.file_exists path then Obs.Recorder.read_file path else [])
-            (List.init n Fun.id)
-        in
-        Format.printf "merged %d events from %s@." (List.length events)
-          trace_dir;
-        let windows =
-          match plan with
-          | None -> []
-          | Some p ->
-              Fault.Assumption_monitor.violations ~plan:p
-                ~params:report.Net.Cluster.params ~net_d:d
-                ~offsets:report.Net.Cluster.offsets ()
-              |> List.map (fun (v : Fault.Assumption_monitor.violation) ->
-                     ( v.Fault.Assumption_monitor.label,
-                       v.Fault.Assumption_monitor.v_from_us,
-                       v.Fault.Assumption_monitor.v_until_us ))
-        in
-        if plan = None && not (Net.Cluster.ok report) then exit 1;
-        finish ~params:report.Net.Cluster.params ~windows events
-      end
-      else begin
-        (* In-process: one recorder in this process sees every replica
-           domain; the memory sink keeps the events for analysis. *)
-        let module Gen = Runtime.Loadgen.Make (W.L) in
-        let sink, contents = Obs.Recorder.memory_sink () in
-        let r =
-          Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink ()
-        in
-        Obs.Recorder.install r;
-        let run =
-          Gen.run ~n ~d ~u ?eps ~x ~slack ?workers ~round ~mix ?sync ~ops
-            ~seed ()
-        in
-        Obs.Recorder.uninstall ();
-        Obs.Recorder.stop r;
-        Format.printf "%a@.@." Runtime.Loadgen.pp_report run;
-        if not (Runtime.Loadgen.is_linearizable run) then exit 1;
-        finish
-          ~recorder:(Obs.Recorder.stats r)
-          ~params:run.Runtime.Loadgen.params ~windows:[] (contents ())
-      end
+  let (module W : Net.Wire.WIRED) = wire_object c ~default:"register" in
+  let s = shape_args c ~ops:300 ~base_port:7700 () in
+  let d, u, eps, x, slack = timing_args c in
+  let sync = sync_args c ~d:(d + slack) ~u:(u + slack) in
+  if Cli.given c "plan" && not (Cli.given c "processes") then
+    Cli.fail c
+      "--plan requires --processes (chaos tracing runs the real cluster)";
+  let plan = chaos_args ~flag:"plan" c ~seed:s.seed in
+  if Cli.given c "processes" then begin
+    let trace_dir =
+      match Cli.str_opt c "trace-dir" with
+      | Some dir -> dir
+      | None ->
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "timebounds-trace-%d" (Unix.getpid ()))
+    in
+    let module Cl = Shard.Cluster.Make (W) in
+    let report =
+      Cl.run ~n:s.n ~source:(Cl.object_source ~n:s.n ~mix:s.mix) ~d ~u ?eps ~x
+        ~slack ?workers:s.workers ~round:s.round ~host:s.host
+        ~base_port:s.base_port ~log:(verbose_log c ~tag:"trace")
+        ~abort:(sigint_abort ()) ?plan ?sync ~trace_dir ~ops:s.ops
+        ~seed:s.seed ()
+    in
+    Format.printf "%a@.@." Shard.Cluster.pp_report report;
+    let events = read_traces ~dir:trace_dir ~n:s.n in
+    if plan = None && not (Shard.Cluster.ok report) then exit 1;
+    let params = report.Shard.Cluster.params in
+    if
+      not
+        (analyze c ~params ~slack
+           ~windows:
+             (excuse_windows ~plan ~params ~net_d:d
+                ~offsets:report.Shard.Cluster.offsets)
+           events)
+    then exit 1
+  end
+  else begin
+    (* In-process: one recorder in this process sees every replica
+       domain; the memory sink keeps the events for analysis. *)
+    let module Gen = Runtime.Loadgen.Make (W.L) in
+    let sink, contents = Obs.Recorder.memory_sink () in
+    let r = Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink () in
+    Obs.Recorder.install r;
+    let run =
+      Gen.run ~n:s.n ~d ~u ?eps ~x ~slack ?workers:s.workers ~round:s.round
+        ~mix:s.mix ?sync ~ops:s.ops ~seed:s.seed ()
+    in
+    Obs.Recorder.uninstall ();
+    Obs.Recorder.stop r;
+    Format.printf "%a@.@." Runtime.Loadgen.pp_report run;
+    if not (Runtime.Loadgen.is_linearizable run) then exit 1;
+    if
+      not
+        (analyze c
+           ~recorder:(Obs.Recorder.stats r)
+           ~params:run.Runtime.Loadgen.params ~slack ~windows:[] (contents ()))
+    then exit 1
+  end
 
 (* ---- shards ---- *)
 
-(* [timebounds shards serve]: one replica process hosting [--shards]
-   independent Algorithm-1 instances multiplexed over the shared per-peer
-   TCP links (normally forked by [shards cluster]). *)
-let shards_serve argv =
-  let prog = "timebounds shards serve" in
-  let specs =
-    [
-      Cli.value "pid" "this replica's id, 0-based (required)";
-      Cli.value "peers"
-        "every replica's address as host:port,host:port,... (required; \
-         index = pid)";
-      Cli.value "shards" "number of shard instances to host (required)";
-      Cli.value "object"
-        (Printf.sprintf "wire object (%s; default kv)"
-           (String.concat "|" Net.Wire.names));
-    ]
-    @ timing_specs
-    @ [
-        Cli.value "offset" "this replica's clock offset, µs (default 0)";
-        Cli.value "epoch"
-          "shared clock epoch, µs on the wall clock (default: now)";
-        Cli.value "watch-parent" "exit when this OS pid disappears";
-        Cli.value "chaos"
-          "fault plan spec; scope a rule to one shard with %K, e.g. \
-           'drop(20)%3@0.2s-0.6s' (see `timebounds chaos --help`)";
-        Cli.value "chaos-seed" "seed for the fault plan (default 0)";
-        Cli.value "trace"
-          "write this replica's observability events to FILE";
-        Cli.value "durable"
-          "durable root directory; each shard persists under \
-           <root>/shard-<k>";
-        Cli.value "fsync"
-          "WAL fsync policy: always | interval[:N] | never (default \
-           interval)";
-        Cli.value "snapshot-every"
-          "checkpoint after this many WAL records (default 1024; 0 = never)";
-      ]
-    @ fallback_specs
-    @ [ Cli.flag "quiet" "suppress per-replica logging" ]
-  in
-  let c = Cli.parse ~prog ~specs argv in
-  let pid =
-    match Cli.int_opt c "pid" with
-    | Some p -> p
-    | None -> Cli.fail c "--pid is required"
-  in
-  let addrs =
-    match Cli.str_opt c "peers" with
-    | Some v -> Cli.peers c "peers" v
-    | None -> Cli.fail c "--peers is required"
-  in
-  let n = Array.length addrs in
-  if pid < 0 || pid >= n then
-    Cli.fail c (Printf.sprintf "--pid %d out of range for %d peers" pid n);
-  let shards =
-    match Cli.int_opt c "shards" with
-    | Some s when s >= 1 -> s
-    | Some _ -> Cli.fail c "--shards must be >= 1"
-    | None -> Cli.fail c "--shards is required"
-  in
-  let obj = Cli.str c "object" ~default:"kv" in
-  match Net.Wire.find obj with
-  | None ->
-      Format.eprintf "unknown wire object %s (have: %s)@." obj
-        (String.concat ", " Net.Wire.names);
-      exit 1
-  | Some (module W : Net.Wire.WIRED) ->
-      let d, u, eps, x, slack = timing_args c in
-      let eps =
-        match eps with Some e -> e | None -> Core.Params.optimal_eps ~n ~u
-      in
-      let params =
-        Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x ()
-      in
-      let offset = Cli.int c "offset" ~default:0 in
-      let start_us = Cli.int_opt c "epoch" in
-      let watch_parent = Cli.int_opt c "watch-parent" in
-      let log =
-        if Cli.given c "quiet" then fun _ -> ()
-        else fun s -> Printf.eprintf "[shards] %s\n%!" s
-      in
-      let chaos =
-        match Cli.str_opt c "chaos" with
-        | None -> None
-        | Some spec -> (
-            let cseed = Cli.int c "chaos-seed" ~default:0 in
-            match Fault.Fault_plan.compile ~seed:cseed ~spec with
-            | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
-            | Ok plan -> Some plan)
-      in
-      let trace = Cli.str_opt c "trace" in
-      let durable = Cli.str_opt c "durable" in
-      let fsync =
-        match
-          Durable.Wal.fsync_of_string (Cli.str c "fsync" ~default:"interval")
-        with
-        | Ok f -> f
-        | Error e -> Cli.fail c ("bad --fsync: " ^ e)
-      in
-      let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-      let fallback = fallback_args c in
-      let module H = Shard.Host.Make (W) in
-      H.run_until_signalled ?watch_parent
-        {
-          Shard.Host.pid;
-          shards;
-          addrs;
-          params;
-          offset;
-          start_us;
-          trace;
-          durable;
-          fsync;
-          snapshot_every;
-          chaos;
-          fallback;
-          log;
-        }
-
-(* Per-shard bound attribution over a sharded cluster's merged trace: the
-   load generator mints each trace id with the target shard in the origin
-   bits, so partitioning the event stream by [Trace_id.origin] and running
-   the analyzer per group attributes every latency to its shard. *)
-let shards_attribute ~params ~grace ~windows events =
-  let report = Obs.Analyze.check ~params ~grace_us:grace ~windows events in
-  Format.printf "%a@." Obs.Analyze.pp_report report;
-  let by_shard : (int, Obs.Event.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Obs.Event.t) ->
-      if e.Obs.Event.trace <> 0 then begin
-        let k = Obs.Trace_id.origin e.Obs.Event.trace in
-        Hashtbl.replace by_shard k
-          (e :: Option.value ~default:[] (Hashtbl.find_opt by_shard k))
-      end)
-    events;
-  Hashtbl.fold (fun k evs acc -> (k, List.rev evs) :: acc) by_shard []
-  |> List.sort compare
-  |> List.iter (fun (k, evs) ->
-         let r = Obs.Analyze.check ~params ~grace_us:grace ~windows evs in
-         Format.printf
-           "  shard %3d: %3d spans  %d within, %d violated, %d excused, %d \
-            incomplete@."
-           k r.Obs.Analyze.total
-           (r.Obs.Analyze.total - r.Obs.Analyze.violations
-          - r.Obs.Analyze.excused - r.Obs.Analyze.incomplete)
-           r.Obs.Analyze.violations r.Obs.Analyze.excused
-           r.Obs.Analyze.incomplete);
-  report
-
+(* [timebounds shards cluster] forks [--n] hosts each running [--shards]
+   KV instances behind a consistent-hash ring and drives them with a
+   zipfian load; [shards loadgen] drives hand-started [serve --shards]
+   hosts without spawning. *)
 let shards_load ~drive_only argv =
   let prog =
     if drive_only then "timebounds shards loadgen"
@@ -1176,7 +1005,6 @@ let shards_load ~drive_only argv =
   in
   let specs =
     [
-      Cli.value "n" "number of replica processes (default 3)";
       Cli.value "shards" "independent object instances (default 8)";
       Cli.value "keys" "key-space size for the zipfian draw (default 100000)";
       Cli.value "theta"
@@ -1184,169 +1012,68 @@ let shards_load ~drive_only argv =
       Cli.value "vnodes" "virtual nodes per ring member (default 64)";
       Cli.value "ring-seed" "consistent-hash ring seed (default 42)";
     ]
-    @ timing_specs
-    @ [
-        Cli.value "ops" "total operations (default 2000)";
-        Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-        Cli.value "workers" "closed-loop client domains; default n";
-        Cli.value "round" "operations per quiescent round (default 24)";
-        Cli.value "seed" "RNG seed (default 1)";
-        Cli.value "host" "bind/connect host (default 127.0.0.1)";
-        Cli.value "base-port" "first replica port (default 7800)";
-      ]
+    @ load_specs ~ops:2000 @ timing_specs
+    @ net_specs ~round:24 ~base_port:7800
     @ (if drive_only then []
        else
-         [
-           Cli.value "chaos"
-             "fault plan forwarded to every host; scope rules to one shard \
-              with %K (see `timebounds chaos --help`)";
-           Cli.value "chaos-seed" "seed for the plan's coin flips (default: seed)";
-           Cli.value "trace-dir"
-             "record per-replica traces here; enables per-shard bound \
-              attribution";
-           Cli.value "grace"
-             "scheduling allowance over each bound, µs (default: slack)";
-           Cli.value "chrome" "export Chrome trace-event JSON to FILE";
-           Cli.value "prom" "export Prometheus text metrics to FILE";
-           Cli.value "durable"
-             "directory for durable state, per replica and shard; clients \
-              switch to idempotent retries";
-           Cli.value "fsync"
-             "WAL fsync policy: always | interval[:N] | never (default \
-              interval)";
-           Cli.value "snapshot-every"
-             "checkpoint after this many WAL records (default 1024; 0 = \
-              never)";
-         ])
+         chaos_specs () @ trace_specs @ durable_specs @ fallback_specs
+         @ sync_specs)
     @ [ Cli.flag "verbose" "log child lifecycle to stderr" ]
   in
   let c = Cli.parse ~prog ~specs argv in
-  let n = Cli.int c "n" ~default:3 in
+  let s = shape_args c ~ops:2000 ~base_port:7800 () in
   let shards = Cli.int c "shards" ~default:8 in
+  if shards < 1 then Cli.fail c "--shards must be >= 1";
   let keys = Cli.int c "keys" ~default:100_000 in
+  if keys < 1 then Cli.fail c "--keys must be >= 1";
   let theta =
     match float_of_string_opt (Cli.str c "theta" ~default:"0.99") with
     | Some t when t >= 0. && t < 1. -> t
     | _ -> Cli.fail c "--theta must be a float in [0, 1)"
   in
-  let vnodes = Cli.int c "vnodes" ~default:64 in
-  let ring_seed = Cli.int c "ring-seed" ~default:42 in
   let d, u, eps, x, slack = timing_args c in
-  let ops = Cli.int c "ops" ~default:2000 in
-  let mix = Cli.mix c "mix" ~default:(50, 40, 10) in
-  let workers = Cli.int_opt c "workers" in
-  let round = Cli.int c "round" ~default:24 in
-  let seed = Cli.int c "seed" ~default:1 in
-  let host = Cli.str c "host" ~default:"127.0.0.1" in
-  let base_port = Cli.int c "base-port" ~default:7800 in
-  let log =
-    if Cli.given c "verbose" then fun s -> Printf.eprintf "[shards] %s\n%!" s
-    else fun _ -> ()
+  let plan = chaos_args c ~seed:s.seed in
+  let trace_dir = Cli.str_opt c "trace-dir" in
+  let durable = durable_args c in
+  let source =
+    Shard.Cluster.zipf_source ~n:s.n ~shards ~keys ~theta
+      ~vnodes:(Cli.int c "vnodes" ~default:64)
+      ~ring_seed:(Cli.int c "ring-seed" ~default:42)
+      ~mix:s.mix
   in
-  let abort = Atomic.make false in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set abort true));
-  if drive_only then begin
-    let report =
-      Shard.Shard_cluster.drive ~n ~shards ~keys ~theta ~vnodes ~ring_seed ~d
-        ~u ?eps ~x ~slack ?workers ~round ~mix ~host ~base_port ~log ~abort
-        ~ops ~seed ()
-    in
-    Format.printf "%a@." Shard.Shard_cluster.pp_report report;
-    if not (Shard.Shard_cluster.ok report) then exit 1
-  end
-  else begin
-    let plan =
-      match Cli.str_opt c "chaos" with
-      | None -> None
-      | Some spec -> (
-          let cseed = Cli.int c "chaos-seed" ~default:seed in
-          match Fault.Fault_plan.compile ~seed:cseed ~spec with
-          | Error e -> Cli.fail c ("bad --chaos plan: " ^ e)
-          | Ok p -> Some p)
-    in
-    let trace_dir = Cli.str_opt c "trace-dir" in
-    let grace = Cli.int c "grace" ~default:slack in
-    let durable_dir = Cli.str_opt c "durable" in
-    let fsync = Cli.str c "fsync" ~default:"interval" in
-    (match Durable.Wal.fsync_of_string fsync with
-    | Ok _ -> ()
-    | Error e -> Cli.fail c ("bad --fsync: " ^ e));
-    let snapshot_every = Cli.int c "snapshot-every" ~default:1024 in
-    let report =
-      Shard.Shard_cluster.run ~n ~shards ~keys ~theta ~vnodes ~ring_seed ~d ~u
-        ?eps ~x ~slack ?workers ~round ~mix ~host ~base_port ~log ~abort ?plan
-        ?trace_dir ?durable_dir ~fsync ~snapshot_every ~ops ~seed ()
-    in
-    Format.printf "%a@." Shard.Shard_cluster.pp_report report;
-    let analysis_ok =
-      match trace_dir with
-      | None -> true
-      | Some tdir ->
-          let events =
-            List.concat_map
-              (fun i ->
-                let path =
-                  Filename.concat tdir (Printf.sprintf "replica-%d.trace" i)
-                in
-                if Sys.file_exists path then Obs.Recorder.read_file path
-                else [])
-              (List.init n Fun.id)
-            |> List.stable_sort (fun (a : Obs.Event.t) (b : Obs.Event.t) ->
-                   compare a.Obs.Event.t_us b.Obs.Event.t_us)
-          in
-          Format.printf "@.merged %d events from %s@." (List.length events)
-            tdir;
-          let windows =
-            match plan with
-            | None -> []
-            | Some p ->
-                Fault.Assumption_monitor.violations ~plan:p
-                  ~params:report.Shard.Shard_cluster.params ~net_d:d
-                  ~offsets:report.Shard.Shard_cluster.offsets ()
-                |> List.map (fun (v : Fault.Assumption_monitor.violation) ->
-                       ( v.Fault.Assumption_monitor.label,
-                         v.Fault.Assumption_monitor.v_from_us,
-                         v.Fault.Assumption_monitor.v_until_us ))
-          in
-          let analysis =
-            shards_attribute
-              ~params:report.Shard.Shard_cluster.params ~grace ~windows
-              events
-          in
-          let export_ok = ref true in
-          (match Cli.str_opt c "chrome" with
-          | None -> ()
-          | Some path -> (
-              let json = Obs.Export.chrome ~report:analysis ~events in
-              match Obs.Json.validate json with
-              | Ok () ->
-                  Out_channel.with_open_bin path (fun oc ->
-                      output_string oc json);
-                  Format.printf "chrome trace: %s (%d bytes)@." path
-                    (String.length json)
-              | Error e ->
-                  Format.eprintf
-                    "internal error: chrome export is not valid JSON: %s@." e;
-                  export_ok := false));
-          (match Cli.str_opt c "prom" with
-          | None -> ()
-          | Some path ->
-              let text = Obs.Export.prometheus ~report:analysis () in
-              Out_channel.with_open_bin path (fun oc -> output_string oc text);
-              Format.printf "metrics: %s@." path);
-          analysis.Obs.Analyze.violations = 0 && !export_ok
-    in
-    if not (Shard.Shard_cluster.ok report && analysis_ok) then exit 1
-  end
+  let report =
+    Shard.Cluster.Kv.run ~spawn:(not drive_only) ~n:s.n ~source ~d ~u ?eps ~x
+      ~slack ?workers:s.workers ~round:s.round ~host:s.host
+      ~base_port:s.base_port ~log:(verbose_log c ~tag:"shards")
+      ~abort:(sigint_abort ()) ?plan ?trace_dir ?durable_dir:durable.dir
+      ~fsync:durable.fsync ~snapshot_every:durable.snapshot_every
+      ?fallback:(fallback_args c)
+      ?sync:(sync_args c ~d:(d + slack) ~u:(u + slack))
+      ~ops:s.ops ~seed:s.seed ()
+  in
+  Format.printf "%a@." Shard.Cluster.pp_report report;
+  let analysis_ok =
+    match trace_dir with
+    | None -> true
+    | Some dir ->
+        Format.printf "@.";
+        let events = read_traces ~dir ~n:s.n in
+        let params = report.Shard.Cluster.params in
+        analyze c ~per_shard:true ~params ~slack
+          ~windows:
+            (excuse_windows ~plan ~params ~net_d:d
+               ~offsets:report.Shard.Cluster.offsets)
+          events
+  in
+  if not (Shard.Cluster.ok report && analysis_ok) then exit 1
 
 let shards_cmd () =
   match Array.to_list Sys.argv with
-  | _ :: _ :: "serve" :: rest -> shards_serve rest
   | _ :: _ :: "cluster" :: rest -> shards_load ~drive_only:false rest
   | _ :: _ :: "loadgen" :: rest -> shards_load ~drive_only:true rest
   | _ :: _ :: mode :: _ when String.length mode > 0 && mode.[0] <> '-' ->
-      Format.eprintf
-        "unknown shards mode %s (expected serve, cluster or loadgen)@." mode;
+      Format.eprintf "unknown shards mode %s (expected cluster or loadgen)@."
+        mode;
       exit 2
   | _ :: _ :: rest ->
       (* bare `timebounds shards [flags]` defaults to cluster mode *)
@@ -1368,13 +1095,14 @@ let usage ?(status = 2) () =
     \  live        Algorithm 1 on real domains (one process)\n\
     \  sync        clock-sync convergence demo: skewed replicas earn their\n\
     \              achieved ε over the wire (DESIGN.md par.14)\n\
-    \  serve       one replica as an OS process over TCP\n\
+    \  serve       one replica as an OS process over TCP (--shards k hosts\n\
+    \              k independent object instances)\n\
     \  cluster     fork n local serve processes and drive them over TCP\n\
     \  chaos       run live/cluster under a seeded fault-injection plan\n\
     \  recover     inspect a replica's durable directory (WAL + snapshots)\n\
     \  trace       record a traced run, decompose latency, attribute bounds\n\
     \  shards      sharded namespace: many instances behind a consistent-hash\n\
-    \              ring (modes: serve | cluster | loadgen; zipfian load,\n\
+    \              ring (modes: cluster | loadgen; zipfian load,\n\
     \              per-shard latency, verdicts and bound attribution)\n\
      run `timebounds <command> --help` for the command's options\n";
   exit status

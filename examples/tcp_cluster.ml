@@ -2,10 +2,10 @@
 
      dune exec examples/tcp_cluster.exe
 
-   Three replica stacks — TCP transport, replica node, client port — run in
-   this one process on ephemeral loopback ports (the same building blocks
-   [timebounds serve] wraps one-per-OS-process; see [timebounds cluster]
-   for the forked version).  A client connects to each replica and drives a
+   Three one-shard hosts — TCP transport, replica node, client port — run
+   in this one process on ephemeral loopback ports (the same building
+   block [timebounds serve] runs one-per-OS-process; see [timebounds
+   cluster] for the forked version).  A client connects to each replica and drives a
    small key-value workload; because the stacks speak the length-prefixed
    wire format through the kernel's TCP stack, every broadcast entry here
    really is encoded, CRC'd, written to a socket, read back and decoded.
@@ -16,7 +16,7 @@
    d and u are the *assumed* bounds the replicas run with, inflated by a
    slack over the loopback's real delay to absorb scheduling jitter. *)
 
-module S = Net.Serve.Make (Net.Wire.Kv_wired)
+module H = Shard.Host.Make (Net.Wire.Kv_wired)
 module Cl = Net.Client.Make (Net.Wire.Kv_wired)
 
 let () =
@@ -42,9 +42,10 @@ let () =
   let rng = Prelude.Rng.make 42 in
   let handles =
     Array.init n (fun pid ->
-        S.start ~listener:listeners.(pid)
+        H.start ~listener:listeners.(pid)
           {
-            Net.Serve.pid;
+            Shard.Host.pid;
+            shards = 1;
             addrs;
             params;
             offset = (if pid = 0 then 0 else Prelude.Rng.int rng eps);
@@ -53,6 +54,7 @@ let () =
             durable = None;
             fsync = Durable.Wal.Never;
             snapshot_every = 0;
+            chaos = None;
             fallback = None;
             sync = None;
             log = (fun _ -> ());
@@ -101,8 +103,8 @@ let () =
   let total =
     Array.fold_left
       (fun acc h ->
-        let records, _ = S.stop h in
-        acc + List.length records)
+        let records, _ = H.stop h in
+        acc + List.length records.(0))
       0 handles
   in
   Format.printf "%d ops recorded across %d replicas@." total n;

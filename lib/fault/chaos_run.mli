@@ -5,7 +5,7 @@
 
     Crash/restart rules are realised in-process as total network isolation
     of the replica during the outage (see {!Fault_plan}); the real
-    SIGKILL-and-respawn variant lives in [Net.Cluster].
+    SIGKILL-and-respawn variant lives in [Shard.Cluster].
 
     [ok r] is the chaos harness's pass criterion: the run is acceptable
     unless the monitor found a {e genuine} violation — one whose segment

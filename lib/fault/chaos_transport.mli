@@ -3,7 +3,7 @@
     A {!t} is the {e controller}: it owns the compiled {!Fault_plan.t} and
     the log of every fault actually injected.  {!wrapper} turns it into a
     {!Runtime.Transport_intf.wrapper}, the polymorphic hook accepted by
-    [Runtime.Replica.start] and [Net.Serve] — one controller can therefore
+    [Runtime.Replica.start] and [Shard.Host] — one controller can therefore
     sit under the in-process bus and the TCP transport alike.
 
     What the wrapped transport does per {!Runtime.Transport_intf.send}:

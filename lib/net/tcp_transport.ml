@@ -1,12 +1,12 @@
 (** See the interface.  Thread structure per process:
 
     - 1 acceptor (select loop, so [close] can interrupt it);
-    - 1 reader per accepted connection (peer entries → local mailbox,
-      client connections → [on_client]);
+    - 1 reader per accepted connection (peer frames → [deliver], client
+      connections → [on_client]);
     - 1 writer per outgoing peer link (bounded queue, reconnect/backoff).
 
-    The replica's event loop only ever touches the mailbox; all socket IO
-    happens on these helper threads. *)
+    All socket IO happens on these helper threads; the caller's [deliver]
+    is the only way a received message leaves the transport. *)
 
 type listener = { listen_fd : Unix.file_descr; host : string; port : int }
 
@@ -138,13 +138,12 @@ let conn_read_frame conn =
 
 (* ---- transport state ---- *)
 
-type 'msg state = {
+type state = {
   me : int;
   n : int;
   addrs : (string * int) array;
   hello : string;
   listener : listener;
-  box : (int * 'msg) Runtime.Mailbox.t;
   links : link array;
   ctrs : counters;
   stopping : bool Atomic.t;
@@ -313,16 +312,13 @@ let release_conn st fd =
     quiet_close fd
   end
 
-let reader st classify_hello decode_peer on_client fd =
+let reader st classify_hello decode_peer deliver on_client fd =
   let role = ref `Unknown in
   read_frames st fd ~on_frame:(fun frame ~rest ->
       match !role with
       | `Peer src ->
           (match decode_peer ~src frame with
-          | Some msg ->
-              Runtime.Mailbox.put st.box
-                ~deliver_at:(Prelude.Mclock.now_us ())
-                (src, msg)
+          | Some msg -> deliver ~src msg
           | None -> ());
           true
       | `Unknown -> (
@@ -346,7 +342,7 @@ let reader st classify_hello decode_peer on_client fd =
               false));
   release_conn st fd
 
-let acceptor_loop st classify_hello decode_peer on_client =
+let acceptor_loop st classify_hello decode_peer deliver on_client =
   let rec loop () =
     if not (Atomic.get st.stopping) then begin
       match Unix.select [ st.listener.listen_fd ] [] [] 0.2 with
@@ -362,7 +358,7 @@ let acceptor_loop st classify_hello decode_peer on_client =
               Mutex.unlock st.accepted_lock;
               ignore
                 (Thread.create
-                   (reader st classify_hello decode_peer on_client)
+                   (reader st classify_hello decode_peer deliver on_client)
                    fd);
               loop ()
           | exception Unix.Unix_error _ -> if Atomic.get st.stopping then () else loop ())
@@ -373,13 +369,24 @@ let acceptor_loop st classify_hello decode_peer on_client =
 
 (* ---- assembly ---- *)
 
+type 'msg t = {
+  t_send : dst:int -> trace:int -> 'msg -> unit;
+  t_stats : unit -> Runtime.Transport_intf.stats;
+  t_close : unit -> unit;
+}
+
+let send t ~dst ~trace msg = t.t_send ~dst ~trace msg
+let stats t = t.t_stats ()
+let close t = t.t_close ()
+
 let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
     ~(decode_peer : src:int -> Codec.frame -> msg option)
-    ~(encode_peer : msg -> string) ?on_client ?(max_queue = 4096)
-    ?(max_lane_bytes = 4 lsl 20) ?(lane_of : (msg -> Lanes.lane) option)
+    ~(encode_peer : msg -> string) ~(deliver : src:int -> msg -> unit)
+    ?on_client ?(max_queue = 4096) ?(max_lane_bytes = 4 lsl 20)
+    ?(lane_of : (msg -> Lanes.lane) option)
     ?(write_stall_us = 2_000_000) ?(backoff_min_us = 20_000)
     ?(backoff_max_us = 1_000_000) ?(log = fun s -> prerr_endline s) () :
-    msg Runtime.Transport_intf.t =
+    msg t =
   let n = Array.length addrs in
   if me < 0 || me >= n then invalid_arg "Tcp_transport.create: me out of range";
   let lane_of = match lane_of with Some f -> f | None -> fun _ -> Lanes.Data in
@@ -390,7 +397,6 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
       addrs;
       hello;
       listener;
-      box = Runtime.Mailbox.create ();
       links =
         Array.init n (fun dst ->
             {
@@ -426,7 +432,9 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
     }
   in
   let acceptor =
-    Thread.create (fun () -> acceptor_loop st classify_hello decode_peer on_client) ()
+    Thread.create
+      (fun () -> acceptor_loop st classify_hello decode_peer deliver on_client)
+      ()
   in
   let writers =
     Array.to_list st.links
@@ -434,11 +442,10 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
            if link.dst = me then None
            else Some (Thread.create (fun () -> writer_loop st link) ()))
   in
-  let send ~src:_ ~dst ~trace msg =
+  let send ~dst ~trace msg =
     Atomic.incr st.ctrs.sent;
     Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Send ~trace ~a:dst ();
-    if dst = me then
-      Runtime.Mailbox.put st.box ~deliver_at:(Prelude.Mclock.now_us ()) (me, msg)
+    if dst = me then deliver ~src:me msg
     else if dst < 0 || dst >= n then
       invalid_arg "Tcp_transport.send: dst out of range"
     else begin
@@ -476,11 +483,6 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
       end
     end
   in
-  let post ~src ~dst:_ msg =
-    Runtime.Mailbox.put st.box ~deliver_at:(Prelude.Mclock.now_us ()) (src, msg)
-  in
-  let recv ~me:_ ~deadline = Runtime.Mailbox.take st.box ~deadline in
-  let depth ~me:_ = Runtime.Mailbox.length st.box in
   let stats () =
     {
       Runtime.Transport_intf.sent = Atomic.get st.ctrs.sent;
@@ -517,7 +519,7 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
       st.accepted := [];
       Mutex.unlock st.accepted_lock;
       (* Readers exit on the shutdown-induced EOF; they are not joined —
-         they only touch their own fd, the mailbox and atomic counters. *)
+         they only touch their own fd, [deliver] and atomic counters. *)
       List.iter
         (fun fd ->
           quiet_shutdown fd;
@@ -525,4 +527,4 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
         conns
     end
   in
-  { Runtime.Transport_intf.n; send; post; recv; depth; stats; close }
+  { t_send = send; t_stats = stats; t_close = close }

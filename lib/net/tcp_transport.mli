@@ -1,5 +1,8 @@
-(** A {!Runtime.Transport_intf.t} over real TCP sockets — the transport
-    that puts each Algorithm 1 replica in its own OS process.
+(** Real TCP sockets between Algorithm 1 replicas — the transport that
+    puts each replica in its own OS process.  The interface is deliberately
+    narrow: {!send} a message to a peer, and receive through the caller's
+    [deliver] callback.  Mailboxes, shards and event loops are the
+    caller's business.
 
     Topology: every replica listens on one address ([addrs.(pid)]) and
     maintains one {e outgoing} connection per peer, used only for sending;
@@ -39,10 +42,7 @@
     against a dead peer's full kernel buffer observes transport shutdown
     within one timeout slice (and gives up on the connection after
     [write_stall_us], falling back to the reconnect path) instead of
-    relying on reconnect backoff alone.
-
-    [post] and [recv] are purely local (the process's own mailbox), as in
-    the bus transport. *)
+    relying on reconnect backoff alone. *)
 
 type listener = private {
   listen_fd : Unix.file_descr;
@@ -74,6 +74,9 @@ type hello_verdict =
   | Client  (** not a handshake — hand the connection to [on_client] *)
   | Reject of string  (** incompatible handshake: log and drop *)
 
+type 'msg t
+(** A running transport carrying ['msg] values. *)
+
 val create :
   me:int ->
   addrs:(string * int) array ->
@@ -82,6 +85,7 @@ val create :
   classify_hello:(Codec.frame -> hello_verdict) ->
   decode_peer:(src:int -> Codec.frame -> 'msg option) ->
   encode_peer:('msg -> string) ->
+  deliver:(src:int -> 'msg -> unit) ->
   ?on_client:(first:Codec.frame -> client_conn -> unit) ->
   ?max_queue:int ->
   ?max_lane_bytes:int ->
@@ -91,23 +95,31 @@ val create :
   ?backoff_max_us:int ->
   ?log:(string -> unit) ->
   unit ->
-  'msg Runtime.Transport_intf.t
+  'msg t
 (** Start the acceptor and per-peer writer threads and return the
     transport.  [addrs] lists every replica's listen address (index =
     pid); [listener] must already be bound to [addrs.(me)] (possibly with
     an ephemeral port — pass the rebound address in [addrs]).
 
-    [decode_peer] turns a received frame from peer [src] into a message
-    (typically [Replica.net] of a decoded entry); [None] skips the frame.
-    [encode_peer] is its inverse for {!Runtime.Transport_intf.send}.
-    [on_client] runs in the accepting connection's own thread and owns the
-    connection until it returns; invocations may block there without
-    stalling peer traffic.
+    [decode_peer] turns a received frame from peer [src] into a message;
+    [None] skips the frame.  Each decoded message is handed to [deliver]
+    on the reading connection's thread, in arrival order per link.
+    [encode_peer] is its inverse for {!send}.  [on_client] runs in the
+    accepting connection's own thread and owns the connection until it
+    returns; invocations may block there without stalling peer traffic.
 
     [lane_of] assigns each message a {!Lanes.lane}; when omitted every
     message rides the (bounded) data lane.
 
     Defaults: [max_queue] 4096 frames/link, [max_lane_bytes] 4 MiB/link,
-    [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to [stderr].
-    [close] shuts down every socket and joins the acceptor and writer
-    threads. *)
+    [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to [stderr]. *)
+
+val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
+(** Queue [msg] for peer [dst] on its lane; never blocks on the network.
+    [dst = me] hands the message straight to [deliver].  [trace] tags the
+    [Send] observability event. *)
+
+val stats : 'msg t -> Runtime.Transport_intf.stats
+
+val close : 'msg t -> unit
+(** Shut down every socket and join the acceptor and writer threads. *)

@@ -1,5 +1,5 @@
 (** Tuning knobs for the quorum fallback, shared by every layer that arms
-    it (in-process clusters, [Net.Serve] processes, shard hosts).
+    it (in-process clusters and [Shard.Host] processes).
 
     The defaults aim CI-sized clusters: heartbeats every 2.5 ms and
     suspicion after 40 consecutive missed intervals put the failure
@@ -13,7 +13,7 @@ type t = {
           suspected; the detector's timeout is [hb_us * suspect_after] *)
   on_mode : quorum:bool -> epoch:int -> seq:int -> unit;
       (** called from inside the replica's event loop on every mode
-          transition — the hook [Net.Serve] logs (and CI greps) and the
+          transition — the hook [Shard.Host] logs (and CI greps) and the
           chaos harness turns into an availability report *)
   on_suspect : peer:int -> suspected:bool -> unit;
       (** called on every suspicion transition of the failure detector *)

@@ -28,7 +28,7 @@ val merge : t -> t -> t
 
 val merge_into : into:t -> t -> unit
 (** Accumulate [src]'s samples into [into] without allocating — the
-    round-merge path of [Loadgen] and [Net.Cluster]. *)
+    round-merge path of [Loadgen] and [Shard.Cluster]. *)
 
 val bucket_of : int -> int
 (** Bucket index a value falls into (exposed for tests). *)

@@ -38,7 +38,7 @@ val classes_of :
 (** Name the 6-histogram worker layout (slots 0–2 = clean MOP/AOP/OOP,
     3–5 = their fault-window halves) and attach each class's paper target
     under [params].  [windowed = false] drops the faulty halves.  Shared
-    by this module, [Net.Cluster] and the sharded cluster — which calls it
+    by this module and [Shard.Cluster] — which calls it
     once per shard, so hot-shard latency is keyed by shard rather than
     averaged away. *)
 
@@ -51,7 +51,7 @@ type shard_report = {
           compositional, so the namespace verdict is the conjunction of
           these *)
 }
-(** Per-shard slice of a sharded run's report ([Shard.Shard_cluster]). *)
+(** Per-shard slice of a sharded run's report ([Shard.Cluster]). *)
 
 val pp_shard_report : Format.formatter -> shard_report -> unit
 (** One line: ops routed there, per-class p99 against target, verdict —
@@ -96,7 +96,7 @@ module Make (L : Workloads.LIVE) : sig
       order, times on one µs timeline) at the quiescent [cuts] and runs
       Wing–Gong segment by segment, threading the witness state across
       cuts — shared by the in-process load generator and the TCP cluster
-      orchestrator ([Net.Cluster]).  [initial] is the object state the
+      orchestrator ([Shard.Cluster]).  [initial] is the object state the
       history starts from (default: fresh) — a durable cluster restarted
       over existing directories serves the persisted history, so its
       checker must start from the recovered state. *)

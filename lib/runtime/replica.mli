@@ -11,8 +11,8 @@
     handles events in the order the model prescribes.
 
     The building block is a {e node} — one replica on one domain over an
-    arbitrary transport.  [Net.Serve] runs a single node per OS process
-    over TCP; {!start} below assembles the PR 1 in-process cluster by
+    arbitrary transport.  [Shard.Host] runs one node per shard in each OS
+    process over TCP; {!start} below assembles the PR 1 in-process cluster by
     pointing [n] nodes at one shared bus transport.
 
     Clocks: replica [i] reads [Mclock.now_us () − start + offset] — real
@@ -42,7 +42,7 @@
 
     - Algorithm 1's (timestamp, origin) total order makes the applied
       history replayable; the [on_apply] hook sees every mutation in
-      exactly that order, which is what [Net.Serve] appends to the WAL.
+      exactly that order, which is what [Shard.Host] appends to the WAL.
     - A restarted replica seeds itself from {!recovered_state} (decoded
       snapshot + WAL), then {e catches up from peers}: it freezes,
       broadcasts a catch-up request carrying its high-water mark (the
@@ -278,7 +278,7 @@ module Make (D : Spec.Data_type.S) : sig
     ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
     pid:int -> D.op -> D.result
   (** Synchronous client call posted straight to a transport — what
-      [Net.Serve] uses.  [op_id] (default 0 = none) identifies the client
+      [Shard.Host] uses.  [op_id] (default 0 = none) identifies the client
       operation for idempotent retries: invoking twice with the same id
       executes once.  [deadline] (default 0 = none) is the op's absolute
       deadline in µs on the {!Prelude.Mclock} timeline: a replica sheds

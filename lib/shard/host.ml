@@ -1,55 +1,116 @@
-(** One replica of a {e sharded} namespace as an OS process: [shards]
-    independent Algorithm 1 instances multiplexed over the {e same}
-    per-peer TCP links — the body of [timebounds shards serve].
+(** One replica as an OS process: [shards] independent Algorithm 1
+    instances multiplexed over the {e same} per-peer TCP links, plus a
+    client port — the body of [timebounds serve].  An unsharded replica is
+    simply a host with one shard: linearizability composes, so a namespace
+    of independently linearizable instances is linearizable, and nothing
+    about a single instance changes when it is the only one.
 
-    The multiplexing is the whole trick.  A host opens exactly the link
-    topology an unsharded [Net.Serve] stack does (one outgoing connection
-    per peer), and every codec-v4 frame carries its shard id; a dispatcher
-    thread drains the TCP transport's mailbox and routes each decoded
-    message into the owning shard's own {!Runtime.Mailbox}.  Each shard
-    then runs behind a {e facade} transport — send tags outgoing frames
-    with the shard id, recv/post/depth operate on the shard's mailbox —
-    so [Runtime.Replica] hosts it unchanged: the shard neither knows nor
-    cares that it shares its sockets with 63 siblings.
+    The multiplexing is the whole trick.  A host opens one outgoing
+    connection per peer, and every codec-v4 frame carries its shard id.
+    The TCP transport's reader threads decode each peer frame into a
+    [(shard, event)] pair and put it straight into the owning shard's own
+    {!Runtime.Mailbox}; self-sends take the same path.  Each shard then runs
+    behind a {e facade} transport — send tags outgoing frames with the
+    shard id, recv/post/depth operate on the shard's mailbox — so
+    [Runtime.Replica] hosts it unchanged: the shard neither knows nor cares
+    that it shares its sockets with 63 siblings.
 
-    Shard replicas run on systhreads ([R.node ~threaded:true]), not
-    domains: an idle event loop blocks in [Mailbox.take] releasing the
-    runtime lock, so a host carries far more shards than the OCaml domain
-    ceiling would allow, at the cost of serialising CPU bursts.
+    Client connections (first frame [Invoke] rather than [Hello]) are
+    served on their accepting thread: each [Invoke] becomes a synchronous
+    invocation on the addressed shard, each [Stats_req] a transport-stats
+    snapshot, so invocations block the connection — not the replica loop.
+
+    Execution vehicle: a one-shard host runs its replica on its own domain.
+    With more shards the replicas run on systhreads
+    ([R.node ~threaded:true]): an idle event loop blocks in [Mailbox.take]
+    releasing the runtime lock, so a host carries far more shards than the
+    OCaml domain ceiling would allow, at the cost of serialising CPU
+    bursts.
 
     Per-shard isolation elsewhere:
-    - durable state lives under [root/shard-<k>/], each its own
-      {!Durable.Store} whose META names the shard — a mixed-up directory
-      handoff fails loudly;
+    - durable state: a one-shard host keeps its store at the durable
+      directory itself; with more shards each lives under
+      [root/shard-<k>/] with a META naming the shard, so a mixed-up
+      directory handoff fails loudly;
     - a chaos plan is projected per shard ({!Fault.Fault_plan.for_shard}):
       shard [k]'s facade is wrapped only when the projection is non-empty,
       so a [%k]-scoped fault never touches a sibling;
-    - correctness is per shard by construction: linearizability is
-      compositional, so [shards] independently linearizable instances are
-      a linearizable namespace (checked shard-by-shard post hoc). *)
+    - each shard has its own admission controller, failure detector, mode
+      controller and clock-sync estimator.
+
+    A {!handle} is separable from the CLI so an in-process caller (the
+    [tcp_cluster] example, the tests) can run several hosts in one process
+    on ephemeral ports. *)
 
 module T = Runtime.Transport_intf
 
 type config = {
   pid : int;
-  shards : int;
+  shards : int;  (** independent object instances hosted (≥ 1) *)
   addrs : (string * int) array;  (** every replica's address, index = pid *)
   params : Core.Params.t;  (** effective (slack already folded into d, u) *)
   offset : int;  (** this replica's clock offset, µs *)
-  start_us : int option;  (** shared cluster epoch (see [Net.Serve]) *)
-  trace : string option;  (** observability trace file for this process *)
-  durable : string option;  (** durable {e root}; shards get subdirs *)
-  fsync : Durable.Wal.fsync;
+  start_us : int option;
+      (** shared clock epoch (µs on {!Prelude.Mclock}'s timeline, which is
+          wall-clock based and hence comparable across local processes).
+          Every replica of a cluster must use the same epoch: replica
+          clocks read [now − start_us + offset], so per-process epochs
+          would skew them by the process spawn deltas — far beyond the ε
+          the algorithm assumes.  [None] means "now" (single-replica or
+          in-process use). *)
+  trace : string option;
+      (** when set, install an [Obs.Recorder] writing this process's trace
+          file, timestamped from [start_us] — the same epoch in every
+          replica makes the per-process files merge onto one timeline. *)
+  durable : string option;
+      (** durable directory ({!Durable.Store}, see {!store_dir}): WAL every
+          applied mutation, checkpoint periodically, and on start recover
+          the prefix and catch up from peers.  [None] = memory-only. *)
+  fsync : Durable.Wal.fsync;  (** WAL durability policy (when [durable]) *)
   snapshot_every : int;
-  chaos : Fault.Fault_plan.t option;  (** projected per shard *)
+      (** checkpoint after this many WAL records (≤ 0 = never snapshot) *)
+  chaos : Fault.Fault_plan.t option;
+      (** fault plan applied to the peer links, projected per shard; its
+          windows are measured from [start_us] *)
   fallback : Quorum.Config.t option;
-      (** arm the adaptive quorum fallback on every shard: each Algorithm 1
-          instance runs its own failure detector and mode controller, so
-          shards degrade (and recover) independently *)
+      (** arm the adaptive quorum fallback on every shard: the replica
+          heartbeats its peers, runs the fast path behind the response
+          release gate while timing holds, and degrades to the
+          sequencer/majority mode when a peer is suspected dead.  Shards
+          degrade (and recover) independently.  The configured
+          [on_mode]/[on_suspect] hooks are composed with this host's own
+          logging (the "mode: quorum(...)" and "suspecting peer" lines CI
+          greps). *)
+  sync : Sync.Config.t option;
+      (** arm live clock synchronization on every shard: the replica
+          exchanges timestamped ping/pong probes with its peers, slews a
+          corrected clock toward the Lundelius–Lynch midpoint average, and
+          publishes its achieved ε each round.  The configured [on_eps]
+          hook is composed with this host's own logging (the
+          "sync eps=..." lines the CI sync smokes grep). *)
   log : string -> unit;
 }
 
+(* How long a restarted replica waits for peer catch-up replies before
+   giving up on the missing ones: the algorithm's own propagation bound
+   plus a generous allowance for TCP reconnection — peers may themselves
+   be mid-restart.  The freeze ends as soon as every peer answers, so the
+   constant only caps the unresponsive-peer case. *)
 let catchup_grace_us = 1_500_000
+
+(* A one-shard host keeps its store at [root] itself — the layout
+   [timebounds recover DIR] and the benchmark's WAL inspection read. *)
+let store_dir ~shards root k =
+  if shards = 1 then root
+  else Filename.concat root (Printf.sprintf "shard-%d" k)
+
+(* Log-line subject: an unsharded replica speaks as "replica N". *)
+let who cfg k =
+  if cfg.shards = 1 then Printf.sprintf "replica %d" cfg.pid
+  else Printf.sprintf "replica %d shard %d" cfg.pid k
+
+let epoch_of cfg =
+  match cfg.start_us with Some s -> s | None -> Prelude.Mclock.now_us ()
 
 module Make (W : Net.Wire.WIRED) = struct
   module C = Net.Codec.Make (W.C)
@@ -57,16 +118,14 @@ module Make (W : Net.Wire.WIRED) = struct
   module P = Net.Persist.Make (W.C)
 
   type handle = {
-    config : config;
-    transport : (int * R.event) T.t;  (** the shared TCP transport *)
+    transport : (int * R.event) Net.Tcp_transport.t;
     facades : R.event T.t array;  (** per-shard views, index = shard *)
     nodes : R.node array;
-    dispatcher : Thread.t;
-    dispatcher_on : bool Atomic.t;
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
+        (** installed recorder and its trace-file closer *)
     stores : Durable.Store.t option array;
     snap_stop : bool Atomic.t;
-    snap_thread : Thread.t option;
+    snap_thread : Thread.t option;  (** checkpoint cadence *)
     mutable handle_stopped : bool;
   }
 
@@ -82,9 +141,10 @@ module Make (W : Net.Wire.WIRED) = struct
       shards = cfg.shards;
     }
 
-  (* Same peer admission as [Net.Serve] plus the shard-topology check: two
-     hosts disagreeing on the shard count would route frames to the wrong
-     instances, so the handshake rejects the pairing outright. *)
+  (* Accept a peer iff it runs the same protocol instances: same object,
+     same (n, d, u, ε, X), same shard count.  A mismatched peer would
+     silently break the admissibility assumptions or route frames to the
+     wrong instances, so it is rejected loudly instead. *)
   let classify_hello cfg frame =
     match C.decode_payload frame with
     | Ok (C.Hello h) ->
@@ -119,9 +179,10 @@ module Make (W : Net.Wire.WIRED) = struct
   let entry_of ~op ~time ~pid =
     { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
 
-  (* Frames decode to (shard, event); the handshake guarantees matching
-     topologies, so an out-of-range shard id is a corrupt/foreign frame
-     and is skipped like any other undecodable one. *)
+  (* Frames decode to (shard, event).  This range check is the only guard
+     before the shard's mailbox is indexed: the handshake guarantees
+     matching topologies, so an out-of-range shard id is a corrupt or
+     foreign frame and is skipped like any other undecodable one. *)
   let decode_peer ~shards ~me ~src frame =
     let ok shard = shard >= 0 && shard < shards in
     match C.decode_payload frame with
@@ -241,12 +302,17 @@ module Make (W : Net.Wire.WIRED) = struct
           | R.Sping { seq; t0 } -> C.Ping { seq; t0; shard }
           | R.Spong { seq; t0; t_rx; t_tx } ->
               C.Pong { seq; t0; t_rx; t_tx; shard })
-    | None -> invalid_arg "Host.encode_peer: local event on the wire"
+    | None ->
+        (* Invoke/Stop/… are local-only events; the replica never sends
+           them, so reaching here is a wiring bug. *)
+        invalid_arg "Host.encode_peer: local event on the wire"
 
-  (* Same lane policy as [Net.Serve], applied to the multiplexed (shard,
-     event) frames: control traffic (heartbeats, sync probes, catch-up)
-     preempts data so every shard's failure detector stays live when one
-     shard's load saturates the shared links. *)
+  (* Wire-lane classification: heartbeats (doubling as mode announcements),
+     sync probes, and catch-up frames ride the control lane so every
+     shard's failure detector and ε estimator stay live when data load —
+     possibly one hot shard's — saturates the shared links; everything else
+     (entries, quorum ordering traffic) is data and may be shed under
+     overload. *)
   let lane_of (_shard, ev) =
     match R.wire_view ev with
     | Some (R.Wire_quorum (R.Hb _))
@@ -258,19 +324,21 @@ module Make (W : Net.Wire.WIRED) = struct
 
   (* Shard [k]'s view of the shared transport.  [send] rides the real
      links with the shard tag; [post]/[recv]/[depth] are the shard's own
-     mailbox (the dispatcher feeds it); [close] is a no-op — the host owns
-     the one real close. *)
-  let facade_of ~real ~mbox ~shard =
+     mailbox (the transport's readers feed it); [close] is a no-op — the
+     host owns the one real close. *)
+  let facade_of ~n ~tcp ~mbox ~shard =
     {
-      T.n = real.T.n;
-      send = (fun ~src ~dst ~trace ev -> real.T.send ~src ~dst ~trace (shard, ev));
+      T.n;
+      send =
+        (fun ~src:_ ~dst ~trace ev ->
+          Net.Tcp_transport.send tcp ~dst ~trace (shard, ev));
       post =
         (fun ~src ~dst:_ ev ->
           Runtime.Mailbox.put mbox ~deliver_at:(Prelude.Mclock.now_us ())
             (src, ev));
       recv = (fun ~me:_ ~deadline -> Runtime.Mailbox.take mbox ~deadline);
       depth = (fun ~me:_ -> Runtime.Mailbox.length mbox);
-      stats = real.T.stats;
+      stats = (fun () -> Net.Tcp_transport.stats tcp);
       close = (fun () -> ());
     }
 
@@ -284,14 +352,132 @@ module Make (W : Net.Wire.WIRED) = struct
           let w =
             Fault.Chaos_transport.wrapper (Fault.Chaos_transport.create scoped)
           in
-          let start_us =
-            match cfg.start_us with
-            | Some s -> s
-            | None -> Prelude.Mclock.now_us ()
-          in
-          w.T.wrap ~start_us facade
+          w.T.wrap ~start_us:(epoch_of cfg) facade
 
-  let shard_dir root k = Filename.concat root (Printf.sprintf "shard-%d" k)
+  (* Compose the caller's fallback and sync hooks with this host's own
+     logging — the "mode: quorum(...)", "suspecting peer" and
+     "sync eps=..." lines are what the CI smokes and the benchmark grep. *)
+  let fallback_for cfg k =
+    Option.map
+      (fun (q : Quorum.Config.t) ->
+        {
+          q with
+          Quorum.Config.on_mode =
+            (fun ~quorum ~epoch ~seq ->
+              cfg.log
+                (Printf.sprintf "%s: mode: %s(epoch=%d seq=%d)" (who cfg k)
+                   (if quorum then "quorum" else "fast")
+                   epoch seq);
+              q.Quorum.Config.on_mode ~quorum ~epoch ~seq);
+          on_suspect =
+            (fun ~peer ~suspected ->
+              cfg.log
+                (Printf.sprintf "%s: %s peer %d" (who cfg k)
+                   (if suspected then "suspecting" else "cleared")
+                   peer);
+              q.Quorum.Config.on_suspect ~peer ~suspected);
+        })
+      cfg.fallback
+
+  let sync_for cfg k =
+    Option.map
+      (fun (s : Sync.Config.t) ->
+        {
+          s with
+          Sync.Config.on_eps =
+            (fun ~eps_us ~peers ->
+              cfg.log
+                (Printf.sprintf "%s: sync eps=%dus peers=%d" (who cfg k) eps_us
+                   peers);
+              s.Sync.Config.on_eps ~eps_us ~peers);
+        })
+      cfg.sync
+
+  (* Open shard [k]'s store and turn what it recovered into the node's
+     recovery config.  Returns the store, the recovery, whether the store
+     was fresh (genesis), the replayed mutation count and the time taken. *)
+  let open_store cfg root k =
+    let t0 = Prelude.Mclock.now_us () in
+    let dir = store_dir ~shards:cfg.shards root k in
+    let meta =
+      if cfg.shards = 1 then
+        Printf.sprintf "timebounds replica=%d obj=%d n=%d" cfg.pid W.C.obj_tag
+          cfg.params.Core.Params.n
+      else
+        Printf.sprintf "timebounds replica=%d shard=%d obj=%d n=%d shards=%d"
+          cfg.pid k W.C.obj_tag cfg.params.Core.Params.n cfg.shards
+    in
+    match Durable.Store.open_ ~dir ~meta ~fsync:cfg.fsync with
+    | Error e ->
+        cfg.log (Printf.sprintf "%s: %s" (who cfg k) e);
+        failwith e
+    | Ok (store, recovered) ->
+        let snap = P.recovered_of recovered in
+        let rs =
+          {
+            R.r_obj = snap.P.s_obj;
+            r_applied =
+              List.map
+                (fun (a : P.applied) ->
+                  ( entry_of ~op:a.P.op ~time:a.P.time ~pid:a.P.pid,
+                    a.P.result,
+                    a.P.op_id ))
+                snap.P.s_applied;
+          }
+        in
+        let on_apply (e : R.Alg.entry) result op_id =
+          Durable.Store.append store
+            (P.encode_record
+               {
+                 P.op = e.R.Alg.op;
+                 time = e.R.Alg.ts.Prelude.Stamp.time;
+                 pid = e.R.Alg.ts.Prelude.Stamp.pid;
+                 op_id;
+                 result;
+               })
+        in
+        let recovery =
+          {
+            R.catchup_wait_us =
+              cfg.params.Core.Params.d + cfg.params.Core.Params.eps
+              + catchup_grace_us;
+            on_apply;
+            recovered = Some rs;
+          }
+        in
+        ( store,
+          recovery,
+          recovered.Durable.Store.r_fresh,
+          List.length snap.P.s_applied,
+          Prelude.Mclock.now_us () - t0 )
+
+  (* Checkpoint: capture a consistent cut inside the replica loop (the
+     same thread as the [on_apply] appends, so capture and rotation cannot
+     race an append) and fold the WAL into a snapshot. *)
+  let checkpoint cfg facade store =
+    R.request_snapshot facade ~pid:cfg.pid (fun view ->
+        let folded = Durable.Store.records_since_snapshot store in
+        Durable.Store.snapshot store
+          (P.encode_snapshot
+             {
+               P.s_obj = view.R.v_obj;
+               s_hwm_time = view.R.v_hwm_time;
+               s_hwm_pid = view.R.v_hwm_pid;
+               s_applied =
+                 List.map
+                   (fun ((e : R.Alg.entry), result, op_id) ->
+                     {
+                       P.op = e.R.Alg.op;
+                       time = e.R.Alg.ts.Prelude.Stamp.time;
+                       pid = e.R.Alg.ts.Prelude.Stamp.pid;
+                       op_id;
+                       result;
+                     })
+                   view.R.v_applied;
+             });
+        Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
+          ~b:(Durable.Store.generation store)
+          ())
 
   let start ?(listener : Net.Tcp_transport.listener option) (cfg : config) =
     if cfg.shards < 1 then invalid_arg "Host.start: shards must be >= 1";
@@ -301,6 +487,8 @@ module Make (W : Net.Wire.WIRED) = struct
       | Some l -> l
       | None -> Net.Tcp_transport.listen ~host ~port
     in
+    (* The nodes are created after the transport, so client connections
+       that race startup briefly spin on [facades_ref]. *)
     let facades_ref = ref None in
     let rec the_facades () =
       match !facades_ref with
@@ -328,6 +516,8 @@ module Make (W : Net.Wire.WIRED) = struct
             else
               let now = Prelude.Mclock.now_us () in
               if deadline > 0 && now > deadline then begin
+                (* Already late at the door: executing it would be dead
+                   work the client stopped waiting for. *)
                 Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
                   ~a:Obs.Event.shed_deadline ~b:shard ();
                 reply (C.Shed { reason = "shed: deadline passed"; shard })
@@ -359,6 +549,12 @@ module Make (W : Net.Wire.WIRED) = struct
                         reply (C.Error_msg "replica stopped")
                     | exception R.Retry_later why ->
                         finish ();
+                        (* The client must back off and retry with the same
+                           op id; [Client.retryable] recognises both
+                           answers.  A "shed: ..." refusal (replica-side
+                           deadline check) travels as the dedicated frame —
+                           the replica already emitted its own [Shed]
+                           event. *)
                         if
                           String.length why >= 4
                           && String.sub why 0 4 = "shed"
@@ -367,9 +563,8 @@ module Make (W : Net.Wire.WIRED) = struct
         | Ok C.Stats_req ->
             let stats =
               match !facades_ref with
-              | Some facades when Array.length facades > 0 ->
-                  T.stats facades.(0)
-              | _ -> { T.sent = 0; dropped = 0; link = Some T.no_links }
+              | Some facades -> T.stats facades.(0)
+              | None -> { T.sent = 0; dropped = 0; link = Some T.no_links }
             in
             reply (C.Stats stats)
         | Ok m ->
@@ -389,133 +584,52 @@ module Make (W : Net.Wire.WIRED) = struct
       in
       loop first
     in
+    (* The recorder goes in before the transport so connection races at
+       startup are already traced.  It is process-global: one traced host
+       per process (the in-process test harness passes [trace = None]). *)
     let recorder =
       match cfg.trace with
       | None -> None
       | Some path ->
-          let epoch_us =
-            match cfg.start_us with
-            | Some s -> s
-            | None -> Prelude.Mclock.now_us ()
-          in
           let sink, flush, close = Obs.Recorder.file_sink path in
-          let r = Obs.Recorder.start ~epoch_us ~sink ~flush () in
+          let r = Obs.Recorder.start ~epoch_us:(epoch_of cfg) ~sink ~flush () in
           Obs.Recorder.install r;
           Some (r, close)
+    in
+    let mboxes = Array.init cfg.shards (fun _ -> Runtime.Mailbox.create ()) in
+    let deliver ~src (shard, ev) =
+      Runtime.Mailbox.put mboxes.(shard) ~deliver_at:(Prelude.Mclock.now_us ())
+        (src, ev)
     in
     let transport =
       Net.Tcp_transport.create ~me:cfg.pid ~addrs:cfg.addrs ~listener
         ~hello:(C.encode (C.Hello (hello_of cfg)))
         ~classify_hello:(classify_hello cfg)
         ~decode_peer:(decode_peer ~shards:cfg.shards ~me:cfg.pid)
-        ~encode_peer ~on_client ~lane_of ~log:cfg.log ()
+        ~encode_peer ~deliver ~on_client ~lane_of ~log:cfg.log ()
     in
-    let mboxes = Array.init cfg.shards (fun _ -> Runtime.Mailbox.create ()) in
-    (* The dispatcher is the only consumer of the shared transport's
-       mailbox: it fans decoded (shard, event) messages out to the owning
-       shard.  Bounded-deadline recv keeps it responsive to shutdown. *)
-    let dispatcher_on = Atomic.make true in
-    let dispatcher =
-      Thread.create
-        (fun () ->
-          while Atomic.get dispatcher_on do
-            let deadline = Some (Prelude.Mclock.now_us () + 50_000) in
-            match T.recv transport ~me:cfg.pid ~deadline with
-            | Some (src, (shard, ev)) when shard >= 0 && shard < cfg.shards ->
-                Runtime.Mailbox.put mboxes.(shard)
-                  ~deliver_at:(Prelude.Mclock.now_us ())
-                  (src, ev)
-            | _ -> ()
-          done)
-        ()
-    in
+    let n = Array.length cfg.addrs in
     let facades =
       Array.init cfg.shards (fun k ->
-          wrap_chaos cfg k (facade_of ~real:transport ~mbox:mboxes.(k) ~shard:k))
+          wrap_chaos cfg k
+            (facade_of ~n ~tcp:transport ~mbox:mboxes.(k) ~shard:k))
     in
-    (* Durable state per shard, recovered before its node exists.  The
-       whole-host restart then announces each non-fresh shard to the peers
-       through its own facade — catch-up traffic is shard-tagged like any
-       other frame. *)
+    (* Durable state per shard, recovered before its node exists: the node
+       seeds its object, dedup tables and high-water mark from the
+       recovered prefix, then (on a restart rather than genesis) catches up
+       from peers through its own facade — catch-up traffic is shard-tagged
+       like any other frame. *)
     let durable =
       Array.init cfg.shards (fun k ->
-          match cfg.durable with
-          | None -> None
-          | Some root ->
-              let dir = shard_dir root k in
-              let meta =
-                Printf.sprintf
-                  "timebounds replica=%d shard=%d obj=%d n=%d shards=%d"
-                  cfg.pid k W.C.obj_tag cfg.params.Core.Params.n cfg.shards
-              in
-              (match Durable.Store.open_ ~dir ~meta ~fsync:cfg.fsync with
-              | Error e ->
-                  cfg.log
-                    (Printf.sprintf "replica %d shard %d: %s" cfg.pid k e);
-                  failwith e
-              | Ok (store, recovered) ->
-                  let snap = P.recovered_of recovered in
-                  let rs =
-                    {
-                      R.r_obj = snap.P.s_obj;
-                      r_applied =
-                        List.map
-                          (fun (a : P.applied) ->
-                            ( entry_of ~op:a.P.op ~time:a.P.time ~pid:a.P.pid,
-                              a.P.result,
-                              a.P.op_id ))
-                          snap.P.s_applied;
-                    }
-                  in
-                  let on_apply (e : R.Alg.entry) result op_id =
-                    Durable.Store.append store
-                      (P.encode_record
-                         {
-                           P.op = e.R.Alg.op;
-                           time = e.R.Alg.ts.Prelude.Stamp.time;
-                           pid = e.R.Alg.ts.Prelude.Stamp.pid;
-                           op_id;
-                           result;
-                         })
-                  in
-                  let recovery =
-                    {
-                      R.catchup_wait_us =
-                        cfg.params.Core.Params.d + cfg.params.Core.Params.eps
-                        + catchup_grace_us;
-                      on_apply;
-                      recovered = Some rs;
-                    }
-                  in
-                  Some
-                    ( store,
-                      recovery,
-                      recovered.Durable.Store.r_fresh,
-                      List.length snap.P.s_applied )))
+          Option.map (fun root -> open_store cfg root k) cfg.durable)
     in
     let nodes =
       Array.init cfg.shards (fun k ->
-          let recovery = Option.map (fun (_, r, _, _) -> r) durable.(k) in
-          let fallback =
-            Option.map
-              (fun (q : Quorum.Config.t) ->
-                {
-                  q with
-                  Quorum.Config.on_mode =
-                    (fun ~quorum ~epoch ~seq ->
-                      cfg.log
-                        (Printf.sprintf
-                           "replica %d shard %d: mode: %s(epoch=%d seq=%d)"
-                           cfg.pid k
-                           (if quorum then "quorum" else "fast")
-                           epoch seq);
-                      q.Quorum.Config.on_mode ~quorum ~epoch ~seq);
-                })
-              cfg.fallback
-          in
+          let recovery = Option.map (fun (_, r, _, _, _) -> r) durable.(k) in
           R.node ~params:cfg.params ~transport:facades.(k) ~pid:cfg.pid
-            ~offset:cfg.offset ?start_us:cfg.start_us ~threaded:true ?recovery
-            ?fallback ())
+            ~offset:cfg.offset ?start_us:cfg.start_us
+            ~threaded:(cfg.shards > 1) ?recovery ?fallback:(fallback_for cfg k)
+            ?sync:(sync_for cfg k) ())
     in
     facades_ref := Some facades;
     let stores =
@@ -523,15 +637,19 @@ module Make (W : Net.Wire.WIRED) = struct
         (fun k entry ->
           match entry with
           | None -> None
-          | Some (store, _, fresh, replayed) ->
+          | Some (store, _, fresh, replayed, took) ->
               if not fresh then begin
+                (* Restart, not genesis: announce the disk prefix and ask
+                   the peers for whatever landed while we were down. *)
                 R.post_recover facades.(k) ~pid:cfg.pid;
                 cfg.log
                   (Printf.sprintf
-                     "replica %d shard %d: recovered %d mutations; catching up"
-                     cfg.pid k replayed);
+                     "%s: recovered %d mutations from %s in %dµs; catching up"
+                     (who cfg k) replayed
+                     (store_dir ~shards:cfg.shards (Option.get cfg.durable) k)
+                     took);
                 Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Recover
-                  ~a:replayed ~b:k ()
+                  ~a:replayed ~b:took ()
               end;
               Some store)
         durable
@@ -539,7 +657,7 @@ module Make (W : Net.Wire.WIRED) = struct
     let snap_stop = Atomic.make false in
     let snap_thread =
       if cfg.snapshot_every > 0 && Array.exists Option.is_some stores then
-        (* One cadence thread sweeps every shard's store — 200 ms per
+        (* One cadence thread polls every shard's WAL length — 200 ms per
            sweep bounds checkpoint lag without a thread per shard. *)
         Some
           (Thread.create
@@ -553,36 +671,7 @@ module Make (W : Net.Wire.WIRED) = struct
                        | Some store
                          when Durable.Store.records_since_snapshot store
                               >= cfg.snapshot_every ->
-                           R.request_snapshot facades.(k) ~pid:cfg.pid
-                             (fun view ->
-                               let folded =
-                                 Durable.Store.records_since_snapshot store
-                               in
-                               Durable.Store.snapshot store
-                                 (P.encode_snapshot
-                                    {
-                                      P.s_obj = view.R.v_obj;
-                                      s_hwm_time = view.R.v_hwm_time;
-                                      s_hwm_pid = view.R.v_hwm_pid;
-                                      s_applied =
-                                        List.map
-                                          (fun ((e : R.Alg.entry), result,
-                                                op_id) ->
-                                            {
-                                              P.op = e.R.Alg.op;
-                                              time =
-                                                e.R.Alg.ts.Prelude.Stamp.time;
-                                              pid =
-                                                e.R.Alg.ts.Prelude.Stamp.pid;
-                                              op_id;
-                                              result;
-                                            })
-                                          view.R.v_applied;
-                                    });
-                               Obs.Recorder.emit ~pid:cfg.pid
-                                 ~kind:Obs.Event.Checkpoint ~a:folded
-                                 ~b:(Durable.Store.generation store)
-                                 ())
+                           checkpoint cfg facades.(k) store
                        | _ -> ())
                      stores
                done)
@@ -590,12 +679,9 @@ module Make (W : Net.Wire.WIRED) = struct
       else None
     in
     {
-      config = cfg;
       transport;
       facades;
       nodes;
-      dispatcher;
-      dispatcher_on;
       recorder;
       stores;
       snap_stop;
@@ -603,20 +689,21 @@ module Make (W : Net.Wire.WIRED) = struct
       handle_stopped = false;
     }
 
-  (* Stop order: shard nodes first (wakes any client handler blocked on an
-     invocation cell), then the dispatcher and the shared transport, then
-     the stores, the recorder last.  Returns per-shard completed-operation
-     records. *)
+  (* Stop order matters: cancelling the nodes first wakes client-handler
+     threads blocked on invocation cells, so closing the transport (which
+     joins its threads) cannot hang behind them.  The recorder is torn
+     down last, after every emitting thread is gone.  Returns per-shard
+     completed-operation records. *)
   let stop handle =
     if not handle.handle_stopped then begin
       handle.handle_stopped <- true;
       Atomic.set handle.snap_stop true;
       let records = Array.map R.node_stop handle.nodes in
       Option.iter Thread.join handle.snap_thread;
-      Atomic.set handle.dispatcher_on false;
-      Thread.join handle.dispatcher;
-      let stats = T.stats handle.transport in
-      T.close handle.transport;
+      let stats = T.stats handle.facades.(0) in
+      Net.Tcp_transport.close handle.transport;
+      (* The nodes are joined, so no more [on_apply] appends: sync what the
+         fsync policy may still be buffering, then close. *)
       Array.iter
         (Option.iter (fun store ->
              Durable.Store.sync store;
@@ -630,27 +717,27 @@ module Make (W : Net.Wire.WIRED) = struct
           close ());
       (records, stats)
     end
-    else ([||], T.stats handle.transport)
+    else ([||], T.stats handle.facades.(0))
 
-  let stats handle = T.stats handle.transport
+  (* ---- the [timebounds serve] process body ---- *)
 
-  (* ---- the [timebounds shards serve] process body ---- *)
-
-  let run (cfg : config) =
+  let run_until_signalled ?watch_parent (cfg : config) =
     let stop_requested = Atomic.make false in
     let request_stop _ = Atomic.set stop_requested true in
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+    (* Ignore SIGPIPE: a dead peer must surface as EPIPE on the write, not
+       kill the process. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let handle = start cfg in
     let host, port = cfg.addrs.(cfg.pid) in
     cfg.log
-      (Printf.sprintf "replica %d: hosting %d shards on %s:%d (%s, n=%d)"
-         cfg.pid cfg.shards host port W.L.label cfg.params.Core.Params.n);
-    let watched_parent = ref None in
-    let set_watch pid = watched_parent := Some pid in
+      (Printf.sprintf "replica %d: listening on %s:%d (%s, n=%d%s)" cfg.pid host
+         port W.L.label cfg.params.Core.Params.n
+         (if cfg.shards = 1 then ""
+          else Printf.sprintf ", %d shards" cfg.shards));
     let parent_alive () =
-      match !watched_parent with
+      match watch_parent with
       | None -> true
       | Some pid -> (
           match Unix.kill pid 0 with () -> true | exception _ -> false)
@@ -664,16 +751,10 @@ module Make (W : Net.Wire.WIRED) = struct
         wait ()
       end
     in
-    (set_watch, wait, handle)
-
-  let run_until_signalled ?watch_parent (cfg : config) =
-    let set_watch, wait, handle = run cfg in
-    (match watch_parent with Some p -> set_watch p | None -> ());
     wait ();
     let records, stats = stop handle in
     let total = Array.fold_left (fun k rs -> k + List.length rs) 0 records in
     cfg.log
-      (Printf.sprintf "replica %d: stopped after %d ops over %d shards; %s"
-         cfg.pid total cfg.shards
+      (Printf.sprintf "replica %d: stopped after %d ops; %s" cfg.pid total
          (Format.asprintf "%a" T.pp_stats stats))
 end

@@ -6,7 +6,7 @@
     RTT and need neither.  [interval_us] is the probe-round period.
 
     [on_eps] is invoked once per round with the freshly computed
-    achieved-ε estimate and the number of peers contributing; [Net.Serve]
+    achieved-ε estimate and the number of peers contributing; [Shard.Host]
     composes its own logging on top, the same way it does for the quorum
     fallback hooks. *)
 

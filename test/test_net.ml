@@ -97,34 +97,40 @@ let test_version_rejected_by_decoder () =
           Alcotest.failf "version %d frame must be Corrupt" v)
     [ 1; 2; 3; 4; 5; 6; 7; 9; 255 ]
 
+(* A one-shard host — what [timebounds serve] runs — for the in-process
+   TCP tests. *)
+module H = Shard.Host.Make (Net.Wire.Kv_wired)
+
+let host_config ?(offset = 0) ?start_us ?durable ?(log = fun _ -> ()) ~pid
+    ~addrs params =
+  {
+    Shard.Host.pid;
+    shards = 1;
+    addrs;
+    params;
+    offset;
+    start_us;
+    trace = None;
+    durable;
+    fsync = (if durable = None then Durable.Wal.Never else Durable.Wal.Always);
+    snapshot_every = 0;
+    chaos = None;
+    fallback = None;
+    sync = None;
+    log;
+  }
+
 (* An old (v1) peer connecting to a live replica stack: the handshake must
    be rejected cleanly — connection closed, replica healthy for current
    clients afterwards. *)
 let test_version_rejected_by_handshake () =
-  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
   let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
   let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let port = listener.Net.Tcp_transport.port in
   let addrs = [| ("127.0.0.1", port) |] in
   let params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
-  let handle =
-    S.start ~listener
-      {
-        Net.Serve.pid = 0;
-        addrs;
-        params;
-        offset = 0;
-        start_us = None;
-        trace = None;
-        durable = None;
-        fsync = Durable.Wal.Never;
-        snapshot_every = 0;
-        fallback = None;
-        sync = None;
-        log = (fun _ -> ());
-      }
-  in
+  let handle = H.start ~listener (host_config ~pid:0 ~addrs params) in
   let hello =
     C.encode
       (C.Hello
@@ -155,7 +161,7 @@ let test_version_rejected_by_handshake () =
       | Error e -> Alcotest.failf "put after rejected peer: %s" e);
       Cl.close conn
   | Error e -> Alcotest.failf "current client must still connect: %s" e);
-  ignore (S.stop handle)
+  ignore (H.stop handle)
 
 (* ---- per-object message roundtrips ---- *)
 
@@ -318,7 +324,6 @@ let kv_params =
     ~x:0 ()
 
 let test_tcp_cluster_in_process () =
-  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
   let n = 3 in
   let listeners =
@@ -330,21 +335,8 @@ let test_tcp_cluster_in_process () =
   let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
-        S.start ~listener:listeners.(pid)
-          {
-            Net.Serve.pid;
-            addrs;
-            params = kv_params;
-            offset = pid * 100;
-            start_us;
-            trace = None;
-            durable = None;
-            fsync = Durable.Wal.Never;
-            snapshot_every = 0;
-            fallback = None;
-            sync = None;
-            log = (fun _ -> ());
-          })
+        H.start ~listener:listeners.(pid)
+          (host_config ~offset:(pid * 100) ?start_us ~pid ~addrs kv_params))
   in
   let conns =
     Array.map
@@ -398,8 +390,8 @@ let test_tcp_cluster_in_process () =
   Array.iter Cl.close conns;
   Array.iter
     (fun h ->
-      let records, _stats = S.stop h in
-      Alcotest.(check bool) "replica recorded ops" true (records <> []))
+      let records, _stats = H.stop h in
+      Alcotest.(check bool) "replica recorded ops" true (records.(0) <> []))
     handles
 
 let test_tcp_reconnect_backoff () =
@@ -419,9 +411,12 @@ let test_tcp_reconnect_backoff () =
   let decode_peer ~src:_ frame =
     match C.decode_payload frame with Ok m -> Some m | Error _ -> None
   in
-  let mk ~me ~listener ~addrs =
+  let mk ~me ~listener ~addrs ~inbox =
     Net.Tcp_transport.create ~me ~addrs ~listener ~hello:(hello me)
       ~classify_hello:classify ~decode_peer ~encode_peer:C.encode
+      ~deliver:(fun ~src m ->
+        Runtime.Mailbox.put inbox ~deliver_at:(Prelude.Mclock.now_us ())
+          (src, m))
       ~backoff_min_us:5_000 ~backoff_max_us:40_000
       ~log:(fun _ -> ())
       ()
@@ -434,18 +429,19 @@ let test_tcp_reconnect_backoff () =
   let port1 = l1_probe.Net.Tcp_transport.port in
   Unix.close l1_probe.Net.Tcp_transport.listen_fd;
   let addrs = [| ("127.0.0.1", l0.Net.Tcp_transport.port); ("127.0.0.1", port1) |] in
-  let t0 = mk ~me:0 ~listener:l0 ~addrs in
+  let t0 = mk ~me:0 ~listener:l0 ~addrs ~inbox:(Runtime.Mailbox.create ()) in
   let entry =
     C.Entry
       { op = Spec.Register.Write 42; time = 1; pid = 0; trace = 7; op_id = 9;
         shard = 0 }
   in
-  Runtime.Transport_intf.send t0 ~src:0 ~dst:1 entry;
+  Net.Tcp_transport.send t0 ~dst:1 ~trace:0 entry;
   Prelude.Mclock.sleep_us 150_000 (* let several connect attempts fail *);
   let l1 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:port1 in
-  let t1 = mk ~me:1 ~listener:l1 ~addrs in
+  let inbox1 = Runtime.Mailbox.create () in
+  let t1 = mk ~me:1 ~listener:l1 ~addrs ~inbox:inbox1 in
   let got =
-    Runtime.Transport_intf.recv t1 ~me:1
+    Runtime.Mailbox.take inbox1
       ~deadline:(Some (Prelude.Mclock.now_us () + 5_000_000))
   in
   (match got with
@@ -453,7 +449,7 @@ let test_tcp_reconnect_backoff () =
       Alcotest.(check int) "frame src" 0 src;
       Alcotest.(check bool) "frame survives reconnect" true (C.equal_msg m entry)
   | None -> Alcotest.fail "queued frame not delivered after peer came up");
-  let stats = Runtime.Transport_intf.stats t0 in
+  let stats = Net.Tcp_transport.stats t0 in
   (match stats.Runtime.Transport_intf.link with
   | Some l ->
       Alcotest.(check bool) "reconnects counted" true
@@ -464,8 +460,8 @@ let test_tcp_reconnect_backoff () =
       Alcotest.(check bool) "queue high-water mark seen" true
         (l.Runtime.Transport_intf.queue_hwm >= 1)
   | None -> Alcotest.fail "tcp transport must report link stats");
-  Runtime.Transport_intf.close t0;
-  Runtime.Transport_intf.close t1
+  Net.Tcp_transport.close t0;
+  Net.Tcp_transport.close t1
 
 (* ---- durable restart over TCP ---- *)
 
@@ -473,7 +469,6 @@ let test_tcp_reconnect_backoff () =
    the same directory — the WAL must bring the object back, and a client
    replaying an op id must get the recorded result without a re-apply. *)
 let test_tcp_durable_restart_recovers () =
-  let module S = Net.Serve.Make (Net.Wire.Kv_wired) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
   let dir =
     Filename.concat
@@ -492,31 +487,31 @@ let test_tcp_durable_restart_recovers () =
   Fun.protect ~finally:cleanup @@ fun () ->
   let params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
   let recovered_line = ref false in
+  let recovered_text = ref "" in
   let cfg port =
-    {
-      Net.Serve.pid = 0;
-      addrs = [| ("127.0.0.1", port) |];
-      params;
-      offset = 0;
-      start_us = None;
-      trace = None;
-      durable = Some dir;
-      fsync = Durable.Wal.Always;
-      snapshot_every = 0;
-      fallback = None;
-      sync = None;
-      log =
-        (fun s ->
-          let has_sub sub =
-            let ls = String.length sub and le = String.length s in
-            let rec go i =
-              i + ls <= le && (String.sub s i ls = sub || go (i + 1))
-            in
-            go 0
+    host_config ~durable:dir ~pid:0
+      ~addrs:[| ("127.0.0.1", port) |]
+      ~log:(fun s ->
+        let has_sub sub =
+          let ls = String.length sub and le = String.length s in
+          let rec go i =
+            i + ls <= le && (String.sub s i ls = sub || go (i + 1))
           in
-          if has_sub "recovered" then recovered_line := true);
-    }
+          go 0
+        in
+        if has_sub "recovered" then begin
+          recovered_line := true;
+          recovered_text := s
+        end)
+      params
   in
+  (* The Recover event must carry what the log line says: [a] = mutations
+     replayed, [b] = the recovery's wall time. *)
+  let sink, contents = Obs.Recorder.memory_sink () in
+  let recorder =
+    Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink ()
+  in
+  Obs.Recorder.install recorder;
   let invoke ?op_id conn op =
     match Cl.invoke ?op_id conn op with
     | Ok r -> r
@@ -524,7 +519,7 @@ let test_tcp_durable_restart_recovers () =
   in
   let l1 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let port = l1.Net.Tcp_transport.port in
-  let h1 = S.start ~listener:l1 (cfg port) in
+  let h1 = H.start ~listener:l1 (cfg port) in
   (match Cl.connect ~host:"127.0.0.1" ~port () with
   | Error e -> Alcotest.failf "connect: %s" e
   | Ok conn ->
@@ -541,12 +536,12 @@ let test_tcp_durable_restart_recovers () =
       Cl.close conn);
   (* let every mutation reach its Execute timer and hence the WAL *)
   Prelude.Mclock.sleep_us 100_000;
-  ignore (S.stop h1);
+  ignore (H.stop h1);
   Alcotest.(check bool) "first boot is genesis, no recovery line" false
     !recovered_line;
   (* restart on the same directory (and port): state must come back *)
   let l2 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port in
-  let h2 = S.start ~listener:l2 (cfg port) in
+  let h2 = H.start ~listener:l2 (cfg port) in
   Alcotest.(check bool) "restart logs recovery" true !recovered_line;
   (match Cl.connect ~host:"127.0.0.1" ~port () with
   | Error e -> Alcotest.failf "reconnect: %s" e
@@ -562,7 +557,26 @@ let test_tcp_durable_restart_recovers () =
       Alcotest.(check bool) "pre-crash replay not re-applied" true
         (invoke conn (Spec.Kv_map.Get 1) = Spec.Kv_map.Found 10);
       Cl.close conn);
-  ignore (S.stop h2)
+  ignore (H.stop h2);
+  Obs.Recorder.uninstall ();
+  Obs.Recorder.stop recorder;
+  let recovers =
+    List.filter
+      (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Recover)
+      (contents ())
+  in
+  Alcotest.(check int) "one Recover event for the restarted shard" 1
+    (List.length recovers);
+  let took =
+    Scanf.sscanf !recovered_text
+      "replica 0: recovered %_d mutations from %_s in %dµs" Fun.id
+  in
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      Alcotest.(check int) "Recover a = replayed mutations" 2 e.Obs.Event.a;
+      Alcotest.(check int) "Recover b = the logged recovery time" took
+        e.Obs.Event.b)
+    recovers
 
 let test_client_retry_classification () =
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in

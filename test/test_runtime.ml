@@ -88,7 +88,7 @@ let test_hist_merge () =
 
 (* Merged quantiles must equal the quantiles of the concatenated samples,
    to within the histogram's bucket error — the property [Loadgen] and
-   [Net.Cluster] rely on when they accumulate per-worker histograms with
+   [Shard.Cluster] rely on when they accumulate per-worker histograms with
    [merge_into].  The rank convention matches [percentile]:
    rank = ⌈p/100·n⌉ (at least 1), and the reported value always lands in
    the same bucket as the exact rank-th sample. *)

@@ -175,8 +175,9 @@ let test_zipf_shape () =
 
 (* ---- in-process multi-shard host cluster ---- *)
 
+module H = Shard.Host.Make (Net.Wire.Kv_wired)
+
 let test_host_cluster_in_process () =
-  let module H = Shard.Host.Make (Net.Wire.Kv_wired) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
   let n = 3 and shards = 4 in
   let params =
@@ -209,6 +210,7 @@ let test_host_cluster_in_process () =
             snapshot_every = 0;
             chaos = None;
             fallback = None;
+            sync = None;
             log = (fun _ -> ());
           })
   in
@@ -267,6 +269,174 @@ let test_host_cluster_in_process () =
         (stats.Runtime.Transport_intf.sent > 0))
     handles
 
+(* A bound-then-closed port: connects to it are refused, as to a replica
+   that never started. *)
+let dead_port () =
+  let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  Unix.close l.Net.Tcp_transport.listen_fd;
+  l.Net.Tcp_transport.port
+
+let host_config ?(offset = 0) ?start_us ?fallback ?(log = fun _ -> ()) ~pid
+    ~shards ~addrs params =
+  {
+    Shard.Host.pid;
+    shards;
+    addrs;
+    params;
+    offset;
+    start_us;
+    trace = None;
+    durable = None;
+    fsync = Durable.Wal.Never;
+    snapshot_every = 0;
+    chaos = None;
+    fallback;
+    sync = None;
+    log;
+  }
+
+(* The host composes the fallback's suspicion hook with its own logging:
+   with replica 2 never started, replica 0 must log the suspicion within
+   the failure detector's boot grace plus its timeout (plus a scheduling
+   allowance) — the line the CI overload smoke and the benchmark's
+   suspicion gate grep for. *)
+let test_host_logs_suspicion () =
+  let n = 3 in
+  let params =
+    Core.Params.make ~n ~d:7000 ~u:5500
+      ~eps:(Core.Params.optimal_eps ~n ~u:5500)
+      ~x:0 ()
+  in
+  let fallback =
+    {
+      Quorum.Config.default with
+      Quorum.Config.hb_us = 2_500;
+      suspect_after = 20;
+    }
+  in
+  let listeners =
+    Array.init 2 (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    [|
+      ("127.0.0.1", listeners.(0).Net.Tcp_transport.port);
+      ("127.0.0.1", listeners.(1).Net.Tcp_transport.port);
+      ("127.0.0.1", dead_port ());
+    |]
+  in
+  let lines = ref [] in
+  let lock = Mutex.create () in
+  let log s =
+    Mutex.lock lock;
+    lines := s :: !lines;
+    Mutex.unlock lock
+  in
+  let logged line =
+    Mutex.lock lock;
+    let seen = List.mem line !lines in
+    Mutex.unlock lock;
+    seen
+  in
+  let t0 = Prelude.Mclock.now_us () in
+  let start_us = Some t0 in
+  let handles =
+    Array.init 2 (fun pid ->
+        H.start ~listener:listeners.(pid)
+          (host_config ?start_us ~fallback ~log ~pid ~shards:1 ~addrs params))
+  in
+  let timeout = Quorum.Config.timeout_us fallback in
+  let deadline = t0 + timeout (* boot grace *) + timeout + 250_000 in
+  while
+    (not (logged "replica 0: suspecting peer 2"))
+    && Prelude.Mclock.now_us () < deadline
+  do
+    Prelude.Mclock.sleep_us 5_000
+  done;
+  let seen = logged "replica 0: suspecting peer 2" in
+  Array.iter (fun h -> ignore (H.stop h)) handles;
+  Alcotest.(check bool) "replica 0 logs its suspicion of the dead peer" true
+    seen
+
+(* The reader threads index a shard's mailbox by the frame's shard tag; a
+   frame tagged past the host's shard count must be dropped by the decode
+   range check — the connection keeps flowing (a later valid frame on it
+   still lands) and clients keep being answered. *)
+let test_host_drops_out_of_range_shard () =
+  let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  let n = 2 and shards = 4 in
+  let params = Core.Params.make ~n ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
+  let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = listener.Net.Tcp_transport.port in
+  let addrs = [| ("127.0.0.1", port); ("127.0.0.1", dead_port ()) |] in
+  let t0 = Prelude.Mclock.now_us () in
+  let handle =
+    H.start ~listener
+      (host_config ~start_us:t0 ~pid:0 ~shards ~addrs params)
+  in
+  (* Pose as replica 1 with matching parameters. *)
+  let hello =
+    C.encode
+      (C.Hello
+         {
+           Net.Codec.pid = 1;
+           n;
+           d = 7000;
+           u = 5500;
+           eps = 0;
+           x = 0;
+           obj_tag = Net.Wire.Kv_codec.obj_tag;
+           shards;
+         })
+  in
+  let entry ~shard ~key ~v =
+    C.encode
+      (C.Entry
+         {
+           op = Spec.Kv_map.Put (key, v);
+           time = Prelude.Mclock.now_us () - t0;
+           pid = 1;
+           trace = 0;
+           op_id = 0;
+           shard;
+         })
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let write s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  write hello;
+  write (entry ~shard:shards ~key:5 ~v:50);
+  write (entry ~shard:0 ~key:6 ~v:60);
+  (* let the valid entry reach its execute time *)
+  Prelude.Mclock.sleep_us 200_000;
+  (match Cl.connect ~host:"127.0.0.1" ~port () with
+  | Error e -> Alcotest.failf "client connect: %s" e
+  | Ok conn ->
+      (match Cl.invoke ~shard:0 conn (Spec.Kv_map.Get 6) with
+      | Ok r ->
+          Alcotest.(check bool) "valid frame after the bad one applied" true
+            (r = Spec.Kv_map.Found 60)
+      | Error e -> Alcotest.failf "get: %s" e);
+      (match Cl.invoke ~shard:(shards - 1) conn (Spec.Kv_map.Put (1, 2)) with
+      | Ok Spec.Kv_map.Ack -> ()
+      | Ok r ->
+          Alcotest.failf "put: unexpected %s"
+            (Format.asprintf "%a" Spec.Kv_map.pp_result r)
+      | Error e -> Alcotest.failf "put after bad frame: %s" e);
+      Cl.close conn);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  ignore (H.stop handle)
+
+(* ---- the supervisor's exit-status wording ---- *)
+
+let test_status_names_signals () =
+  Alcotest.(check string) "SIGKILL by name" "killed by SIGKILL"
+    (Shard.Cluster.status_string (Unix.WSIGNALED Sys.sigkill));
+  Alcotest.(check string) "SIGTERM by name" "killed by SIGTERM"
+    (Shard.Cluster.status_string (Unix.WSIGNALED Sys.sigterm));
+  Alcotest.(check string) "exit code" "exited 2"
+    (Shard.Cluster.status_string (Unix.WEXITED 2))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -298,5 +468,14 @@ let () =
         [
           Alcotest.test_case "in-process 3-replica 4-shard cluster" `Quick
             test_host_cluster_in_process;
+          Alcotest.test_case "logs suspicion of a peer never started" `Quick
+            test_host_logs_suspicion;
+          Alcotest.test_case "drops a frame tagged past its shard count"
+            `Quick test_host_drops_out_of_range_shard;
+        ] );
+      ( "cluster",
+        [
+          Alcotest.test_case "exit statuses name their signal" `Quick
+            test_status_names_signals;
         ] );
     ]
