@@ -124,7 +124,52 @@ module Live_bench = struct
            ignore (Runtime.Histogram.percentile h 99.)))
 end
 
-let runtime_tests = [ Live_bench.run_test; Live_bench.hist_test ]
+(* The replica loop's wake-up path on its own: an echo domain bounces one
+   item back through a second mailbox, both sides parked on a bounded
+   deadline as the replica parks on its next timer.  64 round trips (128
+   cross-domain wake-ups) per run. *)
+module Wake_bench = struct
+  let ping : int option Runtime.Mailbox.t = Runtime.Mailbox.create ()
+  let pong : int Runtime.Mailbox.t = Runtime.Mailbox.create ()
+  let far () = Some (Prelude.Mclock.now_us () + 1_000_000)
+
+  let echo =
+    lazy
+      (let d =
+         Domain.spawn (fun () ->
+             let rec loop () =
+               match Runtime.Mailbox.take ping ~deadline:(far ()) with
+               | Some (Some v) ->
+                   Runtime.Mailbox.put pong ~deliver_at:0 v;
+                   loop ()
+               | Some None -> ()
+               | None -> loop ()
+             in
+             loop ())
+       in
+       at_exit (fun () ->
+           Runtime.Mailbox.put ping ~deliver_at:0 None;
+           Domain.join d;
+           Runtime.Mailbox.close ping;
+           Runtime.Mailbox.close pong))
+
+  let rec await () =
+    match Runtime.Mailbox.take pong ~deadline:(far ()) with
+    | Some v -> v
+    | None -> await ()
+
+  let test =
+    Test.make ~name:"mailbox-wake-roundtrip"
+      (Staged.stage (fun () ->
+           Lazy.force echo;
+           for i = 1 to 64 do
+             Runtime.Mailbox.put ping ~deliver_at:0 (Some i);
+             ignore (await ())
+           done))
+end
+
+let runtime_tests =
+  [ Live_bench.run_test; Live_bench.hist_test; Wake_bench.test ]
 
 (* Wire-codec group: cost of putting Algorithm 1 entries on the wire.  The
    TCP transport encodes every broadcast entry once per peer and CRCs the
@@ -563,7 +608,8 @@ module Sync_bench = struct
            while (not (enough ())) && Prelude.Mclock.now_us () < deadline do
              Prelude.Mclock.sleep_us 1_000
            done;
-           Array.iter (fun node -> ignore (R.node_stop node)) nodes))
+           Array.iter (fun node -> ignore (R.node_stop node)) nodes;
+           Runtime.Transport_intf.close transport))
 end
 
 let sync_tests =

@@ -620,6 +620,7 @@ let sync_cmd () =
     Prelude.Mclock.sleep_us (max 1_000 (interval_us / 4))
   done;
   Array.iter (fun node -> ignore (R.node_stop node)) nodes;
+  Runtime.Transport_intf.close transport;
   let per_pid = Array.map (fun h -> Array.of_list (List.rev h)) history in
   Format.printf
     "clock sync: n=%d offsets ±%dus interval=%dus configured eps=%dus@." n

@@ -61,9 +61,6 @@ let pp_event fmt ev =
 
 (* ---- the decorator ---- *)
 
-(* The drainer wakes at least every [park_poll_us] to notice [stop]. *)
-let park_poll_us = 50_000
-
 let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
     'msg Runtime.Transport_intf.t =
   if Fault_plan.is_empty t.plan then inner
@@ -74,21 +71,23 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
        process) number their own links independently, matching what each
        would see in a separate OS process. *)
     let indices = Array.init (n * n) (fun _ -> Atomic.make 0) in
-    let parked : (int * int * int * 'msg) Runtime.Mailbox.t =
+    (* Delayed sends wait here until they ripen; [None] is the drainer's
+       stop signal. *)
+    let parked : (int * int * int * 'msg) option Runtime.Mailbox.t =
       Runtime.Mailbox.create ()
     in
     let chaos_dropped = Atomic.make 0 in
-    let stop = Atomic.make false in
     let drainer =
       Thread.create
         (fun () ->
-          while not (Atomic.get stop) do
-            let deadline = Prelude.Mclock.now_us () + park_poll_us in
-            match Runtime.Mailbox.take parked ~deadline:(Some deadline) with
-            | Some (src, dst, trace, msg) ->
-                inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
-            | None -> ()
-          done)
+          let rec loop () =
+            match Runtime.Mailbox.take parked ~deadline:None with
+            | Some (Some (src, dst, trace, msg)) ->
+                inner.Runtime.Transport_intf.send ~src ~dst ~trace msg;
+                loop ()
+            | Some None | None -> ()
+          in
+          loop ())
         ()
     in
     (* Obs payload convention for fault events: a = action code
@@ -123,7 +122,7 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
                 action = Delayed d.Fault_plan.extra_us };
             Runtime.Mailbox.put parked
               ~deliver_at:(now + d.Fault_plan.extra_us)
-              (src, dst, trace, msg)
+              (Some (src, dst, trace, msg))
           end
           else inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
     in
@@ -137,7 +136,7 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
       }
     in
     let close () =
-      Atomic.set stop true;
+      Runtime.Mailbox.put parked ~deliver_at:(Prelude.Mclock.now_us ()) None;
       Thread.join drainer;
       (* Forward anything still parked: closing the chaos layer must not
          silently lose messages the plan decided to merely delay.  Parked
@@ -145,19 +144,16 @@ let wrap_transport (t : t) ~start_us (inner : 'msg Runtime.Transport_intf.t) :
          but never longer than 2 s, in case a plan injected a huge spike. *)
       let give_up = Prelude.Mclock.now_us () + 2_000_000 in
       let rec drain () =
-        if Runtime.Mailbox.length parked > 0 && Prelude.Mclock.now_us () < give_up
-        then begin
-          (match
-             Runtime.Mailbox.take parked
-               ~deadline:(Some (min give_up (Prelude.Mclock.now_us () + park_poll_us)))
-           with
-          | Some (src, dst, trace, msg) ->
-              inner.Runtime.Transport_intf.send ~src ~dst ~trace msg
-          | None -> ());
-          drain ()
-        end
+        if Runtime.Mailbox.length parked > 0 then
+          match Runtime.Mailbox.take parked ~deadline:(Some give_up) with
+          | Some (Some (src, dst, trace, msg)) ->
+              inner.Runtime.Transport_intf.send ~src ~dst ~trace msg;
+              drain ()
+          | Some None -> drain ()
+          | None -> ()
       in
       drain ();
+      Runtime.Mailbox.close parked;
       inner.Runtime.Transport_intf.close ()
     in
     { inner with Runtime.Transport_intf.send; stats; close }

@@ -5,8 +5,10 @@
       connections → [on_client]);
     - 1 writer per outgoing peer link (bounded queue, reconnect/backoff).
 
-    All socket IO happens on these helper threads; the caller's [deliver]
-    is the only way a received message leaves the transport. *)
+    All peer socket IO happens on these helper threads; the caller's
+    [deliver] is the only way a received message leaves the transport.
+    Client replies are the exception: {!conn_write} is a non-blocking send
+    made by whichever thread completes the invocation. *)
 
 type listener = { listen_fd : Unix.file_descr; host : string; port : int }
 
@@ -74,8 +76,17 @@ let atomic_max a v =
   in
   go ()
 
+(* An accepted socket.  [live] is cleared, under [guard], by whoever
+   closes the descriptor (its reader on exit, or [close]), so a reply
+   written later from another thread never lands on a reused number. *)
+type sock = {
+  sock_fd : Unix.file_descr;
+  guard : Mutex.t;
+  mutable live : bool;
+}
+
 type client_conn = {
-  conn_fd : Unix.file_descr;
+  sock : sock;
   mutable residual : string;  (** bytes read past the frame last returned *)
   ctrs : counters;
 }
@@ -111,12 +122,35 @@ let set_send_timeout fd =
   try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_slice_s
   with Unix.Unix_error _ -> ()
 
+let quiet_shutdown fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+(* A client's unread replies are bounded: past this much (the kernel
+   doubles it) the next reply finds the buffer full and the connection is
+   dropped.  A closed-loop client never has more than one reply queued. *)
+let client_sndbuf = 64 * 1024
+
+(* Non-blocking: replies are written from replica event loops, which must
+   never wait on a client.  A frame the socket buffer cannot take whole
+   shuts the connection down (its reader then sees EOF and releases it);
+   the client's op-id retry covers the lost reply. *)
 let conn_write conn s =
-  match write_all ~stall_after_us:2_000_000 conn.conn_fd s with
-  | () ->
-      ignore (Atomic.fetch_and_add conn.ctrs.bytes_out (String.length s));
-      true
-  | exception (Unix.Unix_error _ | Sys_error _) -> false
+  let sock = conn.sock in
+  let len = String.length s in
+  let rec go off =
+    off = len
+    ||
+    match Prelude.Os.send_nowait sock.sock_fd s off (len - off) with
+    | 0 -> false
+    | n -> go (off + n)
+    | exception Unix.Unix_error _ -> false
+  in
+  Mutex.lock sock.guard;
+  let ok = sock.live && go 0 in
+  if ok then ignore (Atomic.fetch_and_add conn.ctrs.bytes_out len)
+  else if sock.live then quiet_shutdown sock.sock_fd;
+  Mutex.unlock sock.guard;
+  ok
 
 let conn_read_frame conn =
   let chunk = Bytes.create 8192 in
@@ -127,7 +161,7 @@ let conn_read_frame conn =
         Some frame
     | Codec.Corrupt _ -> None
     | Codec.Need_more _ -> (
-        match Unix.read conn.conn_fd chunk 0 (Bytes.length chunk) with
+        match Unix.read conn.sock.sock_fd chunk 0 (Bytes.length chunk) with
         | 0 -> None
         | n ->
             ignore (Atomic.fetch_and_add conn.ctrs.bytes_in n);
@@ -147,7 +181,7 @@ type state = {
   links : link array;
   ctrs : counters;
   stopping : bool Atomic.t;
-  accepted : Unix.file_descr list ref;
+  accepted : sock list ref;
   accepted_lock : Mutex.t;
   write_stall_us : int;
   backoff_min_us : int;
@@ -156,9 +190,6 @@ type state = {
 }
 
 let quiet_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let quiet_shutdown fd =
-  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 (* Sleep in short slices so a stopping transport is never stuck in a long
    backoff pause. *)
@@ -298,23 +329,23 @@ let read_frames st fd ~(on_frame : Codec.frame -> rest:string -> bool) =
   in
   go ""
 
-(* Deregister and close an accepted fd exactly once: whoever removes it
-   from the list (this reader on exit, or [close] draining it) owns the
-   actual [Unix.close], so a reused descriptor number is never closed by a
-   stale reference. *)
-let release_conn st fd =
+(* Deregister and close an accepted socket exactly once, whoever gets
+   there first: its reader on exit, or [close] draining the list. *)
+let release_conn st sock =
   Mutex.lock st.accepted_lock;
-  let mine = List.exists (fun f -> f == fd) !(st.accepted) in
-  st.accepted := List.filter (fun f -> f != fd) !(st.accepted);
+  st.accepted := List.filter (fun s -> s != sock) !(st.accepted);
   Mutex.unlock st.accepted_lock;
-  if mine then begin
-    quiet_shutdown fd;
-    quiet_close fd
-  end
+  Mutex.lock sock.guard;
+  if sock.live then begin
+    sock.live <- false;
+    quiet_shutdown sock.sock_fd;
+    quiet_close sock.sock_fd
+  end;
+  Mutex.unlock sock.guard
 
-let reader st classify_hello decode_peer deliver on_client fd =
+let reader st classify_hello decode_peer deliver on_client sock =
   let role = ref `Unknown in
-  read_frames st fd ~on_frame:(fun frame ~rest ->
+  read_frames st sock.sock_fd ~on_frame:(fun frame ~rest ->
       match !role with
       | `Peer src ->
           (match decode_peer ~src frame with
@@ -333,14 +364,18 @@ let reader st classify_hello decode_peer deliver on_client fd =
           | Client ->
               (match on_client with
               | Some handler ->
+                  (try
+                     Unix.setsockopt_int sock.sock_fd Unix.SO_SNDBUF
+                       client_sndbuf
+                   with Unix.Unix_error _ -> ());
                   handler ~first:frame
-                    { conn_fd = fd; residual = rest; ctrs = st.ctrs }
+                    { sock; residual = rest; ctrs = st.ctrs }
               | None ->
                   st.log
                     (Printf.sprintf
                        "replica %d: unexpected client connection" st.me));
               false));
-  release_conn st fd
+  release_conn st sock
 
 let acceptor_loop st classify_hello decode_peer deliver on_client =
   let rec loop () =
@@ -353,13 +388,16 @@ let acceptor_loop st classify_hello decode_peer deliver on_client =
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
               set_send_timeout fd;
+              let sock =
+                { sock_fd = fd; guard = Mutex.create (); live = true }
+              in
               Mutex.lock st.accepted_lock;
-              st.accepted := fd :: !(st.accepted);
+              st.accepted := sock :: !(st.accepted);
               Mutex.unlock st.accepted_lock;
               ignore
                 (Thread.create
                    (reader st classify_hello decode_peer deliver on_client)
-                   fd);
+                   sock);
               loop ()
           | exception Unix.Unix_error _ -> if Atomic.get st.stopping then () else loop ())
       | exception Unix.Unix_error _ -> if Atomic.get st.stopping then () else loop ()
@@ -516,15 +554,10 @@ let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
       List.iter Thread.join writers;
       Mutex.lock st.accepted_lock;
       let conns = !(st.accepted) in
-      st.accepted := [];
       Mutex.unlock st.accepted_lock;
       (* Readers exit on the shutdown-induced EOF; they are not joined —
-         they only touch their own fd, [deliver] and atomic counters. *)
-      List.iter
-        (fun fd ->
-          quiet_shutdown fd;
-          quiet_close fd)
-        conns
+         they only touch their own socket, [deliver] and atomic counters. *)
+      List.iter (release_conn st) conns
     end
   in
   { t_send = send; t_stats = stats; t_close = close }

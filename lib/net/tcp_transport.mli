@@ -67,7 +67,11 @@ val conn_read_frame : client_conn -> Codec.frame option
     a corrupt stream. *)
 
 val conn_write : client_conn -> string -> bool
-(** Write bytes (a pre-encoded frame); [false] if the connection died. *)
+(** Write bytes (a pre-encoded frame) without ever blocking: [false] if
+    the connection is closed, died, or its send buffer could not take the
+    whole frame — a full buffer shuts the connection down (the client's
+    op-id retry covers the lost reply).  Safe from any thread, alongside
+    the connection's reader and after [on_client] returned. *)
 
 type hello_verdict =
   | Peer of int  (** a replica with this pid; receive entries from it *)
@@ -105,8 +109,9 @@ val create :
     [None] skips the frame.  Each decoded message is handed to [deliver]
     on the reading connection's thread, in arrival order per link.
     [encode_peer] is its inverse for {!send}.  [on_client] runs in the
-    accepting connection's own thread and owns the connection until it
-    returns; invocations may block there without stalling peer traffic.
+    accepting connection's own thread and reads the connection until it
+    returns; replies go out through {!conn_write}, from that thread or
+    any other (a replica loop completing an invocation).
 
     [lane_of] assigns each message a {!Lanes.lane}; when omitted every
     message rides the (bounded) data lane.

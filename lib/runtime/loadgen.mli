@@ -14,8 +14,9 @@
 
     Timing: the network-facing delays are drawn in [[d − u, d]] µs, but the
     replicas run Algorithm 1 with [d + slack] and [u + slack]: [slack] is
-    scheduling-jitter headroom (mailbox poll quantum, OS preemption) that
-    the discrete-event simulator does not need but a real executor does.
+    scheduling-jitter headroom (thread wake-up latency, OS preemption)
+    that the discrete-event simulator does not need but a real executor
+    does.
     The simulator's tick bounds thus become latency {e targets}; whether a
     run met the model's guarantees is decided by the post-hoc check. *)
 

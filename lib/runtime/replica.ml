@@ -1,7 +1,7 @@
 (** See the interface for the model mapping.  One domain per replica; all
     inter-domain communication goes through the transport's mailboxes and
-    the per-invocation result cells — replica state itself is only ever
-    touched by its own domain.
+    the per-invocation completion callbacks, which the loop itself runs —
+    replica state itself is only ever touched by its own domain.
 
     Recovery additions (PR 5): a replica can be {e frozen} — either [Down]
     (an injected crash: it processes nothing, realising the fault the
@@ -29,14 +29,7 @@ module Make (D : Spec.Data_type.S) = struct
     response_us : int;
   }
 
-  (* A one-shot synchronisation cell the invoking client blocks on. *)
-  type cell_state = Pending | Done of D.result | Cancelled | Rejected of string
-
-  type cell = {
-    mutex : Mutex.t;
-    cond : Condition.t;
-    mutable value : cell_state;
-  }
+  type outcome = Done of D.result | Cancelled | Rejected of string
 
   type snapshot_view = {
     v_obj : D.state;
@@ -116,8 +109,8 @@ module Make (D : Spec.Data_type.S) = struct
       }
     | Quorum_msg of qwire
     | Sync_msg of swire
-    | Invoke of D.op * int * int * int * cell
-        (** op, trace, op id, deadline (absolute µs, 0 = none), cell *)
+    | Invoke of D.op * int * int * int * (outcome -> unit)
+        (** op, trace, op id, deadline (absolute µs, 0 = none), completion *)
     | Crash_now
     | Recover_now
     | Snap_req of (snapshot_view -> unit)
@@ -156,12 +149,6 @@ module Make (D : Spec.Data_type.S) = struct
         None
 
   let class_of op = Obs.Event.class_code (D.classify op)
-
-  let fill cell v =
-    Mutex.lock cell.mutex;
-    cell.value <- v;
-    Condition.signal cell.cond;
-    Mutex.unlock cell.mutex
 
   (* ---- the per-replica event loop (runs inside the replica's domain) ---- *)
 
@@ -237,12 +224,12 @@ module Make (D : Spec.Data_type.S) = struct
     mutable st : Alg.state;
     mutable timers : timer_entry list;  (** sorted by [(due, tseq)] *)
     mutable tseq : int;
-    mutable inflight : (cell * D.op * int * int * int) option;
-        (** cell, op, invoke_us, seq, trace *)
+    mutable inflight : ((outcome -> unit) * D.op * int * int * int) option;
+        (** completion, op, invoke_us, seq, trace *)
     mutable inflight_ts : Prelude.Stamp.t;
         (** stamp of the in-flight fast-path op (what the gate keys on) *)
-    backlog : (D.op * int * int * int * cell) Queue.t;
-        (** op, trace, op id, deadline, cell *)
+    backlog : (D.op * int * int * int * (outcome -> unit)) Queue.t;
+        (** op, trace, op id, deadline, completion *)
     mutable next_seq : int;
     mutable records : record list;  (** reversed *)
     (* -- recovery machinery (only exercised when [rec_mode] is [Some]) -- *)
@@ -456,7 +443,7 @@ module Make (D : Spec.Data_type.S) = struct
     let respond r =
       match ls.inflight with
       | None -> ()  (* cannot happen: Algorithm 1 responds only when pending *)
-      | Some (cell, op, invoke_us, seq, trace) ->
+      | Some (complete, op, invoke_us, seq, trace) ->
           let response_us = now_rel () in
           ls.records <-
             { pid; seq; op; result = r; invoke_us; response_us }
@@ -464,7 +451,7 @@ module Make (D : Spec.Data_type.S) = struct
           ls.inflight <- None;
           Obs.Recorder.emit ~pid ~kind:Obs.Event.Respond ~trace
             ~a:(class_of op) ~b:(response_us - invoke_us) ();
-          fill cell (Done r)
+          complete (Done r)
     in
     (* A client replaying an operation id this replica already knows must
        not be executed twice.  Applied → answer from the recorded result;
@@ -646,18 +633,18 @@ module Make (D : Spec.Data_type.S) = struct
         when cfg.Core.Params.n > 1 && not (in_quorum f) ->
           send_hb f ~want:(threshold e.ts) ()
       | _ -> ()
-    and start_invoke op trace op_id cell =
+    and start_invoke op trace op_id complete =
       let invoke_us = now_rel () in
       let seq = ls.next_seq in
       ls.next_seq <- ls.next_seq + 1;
-      ls.inflight <- Some (cell, op, invoke_us, seq, trace);
+      ls.inflight <- Some (complete, op, invoke_us, seq, trace);
       Obs.Recorder.emit ~pid ~kind:Obs.Event.Invoke ~trace ~a:(class_of op) ();
       dispatch_alg_invoke op trace op_id
-    and start_quorum_invoke f op trace op_id cell =
+    and start_quorum_invoke f op trace op_id complete =
       let invoke_us = now_rel () in
       let seq = ls.next_seq in
       ls.next_seq <- ls.next_seq + 1;
-      ls.inflight <- Some (cell, op, invoke_us, seq, trace);
+      ls.inflight <- Some (complete, op, invoke_us, seq, trace);
       Obs.Recorder.emit ~pid ~kind:Obs.Event.Invoke ~trace ~a:(class_of op) ();
       let qid = f.next_qid in
       f.next_qid <- qid + 1;
@@ -787,9 +774,10 @@ module Make (D : Spec.Data_type.S) = struct
       | None -> ());
       (match ls.inflight with
       | None -> ()
-      | Some (cell, _, _, _, _) -> fill cell (Rejected why));
+      | Some (complete, _, _, _, _) -> complete (Rejected why));
       ls.inflight <- None;
-      Queue.iter (fun (_, _, _, _, cell) -> fill cell (Rejected why)) ls.backlog;
+      Queue.iter (fun (_, _, _, _, complete) -> complete (Rejected why))
+        ls.backlog;
       Queue.clear ls.backlog
     and enter_quorum f ~epoch ~sequencer =
       Quorum.Log.reset f.qlog ~epoch;
@@ -862,7 +850,7 @@ module Make (D : Spec.Data_type.S) = struct
             in
             leave_quorum f ~epoch
           end
-    and submit op trace op_id deadline cell =
+    and submit op trace op_id deadline complete =
       match dedup_check op op_id with
       | Some ((Done r as outcome), invoke_us) ->
           (* A replay answered from the dedup table is a client-visible
@@ -879,16 +867,17 @@ module Make (D : Spec.Data_type.S) = struct
             { pid = (cfg.Core.Params.n * (1 + seq)) + pid; seq; op;
               result = r; invoke_us; response_us = now_rel () }
             :: ls.records;
-          fill cell outcome
-      | Some (outcome, _) -> fill cell outcome
+          complete outcome
+      | Some (outcome, _) -> complete outcome
       | None ->
           if ls.inflight <> None then
-            Queue.push (op, trace, op_id, deadline, cell) ls.backlog
+            Queue.push (op, trace, op_id, deadline, complete) ls.backlog
           else (
             match fb with
-            | Some f when in_quorum f -> start_quorum_invoke f op trace op_id cell
-            | _ -> start_invoke op trace op_id cell)
-    and shed_expired trace cell =
+            | Some f when in_quorum f ->
+                start_quorum_invoke f op trace op_id complete
+            | _ -> start_invoke op trace op_id complete)
+    and shed_expired trace complete =
       (* The deadline already passed: doing the work now is dead work the
          client stopped waiting for — refuse it (visibly, as a counted
          [Shed] event) instead of adding it to the queue ahead of ops that
@@ -896,17 +885,17 @@ module Make (D : Spec.Data_type.S) = struct
          idempotent retry path is always safe. *)
       Obs.Recorder.emit ~pid ~kind:Obs.Event.Shed ~trace
         ~a:Obs.Event.shed_deadline ();
-      fill cell (Rejected "shed: deadline passed")
+      complete (Rejected "shed: deadline passed")
     and next_from_backlog () =
       if ls.inflight = None && ls.mode = Up && not (Queue.is_empty ls.backlog)
       then begin
-        let op, trace, op_id, deadline, cell = Queue.pop ls.backlog in
+        let op, trace, op_id, deadline, complete = Queue.pop ls.backlog in
         if deadline > 0 && Prelude.Mclock.now_us () > deadline then begin
-          shed_expired trace cell;
+          shed_expired trace complete;
           next_from_backlog ()
         end
         else begin
-          submit op trace op_id deadline cell;
+          submit op trace op_id deadline complete;
           next_from_backlog ()
         end
       end
@@ -1135,9 +1124,9 @@ module Make (D : Spec.Data_type.S) = struct
                        bounce the client rather than loop forever. *)
                     f.pending_fwd <- None;
                     match ls.inflight with
-                    | Some (cell, _, _, _, _) ->
+                    | Some (complete, _, _, _, _) ->
                         ls.inflight <- None;
-                        fill cell (Rejected "retry: quorum reroute");
+                        complete (Rejected "retry: quorum reroute");
                         next_from_backlog ()
                     | None -> ()
                   end
@@ -1164,14 +1153,14 @@ module Make (D : Spec.Data_type.S) = struct
                 done)
     in
     let drain_on_stop () =
-      (* Wake every client still waiting: their operations will never
-         respond (the replica is gone), and a blocked client handler would
-         otherwise hang teardown. *)
+      (* Answer every client still waiting: their operations will never
+         respond (the replica is gone), and a blocked caller of
+         [invoke_on] would otherwise hang teardown. *)
       (match ls.inflight with
       | None -> ()
-      | Some (cell, _, _, _, _) -> fill cell Cancelled);
+      | Some (complete, _, _, _, _) -> complete Cancelled);
       ls.inflight <- None;
-      Queue.iter (fun (_, _, _, _, cell) -> fill cell Cancelled) ls.backlog;
+      Queue.iter (fun (_, _, _, _, complete) -> complete Cancelled) ls.backlog;
       Queue.clear ls.backlog;
       List.rev ls.records
     in
@@ -1290,19 +1279,20 @@ module Make (D : Spec.Data_type.S) = struct
                       ~b:(((t_rx - t0) + (t_tx - t1)) / 2)
                       ()));
           loop ()
-      | Some (_, Invoke (op, trace, op_id, deadline, cell)) ->
+      | Some (_, Invoke (op, trace, op_id, deadline, complete)) ->
           (if deadline > 0 && Prelude.Mclock.now_us () > deadline then
-             shed_expired trace cell
+             shed_expired trace complete
            else
              match fb with
              | Some _ when ls.mode = Down ->
-                 fill cell (Rejected "retry: replica down")
+                 complete (Rejected "retry: replica down")
              | Some f when Quorum.Mode_controller.stalled f.mc ->
-                 fill cell (Rejected "retry: minority stall")
+                 complete (Rejected "retry: minority stall")
              | _ ->
                  if ls.mode <> Up then
-                   Queue.push (op, trace, op_id, deadline, cell) ls.backlog
-                 else submit op trace op_id deadline cell);
+                   Queue.push (op, trace, op_id, deadline, complete)
+                     ls.backlog
+                 else submit op trace op_id deadline complete);
           loop ()
       | Some (_, Crash_now) ->
           (match (ls.rec_mode, fb) with
@@ -1426,12 +1416,12 @@ module Make (D : Spec.Data_type.S) = struct
                       (if ls.mode = Up && in_quorum f then begin
                          let timeout = Quorum.Config.timeout_us f.qcfg in
                          (match (f.pending_fwd, ls.inflight) with
-                         | Some w, Some (cell, _, _, _, _)
+                         | Some w, Some (complete, _, _, _, _)
                            when Prelude.Mclock.now_us () - w.f_sent_us
                                 > 2 * timeout ->
                              f.pending_fwd <- None;
                              ls.inflight <- None;
-                             fill cell (Rejected "retry: quorum timeout");
+                             complete (Rejected "retry: quorum timeout");
                              next_from_backlog ()
                          | Some w, _
                            when (not w.f_proposed)
@@ -1559,6 +1549,9 @@ module Make (D : Spec.Data_type.S) = struct
       match start_us with Some s -> s | None -> Prelude.Mclock.now_us ()
     in
     let body () =
+      (* Hold timers are the paper's share of every latency: let the kernel
+         fire this thread's waits on time instead of up to 50 µs late. *)
+      Prelude.Os.set_timer_slack_ns 1;
       run_replica ~params ?recovery ?fallback ?sync ~transport ~start_us
         ~offset pid
     in
@@ -1586,23 +1579,28 @@ module Make (D : Spec.Data_type.S) = struct
       node_stopped = false;
     }
 
-  let invoke_on ?(trace = 0) ?(op_id = 0) ?(deadline = 0) transport ~pid op =
-    let cell =
-      { mutex = Mutex.create (); cond = Condition.create (); value = Pending }
-    in
+  let post_invoke ?(trace = 0) ?(op_id = 0) ?(deadline = 0) transport ~pid op
+      complete =
     Transport_intf.post transport ~src:pid ~dst:pid
-      (Invoke (op, trace, op_id, deadline, cell));
-    Mutex.lock cell.mutex;
-    while cell.value = Pending do
-      Condition.wait cell.cond cell.mutex
+      (Invoke (op, trace, op_id, deadline, complete))
+
+  let invoke_on ?trace ?op_id ?deadline transport ~pid op =
+    let lock = Mutex.create () and cond = Condition.create () in
+    let answer = ref None in
+    post_invoke ?trace ?op_id ?deadline transport ~pid op (fun o ->
+        Mutex.lock lock;
+        answer := Some o;
+        Condition.signal cond;
+        Mutex.unlock lock);
+    Mutex.lock lock;
+    while Option.is_none !answer do
+      Condition.wait cond lock
     done;
-    let v = cell.value in
-    Mutex.unlock cell.mutex;
-    match v with
-    | Done r -> r
-    | Cancelled -> raise Stopped
-    | Rejected why -> raise (Retry_later why)
-    | Pending -> assert false
+    Mutex.unlock lock;
+    match !answer with
+    | Some (Done r) -> r
+    | Some Cancelled | None -> raise Stopped
+    | Some (Rejected why) -> raise (Retry_later why)
 
   let node_invoke ?trace ?op_id ?deadline node op =
     invoke_on ?trace ?op_id ?deadline node.node_transport ~pid:node.node_pid op
@@ -1686,6 +1684,7 @@ module Make (D : Spec.Data_type.S) = struct
       let records =
         Array.to_list cluster.nodes |> List.concat_map node_stop
       in
+      Transport_intf.close cluster.transport;
       cluster.records <-
         List.sort
           (fun (a : record) b ->

@@ -8,7 +8,11 @@
     timer wheel realises the algorithm's [Set_timer] actions.  Ripe
     messages and due timers are processed in global chronological order
     (see {!Mailbox.take}), so a replica that falls behind (scheduling) still
-    handles events in the order the model prescribes.
+    handles events in the order the model prescribes.  The loop sleeps
+    exactly until its next timer or next arrival — its thread's timer
+    slack is 1 ns, so holds fire on time — and it answers clients itself:
+    each invocation carries a completion callback the loop runs when the
+    operation responds ({!post_invoke}).
 
     The building block is a {e node} — one replica on one domain over an
     arbitrary transport.  [Shard.Host] runs one node per shard in each OS
@@ -112,12 +116,21 @@ module Make (D : Spec.Data_type.S) : sig
     response_us : int;
   }
 
+  type outcome =
+    | Done of D.result
+    | Cancelled  (** the replica stopped before responding *)
+    | Rejected of string
+        (** back off and retry with the same op id: a replay still in
+            flight, a shed (["shed: ..."]), or a replica that is down,
+            stalled in a minority or rerouting a quorum op *)
+  (** How an invocation ends — what its completion callback receives. *)
+
   type event
   (** What flows through a replica's transport: network entries, catch-up
       requests/replies, local client invocations (which carry an
-      unserialisable completion cell), crash/recover injections, snapshot
-      requests and the stop signal.  Only events with a {!wire_view} ever
-      cross a wire. *)
+      unserialisable completion callback), crash/recover injections,
+      snapshot requests and the stop signal.  Only events with a
+      {!wire_view} ever cross a wire. *)
 
   type snapshot_view = {
     v_obj : D.state;  (** the object right now *)
@@ -260,33 +273,45 @@ module Make (D : Spec.Data_type.S) : sig
 
   val node_invoke :
     ?trace:int -> ?op_id:int -> ?deadline:int -> node -> D.op -> D.result
-  (** Synchronous client call on this node; queued behind any pending
-      operation (the model allows one per process).  [trace] tags every
-      [Obs] event and outgoing message of this operation; [op_id] is the
-      idempotence key (see {!invoke_on}); [deadline] the op's absolute
-      deadline (see {!invoke_on}).  @raise Stopped if the node
-      shuts down first.  @raise Retry_later if a replay must back off. *)
+  (** {!invoke_on} this node; queued behind any pending operation (the
+      model allows one per process).  [trace] tags every [Obs] event and
+      outgoing message of this operation; [op_id] is the idempotence key
+      and [deadline] the op's absolute deadline (see {!post_invoke}).
+      @raise Stopped if the node shuts down first.
+      @raise Retry_later if a replay must back off. *)
 
   val node_stop : node -> record list
   (** Post the stop signal, join the domain, and return the node's
       completed-operation records (invocation order).  Clients still
-      waiting are woken with {!Stopped}.  Idempotent ([[]] thereafter). *)
+      waiting are completed with [Cancelled].  Idempotent ([[]]
+      thereafter).  The node does not own its transport: close it
+      afterwards. *)
 
   val node_elapsed_us : node -> int
+
+  val post_invoke :
+    ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
+    pid:int -> D.op -> (outcome -> unit) -> unit
+  (** Asynchronous client call posted straight to a transport — what
+      [Shard.Host] uses.  Returns at once; the replica's own event loop
+      calls the completion exactly once, when the operation responds, is
+      refused, or the replica stops.  The completion runs on the loop, so
+      it must be quick, must not block and must not raise (the host's
+      writes its reply frame with a non-blocking send).  [op_id] (default
+      0 = none) identifies the client operation for idempotent retries:
+      invoking twice with the same id executes once.  [deadline] (default
+      0 = none) is the op's absolute deadline in µs on the
+      {!Prelude.Mclock} timeline: a replica sheds an op whose deadline
+      already passed — at arrival or when it surfaces from the backlog —
+      with [Rejected "shed: ..."] and a counted [Obs.Event.Shed] event,
+      instead of doing dead work. *)
 
   val invoke_on :
     ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
     pid:int -> D.op -> D.result
-  (** Synchronous client call posted straight to a transport — what
-      [Shard.Host] uses.  [op_id] (default 0 = none) identifies the client
-      operation for idempotent retries: invoking twice with the same id
-      executes once.  [deadline] (default 0 = none) is the op's absolute
-      deadline in µs on the {!Prelude.Mclock} timeline: a replica sheds
-      an op whose deadline already passed — at arrival or when it surfaces
-      from the backlog — with [Retry_later "shed: ..."] and a counted
-      [Obs.Event.Shed] event, instead of doing dead work.
-      @raise Retry_later if a replay must back off or the op was shed;
-      @raise Stopped if the replica shuts down first. *)
+  (** {!post_invoke}, blocking the caller until the completion runs.
+      @raise Retry_later on [Rejected];
+      @raise Stopped on [Cancelled]. *)
 
   val post_crash : event Transport_intf.t -> pid:int -> unit
   (** Freeze replica [pid] as if it crashed: it drops network traffic,
@@ -332,9 +357,9 @@ module Make (D : Spec.Data_type.S) : sig
       cluster measure and shrink the very skew [offsets] injects. *)
 
   val invoke : ?trace:int -> ?op_id:int -> cluster -> pid:int -> D.op -> D.result
-  (** Synchronous client call: block until replica [pid] responds.
-      Concurrent invocations on one replica are queued — the model allows
-      one pending operation per process.  See {!invoke_on} for [op_id]. *)
+  (** {!invoke_on} replica [pid]: block until it responds.  Concurrent
+      invocations on one replica are queued — the model allows one
+      pending operation per process.  See {!post_invoke} for [op_id]. *)
 
   val crash : cluster -> pid:int -> unit
   (** {!post_crash} on replica [pid]. *)
@@ -347,7 +372,8 @@ module Make (D : Spec.Data_type.S) : sig
   end
 
   val stop : cluster -> unit
-  (** Shut every replica down and join its domain.  Idempotent. *)
+  (** Shut every replica down, join its domain and close the cluster's
+      transport.  Idempotent. *)
 
   val history : cluster -> record list
   (** Completed operations of a {e stopped} cluster, sorted by invocation

@@ -78,5 +78,5 @@ let intf t =
     recv = (fun ~me ~deadline -> recv t ~me ~deadline);
     depth = (fun ~me -> Mailbox.length t.boxes.(me));
     stats = (fun () -> stats t);
-    close = (fun () -> ());
+    close = (fun () -> Array.iter Mailbox.close t.boxes);
   }

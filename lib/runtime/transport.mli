@@ -5,7 +5,7 @@
     one implementation serves every [Replica.Make] instantiation):
 
     - {!bus} is the base implementation: an in-process *domain bus*, one
-      mutex/condition {!Mailbox} per endpoint, delivering immediately.
+      {!Mailbox} per endpoint, delivering immediately.
       Endpoints are OCaml 5 domains; sends are lock-free handoffs into the
       receiver's mailbox.
     - {!with_delays} is a delay-injecting wrapper: every {!send} is
@@ -65,4 +65,5 @@ val stats : 'msg t -> stats
 val intf : 'msg t -> 'msg Transport_intf.t
 (** Pack the bus as a first-class {!Transport_intf.t}, the representation
     {!Replica} consumes — so in-process and TCP clusters share one replica
-    event loop. *)
+    event loop.  Its [close] releases the mailboxes' wake-up pipes: call
+    it once every endpoint's taker is gone. *)

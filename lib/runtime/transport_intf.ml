@@ -17,8 +17,9 @@
       network hop.
     - {!recv} blocks on endpoint [me]'s mailbox with {!Mailbox.take}
       deadline semantics.
-    - {!close} releases any OS resources (threads, sockets); the bus
-      transport has none, so there it is a no-op. *)
+    - {!close} releases any OS resources (threads, sockets, the
+      mailboxes' wake-up pipes) once the endpoints' replicas are
+      stopped. *)
 
 type link_stats = {
   reconnects : int;

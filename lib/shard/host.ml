@@ -15,10 +15,14 @@
     [Runtime.Replica] hosts it unchanged: the shard neither knows nor cares
     that it shares its sockets with 63 siblings.
 
-    Client connections (first frame [Invoke] rather than [Hello]) are
-    served on their accepting thread: each [Invoke] becomes a synchronous
-    invocation on the addressed shard, each [Stats_req] a transport-stats
-    snapshot, so invocations block the connection — not the replica loop.
+    Client connections (first frame [Invoke] rather than [Hello]) are read
+    on their accepting thread: each [Invoke] is admitted and posted to the
+    addressed shard's replica with a completion callback, and the thread
+    goes back to reading; the replica loop writes the [Result]/[Shed]/
+    [Error_msg] frame itself with a non-blocking send
+    ({!Net.Tcp_transport.conn_write}), so a client that stops reading
+    loses its connection instead of stalling the loop.  Each [Stats_req]
+    is answered on the reading thread with a transport-stats snapshot.
 
     Execution vehicle: a one-shard host runs its replica on its own domain.
     With more shards the replicas run on systhreads
@@ -120,6 +124,7 @@ module Make (W : Net.Wire.WIRED) = struct
   type handle = {
     transport : (int * R.event) Net.Tcp_transport.t;
     facades : R.event T.t array;  (** per-shard views, index = shard *)
+    mboxes : (int * R.event) Runtime.Mailbox.t array;
     nodes : R.node array;
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
         (** installed recorder and its trace-file closer *)
@@ -487,15 +492,17 @@ module Make (W : Net.Wire.WIRED) = struct
       | Some l -> l
       | None -> Net.Tcp_transport.listen ~host ~port
     in
-    (* The nodes are created after the transport, so client connections
-       that race startup briefly spin on [facades_ref]. *)
+    (* The nodes are created after the transport, so a client whose first
+       invoke races startup waits here until [start] publishes them. *)
     let facades_ref = ref None in
-    let rec the_facades () =
-      match !facades_ref with
-      | Some f -> f
-      | None ->
-          Prelude.Mclock.sleep_us 1_000;
-          the_facades ()
+    let ready = Mutex.create () and ready_cond = Condition.create () in
+    let the_facades () =
+      Mutex.lock ready;
+      while Option.is_none !facades_ref do
+        Condition.wait ready_cond ready
+      done;
+      Mutex.unlock ready;
+      Option.get !facades_ref
     in
     (* One admission controller per shard: shards have independent service
        rates (their own nodes, stores, quorum modes), so one saturated
@@ -531,35 +538,34 @@ module Make (W : Net.Wire.WIRED) = struct
                     Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
                       ~a:Obs.Event.shed_admission ~b:shard ();
                     reply (C.Shed { reason; shard })
-                | Net.Admission.Admitted -> (
+                | Net.Admission.Admitted ->
+                    (* The replica loop answers: this thread goes back to
+                       reading, and the completion writes the reply frame
+                       with a non-blocking send. *)
                     let facades = the_facades () in
-                    let finish () =
-                      Net.Admission.finish admissions.(shard)
-                        ~elapsed_us:(Prelude.Mclock.now_us () - now)
-                    in
-                    match
-                      R.invoke_on ~trace ~op_id ~deadline facades.(shard)
-                        ~pid:cfg.pid op
-                    with
-                    | r ->
-                        finish ();
-                        reply (C.Result { result = r; shard })
-                    | exception R.Stopped ->
-                        finish ();
-                        reply (C.Error_msg "replica stopped")
-                    | exception R.Retry_later why ->
-                        finish ();
-                        (* The client must back off and retry with the same
-                           op id; [Client.retryable] recognises both
-                           answers.  A "shed: ..." refusal (replica-side
-                           deadline check) travels as the dedicated frame —
-                           the replica already emitted its own [Shed]
-                           event. *)
-                        if
-                          String.length why >= 4
-                          && String.sub why 0 4 = "shed"
-                        then reply (C.Shed { reason = why; shard })
-                        else reply (C.Error_msg ("retry: " ^ why))))
+                    R.post_invoke ~trace ~op_id ~deadline facades.(shard)
+                      ~pid:cfg.pid op (fun outcome ->
+                        Net.Admission.finish admissions.(shard)
+                          ~elapsed_us:(Prelude.Mclock.now_us () - now);
+                        ignore
+                          (reply
+                             (match outcome with
+                             | R.Done r -> C.Result { result = r; shard }
+                             | R.Cancelled -> C.Error_msg "replica stopped"
+                             | R.Rejected why ->
+                                 (* The client must back off and retry with
+                                    the same op id; [Client.retryable]
+                                    recognises both answers.  A "shed: ..."
+                                    refusal (replica-side deadline check)
+                                    travels as the dedicated frame — the
+                                    replica already emitted its own [Shed]
+                                    event. *)
+                                 if
+                                   String.length why >= 4
+                                   && String.sub why 0 4 = "shed"
+                                 then C.Shed { reason = why; shard }
+                                 else C.Error_msg ("retry: " ^ why))));
+                    true)
         | Ok C.Stats_req ->
             let stats =
               match !facades_ref with
@@ -577,10 +583,15 @@ module Make (W : Net.Wire.WIRED) = struct
             false
       in
       let rec loop frame =
-        if handle_frame frame then
+        if handle_frame frame then begin
+          (* A pipelining client's frames are all buffered already: hand
+             the runtime lock to any other connection's reader between
+             frames, so one busy client cannot starve the rest. *)
+          Thread.yield ();
           match Net.Tcp_transport.conn_read_frame conn with
           | Some next -> loop next
           | None -> ()
+        end
       in
       loop first
     in
@@ -631,7 +642,10 @@ module Make (W : Net.Wire.WIRED) = struct
             ~threaded:(cfg.shards > 1) ?recovery ?fallback:(fallback_for cfg k)
             ?sync:(sync_for cfg k) ())
     in
+    Mutex.lock ready;
     facades_ref := Some facades;
+    Condition.broadcast ready_cond;
+    Mutex.unlock ready;
     let stores =
       Array.mapi
         (fun k entry ->
@@ -681,6 +695,7 @@ module Make (W : Net.Wire.WIRED) = struct
     {
       transport;
       facades;
+      mboxes;
       nodes;
       recorder;
       stores;
@@ -689,11 +704,12 @@ module Make (W : Net.Wire.WIRED) = struct
       handle_stopped = false;
     }
 
-  (* Stop order matters: cancelling the nodes first wakes client-handler
-     threads blocked on invocation cells, so closing the transport (which
-     joins its threads) cannot hang behind them.  The recorder is torn
-     down last, after every emitting thread is gone.  Returns per-shard
-     completed-operation records. *)
+  (* Stop order matters: stopping the nodes first answers every client
+     still waiting ("replica stopped") while its connection is open; the
+     facades (chaos drainers) close before the transport they send on, and
+     the mailboxes after it.  The recorder is torn down last, after every
+     emitting thread is gone.  Returns per-shard completed-operation
+     records. *)
   let stop handle =
     if not handle.handle_stopped then begin
       handle.handle_stopped <- true;
@@ -701,7 +717,9 @@ module Make (W : Net.Wire.WIRED) = struct
       let records = Array.map R.node_stop handle.nodes in
       Option.iter Thread.join handle.snap_thread;
       let stats = T.stats handle.facades.(0) in
+      Array.iter T.close handle.facades;
       Net.Tcp_transport.close handle.transport;
+      Array.iter Runtime.Mailbox.close handle.mboxes;
       (* The nodes are joined, so no more [on_apply] appends: sync what the
          fsync policy may still be buffering, then close. *)
       Array.iter

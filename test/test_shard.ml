@@ -427,6 +427,168 @@ let test_host_drops_out_of_range_shard () =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   ignore (H.stop handle)
 
+(* ---- client replies come from the replica loop ---- *)
+
+module Kc = Net.Codec.Make (Net.Wire.Kv_codec)
+module Kcl = Net.Client.Make (Net.Wire.Kv_wired)
+
+let invoke_frame ?(op_id = 0) ?(deadline = 0) op =
+  Kc.encode (Kc.Invoke { op; trace = 0; op_id; shard = 0; deadline })
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let solo_host params =
+  let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = listener.Net.Tcp_transport.port in
+  let handle =
+    H.start ~listener
+      (host_config ~pid:0 ~shards:1 ~addrs:[| ("127.0.0.1", port) |] params)
+  in
+  let conn =
+    match Kcl.connect ~host:"127.0.0.1" ~port () with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "client connect: %s" e
+  in
+  Kcl.set_timeout conn (Some 5_000_000);
+  (handle, conn)
+
+(* The connection's reader posts an invoke and goes straight back to
+   reading, so a client may pipeline: both frames are answered, in
+   order (the replica runs one operation at a time). *)
+let test_host_pipelined_invokes () =
+  let params = Core.Params.make ~n:1 ~d:2000 ~u:0 ~eps:0 ~x:0 () in
+  let handle, conn = solo_host params in
+  write_all conn.Kcl.fd
+    (invoke_frame ~op_id:1 (Spec.Kv_map.Put (7, 70))
+    ^ invoke_frame ~op_id:2 (Spec.Kv_map.Get 7));
+  let first = Kcl.recv conn in
+  let second = Kcl.recv conn in
+  Kcl.close conn;
+  ignore (H.stop handle);
+  let ok r = Ok (Kc.Result { result = r; shard = 0 }) in
+  Alcotest.(check bool) "first frame answered first" true
+    (first = ok Spec.Kv_map.Ack);
+  Alcotest.(check bool) "second frame answered, after the put" true
+    (second = ok (Spec.Kv_map.Found 70))
+
+(* A client that pipelines invokes and never reads fills its socket
+   buffers; the replica loop, which writes the replies, must drop that
+   connection rather than wait on it.  Meanwhile a second connection's
+   ops keep completing promptly and — the fallback armed — the loop keeps
+   heartbeating, so no peer is suspected. *)
+let test_host_non_reading_client_cannot_stall () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let n = 2 in
+  let params =
+    Core.Params.make ~n ~d:1000 ~u:200
+      ~eps:(Core.Params.optimal_eps ~n ~u:200)
+      ~x:0 ()
+  in
+  let fallback =
+    { Quorum.Config.default with Quorum.Config.hb_us = 2_500; suspect_after = 80 }
+  in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
+      listeners
+  in
+  let suspicions = Atomic.make 0 in
+  let log line =
+    if List.mem "suspecting" (String.split_on_char ' ' line) then
+      Atomic.incr suspicions
+  in
+  let start_us = Prelude.Mclock.now_us () in
+  let handles =
+    Array.init n (fun pid ->
+        H.start ~listener:listeners.(pid)
+          (host_config ~start_us ~fallback ~log ~pid ~shards:1 ~addrs params))
+  in
+  let port = snd addrs.(0) in
+  let good =
+    match Kcl.connect ~host:"127.0.0.1" ~port () with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "client connect: %s" e
+  in
+  Kcl.set_timeout good (Some 5_000_000);
+  let put c k =
+    match Kcl.invoke c (Spec.Kv_map.Put (k, k)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "put %d: %s" k e
+  in
+  put good 0 (* links up, first op paid *);
+  let flood = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int flood Unix.SO_RCVBUF 4096;
+  Unix.connect flood (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* Mostly frames the door sheds (deadline long past), whose replies
+     fill the unread buffers fast; every 50th is a real op, so the replica
+     holds some of this client's ops when its buffers are full. *)
+  let blob =
+    String.concat ""
+      (List.init 20_000 (fun i ->
+           invoke_frame
+             ~deadline:(if i mod 50 = 0 then 0 else 1)
+             (Spec.Kv_map.Put (i, i))))
+  in
+  let flooder =
+    Thread.create
+      (fun () -> try write_all flood blob with Unix.Unix_error _ -> ())
+      ()
+  in
+  let worst = ref 0 in
+  for k = 1 to 40 do
+    let t0 = Prelude.Mclock.now_us () in
+    put good k;
+    worst := max !worst (Prelude.Mclock.now_us () - t0);
+    Prelude.Mclock.sleep_us 10_000
+  done;
+  (try Unix.shutdown flood Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Thread.join flooder;
+  Unix.close flood;
+  Kcl.close good;
+  Array.iter (fun h -> ignore (H.stop h)) handles;
+  Alcotest.(check bool)
+    (Printf.sprintf "slowest op beside the flood (%d us) under 100 ms" !worst)
+    true (!worst < 100_000);
+  Alcotest.(check int) "suspicions" 0 (Atomic.get suspicions)
+
+(* Stopping a host answers the invoke it still holds — from the replica
+   loop, before the transport closes — and [stop] returns. *)
+let test_host_stop_answers_inflight () =
+  (* a 5 s accessor hold: the read is still in flight at [stop] *)
+  let params = Core.Params.make ~n:1 ~d:5_000_000 ~u:0 ~eps:0 ~x:0 () in
+  let handle, conn = solo_host params in
+  (match Kcl.send conn (Kc.Invoke
+                          { op = Spec.Kv_map.Get 1; trace = 0; op_id = 0;
+                            shard = 0; deadline = 0 }) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "send: %s" e);
+  Prelude.Mclock.sleep_us 50_000;
+  let stopped = Atomic.make false in
+  let stopper =
+    Thread.create
+      (fun () ->
+        ignore (H.stop handle);
+        Atomic.set stopped true)
+      ()
+  in
+  let reply = Kcl.recv conn in
+  let give_up = Prelude.Mclock.now_us () + 3_000_000 in
+  while (not (Atomic.get stopped)) && Prelude.Mclock.now_us () < give_up do
+    Prelude.Mclock.sleep_us 5_000
+  done;
+  Alcotest.(check bool) "stop returned" true (Atomic.get stopped);
+  Thread.join stopper;
+  Kcl.close conn;
+  Alcotest.(check bool) "the in-flight invoke is answered" true
+    (reply = Ok (Kc.Error_msg "replica stopped"))
+
 (* ---- the supervisor's exit-status wording ---- *)
 
 let test_status_names_signals () =
@@ -472,6 +634,12 @@ let () =
             test_host_logs_suspicion;
           Alcotest.test_case "drops a frame tagged past its shard count"
             `Quick test_host_drops_out_of_range_shard;
+          Alcotest.test_case "answers pipelined invokes in order" `Quick
+            test_host_pipelined_invokes;
+          Alcotest.test_case "a non-reading client cannot stall the replica"
+            `Quick test_host_non_reading_client_cannot_stall;
+          Alcotest.test_case "stop answers an in-flight invoke" `Quick
+            test_host_stop_answers_inflight;
         ] );
       ( "cluster",
         [

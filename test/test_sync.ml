@@ -175,6 +175,7 @@ let test_convergence_below_configured () =
     Prelude.Mclock.sleep_us 2_000
   done;
   Array.iter (fun node -> ignore (R.node_stop node)) nodes;
+  Runtime.Transport_intf.close transport;
   Alcotest.(check bool) "every replica published at least 8 rounds" true
     (rounds_done () >= 8);
   Array.iteri
