@@ -168,8 +168,71 @@ module Wake_bench = struct
            done))
 end
 
+(* The same n = 3, 48-op register workload driven through the replica
+   core under [Sim.Engine]: no domains, no sleeps, no sockets — the
+   designed holds cost nothing in virtual time, so this times only the
+   core's code (and the post-hoc check), not the holds.  Parameters, mix,
+   offsets and delay range follow [Loadgen.run] with the live entry's
+   arguments: three closed-loop clients of 16 ops each. *)
+module Core_sim_bench = struct
+  module C = Runtime.Replica_core.Make (Spec.Register)
+  module E = Sim.Engine.Make (C)
+  module Lin = Linearize.Make (Spec.Register)
+  module L = Runtime.Workloads.Register_live
+
+  let run () =
+    let n = 3 and d = 300 and u = 100 and slack = 2000 in
+    let eps = Core.Params.optimal_eps ~n ~u in
+    let params = Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps () in
+    let rng = Prelude.Rng.make 7 in
+    let rng_delay, rng = Prelude.Rng.split rng in
+    let offsets =
+      Array.init n (fun i ->
+          if i = 0 then 0 else Prelude.Rng.int_in rng ~lo:0 ~hi:eps)
+    in
+    let draw () =
+      match Prelude.Rng.int rng 100 with
+      | k when k < 50 -> L.sample_mutator rng
+      | k when k < 90 -> L.sample_accessor rng
+      | _ -> L.sample_other rng
+    in
+    let script =
+      List.concat_map
+        (fun pid ->
+          Sim.Workload.seq pid 0 (List.init 16 (fun _ -> C.call (draw ()))))
+        (List.init n Fun.id)
+    in
+    let out =
+      E.run
+        ~config:{ C.params; recovery = None; fallback = None; sync = None }
+        ~n ~offsets
+        ~delay:(Sim.Delay.random rng_delay ~d ~u)
+        script
+    in
+    let entries =
+      List.filter_map
+        (fun (r : (C.call, C.reply) Sim.Trace.op_record) ->
+          match (r.result, r.response_real) with
+          | Some { outcome = C.Done result; _ }, Some response ->
+              Some
+                { Lin.pid = r.pid; op = r.op.op; result;
+                  invoke = r.invoke_real; response }
+          | _ -> None)
+        out.trace.ops
+    in
+    assert (List.length entries = 48);
+    assert (Lin.is_linearizable (Lin.check entries))
+
+  let test =
+    Test.make ~name:"core-register-n3-48ops-sim" (Staged.stage run)
+end
+
+(* The sim entry runs first: once the wake bench's echo domain exists,
+   every minor collection must synchronise with it, which swamps the
+   allocation-heavy sim run with noise. *)
 let runtime_tests =
-  [ Live_bench.run_test; Live_bench.hist_test; Wake_bench.test ]
+  [ Core_sim_bench.test; Live_bench.run_test; Live_bench.hist_test;
+    Wake_bench.test ]
 
 (* Wire-codec group: cost of putting Algorithm 1 entries on the wire.  The
    TCP transport encodes every broadcast entry once per peer and CRCs the

@@ -54,9 +54,6 @@ let heard t ~peer ~stamp ~now_us =
     else false
   end
 
-let suspicion t peer =
-  if peer = t.me then 0 else max 0 ((Prelude.Mclock.now_us () - t.last_rx.(peer)) / t.hb_us)
-
 (* Advance the detector to [now_us]; returns the peers that just crossed
    the suspicion threshold (oldest silence first). *)
 let tick t ~now_us =

@@ -18,10 +18,6 @@ val heard : t -> peer:int -> stamp:int -> now_us:int -> bool
 val tick : t -> now_us:int -> int list
 (** Advance to [now_us]; returns peers that just became suspected. *)
 
-val suspicion : t -> int -> int
-(** Current suspicion counter for a peer: consecutive heartbeat intervals
-    elapsed since its last frame (0 for [me]). *)
-
 val suspected : t -> int -> bool
 val suspects_any : t -> bool
 

@@ -1,31 +1,43 @@
-(** Live Algorithm 1 replicas: the paper's protocol state machine
-    ({!Core.Algorithm1}) hosted on real OCaml 5 domains behind a real
-    clock, exchanging messages over a {!Transport_intf.t}.
+(** Live Algorithm 1 replicas: a sans-I/O core plus a thin live driver.
 
-    Each replica is one domain running an event loop over a single
-    {!Mailbox}: network messages (possibly delay-injected), client
-    invocations and a shutdown signal all arrive there, and an internal
-    timer wheel realises the algorithm's [Set_timer] actions.  Ripe
-    messages and due timers are processed in global chronological order
-    (see {!Mailbox.take}), so a replica that falls behind (scheduling) still
-    handles events in the order the model prescribes.  The loop sleeps
-    exactly until its next timer or next arrival — its thread's timer
-    slack is 1 ns, so holds fire on time — and it answers clients itself:
-    each invocation carries a completion callback the loop runs when the
-    operation responds ({!post_invoke}).
+    {b The core} ({!Replica_core}, included below) is everything a replica
+    decides — Algorithm 1's fast path ({!Core.Algorithm1}), the failure
+    detector, mode controller and release gate of the quorum fallback,
+    crash-recovery catch-up, clock sync, client deadlines and op-id dedup —
+    as one {!Sim.Protocol.S} state machine.  Each step takes the raw local
+    clock as [~clock] and returns {!Sim.Action.t} outputs: sends,
+    broadcasts, timer sets/cancels and completions.  It never reads
+    [Mclock], never calls {!Transport_intf} and owns no timer wheel.  Its
+    only effects are the configuration hooks ([on_apply] for the WAL,
+    [on_mode], [on_suspect], [on_eps]) and {!Obs.Recorder.emit}.  Its
+    sync-corrected clock, failure detector, drain barrier and forward
+    timeouts all run on that local clock, so {!Sim.Engine} runs the same
+    core under virtual time with exact µs.
 
-    The building block is a {e node} — one replica on one domain over an
-    arbitrary transport.  [Shard.Host] runs one node per shard in each OS
-    process over TCP; {!start} below assembles the PR 1 in-process cluster by
-    pointing [n] nodes at one shared bus transport.
+    {b The driver} ({!node}) runs one core on one domain (or systhread)
+    over an arbitrary transport.  It waits on the replica's {!Mailbox}
+    until the next arrival or the next timer, reads [Mclock] once, steps
+    the core and performs the outputs in emitted order: sends go to the
+    transport, timers into the driver's timer list, completions to the
+    callbacks clients posted with their invocations ({!post_invoke}).
+    Ripe messages and due timers are processed in global chronological
+    order (see {!Mailbox.take}).  The loop sleeps exactly until its next
+    timer or arrival, with its thread's timer slack at 1 ns, so holds
+    fire on time.  The driver is the only place that translates absolute
+    time: client deadlines arrive in [Mclock] µs and move onto the local
+    clock, and history-record times move onto the cluster timeline.
 
-    Clocks: replica [i] reads [Mclock.now_us () − start + offset] — real
-    time plus a fixed per-replica offset, exactly the thesis' clock model
-    with skew [ε = max offset spread].  Timer delays are clock-time
-    delays, and clocks run at the rate of real time, as in the model.
-    With a {!Sync.Config.t} (the [?sync] argument below) the replica
-    instead reads a {e corrected} clock: the raw clock plus a correction
-    earned over the wire by the clock-synchronization subsystem
+    [Shard.Host] runs one node per shard in each OS process over TCP;
+    {!start} below assembles the in-process cluster by pointing [n] nodes
+    at one shared bus transport.
+
+    Clocks: replica [i]'s raw clock reads [Mclock.now_us () − start +
+    offset] — real time plus a fixed per-replica offset, exactly the
+    thesis' clock model with skew [ε = max offset spread].  Timer delays
+    are clock-time delays, and clocks run at the rate of real time, as in
+    the model.  With a {!Sync.Config.t} (the [?sync] argument below) the
+    core instead stamps with a {e corrected} clock: the raw clock plus a
+    correction earned over the wire by the clock-synchronization subsystem
     (DESIGN.md §14).  Every [interval_us] the replica broadcasts
     timestamped pings, folds the pong echoes into a per-peer offset
     estimator ({!Sync.Estimator}), and slews the correction toward the
@@ -57,8 +69,9 @@
     - Operation ids ride on every broadcast entry.  A client replaying an
       operation id the replica already applied gets the recorded result; a
       replay of a still-queued pure mutator is answered immediately (its
-      result is state-independent); a replay of a still-queued OOP raises
-      {!Retry_later}.  Accessors have no effect and are never deduped.
+      result is state-independent); a replay of a still-queued OOP is
+      [Rejected "in flight; retry"].  Accessors have no effect and are
+      never deduped.
     - While frozen, [Execute]/[Respond] timers are deferred (nothing
       applies, keeping the high-water mark contiguous) and invokes are
       backlogged; [Add] timers still fire, since they only mirror an
@@ -74,7 +87,8 @@
     heartbeat clock passed [ts + d + ε], proving the peer received the
     entry's broadcast (or sits behind a partition that also ate its
     heartbeats, in which case the gate stalls until the detector excuses
-    it).  When a peer is suspected dead, the lowest live pid bumps the
+    it); a pure mutator is also freed once every peer acked its entry.
+    When a peer is suspected dead, the lowest live pid bumps the
     epoch and announces {e quorum mode}: operations are forwarded to that
     sequencer, ordered into a majority-replicated log (Propose / Qack /
     Qcommit — ABD-style two round trips, 4d + ε), and applied through an
@@ -95,148 +109,31 @@
     holder already applied past its stamp (a sub-µs window). *)
 
 module Make (D : Spec.Data_type.S) : sig
-  module Alg : module type of Core.Algorithm1.Make (D)
+  include module type of struct
+    include Replica_core.Make (D)
+  end
 
   exception Stopped
-  (** Raised by {!invoke}/{!node_invoke} when the replica shut down before
-      responding (the operation is lost, not retried). *)
+  (** Raised by {!invoke} when the replica shut down before responding
+      (the operation is lost, not retried). *)
 
   exception Retry_later of string
-  (** Raised by {!invoke_on} when a replayed operation id is still in
-      flight and its result is state-dependent: the client must back off
-      and retry — the first attempt will land, and the retry will then be
-      answered from the recorded result. *)
+  (** Raised by {!invoke} on [Rejected]: a replayed operation id still
+      in flight, a shed, or a replica that cannot serve right now.  The
+      client must back off and retry with the same op id. *)
 
-  type record = {
-    pid : int;
-    seq : int;  (** per-replica invocation sequence number *)
-    op : D.op;
-    result : D.result;
-    invoke_us : int;  (** µs since cluster start, replica-side *)
-    response_us : int;
-  }
-
-  type outcome =
-    | Done of D.result
-    | Cancelled  (** the replica stopped before responding *)
-    | Rejected of string
-        (** back off and retry with the same op id: a replay still in
-            flight, a shed (["shed: ..."]), or a replica that is down,
-            stalled in a minority or rerouting a quorum op *)
-  (** How an invocation ends — what its completion callback receives. *)
-
-  type event
-  (** What flows through a replica's transport: network entries, catch-up
-      requests/replies, local client invocations (which carry an
-      unserialisable completion callback), crash/recover injections,
-      snapshot requests and the stop signal.  Only events with a
-      {!wire_view} ever cross a wire. *)
-
-  type snapshot_view = {
-    v_obj : D.state;  (** the object right now *)
-    v_hwm_time : int;  (** high-water mark stamp (−1 = nothing applied) *)
-    v_hwm_pid : int;
-    v_applied : (Alg.entry * D.result * int) list;
-        (** applied history with op ids, oldest first *)
-  }
-  (** A consistent cut of a replica's durable state, taken inside its own
-      event loop (see {!request_snapshot}) — what a checkpoint encodes. *)
-
-  type recovered_state = {
-    r_obj : D.state;
-    r_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
-  }
-  (** The durable prefix a restarted replica seeds itself from: decoded
-      snapshot fast-forwarded by the WAL tail. *)
-
-  type recovery = {
-    catchup_wait_us : int;
-        (** freeze at most this long waiting for peer catch-up replies;
-            thaws early once every peer answered *)
-    on_apply : Alg.entry -> D.result -> int -> unit;
-        (** called for every mutation, in applied (timestamp) order, with
-            its op id (0 = none), {e before} the same protocol step's
-            response is released — the WAL-append hook *)
-    recovered : recovered_state option;  (** [None] = fresh boot *)
-  }
-
-  (** {2 Wire mapping}
-
-      The codec sees events through {!wire}: protocol entries (now
-      carrying the op id), the two catch-up frames and the quorum
-      frames.  Local-only events have no wire view and must never reach
-      an encoder. *)
-
-  type qpayload = {
-    q_time : int;  (** assigned stamp time (stamp pid is [q_origin]) *)
-    q_op : D.op;
-    q_origin : int;
-    q_qid : int;  (** origin-local forward id, stable across retries *)
-    q_op_id : int;
-    q_trace : int;
-  }
-  (** One operation as the quorum era's replicated log carries it. *)
-
-  (** Clock-synchronization probe frames (DESIGN.md §14): a ping carries
-      the prober's corrected clock at send; the pong echoes it plus the
-      responder's receive/reply clocks — the four NTP timestamps of one
-      two-way offset sample. *)
-  type swire =
-    | Sping of { seq : int; t0 : int }
-    | Spong of { seq : int; t0 : int; t_rx : int; t_tx : int }
-
-  type qwire =
-    | Hb of {
-        stamp : int;
-        epoch : int;
-        qmode : bool;
-        seq : int;
-        floor : int;
-        ack : int;
-        want : int;
-      }
-        (** heartbeat doubling as the mode announcement: the sender's
-            clock plus its (epoch, mode, sequencer pid, stamp floor).
-            [ack] (0 = none) acknowledges receipt of the addressee's
-            fast-path entry with that stamp time; [want] (0 = none) asks
-            the addressee for a heartbeat once its clock reaches that
-            value.  Both feed the release gate ({!Quorum.Gate}). *)
-    | Forward of { qid : int; origin : int; op : D.op; op_id : int; trace : int }
-        (** origin → sequencer: please order this op *)
-    | Propose of { epoch : int; qseq : int; p : qpayload }
-        (** sequencer → all: slot [qseq] of the era holds [p] *)
-    | Qack of { epoch : int; qseq : int }  (** follower → sequencer *)
-    | Qcommit of { epoch : int; qseq : int }
-        (** sequencer → all: a majority stored [qseq]; apply in order *)
-    | Fnack of { qid : int }
-        (** addressee is not the sequencer (or left quorum mode): re-route *)
-    | Qfill of { epoch : int; from_seq : int }
-        (** follower → sequencer: re-send payloads from [from_seq] up *)
-
-  type wire =
-    | Wire_entry of Alg.entry * int * int  (** entry, trace, op id *)
-    | Wire_catchup_req of { time : int; cpid : int }
-        (** asker's high-water mark *)
-    | Wire_catchup_rep of {
-        entries : (Alg.entry * int) list;  (** (entry, op id), stamp order *)
-        time : int;
-        cpid : int;  (** replier's high-water mark *)
-      }
-    | Wire_quorum of qwire
-    | Wire_sync of swire
-
-  val wire_view : event -> wire option
-  val of_wire : wire -> event
-
-  val net : ?trace:int -> Alg.entry -> event
-  (** Wrap a protocol message — what a TCP transport's decoder builds.
-      [trace] (default none) is the originating operation's id, carried in
-      the wire format since codec v2 so cross-process spans reassemble.
-      Equivalent to [of_wire (Wire_entry (e, trace, 0))]. *)
-
-  val net_entry : event -> (Alg.entry * int) option
-  (** The protocol message and trace id of a {!net} event; [None]
-      otherwise. *)
+  type event =
+    | Net of wire  (** a peer's message — all that ever crosses a wire *)
+    | Invoke of D.op * int * int * int * (outcome -> unit)
+        (** op, trace, op id, deadline (absolute µs, 0 = none), completion
+            (see {!post_invoke}) *)
+    | Control of control  (** crash, recover or stop (see {!on_control}) *)
+    | Snap_req of (snapshot_view -> unit)
+        (** the callback runs inside the replica's own loop with a
+            consistent cut, so it must be quick and may not invoke *)
+  (** What flows through a replica's transport: network messages, local
+      client invocations (which carry an unserialisable completion
+      callback), control inputs and snapshot requests. *)
 
   (** {2 Single node (one replica, any transport)} *)
 
@@ -263,7 +160,7 @@ module Make (D : Spec.Data_type.S) : sig
       lock) whenever idle, so a sharded host can run hundreds of replicas
       in one process — far past the OCaml domain ceiling — at the cost of
       serialising their CPU bursts.  [recovery] enables the durability
-      machinery (see the module docs); pass {!post_recover} after the
+      machinery (see the module docs); post [Control Recover] after the
       transport is connected to trigger peer catch-up.  [fallback] arms
       the adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — see the module docs and DESIGN.md §13).
@@ -271,23 +168,12 @@ module Make (D : Spec.Data_type.S) : sig
       slew-corrected clock and measures its achieved ε over the wire
       (see the module docs and DESIGN.md §14). *)
 
-  val node_invoke :
-    ?trace:int -> ?op_id:int -> ?deadline:int -> node -> D.op -> D.result
-  (** {!invoke_on} this node; queued behind any pending operation (the
-      model allows one per process).  [trace] tags every [Obs] event and
-      outgoing message of this operation; [op_id] is the idempotence key
-      and [deadline] the op's absolute deadline (see {!post_invoke}).
-      @raise Stopped if the node shuts down first.
-      @raise Retry_later if a replay must back off. *)
-
   val node_stop : node -> record list
   (** Post the stop signal, join the domain, and return the node's
       completed-operation records (invocation order).  Clients still
       waiting are completed with [Cancelled].  Idempotent ([[]]
       thereafter).  The node does not own its transport: close it
       afterwards. *)
-
-  val node_elapsed_us : node -> int
 
   val post_invoke :
     ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
@@ -306,27 +192,9 @@ module Make (D : Spec.Data_type.S) : sig
       with [Rejected "shed: ..."] and a counted [Obs.Event.Shed] event,
       instead of doing dead work. *)
 
-  val invoke_on :
-    ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
-    pid:int -> D.op -> D.result
-  (** {!post_invoke}, blocking the caller until the completion runs.
-      @raise Retry_later on [Rejected];
-      @raise Stopped on [Cancelled]. *)
-
-  val post_crash : event Transport_intf.t -> pid:int -> unit
-  (** Freeze replica [pid] as if it crashed: it drops network traffic,
-      defers its response/execute timers and backlogs invokes until
-      {!post_recover}.  The in-process realisation of a crash fault —
-      pair it with the chaos layer's transport isolation. *)
-
-  val post_recover : event Transport_intf.t -> pid:int -> unit
-  (** Thaw replica [pid] through the catch-up protocol (no-op without a
-      [recovery] config, or if already catching up). *)
-
-  val request_snapshot :
-    event Transport_intf.t -> pid:int -> (snapshot_view -> unit) -> unit
-  (** Ask replica [pid] for a consistent cut; the callback runs inside the
-      replica's own event loop, so it must be quick and may not invoke. *)
+  val post : event Transport_intf.t -> pid:int -> event -> unit
+  (** Post a local event to replica [pid]'s own mailbox: [Control Recover]
+      after the transport is connected, say, or a [Snap_req]. *)
 
   (** {2 In-process cluster (n nodes on one bus)} *)
 
@@ -357,19 +225,21 @@ module Make (D : Spec.Data_type.S) : sig
       cluster measure and shrink the very skew [offsets] injects. *)
 
   val invoke : ?trace:int -> ?op_id:int -> cluster -> pid:int -> D.op -> D.result
-  (** {!invoke_on} replica [pid]: block until it responds.  Concurrent
+  (** {!post_invoke} to replica [pid], blocking the caller until the
+      completion runs.  Concurrent
       invocations on one replica are queued — the model allows one
-      pending operation per process.  See {!post_invoke} for [op_id]. *)
+      pending operation per process.  See {!post_invoke} for [op_id].
+      @raise Retry_later on [Rejected];
+      @raise Stopped on [Cancelled]. *)
 
   val crash : cluster -> pid:int -> unit
-  (** {!post_crash} on replica [pid]. *)
+  (** Freeze replica [pid] as if it crashed ([Control Crash]) — the
+      in-process realisation of a crash fault; pair it with the chaos
+      layer's transport isolation. *)
 
   val recover : cluster -> pid:int -> unit
-  (** {!post_recover} on replica [pid]. *)
-
-  module Client : sig
-    val invoke : ?trace:int -> cluster -> pid:int -> D.op -> D.result
-  end
+  (** Thaw replica [pid] through the catch-up protocol ([Control Recover];
+      a no-op without a [recovery] config, or if already catching up). *)
 
   val stop : cluster -> unit
   (** Shut every replica down, join its domain and close the cluster's

@@ -1,0 +1,189 @@
+(** The sans-I/O replica core: everything a live replica decides, as one
+    {!Sim.Protocol.S} state machine composing {!Core.Algorithm1}.  Each
+    step ({!on_invoke}, {!on_message}, {!on_timer}, {!on_control}) takes
+    the raw local clock as [~clock] and returns its {!Sim.Action.t}
+    outputs in order; the core reads no clock, calls no transport and owns
+    no timer wheel.  Its only effects are the configuration hooks and
+    {!Obs.Recorder.emit}; [on_apply] runs inside the step, before the
+    completions that step emits.  [Runtime.Replica] documents the model
+    mapping and is the live driver; {!Sim.Engine} runs the same core under
+    virtual time. *)
+
+module Make (D : Spec.Data_type.S) : sig
+  module Alg : module type of Core.Algorithm1.Make (D)
+
+  type record = {
+    pid : int;
+    seq : int;  (** per-replica invocation sequence number *)
+    op : D.op;
+    result : D.result;
+    invoke_us : int;  (** replica-side, on the core's local clock *)
+    response_us : int;
+  }
+
+  type outcome =
+    | Done of D.result
+    | Cancelled  (** the replica stopped before responding *)
+    | Rejected of string
+        (** back off and retry with the same op id: a replay still in
+            flight, a shed (["shed: ..."]), or a replica that is down,
+            stalled in a minority or rerouting a quorum op *)
+  (** How an invocation ends. *)
+
+  type snapshot_view = {
+    v_obj : D.state;  (** the object right now *)
+    v_hwm_time : int;  (** high-water mark stamp (−1 = nothing applied) *)
+    v_hwm_pid : int;
+    v_applied : (Alg.entry * D.result * int) list;
+        (** applied history with op ids, oldest first *)
+  }
+  (** A consistent cut of a replica's durable state — what a checkpoint
+      encodes. *)
+
+  type recovered_state = {
+    r_obj : D.state;
+    r_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
+  }
+  (** The durable prefix a restarted replica seeds itself from: decoded
+      snapshot fast-forwarded by the WAL tail. *)
+
+  type recovery = {
+    catchup_wait_us : int;
+        (** freeze at most this long waiting for peer catch-up replies;
+            thaws early once every peer answered *)
+    on_apply : Alg.entry -> D.result -> int -> unit;
+        (** called for every mutation, in applied (timestamp) order, with
+            its op id (0 = none), {e before} the same step's completion is
+            output — the WAL-append hook *)
+    recovered : recovered_state option;  (** [None] = fresh boot *)
+  }
+
+  (** {2 Wire messages} *)
+
+  type qpayload = {
+    q_time : int;  (** assigned stamp time (stamp pid is [q_origin]) *)
+    q_op : D.op;
+    q_origin : int;
+    q_qid : int;  (** origin-local forward id, stable across retries *)
+    q_op_id : int;
+    q_trace : int;
+  }
+  (** One operation as the quorum era's replicated log carries it. *)
+
+  (** Clock-synchronization probe frames (DESIGN.md §14): a ping carries
+      the prober's corrected clock at send; the pong echoes it plus the
+      responder's receive/reply clocks — the four NTP timestamps of one
+      two-way offset sample. *)
+  type swire =
+    | Sping of { seq : int; t0 : int }
+    | Spong of { seq : int; t0 : int; t_rx : int; t_tx : int }
+
+  type qwire =
+    | Hb of {
+        stamp : int;
+        epoch : int;
+        qmode : bool;
+        seq : int;
+        floor : int;
+        ack : int;
+        want : int;
+      }
+        (** heartbeat doubling as the mode announcement: the sender's
+            clock plus its (epoch, mode, sequencer pid, stamp floor).
+            [ack] (0 = none) acknowledges receipt of the addressee's
+            fast-path entry with that stamp time; [want] (0 = none) asks
+            the addressee for a heartbeat once its clock reaches that
+            value.  Both feed the release gate ({!Quorum.Gate}). *)
+    | Forward of { qid : int; origin : int; op : D.op; op_id : int; trace : int }
+        (** origin → sequencer: please order this op *)
+    | Propose of { epoch : int; qseq : int; p : qpayload }
+        (** sequencer → all: slot [qseq] of the era holds [p] *)
+    | Qack of { epoch : int; qseq : int }  (** follower → sequencer *)
+    | Qcommit of { epoch : int; qseq : int }
+        (** sequencer → all: a majority stored [qseq]; apply in order *)
+    | Fnack of { qid : int }
+        (** addressee is not the sequencer (or left quorum mode): re-route *)
+    | Qfill of { epoch : int; from_seq : int }
+        (** follower → sequencer: re-send payloads from [from_seq] up *)
+
+  type wire =
+    | Wire_entry of Alg.entry * int * int  (** entry, trace, op id *)
+    | Wire_catchup_req of { time : int; cpid : int }
+        (** asker's high-water mark *)
+    | Wire_catchup_rep of {
+        entries : (Alg.entry * int) list;  (** (entry, op id), stamp order *)
+        time : int;
+        cpid : int;  (** replier's high-water mark *)
+      }
+    | Wire_quorum of qwire
+    | Wire_sync of swire
+  (** Everything replicas say to each other — what the codec carries. *)
+
+  (** {2 The state machine} *)
+
+  type call = {
+    op : D.op;
+    trace : int;  (** tags every [Obs] event and message of the op *)
+    op_id : int;  (** idempotence key (0 = none) *)
+    deadline : int;  (** local clock; [max_int] = none *)
+    ticket : int;  (** echoed in the completion; opaque to the core *)
+  }
+  (** One client invocation. *)
+
+  val call :
+    ?trace:int -> ?op_id:int -> ?deadline:int -> ?ticket:int -> D.op -> call
+  (** Defaults: untraced, no op id, no deadline, ticket 0. *)
+
+  type reply = { ticket : int; outcome : outcome }
+  (** A completion: the invocation with this ticket ended so. *)
+
+  type control =
+    | Start  (** boot now (the first step of any kind also boots) *)
+    | Crash
+        (** freeze as if crashed: drop network traffic, defer
+            [Execute]/[Respond_*] timers, backlog invokes *)
+    | Recover  (** thaw through the catch-up protocol *)
+    | Stop  (** cancel every waiting client *)
+
+  type config = {
+    params : Core.Params.t;
+    recovery : recovery option;  (** arms crash recovery and dedup *)
+    fallback : Quorum.Config.t option;  (** arms the quorum fallback *)
+    sync : Sync.Config.t option;  (** arms live clock synchronization *)
+  }
+
+  type timer =
+    | A of Alg.timer * int  (** an Algorithm 1 timer and its op's trace *)
+    | Unfreeze_t  (** catch-up: stop waiting for replies *)
+    | Catchup_retry_t  (** catch-up: re-ask peers that owe a reply *)
+    | Heartbeat_t  (** fallback: send a heartbeat, tick the detector *)
+    | Qdrain_t  (** fallback: the sequencer's switch barrier elapsed *)
+    | Qtick_t  (** fallback: re-send forwards, request Qfills *)
+    | Prompt_t of int  (** fallback: a heartbeat this peer asked for is due *)
+    | Sync_t  (** sync: apply the round's correction, broadcast pings *)
+  (** [equal_timer] ignores an [A] timer's trace. *)
+
+  include
+    Sim.Protocol.S
+      with type config := config
+       and type op = call
+       and type result = reply
+       and type msg = wire
+       and type timer := timer
+
+  val on_control :
+    config ->
+    state ->
+    clock:Prelude.Ticks.t ->
+    control ->
+    state * (reply, wire, timer) Sim.Action.t list
+
+  val snapshot : state -> snapshot_view
+  (** The durable state right now; pure. *)
+
+  val records : state -> record list
+  (** Completed operations, invocation order; replays answered from the
+      dedup table ride virtual pids [≥ n] (see [Runtime.Replica]).  A
+      replay of an op applied before this incarnation has
+      [invoke_us = min_int]. *)
+end

@@ -195,33 +195,33 @@ module Make (W : Net.Wire.WIRED) = struct
         Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Recv ~trace ~a:src ();
         Some
           ( shard,
-            R.of_wire (R.Wire_entry (entry_of ~op ~time ~pid, trace, op_id)) )
+            R.Net (R.Wire_entry (entry_of ~op ~time ~pid, trace, op_id)) )
     | Ok (C.Catchup_req { time; cpid; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_catchup_req { time; cpid }))
+        Some (shard, R.Net (R.Wire_catchup_req { time; cpid }))
     | Ok (C.Catchup_rep { entries; time; cpid; shard }) when ok shard ->
         let entries =
           List.map
             (fun (op, time, pid, op_id) -> (entry_of ~op ~time ~pid, op_id))
             entries
         in
-        Some (shard, R.of_wire (R.Wire_catchup_rep { entries; time; cpid }))
+        Some (shard, R.Net (R.Wire_catchup_rep { entries; time; cpid }))
     | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard })
       when ok shard ->
         Some
           ( shard,
-            R.of_wire
+            R.Net
               (R.Wire_quorum
                  (R.Hb { stamp; epoch; qmode; seq; floor; ack; want })) )
     | Ok (C.Forward { qid; origin; op; op_id; trace; shard }) when ok shard ->
         Some
           ( shard,
-            R.of_wire
+            R.Net
               (R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace })) )
     | Ok (C.Propose { epoch; qseq; time; origin; qid; op; op_id; trace; shard })
       when ok shard ->
         Some
           ( shard,
-            R.of_wire
+            R.Net
               (R.Wire_quorum
                  (R.Propose
                     {
@@ -238,22 +238,22 @@ module Make (W : Net.Wire.WIRED) = struct
                         };
                     })) )
     | Ok (C.Qack { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_quorum (R.Qack { epoch; qseq })))
+        Some (shard, R.Net (R.Wire_quorum (R.Qack { epoch; qseq })))
     | Ok (C.Qcommit { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_quorum (R.Qcommit { epoch; qseq })))
+        Some (shard, R.Net (R.Wire_quorum (R.Qcommit { epoch; qseq })))
     | Ok (C.Fnack { qid; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_quorum (R.Fnack { qid })))
+        Some (shard, R.Net (R.Wire_quorum (R.Fnack { qid })))
     | Ok (C.Qfill { epoch; from_seq; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_quorum (R.Qfill { epoch; from_seq })))
+        Some (shard, R.Net (R.Wire_quorum (R.Qfill { epoch; from_seq })))
     | Ok (C.Ping { seq; t0; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_sync (R.Sping { seq; t0 })))
+        Some (shard, R.Net (R.Wire_sync (R.Sping { seq; t0 })))
     | Ok (C.Pong { seq; t0; t_rx; t_tx; shard }) when ok shard ->
-        Some (shard, R.of_wire (R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx })))
+        Some (shard, R.Net (R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx })))
     | Ok _ | Error _ -> None
 
   let encode_peer (shard, ev) =
-    match R.wire_view ev with
-    | Some (R.Wire_entry ((e : R.Alg.entry), trace, op_id)) ->
+    match ev with
+    | R.Net (R.Wire_entry ((e : R.Alg.entry), trace, op_id)) ->
         C.encode
           (C.Entry
              {
@@ -264,9 +264,9 @@ module Make (W : Net.Wire.WIRED) = struct
                op_id;
                shard;
              })
-    | Some (R.Wire_catchup_req { time; cpid }) ->
+    | R.Net (R.Wire_catchup_req { time; cpid }) ->
         C.encode (C.Catchup_req { time; cpid; shard })
-    | Some (R.Wire_catchup_rep { entries; time; cpid }) ->
+    | R.Net (R.Wire_catchup_rep { entries; time; cpid }) ->
         let entries =
           List.map
             (fun ((e : R.Alg.entry), op_id) ->
@@ -277,7 +277,7 @@ module Make (W : Net.Wire.WIRED) = struct
             entries
         in
         C.encode (C.Catchup_rep { entries; time; cpid; shard })
-    | Some (R.Wire_quorum q) ->
+    | R.Net (R.Wire_quorum q) ->
         C.encode
           (match q with
           | R.Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
@@ -301,15 +301,15 @@ module Make (W : Net.Wire.WIRED) = struct
           | R.Qcommit { epoch; qseq } -> C.Qcommit { epoch; qseq; shard }
           | R.Fnack { qid } -> C.Fnack { qid; shard }
           | R.Qfill { epoch; from_seq } -> C.Qfill { epoch; from_seq; shard })
-    | Some (R.Wire_sync s) ->
+    | R.Net (R.Wire_sync s) ->
         C.encode
           (match s with
           | R.Sping { seq; t0 } -> C.Ping { seq; t0; shard }
           | R.Spong { seq; t0; t_rx; t_tx } ->
               C.Pong { seq; t0; t_rx; t_tx; shard })
-    | None ->
-        (* Invoke/Stop/… are local-only events; the replica never sends
-           them, so reaching here is a wiring bug. *)
+    | R.Invoke _ | R.Control _ | R.Snap_req _ ->
+        (* Local-only events; the replica never sends them, so reaching
+           here is a wiring bug. *)
         invalid_arg "Host.encode_peer: local event on the wire"
 
   (* Wire-lane classification: heartbeats (doubling as mode announcements),
@@ -319,13 +319,12 @@ module Make (W : Net.Wire.WIRED) = struct
      (entries, quorum ordering traffic) is data and may be shed under
      overload. *)
   let lane_of (_shard, ev) =
-    match R.wire_view ev with
-    | Some (R.Wire_quorum (R.Hb _))
-    | Some (R.Wire_sync _)
-    | Some (R.Wire_catchup_req _)
-    | Some (R.Wire_catchup_rep _) ->
+    match ev with
+    | R.Net
+        ( R.Wire_quorum (R.Hb _)
+        | R.Wire_sync _ | R.Wire_catchup_req _ | R.Wire_catchup_rep _ ) ->
         Net.Lanes.Ctrl
-    | Some _ | None -> Net.Lanes.Data
+    | _ -> Net.Lanes.Data
 
   (* Shard [k]'s view of the shared transport.  [send] rides the real
      links with the shard tag; [post]/[recv]/[depth] are the shard's own
@@ -460,7 +459,7 @@ module Make (W : Net.Wire.WIRED) = struct
      same thread as the [on_apply] appends, so capture and rotation cannot
      race an append) and fold the WAL into a snapshot. *)
   let checkpoint cfg facade store =
-    R.request_snapshot facade ~pid:cfg.pid (fun view ->
+    R.post facade ~pid:cfg.pid @@ R.Snap_req (fun view ->
         let folded = Durable.Store.records_since_snapshot store in
         Durable.Store.snapshot store
           (P.encode_snapshot
@@ -655,7 +654,7 @@ module Make (W : Net.Wire.WIRED) = struct
               if not fresh then begin
                 (* Restart, not genesis: announce the disk prefix and ask
                    the peers for whatever landed while we were down. *)
-                R.post_recover facades.(k) ~pid:cfg.pid;
+                R.post facades.(k) ~pid:cfg.pid (R.Control R.Recover);
                 cfg.log
                   (Printf.sprintf
                      "%s: recovered %d mutations from %s in %dµs; catching up"

@@ -289,6 +289,392 @@ let test_live_loss_is_detected () =
   Alcotest.(check bool) "messages were dropped" true
     (r.Runtime.Loadgen.net.Runtime.Transport.dropped > 0)
 
+(* ---- the sans-I/O replica core, stepped by hand ---- *)
+
+(* Every step names its exact local clock and every timer fires at exactly
+   set-at + delay: no threads, no sleeps, no grace.  Timing: d = 1000,
+   u = 300, ε = 200, X = 100 — MOP hold ε + X = 300, AOP hold
+   d + ε − X = 1100, self-delivery d − u = 700, execute hold u + ε = 500. *)
+
+module RC = Runtime.Replica_core.Make (Spec.Register)
+
+let core_params ?(n = 3) () =
+  Core.Params.make ~n ~d:1000 ~u:300 ~eps:200 ~x:100 ()
+
+(* One core (as pid 0) plus the timers it set, kept as (due, seq, timer). *)
+type harness = {
+  cfg : RC.config;
+  mutable st : RC.state;
+  mutable timers : (int * int * RC.timer) list;
+  mutable tseq : int;
+  mutable on_step : (RC.reply, RC.wire, RC.timer) Sim.Action.t list -> unit;
+}
+
+let harness ?(n = 3) ?recovery ?fallback () =
+  let cfg = { RC.params = core_params ~n (); recovery; fallback; sync = None } in
+  { cfg; st = RC.init cfg ~n ~pid:0; timers = []; tseq = 0; on_step = ignore }
+
+let by_due (a, s, _) (b, t, _) = compare (a, s) (b, t)
+
+let step h clock f =
+  let st, outs = f h.cfg h.st ~clock in
+  h.st <- st;
+  List.iter
+    (function
+      | Sim.Action.Set_timer (delay, tm) ->
+          h.timers <- List.merge by_due h.timers [ (clock + delay, h.tseq, tm) ];
+          h.tseq <- h.tseq + 1
+      | Sim.Action.Cancel_timer tm ->
+          h.timers <-
+            List.filter (fun (_, _, t) -> not (RC.equal_timer t tm)) h.timers
+      | Sim.Action.Respond _ | Sim.Action.Send _ | Sim.Action.Broadcast _ -> ())
+    outs;
+  h.on_step outs;
+  outs
+
+let invoke h clock c =
+  step h clock (fun cfg st ~clock -> RC.on_invoke cfg st ~clock c)
+
+let deliver h clock ~src w =
+  step h clock (fun cfg st ~clock -> RC.on_message cfg st ~clock ~src w)
+
+let control h clock ctl =
+  step h clock (fun cfg st ~clock -> RC.on_control cfg st ~clock ctl)
+
+(* Fire every timer due at or before [clock], each in its own step at its
+   exact due time; all their outputs, in order. *)
+let rec run_until h clock =
+  match h.timers with
+  | (due, _, tm) :: rest when due <= clock ->
+      h.timers <- rest;
+      let outs = step h due (fun cfg st ~clock -> RC.on_timer cfg st ~clock tm) in
+      outs @ run_until h clock
+  | _ -> []
+
+let replies outs =
+  List.filter_map
+    (function
+      | Sim.Action.Respond (r : RC.reply) -> Some (r.ticket, r.outcome)
+      | _ -> None)
+    outs
+
+let pp_outcome fmt = function
+  | RC.Done r -> Format.fprintf fmt "Done %a" Spec.Register.pp_result r
+  | RC.Cancelled -> Format.fprintf fmt "Cancelled"
+  | RC.Rejected why -> Format.fprintf fmt "Rejected %S" why
+
+let check_replies what expected outs =
+  Alcotest.(check (list (pair int (testable pp_outcome ( = ))))) what expected
+    (replies outs)
+
+let entry time pid op = { RC.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
+
+(* A fast-mode, epoch-0 heartbeat as a peer sends it. *)
+let hb ?(ack = 0) stamp =
+  RC.Wire_quorum
+    (RC.Hb
+       { stamp; epoch = 0; qmode = false; seq = 0; floor = min_int; ack;
+         want = 0 })
+
+let noop_recovery =
+  { RC.catchup_wait_us = 5000; on_apply = (fun _ _ _ -> ()); recovered = None }
+
+open Spec.Register
+
+let test_core_gate_mop () =
+  let h = harness ~fallback:Quorum.Config.default () in
+  ignore (invoke h 10 (RC.call ~ticket:1 (Write 5)));
+  check_replies "held past its ε + X hold: nobody acked" [] (run_until h 310);
+  check_replies "one peer acked" [] (deliver h 400 ~src:1 (hb ~ack:10 400));
+  check_replies "an ack of another stamp frees nothing" []
+    (deliver h 410 ~src:2 (hb ~ack:9 410));
+  check_replies "every peer acked its stamp" [ (1, RC.Done Ack) ]
+    (deliver h 420 ~src:2 (hb ~ack:10 420));
+  (* Acks that beat the hold never release early: the gate only delays. *)
+  ignore (invoke h 1000 (RC.call ~ticket:2 (Write 6)));
+  check_replies "early acks" []
+    (deliver h 1050 ~src:1 (hb ~ack:1000 1050)
+    @ deliver h 1060 ~src:2 (hb ~ack:1000 1060)
+    @ run_until h 1299);
+  check_replies "released at exactly ε + X" [ (2, RC.Done Ack) ] (run_until h 1300)
+
+let test_core_gate_aop_oop () =
+  let h = harness ~fallback:Quorum.Config.default () in
+  let outs = invoke h 1000 (RC.call ~ticket:1 Read) in
+  (* stamped 1000 − X = 900: each peer is asked for a heartbeat at
+     900 + d + ε *)
+  Alcotest.(check (list int)) "prompt carries ts + d + ε" [ 2100 ]
+    (List.filter_map
+       (function
+         | Sim.Action.Broadcast (RC.Wire_quorum (RC.Hb { want; _ })) -> Some want
+         | _ -> None)
+       outs);
+  check_replies "held past its d + ε − X hold" [] (run_until h 2100);
+  check_replies "a heartbeat short of the mark" [] (deliver h 2150 ~src:1 (hb 2099));
+  check_replies "one peer at the mark" [] (deliver h 2160 ~src:1 (hb 2100));
+  check_replies "every peer at the mark" [ (1, RC.Done (Value 0)) ]
+    (deliver h 2170 ~src:2 (hb 2100));
+  (* An OOP stamped 3000 executes at 3000 + (d − u) + (u + ε) = 4200. *)
+  ignore (invoke h 3000 (RC.call ~ticket:2 (Rmw 7)));
+  check_replies "OOP held past its execution" [] (run_until h 4200);
+  check_replies "one peer at 4200" [] (deliver h 4210 ~src:1 (hb 4200));
+  check_replies "OOP freed by the last heartbeat" [ (2, RC.Done (Value 0)) ]
+    (deliver h 4220 ~src:2 (hb 4200));
+  (* n = 1: no peer to wait for, the reply leaves with its hold. *)
+  let h1 = harness ~n:1 ~fallback:Quorum.Config.default () in
+  ignore (invoke h1 1000 (RC.call ~ticket:3 Read));
+  check_replies "n = 1 before the hold" [] (run_until h1 2099);
+  check_replies "n = 1 at the hold" [ (3, RC.Done (Value 0)) ] (run_until h1 2100)
+
+let test_core_apply_before_completion () =
+  let applied = ref [] in
+  let recovery =
+    { noop_recovery with on_apply = (fun e _ _ -> applied := e :: !applied) }
+  in
+  let h = harness ~recovery () in
+  let completions = ref [] in
+  (* Checked inside every step that emits a completion: each mutation the
+     core applied so far already went through [on_apply]. *)
+  h.on_step <-
+    (fun outs ->
+      if replies outs <> [] then begin
+        completions := replies outs @ !completions;
+        Alcotest.(check int) "on_apply ran before the completion output"
+          (List.length (RC.snapshot h.st).v_applied)
+          (List.length !applied)
+      end);
+  ignore (deliver h 100 ~src:1 (RC.Wire_entry (entry 50 1 (Write 9), 0, 0)));
+  ignore (invoke h 200 (RC.call ~ticket:1 (Rmw 3)));
+  ignore (run_until h 1500);
+  ignore (invoke h 1500 (RC.call ~ticket:2 (Write 4)));
+  ignore (run_until h 1800);
+  ignore (invoke h 1900 (RC.call ~ticket:3 (Rmw 1)));
+  ignore (run_until h 4000);
+  Alcotest.(check (list (pair int (testable pp_outcome ( = )))))
+    "completions"
+    [ (1, RC.Done (Value 9)); (2, RC.Done Ack); (3, RC.Done (Value 4)) ]
+    (List.rev !completions);
+  Alcotest.(check int) "four mutations, each logged once" 4 (List.length !applied)
+
+let test_core_deadline_shed () =
+  let h = harness () in
+  check_replies "expired at arrival"
+    [ (1, RC.Rejected "shed: deadline passed") ]
+    (invoke h 100 (RC.call ~ticket:1 ~deadline:99 (Rmw 1)));
+  check_replies "a deadline of now still starts" []
+    (invoke h 100 (RC.call ~ticket:2 ~deadline:100 (Rmw 2)));
+  check_replies "backlogged" []
+    (invoke h 150 (RC.call ~ticket:3 ~deadline:1000 (Write 5)));
+  check_replies "backlogged" [] (invoke h 160 (RC.call ~ticket:4 (Write 6)));
+  (* Rmw 2 completes at 1300, past ticket 3's deadline: ticket 3 is shed as
+     it surfaces and ticket 4 starts in its place. *)
+  let outs = run_until h 1300 in
+  check_replies "shed from the backlog"
+    [ (2, RC.Done (Value 0)); (3, RC.Rejected "shed: deadline passed") ]
+    outs;
+  Alcotest.(check bool) "the next op started" true
+    (List.exists
+       (function
+         | Sim.Action.Broadcast (RC.Wire_entry (e, _, _)) -> e.RC.Alg.op = Write 6
+         | _ -> false)
+       outs);
+  check_replies "and completes" [ (4, RC.Done Ack) ] (run_until h 1600)
+
+let test_core_dedup_replay () =
+  let h = harness ~recovery:noop_recovery () in
+  ignore (invoke h 100 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
+  check_replies "first attempt" [ (1, RC.Done (Value 0)) ] (run_until h 1300);
+  check_replies "applied: the recorded result" [ (2, RC.Done (Value 0)) ]
+    (invoke h 1400 (RC.call ~ticket:2 ~op_id:7 (Rmw 3)));
+  Alcotest.(check int) "executed once" 1 (List.length (RC.snapshot h.st).v_applied);
+  ignore (invoke h 1500 (RC.call ~ticket:3 ~op_id:8 (Write 5)));
+  check_replies "queued MOP: answered at once" [ (4, RC.Done Ack) ]
+    (invoke h 1510 (RC.call ~ticket:4 ~op_id:8 (Write 5)));
+  ignore (deliver h 1520 ~src:1 (RC.Wire_entry (entry 1515 1 (Rmw 4), 0, 9)));
+  check_replies "queued OOP: retry"
+    [ (5, RC.Rejected "in flight; retry") ]
+    (invoke h 1530 (RC.call ~ticket:5 ~op_id:9 (Rmw 4)));
+  check_replies "the first MOP attempt still completes" [ (3, RC.Done Ack) ]
+    (run_until h 1800)
+
+let is_execute_set = function
+  | Sim.Action.Set_timer (_, RC.A (RC.Alg.Execute _, _)) -> true
+  | _ -> false
+
+let test_core_frozen_defers () =
+  (* Add fires while frozen; Respond_mutator waits for the thaw. *)
+  let h = harness ~recovery:noop_recovery () in
+  ignore (invoke h 10 (RC.call ~ticket:1 (Write 5)));
+  ignore (control h 20 RC.Crash);
+  let outs = run_until h 800 in
+  check_replies "no reply while down" [] outs;
+  Alcotest.(check bool) "Add fired: the own entry's Execute is set" true
+    (List.exists is_execute_set outs);
+  let outs = control h 900 RC.Recover in
+  Alcotest.(check bool) "catch-up request broadcast" true
+    (List.exists
+       (function Sim.Action.Broadcast (RC.Wire_catchup_req _) -> true | _ -> false)
+       outs);
+  let rep = RC.Wire_catchup_rep { entries = []; time = -1; cpid = 0 } in
+  check_replies "still catching up" [] (deliver h 950 ~src:1 rep);
+  check_replies "thawed: the deferred hold replays" [ (1, RC.Done Ack) ]
+    (deliver h 960 ~src:2 rep);
+  (* Deferred timers replay in the order they fell due: the peer's write
+     (Execute due 1550) lands before the read's hold (due 2100), so the
+     read sees it — replayed the other way round it would read 0. *)
+  let h = harness ~recovery:noop_recovery () in
+  ignore (invoke h 1000 (RC.call ~ticket:1 Read));
+  ignore (deliver h 1050 ~src:2 (RC.Wire_entry (entry 950 2 (Write 9), 0, 0)));
+  ignore (control h 1100 RC.Crash);
+  check_replies "both deferred" [] (run_until h 2200);
+  Alcotest.(check int) "nothing applied while down" 0
+    (List.length (RC.snapshot h.st).v_applied);
+  ignore (control h 2300 RC.Recover);
+  ignore (deliver h 2400 ~src:1 rep);
+  check_replies "replayed in due order" [ (1, RC.Done (Value 9)) ]
+    (deliver h 2410 ~src:2 rep)
+
+(* ---- the core under Sim.Engine ---- *)
+
+(* With recovery, fallback and sync off the core must be Algorithm 1, to
+   the µs: same per-process (op, result, invoke, response) sequence on the
+   same workload, offsets and delays. *)
+module Core_vs_alg (D : Spec.Data_type.S) = struct
+  module C = Runtime.Replica_core.Make (D)
+  module CE = Sim.Engine.Make (C)
+  module AE = Sim.Engine.Make (Core.Algorithm1.Make (D))
+
+  let row pid op result (r : (_, _) Sim.Trace.op_record) =
+    (pid, op, result, r.invoke_real, r.response_real)
+
+  let agree ~seed ~mk_op =
+    let rng = Prelude.Rng.make seed in
+    let n = 3 in
+    let params =
+      Core.Params.make ~n ~d:1000 ~u:300 ~eps:200 ~x:(Prelude.Rng.int rng 901) ()
+    in
+    let offsets =
+      Array.init n (fun i ->
+          if i = 0 then 0 else Prelude.Rng.int_in rng ~lo:(-100) ~hi:100)
+    in
+    let script =
+      List.concat_map
+        (fun pid ->
+          Sim.Workload.seq pid (Prelude.Rng.int rng 2000)
+            (List.init 4 (fun i -> mk_op rng pid i)))
+        (List.init n Fun.id)
+    in
+    let delay ~src ~dst ~send_time:_ ~index =
+      1000 - (Prelude.Rng.hash [ seed; src; dst; index ] land max_int mod 301)
+    in
+    let a =
+      AE.run ~config:params ~n ~offsets ~delay ~check_delays:(1000, 300) script
+    in
+    let c =
+      CE.run
+        ~config:{ C.params; recovery = None; fallback = None; sync = None }
+        ~n ~offsets ~delay ~check_delays:(1000, 300)
+        (List.map
+           (fun (i : _ Sim.Workload.invocation) -> { i with op = C.call i.op })
+           script)
+    in
+    List.map
+      (fun (r : _ Sim.Trace.op_record) -> row r.pid r.op r.result r)
+      a.trace.ops
+    = List.map
+        (fun (r : (C.call, C.reply) Sim.Trace.op_record) ->
+          row r.pid r.op.C.op
+            (Option.map
+               (fun (x : C.reply) ->
+                 match x.outcome with C.Done v -> v | _ -> failwith "not Done")
+               r.result)
+            r)
+        c.trace.ops
+end
+
+module Reg_equiv = Core_vs_alg (Spec.Register)
+module Queue_equiv = Core_vs_alg (Spec.Fifo_queue)
+
+let core_is_algorithm1_register =
+  QCheck.Test.make ~name:"core = Algorithm 1 (register)" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Reg_equiv.agree ~seed ~mk_op:(fun rng _ _ ->
+          match Prelude.Rng.int rng 4 with
+          | 0 -> Write (Prelude.Rng.int rng 10)
+          | 1 -> Read
+          | 2 -> Rmw (Prelude.Rng.int rng 10)
+          | _ -> Add 1))
+
+let core_is_algorithm1_queue =
+  QCheck.Test.make ~name:"core = Algorithm 1 (queue)" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Queue_equiv.agree ~seed ~mk_op:(fun rng pid i ->
+          match Prelude.Rng.int rng 3 with
+          | 0 -> Spec.Fifo_queue.Enqueue ((10 * pid) + i)
+          | 1 -> Spec.Fifo_queue.Dequeue
+          | _ -> Spec.Fifo_queue.Peek))
+
+module RCE = Sim.Engine.Make (RC)
+module Reg_lin = Linearize.Make (Spec.Register)
+
+let test_core_engine_fallback () =
+  let suspicions = ref 0 and switches = ref 0 in
+  let fallback =
+    {
+      Quorum.Config.default with
+      on_mode = (fun ~quorum:_ ~epoch:_ ~seq:_ -> incr switches);
+      on_suspect = (fun ~peer:_ ~suspected -> if suspected then incr suspicions);
+    }
+  in
+  let params = core_params () in
+  let rng = Prelude.Rng.make 11 in
+  let script =
+    List.concat_map
+      (fun pid ->
+        Sim.Workload.seq pid (Prelude.Rng.int rng 500)
+          (List.init 12 (fun _ ->
+               RC.call
+                 (match Prelude.Rng.int rng 4 with
+                 | 0 -> Write (Prelude.Rng.int rng 10)
+                 | 1 -> Read
+                 | 2 -> Rmw (Prelude.Rng.int rng 10)
+                 | _ -> Add 1))))
+      [ 0; 1; 2 ]
+  in
+  let out =
+    RCE.run
+      ~config:{ RC.params; recovery = None; fallback = Some fallback; sync = None }
+      ~n:3 ~offsets:[| 0; 120; -60 |]
+      ~delay:(Sim.Delay.random rng ~d:1000 ~u:300)
+      ~check_delays:(1000, 300) ~stop_after:200_000 script
+  in
+  let entries =
+    List.map
+      (fun (r : (RC.call, RC.reply) Sim.Trace.op_record) ->
+        match (r.result, r.response_real) with
+        | Some { outcome = RC.Done result; _ }, Some response ->
+            let hold =
+              match classify r.op.op with
+              | Spec.Data_type.Pure_mutator -> 200 + 100
+              | Spec.Data_type.Pure_accessor -> 1000 + 200 - 100
+              | Spec.Data_type.Other -> 0
+            in
+            if response - r.invoke_real < hold then
+              Alcotest.failf "op %d answered in %dµs, under its %dµs hold"
+                r.index (response - r.invoke_real) hold;
+            { Reg_lin.pid = r.pid; op = r.op.op; result; invoke = r.invoke_real;
+              response }
+        | _ -> Alcotest.failf "op %d did not complete" r.index)
+      out.trace.ops
+  in
+  Alcotest.(check int) "every op ran" 36 (List.length entries);
+  Alcotest.(check bool) "LINEARIZABLE" true
+    (Reg_lin.is_linearizable (Reg_lin.check entries));
+  Alcotest.(check int) "no suspicion" 0 !suspicions;
+  Alcotest.(check int) "no mode switch" 0 !switches
+
 let () =
   Alcotest.run "runtime"
     [
@@ -322,5 +708,26 @@ let () =
             (test_live Runtime.Workloads.fifo_queue);
           Alcotest.test_case "loss leaves a trace" `Quick
             test_live_loss_is_detected;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "gate frees a MOP on every ack" `Quick
+            test_core_gate_mop;
+          Alcotest.test_case "gate frees AOP/OOP on prompted heartbeats" `Quick
+            test_core_gate_aop_oop;
+          Alcotest.test_case "on_apply precedes the completion" `Quick
+            test_core_apply_before_completion;
+          Alcotest.test_case "expired deadlines are shed" `Quick
+            test_core_deadline_shed;
+          Alcotest.test_case "dedup replays" `Quick test_core_dedup_replay;
+          Alcotest.test_case "frozen replica defers and replays" `Quick
+            test_core_frozen_defers;
+        ] );
+      ( "core-sim",
+        [
+          QCheck_alcotest.to_alcotest ~long:false core_is_algorithm1_register;
+          QCheck_alcotest.to_alcotest ~long:false core_is_algorithm1_queue;
+          Alcotest.test_case "fallback-armed run holds its bounds" `Quick
+            test_core_engine_fallback;
         ] );
     ]
