@@ -1,14 +1,9 @@
-(** See the interface.  Thread structure per process:
-
-    - 1 acceptor (select loop, so [close] can interrupt it);
-    - 1 reader per accepted connection (peer frames → [deliver], client
-      connections → [on_client]);
-    - 1 writer per outgoing peer link (bounded queue, reconnect/backoff).
-
-    All peer socket IO happens on these helper threads; the caller's
-    [deliver] is the only way a received message leaves the transport.
-    Client replies are the exception: {!conn_write} is a non-blocking send
-    made by whichever thread completes the invocation. *)
+(** See the interface.  No thread runs here: the owning loop's [poll]
+    waits on every socket at once and its [flush] writes what the cycle
+    queued.  Each outgoing link is a small state machine (down → connecting
+    → up, with a backoff timer while down), each accepted socket carries
+    its own input and reply buffers, and cross-thread callers reach the
+    loop only through [inject]'s mutex-guarded thunk list and wake pipe. *)
 
 type listener = { listen_fd : Unix.file_descr; host : string; port : int }
 
@@ -34,530 +29,760 @@ let listen ~host ~port =
 
 type hello_verdict = Peer of int | Client | Reject of string
 
-(* ---- outgoing peer links ---- *)
-
-type link = {
-  dst : int;
-  lanes : string Lanes.t;
-      (** two-lane write queue: control frames (heartbeats, sync probes,
-          catch-up) always preempt data frames, and the data lane sheds —
-          counted — instead of buffering without bound *)
-  lock : Mutex.t;
-  cond : Condition.t;
-  mutable fd : Unix.file_descr option;
-  mutable attempts : int;  (** connect attempts so far (for reconnects) *)
-  mutable backoff : int;
-      (** next reconnect delay, µs; doubles per failure up to the cap and
-          resets to the minimum once a connect + Hello succeeds, so a healed
-          link probes at full cadence again instead of staying pinned at the
-          maximum backoff (which would starve failure-detector recovery) *)
-}
-
-type counters = {
-  sent : int Atomic.t;
-  dropped : int Atomic.t;
-  reconnects : int Atomic.t;
-  bytes_out : int Atomic.t;
-  bytes_in : int Atomic.t;
-  disconnected_us : int Atomic.t;
-      (** cumulative µs links spent wanting a connection they did not have *)
-  queue_hwm : int Atomic.t;
-      (** data-lane write-queue high-water mark, max over links *)
-  ctrl_hwm : int Atomic.t;
-      (** control-lane high-water mark, max over links *)
-  lane_shed : int Atomic.t;
-      (** frames shed from full data lanes, summed over links *)
-}
-
-let atomic_max a v =
-  let rec go () =
-    let cur = Atomic.get a in
-    if v > cur && not (Atomic.compare_and_set a cur v) then go ()
-  in
-  go ()
-
-(* An accepted socket.  [live] is cleared, under [guard], by whoever
-   closes the descriptor (its reader on exit, or [close]), so a reply
-   written later from another thread never lands on a reused number. *)
-type sock = {
-  sock_fd : Unix.file_descr;
-  guard : Mutex.t;
-  mutable live : bool;
-}
-
-type client_conn = {
-  sock : sock;
-  mutable residual : string;  (** bytes read past the frame last returned *)
-  ctrs : counters;
-}
-
-(* Sockets carry SO_SNDTIMEO, so a blocking [write] to a wedged peer
-   returns [EAGAIN] every slice instead of parking the thread on the
-   kernel's send buffer indefinitely.  [write_all] resumes from the same
-   offset (never restarting the frame mid-stream) and converts a stall
-   longer than [stall_after_us] into [ETIMEDOUT], which callers already
-   treat as a dead connection — the frame is retransmitted whole on the
-   next connection, and a stopping transport's writer gets back to its
-   loop head (where it checks the flag) within one slice. *)
-let write_all ?(stall_after_us = max_int) fd s =
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let started = Prelude.Mclock.now_us () in
-  let rec go off =
-    if off < len then
-      match Unix.write fd b off (len - off) with
-      | n -> go (off + n)
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          if Prelude.Mclock.now_us () - started >= stall_after_us then
-            raise (Unix.Unix_error (Unix.ETIMEDOUT, "write", ""))
-          else go off
-  in
-  go 0
-
-let send_timeout_slice_s = 0.25
-
-let set_send_timeout fd =
-  try Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_slice_s
-  with Unix.Unix_error _ -> ()
+let quiet_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let quiet_shutdown fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-(* A client's unread replies are bounded: past this much (the kernel
-   doubles it) the next reply finds the buffer full and the connection is
-   dropped.  A closed-loop client never has more than one reply queued. *)
-let client_sndbuf = 64 * 1024
+(* ---- byte buffers ---- *)
 
-(* Non-blocking: replies are written from replica event loops, which must
-   never wait on a client.  A frame the socket buffer cannot take whole
-   shuts the connection down (its reader then sees EOF and releases it);
-   the client's op-id retry covers the lost reply. *)
-let conn_write conn s =
-  let sock = conn.sock in
-  let len = String.length s in
-  let rec go off =
-    off = len
-    ||
-    match Prelude.Os.send_nowait sock.sock_fd s off (len - off) with
-    | 0 -> false
-    | n -> go (off + n)
-    | exception Unix.Unix_error _ -> false
-  in
-  Mutex.lock sock.guard;
-  let ok = sock.live && go 0 in
-  if ok then ignore (Atomic.fetch_and_add conn.ctrs.bytes_out len)
-  else if sock.live then quiet_shutdown sock.sock_fd;
-  Mutex.unlock sock.guard;
-  ok
+module Buf = struct
+  type t = { mutable buf : Bytes.t; mutable lo : int; mutable hi : int }
 
-let conn_read_frame conn =
-  let chunk = Bytes.create 8192 in
-  let rec go acc =
-    match Codec.decode_frame acc with
-    | Codec.Got (frame, next) ->
-        conn.residual <- String.sub acc next (String.length acc - next);
-        Some frame
-    | Codec.Corrupt _ -> None
-    | Codec.Need_more _ -> (
-        match Unix.read conn.sock.sock_fd chunk 0 (Bytes.length chunk) with
-        | 0 -> None
-        | n ->
-            ignore (Atomic.fetch_and_add conn.ctrs.bytes_in n);
-            go (acc ^ Bytes.sub_string chunk 0 n)
-        | exception (Unix.Unix_error _ | Sys_error _) -> None)
-  in
-  go conn.residual
+  let initial = 16_384
+  let create () = { buf = Bytes.create initial; lo = 0; hi = 0 }
+  let length t = t.hi - t.lo
 
-(* ---- transport state ---- *)
+  (* Room for [want] bytes past [hi].  Sliding moves the live bytes to the
+     front; the capacity doubles until it is at least twice live + want,
+     so after any move the free tail is at least as large as what moved —
+     each byte is copied O(1) times amortised. *)
+  let reserve t want =
+    if Bytes.length t.buf - t.hi < want then begin
+      let live = t.hi - t.lo in
+      let cap = ref (Bytes.length t.buf) in
+      while 2 * (live + want) > !cap do
+        cap := 2 * !cap
+      done;
+      let dst =
+        if !cap = Bytes.length t.buf then t.buf else Bytes.create !cap
+      in
+      Bytes.blit t.buf t.lo dst 0 live;
+      t.buf <- dst;
+      t.lo <- 0;
+      t.hi <- live
+    end
 
-type state = {
+  (* Consume [k] bytes; an emptied buffer restarts at the front and gives
+     back an oversized backing store (a multi-MiB catch-up reply). *)
+  let consume t k =
+    t.lo <- t.lo + k;
+    if t.lo = t.hi then begin
+      t.lo <- 0;
+      t.hi <- 0;
+      if Bytes.length t.buf > 4 * initial then t.buf <- Bytes.create initial
+    end
+
+  let add t s =
+    let len = String.length s in
+    reserve t len;
+    Bytes.blit_string s 0 t.buf t.hi len;
+    t.hi <- t.hi + len
+
+  let fill t read =
+    reserve t 4096;
+    let n = read t.buf t.hi (Bytes.length t.buf - t.hi) in
+    if n > 0 then t.hi <- t.hi + n;
+    n
+
+  let frame_len t =
+    Codec.header_len + (Int32.to_int (Bytes.get_int32_be t.buf (t.lo + 4)) land 0xffff_ffff)
+
+  (* The header is validated (magic, version, size bound) as soon as it is
+     in, so a corrupt stream is dropped without waiting for the bytes its
+     bogus length promises; a frame is decoded only once it is whole. *)
+  let next_frame t =
+    let avail = length t in
+    if avail < Codec.header_len then Codec.Need_more (Codec.header_len - avail)
+    else
+      let total = frame_len t in
+      if total > avail || total - Codec.header_len > Codec.max_payload then
+        match
+          Codec.decode_frame (Bytes.sub_string t.buf t.lo Codec.header_len)
+        with
+        | Codec.Corrupt e -> Codec.Corrupt e
+        | Codec.Got _ | Codec.Need_more _ -> Codec.Need_more (total - avail)
+      else
+        match Codec.decode_frame (Bytes.sub_string t.buf t.lo total) with
+        | Codec.Got (frame, _) ->
+            consume t total;
+            Codec.Got (frame, total)
+        | (Codec.Corrupt _ | Codec.Need_more _) as p -> p
+end
+
+(* ---- counters ---- *)
+
+type counters = {
+  mutable sent : int;
+  mutable dropped : int;
+  mutable reconnects : int;
+  mutable bytes_out : int;
+  mutable bytes_in : int;
+  mutable disconnected_us : int;
+      (** cumulative µs links spent wanting a connection they did not have *)
+  mutable queue_hwm : int;  (** data-lane high-water mark, max over links *)
+  mutable ctrl_hwm : int;  (** control-lane high-water mark, max over links *)
+  mutable lane_shed : int;  (** frames shed from full data lanes *)
+}
+
+(* ---- outgoing peer links ---- *)
+
+type link_state =
+  | Down of int  (** [Mclock] µs of the next connect attempt *)
+  | Connecting of Unix.file_descr * int  (** since *)
+  | Up of Unix.file_descr
+
+type link = {
+  dst : int;
+  lanes : string Lanes.t;
+  out : Buf.t;  (** the batch being written: whole frames from [lanes] *)
+  mutable marks : int list;
+      (** start offsets in [out] of the batch's frames, newest first — a
+          failed connection restarts from the partly written one *)
+  mutable state : link_state;
+  mutable attempts : int;  (** connect attempts so far (for reconnects) *)
+  mutable backoff : int;
+      (** next reconnect delay, µs; doubles per failure up to the cap and
+          resets to the minimum once a connection comes up *)
+  mutable wanting_since : int;
+      (** [Mclock] µs since which the link has had bytes to send and no
+          connection; [-1] when it is not waiting *)
+  mutable stalled_since : int;
+      (** when a write last left bytes behind without progress; [-1] *)
+  mutable blocked : bool;  (** the last write left bytes behind *)
+}
+
+(* ---- accepted connections ---- *)
+
+type role = Unknown | Peer_from of int | Client_role
+
+type sock = {
+  sid : int;
+  sfd : Unix.file_descr;
+  inb : Buf.t;
+  outb : Buf.t;  (** unsent client replies *)
+  mutable role : role;
+  mutable live : bool;
+  mutable backlog : bool;  (** complete frames may still sit in [inb] *)
+  mutable paused : bool;  (** neither read nor decoded until resumed *)
+  mutable closing : bool;  (** close once [outb] is flushed *)
+  mutable wblocked : bool;
+}
+
+type client_conn = sock
+
+let conn_id c = c.sid
+
+(* A client's unread replies are bounded at ~128 KiB: the kernel's send
+   buffer is pinned small (asked for 16 KiB, Linux doubles it; pinning
+   also stops autotuning from absorbing megabytes), and the loop's reply
+   buffer holds at most [reply_cap] more.  A closed-loop client never has
+   more than one reply queued. *)
+let client_sndbuf = 16 * 1024
+let reply_cap = 96 * 1024
+
+let kill_sock s =
+  if s.live then begin
+    s.live <- false;
+    quiet_shutdown s.sfd;
+    quiet_close s.sfd
+  end
+
+let conn_write c s =
+  c.live && (not c.closing)
+  &&
+  if Buf.length c.outb + String.length s > reply_cap then begin
+    kill_sock c;
+    false
+  end
+  else begin
+    Buf.add c.outb s;
+    true
+  end
+
+let conn_close c = c.closing <- true
+let conn_pause c = c.paused <- true
+
+let conn_resume c =
+  if c.paused then begin
+    c.paused <- false;
+    c.backlog <- true
+  end
+
+let frames_per_cycle = 32
+
+type 'msg input = From_peer of int * 'msg | From_client of client_conn * Codec.frame
+
+(* ---- the socket set ---- *)
+
+type 'msg t = {
   me : int;
   n : int;
   addrs : (string * int) array;
   hello : string;
   listener : listener;
+  classify_hello : Codec.frame -> hello_verdict;
+  decode_peer : src:int -> Codec.frame -> 'msg option;
+  encode_peer : 'msg -> string;
+  lane_of : 'msg -> Lanes.lane;
   links : link array;
+  mutable socks : sock list;  (** live accepted connections, newest first *)
+  mutable next_sid : int;
+  inputs : 'msg input Queue.t;
   ctrs : counters;
-  stopping : bool Atomic.t;
-  accepted : sock list ref;
-  accepted_lock : Mutex.t;
   write_stall_us : int;
   backoff_min_us : int;
   backoff_max_us : int;
   log : string -> unit;
+  (* poll scratch, grown on demand and reused *)
+  mutable pfds : Unix.file_descr array;
+  mutable pev : int array;
+  mutable prev : int array;
+  (* off-loop entry *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  inbox_lock : Mutex.t;
+  mutable inbox : (unit -> unit) list;  (** newest first *)
+  mutable woken : bool;  (** a wake byte is in the pipe *)
+  mutable closed : bool;
 }
 
-let quiet_close fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* Sleep in short slices so a stopping transport is never stuck in a long
-   backoff pause. *)
-let backoff_sleep st us =
-  let slice = 50_000 in
-  let rec go left =
-    if left > 0 && not (Atomic.get st.stopping) then begin
-      Prelude.Mclock.sleep_us (min slice left);
-      go (left - slice)
-    end
-  in
-  go us
-
-let try_connect st link =
-  let host, port = st.addrs.(link.dst) in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd (Unix.ADDR_INET (resolve host, port));
-    Unix.setsockopt fd Unix.TCP_NODELAY true;
-    set_send_timeout fd;
-    write_all ~stall_after_us:st.write_stall_us fd st.hello
-  with
-  | () ->
-      ignore (Atomic.fetch_and_add st.ctrs.bytes_out (String.length st.hello));
-      Some fd
-  | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
-      quiet_close fd;
-      None
-
-(* Connect (or reconnect) [link], sleeping with capped exponential backoff
-   between attempts; every attempt beyond the link's first counts as a
-   reconnect.  [None] only when the transport is stopping.  Time spent
-   inside here without a connection is charged to [disconnected_us] — the
-   raw material for attributing a verdict to a partition. *)
-let ensure_connected st link =
-  let entered = Prelude.Mclock.now_us () in
-  let charge () =
-    let waited = Prelude.Mclock.now_us () - entered in
-    if waited > 0 then
-      ignore (Atomic.fetch_and_add st.ctrs.disconnected_us waited)
-  in
-  let rec go () =
-    if Atomic.get st.stopping then begin
-      charge ();
-      None
-    end
-    else
-      match link.fd with
-      | Some fd -> Some fd
-      | None ->
-          if link.attempts > 0 then Atomic.incr st.ctrs.reconnects;
-          link.attempts <- link.attempts + 1;
-          (match try_connect st link with
-          | Some fd ->
-              Mutex.lock link.lock;
-              link.fd <- Some fd;
-              link.backoff <- st.backoff_min_us;
-              Mutex.unlock link.lock;
-              charge ();
-              Some fd
-          | None ->
-              let backoff = link.backoff in
-              link.backoff <- min (2 * backoff) st.backoff_max_us;
-              backoff_sleep st backoff;
-              go ())
-  in
-  go ()
-
-let drop_connection link =
-  Mutex.lock link.lock;
-  (match link.fd with
-  | Some fd ->
-      link.fd <- None;
-      quiet_shutdown fd;
-      quiet_close fd
-  | None -> ());
-  Mutex.unlock link.lock
-
-let writer_loop st link =
-  let rec loop () =
-    Mutex.lock link.lock;
-    while Lanes.is_empty link.lanes && not (Atomic.get st.stopping) do
-      Condition.wait link.cond link.lock
-    done;
-    if Atomic.get st.stopping then Mutex.unlock link.lock
-    else begin
-      (* Peek, write, then drop: a frame interrupted by a connection
-         failure is retransmitted on the fresh connection (the receiver
-         discarded the truncated copy at EOF).  The drop names the lane the
-         peek returned, so a control frame arriving during the write never
-         gets removed in place of the data frame just written. *)
-      let lane, frame =
-        match Lanes.peek link.lanes with
-        | Some lf -> lf
-        | None -> assert false
-      in
-      Mutex.unlock link.lock;
-      (match ensure_connected st link with
-      | None -> ()
-      | Some fd -> (
-          match write_all ~stall_after_us:st.write_stall_us fd frame with
-          | () ->
-              ignore
-                (Atomic.fetch_and_add st.ctrs.bytes_out (String.length frame));
-              Mutex.lock link.lock;
-              Lanes.drop link.lanes lane;
-              Mutex.unlock link.lock
-          | exception (Unix.Unix_error _ | Sys_error _) ->
-              drop_connection link));
-      if not (Atomic.get st.stopping) then loop ()
-    end
-  in
-  loop ();
-  drop_connection link
-
-(* ---- incoming connections ---- *)
-
-(* Incremental frame stream over a connection; calls [on_frame] until EOF
-   or corruption.  Returns the leftover bytes past the last frame handed
-   out (for handing a client connection over mid-buffer). *)
-let read_frames st fd ~(on_frame : Codec.frame -> rest:string -> bool) =
-  let chunk = Bytes.create 8192 in
-  let rec go acc =
-    match Codec.decode_frame acc with
-    | Codec.Got (frame, next) ->
-        let rest = String.sub acc next (String.length acc - next) in
-        if on_frame frame ~rest then go rest else ()
-    | Codec.Corrupt e ->
-        st.log (Printf.sprintf "replica %d: corrupt frame: %s" st.me e)
-    | Codec.Need_more _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            ignore (Atomic.fetch_and_add st.ctrs.bytes_in n);
-            go (acc ^ Bytes.sub_string chunk 0 n)
-        | exception (Unix.Unix_error _ | Sys_error _) -> ())
-  in
-  go ""
-
-(* Deregister and close an accepted socket exactly once, whoever gets
-   there first: its reader on exit, or [close] draining the list. *)
-let release_conn st sock =
-  Mutex.lock st.accepted_lock;
-  st.accepted := List.filter (fun s -> s != sock) !(st.accepted);
-  Mutex.unlock st.accepted_lock;
-  Mutex.lock sock.guard;
-  if sock.live then begin
-    sock.live <- false;
-    quiet_shutdown sock.sock_fd;
-    quiet_close sock.sock_fd
-  end;
-  Mutex.unlock sock.guard
-
-let reader st classify_hello decode_peer deliver on_client sock =
-  let role = ref `Unknown in
-  read_frames st sock.sock_fd ~on_frame:(fun frame ~rest ->
-      match !role with
-      | `Peer src ->
-          (match decode_peer ~src frame with
-          | Some msg -> deliver ~src msg
-          | None -> ());
-          true
-      | `Unknown -> (
-          match classify_hello frame with
-          | Peer src ->
-              role := `Peer src;
-              true
-          | Reject why ->
-              st.log
-                (Printf.sprintf "replica %d: rejected connection: %s" st.me why);
-              false
-          | Client ->
-              (match on_client with
-              | Some handler ->
-                  (try
-                     Unix.setsockopt_int sock.sock_fd Unix.SO_SNDBUF
-                       client_sndbuf
-                   with Unix.Unix_error _ -> ());
-                  handler ~first:frame
-                    { sock; residual = rest; ctrs = st.ctrs }
-              | None ->
-                  st.log
-                    (Printf.sprintf
-                       "replica %d: unexpected client connection" st.me));
-              false));
-  release_conn st sock
-
-let acceptor_loop st classify_hello decode_peer deliver on_client =
-  let rec loop () =
-    if not (Atomic.get st.stopping) then begin
-      match Unix.select [ st.listener.listen_fd ] [] [] 0.2 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.accept st.listener.listen_fd with
-          | fd, _ ->
-              (try Unix.setsockopt fd Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              set_send_timeout fd;
-              let sock =
-                { sock_fd = fd; guard = Mutex.create (); live = true }
-              in
-              Mutex.lock st.accepted_lock;
-              st.accepted := sock :: !(st.accepted);
-              Mutex.unlock st.accepted_lock;
-              ignore
-                (Thread.create
-                   (reader st classify_hello decode_peer deliver on_client)
-                   sock);
-              loop ()
-          | exception Unix.Unix_error _ -> if Atomic.get st.stopping then () else loop ())
-      | exception Unix.Unix_error _ -> if Atomic.get st.stopping then () else loop ()
-    end
-  in
-  loop ()
-
-(* ---- assembly ---- *)
-
-type 'msg t = {
-  t_send : dst:int -> trace:int -> 'msg -> unit;
-  t_stats : unit -> Runtime.Transport_intf.stats;
-  t_close : unit -> unit;
-}
-
-let send t ~dst ~trace msg = t.t_send ~dst ~trace msg
-let stats t = t.t_stats ()
-let close t = t.t_close ()
-
-let create (type msg) ~me ~addrs ~listener ~hello ~classify_hello
-    ~(decode_peer : src:int -> Codec.frame -> msg option)
-    ~(encode_peer : msg -> string) ~(deliver : src:int -> msg -> unit)
-    ?on_client ?(max_queue = 4096) ?(max_lane_bytes = 4 lsl 20)
-    ?(lane_of : (msg -> Lanes.lane) option)
+let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
+    ~encode_peer ?(max_queue = 4096) ?(max_lane_bytes = 4 lsl 20) ?lane_of
     ?(write_stall_us = 2_000_000) ?(backoff_min_us = 20_000)
-    ?(backoff_max_us = 1_000_000) ?(log = fun s -> prerr_endline s) () :
-    msg t =
+    ?(backoff_max_us = 1_000_000)
+    ?(log = fun s -> prerr_endline s) () =
   let n = Array.length addrs in
   if me < 0 || me >= n then invalid_arg "Tcp_transport.create: me out of range";
   let lane_of = match lane_of with Some f -> f | None -> fun _ -> Lanes.Data in
-  let st =
-    {
-      me;
-      n;
-      addrs;
-      hello;
-      listener;
-      links =
-        Array.init n (fun dst ->
-            {
-              dst;
-              lanes =
-                Lanes.create ~max_data_frames:max_queue
-                  ~max_data_bytes:max_lane_bytes ~size_of:String.length ();
-              lock = Mutex.create ();
-              cond = Condition.create ();
-              fd = None;
-              attempts = 0;
-              backoff = backoff_min_us;
-            });
-      ctrs =
-        {
-          sent = Atomic.make 0;
-          dropped = Atomic.make 0;
-          reconnects = Atomic.make 0;
-          bytes_out = Atomic.make 0;
-          bytes_in = Atomic.make 0;
-          disconnected_us = Atomic.make 0;
-          queue_hwm = Atomic.make 0;
-          ctrl_hwm = Atomic.make 0;
-          lane_shed = Atomic.make 0;
-        };
-      stopping = Atomic.make false;
-      accepted = ref [];
-      accepted_lock = Mutex.create ();
-      write_stall_us;
-      backoff_min_us;
-      backoff_max_us;
-      log;
-    }
-  in
-  let acceptor =
-    Thread.create
-      (fun () -> acceptor_loop st classify_hello decode_peer deliver on_client)
-      ()
-  in
-  let writers =
-    Array.to_list st.links
-    |> List.filter_map (fun link ->
-           if link.dst = me then None
-           else Some (Thread.create (fun () -> writer_loop st link) ()))
-  in
-  let send ~dst ~trace msg =
-    Atomic.incr st.ctrs.sent;
-    Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Send ~trace ~a:dst ();
-    if dst = me then deliver ~src:me msg
-    else if dst < 0 || dst >= n then
-      invalid_arg "Tcp_transport.send: dst out of range"
-    else begin
-      let frame = encode_peer msg in
-      let lane = lane_of msg in
-      let link = st.links.(dst) in
-      Mutex.lock link.lock;
-      let shed = Lanes.push link.lanes lane frame in
-      let ctrl_depth = Lanes.ctrl_length link.lanes in
-      let data_depth = Lanes.data_length link.lanes in
-      Condition.signal link.cond;
-      Mutex.unlock link.lock;
-      if shed > 0 then begin
-        ignore (Atomic.fetch_and_add st.ctrs.dropped shed);
-        ignore (Atomic.fetch_and_add st.ctrs.lane_shed shed);
-        if Obs.Recorder.active () then
-          for _ = 1 to shed do
-            Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Shed ~trace
-              ~a:Obs.Event.shed_queue ~b:dst ()
-          done
-      end;
-      let prev_ctrl = Atomic.get st.ctrs.ctrl_hwm in
-      let prev_data = Atomic.get st.ctrs.queue_hwm in
-      atomic_max st.ctrs.ctrl_hwm ctrl_depth;
-      atomic_max st.ctrs.queue_hwm data_depth;
-      (* Sample lane depths into the trace only when a lane sets a new
-         high-water mark — a counter per send would double event volume. *)
-      if Obs.Recorder.active () then begin
-        if ctrl_depth > prev_ctrl then
-          Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Queue_depth
-            ~a:Obs.Event.lane_ctrl ~b:ctrl_depth ();
-        if data_depth > prev_data then
-          Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Queue_depth
-            ~a:Obs.Event.lane_data ~b:data_depth ()
-      end
-    end
-  in
-  let stats () =
-    {
-      Runtime.Transport_intf.sent = Atomic.get st.ctrs.sent;
-      dropped = Atomic.get st.ctrs.dropped;
-      link =
-        Some
+  Unix.set_nonblock listener.listen_fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let slots = n + 8 in
+  {
+    me;
+    n;
+    addrs;
+    hello;
+    listener;
+    classify_hello;
+    decode_peer;
+    encode_peer;
+    lane_of;
+    links =
+      Array.init n (fun dst ->
           {
-            Runtime.Transport_intf.reconnects = Atomic.get st.ctrs.reconnects;
-            bytes_out = Atomic.get st.ctrs.bytes_out;
-            bytes_in = Atomic.get st.ctrs.bytes_in;
-            disconnected_us = Atomic.get st.ctrs.disconnected_us;
-            queue_hwm = Atomic.get st.ctrs.queue_hwm;
-            ctrl_hwm = Atomic.get st.ctrs.ctrl_hwm;
-            lane_shed = Atomic.get st.ctrs.lane_shed;
-          };
-    }
-  in
-  let close () =
-    if not (Atomic.exchange st.stopping true) then begin
-      (* Wake writers (blocked on their condition) and break any write in
-         progress, then interrupt the acceptor and all readers. *)
-      Array.iter
-        (fun link ->
-          Mutex.lock link.lock;
-          (match link.fd with Some fd -> quiet_shutdown fd | None -> ());
-          Condition.broadcast link.cond;
-          Mutex.unlock link.lock)
-        st.links;
-      quiet_close st.listener.listen_fd;
-      Thread.join acceptor;
-      List.iter Thread.join writers;
-      Mutex.lock st.accepted_lock;
-      let conns = !(st.accepted) in
-      Mutex.unlock st.accepted_lock;
-      (* Readers exit on the shutdown-induced EOF; they are not joined —
-         they only touch their own socket, [deliver] and atomic counters. *)
-      List.iter (release_conn st) conns
+            dst;
+            lanes =
+              Lanes.create ~max_data_frames:max_queue
+                ~max_data_bytes:max_lane_bytes ~size_of:String.length ();
+            out = Buf.create ();
+            marks = [];
+            state = Down 0;
+            attempts = 0;
+            backoff = backoff_min_us;
+            wanting_since = -1;
+            stalled_since = -1;
+            blocked = false;
+          });
+    socks = [];
+    next_sid = 0;
+    inputs = Queue.create ();
+    ctrs =
+      {
+        sent = 0;
+        dropped = 0;
+        reconnects = 0;
+        bytes_out = 0;
+        bytes_in = 0;
+        disconnected_us = 0;
+        queue_hwm = 0;
+        ctrl_hwm = 0;
+        lane_shed = 0;
+      };
+    write_stall_us;
+    backoff_min_us;
+    backoff_max_us;
+    log;
+    pfds = Array.make slots listener.listen_fd;
+    pev = Array.make slots 0;
+    prev = Array.make slots 0;
+    wake_r;
+    wake_w;
+    inbox_lock = Mutex.create ();
+    inbox = [];
+    woken = false;
+    closed = false;
+  }
+
+(* ---- sending ---- *)
+
+let send t ~dst ~trace msg =
+  t.ctrs.sent <- t.ctrs.sent + 1;
+  Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Send ~trace ~a:dst ();
+  if dst = t.me then Queue.push (From_peer (t.me, msg)) t.inputs
+  else if dst < 0 || dst >= t.n then
+    invalid_arg "Tcp_transport.send: dst out of range"
+  else begin
+    let link = t.links.(dst) in
+    let shed = Lanes.push link.lanes (t.lane_of msg) (t.encode_peer msg) in
+    if shed > 0 then begin
+      t.ctrs.dropped <- t.ctrs.dropped + shed;
+      t.ctrs.lane_shed <- t.ctrs.lane_shed + shed;
+      if Obs.Recorder.active () then
+        for _ = 1 to shed do
+          Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Shed ~trace
+            ~a:Obs.Event.shed_queue ~b:dst ()
+        done
+    end;
+    (* Sample lane depths into the trace only when a lane sets a new
+       high-water mark — a counter per send would double event volume. *)
+    let ctrl_depth = Lanes.ctrl_length link.lanes in
+    let data_depth = Lanes.data_length link.lanes in
+    if ctrl_depth > t.ctrs.ctrl_hwm then begin
+      t.ctrs.ctrl_hwm <- ctrl_depth;
+      Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Queue_depth
+        ~a:Obs.Event.lane_ctrl ~b:ctrl_depth ()
+    end;
+    if data_depth > t.ctrs.queue_hwm then begin
+      t.ctrs.queue_hwm <- data_depth;
+      Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Queue_depth
+        ~a:Obs.Event.lane_data ~b:data_depth ()
     end
+  end
+
+(* ---- link state machine ---- *)
+
+let wants link = Buf.length link.out > 0 || not (Lanes.is_empty link.lanes)
+
+let charge_disconnected t link now =
+  if link.wanting_since >= 0 then begin
+    t.ctrs.disconnected_us <-
+      t.ctrs.disconnected_us + max 0 (now - link.wanting_since);
+    link.wanting_since <- -1
+  end
+
+let connect_failed t link now =
+  link.state <- Down (now + link.backoff);
+  link.backoff <- min (2 * link.backoff) t.backoff_max_us
+
+(* The connection is up: the hello goes first, then whatever frame was
+   cut short by the previous connection (whole), then the rest of the
+   batch.  Frames written completely before a failure are not resent. *)
+let link_up t link fd now =
+  link.state <- Up fd;
+  link.backoff <- t.backoff_min_us;
+  link.blocked <- false;
+  link.stalled_since <- -1;
+  charge_disconnected t link now;
+  let out = link.out in
+  (* the frame the write stopped in, else the first not yet started *)
+  let restart =
+    List.fold_left
+      (fun acc m -> if m <= out.Buf.lo then max acc m else acc)
+      (-1) link.marks
   in
-  { t_send = send; t_stats = stats; t_close = close }
+  let restart =
+    if restart >= 0 then restart
+    else List.fold_left min out.Buf.hi link.marks
+  in
+  let rest = Bytes.sub_string out.Buf.buf restart (out.Buf.hi - restart) in
+  let hlen = String.length t.hello in
+  link.marks <-
+    List.filter_map
+      (fun m -> if m >= restart then Some (m - restart + hlen) else None)
+      link.marks;
+  out.Buf.lo <- 0;
+  out.Buf.hi <- 0;
+  Buf.add out t.hello;
+  Buf.add out rest
+
+let start_connect t link now =
+  if link.attempts > 0 then t.ctrs.reconnects <- t.ctrs.reconnects + 1;
+  link.attempts <- link.attempts + 1;
+  let host, port = t.addrs.(link.dst) in
+  match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> connect_failed t link now
+  | fd -> (
+      match
+        Unix.set_nonblock fd;
+        Unix.setsockopt fd Unix.TCP_NODELAY true;
+        Unix.connect fd (Unix.ADDR_INET (resolve host, port))
+      with
+      | () -> link_up t link fd now
+      | exception
+          Unix.Unix_error ((Unix.EINPROGRESS | Unix.EAGAIN | Unix.EINTR), _, _)
+        ->
+          link.state <- Connecting (fd, now)
+      | exception (Unix.Unix_error _ | Failure _) ->
+          quiet_close fd;
+          connect_failed t link now)
+
+(* A connection died (write error, hang-up, stall): retry at once — the
+   backoff applies to failed connects, not to the first retry. *)
+let drop_link link now =
+  (match link.state with
+  | Up fd | Connecting (fd, _) ->
+      quiet_shutdown fd;
+      quiet_close fd
+  | Down _ -> ());
+  link.state <- Down now;
+  link.blocked <- false;
+  link.stalled_since <- -1
+
+let connect_done t link fd now =
+  match Unix.getsockopt_error fd with
+  | None -> link_up t link fd now
+  | Some _ | (exception Unix.Unix_error _) ->
+      quiet_close fd;
+      connect_failed t link now
+
+(* Move whole frames from the lanes (control first) into the empty batch
+   buffer, up to a batch cap, so a control frame never waits behind more
+   than one batch of data. *)
+let batch_cap = 256 * 1024
+
+let refill link =
+  let out = link.out in
+  let rec go () =
+    if Buf.length out < batch_cap then
+      match Lanes.peek link.lanes with
+      | None -> ()
+      | Some (lane, frame) ->
+          Lanes.drop link.lanes lane;
+          link.marks <- out.Buf.hi :: link.marks;
+          Buf.add out frame;
+          go ()
+  in
+  go ()
+
+let write_buf t fd (b : Buf.t) =
+  match
+    Prelude.Os.send_nowait fd (Bytes.unsafe_to_string b.Buf.buf) b.Buf.lo
+      (Buf.length b)
+  with
+  | k ->
+      t.ctrs.bytes_out <- t.ctrs.bytes_out + k;
+      Buf.consume b k;
+      Ok (Buf.length b = 0)
+  | exception Unix.Unix_error _ -> Error ()
+
+let rec flush_link t link now =
+  match link.state with
+  | Down at ->
+      if wants link && now >= at then begin
+        start_connect t link now;
+        match link.state with Up _ -> flush_link t link now | _ -> ()
+      end
+  | Connecting (fd, since) ->
+      if now - since >= t.write_stall_us then begin
+        quiet_close fd;
+        connect_failed t link now
+      end
+  | Up fd ->
+      (* Frames join the batch only while none of it went out yet, so the
+         marks keep naming frame starts. *)
+      if Buf.length link.out = 0 then link.marks <- [];
+      if link.out.Buf.lo = 0 then refill link;
+      if Buf.length link.out > 0 && not link.blocked then begin
+        let before = Buf.length link.out in
+        match write_buf t fd link.out with
+        | Ok true ->
+            link.marks <- [];
+            link.stalled_since <- -1
+        | Ok false ->
+            link.blocked <- true;
+            if Buf.length link.out < before || link.stalled_since < 0 then
+              link.stalled_since <- now
+        | Error () -> drop_link link now
+      end;
+      (match link.state with
+      | Up _ when link.blocked && now - link.stalled_since >= t.write_stall_us
+        ->
+          drop_link link now
+      | _ -> ())
+
+let flush_sock t s =
+  if s.live && Buf.length s.outb > 0 && not s.wblocked then begin
+    match write_buf t s.sfd s.outb with
+    | Ok done_ -> s.wblocked <- not done_
+    | Error () -> kill_sock s
+  end;
+  if s.live && s.closing && Buf.length s.outb = 0 then kill_sock s
+
+(* ---- reading ---- *)
+
+let read_sock t s =
+  match
+    Buf.fill s.inb (fun buf off len -> Unix.read s.sfd buf off len)
+  with
+  | 0 -> `Eof
+  | k ->
+      t.ctrs.bytes_in <- t.ctrs.bytes_in + k;
+      `Data
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      `Data
+  | exception Unix.Unix_error _ -> `Eof
+
+(* Turn up to [limit] buffered frames into inputs. *)
+let decode_sock t s ~limit =
+  let rec go k =
+    if k >= limit then s.backlog <- true
+    else
+      match Buf.next_frame s.inb with
+      | Codec.Need_more _ -> s.backlog <- false
+      | Codec.Corrupt e ->
+          t.log (Printf.sprintf "replica %d: corrupt frame: %s" t.me e);
+          s.backlog <- false;
+          kill_sock s
+      | Codec.Got (frame, _) -> (
+          match s.role with
+          | Peer_from src ->
+              (match t.decode_peer ~src frame with
+              | Some msg -> Queue.push (From_peer (src, msg)) t.inputs
+              | None -> ());
+              go (k + 1)
+          | Client_role ->
+              Queue.push (From_client (s, frame)) t.inputs;
+              go (k + 1)
+          | Unknown -> (
+              match t.classify_hello frame with
+              | Peer src ->
+                  s.role <- Peer_from src;
+                  (* The peer is up and listening: a link to it that is
+                     waiting out a backoff retries at once. *)
+                  (match t.links.(src).state with
+                  | Down _ when src <> t.me -> t.links.(src).state <- Down 0
+                  | Down _ | Connecting _ | Up _ -> ());
+                  go k
+              | Reject why ->
+                  t.log
+                    (Printf.sprintf "replica %d: rejected connection: %s" t.me
+                       why);
+                  s.backlog <- false;
+                  kill_sock s
+              | Client ->
+                  s.role <- Client_role;
+                  (try Unix.setsockopt_int s.sfd Unix.SO_SNDBUF client_sndbuf
+                   with Unix.Unix_error _ -> ());
+                  Queue.push (From_client (s, frame)) t.inputs;
+                  go (k + 1)))
+  in
+  go 0
+
+let accept_all t =
+  let rec go () =
+    match Unix.accept ~cloexec:true t.listener.listen_fd with
+    | fd, _ ->
+        Unix.set_nonblock fd;
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        let s =
+          {
+            sid = t.next_sid;
+            sfd = fd;
+            inb = Buf.create ();
+            outb = Buf.create ();
+            role = Unknown;
+            live = true;
+            backlog = false;
+            paused = false;
+            closing = false;
+            wblocked = false;
+          }
+        in
+        t.next_sid <- t.next_sid + 1;
+        t.socks <- s :: t.socks;
+        go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let run_inbox t =
+  let buf = Bytes.create 64 in
+  (try
+     while Unix.read t.wake_r buf 0 (Bytes.length buf) > 0 do
+       ()
+     done
+   with Unix.Unix_error _ -> ());
+  Mutex.lock t.inbox_lock;
+  let thunks = t.inbox in
+  t.inbox <- [];
+  t.woken <- false;
+  Mutex.unlock t.inbox_lock;
+  List.iter (fun f -> f ()) (List.rev thunks)
+
+(* The wake byte is written under the lock, and [close] shuts the pipe
+   under it, so a late injector never writes to a recycled descriptor. *)
+let inject t f =
+  Mutex.lock t.inbox_lock;
+  if not t.closed then begin
+    t.inbox <- f :: t.inbox;
+    if not t.woken then begin
+      t.woken <- true;
+      try ignore (Unix.single_write t.wake_w (Bytes.make 1 'w') 0 1)
+      with Unix.Unix_error _ -> ()
+    end
+  end;
+  Mutex.unlock t.inbox_lock
+
+(* No lock: a signal handler on the loop's own thread may call it, and an
+   extra wake byte is harmless. *)
+let wake t =
+  if not t.closed then
+    try ignore (Unix.single_write t.wake_w (Bytes.make 1 'w') 0 1)
+    with Unix.Unix_error _ -> ()
+
+(* ---- the cycle ---- *)
+
+let ensure_slots t k =
+  if Array.length t.pfds < k then begin
+    let k = 2 * k in
+    t.pfds <- Array.make k t.listener.listen_fd;
+    t.pev <- Array.make k 0;
+    t.prev <- Array.make k 0
+  end
+
+(* Poll-set layout: 0 = listener, 1 = wake pipe, then one slot per link
+   with a socket, then one per live accepted socket — the same order the
+   results are read back in. *)
+let poll t ~deadline_us =
+  if List.exists (fun s -> not s.live) t.socks then
+    t.socks <- List.filter (fun s -> s.live) t.socks;
+  ensure_slots t (2 + t.n + List.length t.socks);
+  let open Prelude.Os in
+  t.pfds.(0) <- t.listener.listen_fd;
+  t.pev.(0) <- pollin;
+  t.pfds.(1) <- t.wake_r;
+  t.pev.(1) <- pollin;
+  let k = ref 2 in
+  Array.iter
+    (fun link ->
+      match link.state with
+      | Down _ -> ()
+      | Connecting (fd, _) ->
+          t.pfds.(!k) <- fd;
+          t.pev.(!k) <- pollout;
+          incr k
+      | Up fd ->
+          t.pfds.(!k) <- fd;
+          t.pev.(!k) <- (if link.blocked then pollout else 0);
+          incr k)
+    t.links;
+  let polled = t.socks in
+  let backlog = ref (not (Queue.is_empty t.inputs)) in
+  List.iter
+    (fun s ->
+      if s.backlog && not s.paused then backlog := true;
+      t.pfds.(!k) <- s.sfd;
+      t.pev.(!k) <-
+        (if s.backlog || s.paused then 0 else pollin)
+        lor if s.wblocked then pollout else 0;
+      incr k)
+    polled;
+  let timeout_ns =
+    if !backlog then 0
+    else if deadline_us = max_int then -1
+    else 1000 * max 0 (deadline_us - Prelude.Mclock.now_us ())
+  in
+  let ready =
+    poll t.pfds ~events:t.pev ~revents:t.prev ~count:!k ~timeout_ns
+  in
+  if ready < 0 then Array.fill t.prev 0 !k 0;
+  if t.prev.(0) land pollin <> 0 then accept_all t;
+  let i = ref 2 in
+  Array.iter
+    (fun link ->
+      match link.state with
+      | Down _ -> ()
+      | Connecting (fd, _) ->
+          if t.prev.(!i) <> 0 then connect_done t link fd (Prelude.Mclock.now_us ());
+          incr i
+      | Up _ ->
+          let r = t.prev.(!i) in
+          if r land pollerr <> 0 then drop_link link (Prelude.Mclock.now_us ())
+          else if r land pollout <> 0 then link.blocked <- false;
+          incr i)
+    t.links;
+  List.iter
+    (fun s ->
+      let r = t.prev.(!i) in
+      incr i;
+      if r land pollout <> 0 then s.wblocked <- false;
+      let eof = r land pollin <> 0 && read_sock t s = `Eof in
+      if s.live && (not s.paused) && (r land pollin <> 0 || s.backlog) then
+        decode_sock t s ~limit:(if eof then max_int else frames_per_cycle);
+      if eof then kill_sock s)
+    polled;
+  if t.prev.(1) land pollin <> 0 then run_inbox t
+
+let next_input t = Queue.take_opt t.inputs
+let queued_inputs t = Queue.length t.inputs
+
+let flush t ~now_us =
+  Array.iter
+    (fun link ->
+      if link.dst <> t.me then begin
+        (match link.state with
+        | Down _ | Connecting _ ->
+            if wants link && link.wanting_since < 0 then
+              link.wanting_since <- now_us
+        | Up _ -> ());
+        flush_link t link now_us
+      end)
+    t.links;
+  List.iter (flush_sock t) t.socks
+
+let next_wake_us t =
+  Array.fold_left
+    (fun acc link ->
+      match link.state with
+      | Down at when wants link -> min acc at
+      | Connecting (_, since) -> min acc (since + t.write_stall_us)
+      | Up _ when link.blocked && link.stalled_since >= 0 ->
+          min acc (link.stalled_since + t.write_stall_us)
+      | _ -> acc)
+    max_int t.links
+
+let stats t =
+  let c = t.ctrs in
+  {
+    Runtime.Transport_intf.sent = c.sent;
+    dropped = c.dropped;
+    link =
+      Some
+        {
+          Runtime.Transport_intf.reconnects = c.reconnects;
+          bytes_out = c.bytes_out;
+          bytes_in = c.bytes_in;
+          disconnected_us = c.disconnected_us;
+          queue_hwm = c.queue_hwm;
+          ctrl_hwm = c.ctrl_hwm;
+          lane_shed = c.lane_shed;
+        };
+  }
+
+let close t =
+  if not t.closed then begin
+    Mutex.lock t.inbox_lock;
+    t.closed <- true;
+    Mutex.unlock t.inbox_lock;
+    let now = Prelude.Mclock.now_us () in
+    Array.iter
+      (fun link ->
+        if link.dst <> t.me then begin
+          charge_disconnected t link now;
+          drop_link link now
+        end)
+      t.links;
+    List.iter kill_sock t.socks;
+    t.socks <- [];
+    quiet_close t.listener.listen_fd;
+    Mutex.lock t.inbox_lock;
+    t.inbox <- [];
+    quiet_close t.wake_r;
+    quiet_close t.wake_w;
+    Mutex.unlock t.inbox_lock
+  end

@@ -1,30 +1,34 @@
 (** Real TCP sockets between Algorithm 1 replicas — the transport that
-    puts each replica in its own OS process.  The interface is deliberately
-    narrow: {!send} a message to a peer, and receive through the caller's
-    [deliver] callback.  Mailboxes, shards and event loops are the
-    caller's business.
+    puts each replica in its own OS process — as a {e thread-free socket
+    set} that its owner's loop steps.  It runs no thread: the loop calls
+    {!poll} (one [ppoll] over every socket, then accepts, connect
+    completions and reads), takes the decoded {!input}s in arrival order
+    per connection, steps whatever it hosts, and calls {!flush} to write
+    everything the cycle queued — one write per socket.  Shards, cores and
+    timers are the caller's business.  Apart from {!inject} and {!wake},
+    every function must be called from the owning loop's thread.
 
     Topology: every replica listens on one address ([addrs.(pid)]) and
-    maintains one {e outgoing} connection per peer, used only for sending;
-    incoming connections are used only for receiving.  Each outgoing link
-    has a dedicated writer thread draining a bounded frame queue, so
-    [send] never blocks the replica's event loop on the network.
+    keeps one {e outgoing} connection per peer, used only for sending;
+    accepted connections are used only for receiving (and, for clients,
+    for the replies).
 
     Connect/accept handshake: the first frame on an outgoing connection is
     the caller-supplied [hello] (carrying [(pid, n, params)] and the object
     tag — see {!Codec.hello}); the accepting side classifies it via
     [classify_hello] and either registers the connection as a peer link,
-    hands it to [on_client] (a load-generator/client connection opens with
+    treats it as a client (a load-generator/client connection opens with
     an [Invoke] frame instead of a [Hello]), or rejects it.
 
-    Reconnect: when a link's connection fails, its writer reconnects with
-    capped exponential backoff ([backoff_min_us] doubling up to
-    [backoff_max_us], per link, reset to the minimum whenever a connect +
-    Hello succeeds so a healed link probes at full cadence again); every
-    attempt beyond a link's first is counted in
-    {!Runtime.Transport_intf.link_stats.reconnects}.  The frame being
-    written when a connection fails is retransmitted after reconnecting
-    (the receiver discards the truncated copy at EOF).
+    Reconnect: a link connects (non-blocking) once it has something to
+    send.  When its connection fails it reconnects with capped exponential
+    backoff ([backoff_min_us] doubling up to [backoff_max_us], per link,
+    reset to the minimum whenever a connection comes up so a healed link
+    probes at full cadence again); the waits are loop timers
+    ({!next_wake_us}), and every attempt beyond a link's first is counted
+    in {!Runtime.Transport_intf.link_stats.reconnects}.  A frame only
+    partly written when a connection fails is retransmitted whole after
+    reconnecting (the receiver discards the truncated copy at EOF).
 
     Overload: each link's write queue is a two-lane priority queue
     ({!Lanes}).  [lane_of] classifies each outgoing message; control
@@ -33,16 +37,17 @@
     data lane is bounded ([max_queue] frames and [max_lane_bytes] bytes
     per link); overflow sheds oldest-first, counted in [dropped] and
     [lane_shed] and emitted as [Obs.Event.Shed] events — never silent.
-    Within a lane the links stay FIFO, as in the paper's model; across a
-    crash/reconnect or a shed, delivery is not guaranteed — Algorithm 1
-    assumes reliable links, and a run that loses frames is caught by the
-    post-hoc linearizability check.
+    Frames leave the lanes only when the link's previous batch is fully
+    written, so a wedged peer backs frames up into the lanes, where they
+    are bounded.  Within a lane the links stay FIFO, as in the paper's
+    model; across a crash/reconnect or a shed, delivery is not guaranteed
+    — Algorithm 1 assumes reliable links, and a run that loses frames is
+    caught by the post-hoc linearizability check.
 
-    Every socket carries a bounded send timeout, so a writer blocked
-    against a dead peer's full kernel buffer observes transport shutdown
-    within one timeout slice (and gives up on the connection after
-    [write_stall_us], falling back to the reconnect path) instead of
-    relying on reconnect backoff alone. *)
+    A link whose pending bytes make no progress for [write_stall_us] is
+    cut and goes back through the reconnect path.  A client that leaves
+    ~128 KiB of replies unread is cut off (see {!reply_cap}): its op-id
+    retry covers the lost replies, and it can never stall the loop. *)
 
 type listener = private {
   listen_fd : Unix.file_descr;
@@ -58,28 +63,71 @@ val listen : host:string -> port:int -> listener
     reported back in the result.  @raise Unix.Unix_error on bind
     failure. *)
 
-(** A connection handed to the [on_client] callback: the raw socket plus
-    any bytes that were read past the first frame. *)
+(** A byte buffer with a read cursor: bytes are appended at the tail and
+    consumed from the head, and room is made by sliding the live bytes to
+    the front or doubling, never both more than the bytes that passed
+    through — amortised linear, however the stream was split.  Each
+    connection reassembles its frames in one. *)
+module Buf : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int  (** bytes appended but not yet consumed *)
+
+  val fill : t -> (Bytes.t -> int -> int -> int) -> int
+  (** [fill b read] calls [read buf off len] once to append up to [len]
+      bytes at [buf.[off]] and returns its result (0 = EOF). *)
+
+  val next_frame : t -> Codec.frame Codec.progress
+  (** Consume the next complete frame ([Got (frame, its length)]), or
+      report [Need_more]/[Corrupt] without consuming. *)
+end
+
+(** An accepted connection that opened as a client. *)
 type client_conn
 
-val conn_read_frame : client_conn -> Codec.frame option
-(** Next frame on a client connection (blocking); [None] on EOF, error or
-    a corrupt stream. *)
+val conn_id : client_conn -> int
+(** Unique per transport. *)
+
+val reply_cap : int
+(** Unsent reply bytes the loop holds for a client connection (96 KiB),
+    on top of its kernel send buffer, which is pinned to 32 KiB: a client
+    is cut off once ~128 KiB of its replies sit unread. *)
 
 val conn_write : client_conn -> string -> bool
-(** Write bytes (a pre-encoded frame) without ever blocking: [false] if
-    the connection is closed, died, or its send buffer could not take the
-    whole frame — a full buffer shuts the connection down (the client's
-    op-id retry covers the lost reply).  Safe from any thread, alongside
-    the connection's reader and after [on_client] returned. *)
+(** Queue bytes (a pre-encoded frame) for the next {!flush}; never
+    blocks.  [false] if the connection is closed — or is closed now,
+    because the queued replies would pass {!reply_cap}. *)
+
+val conn_close : client_conn -> unit
+(** Close the connection once its queued replies are flushed. *)
+
+val conn_pause : client_conn -> unit
+(** Stop reading and decoding the connection: its further frames wait in
+    its buffer and the kernel's, pushing back on the client. *)
+
+val conn_resume : client_conn -> unit
+(** Undo {!conn_pause}; buffered frames become inputs from the next
+    cycle on. *)
 
 type hello_verdict =
   | Peer of int  (** a replica with this pid; receive entries from it *)
-  | Client  (** not a handshake — hand the connection to [on_client] *)
+  | Client  (** not a handshake — a client connection *)
   | Reject of string  (** incompatible handshake: log and drop *)
 
+val frames_per_cycle : int
+(** At most this many frames of one connection (32) become inputs per
+    cycle; the rest wait in its buffer, and the socket is not read until
+    they are taken, so one pipelining client cannot crowd out the
+    others. *)
+
+(** What one cycle read, in arrival order per connection. *)
+type 'msg input =
+  | From_peer of int * 'msg  (** a decoded message and its sender's pid *)
+  | From_client of client_conn * Codec.frame
+
 type 'msg t
-(** A running transport carrying ['msg] values. *)
+(** A socket set carrying ['msg] values. *)
 
 val create :
   me:int ->
@@ -89,8 +137,6 @@ val create :
   classify_hello:(Codec.frame -> hello_verdict) ->
   decode_peer:(src:int -> Codec.frame -> 'msg option) ->
   encode_peer:('msg -> string) ->
-  deliver:(src:int -> 'msg -> unit) ->
-  ?on_client:(first:Codec.frame -> client_conn -> unit) ->
   ?max_queue:int ->
   ?max_lane_bytes:int ->
   ?lane_of:('msg -> Lanes.lane) ->
@@ -100,31 +146,61 @@ val create :
   ?log:(string -> unit) ->
   unit ->
   'msg t
-(** Start the acceptor and per-peer writer threads and return the
-    transport.  [addrs] lists every replica's listen address (index =
-    pid); [listener] must already be bound to [addrs.(me)] (possibly with
-    an ephemeral port — pass the rebound address in [addrs]).
+(** The socket set for replica [me].  [addrs] lists every replica's listen
+    address (index = pid); [listener] must already be bound to
+    [addrs.(me)] (possibly with an ephemeral port — pass the rebound
+    address in [addrs]).  Nothing connects or reads before the first
+    {!poll}.
 
-    [decode_peer] turns a received frame from peer [src] into a message;
-    [None] skips the frame.  Each decoded message is handed to [deliver]
-    on the reading connection's thread, in arrival order per link.
-    [encode_peer] is its inverse for {!send}.  [on_client] runs in the
-    accepting connection's own thread and reads the connection until it
-    returns; replies go out through {!conn_write}, from that thread or
-    any other (a replica loop completing an invocation).
-
+    [decode_peer] turns a frame received from peer [src] into a message
+    ([None] skips the frame) and [encode_peer] is its inverse for {!send}.
     [lane_of] assigns each message a {!Lanes.lane}; when omitted every
     message rides the (bounded) data lane.
 
     Defaults: [max_queue] 4096 frames/link, [max_lane_bytes] 4 MiB/link,
-    [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to [stderr]. *)
+    [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to
+    [stderr]. *)
 
 val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
-(** Queue [msg] for peer [dst] on its lane; never blocks on the network.
-    [dst = me] hands the message straight to [deliver].  [trace] tags the
-    [Send] observability event. *)
+(** Queue [msg] on peer [dst]'s lane for the next {!flush}.  [dst = me]
+    queues it as an input of this cycle instead.  [trace] tags the [Send]
+    observability event. *)
+
+val poll : 'msg t -> deadline_us:int -> unit
+(** One cycle's wait and reads: a single [ppoll] over the listener, the
+    wake pipe, every connection and every outgoing link (asking for
+    [POLLOUT] only where bytes are pending), until an fd is ready, a
+    signal arrives or [Mclock] reaches [deadline_us] — at once while
+    inputs are still queued.  Then accept, complete connects, read each
+    ready connection once, decode into inputs (emitting through the
+    caller's [decode_peer]), and run the thunks {!inject}ed since. *)
+
+val next_input : 'msg t -> 'msg input option
+(** The next queued input; [None] once this cycle's are taken. *)
+
+val queued_inputs : 'msg t -> int
+
+val flush : 'msg t -> now_us:int -> unit
+(** End of cycle: start the connects that are due, cut stalled links, and
+    write each link's lanes (control first) and each client's replies —
+    one non-blocking write per socket. *)
+
+val next_wake_us : 'msg t -> int
+(** [Mclock] µs of the transport's own next deadline (a reconnect or a
+    connect/stall timeout); [max_int] if none. *)
+
+val inject : 'msg t -> (unit -> unit) -> unit
+(** Run a thunk on the loop during its next {!poll}, waking a blocked
+    [ppoll] through the wake pipe.  The only function safe to call from
+    another thread: off-loop callers (a chaos layer's delayed sends, a
+    stop request) enter here, behind one mutex the loop touches only when
+    woken. *)
+
+val wake : 'msg t -> unit
+(** End the current or next [ppoll] at once.  Takes no lock, so a signal
+    handler running on the loop's own thread may call it. *)
 
 val stats : 'msg t -> Runtime.Transport_intf.stats
 
 val close : 'msg t -> unit
-(** Shut down every socket and join the acceptor and writer threads. *)
+(** Close every socket, the listener and the wake pipe.  Idempotent. *)

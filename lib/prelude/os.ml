@@ -8,3 +8,19 @@ let wait_readable fd ~timeout_ns = wait_readable_ns fd timeout_ns
 
 external send_nowait : Unix.file_descr -> string -> int -> int -> int
   = "prelude_os_send_nowait"
+
+let pollin = 1
+let pollout = 2
+let pollerr = 4
+
+external poll_ns :
+  Unix.file_descr array -> int array -> int array -> int -> int -> int
+  = "prelude_os_poll"
+
+let poll fds ~events ~revents ~count ~timeout_ns =
+  if
+    count < 0 || count > Array.length fds
+    || count > Array.length events
+    || count > Array.length revents
+  then invalid_arg "Os.poll: count exceeds an array";
+  poll_ns fds events revents count timeout_ns

@@ -1,5 +1,5 @@
-(** Three OS calls the [Unix] library lacks, for the replica event loop's
-    wait and its client replies (a small C stub; no extra dependency). *)
+(** OS calls the [Unix] library lacks, for the host's poll loop and its
+    client replies (a small C stub; no extra dependency). *)
 
 val set_timer_slack_ns : int -> unit
 (** Set the {e calling thread's} timer slack: how late the kernel may
@@ -17,3 +17,33 @@ val send_nowait : Unix.file_descr -> string -> int -> int -> int
     now, without blocking and without raising SIGPIPE; returns the byte
     count (0 = buffer full).
     @raise Unix.Unix_error on a dead connection. *)
+
+val pollin : int
+(** Event bit: readable (also reported on hang-up or error, so a read
+    sees the EOF or the error). *)
+
+val pollout : int
+(** Event bit: writable (also reported on hang-up or error). *)
+
+val pollerr : int
+(** Reported only: error, hang-up or an invalid descriptor. *)
+
+val poll :
+  Unix.file_descr array ->
+  events:int array ->
+  revents:int array ->
+  count:int ->
+  timeout_ns:int ->
+  int
+(** [poll fds ~events ~revents ~count ~timeout_ns] waits (releasing the
+    runtime lock) until one of the first [count] descriptors is ready for
+    what its [events] entry asks ({!pollin} / {!pollout} bits, [0] = just
+    errors), or [timeout_ns] elapsed ([< 0] = no timeout).  It writes each
+    descriptor's readiness into [revents] and returns how many are ready:
+    [0] on timeout, never before it unless a descriptor is ready; [-1]
+    when a signal interrupted the wait, after that signal's OCaml handler
+    ran — so a loop can stop on SIGINT at once.  The arrays are the
+    caller's and are reused across calls: the call allocates nothing on
+    the OCaml heap.  No [FD_SETSIZE] limit.
+    @raise Invalid_argument if [count] exceeds an array's length.
+    @raise Unix.Unix_error on any other failure. *)

@@ -1,5 +1,5 @@
-/* The three OS calls Prelude.Os needs and the Unix library lacks.  See
-   os.mli for the contracts. */
+/* The OS calls Prelude.Os needs and the Unix library lacks.  See os.mli
+   for the contracts. */
 
 #define _GNU_SOURCE
 #include <errno.h>
@@ -10,6 +10,7 @@
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
+#include <stdlib.h>
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
 #include <caml/unixsupport.h>
@@ -63,4 +64,66 @@ value prelude_os_send_nowait(value fd, value buf, value ofs, value len)
     caml_uerror("send", Nothing);
   }
   return Val_long(n);
+}
+
+/* Bits shared with os.ml: requested events and reported readiness. */
+#define OS_IN 1
+#define OS_OUT 2
+#define OS_ERR 4
+
+/* ppoll over the first [count] entries of caller-owned arrays: [fds] and
+   [events] are read, [revents] is written.  The pollfd scratch lives on
+   the C stack (heap only past 256 fds), so a call allocates nothing on
+   the OCaml heap.  Returns the number of ready fds, 0 on timeout, -1 when
+   a signal interrupted the wait (after running its OCaml handler). */
+value prelude_os_poll(value fds, value events, value revents, value count,
+                      value timeout_ns)
+{
+  struct pollfd stack[256];
+  struct pollfd *p = stack;
+  long n = Long_val(count), ns = Long_val(timeout_ns), i;
+  int r, err;
+  if (n > 256) {
+    p = malloc(n * sizeof(struct pollfd));
+    if (p == NULL) caml_uerror("poll", Nothing);
+  }
+  for (i = 0; i < n; i++) {
+    long ev = Long_val(Field(events, i));
+    p[i].fd = Int_val(Field(fds, i));
+    p[i].events = (ev & OS_IN ? POLLIN : 0) | (ev & OS_OUT ? POLLOUT : 0);
+    p[i].revents = 0;
+  }
+  caml_enter_blocking_section();
+#ifdef __linux__
+  if (ns < 0) {
+    r = ppoll(p, n, NULL, NULL);
+  } else {
+    struct timespec ts;
+    ts.tv_sec = ns / 1000000000L;
+    ts.tv_nsec = ns % 1000000000L;
+    r = ppoll(p, n, &ts, NULL);
+  }
+#else
+  r = poll(p, n, ns < 0 ? -1 : (int)((ns + 999999L) / 1000000L));
+#endif
+  err = errno;
+  caml_leave_blocking_section();
+  for (i = 0; i < n; i++) {
+    short re = p[i].revents;
+    long out = 0;
+    if (re & (POLLIN | POLLHUP | POLLERR)) out |= OS_IN;
+    if (re & (POLLOUT | POLLHUP | POLLERR)) out |= OS_OUT;
+    if (re & (POLLERR | POLLHUP | POLLNVAL)) out |= OS_ERR;
+    Field(revents, i) = Val_long(out);
+  }
+  if (p != stack) free(p);
+  if (r < 0) {
+    if (err != EINTR) {
+      errno = err;
+      caml_uerror("ppoll", Nothing);
+    }
+    caml_process_pending_actions();
+    return Val_long(-1);
+  }
+  return Val_long(r);
 }

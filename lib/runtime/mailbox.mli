@@ -1,5 +1,5 @@
 (** Blocking, delivery-time-ordered mailbox — the primitive under both the
-    in-process transport and each replica's event loop.
+    in-process transport and each in-process replica's event loop.
 
     Every item carries a [deliver_at] time (microseconds, {!Prelude.Mclock}
     timeline).  {!take} only surfaces items whose delivery time has passed,

@@ -1,9 +1,10 @@
-(** See the interface for the model mapping.  This file is the live
-    driver: one domain (or systhread) per replica runs {!run_replica},
-    which steps the sans-I/O {!Replica_core} and performs its outputs.
-    All inter-domain communication goes through the transport's mailboxes
-    and the per-invocation completion callbacks, which the loop itself
-    runs — replica state is only ever touched by its own domain. *)
+(** See the interface for the model mapping.  This file holds the live
+    {!driver} — one core, its timer list and the clock translation — and
+    the in-process vehicle built on it: one domain per replica runs
+    {!run_replica}, which waits on its mailbox and steps the driver.  All
+    inter-domain communication goes through the transport's mailboxes and
+    the per-invocation completion callbacks, which the loop itself runs —
+    replica state is only ever touched by its own domain. *)
 
 module Make (D : Spec.Data_type.S) = struct
   include Replica_core.Make (D)
@@ -16,7 +17,6 @@ module Make (D : Spec.Data_type.S) = struct
     | Invoke of D.op * int * int * int * (outcome -> unit)
         (** op, trace, op id, deadline (absolute µs, 0 = none), completion *)
     | Control of control
-    | Snap_req of (snapshot_view -> unit)
 
   (* The operation a message belongs to, for the transport's [Send]
      observability events. *)
@@ -25,25 +25,116 @@ module Make (D : Spec.Data_type.S) = struct
     | Wire_quorum (Propose { p; _ }) -> p.q_trace
     | Wire_catchup_req _ | Wire_catchup_rep _ | Wire_quorum _ | Wire_sync _ -> 0
 
+  (* ---- the driver: one core, its timers and the clock translation ---- *)
+
   type timer_entry = { due : int; tseq : int; timer : timer }
 
   let by_due a b = compare (a.due, a.tseq) (b.due, b.tseq)
 
-  (* ---- the live driver (runs inside the replica's domain) ---- *)
+  type output = (reply, wire, timer) Sim.Action.t
+
+  type driver = {
+    config : config;
+    pid : int;
+    start_us : int;
+    offset : int;
+    mutable core : state;
+    mutable timers : timer_entry list;  (** sorted by [(due, tseq)] *)
+    mutable tseq : int;
+    mutable last : int;  (** [Mclock] µs of the latest step *)
+  }
+
+  let driver ~(params : Core.Params.t) ?recovery ?fallback ?sync ~start_us
+      ~offset pid =
+    let config = { params; recovery; fallback; sync } in
+    {
+      config;
+      pid;
+      start_us;
+      offset;
+      core = init config ~n:params.Core.Params.n ~pid;
+      timers = [];
+      tseq = 0;
+      last = min_int;
+    }
+
+  let next_due d = match d.timers with [] -> max_int | e :: _ -> e.due
+
+  (* Step the core on the replica's raw local clock ([now − start_us +
+     offset], [now] on the {!Prelude.Mclock} timeline) and perform its
+     outputs in emitted order: timers go into the driver's list — clocks
+     advance at the rate of real time, so a [δ]-delay timer is due at
+     [now + δ] — and sends and completions go to [out].  A replica never
+     takes two steps at one clock value: two invocations stepped in the
+     same µs (or the same loop cycle) would otherwise share a timestamp,
+     and Algorithm 1 orders a process's operations by theirs. *)
+  let step d ~now ~out f =
+    let now = if now > d.last then now else d.last + 1 in
+    d.last <- now;
+    let st, outputs = f d.config d.core ~clock:(now - d.start_us + d.offset) in
+    d.core <- st;
+    List.iter
+      (function
+        | Sim.Action.Set_timer (delay, timer) ->
+            d.timers <-
+              List.merge by_due d.timers [ { due = now + delay; tseq = d.tseq; timer } ];
+            d.tseq <- d.tseq + 1
+        | Sim.Action.Cancel_timer timer ->
+            d.timers <- List.filter (fun e -> not (equal_timer e.timer timer)) d.timers
+        | o -> out o)
+      outputs
+
+  let fire_next d ~now ~out =
+    match d.timers with
+    | e :: rest when e.due <= now ->
+        d.timers <- rest;
+        step d ~now ~out (fun c st ~clock -> on_timer c st ~clock e.timer);
+        true
+    | _ -> false
+
+  let fire_due d ~now ~out = while fire_next d ~now ~out do () done
+
+  (* Client deadlines arrive in [Mclock] µs and move onto the local clock. *)
+  let invoke_at d ~now ~out ~trace ~op_id ~deadline ~ticket op =
+    let deadline =
+      if deadline = 0 then max_int else deadline - d.start_us + d.offset
+    in
+    step d ~now ~out (fun c st ~clock ->
+        on_invoke c st ~clock (call ~trace ~op_id ~deadline ~ticket op))
+
+  let deliver_at d ~now ~out ~src ~depth w =
+    (match w with
+    | Wire_entry (_, trace, _) when Obs.Recorder.active () ->
+        Obs.Recorder.emit ~pid:d.pid ~kind:Obs.Event.Deliver ~trace ~a:src
+          ~b:depth ()
+    | _ -> ());
+    step d ~now ~out (fun c st ~clock -> on_message c st ~clock ~src w)
+
+  let control_at d ~now ~out ctl =
+    step d ~now ~out (fun c st ~clock -> on_control c st ~clock ctl)
+
+  let driver_snapshot d = snapshot d.core
+
+  (* History-record times move onto the cluster timeline (µs since
+     [start_us]). *)
+  let driver_records d =
+    let timeline at = if at = min_int then 0 else at - d.offset in
+    List.map
+      (fun (r : record) ->
+        { r with invoke_us = timeline r.invoke_us;
+          response_us = timeline r.response_us })
+      (records d.core)
+
+  (* ---- the in-process loop (runs inside the replica's domain) ---- *)
 
   (* Wait on the mailbox until the next arrival or the next timer, read the
-     clock once, step the core on the replica's raw local clock
-     ([Mclock − start_us + offset]) and perform its outputs in order.  This
-     is the only place absolute time exists: timer delays become [Mclock]
-     due times, client deadlines move onto the local clock, and record
-     times move onto the cluster timeline (µs since [start_us]). *)
-  let run_replica ~(params : Core.Params.t) ?recovery ?fallback ?sync
+     clock once per step and step the driver.  Ripe messages and due
+     timers interleave in chronological order (see {!Mailbox.take}). *)
+  let run_replica ~params ?recovery ?fallback ?sync
       ~(transport : event Transport_intf.t) ~start_us ~offset pid =
-    let config = { params; recovery; fallback; sync } in
-    let core = ref (init config ~n:params.Core.Params.n ~pid) in
-    let timers = ref [] and tseq = ref 0 and now = ref 0 in
+    let d = driver ~params ?recovery ?fallback ?sync ~start_us ~offset pid in
     let waiting = Hashtbl.create 16 and tickets = ref 0 in
-    let perform = function
+    let out = function
       | Sim.Action.Respond (r : reply) -> (
           match Hashtbl.find_opt waiting r.ticket with
           | Some complete ->
@@ -56,64 +147,35 @@ module Make (D : Spec.Data_type.S) = struct
       | Sim.Action.Broadcast w ->
           Transport_intf.broadcast transport ~trace:(trace_of w) ~src:pid
             (Net w)
-      | Sim.Action.Set_timer (delay, timer) ->
-          (* Clocks advance at the rate of real time, so a [δ]-delay timer
-             is due at [now + δ] on the real timeline. *)
-          let e = { due = !now + delay; tseq = !tseq; timer } in
-          timers := List.merge by_due !timers [ e ];
-          incr tseq
-      | Sim.Action.Cancel_timer timer ->
-          timers :=
-            List.filter (fun e -> not (equal_timer e.timer timer)) !timers
+      | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
     in
-    let step f =
-      now := Prelude.Mclock.now_us ();
-      let st, outputs = f config !core ~clock:(!now - start_us + offset) in
-      core := st;
-      List.iter perform outputs
-    in
-    let control ctl = step (fun c st ~clock -> on_control c st ~clock ctl) in
-    let timeline at = if at = min_int then 0 else at - offset in
-    control Start;
+    let now () = Prelude.Mclock.now_us () in
+    control_at d ~now:(now ()) ~out Start;
     let rec loop () =
-      let deadline = match !timers with [] -> None | e :: _ -> Some e.due in
+      let deadline = match d.timers with [] -> None | e :: _ -> Some e.due in
       match Transport_intf.recv transport ~me:pid ~deadline with
       | Some (src, Net w) ->
-          (match w with
-          | Wire_entry (_, trace, _) when Obs.Recorder.active () ->
-              Obs.Recorder.emit ~pid ~kind:Obs.Event.Deliver ~trace ~a:src
-                ~b:(Transport_intf.depth transport ~me:pid) ()
-          | _ -> ());
-          step (fun c st ~clock -> on_message c st ~clock ~src w);
+          deliver_at d ~now:(now ()) ~out ~src
+            ~depth:(Transport_intf.depth transport ~me:pid)
+            w;
           loop ()
       | Some (_, Invoke (op, trace, op_id, deadline, complete)) ->
           let ticket = !tickets in
           incr tickets;
           Hashtbl.replace waiting ticket complete;
-          let deadline =
-            if deadline = 0 then max_int else deadline - start_us + offset
-          in
-          step (fun c st ~clock ->
-              on_invoke c st ~clock (call ~trace ~op_id ~deadline ~ticket op));
+          invoke_at d ~now:(now ()) ~out ~trace ~op_id ~deadline ~ticket op;
           loop ()
-      | Some (_, Snap_req f) -> f (snapshot !core); loop ()
       | Some (_, Control Stop) ->
-          control Stop;
-          List.map
-            (fun (r : record) ->
-              { r with invoke_us = timeline r.invoke_us;
-                response_us = timeline r.response_us })
-            (records !core)
-      | Some (_, Control ctl) -> control ctl; loop ()
-      | None -> (
+          control_at d ~now:(now ()) ~out Stop;
+          driver_records d
+      | Some (_, Control ctl) ->
+          control_at d ~now:(now ()) ~out ctl;
+          loop ()
+      | None ->
           (* The earliest timer is due, and (per [Mailbox.take]) no ripe
              message predates it: fire exactly one and re-merge. *)
-          match !timers with
-          | [] -> loop ()
-          | e :: rest ->
-              timers := rest;
-              step (fun c st ~clock -> on_timer c st ~clock e.timer);
-              loop ())
+          ignore (fire_next d ~now:(now ()) ~out);
+          loop ()
     in
     loop ()
 
@@ -122,44 +184,28 @@ module Make (D : Spec.Data_type.S) = struct
   type node = {
     node_pid : int;
     node_transport : event Transport_intf.t;
-    node_join : unit -> record list;
-        (** join the replica's execution vehicle (domain or thread) and
-            return its records; called exactly once, from [node_stop] *)
+    node_domain : record list Domain.t;
     mutable node_stopped : bool;
   }
 
-  let node ~params ~transport ~pid ?(offset = 0) ?start_us ?(threaded = false)
-      ?recovery ?fallback ?sync () =
+  let node ~params ~transport ~pid ?(offset = 0) ?start_us ?recovery
+      ?fallback ?sync () =
     let start_us =
       match start_us with Some s -> s | None -> Prelude.Mclock.now_us ()
     in
-    let body () =
-      (* Hold timers are the paper's share of every latency: let the kernel
-         fire this thread's waits on time instead of up to 50 µs late. *)
-      Prelude.Os.set_timer_slack_ns 1;
-      run_replica ~params ?recovery ?fallback ?sync ~transport ~start_us
-        ~offset pid
-    in
-    let join =
-      if threaded then begin
-        (* Systhread vehicle: many replicas share one domain's runtime
-           lock, which the event loop releases whenever it blocks in
-           [Mailbox.take] — the right trade for a sharded host running
-           far more replicas than the ~128-domain ceiling allows. *)
-        let result = ref [] in
-        let t = Thread.create (fun () -> result := body ()) () in
-        fun () ->
-          Thread.join t;
-          !result
-      end
-      else
-        let d = Domain.spawn body in
-        fun () -> Domain.join d
+    let domain =
+      Domain.spawn (fun () ->
+          (* Hold timers are the paper's share of every latency: let the
+             kernel fire this domain's waits on time instead of up to 50 µs
+             late. *)
+          Prelude.Os.set_timer_slack_ns 1;
+          run_replica ~params ?recovery ?fallback ?sync ~transport ~start_us
+            ~offset pid)
     in
     {
       node_pid = pid;
       node_transport = transport;
-      node_join = join;
+      node_domain = domain;
       node_stopped = false;
     }
 
@@ -174,7 +220,7 @@ module Make (D : Spec.Data_type.S) = struct
     else begin
       node.node_stopped <- true;
       post node.node_transport ~pid:node.node_pid (Control Stop);
-      node.node_join ()
+      Domain.join node.node_domain
     end
 
   (* ---- in-process cluster: n nodes sharing one bus transport ---- *)

@@ -14,22 +14,20 @@
     timeouts all run on that local clock, so {!Sim.Engine} runs the same
     core under virtual time with exact µs.
 
-    {b The driver} ({!node}) runs one core on one domain (or systhread)
-    over an arbitrary transport.  It waits on the replica's {!Mailbox}
-    until the next arrival or the next timer, reads [Mclock] once, steps
-    the core and performs the outputs in emitted order: sends go to the
-    transport, timers into the driver's timer list, completions to the
-    callbacks clients posted with their invocations ({!post_invoke}).
-    Ripe messages and due timers are processed in global chronological
-    order (see {!Mailbox.take}).  The loop sleeps exactly until its next
-    timer or arrival, with its thread's timer slack at 1 ns, so holds
-    fire on time.  The driver is the only place that translates absolute
-    time: client deadlines arrive in [Mclock] µs and move onto the local
-    clock, and history-record times move onto the cluster timeline.
-
-    [Shard.Host] runs one node per shard in each OS process over TCP;
-    {!start} below assembles the in-process cluster by pointing [n] nodes
-    at one shared bus transport.
+    {b The driver} ({!driver}) holds one core, its timer list and the
+    clock translation.  A loop feeds it inputs with the [Mclock] reading
+    it took ({!invoke_at}, {!deliver_at}, {!control_at}, {!fire_due}); the
+    driver steps the core on the replica's raw local clock, files timer
+    outputs into its list and hands sends and completions to the loop's
+    [out] callback in emitted order.  It is the only place that translates
+    absolute time: client deadlines arrive in [Mclock] µs and move onto
+    the local clock, and history-record times move onto the cluster
+    timeline.  Two loops drive it: [Shard.Host]'s single poll loop, which
+    steps every shard's driver straight from the sockets in each TCP host
+    process, and {!node}'s in-process loop, one domain per replica waiting
+    on its {!Mailbox} until the next arrival or timer — {!start} below
+    assembles the in-process cluster by pointing [n] nodes at one shared
+    bus transport.
 
     Clocks: replica [i]'s raw clock reads [Mclock.now_us () − start +
     offset] — real time plus a fixed per-replica offset, exactly the
@@ -125,17 +123,68 @@ module Make (D : Spec.Data_type.S) : sig
   type event =
     | Net of wire  (** a peer's message — all that ever crosses a wire *)
     | Invoke of D.op * int * int * int * (outcome -> unit)
-        (** op, trace, op id, deadline (absolute µs, 0 = none), completion
-            (see {!post_invoke}) *)
+        (** op, trace, op id, deadline (absolute µs, 0 = none), and the
+            completion the replica's own loop calls exactly once *)
     | Control of control  (** crash, recover or stop (see {!on_control}) *)
-    | Snap_req of (snapshot_view -> unit)
-        (** the callback runs inside the replica's own loop with a
-            consistent cut, so it must be quick and may not invoke *)
-  (** What flows through a replica's transport: network messages, local
-      client invocations (which carry an unserialisable completion
-      callback), control inputs and snapshot requests. *)
+  (** What flows through an in-process replica's transport: network
+      messages, local client invocations (which carry an unserialisable
+      completion callback) and control inputs. *)
 
-  (** {2 Single node (one replica, any transport)} *)
+  val trace_of : wire -> int
+  (** The operation a message belongs to ([0] = none), for the
+      transport's [Send] observability events. *)
+
+  (** {2 The driver} *)
+
+  type driver
+  (** One core, its pending timers and its clock translation.  Not
+      thread-safe: one loop owns it. *)
+
+  type output = (reply, wire, timer) Sim.Action.t
+
+  val driver :
+    params:Core.Params.t ->
+    ?recovery:recovery ->
+    ?fallback:Quorum.Config.t ->
+    ?sync:Sync.Config.t ->
+    start_us:int ->
+    offset:int ->
+    int ->
+    driver
+  (** [driver ~params ~start_us ~offset pid]: replica [pid]'s fresh core.
+      Its raw clock reads [now − start_us + offset] for an [Mclock]
+      reading [now]; [start_us] is also the origin of its record
+      timeline.  See {!node} for the optional configurations. *)
+
+  val next_due : driver -> int
+  (** [Mclock] µs of the earliest pending timer; [max_int] if none. *)
+
+  val fire_due : driver -> now:int -> out:(output -> unit) -> unit
+  (** Fire every timer due at [now], in due order — including timers
+      those steps set due by [now]. *)
+
+  val invoke_at :
+    driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->
+    deadline:int -> ticket:int -> D.op -> unit
+  (** Step a client invocation.  [deadline] is absolute [Mclock] µs
+      ([0] = none); the completion comes back through [out] as a
+      [Respond] carrying [ticket]. *)
+
+  val deliver_at :
+    driver -> now:int -> out:(output -> unit) -> src:int -> depth:int ->
+    wire -> unit
+  (** Step a peer message; emits the [Deliver] observability event with
+      [depth] (inputs still queued behind it). *)
+
+  val control_at : driver -> now:int -> out:(output -> unit) -> control -> unit
+
+  val driver_snapshot : driver -> snapshot_view
+  (** A consistent cut of the durable state, for checkpoints. *)
+
+  val driver_records : driver -> record list
+  (** Completed operations on the cluster timeline, invocation order. *)
+
+  (** {2 Single node (one replica on its own domain, any transport)} *)
 
   type node
 
@@ -145,7 +194,6 @@ module Make (D : Spec.Data_type.S) : sig
     pid:int ->
     ?offset:int ->
     ?start_us:int ->
-    ?threaded:bool ->
     ?recovery:recovery ->
     ?fallback:Quorum.Config.t ->
     ?sync:Sync.Config.t ->
@@ -154,14 +202,8 @@ module Make (D : Spec.Data_type.S) : sig
   (** Spawn one replica domain with identity [pid] over [transport].
       [offset] (default 0) is its clock offset in µs; [start_us] (default
       now) is the origin of its record timeline — the in-process cluster
-      passes one shared origin so all records are comparable.  [threaded]
-      (default false) runs the event loop on a systhread instead of its
-      own domain: the loop blocks in [Mailbox.take] (releasing the runtime
-      lock) whenever idle, so a sharded host can run hundreds of replicas
-      in one process — far past the OCaml domain ceiling — at the cost of
-      serialising their CPU bursts.  [recovery] enables the durability
-      machinery (see the module docs); post [Control Recover] after the
-      transport is connected to trigger peer catch-up.  [fallback] arms
+      passes one shared origin so all records are comparable.  [recovery]
+      enables the durability machinery (see the module docs).  [fallback] arms
       the adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — see the module docs and DESIGN.md §13).
       [sync] arms live clock synchronization: the replica reads a
@@ -174,27 +216,6 @@ module Make (D : Spec.Data_type.S) : sig
       waiting are completed with [Cancelled].  Idempotent ([[]]
       thereafter).  The node does not own its transport: close it
       afterwards. *)
-
-  val post_invoke :
-    ?trace:int -> ?op_id:int -> ?deadline:int -> event Transport_intf.t ->
-    pid:int -> D.op -> (outcome -> unit) -> unit
-  (** Asynchronous client call posted straight to a transport — what
-      [Shard.Host] uses.  Returns at once; the replica's own event loop
-      calls the completion exactly once, when the operation responds, is
-      refused, or the replica stops.  The completion runs on the loop, so
-      it must be quick, must not block and must not raise (the host's
-      writes its reply frame with a non-blocking send).  [op_id] (default
-      0 = none) identifies the client operation for idempotent retries:
-      invoking twice with the same id executes once.  [deadline] (default
-      0 = none) is the op's absolute deadline in µs on the
-      {!Prelude.Mclock} timeline: a replica sheds an op whose deadline
-      already passed — at arrival or when it surfaces from the backlog —
-      with [Rejected "shed: ..."] and a counted [Obs.Event.Shed] event,
-      instead of doing dead work. *)
-
-  val post : event Transport_intf.t -> pid:int -> event -> unit
-  (** Post a local event to replica [pid]'s own mailbox: [Control Recover]
-      after the transport is connected, say, or a [Snap_req]. *)
 
   (** {2 In-process cluster (n nodes on one bus)} *)
 
@@ -225,10 +246,11 @@ module Make (D : Spec.Data_type.S) : sig
       cluster measure and shrink the very skew [offsets] injects. *)
 
   val invoke : ?trace:int -> ?op_id:int -> cluster -> pid:int -> D.op -> D.result
-  (** {!post_invoke} to replica [pid], blocking the caller until the
-      completion runs.  Concurrent
-      invocations on one replica are queued — the model allows one
-      pending operation per process.  See {!post_invoke} for [op_id].
+  (** Post an invocation to replica [pid] and block the caller until the
+      replica's loop completes it.  Concurrent invocations on one replica
+      are queued — the model allows one pending operation per process.
+      [op_id] (default 0 = none) identifies the client operation for
+      idempotent retries: invoking twice with the same id executes once.
       @raise Retry_later on [Rejected];
       @raise Stopped on [Cancelled]. *)
 

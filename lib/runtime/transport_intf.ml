@@ -1,11 +1,12 @@
-(** The transport *interface*, factored out of {!Transport} so that the
-    in-process bus (PR 1) and the TCP transport ([Net.Tcp_transport]) are
-    interchangeable behind {!Replica}.
+(** The transport *interface*, factored out of {!Transport}: what the
+    in-process bus offers {!Replica}'s nodes, and what a decorator such as
+    [Fault.Chaos_transport] wraps.  A TCP host ([Shard.Host]) steps its
+    replicas straight from its socket set instead; it presents a shard's
+    sends as one of these only so that a chaos plan can wrap them.
 
     A transport is a first-class record of closures, polymorphic in the
     message type: one value serves every [Replica.Make] instantiation, and
-    implementations live wherever their dependencies do (the bus here, the
-    socket one in [lib/net] which may depend on [unix]).
+    implementations live wherever their dependencies do.
 
     Contract, shared by all implementations:
 

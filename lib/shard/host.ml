@@ -6,30 +6,33 @@
     about a single instance changes when it is the only one.
 
     The multiplexing is the whole trick.  A host opens one outgoing
-    connection per peer, and every codec-v4 frame carries its shard id.
-    The TCP transport's reader threads decode each peer frame into a
-    [(shard, event)] pair and put it straight into the owning shard's own
-    {!Runtime.Mailbox}; self-sends take the same path.  Each shard then runs
-    behind a {e facade} transport — send tags outgoing frames with the
-    shard id, recv/post/depth operate on the shard's mailbox — so
-    [Runtime.Replica] hosts it unchanged: the shard neither knows nor cares
-    that it shares its sockets with 63 siblings.
+    connection per peer, and every codec-v4 frame carries its shard id, so
+    a peer frame decodes to a [(shard, wire)] pair and a shard's sends are
+    tagged on the way out: the shard neither knows nor cares that it
+    shares its sockets with 63 siblings.
 
-    Client connections (first frame [Invoke] rather than [Hello]) are read
-    on their accepting thread: each [Invoke] is admitted and posted to the
-    addressed shard's replica with a completion callback, and the thread
-    goes back to reading; the replica loop writes the [Result]/[Shed]/
-    [Error_msg] frame itself with a non-blocking send
-    ({!Net.Tcp_transport.conn_write}), so a client that stops reading
-    loses its connection instead of stalling the loop.  Each [Stats_req]
-    is answered on the reading thread with a transport-stats snapshot.
+    One loop, one thread.  A host is a single poll loop that owns every
+    socket ({!Net.Tcp_transport}'s thread-free socket set) and every
+    shard's {!Runtime.Replica.driver}.  Each cycle it makes one [ppoll]
+    over the listener, the accepted connections and the outgoing peer
+    links, with the earliest due timer across shards as its timeout; reads
+    the clock once; fires every timer due at that reading, in due order;
+    steps each decoded frame in arrival order per connection; and flushes
+    each link's lanes and each client's replies, one write per socket.  A
+    client [Invoke] is admitted and stepped into the addressed shard's
+    core on the spot, its ticket remembered with the connection, the shard
+    and the admission time, so the [Respond] output appends the
+    [Result]/[Shed]/[Error_msg] frame straight to that connection's reply
+    buffer.  A client that stops reading is cut off once its unsent
+    replies pass {!Net.Tcp_transport.reply_cap} instead of stalling the
+    loop.  Checkpoints and the parent watch are loop timers.
 
-    Execution vehicle: a one-shard host runs its replica on its own domain.
-    With more shards the replicas run on systhreads
-    ([R.node ~threaded:true]): an idle event loop blocks in [Mailbox.take]
-    releasing the runtime lock, so a host carries far more shards than the
-    OCaml domain ceiling would allow, at the cost of serialising CPU
-    bursts.
+    Off-loop callers — a chaos layer's delayed sends and {!stop} — enter
+    through {!Net.Tcp_transport.inject}'s mutex-guarded inbox, whose wake
+    pipe is in the poll set; the hot path never touches it.
+    [timebounds serve] runs the loop on its main thread
+    ({!run_until_signalled}, where SIGINT/SIGTERM interrupt the poll);
+    {!start} runs it on one thread per host for in-process callers.
 
     Per-shard isolation elsewhere:
     - durable state: a one-shard host keeps its store at the durable
@@ -37,8 +40,9 @@
       [root/shard-<k>/] with a META naming the shard, so a mixed-up
       directory handoff fails loudly;
     - a chaos plan is projected per shard ({!Fault.Fault_plan.for_shard}):
-      shard [k]'s facade is wrapped only when the projection is non-empty,
-      so a [%k]-scoped fault never touches a sibling;
+      shard [k]'s sends go through a chaos wrapper only when the
+      projection is non-empty, so a [%k]-scoped fault never touches a
+      sibling;
     - each shard has its own admission controller, failure detector, mode
       controller and clock-sync estimator.
 
@@ -121,19 +125,6 @@ module Make (W : Net.Wire.WIRED) = struct
   module R = Runtime.Replica.Make (W.L.D)
   module P = Net.Persist.Make (W.C)
 
-  type handle = {
-    transport : (int * R.event) Net.Tcp_transport.t;
-    facades : R.event T.t array;  (** per-shard views, index = shard *)
-    mboxes : (int * R.event) Runtime.Mailbox.t array;
-    nodes : R.node array;
-    recorder : (Obs.Recorder.t * (unit -> unit)) option;
-        (** installed recorder and its trace-file closer *)
-    stores : Durable.Store.t option array;
-    snap_stop : bool Atomic.t;
-    snap_thread : Thread.t option;  (** checkpoint cadence *)
-    mutable handle_stopped : bool;
-  }
-
   let hello_of cfg =
     {
       Net.Codec.pid = cfg.pid;
@@ -184,8 +175,8 @@ module Make (W : Net.Wire.WIRED) = struct
   let entry_of ~op ~time ~pid =
     { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
 
-  (* Frames decode to (shard, event).  This range check is the only guard
-     before the shard's mailbox is indexed: the handshake guarantees
+  (* Frames decode to (shard, wire).  This range check is the only guard
+     before the shard's driver is indexed: the handshake guarantees
      matching topologies, so an out-of-range shard id is a corrupt or
      foreign frame and is skipped like any other undecodable one. *)
   let decode_peer ~shards ~me ~src frame =
@@ -195,34 +186,31 @@ module Make (W : Net.Wire.WIRED) = struct
         Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Recv ~trace ~a:src ();
         Some
           ( shard,
-            R.Net (R.Wire_entry (entry_of ~op ~time ~pid, trace, op_id)) )
+            R.Wire_entry (entry_of ~op ~time ~pid, trace, op_id) )
     | Ok (C.Catchup_req { time; cpid; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_catchup_req { time; cpid }))
+        Some (shard, R.Wire_catchup_req { time; cpid })
     | Ok (C.Catchup_rep { entries; time; cpid; shard }) when ok shard ->
         let entries =
           List.map
             (fun (op, time, pid, op_id) -> (entry_of ~op ~time ~pid, op_id))
             entries
         in
-        Some (shard, R.Net (R.Wire_catchup_rep { entries; time; cpid }))
+        Some (shard, R.Wire_catchup_rep { entries; time; cpid })
     | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard })
       when ok shard ->
         Some
           ( shard,
-            R.Net
-              (R.Wire_quorum
-                 (R.Hb { stamp; epoch; qmode; seq; floor; ack; want })) )
+            R.Wire_quorum
+                 (R.Hb { stamp; epoch; qmode; seq; floor; ack; want }) )
     | Ok (C.Forward { qid; origin; op; op_id; trace; shard }) when ok shard ->
         Some
           ( shard,
-            R.Net
-              (R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace })) )
+            R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace }) )
     | Ok (C.Propose { epoch; qseq; time; origin; qid; op; op_id; trace; shard })
       when ok shard ->
         Some
           ( shard,
-            R.Net
-              (R.Wire_quorum
+            R.Wire_quorum
                  (R.Propose
                     {
                       epoch;
@@ -236,24 +224,24 @@ module Make (W : Net.Wire.WIRED) = struct
                           q_op_id = op_id;
                           q_trace = trace;
                         };
-                    })) )
+                    }) )
     | Ok (C.Qack { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_quorum (R.Qack { epoch; qseq })))
+        Some (shard, R.Wire_quorum (R.Qack { epoch; qseq }))
     | Ok (C.Qcommit { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_quorum (R.Qcommit { epoch; qseq })))
+        Some (shard, R.Wire_quorum (R.Qcommit { epoch; qseq }))
     | Ok (C.Fnack { qid; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_quorum (R.Fnack { qid })))
+        Some (shard, R.Wire_quorum (R.Fnack { qid }))
     | Ok (C.Qfill { epoch; from_seq; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_quorum (R.Qfill { epoch; from_seq })))
+        Some (shard, R.Wire_quorum (R.Qfill { epoch; from_seq }))
     | Ok (C.Ping { seq; t0; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_sync (R.Sping { seq; t0 })))
+        Some (shard, R.Wire_sync (R.Sping { seq; t0 }))
     | Ok (C.Pong { seq; t0; t_rx; t_tx; shard }) when ok shard ->
-        Some (shard, R.Net (R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx })))
+        Some (shard, R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx }))
     | Ok _ | Error _ -> None
 
   let encode_peer (shard, ev) =
     match ev with
-    | R.Net (R.Wire_entry ((e : R.Alg.entry), trace, op_id)) ->
+    | R.Wire_entry ((e : R.Alg.entry), trace, op_id) ->
         C.encode
           (C.Entry
              {
@@ -264,9 +252,9 @@ module Make (W : Net.Wire.WIRED) = struct
                op_id;
                shard;
              })
-    | R.Net (R.Wire_catchup_req { time; cpid }) ->
+    | R.Wire_catchup_req { time; cpid } ->
         C.encode (C.Catchup_req { time; cpid; shard })
-    | R.Net (R.Wire_catchup_rep { entries; time; cpid }) ->
+    | R.Wire_catchup_rep { entries; time; cpid } ->
         let entries =
           List.map
             (fun ((e : R.Alg.entry), op_id) ->
@@ -277,7 +265,7 @@ module Make (W : Net.Wire.WIRED) = struct
             entries
         in
         C.encode (C.Catchup_rep { entries; time; cpid; shard })
-    | R.Net (R.Wire_quorum q) ->
+    | R.Wire_quorum q ->
         C.encode
           (match q with
           | R.Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
@@ -301,16 +289,12 @@ module Make (W : Net.Wire.WIRED) = struct
           | R.Qcommit { epoch; qseq } -> C.Qcommit { epoch; qseq; shard }
           | R.Fnack { qid } -> C.Fnack { qid; shard }
           | R.Qfill { epoch; from_seq } -> C.Qfill { epoch; from_seq; shard })
-    | R.Net (R.Wire_sync s) ->
+    | R.Wire_sync s ->
         C.encode
           (match s with
           | R.Sping { seq; t0 } -> C.Ping { seq; t0; shard }
           | R.Spong { seq; t0; t_rx; t_tx } ->
               C.Pong { seq; t0; t_rx; t_tx; shard })
-    | R.Invoke _ | R.Control _ | R.Snap_req _ ->
-        (* Local-only events; the replica never sends them, so reaching
-           here is a wiring bug. *)
-        invalid_arg "Host.encode_peer: local event on the wire"
 
   (* Wire-lane classification: heartbeats (doubling as mode announcements),
      sync probes, and catch-up frames ride the control lane so every
@@ -318,45 +302,12 @@ module Make (W : Net.Wire.WIRED) = struct
      possibly one hot shard's — saturates the shared links; everything else
      (entries, quorum ordering traffic) is data and may be shed under
      overload. *)
-  let lane_of (_shard, ev) =
-    match ev with
-    | R.Net
-        ( R.Wire_quorum (R.Hb _)
-        | R.Wire_sync _ | R.Wire_catchup_req _ | R.Wire_catchup_rep _ ) ->
+  let lane_of (_shard, w) =
+    match w with
+    | R.Wire_quorum (R.Hb _)
+    | R.Wire_sync _ | R.Wire_catchup_req _ | R.Wire_catchup_rep _ ->
         Net.Lanes.Ctrl
     | _ -> Net.Lanes.Data
-
-  (* Shard [k]'s view of the shared transport.  [send] rides the real
-     links with the shard tag; [post]/[recv]/[depth] are the shard's own
-     mailbox (the transport's readers feed it); [close] is a no-op — the
-     host owns the one real close. *)
-  let facade_of ~n ~tcp ~mbox ~shard =
-    {
-      T.n;
-      send =
-        (fun ~src:_ ~dst ~trace ev ->
-          Net.Tcp_transport.send tcp ~dst ~trace (shard, ev));
-      post =
-        (fun ~src ~dst:_ ev ->
-          Runtime.Mailbox.put mbox ~deliver_at:(Prelude.Mclock.now_us ())
-            (src, ev));
-      recv = (fun ~me:_ ~deadline -> Runtime.Mailbox.take mbox ~deadline);
-      depth = (fun ~me:_ -> Runtime.Mailbox.length mbox);
-      stats = (fun () -> Net.Tcp_transport.stats tcp);
-      close = (fun () -> ());
-    }
-
-  let wrap_chaos cfg shard facade =
-    match cfg.chaos with
-    | None -> facade
-    | Some plan ->
-        let scoped = Fault.Fault_plan.for_shard plan shard in
-        if Fault.Fault_plan.is_empty scoped then facade
-        else
-          let w =
-            Fault.Chaos_transport.wrapper (Fault.Chaos_transport.create scoped)
-          in
-          w.T.wrap ~start_us:(epoch_of cfg) facade
 
   (* Compose the caller's fallback and sync hooks with this host's own
      logging — the "mode: quorum(...)", "suspecting peer" and
@@ -455,35 +406,312 @@ module Make (W : Net.Wire.WIRED) = struct
           List.length snap.P.s_applied,
           Prelude.Mclock.now_us () - t0 )
 
-  (* Checkpoint: capture a consistent cut inside the replica loop (the
-     same thread as the [on_apply] appends, so capture and rotation cannot
-     race an append) and fold the WAL into a snapshot. *)
-  let checkpoint cfg facade store =
-    R.post facade ~pid:cfg.pid @@ R.Snap_req (fun view ->
-        let folded = Durable.Store.records_since_snapshot store in
-        Durable.Store.snapshot store
-          (P.encode_snapshot
-             {
-               P.s_obj = view.R.v_obj;
-               s_hwm_time = view.R.v_hwm_time;
-               s_hwm_pid = view.R.v_hwm_pid;
-               s_applied =
-                 List.map
-                   (fun ((e : R.Alg.entry), result, op_id) ->
-                     {
-                       P.op = e.R.Alg.op;
-                       time = e.R.Alg.ts.Prelude.Stamp.time;
-                       pid = e.R.Alg.ts.Prelude.Stamp.pid;
-                       op_id;
-                       result;
-                     })
-                   view.R.v_applied;
-             });
-        Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
-          ~b:(Durable.Store.generation store)
-          ())
+  (* ---- the loop ---- *)
 
-  let start ?(listener : Net.Tcp_transport.listener option) (cfg : config) =
+  type shard = {
+    drv : R.driver;
+    send : dst:int -> trace:int -> R.wire -> unit;
+    chaos : R.wire T.t option;
+        (** the shard's chaos-wrapped view of the links, when its projected
+            plan is non-empty; [send] goes through it *)
+    store : Durable.Store.t option;
+    admission : Net.Admission.t;
+        (** shards have independent service rates (their own cores,
+            stores, quorum modes), so one saturated shard sheds without
+            starving its siblings' budgets *)
+  }
+
+  (* An admitted invocation: where its reply goes, and when it was let in
+     (the admission controller learns from the elapsed time). *)
+  type pending = {
+    conn : Net.Tcp_transport.client_conn;
+    pshard : int;
+    admitted_us : int;
+  }
+
+  type loop = {
+    cfg : config;
+    tcp : (int * R.wire) Net.Tcp_transport.t;
+    shards : shard array;
+    mutable outs : (R.output -> unit) array;
+        (** per shard: performs its outputs *)
+    tickets : (int, pending) Hashtbl.t;
+    mutable next_ticket : int;
+    conn_inflight : (int, int) Hashtbl.t;
+        (** admitted, unanswered invocations per client connection *)
+    mutable now : int;  (** this cycle's clock reading *)
+    stop_flag : bool Atomic.t;
+    recovering : bool array;  (** shards that step [Recover] after [Start] *)
+    loop_thread : int Atomic.t;  (** [Thread.id] of the loop; -1 before *)
+    recorder : (Obs.Recorder.t * (unit -> unit)) option;
+        (** installed recorder and its trace-file closer *)
+    watch_parent : int option;
+    mutable next_checkpoint : int;  (** [Mclock] µs; [max_int] = never *)
+    mutable next_watch : int;
+  }
+
+  (* A pipelining client stops being read while this many of its
+     invocations are unanswered, so one connection cannot fill a shard's
+     admission budget ahead of everyone else's. *)
+  let max_conn_inflight = 16
+
+  let conn_admitted lp conn =
+    let id = Net.Tcp_transport.conn_id conn in
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt lp.conn_inflight id) in
+    Hashtbl.replace lp.conn_inflight id k;
+    if k = max_conn_inflight then Net.Tcp_transport.conn_pause conn
+
+  let conn_answered lp conn =
+    let id = Net.Tcp_transport.conn_id conn in
+    match Hashtbl.find_opt lp.conn_inflight id with
+    | Some k ->
+        if k = max_conn_inflight then Net.Tcp_transport.conn_resume conn;
+        if k <= 1 then Hashtbl.remove lp.conn_inflight id
+        else Hashtbl.replace lp.conn_inflight id (k - 1)
+    | None -> ()
+
+  let checkpoint_every_us = 200_000
+  let watch_every_us = 100_000
+
+  let reply_of shard = function
+    | R.Done r -> C.Result { result = r; shard }
+    | R.Cancelled -> C.Error_msg "replica stopped"
+    | R.Rejected why ->
+        (* The client must back off and retry with the same op id;
+           [Client.retryable] recognises both answers.  A "shed: ..."
+           refusal (replica-side deadline check) travels as the dedicated
+           frame — the replica already emitted its own [Shed] event. *)
+        if String.length why >= 4 && String.sub why 0 4 = "shed" then
+          C.Shed { reason = why; shard }
+        else C.Error_msg ("retry: " ^ why)
+
+  let stats lp =
+    match lp.shards.(0).chaos with
+    | Some view -> T.stats view
+    | None -> Net.Tcp_transport.stats lp.tcp
+
+  (* What a shard's step outputs become: sends ride the shared links with
+     the shard tag; a completion appends its reply frame straight to the
+     invoking connection. *)
+  let perform lp k = function
+    | Sim.Action.Respond (r : R.reply) -> (
+        match Hashtbl.find_opt lp.tickets r.R.ticket with
+        | Some p ->
+            Hashtbl.remove lp.tickets r.R.ticket;
+            conn_answered lp p.conn;
+            Net.Admission.finish lp.shards.(p.pshard).admission
+              ~elapsed_us:(lp.now - p.admitted_us);
+            ignore
+              (Net.Tcp_transport.conn_write p.conn
+                 (C.encode (reply_of p.pshard r.R.outcome)))
+        | None -> ())
+    | Sim.Action.Send (dst, w) -> lp.shards.(k).send ~dst ~trace:(R.trace_of w) w
+    | Sim.Action.Broadcast w ->
+        let trace = R.trace_of w in
+        for dst = 0 to Array.length lp.cfg.addrs - 1 do
+          if dst <> lp.cfg.pid then lp.shards.(k).send ~dst ~trace w
+        done
+    | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
+
+  let on_client lp conn frame =
+    let cfg = lp.cfg in
+    let reply msg = ignore (Net.Tcp_transport.conn_write conn (C.encode msg)) in
+    match C.decode_payload frame with
+    | Ok (C.Invoke { op; trace; op_id; shard; deadline }) -> (
+        if shard < 0 || shard >= cfg.shards then
+          reply
+            (C.Error_msg
+               (Printf.sprintf "no shard %d here (host has %d)" shard cfg.shards))
+        else if deadline > 0 && lp.now > deadline then begin
+          (* Already late at the door: executing it would be dead work the
+             client stopped waiting for. *)
+          Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
+            ~a:Obs.Event.shed_deadline ~b:shard ();
+          reply (C.Shed { reason = "shed: deadline passed"; shard })
+        end
+        else
+          let sh = lp.shards.(shard) in
+          match
+            Net.Admission.try_admit sh.admission ~now_us:lp.now
+              ~deadline_us:deadline
+          with
+          | Net.Admission.Shed reason ->
+              Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
+                ~a:Obs.Event.shed_admission ~b:shard ();
+              reply (C.Shed { reason; shard })
+          | Net.Admission.Admitted ->
+              let ticket = lp.next_ticket in
+              lp.next_ticket <- ticket + 1;
+              Hashtbl.replace lp.tickets ticket
+                { conn; pshard = shard; admitted_us = lp.now };
+              conn_admitted lp conn;
+              R.invoke_at sh.drv ~now:lp.now ~out:lp.outs.(shard) ~trace ~op_id
+                ~deadline ~ticket op)
+    | Ok C.Stats_req -> reply (C.Stats (stats lp))
+    | Ok m ->
+        reply (C.Error_msg (Format.asprintf "unexpected frame %a" C.pp_msg m));
+        Net.Tcp_transport.conn_close conn
+    | Error e ->
+        reply (C.Error_msg ("bad frame: " ^ e));
+        Net.Tcp_transport.conn_close conn
+
+  (* Checkpoint: the loop is the only thread that appends, so the cut it
+     takes between steps is consistent; fold the WAL into a snapshot. *)
+  let checkpoint cfg drv store =
+    let view = R.driver_snapshot drv in
+    let folded = Durable.Store.records_since_snapshot store in
+    Durable.Store.snapshot store
+      (P.encode_snapshot
+         {
+           P.s_obj = view.R.v_obj;
+           s_hwm_time = view.R.v_hwm_time;
+           s_hwm_pid = view.R.v_hwm_pid;
+           s_applied =
+             List.map
+               (fun ((e : R.Alg.entry), result, op_id) ->
+                 {
+                   P.op = e.R.Alg.op;
+                   time = e.R.Alg.ts.Prelude.Stamp.time;
+                   pid = e.R.Alg.ts.Prelude.Stamp.pid;
+                   op_id;
+                   result;
+                 })
+               view.R.v_applied;
+         });
+    Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
+      ~b:(Durable.Store.generation store)
+      ()
+
+  (* Loop timers: the checkpoint sweep (one cadence for every shard's WAL
+     bounds checkpoint lag without a timer per shard) and the parent
+     watch. *)
+  let loop_timers lp now =
+    if now >= lp.next_checkpoint then begin
+      lp.next_checkpoint <- now + checkpoint_every_us;
+      Array.iter
+        (fun sh ->
+          match sh.store with
+          | Some store
+            when Durable.Store.records_since_snapshot store
+                 >= lp.cfg.snapshot_every ->
+              checkpoint lp.cfg sh.drv store
+          | _ -> ())
+        lp.shards
+    end;
+    match lp.watch_parent with
+    | Some ppid when now >= lp.next_watch ->
+        lp.next_watch <- now + watch_every_us;
+        if match Unix.kill ppid 0 with () -> false | exception _ -> true then begin
+          lp.cfg.log
+            (Printf.sprintf "replica %d: parent gone, exiting" lp.cfg.pid);
+          Atomic.set lp.stop_flag true
+        end
+    | _ -> ()
+
+  let fire_due lp =
+    Array.iteri
+      (fun k sh -> R.fire_due sh.drv ~now:lp.now ~out:lp.outs.(k))
+      lp.shards
+
+  let rec step_inputs lp =
+    match Net.Tcp_transport.next_input lp.tcp with
+    | None -> ()
+    | Some (Net.Tcp_transport.From_peer (src, (k, w))) ->
+        R.deliver_at lp.shards.(k).drv ~now:lp.now ~out:lp.outs.(k) ~src
+          ~depth:(Net.Tcp_transport.queued_inputs lp.tcp)
+          w;
+        step_inputs lp
+    | Some (Net.Tcp_transport.From_client (conn, frame)) ->
+        on_client lp conn frame;
+        step_inputs lp
+
+  (* One cycle per iteration: poll until the earliest deadline, read the
+     clock once, fire the due timers, step the inputs in arrival order,
+     fire the timers those steps made due (a zero hold answers within its
+     own cycle), write.  On stop, the shards answer their waiting clients
+     ("replica stopped") before the last write; the chaos views close on
+     this thread, so their parked sends go straight to the lanes. *)
+  let run lp =
+    Prelude.Os.set_timer_slack_ns 1;
+    Atomic.set lp.loop_thread (Thread.id (Thread.self ()));
+    lp.now <- Prelude.Mclock.now_us ();
+    Array.iteri
+      (fun k sh ->
+        R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Start;
+        if lp.recovering.(k) then
+          R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Recover)
+      lp.shards;
+    Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
+    while not (Atomic.get lp.stop_flag) do
+      let deadline =
+        Array.fold_left
+          (fun acc sh -> min acc (R.next_due sh.drv))
+          (min lp.next_checkpoint lp.next_watch)
+          lp.shards
+      in
+      Net.Tcp_transport.poll lp.tcp
+        ~deadline_us:(min deadline (Net.Tcp_transport.next_wake_us lp.tcp));
+      lp.now <- Prelude.Mclock.now_us ();
+      fire_due lp;
+      step_inputs lp;
+      fire_due lp;
+      loop_timers lp lp.now;
+      Net.Tcp_transport.flush lp.tcp ~now_us:lp.now
+    done;
+    lp.now <- Prelude.Mclock.now_us ();
+    let records =
+      Array.mapi
+        (fun k sh ->
+          R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Stop;
+          R.driver_records sh.drv)
+        lp.shards
+    in
+    let stats = stats lp in
+    Array.iter (fun sh -> Option.iter T.close sh.chaos) lp.shards;
+    Net.Tcp_transport.flush lp.tcp ~now_us:(Prelude.Mclock.now_us ());
+    Net.Tcp_transport.close lp.tcp;
+    (records, stats)
+
+  (* A [%k]-scoped chaos plan wraps shard [k]'s sends.  The wrapper's
+     drainer thread re-sends delayed messages off the loop: those enter
+     through the inbox. *)
+  let chaos_view (cfg : config) tcp loop_thread k =
+    match cfg.chaos with
+    | None -> None
+    | Some plan ->
+        let scoped = Fault.Fault_plan.for_shard plan k in
+        if Fault.Fault_plan.is_empty scoped then None
+        else
+          let send ~src:_ ~dst ~trace w =
+            if Thread.id (Thread.self ()) = Atomic.get loop_thread then
+              Net.Tcp_transport.send tcp ~dst ~trace (k, w)
+            else
+              Net.Tcp_transport.inject tcp (fun () ->
+                  Net.Tcp_transport.send tcp ~dst ~trace (k, w))
+          in
+          let no_mailbox _ = invalid_arg "Host: a shard has no mailbox" in
+          let links =
+            {
+              T.n = Array.length cfg.addrs;
+              send;
+              post = (fun ~src:_ ~dst:_ m -> no_mailbox m);
+              recv = (fun ~me:_ ~deadline -> no_mailbox deadline);
+              depth = (fun ~me:_ -> 0);
+              stats = (fun () -> Net.Tcp_transport.stats tcp);
+              close = ignore;
+            }
+          in
+          let w =
+            Fault.Chaos_transport.wrapper (Fault.Chaos_transport.create scoped)
+          in
+          Some (w.T.wrap ~start_us:(epoch_of cfg) links)
+
+  (* Everything before the first cycle: the recorder (so connection races
+     at startup are already traced — it is process-global, one traced host
+     per process), the socket set, and each shard's durable state,
+     recovered before its driver exists. *)
+  let make ?(listener : Net.Tcp_transport.listener option) ?watch_parent
+      ~stop_flag (cfg : config) =
     if cfg.shards < 1 then invalid_arg "Host.start: shards must be >= 1";
     let host, port = cfg.addrs.(cfg.pid) in
     let listener =
@@ -491,112 +719,6 @@ module Make (W : Net.Wire.WIRED) = struct
       | Some l -> l
       | None -> Net.Tcp_transport.listen ~host ~port
     in
-    (* The nodes are created after the transport, so a client whose first
-       invoke races startup waits here until [start] publishes them. *)
-    let facades_ref = ref None in
-    let ready = Mutex.create () and ready_cond = Condition.create () in
-    let the_facades () =
-      Mutex.lock ready;
-      while Option.is_none !facades_ref do
-        Condition.wait ready_cond ready
-      done;
-      Mutex.unlock ready;
-      Option.get !facades_ref
-    in
-    (* One admission controller per shard: shards have independent service
-       rates (their own nodes, stores, quorum modes), so one saturated
-       shard sheds without starving its siblings' budgets. *)
-    let admissions =
-      Array.init cfg.shards (fun _ -> Net.Admission.create ())
-    in
-    let on_client ~first conn =
-      let reply msg = Net.Tcp_transport.conn_write conn (C.encode msg) in
-      let handle_frame frame =
-        match C.decode_payload frame with
-        | Ok (C.Invoke { op; trace; op_id; shard; deadline }) -> (
-            if shard < 0 || shard >= cfg.shards then
-              reply
-                (C.Error_msg
-                   (Printf.sprintf "no shard %d here (host has %d)" shard
-                      cfg.shards))
-            else
-              let now = Prelude.Mclock.now_us () in
-              if deadline > 0 && now > deadline then begin
-                (* Already late at the door: executing it would be dead
-                   work the client stopped waiting for. *)
-                Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
-                  ~a:Obs.Event.shed_deadline ~b:shard ();
-                reply (C.Shed { reason = "shed: deadline passed"; shard })
-              end
-              else
-                match
-                  Net.Admission.try_admit admissions.(shard) ~now_us:now
-                    ~deadline_us:deadline
-                with
-                | Net.Admission.Shed reason ->
-                    Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Shed ~trace
-                      ~a:Obs.Event.shed_admission ~b:shard ();
-                    reply (C.Shed { reason; shard })
-                | Net.Admission.Admitted ->
-                    (* The replica loop answers: this thread goes back to
-                       reading, and the completion writes the reply frame
-                       with a non-blocking send. *)
-                    let facades = the_facades () in
-                    R.post_invoke ~trace ~op_id ~deadline facades.(shard)
-                      ~pid:cfg.pid op (fun outcome ->
-                        Net.Admission.finish admissions.(shard)
-                          ~elapsed_us:(Prelude.Mclock.now_us () - now);
-                        ignore
-                          (reply
-                             (match outcome with
-                             | R.Done r -> C.Result { result = r; shard }
-                             | R.Cancelled -> C.Error_msg "replica stopped"
-                             | R.Rejected why ->
-                                 (* The client must back off and retry with
-                                    the same op id; [Client.retryable]
-                                    recognises both answers.  A "shed: ..."
-                                    refusal (replica-side deadline check)
-                                    travels as the dedicated frame — the
-                                    replica already emitted its own [Shed]
-                                    event. *)
-                                 if
-                                   String.length why >= 4
-                                   && String.sub why 0 4 = "shed"
-                                 then C.Shed { reason = why; shard }
-                                 else C.Error_msg ("retry: " ^ why))));
-                    true)
-        | Ok C.Stats_req ->
-            let stats =
-              match !facades_ref with
-              | Some facades -> T.stats facades.(0)
-              | None -> { T.sent = 0; dropped = 0; link = Some T.no_links }
-            in
-            reply (C.Stats stats)
-        | Ok m ->
-            ignore
-              (reply
-                 (C.Error_msg (Format.asprintf "unexpected frame %a" C.pp_msg m)));
-            false
-        | Error e ->
-            ignore (reply (C.Error_msg ("bad frame: " ^ e)));
-            false
-      in
-      let rec loop frame =
-        if handle_frame frame then begin
-          (* A pipelining client's frames are all buffered already: hand
-             the runtime lock to any other connection's reader between
-             frames, so one busy client cannot starve the rest. *)
-          Thread.yield ();
-          match Net.Tcp_transport.conn_read_frame conn with
-          | Some next -> loop next
-          | None -> ()
-        end
-      in
-      loop first
-    in
-    (* The recorder goes in before the transport so connection races at
-       startup are already traced.  It is process-global: one traced host
-       per process (the in-process test harness passes [trace = None]). *)
     let recorder =
       match cfg.trace with
       | None -> None
@@ -606,170 +728,170 @@ module Make (W : Net.Wire.WIRED) = struct
           Obs.Recorder.install r;
           Some (r, close)
     in
-    let mboxes = Array.init cfg.shards (fun _ -> Runtime.Mailbox.create ()) in
-    let deliver ~src (shard, ev) =
-      Runtime.Mailbox.put mboxes.(shard) ~deliver_at:(Prelude.Mclock.now_us ())
-        (src, ev)
-    in
-    let transport =
+    let tcp =
       Net.Tcp_transport.create ~me:cfg.pid ~addrs:cfg.addrs ~listener
         ~hello:(C.encode (C.Hello (hello_of cfg)))
         ~classify_hello:(classify_hello cfg)
         ~decode_peer:(decode_peer ~shards:cfg.shards ~me:cfg.pid)
-        ~encode_peer ~deliver ~on_client ~lane_of ~log:cfg.log ()
+        ~encode_peer ~lane_of ~log:cfg.log ()
     in
-    let n = Array.length cfg.addrs in
-    let facades =
-      Array.init cfg.shards (fun k ->
-          wrap_chaos cfg k
-            (facade_of ~n ~tcp:transport ~mbox:mboxes.(k) ~shard:k))
-    in
-    (* Durable state per shard, recovered before its node exists: the node
-       seeds its object, dedup tables and high-water mark from the
-       recovered prefix, then (on a restart rather than genesis) catches up
-       from peers through its own facade — catch-up traffic is shard-tagged
-       like any other frame. *)
+    let loop_thread = Atomic.make (-1) in
     let durable =
       Array.init cfg.shards (fun k ->
           Option.map (fun root -> open_store cfg root k) cfg.durable)
     in
-    let nodes =
+    let start_us = epoch_of cfg in
+    let shards =
       Array.init cfg.shards (fun k ->
           let recovery = Option.map (fun (_, r, _, _, _) -> r) durable.(k) in
-          R.node ~params:cfg.params ~transport:facades.(k) ~pid:cfg.pid
-            ~offset:cfg.offset ?start_us:cfg.start_us
-            ~threaded:(cfg.shards > 1) ?recovery ?fallback:(fallback_for cfg k)
-            ?sync:(sync_for cfg k) ())
+          let chaos = chaos_view cfg tcp loop_thread k in
+          {
+            drv =
+              R.driver ~params:cfg.params ?recovery
+                ?fallback:(fallback_for cfg k) ?sync:(sync_for cfg k)
+                ~start_us ~offset:cfg.offset cfg.pid;
+            send =
+              (match chaos with
+              | None ->
+                  fun ~dst ~trace w ->
+                    Net.Tcp_transport.send tcp ~dst ~trace (k, w)
+              | Some view ->
+                  fun ~dst ~trace w -> T.send view ~trace ~src:cfg.pid ~dst w);
+            chaos;
+            store = Option.map (fun (store, _, _, _, _) -> store) durable.(k);
+            admission = Net.Admission.create ();
+          })
     in
-    Mutex.lock ready;
-    facades_ref := Some facades;
-    Condition.broadcast ready_cond;
-    Mutex.unlock ready;
-    let stores =
+    (* Restart, not genesis: announce the disk prefix; the first cycle
+       steps [Recover], which asks the peers for whatever landed while we
+       were down — catch-up traffic is shard-tagged like any other frame. *)
+    let recovering =
       Array.mapi
         (fun k entry ->
           match entry with
-          | None -> None
-          | Some (store, _, fresh, replayed, took) ->
-              if not fresh then begin
-                (* Restart, not genesis: announce the disk prefix and ask
-                   the peers for whatever landed while we were down. *)
-                R.post facades.(k) ~pid:cfg.pid (R.Control R.Recover);
-                cfg.log
-                  (Printf.sprintf
-                     "%s: recovered %d mutations from %s in %dµs; catching up"
-                     (who cfg k) replayed
-                     (store_dir ~shards:cfg.shards (Option.get cfg.durable) k)
-                     took);
-                Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Recover
-                  ~a:replayed ~b:took ()
-              end;
-              Some store)
+          | Some (_, _, false, replayed, took) ->
+              cfg.log
+                (Printf.sprintf
+                   "%s: recovered %d mutations from %s in %dµs; catching up"
+                   (who cfg k) replayed
+                   (store_dir ~shards:cfg.shards (Option.get cfg.durable) k)
+                   took);
+              Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Recover
+                ~a:replayed ~b:took ();
+              true
+          | Some _ | None -> false)
         durable
     in
-    let snap_stop = Atomic.make false in
-    let snap_thread =
-      if cfg.snapshot_every > 0 && Array.exists Option.is_some stores then
-        (* One cadence thread polls every shard's WAL length — 200 ms per
-           sweep bounds checkpoint lag without a thread per shard. *)
-        Some
-          (Thread.create
-             (fun () ->
-               while not (Atomic.get snap_stop) do
-                 Prelude.Mclock.sleep_us 200_000;
-                 if not (Atomic.get snap_stop) then
-                   Array.iteri
-                     (fun k store ->
-                       match store with
-                       | Some store
-                         when Durable.Store.records_since_snapshot store
-                              >= cfg.snapshot_every ->
-                           checkpoint cfg facades.(k) store
-                       | _ -> ())
-                     stores
-               done)
-             ())
-      else None
+    let now = Prelude.Mclock.now_us () in
+    let lp =
+      {
+        cfg;
+        tcp;
+        shards;
+        outs = [||];
+        tickets = Hashtbl.create 64;
+        next_ticket = 0;
+        conn_inflight = Hashtbl.create 8;
+        now;
+        stop_flag;
+        recovering;
+        loop_thread;
+        recorder;
+        watch_parent;
+        next_checkpoint =
+          (if cfg.snapshot_every > 0 && Array.exists (fun sh -> sh.store <> None) shards
+           then now + checkpoint_every_us
+           else max_int);
+        next_watch =
+          (if watch_parent = None then max_int else now + watch_every_us);
+      }
     in
-    {
-      transport;
-      facades;
-      mboxes;
-      nodes;
-      recorder;
-      stores;
-      snap_stop;
-      snap_thread;
-      handle_stopped = false;
-    }
+    lp.outs <- Array.init cfg.shards (fun k o -> perform lp k o);
+    lp
 
-  (* Stop order matters: stopping the nodes first answers every client
-     still waiting ("replica stopped") while its connection is open; the
-     facades (chaos drainers) close before the transport they send on, and
-     the mailboxes after it.  The recorder is torn down last, after every
-     emitting thread is gone.  Returns per-shard completed-operation
-     records. *)
-  let stop handle =
-    if not handle.handle_stopped then begin
-      handle.handle_stopped <- true;
-      Atomic.set handle.snap_stop true;
-      let records = Array.map R.node_stop handle.nodes in
-      Option.iter Thread.join handle.snap_thread;
-      let stats = T.stats handle.facades.(0) in
-      Array.iter T.close handle.facades;
-      Net.Tcp_transport.close handle.transport;
-      Array.iter Runtime.Mailbox.close handle.mboxes;
-      (* The nodes are joined, so no more [on_apply] appends: sync what the
-         fsync policy may still be buffering, then close. *)
-      Array.iter
-        (Option.iter (fun store ->
-             Durable.Store.sync store;
-             Durable.Store.close store))
-        handle.stores;
-      (match handle.recorder with
-      | None -> ()
-      | Some (r, close) ->
-          Obs.Recorder.uninstall ();
-          Obs.Recorder.stop r;
-          close ());
-      (records, stats)
-    end
-    else ([||], T.stats handle.facades.(0))
+  (* After the loop: no more [on_apply] appends, so sync what the fsync
+     policy may still be buffering and close the stores; the recorder goes
+     last, after every emitter is gone. *)
+  let finish lp =
+    Array.iter
+      (fun sh ->
+        Option.iter
+          (fun store ->
+            Durable.Store.sync store;
+            Durable.Store.close store)
+          sh.store)
+      lp.shards;
+    match lp.recorder with
+    | None -> ()
+    | Some (r, close) ->
+        Obs.Recorder.uninstall ();
+        Obs.Recorder.stop r;
+        close ()
+
+  (* ---- in-process hosts: one loop thread each ---- *)
+
+  type handle = {
+    lp : loop;
+    thread : Thread.t;
+    result : (R.record list array * T.stats, exn) result option ref;
+    mutable stopped_with : T.stats option;
+  }
+
+  let start ?listener cfg =
+    let lp = make ?listener ~stop_flag:(Atomic.make false) cfg in
+    let result = ref None in
+    let thread =
+      Thread.create
+        (fun () -> result := Some (try Ok (run lp) with e -> Error e))
+        ()
+    in
+    { lp; thread; result; stopped_with = None }
+
+  (* Stop the loop through its inbox and join it: the shards answer every
+     client still waiting ("replica stopped") before the sockets close.
+     Returns per-shard completed-operation records (empty on a repeated
+     call). *)
+  let stop h =
+    match h.stopped_with with
+    | Some stats -> ([||], stats)
+    | None -> (
+        Net.Tcp_transport.inject h.lp.tcp (fun () ->
+            Atomic.set h.lp.stop_flag true);
+        Thread.join h.thread;
+        finish h.lp;
+        match !(h.result) with
+        | Some (Ok (records, stats)) ->
+            h.stopped_with <- Some stats;
+            (records, stats)
+        | Some (Error e) -> raise e
+        | None -> failwith "Host.stop: the loop thread vanished")
 
   (* ---- the [timebounds serve] process body ---- *)
 
   let run_until_signalled ?watch_parent (cfg : config) =
-    let stop_requested = Atomic.make false in
-    let request_stop _ = Atomic.set stop_requested true in
+    let stop_flag = Atomic.make false and wake = ref ignore in
+    (* The handler runs on this thread: a signal that lands during the
+       poll ends it (EINTR), one that lands just before is answered by
+       the wake byte. *)
+    let request_stop _ =
+      Atomic.set stop_flag true;
+      !wake ()
+    in
     Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
     (* Ignore SIGPIPE: a dead peer must surface as EPIPE on the write, not
        kill the process. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let handle = start cfg in
+    let lp = make ?watch_parent ~stop_flag cfg in
+    wake := (fun () -> Net.Tcp_transport.wake lp.tcp);
     let host, port = cfg.addrs.(cfg.pid) in
     cfg.log
       (Printf.sprintf "replica %d: listening on %s:%d (%s, n=%d%s)" cfg.pid host
          port W.L.label cfg.params.Core.Params.n
          (if cfg.shards = 1 then ""
           else Printf.sprintf ", %d shards" cfg.shards));
-    let parent_alive () =
-      match watch_parent with
-      | None -> true
-      | Some pid -> (
-          match Unix.kill pid 0 with () -> true | exception _ -> false)
-    in
-    let rec wait () =
-      if Atomic.get stop_requested then ()
-      else if not (parent_alive ()) then
-        cfg.log (Printf.sprintf "replica %d: parent gone, exiting" cfg.pid)
-      else begin
-        Prelude.Mclock.sleep_us 100_000;
-        wait ()
-      end
-    in
-    wait ();
-    let records, stats = stop handle in
+    let records, stats = run lp in
+    finish lp;
     let total = Array.fold_left (fun k rs -> k + List.length rs) 0 records in
     cfg.log
       (Printf.sprintf "replica %d: stopped after %d ops; %s" cfg.pid total

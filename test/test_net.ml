@@ -163,6 +163,77 @@ let test_version_rejected_by_handshake () =
   | Error e -> Alcotest.failf "current client must still connect: %s" e);
   ignore (H.stop handle)
 
+(* Every handshake the host refuses: the connection is closed without a
+   reply, the reason is logged, and clients are served afterwards. *)
+let test_handshake_rejections () =
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
+  let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = listener.Net.Tcp_transport.port in
+  let addrs = [| ("127.0.0.1", port); ("127.0.0.1", 1) |] in
+  let params = Core.Params.make ~n:2 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
+  let lines = ref [] and lock = Mutex.create () in
+  let log l =
+    Mutex.lock lock;
+    lines := l :: !lines;
+    Mutex.unlock lock
+  in
+  let handle = H.start ~listener (host_config ~log ~pid:0 ~addrs params) in
+  let good =
+    { Net.Codec.pid = 1; n = 2; d = 7000; u = 5500; eps = 0; x = 0;
+      obj_tag = Net.Wire.Kv_codec.obj_tag; shards = 1 }
+  in
+  let hello h = C.encode (C.Hello h) in
+  let garbled =
+    let k = Char.code (hello good).[3] in
+    Net.Codec.encode_frame ~kind:k ~payload:"\xff\xff\xff"
+  in
+  let cases =
+    [
+      ( "object mismatch",
+        hello { good with obj_tag = Net.Wire.Register_codec.obj_tag } );
+      ("parameter mismatch", hello { good with d = 7001 });
+      ("shard topology mismatch", hello { good with shards = 2 });
+      ("bad peer pid", hello { good with pid = 5 });
+      ("bad handshake", garbled);
+    ]
+  in
+  List.iter
+    (fun (reason, frame) ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Unix.write_substring fd frame 0 (String.length frame));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let buf = Bytes.create 256 in
+      let closed =
+        match Unix.read fd buf 0 256 with
+        | 0 -> true
+        | _ -> false
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
+      in
+      Unix.close fd;
+      Alcotest.(check bool) (reason ^ ": closed without a reply") true closed;
+      let prefix = "replica 0: rejected connection: " ^ reason in
+      Mutex.lock lock;
+      let seen =
+        List.exists
+          (fun l ->
+            String.length l >= String.length prefix
+            && String.sub l 0 (String.length prefix) = prefix)
+          !lines
+      in
+      Mutex.unlock lock;
+      Alcotest.(check bool) (reason ^ ": logged") true seen)
+    cases;
+  (match Cl.connect ~host:"127.0.0.1" ~port () with
+  | Ok conn ->
+      (match Cl.invoke conn (Spec.Kv_map.Get 1) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "get after rejections: %s" e);
+      Cl.close conn
+  | Error e -> Alcotest.failf "client must still connect: %s" e);
+  ignore (H.stop handle)
+
 (* ---- per-object message roundtrips ---- *)
 
 let msg_roundtrip_tests () =
@@ -394,67 +465,86 @@ let test_tcp_cluster_in_process () =
       Alcotest.(check bool) "replica recorded ops" true (records.(0) <> []))
     handles
 
+(* ---- the socket set, stepped by hand ---- *)
+
+module Rc = Net.Codec.Make (Net.Wire.Register_codec)
+
+let reg_hello pid =
+  Rc.encode
+    (Rc.Hello
+       { Net.Codec.pid; n = 2; d = 7000; u = 5500; eps = 0; x = 0;
+         obj_tag = Net.Wire.Register_codec.obj_tag; shards = 0 })
+
+let reg_classify frame =
+  match Rc.decode_payload frame with
+  | Ok (Rc.Hello h) -> Net.Tcp_transport.Peer h.Net.Codec.pid
+  | Ok _ -> Net.Tcp_transport.Client
+  | Error e -> Net.Tcp_transport.Reject e
+
+let reg_set ?(log = fun _ -> ()) ?(backoff_min_us = 5_000)
+    ?(backoff_max_us = 40_000) ~me ~listener ~addrs () =
+  Net.Tcp_transport.create ~me ~addrs ~listener ~hello:(reg_hello me)
+    ~classify_hello:reg_classify
+    ~decode_peer:(fun ~src:_ frame ->
+      match Rc.decode_payload frame with Ok m -> Some m | Error _ -> None)
+    ~encode_peer:Rc.encode ~backoff_min_us ~backoff_max_us ~log ()
+
+(* One loop cycle as a host runs it — poll, take the inputs, write —
+   returning this cycle's inputs. *)
+let cycle ?(wait_us = 2_000) t =
+  Net.Tcp_transport.poll t
+    ~deadline_us:
+      (min (Prelude.Mclock.now_us () + wait_us) (Net.Tcp_transport.next_wake_us t));
+  let rec take acc =
+    match Net.Tcp_transport.next_input t with
+    | Some i -> take (i :: acc)
+    | None -> List.rev acc
+  in
+  let inputs = take [] in
+  Net.Tcp_transport.flush t ~now_us:(Prelude.Mclock.now_us ());
+  inputs
+
 let test_tcp_reconnect_backoff () =
-  let module C = Net.Codec.Make (Net.Wire.Register_codec) in
-  let hello pid =
-    C.encode
-      (C.Hello
-         { Net.Codec.pid; n = 2; d = 7000; u = 5500; eps = 0; x = 0;
-           obj_tag = Net.Wire.Register_codec.obj_tag; shards = 0 })
-  in
-  let classify frame =
-    match C.decode_payload frame with
-    | Ok (C.Hello h) -> Net.Tcp_transport.Peer h.Net.Codec.pid
-    | Ok _ -> Net.Tcp_transport.Client
-    | Error e -> Net.Tcp_transport.Reject e
-  in
-  let decode_peer ~src:_ frame =
-    match C.decode_payload frame with Ok m -> Some m | Error _ -> None
-  in
-  let mk ~me ~listener ~addrs ~inbox =
-    Net.Tcp_transport.create ~me ~addrs ~listener ~hello:(hello me)
-      ~classify_hello:classify ~decode_peer ~encode_peer:C.encode
-      ~deliver:(fun ~src m ->
-        Runtime.Mailbox.put inbox ~deliver_at:(Prelude.Mclock.now_us ())
-          (src, m))
-      ~backoff_min_us:5_000 ~backoff_max_us:40_000
-      ~log:(fun _ -> ())
-      ()
-  in
   (* Reserve a port for peer 1, then close it so connects fail until the
-     peer actually starts: transport 0's writer must retry with backoff
-     and deliver the queued frame once peer 1 appears. *)
+     peer actually starts: transport 0 must retry with backoff and deliver
+     the queued frame once peer 1 appears. *)
   let l0 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let l1_probe = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let port1 = l1_probe.Net.Tcp_transport.port in
   Unix.close l1_probe.Net.Tcp_transport.listen_fd;
   let addrs = [| ("127.0.0.1", l0.Net.Tcp_transport.port); ("127.0.0.1", port1) |] in
-  let t0 = mk ~me:0 ~listener:l0 ~addrs ~inbox:(Runtime.Mailbox.create ()) in
+  let t0 = reg_set ~me:0 ~listener:l0 ~addrs () in
   let entry =
-    C.Entry
+    Rc.Entry
       { op = Spec.Register.Write 42; time = 1; pid = 0; trace = 7; op_id = 9;
         shard = 0 }
   in
   Net.Tcp_transport.send t0 ~dst:1 ~trace:0 entry;
-  Prelude.Mclock.sleep_us 150_000 (* let several connect attempts fail *);
+  (* let several connect attempts fail *)
+  let until = Prelude.Mclock.now_us () + 150_000 in
+  while Prelude.Mclock.now_us () < until do
+    ignore (cycle t0)
+  done;
   let l1 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:port1 in
-  let inbox1 = Runtime.Mailbox.create () in
-  let t1 = mk ~me:1 ~listener:l1 ~addrs ~inbox:inbox1 in
-  let got =
-    Runtime.Mailbox.take inbox1
-      ~deadline:(Some (Prelude.Mclock.now_us () + 5_000_000))
+  let t1 = reg_set ~me:1 ~listener:l1 ~addrs () in
+  let give_up = Prelude.Mclock.now_us () + 5_000_000 in
+  let rec await () =
+    ignore (cycle t0);
+    match cycle t1 with
+    | Net.Tcp_transport.From_peer (src, m) :: _ -> Some (src, m)
+    | _ -> if Prelude.Mclock.now_us () < give_up then await () else None
   in
-  (match got with
+  (match await () with
   | Some (src, m) ->
       Alcotest.(check int) "frame src" 0 src;
-      Alcotest.(check bool) "frame survives reconnect" true (C.equal_msg m entry)
+      Alcotest.(check bool) "frame survives reconnect" true (Rc.equal_msg m entry)
   | None -> Alcotest.fail "queued frame not delivered after peer came up");
   let stats = Net.Tcp_transport.stats t0 in
   (match stats.Runtime.Transport_intf.link with
   | Some l ->
       Alcotest.(check bool) "reconnects counted" true
         (l.Runtime.Transport_intf.reconnects >= 1);
-      (* the ~150 ms the writer spent retrying is attributed to the link *)
+      (* the ~150 ms the link spent retrying is attributed to it *)
       Alcotest.(check bool) "disconnected time counted" true
         (l.Runtime.Transport_intf.disconnected_us > 50_000);
       Alcotest.(check bool) "queue high-water mark seen" true
@@ -462,6 +552,261 @@ let test_tcp_reconnect_backoff () =
   | None -> Alcotest.fail "tcp transport must report link stats");
   Net.Tcp_transport.close t0;
   Net.Tcp_transport.close t1
+
+(* A peer that comes up connects to us first: its hello proves it is
+   listening, so our link to it stops waiting out its backoff — replicas
+   started together link up in one round trip, not one backoff. *)
+let test_peer_hello_cuts_backoff () =
+  let l0 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let l1_probe = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port1 = l1_probe.Net.Tcp_transport.port in
+  Unix.close l1_probe.Net.Tcp_transport.listen_fd;
+  let addrs = [| ("127.0.0.1", l0.Net.Tcp_transport.port); ("127.0.0.1", port1) |] in
+  (* a 10 s backoff: only the hello can bring the link up in time *)
+  let t0 =
+    reg_set ~backoff_min_us:10_000_000 ~backoff_max_us:10_000_000 ~me:0
+      ~listener:l0 ~addrs ()
+  in
+  let entry i =
+    Rc.Entry
+      { op = Spec.Register.Write i; time = i; pid = 0; trace = 0; op_id = i;
+        shard = 0 }
+  in
+  Net.Tcp_transport.send t0 ~dst:1 ~trace:0 (entry 1);
+  for _ = 1 to 3 do ignore (cycle t0) done (* refused; now backing off *);
+  let l1 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:port1 in
+  let t1 = reg_set ~me:1 ~listener:l1 ~addrs () in
+  Net.Tcp_transport.send t1 ~dst:0 ~trace:0 (entry 2);
+  let t_up = Prelude.Mclock.now_us () in
+  let give_up = t_up + 3_000_000 in
+  let rec await () =
+    ignore (cycle t0);
+    match cycle t1 with
+    | Net.Tcp_transport.From_peer (0, m) :: _ -> Some m
+    | _ -> if Prelude.Mclock.now_us () < give_up then await () else None
+  in
+  let got = await () in
+  Net.Tcp_transport.close t0;
+  Net.Tcp_transport.close t1;
+  match got with
+  | Some m -> Alcotest.(check bool) "queued frame delivered" true (Rc.equal_msg m (entry 1))
+  | None -> Alcotest.fail "link stayed in backoff after the peer's hello"
+
+let connect_to port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let invoke_frame i =
+  Rc.encode
+    (Rc.Invoke
+       { op = Spec.Register.Write i; trace = 0; op_id = i; shard = 0;
+         deadline = 0 })
+
+(* One pipelining client with a deep backlog and one closed-loop client on
+   the same socket set: every cycle serves both — the pipeliner at most
+   [frames_per_cycle] frames, the closed-loop client its one frame. *)
+let test_cycle_fairness () =
+  let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = l.Net.Tcp_transport.port in
+  let t =
+    reg_set ~me:0 ~listener:l
+      ~addrs:[| ("127.0.0.1", port) |] ()
+  in
+  let cap = Net.Tcp_transport.frames_per_cycle in
+  let backlog = 25 * cap in
+  let piper = connect_to port and closed = connect_to port in
+  write_all piper (String.concat "" (List.init backlog invoke_frame));
+  write_all closed (invoke_frame 0);
+  (* both connections accepted and classified *)
+  let ids = Hashtbl.create 2 in
+  let served = ref [] in
+  let give_up = Prelude.Mclock.now_us () + 5_000_000 in
+  let piped = ref 0 in
+  while !piped < backlog && Prelude.Mclock.now_us () < give_up do
+    let per = Hashtbl.create 2 in
+    List.iter
+      (function
+        | Net.Tcp_transport.From_client (c, _) ->
+            let id = Net.Tcp_transport.conn_id c in
+            Hashtbl.replace per id (1 + Option.value ~default:0 (Hashtbl.find_opt per id))
+        | Net.Tcp_transport.From_peer _ -> ())
+      (cycle ~wait_us:50_000 t);
+    Hashtbl.iter (fun id _ -> Hashtbl.replace ids id ()) per;
+    if Hashtbl.length per > 0 then served := per :: !served;
+    (* the pipeliner connected first, so it has the lower id *)
+    let ids = List.of_seq (Hashtbl.to_seq_keys ids) in
+    let piper_id = List.fold_left min max_int ids
+    and closed_id = List.fold_left max min_int ids in
+    piped := !piped + Option.value ~default:0 (Hashtbl.find_opt per piper_id);
+    (* the closed-loop client answers each service with its next frame *)
+    if List.length ids = 2 && Hashtbl.mem per closed_id then
+      write_all closed (invoke_frame 0)
+  done;
+  Unix.close piper;
+  Unix.close closed;
+  Net.Tcp_transport.close t;
+  Alcotest.(check int) "two clients" 2 (Hashtbl.length ids);
+  let cycles = List.rev !served in
+  (* from the first cycle that saw both, until the pipeliner's backlog
+     ran dry, each cycle served both, the pipeliner within its cap *)
+  let both = List.filter (fun per -> Hashtbl.length per = 2) cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "backlog spread over cycles (%d of %d cycles shared)"
+       (List.length both) (List.length cycles))
+    true
+    (List.length both >= (backlog / cap) - 2);
+  List.iter
+    (fun per ->
+      Hashtbl.iter
+        (fun _ k -> Alcotest.(check bool) "within the per-cycle cap" true (k <= cap))
+        per)
+    cycles;
+  let rec shared_run = function
+    | per :: rest when Hashtbl.length per = 2 -> 1 + shared_run rest
+    | _ -> 0
+  in
+  let rec from_first_shared = function
+    | [] -> []
+    | per :: rest as l -> if Hashtbl.length per = 2 then l else from_first_shared rest
+  in
+  let run = shared_run (from_first_shared cycles) in
+  Alcotest.(check bool)
+    (Printf.sprintf "no cycle skipped a client while the backlog lasted (%d)" run)
+    true
+    (run >= (backlog / cap) - 2)
+
+(* ---- frame reassembly ---- *)
+
+let big_catchup () =
+  let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
+  let entries =
+    List.init 300_000 (fun i -> (Spec.Kv_map.Put (i, i * 7), i * 13, i mod 3, i))
+  in
+  let s =
+    C.encode (C.Catchup_rep { entries; time = 4_000_000; cpid = 1; shard = 0 })
+  in
+  (C.Catchup_rep { entries; time = 4_000_000; cpid = 1; shard = 0 }, s)
+
+(* Feed [stream] through a connection buffer in chunks of the given sizes
+   (cycled); return the frames it yields. *)
+let reassemble stream sizes =
+  let b = Net.Tcp_transport.Buf.create () in
+  let pos = ref 0 and sizes = ref sizes and out = ref [] in
+  let next_size () =
+    match !sizes with
+    | [] -> 8192
+    | k :: rest ->
+        sizes := rest @ [ k ];
+        k
+  in
+  let rec pop () =
+    match Net.Tcp_transport.Buf.next_frame b with
+    | Net.Codec.Got (f, _) ->
+        out := f :: !out;
+        pop ()
+    | Net.Codec.Need_more _ -> ()
+    | Net.Codec.Corrupt e -> Alcotest.failf "corrupt: %s" e
+  in
+  while !pos < String.length stream do
+    let k = min (next_size ()) (String.length stream - !pos) in
+    let got =
+      Net.Tcp_transport.Buf.fill b (fun buf off len ->
+          let k = min k len in
+          Bytes.blit_string stream !pos buf off k;
+          k)
+    in
+    pos := !pos + got;
+    pop ()
+  done;
+  Alcotest.(check int) "nothing left over" 0 (Net.Tcp_transport.Buf.length b);
+  List.rev !out
+
+let test_reassembly_linear () =
+  let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
+  let msg, frame = big_catchup () in
+  Alcotest.(check bool) "a multi-MiB frame" true (String.length frame > 4 lsl 20);
+  let small = C.encode (C.Error_msg "tail") in
+  let stream = frame ^ small ^ frame in
+  let check label sizes =
+    let t0 = Prelude.Mclock.now_us () in
+    let frames = reassemble stream sizes in
+    let took = Prelude.Mclock.now_us () - t0 in
+    Alcotest.(check int) (label ^ ": three frames") 3 (List.length frames);
+    List.iteri
+      (fun i (f : Net.Codec.frame) ->
+        let want = if i = 1 then small else frame in
+        match Net.Codec.decode_frame want with
+        | Net.Codec.Got (w, _) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: frame %d byte-identical" label i)
+              true
+              (w.Net.Codec.kind = f.Net.Codec.kind
+              && String.equal w.Net.Codec.payload f.Net.Codec.payload)
+        | _ -> Alcotest.fail "reference frame")
+      frames;
+    (match C.decode_payload (List.hd frames) with
+    | Ok m -> Alcotest.(check bool) (label ^ ": decodes") true (C.equal_msg m msg)
+    | Error e -> Alcotest.failf "%s: %s" label e);
+    took
+  in
+  ignore (check "8 KiB reads" [ 8192 ]);
+  let rng = Prelude.Rng.make 7 in
+  ignore (check "random splits" (List.init 64 (fun _ -> 1 + Prelude.Rng.int rng 20_000)));
+  (* 1-byte reads: 9 M reads; a quadratic rebuild would copy ~10^13
+     bytes, the cursor copies each byte a bounded number of times *)
+  let took = check "1-byte reads" [ 1 ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "1-byte reassembly is linear (%d ms)" (took / 1000))
+    true (took < 30_000_000)
+
+(* A corrupt frame drops its own connection only: the sender sees the
+   close, and another connection's frames keep arriving. *)
+let test_corrupt_frame_drops_one_connection () =
+  let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let port = l.Net.Tcp_transport.port in
+  let logged = ref [] in
+  let t =
+    reg_set ~log:(fun s -> logged := s :: !logged) ~me:0 ~listener:l
+      ~addrs:[| ("127.0.0.1", port); ("127.0.0.1", 1) |] ()
+  in
+  let bad = connect_to port and good = connect_to port in
+  write_all bad (reg_hello 1);
+  write_all good (invoke_frame 1);
+  let corrupt =
+    let b = Bytes.of_string (invoke_frame 2) in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    Bytes.to_string b
+  in
+  write_all bad corrupt;
+  ignore (cycle ~wait_us:50_000 t);
+  ignore (cycle ~wait_us:50_000 t);
+  write_all good (invoke_frame 3);
+  let later = cycle ~wait_us:200_000 t in
+  let buf = Bytes.create 16 in
+  let closed =
+    match Unix.read bad buf 0 16 with
+    | 0 -> true
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true
+  in
+  Unix.close bad;
+  Unix.close good;
+  Net.Tcp_transport.close t;
+  Alcotest.(check bool) "corrupt sender cut" true closed;
+  Alcotest.(check bool) "corruption logged" true
+    (List.exists
+       (fun s -> s = "replica 0: corrupt frame: checksum mismatch")
+       !logged);
+  Alcotest.(check int) "the other connection still flows" 1 (List.length later)
 
 (* ---- durable restart over TCP ---- *)
 
@@ -718,6 +1063,8 @@ let () =
               test_version_rejected_by_decoder;
             Alcotest.test_case "v1 peer fails the handshake cleanly" `Quick
               test_version_rejected_by_handshake;
+            Alcotest.test_case "each handshake rejection" `Quick
+              test_handshake_rejections;
           ] );
       ( "tcp",
         [
@@ -725,6 +1072,14 @@ let () =
             test_tcp_cluster_in_process;
           Alcotest.test_case "reconnect with backoff" `Quick
             test_tcp_reconnect_backoff;
+          Alcotest.test_case "a peer's hello cuts the backoff short" `Quick
+            test_peer_hello_cuts_backoff;
+          Alcotest.test_case "every cycle serves every client" `Quick
+            test_cycle_fairness;
+          Alcotest.test_case "a corrupt frame drops only its connection"
+            `Quick test_corrupt_frame_drops_one_connection;
+          Alcotest.test_case "multi-MiB frames reassemble linearly" `Quick
+            test_reassembly_linear;
         ] );
       ( "durable",
         [

@@ -92,6 +92,165 @@ let test_ordered_pairs () =
   Alcotest.(check int) "cartesian size" 6
     (List.length (Prelude.Combinatorics.ordered_pairs [ 1; 2 ] [ 'a'; 'b'; 'c' ]))
 
+(* ---- Os.poll ---- *)
+
+let pairs k =
+  Array.init k (fun _ -> Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
+
+let close_pairs ps =
+  Array.iter
+    (fun (a, b) ->
+      Unix.close a;
+      Unix.close b)
+    ps
+
+let poll_of fds ~events ~timeout_ns =
+  let revents = Array.make (Array.length fds) (-1) in
+  let r =
+    Prelude.Os.poll fds ~events ~revents ~count:(Array.length fds) ~timeout_ns
+  in
+  (r, revents)
+
+let test_poll_per_fd () =
+  let ps = pairs 4 in
+  let reads = Array.map fst ps in
+  List.iter
+    (fun i -> ignore (Unix.write_substring (snd ps.(i)) "x" 0 1))
+    [ 0; 2; 3 ];
+  let events = Array.make 4 Prelude.Os.pollin in
+  let r, rev = poll_of reads ~events ~timeout_ns:0 in
+  Alcotest.(check int) "three ready" 3 r;
+  Array.iteri
+    (fun i re ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fd %d readiness" i)
+        (i <> 1)
+        (re land Prelude.Os.pollin <> 0))
+    rev;
+  (* events = 0 asks for nothing: a readable fd is not reported *)
+  events.(0) <- 0;
+  let r, rev = poll_of reads ~events ~timeout_ns:0 in
+  Alcotest.(check int) "only what was asked" 2 r;
+  Alcotest.(check int) "fd 0 silent" 0 rev.(0);
+  (* a closed peer reads as readable (EOF) and as an error *)
+  Unix.close (snd ps.(1));
+  let r, rev = poll_of [| reads.(1) |] ~events:[| Prelude.Os.pollin |] ~timeout_ns:0 in
+  Alcotest.(check int) "hang-up is ready" 1 r;
+  Alcotest.(check bool) "hang-up reads" true (rev.(0) land Prelude.Os.pollin <> 0);
+  Unix.close reads.(1);
+  Array.iteri (fun i (a, b) -> if i <> 1 then (Unix.close a; Unix.close b)) ps
+
+let test_poll_pollout_full () =
+  let ps = pairs 1 in
+  let a, b = ps.(0) in
+  Unix.set_nonblock a;
+  let chunk = Bytes.make 4096 'z' in
+  let rec fill () =
+    match Unix.write a chunk 0 4096 with
+    | _ -> fill ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  fill ();
+  let r, rev = poll_of [| a |] ~events:[| Prelude.Os.pollout |] ~timeout_ns:0 in
+  Alcotest.(check int) "full buffer is not writable" 0 r;
+  Alcotest.(check int) "no readiness reported" 0 rev.(0);
+  Unix.set_nonblock b;
+  let rec drain () =
+    match Unix.read b chunk 0 4096 with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  drain ();
+  let r, rev =
+    poll_of [| a |] ~events:[| Prelude.Os.pollout |] ~timeout_ns:1_000_000_000
+  in
+  Alcotest.(check int) "drained buffer is writable" 1 r;
+  Alcotest.(check bool) "POLLOUT reported" true
+    (rev.(0) land Prelude.Os.pollout <> 0);
+  close_pairs ps
+
+let test_poll_timeout () =
+  let ps = pairs 3 in
+  let reads = Array.map fst ps in
+  let events = Array.make 3 Prelude.Os.pollin in
+  List.iter
+    (fun ms ->
+      let t0 = Prelude.Mclock.now_us () in
+      let r, _ = poll_of reads ~events ~timeout_ns:(ms * 1_000_000) in
+      let took = Prelude.Mclock.now_us () - t0 in
+      Alcotest.(check int) "timed out" 0 r;
+      Alcotest.(check bool)
+        (Printf.sprintf "waited the full %d ms (took %d us)" ms took)
+        true
+        (took >= ms * 1000))
+    [ 1; 20; 60 ];
+  (* a write mid-wait ends it early *)
+  let writer =
+    Thread.create
+      (fun () ->
+        Prelude.Mclock.sleep_us 30_000;
+        ignore (Unix.write_substring (snd ps.(2)) "x" 0 1))
+      ()
+  in
+  let t0 = Prelude.Mclock.now_us () in
+  let r, rev = poll_of reads ~events ~timeout_ns:5_000_000_000 in
+  let took = Prelude.Mclock.now_us () - t0 in
+  Thread.join writer;
+  Alcotest.(check int) "woken by data" 1 r;
+  Alcotest.(check bool) "the written fd" true (rev.(2) land Prelude.Os.pollin <> 0);
+  Alcotest.(check bool) "well before the timeout" true (took < 2_000_000);
+  close_pairs ps
+
+(* A signal ends the wait at once and its OCaml handler has already run
+   when [poll] returns — what lets [serve] stop on SIGINT within a cycle.
+   The sending thread blocks the signal, so the kernel delivers it to the
+   polling thread. *)
+let test_poll_signal () =
+  let got = Atomic.make false in
+  let old =
+    Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Atomic.set got true))
+  in
+  let ps = pairs 1 in
+  let killer =
+    Thread.create
+      (fun () ->
+        ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigusr1 ]);
+        Prelude.Mclock.sleep_us 50_000;
+        Unix.kill (Unix.getpid ()) Sys.sigusr1)
+      ()
+  in
+  let t0 = Prelude.Mclock.now_us () in
+  let r, _ =
+    poll_of [| fst ps.(0) |] ~events:[| Prelude.Os.pollin |]
+      ~timeout_ns:10_000_000_000
+  in
+  let took = Prelude.Mclock.now_us () - t0 in
+  Thread.join killer;
+  Sys.set_signal Sys.sigusr1 old;
+  close_pairs ps;
+  Alcotest.(check int) "interrupted" (-1) r;
+  Alcotest.(check bool) "handler ran before return" true (Atomic.get got);
+  Alcotest.(check bool)
+    (Printf.sprintf "returned promptly (%d us)" took)
+    true (took < 2_000_000)
+
+(* The caller owns the arrays: a call allocates nothing on the heap. *)
+let test_poll_no_alloc () =
+  let ps = pairs 3 in
+  let fds = Array.map fst ps in
+  let events = Array.make 3 Prelude.Os.pollin and revents = Array.make 3 0 in
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Prelude.Os.poll fds ~events ~revents ~count:3 ~timeout_ns:0)
+  done;
+  let words = Gc.minor_words () -. before in
+  close_pairs ps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d calls" words calls)
+    true (words < 64.)
+
 let () =
   Alcotest.run "prelude"
     [
@@ -109,5 +268,15 @@ let () =
           Alcotest.test_case "permutations" `Quick test_permutations;
           Alcotest.test_case "combinations" `Quick test_combinations;
           Alcotest.test_case "ordered pairs" `Quick test_ordered_pairs;
+        ] );
+      ( "os-poll",
+        [
+          Alcotest.test_case "readiness per fd" `Quick test_poll_per_fd;
+          Alcotest.test_case "POLLOUT on a full buffer" `Quick
+            test_poll_pollout_full;
+          Alcotest.test_case "never early without a ready fd" `Quick
+            test_poll_timeout;
+          Alcotest.test_case "a signal ends the wait" `Quick test_poll_signal;
+          Alcotest.test_case "allocation-free" `Quick test_poll_no_alloc;
         ] );
     ]

@@ -548,6 +548,20 @@ let test_host_non_reading_client_cannot_stall () =
     worst := max !worst (Prelude.Mclock.now_us () - t0);
     Prelude.Mclock.sleep_us 10_000
   done;
+  (* By now the host has cut the flood off: its unsent replies passed the
+     cap.  Reading what reached the client ends at the close, long before
+     the ~720 KB of replies 20,000 frames would earn. *)
+  Unix.setsockopt_float flood Unix.SO_RCVTIMEO 2.0;
+  let buf = Bytes.create 65536 in
+  let rec drain total =
+    match Unix.read flood buf 0 65536 with
+    | 0 -> (true, total)
+    | k -> drain (total + k)
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+        (true, total)
+    | exception Unix.Unix_error _ -> (false, total)
+  in
+  let was_cut, unread = drain 0 in
   (try Unix.shutdown flood Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   Thread.join flooder;
   Unix.close flood;
@@ -556,7 +570,12 @@ let test_host_non_reading_client_cannot_stall () =
   Alcotest.(check bool)
     (Printf.sprintf "slowest op beside the flood (%d us) under 100 ms" !worst)
     true (!worst < 100_000);
-  Alcotest.(check int) "suspicions" 0 (Atomic.get suspicions)
+  Alcotest.(check int) "suspicions" 0 (Atomic.get suspicions);
+  Alcotest.(check bool)
+    (Printf.sprintf "the non-reading client was cut off (%d bytes reached it)"
+       unread)
+    true
+    (was_cut && unread < 4 * Net.Tcp_transport.reply_cap)
 
 (* Stopping a host answers the invoke it still holds — from the replica
    loop, before the transport closes — and [stop] returns. *)
@@ -588,6 +607,71 @@ let test_host_stop_answers_inflight () =
   Kcl.close conn;
   Alcotest.(check bool) "the in-flight invoke is answered" true
     (reply = Ok (Kc.Error_msg "replica stopped"))
+
+(* Starting and stopping an armed in-process trio leaves no thread and
+   no descriptor behind: every host loop is joined and every socket, pipe
+   and listener closed by [stop]. *)
+let test_host_stop_leaks_nothing () =
+  let count dir = Array.length (Sys.readdir dir) in
+  (* A joined thread's kernel task can outlive [Thread.join] by a moment:
+     read a count once it holds still. *)
+  let settled dir =
+    let give_up = Prelude.Mclock.now_us () + 2_000_000 in
+    let rec go prev =
+      Prelude.Mclock.sleep_us 20_000;
+      let c = count dir in
+      if c = prev || Prelude.Mclock.now_us () > give_up then c else go c
+    in
+    go (count dir)
+  in
+  (* the runtime's own helper thread exists before the baseline *)
+  Thread.join (Thread.create ignore ());
+  let tasks0 = settled "/proc/self/task" and fds0 = count "/proc/self/fd" in
+  let n = 3 in
+  let params =
+    Core.Params.make ~n ~d:7000 ~u:5500
+      ~eps:(Core.Params.optimal_eps ~n ~u:5500)
+      ~x:0 ()
+  in
+  let fallback =
+    { Quorum.Config.default with Quorum.Config.hb_us = 2_500; suspect_after = 80 }
+  in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
+      listeners
+  in
+  let start_us = Prelude.Mclock.now_us () in
+  let handles =
+    Array.init n (fun pid ->
+        H.start ~listener:listeners.(pid)
+          {
+            (host_config ~start_us ~fallback ~pid ~shards:2 ~addrs params) with
+            Shard.Host.sync =
+              Some
+                (Sync.Config.make ~interval_us:20_000 ~d:params.Core.Params.d
+                   ~u:params.Core.Params.u ());
+          })
+  in
+  Array.iteri
+    (fun i (_, port) ->
+      match Kcl.connect ~host:"127.0.0.1" ~port () with
+      | Error e -> Alcotest.failf "client connect: %s" e
+      | Ok c ->
+          (match Kcl.invoke ~shard:(i mod 2) c (Spec.Kv_map.Put (i, i)) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "put: %s" e);
+          Kcl.close c)
+    addrs;
+  Prelude.Mclock.sleep_us 100_000;
+  let during = count "/proc/self/task" in
+  Array.iter (fun h -> ignore (H.stop h)) handles;
+  Alcotest.(check int) "one loop thread per host while running" (tasks0 + n)
+    during;
+  Alcotest.(check int) "threads after stop" tasks0 (settled "/proc/self/task");
+  Alcotest.(check int) "descriptors after stop" fds0 (count "/proc/self/fd")
 
 (* ---- the supervisor's exit-status wording ---- *)
 
@@ -640,6 +724,8 @@ let () =
             `Quick test_host_non_reading_client_cannot_stall;
           Alcotest.test_case "stop answers an in-flight invoke" `Quick
             test_host_stop_answers_inflight;
+          Alcotest.test_case "start and stop leak no thread or descriptor"
+            `Quick test_host_stop_leaks_nothing;
         ] );
       ( "cluster",
         [
