@@ -100,15 +100,16 @@ let throughput_tests =
     Lin_bench.test;
   ]
 
-(* Live-runtime group: Algorithm 1 on real domains (wall-clock, not
-   simulated ticks).  One full closed-loop run — cluster spawn, 48 ops
-   through the delay-injecting transport, post-hoc linearizability check —
-   per iteration, plus the histogram hot path on its own. *)
+(* Live-runtime group: Algorithm 1's live replicas in one process, on the
+   virtual-time loop.  One full closed-loop run — cluster set-up, 48 ops
+   over the delayed links, post-hoc linearizability check — per
+   iteration, plus the histogram hot path on its own.  The designed holds
+   cost nothing in virtual time, so the run entry times CPU only. *)
 module Live_bench = struct
   module Gen = Runtime.Loadgen.Make (Runtime.Workloads.Register_live)
 
   let run_test =
-    Test.make ~name:"live-register-n3-48ops"
+    Test.make ~name:"live-register-n3-48ops-vt"
       (Staged.stage (fun () ->
            ignore
              (Gen.run ~n:3 ~d:300 ~u:100 ~slack:2000 ~round:48 ~ops:48 ~seed:7
@@ -124,54 +125,10 @@ module Live_bench = struct
            ignore (Runtime.Histogram.percentile h 99.)))
 end
 
-(* The replica loop's wake-up path on its own: an echo domain bounces one
-   item back through a second mailbox, both sides parked on a bounded
-   deadline as the replica parks on its next timer.  64 round trips (128
-   cross-domain wake-ups) per run. *)
-module Wake_bench = struct
-  let ping : int option Runtime.Mailbox.t = Runtime.Mailbox.create ()
-  let pong : int Runtime.Mailbox.t = Runtime.Mailbox.create ()
-  let far () = Some (Prelude.Mclock.now_us () + 1_000_000)
-
-  let echo =
-    lazy
-      (let d =
-         Domain.spawn (fun () ->
-             let rec loop () =
-               match Runtime.Mailbox.take ping ~deadline:(far ()) with
-               | Some (Some v) ->
-                   Runtime.Mailbox.put pong ~deliver_at:0 v;
-                   loop ()
-               | Some None -> ()
-               | None -> loop ()
-             in
-             loop ())
-       in
-       at_exit (fun () ->
-           Runtime.Mailbox.put ping ~deliver_at:0 None;
-           Domain.join d;
-           Runtime.Mailbox.close ping;
-           Runtime.Mailbox.close pong))
-
-  let rec await () =
-    match Runtime.Mailbox.take pong ~deadline:(far ()) with
-    | Some v -> v
-    | None -> await ()
-
-  let test =
-    Test.make ~name:"mailbox-wake-roundtrip"
-      (Staged.stage (fun () ->
-           Lazy.force echo;
-           for i = 1 to 64 do
-             Runtime.Mailbox.put ping ~deliver_at:0 (Some i);
-             ignore (await ())
-           done))
-end
-
 (* The same n = 3, 48-op register workload driven through the replica
-   core under [Sim.Engine]: no domains, no sleeps, no sockets — the
-   designed holds cost nothing in virtual time, so this times only the
-   core's code (and the post-hoc check), not the holds.  Parameters, mix,
+   core under [Sim.Engine], the paper-model reference: the core's code and
+   the post-hoc check, without the driver, the links or the load
+   generator's rounds.  Parameters, mix,
    offsets and delay range follow [Loadgen.run] with the live entry's
    arguments: three closed-loop clients of 16 ops each. *)
 module Core_sim_bench = struct
@@ -227,12 +184,8 @@ module Core_sim_bench = struct
     Test.make ~name:"core-register-n3-48ops-sim" (Staged.stage run)
 end
 
-(* The sim entry runs first: once the wake bench's echo domain exists,
-   every minor collection must synchronise with it, which swamps the
-   allocation-heavy sim run with noise. *)
 let runtime_tests =
-  [ Core_sim_bench.test; Live_bench.run_test; Live_bench.hist_test;
-    Wake_bench.test ]
+  [ Core_sim_bench.test; Live_bench.run_test; Live_bench.hist_test ]
 
 (* Wire-codec group: cost of putting Algorithm 1 entries on the wire.  The
    TCP transport encodes every broadcast entry once per peer and CRCs the
@@ -312,7 +265,7 @@ module Fault_bench = struct
                   "drop(30)/0>1@0.2s-0.6s;spike(3ms);crash(1)@0.4s;restart(1)@0.9s")))
 
   let chaos_run_test =
-    Test.make ~name:"chaos-register-n3-48ops"
+    Test.make ~name:"chaos-register-n3-48ops-vt"
       (Staged.stage (fun () ->
            ignore
              (Fault.Chaos_run.run ~workload:Runtime.Workloads.register ~n:3
@@ -375,14 +328,14 @@ module Obs_bench = struct
            go 0))
 
   let live_untraced =
-    Test.make ~name:"live-untraced-48ops"
+    Test.make ~name:"live-untraced-48ops-vt"
       (Staged.stage (fun () ->
            ignore
              (Gen.run ~n:3 ~d:300 ~u:100 ~slack:2000 ~round:48 ~ops:48 ~seed:7
                 ())))
 
   let live_traced =
-    Test.make ~name:"live-traced-48ops"
+    Test.make ~name:"live-traced-48ops-vt"
       (Staged.stage (fun () ->
            let sink, _ = Obs.Recorder.memory_sink () in
            let r =
@@ -568,7 +521,7 @@ module Quorum_bench = struct
     | Error e -> failwith e
 
   let live_fast =
-    Test.make ~name:"fallback-fast-path-48ops"
+    Test.make ~name:"fallback-fast-path-48ops-vt"
       (Staged.stage (fun () ->
            ignore
              (Fault.Chaos_run.run ~workload:Runtime.Workloads.register ~n:3
@@ -576,7 +529,7 @@ module Quorum_bench = struct
                 ~ops:48 ~seed:7 ())))
 
   let live_quorum =
-    Test.make ~name:"fallback-quorum-mode-48ops"
+    Test.make ~name:"fallback-quorum-mode-48ops-vt"
       (Staged.stage (fun () ->
            ignore
              (Fault.Chaos_run.run ~workload:Runtime.Workloads.register ~n:3
@@ -596,8 +549,9 @@ let quorum_tests =
 (* Sync group: what earning ε over the wire costs.  The estimator sits on
    every heartbeat piggyback and probe echo, the slewed clock under every
    timestamp the replica draws, and the probe frames ride the same codec
-   hot path as entries; [sync-live-3x10rounds] prices a full in-process
-   convergence — three ±2 ms-skewed bus replicas, ten probe rounds. *)
+   hot path as entries; [sync-live-3x10rounds-vt] prices a full in-process
+   convergence on the virtual-time loop — three ±2 ms-skewed replicas, ten
+   probe rounds. *)
 module Sync_bench = struct
   module C = Net.Codec.Make (Net.Wire.Kv_codec)
 
@@ -635,44 +589,25 @@ module Sync_bench = struct
            done))
 
   let live_test =
-    Test.make ~name:"sync-live-3x10rounds"
+    Test.make ~name:"sync-live-3x10rounds-vt"
       (Staged.stage (fun () ->
            let n = 3 in
            let params =
              Core.Params.make ~n ~d:2_000 ~u:500 ~eps:4_000 ~x:0 ()
            in
-           let lock = Mutex.create () in
-           let counts = Array.make n 0 in
-           let sync_for pid =
-             Sync.Config.make ~interval_us:2_000 ~d:2_000 ~u:500
-               ~on_eps:(fun ~eps_us:_ ~peers:_ ->
-                 Mutex.lock lock;
-                 counts.(pid) <- counts.(pid) + 1;
-                 Mutex.unlock lock)
+           let module V = Runtime.Vloop.Make (Spec.Register) in
+           let v =
+             V.create ~params
+               ~policy:(Sim.Delay.random (Prelude.Rng.make 7) ~d:2_000 ~u:500)
+               ~offsets:[| 2_000; 0; -2_000 |]
+               ~sync:(Sync.Config.make ~interval_us:2_000 ~d:2_000 ~u:500 ())
                ()
            in
-           let module R = Runtime.Replica.Make (Spec.Register) in
-           let bus = Runtime.Transport.bus ~n () in
-           let transport = Runtime.Transport.intf bus in
-           let start_us = Prelude.Mclock.now_us () in
-           let offsets = [| 2_000; 0; -2_000 |] in
-           let nodes =
-             Array.init n (fun pid ->
-                 R.node ~params ~transport ~pid ~offset:offsets.(pid)
-                   ~start_us ~sync:(sync_for pid) ())
-           in
-           let enough () =
-             Mutex.lock lock;
-             let k = Array.fold_left min max_int counts in
-             Mutex.unlock lock;
-             k >= 10
-           in
-           let deadline = Prelude.Mclock.now_us () + 1_000_000 in
-           while (not (enough ())) && Prelude.Mclock.now_us () < deadline do
-             Prelude.Mclock.sleep_us 1_000
-           done;
-           Array.iter (fun node -> ignore (R.node_stop node)) nodes;
-           Runtime.Transport_intf.close transport))
+           V.run v ~until:(fun () ->
+               Array.for_all
+                 (fun h -> List.length h >= 10)
+                 (V.sync_rounds v));
+           ignore (V.stop v)))
 end
 
 let sync_tests =

@@ -7,8 +7,11 @@
     - [timebounds derive <object>] — derive an object's bound table from
       its operation algebra;
     - [timebounds graph <object> [--dot]] — its commutativity graph;
-    - [timebounds live --object <w>] — Algorithm 1 on real domains: load
-      generator, per-class latency histograms, post-hoc linearizability;
+    - [timebounds live --object <w>] — Algorithm 1's live replicas in one
+      process, on the virtual-time loop: load generator, per-class latency
+      histograms, post-hoc linearizability — the same seed gives the same
+      report;
+    - [timebounds sync] — clock-sync convergence demo on the same loop;
     - [timebounds serve --pid i --peers h:p,... [--shards k]] — one replica
       as an OS process over TCP, hosting [k] independent object instances
       (normally forked by [cluster] or [shards cluster]);
@@ -18,7 +21,8 @@
       the above under a seeded fault-injection plan, with
       assumption-violation windows correlated against the verdict;
     - [timebounds trace [--processes] [--chrome t.json] [--prom m.prom]] —
-      record a traced run (in-process or real cluster), assemble
+      record a traced run (in-process in virtual time, or a real
+      cluster), assemble
       per-operation causal spans, decompose latency (hold / wire / remote
       queueing) and attribute each operation to its paper bound.
 
@@ -224,7 +228,7 @@ let load_specs ~ops =
     Cli.value "n" "number of replicas (default 3)";
     Cli.value "ops" (Printf.sprintf "total operations (default %d)" ops);
     Cli.value "mix" "mutator:accessor:other weights (default 50:40:10)";
-    Cli.value "workers" "closed-loop client domains; default n";
+    Cli.value "workers" "closed-loop clients; default n";
     Cli.value "seed" "RNG seed (default 1)";
   ]
 
@@ -540,12 +544,10 @@ let live_cmd () =
 
 (* ---- sync ---- *)
 
-(* In-process convergence demo for DESIGN.md §14: n replicas on one domain
-   bus, raw clocks skewed evenly across ±--skew, probing every
-   --sync-interval-us.  Nodes are assembled by hand rather than through
-   [R.start] so each replica gets its own [Sync.Config] whose [on_eps]
-   hook closes over the pid — the shared-config path cannot attribute
-   achieved-ε rounds to replicas. *)
+(* In-process convergence demo for DESIGN.md §14: n replicas on the
+   virtual-time loop, raw clocks skewed evenly across ±--skew, probing every
+   --sync-interval-us over links whose delays lie in [d − u, d].  The loop
+   files each replica's achieved-ε rounds under its pid. *)
 let sync_cmd () =
   let prog, argv = args "sync" in
   let specs =
@@ -584,44 +586,21 @@ let sync_cmd () =
   in
   (* Evenly-spaced offsets over [+skew, −skew]: pid 0 fastest, n−1 slowest. *)
   let offsets = Array.init n (fun i -> skew - (2 * skew * i / (n - 1))) in
-  let lock = Mutex.create () in
-  (* Per pid: (achieved eps, contributing peers) per round, newest first. *)
-  let history = Array.make n [] in
-  let sync_for pid =
-    Sync.Config.make ~interval_us ~d:params.Core.Params.d
-      ~u:params.Core.Params.u
-      ~on_eps:(fun ~eps_us ~peers ->
-        Mutex.lock lock;
-        history.(pid) <- (eps_us, peers) :: history.(pid);
-        Mutex.unlock lock)
+  let module V = Runtime.Vloop.Make (Spec.Register) in
+  let v =
+    V.create ~params
+      ~policy:(Sim.Delay.random (Prelude.Rng.make 1) ~d ~u)
+      ~offsets
+      ~sync:
+        (Sync.Config.make ~interval_us ~d:params.Core.Params.d
+           ~u:params.Core.Params.u ())
       ()
   in
-  let module R = Runtime.Replica.Make (Spec.Register) in
-  let bus = Runtime.Transport.bus ~n () in
-  let transport = Runtime.Transport.intf bus in
-  let start_us = Prelude.Mclock.now_us () in
-  let nodes =
-    Array.init n (fun pid ->
-        R.node ~params ~transport ~pid ~offset:offsets.(pid) ~start_us
-          ~sync:(sync_for pid) ())
-  in
-  let enough () =
-    Mutex.lock lock;
-    let k =
-      Array.fold_left (fun k h -> min k (List.length h)) max_int history
-    in
-    Mutex.unlock lock;
-    k >= rounds
-  in
-  let deadline =
-    Prelude.Mclock.now_us () + ((rounds + 5) * interval_us) + 2_000_000
-  in
-  while (not (enough ())) && Prelude.Mclock.now_us () < deadline do
-    Prelude.Mclock.sleep_us (max 1_000 (interval_us / 4))
-  done;
-  Array.iter (fun node -> ignore (R.node_stop node)) nodes;
-  Runtime.Transport_intf.close transport;
-  let per_pid = Array.map (fun h -> Array.of_list (List.rev h)) history in
+  let horizon = ((rounds + 5) * interval_us) + 2_000_000 in
+  V.run v ~until:(fun () ->
+      V.now v > horizon
+      || Array.for_all (fun h -> List.length h >= rounds) (V.sync_rounds v));
+  let per_pid = Array.map Array.of_list (V.sync_rounds v) in
   Format.printf
     "clock sync: n=%d offsets ±%dus interval=%dus configured eps=%dus@." n
     skew interval_us eps;
@@ -788,7 +767,8 @@ let chaos_cmd () =
     @ [
         Cli.flag "processes"
           "run as a real multi-process TCP cluster (crashes become SIGKILL \
-           + supervised restart) instead of in-process domains";
+           + supervised restart) instead of the in-process virtual-time \
+           loop";
         Cli.flag "recovery"
           "enable durable crash recovery: crashed replicas freeze (or die) \
            with state on disk, recover, catch up from peers; clients retry \
@@ -921,8 +901,8 @@ let trace_cmd () =
     @ [
         Cli.flag "processes"
           "trace a real multi-process TCP cluster (per-replica trace files, \
-           merged afterwards; required by --plan) instead of in-process \
-           domains";
+           merged afterwards; required by --plan) instead of the in-process \
+           virtual-time loop";
       ]
     @ trace_specs
     @ [
@@ -971,8 +951,8 @@ let trace_cmd () =
     then exit 1
   end
   else begin
-    (* In-process: one recorder in this process sees every replica
-       domain; the memory sink keeps the events for analysis. *)
+    (* In-process: one recorder sees every replica, stamped in virtual
+       time; the memory sink keeps the events for analysis. *)
     let module Gen = Runtime.Loadgen.Make (W.L) in
     let sink, contents = Obs.Recorder.memory_sink () in
     let r = Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink () in
@@ -1093,7 +1073,7 @@ let usage ?(status = 2) () =
     \  classify    classify an object's operations (Chapter II)\n\
     \  derive      derive an object's bound table from its op algebra\n\
     \  graph       print an object's commutativity graph\n\
-    \  live        Algorithm 1 on real domains (one process)\n\
+    \  live        Algorithm 1's replicas in one process, in virtual time\n\
     \  sync        clock-sync convergence demo: skewed replicas earn their\n\
     \              achieved ε over the wire (DESIGN.md par.14)\n\
     \  serve       one replica as an OS process over TCP (--shards k hosts\n\

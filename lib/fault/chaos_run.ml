@@ -33,7 +33,7 @@ let run ~workload:(module L : Runtime.Workloads.LIVE) ~n ~d ~u ?eps ?x ?slack
   in
   let run =
     G.run ~n ~d ~u ?eps ?x ?slack ?workers ?round ?mix ~skews
-      ~wrap:(Chaos_transport.wrapper chaos)
+      ~fault:(Chaos_transport.decide chaos)
       ~fault_windows ~recovery ~crashes ?fallback ?sync ~ops ~seed ()
   in
   let violations =

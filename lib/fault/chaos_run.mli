@@ -1,7 +1,9 @@
 (** One seeded chaos experiment against the in-process cluster: compile a
-    plan, run {!Runtime.Loadgen} under a {!Chaos_transport}, and correlate
-    the linearizability verdict with the assumption-violation windows via
-    {!Assumption_monitor}.
+    plan, run {!Runtime.Loadgen} in virtual time with
+    {!Chaos_transport.decide} on every send, and correlate the
+    linearizability verdict with the assumption-violation windows via
+    {!Assumption_monitor}.  The same seeds give the same report, fault log
+    included.
 
     Crash/restart rules are realised in-process as total network isolation
     of the replica during the outage (see {!Fault_plan}); the real
@@ -44,7 +46,7 @@ val run :
   unit ->
   report
 (** Parameters mirror {!Runtime.Loadgen.Make.run}; the plan supplies the
-    skews, the transport wrapper and the fault windows.  [seed] drives the
+    skews, the fault hook and the fault windows.  [seed] drives the
     load generator; the plan carries its own seed.
 
     [recovery] (default false) arms the replicas' durable-recovery

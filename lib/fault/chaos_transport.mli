@@ -1,36 +1,38 @@
-(** Fault-injecting transport decorator.
+(** Fault injection as a per-send decision.
 
-    A {!t} is the {e controller}: it owns the compiled {!Fault_plan.t} and
-    the log of every fault actually injected.  {!wrapper} turns it into a
-    {!Runtime.Transport_intf.wrapper}, the polymorphic hook accepted by
-    [Runtime.Replica.start] and [Shard.Host] — one controller can therefore
-    sit under the in-process bus and the TCP transport alike.
+    A {!t} is the {e controller}: it owns the compiled {!Fault_plan.t}, the
+    per-link send counters and the log of every fault actually injected.
+    {!decide} is the one {!Runtime.Transport_intf.fault} hook both loops
+    apply at send time — [Runtime.Vloop] for an in-process cluster,
+    [Shard.Host] in a shard's send path — so one controller serves the
+    virtual-time links and the TCP links alike.
 
-    What the wrapped transport does per {!Runtime.Transport_intf.send}:
+    Per send, {!decide}:
 
-    - asks [Fault_plan.decide] with the message's run-relative send time and
-      its per-link sequence index;
-    - a {e drop} never reaches the inner transport (counted in the wrapped
-      [stats] as both sent and dropped, so loss remains visible);
-    - a {e duplicate} is forwarded twice;
-    - injected {e delay} parks the message in a {!Runtime.Mailbox} until its
-      stretched delivery time; a single drainer thread then forwards it, so
-      per-link FIFO order is preserved among equally-delayed messages but a
-      spike does reorder against later undelayed traffic — exactly the
-      misbehaviour the plan asked for.
+    - numbers the message on its link [src → dst] and asks
+      [Fault_plan.decide] with its run-relative send time and that index;
+    - on a {e drop} returns [copies = 0];
+    - on a {e duplicate} returns the extra copies;
+    - on an injected {e delay} returns [extra_us]: the caller parks the
+      message that long before it enters the link, so a spike reorders it
+      against later undelayed traffic — exactly the misbehaviour the plan
+      asked for;
+    - records the injected fault in the log and emits an [Obs] [Fault]
+      event against the message's trace.
 
-    [post] (the local client port) and [recv] pass through untouched:
-    faults model the {e network}, not the co-located application layer.
+    Only the network is faulted: client invocations and controls never go
+    through it.
 
     Reproducibility: the {e decisions} are pure functions of the plan
     (see {!Fault_plan.decide}), so {!canonical_log} — the timestamp-free
     view of the injected-fault log — is identical across runs with the same
-    seed, spec and per-link message sequence. *)
+    seed, spec and per-link message sequence.  A controller belongs to one
+    loop: it is not thread-safe. *)
 
 type action =
   | Dropped of string  (** rule label that lost the message *)
-  | Duplicated  (** one extra copy was forwarded *)
-  | Delayed of int  (** extra µs added to the delivery time *)
+  | Duplicated  (** one extra copy was sent *)
+  | Delayed of int  (** extra µs before the message entered its link *)
 
 type event = {
   at_us : int;  (** run-relative send time (µs) *)
@@ -46,9 +48,8 @@ type t
 val create : Fault_plan.t -> t
 val plan : t -> Fault_plan.t
 
-val wrapper : t -> Runtime.Transport_intf.wrapper
-(** The decorator.  May be applied to several transports (e.g. one per
-    replica process); all of them feed the same controller log. *)
+val decide : t -> Runtime.Transport_intf.fault
+(** Decide and record one send's fate (see the module docs). *)
 
 val events : t -> event list
 (** Injected faults so far, in injection order. *)

@@ -29,7 +29,7 @@
     - [partition(a,b|c,d)] — drop every message between the two replica
       groups (both directions);
     - [crash(P)] — replica P crashes at the window start.  In-process
-      transports realise this as total isolation (every message to or from
+      runs realise this as total isolation (every message to or from
       P is dropped) until the matching [restart(P)]; the process cluster
       SIGKILLs the replica's OS process;
     - [restart(P)] — replica P comes back at the window start (supervised
@@ -64,7 +64,7 @@ type rule = {
   kind : kind;
   link : link_filter;
   shard : int option;
-      (** [%k] scope: the rule only applies to shard [k]'s transport on a
+      (** [%k] scope: the rule only applies to shard [k]'s sends on a
           sharded host; [None] = every shard (and every unsharded run) *)
   from_us : int;
   until_us : int;  (** [max_int] = open-ended *)
@@ -92,8 +92,8 @@ val for_shard : t -> int -> t
 (** The plan as seen by shard [k] of a sharded host: unscoped rules plus
     those scoped [%k], with rule ids (the hash salt) preserved so the
     surviving rules flip the same per-message coins as in the full plan.
-    A sharded host wraps shard [k]'s transport with
-    [Chaos_transport.create (for_shard plan k)] — and skips the wrapper
+    A sharded host decides shard [k]'s sends with
+    [Chaos_transport.create (for_shard plan k)] — and skips the decision
     entirely when the projection {!is_empty}. *)
 
 type decision = {

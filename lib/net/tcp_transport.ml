@@ -2,8 +2,8 @@
     waits on every socket at once and its [flush] writes what the cycle
     queued.  Each outgoing link is a small state machine (down → connecting
     → up, with a backoff timer while down), each accepted socket carries
-    its own input and reply buffers, and cross-thread callers reach the
-    loop only through [inject]'s mutex-guarded thunk list and wake pipe. *)
+    its own input and reply buffers, and another thread (or a signal
+    handler) reaches the loop only by [wake]'s byte on the wake pipe. *)
 
 type listener = { listen_fd : Unix.file_descr; host : string; port : int }
 
@@ -238,12 +238,9 @@ type 'msg t = {
   mutable pfds : Unix.file_descr array;
   mutable pev : int array;
   mutable prev : int array;
-  (* off-loop entry *)
+  (* the wake pipe *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  inbox_lock : Mutex.t;
-  mutable inbox : (unit -> unit) list;  (** newest first *)
-  mutable woken : bool;  (** a wake byte is in the pipe *)
   mutable closed : bool;
 }
 
@@ -310,9 +307,6 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
     prev = Array.make slots 0;
     wake_r;
     wake_w;
-    inbox_lock = Mutex.create ();
-    inbox = [];
-    woken = false;
     closed = false;
   }
 
@@ -600,33 +594,13 @@ let accept_all t =
   in
   go ()
 
-let run_inbox t =
+let drain_wake t =
   let buf = Bytes.create 64 in
-  (try
-     while Unix.read t.wake_r buf 0 (Bytes.length buf) > 0 do
-       ()
-     done
-   with Unix.Unix_error _ -> ());
-  Mutex.lock t.inbox_lock;
-  let thunks = t.inbox in
-  t.inbox <- [];
-  t.woken <- false;
-  Mutex.unlock t.inbox_lock;
-  List.iter (fun f -> f ()) (List.rev thunks)
-
-(* The wake byte is written under the lock, and [close] shuts the pipe
-   under it, so a late injector never writes to a recycled descriptor. *)
-let inject t f =
-  Mutex.lock t.inbox_lock;
-  if not t.closed then begin
-    t.inbox <- f :: t.inbox;
-    if not t.woken then begin
-      t.woken <- true;
-      try ignore (Unix.single_write t.wake_w (Bytes.make 1 'w') 0 1)
-      with Unix.Unix_error _ -> ()
-    end
-  end;
-  Mutex.unlock t.inbox_lock
+  try
+    while Unix.read t.wake_r buf 0 (Bytes.length buf) > 0 do
+      ()
+    done
+  with Unix.Unix_error _ -> ()
 
 (* No lock: a signal handler on the loop's own thread may call it, and an
    extra wake byte is harmless. *)
@@ -716,7 +690,7 @@ let poll t ~deadline_us =
         decode_sock t s ~limit:(if eof then max_int else frames_per_cycle);
       if eof then kill_sock s)
     polled;
-  if t.prev.(1) land pollin <> 0 then run_inbox t
+  if t.prev.(1) land pollin <> 0 then drain_wake t
 
 let next_input t = Queue.take_opt t.inputs
 let queued_inputs t = Queue.length t.inputs
@@ -766,9 +740,7 @@ let stats t =
 
 let close t =
   if not t.closed then begin
-    Mutex.lock t.inbox_lock;
     t.closed <- true;
-    Mutex.unlock t.inbox_lock;
     let now = Prelude.Mclock.now_us () in
     Array.iter
       (fun link ->
@@ -780,9 +752,6 @@ let close t =
     List.iter kill_sock t.socks;
     t.socks <- [];
     quiet_close t.listener.listen_fd;
-    Mutex.lock t.inbox_lock;
-    t.inbox <- [];
     quiet_close t.wake_r;
-    quiet_close t.wake_w;
-    Mutex.unlock t.inbox_lock
+    quiet_close t.wake_w
   end

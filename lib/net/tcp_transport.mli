@@ -5,8 +5,8 @@
     completions and reads), takes the decoded {!input}s in arrival order
     per connection, steps whatever it hosts, and calls {!flush} to write
     everything the cycle queued — one write per socket.  Shards, cores and
-    timers are the caller's business.  Apart from {!inject} and {!wake},
-    every function must be called from the owning loop's thread.
+    timers are the caller's business.  Apart from {!wake}, every function
+    must be called from the owning loop's thread.
 
     Topology: every replica listens on one address ([addrs.(pid)]) and
     keeps one {e outgoing} connection per peer, used only for sending;
@@ -173,7 +173,7 @@ val poll : 'msg t -> deadline_us:int -> unit
     signal arrives or [Mclock] reaches [deadline_us] — at once while
     inputs are still queued.  Then accept, complete connects, read each
     ready connection once, decode into inputs (emitting through the
-    caller's [decode_peer]), and run the thunks {!inject}ed since. *)
+    caller's [decode_peer]), and drain the wake pipe. *)
 
 val next_input : 'msg t -> 'msg input option
 (** The next queued input; [None] once this cycle's are taken. *)
@@ -189,16 +189,10 @@ val next_wake_us : 'msg t -> int
 (** [Mclock] µs of the transport's own next deadline (a reconnect or a
     connect/stall timeout); [max_int] if none. *)
 
-val inject : 'msg t -> (unit -> unit) -> unit
-(** Run a thunk on the loop during its next {!poll}, waking a blocked
-    [ppoll] through the wake pipe.  The only function safe to call from
-    another thread: off-loop callers (a chaos layer's delayed sends, a
-    stop request) enter here, behind one mutex the loop touches only when
-    woken. *)
-
 val wake : 'msg t -> unit
-(** End the current or next [ppoll] at once.  Takes no lock, so a signal
-    handler running on the loop's own thread may call it. *)
+(** End the current or next [ppoll] at once.  The only function safe to
+    call from another thread, until {!close}; it takes no lock, so a
+    signal handler running on the loop's own thread may call it too. *)
 
 val stats : 'msg t -> Runtime.Transport_intf.stats
 

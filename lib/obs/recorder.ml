@@ -21,6 +21,7 @@ type t = {
   sink : Event.t -> unit;
   flush : unit -> unit;
   running : bool Atomic.t;
+  consumer : Mutex.t; (* held by whoever drains: the drainer, [stop], a loop *)
   mutable thread : Thread.t option;
   mutable stopped : bool;
 }
@@ -29,7 +30,8 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-let push t ev =
+(* [false] = ring full; the caller counts the drop. *)
+let try_push t ev =
   let rec claim pos =
     let slot = t.slots.(pos land t.mask) in
     let seq = Atomic.get slot.seq in
@@ -41,15 +43,28 @@ let push t ev =
         Atomic.incr t.recorded;
         true)
       else claim (Atomic.get t.head)
-    else if diff < 0 then (
-      (* consumer hasn't freed this slot yet: ring full *)
-      Atomic.incr t.dropped;
-      false)
+    else if diff < 0 then false (* consumer hasn't freed this slot yet *)
     else claim (Atomic.get t.head)
   in
   claim (Atomic.get t.head)
 
-(* Single consumer only (drainer thread, or [stop] after the join). *)
+let push t ev =
+  try_push t ev
+  || begin
+       Atomic.incr t.dropped;
+       false
+     end
+
+(* The clock of a virtual-time loop while it runs: its events then carry
+   virtual µs since the run's start instead of wall-clock time. *)
+let virtual_clock : (unit -> int) option Atomic.t = Atomic.make None
+
+let stamp t =
+  match Atomic.get virtual_clock with
+  | None -> Prelude.Mclock.now_us () - t.epoch_us
+  | Some now -> now ()
+
+(* Single consumer only: callers hold [t.consumer]. *)
 let pop t =
   let pos = t.tail in
   let slot = t.slots.(pos land t.mask) in
@@ -67,7 +82,7 @@ let account_drops t =
     Atomic.set t.reported_drops d;
     t.sink
       {
-        Event.t_us = Prelude.Mclock.now_us () - t.epoch_us;
+        Event.t_us = stamp t;
         pid = -1;
         kind = Event.Drops;
         trace = 0;
@@ -76,18 +91,19 @@ let account_drops t =
       })
 
 let drain_once t =
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match pop t with
-    | Some ev ->
-        t.sink ev;
-        incr n
-    | None -> continue := false
-  done;
-  account_drops t;
-  if !n > 0 then t.flush ();
-  !n
+  Mutex.protect t.consumer (fun () ->
+      let n = ref 0 in
+      let continue = ref true in
+      while !continue do
+        match pop t with
+        | Some ev ->
+            t.sink ev;
+            incr n
+        | None -> continue := false
+      done;
+      account_drops t;
+      if !n > 0 then t.flush ();
+      !n)
 
 let drainer t () =
   while Atomic.get t.running do
@@ -111,6 +127,7 @@ let start ?(capacity = 65536) ~epoch_us ~sink ?(flush = fun () -> ()) () =
       sink;
       flush;
       running = Atomic.make true;
+      consumer = Mutex.create ();
       thread = None;
       stopped = false;
     }
@@ -139,12 +156,24 @@ let active () = Atomic.get state <> None
 let installed_stats () =
   match Atomic.get state with Some t -> Some (stats t) | None -> None
 
+let with_clock now f =
+  Atomic.set virtual_clock (Some now);
+  Fun.protect ~finally:(fun () -> Atomic.set virtual_clock None) f
+
+(* Under a virtual clock the loop is the only producer and never waits, so
+   the drainer thread may not get to run for a long stretch: a full ring
+   is drained in place instead of dropping. *)
 let emit ~pid ~kind ?(trace = 0) ?(a = 0) ?(b = 0) () =
   match Atomic.get state with
   | None -> ()
   | Some t ->
-      let t_us = Prelude.Mclock.now_us () - t.epoch_us in
-      ignore (push t { Event.t_us; pid; kind; trace; a; b })
+      let ev = { Event.t_us = stamp t; pid; kind; trace; a; b } in
+      if not (try_push t ev) then
+        if Atomic.get virtual_clock <> None then begin
+          ignore (drain_once t);
+          ignore (push t ev)
+        end
+        else Atomic.incr t.dropped
 
 (* Sinks *)
 

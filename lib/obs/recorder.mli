@@ -1,8 +1,9 @@
 (** Lock-free event recorder.
 
     A bounded multi-producer single-consumer ring (Vyukov-style: one atomic
-    sequence word per slot) sits between the replica domains and a drainer
-    thread.  Producers claim a slot with one CAS and two atomic stores —
+    sequence word per slot) sits between the emitting threads (host loops,
+    the virtual-time loop, clients) and a drainer thread.  Producers
+    claim a slot with one CAS and two atomic stores —
     nanoseconds, no locks, no allocation beyond the event record — and when
     the ring is full the event is {e dropped and counted}, never blocking a
     replica.  The drainer empties the ring into a pluggable sink (an
@@ -48,11 +49,22 @@ val emit :
 (** Record into the installed recorder; a no-op (one atomic load) when none
     is installed. *)
 
+val with_clock : (unit -> int) -> (unit -> 'a) -> 'a
+(** [with_clock now f] runs [f] with [now ()] as the timestamp source of
+    every {!emit} in place of [Mclock.now_us () − epoch_us] — how
+    [Runtime.Vloop] stamps its events with virtual µs since the run's
+    start, [Drops] records included.  The loop is then the only producer
+    and never blocks, so the drainer thread may not run for long
+    stretches: an {!emit} that finds the ring full drains it in place on
+    the caller's thread instead of dropping.  One virtual loop at a
+    time. *)
+
 (** {1 Sinks} *)
 
 val memory_sink : unit -> (Event.t -> unit) * (unit -> Event.t list)
 (** [(sink, contents)] — [contents ()] returns events drained so far in
-    drain order.  The sink is only ever called from the drainer thread. *)
+    drain order.  The sink is called by one drainer at a time: the drainer
+    thread, {!stop}, or a full-ring {!emit} under {!with_clock}. *)
 
 val file_magic : string
 

@@ -10,7 +10,7 @@
 type leg = {
   dst : int;
   send_us : int option;  (** link-level send at the origin *)
-  recv_us : int option;  (** wire decode at [dst] (absent on the bus) *)
+  recv_us : int option;  (** wire decode at [dst] (absent in process) *)
   deliver_us : int option;  (** mailbox handed it to [dst]'s loop *)
   apply_us : int option;  (** applied to [dst]'s local copy *)
 }
@@ -38,7 +38,7 @@ val shard : t -> int
     {!Analyze.check} per group. *)
 
 val wire_us : leg -> int option
-(** Receive (or, on the bus, delivery) minus send. *)
+(** Receive (or, in process, delivery) minus send. *)
 
 val remote_queue_us : leg -> int option
 (** Delivery minus wire receive: time spent in the remote mailbox. *)

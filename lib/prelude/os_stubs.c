@@ -23,33 +23,6 @@ value prelude_os_set_timer_slack_ns(value ns)
   return Val_unit;
 }
 
-value prelude_os_wait_readable(value fd, value timeout_ns)
-{
-  struct pollfd p;
-  long ns = Long_val(timeout_ns);
-  int r;
-  p.fd = Int_val(fd);
-  p.events = POLLIN;
-  p.revents = 0;
-  caml_enter_blocking_section();
-#ifdef __linux__
-  if (ns < 0) {
-    r = ppoll(&p, 1, NULL, NULL);
-  } else {
-    struct timespec ts;
-    ts.tv_sec = ns / 1000000000L;
-    ts.tv_nsec = ns % 1000000000L;
-    r = ppoll(&p, 1, &ts, NULL);
-  }
-#else
-  /* poll counts milliseconds: round up so the wait is never cut short. */
-  r = poll(&p, 1, ns < 0 ? -1 : (int)((ns + 999999L) / 1000000L));
-#endif
-  caml_leave_blocking_section();
-  if (r < 0 && errno != EINTR) caml_uerror("ppoll", Nothing);
-  return Val_bool(r > 0);
-}
-
 value prelude_os_send_nowait(value fd, value buf, value ofs, value len)
 {
   int flags = MSG_DONTWAIT;

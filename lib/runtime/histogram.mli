@@ -4,7 +4,7 @@
     are log-linear, HdrHistogram-style: exact below 16, then 16 sub-buckets
     per power of two, so any recorded quantile is within ~6 % of the true
     value while the whole structure is one fixed 1040-slot array — O(1)
-    record, no allocation, cheap {!merge} across worker domains. *)
+    record, no allocation, cheap {!merge} across shards and runs. *)
 
 type t
 

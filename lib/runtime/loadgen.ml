@@ -1,6 +1,6 @@
-(** See the interface for the run structure.  Per-worker histograms are
-    domain-local and merged after each round's join, so no measurement path
-    takes a lock while an operation is being timed. *)
+(** See the interface for the run structure: closed-loop clients are
+    continuations on one {!Vloop}, so a run is a pure function of its
+    arguments. *)
 
 type verdict =
   | Linearizable of int
@@ -65,7 +65,7 @@ type report = {
   wall_us : int;
   throughput : float;
   classes : class_report list;
-  net : Transport.stats;
+  net : Transport_intf.stats;
   offsets : int array;
   cuts : int list;
   mode_switches : (int * bool * int) list;
@@ -145,7 +145,8 @@ let pp_report fmt r =
   Format.fprintf fmt "post-hoc linearizability: %a@]" pp_verdict r.verdict
 
 module Make (L : Workloads.LIVE) = struct
-  module R = Replica.Make (L.D)
+  module V = Vloop.Make (L.D)
+  module R = V.R
   module Lin = Linearize.Make (L.D)
   module Seq = Spec.Data_type.Run (L.D)
 
@@ -223,93 +224,29 @@ module Make (L : Workloads.LIVE) = struct
           in
           blame 0 L.D.initial)
 
-  (* ---- one worker's share of a round (runs in its own domain) ---- *)
+  (* ---- the closed loop, in virtual time ---- *)
 
-  (* Six histograms per worker: three op classes × (clean, fault-window).
-     An op lands in the fault-window half when its *invocation* fell inside
-     any declared fault window — the chaos layer's latency split. *)
+  (* Six histograms: three op classes × (clean, fault-window).  An op
+     lands in the fault-window half when its *invocation* fell inside any
+     declared fault window — the chaos layer's latency split. *)
   let in_windows windows t =
     List.exists (fun (from_us, until_us) -> from_us <= t && t < until_us) windows
 
-  let worker_body cluster rng ~n ~mix ~total ~quota ~wid ~windows ~mint
-      ~rotate =
-    let hists = Array.init 6 (fun _ -> Histogram.create ()) in
-    for _ = 1 to quota do
-      let op = draw rng mix total in
-      let slot =
-        match kind_of op with
-        | Spec.Data_type.Pure_mutator -> 0
-        | Spec.Data_type.Pure_accessor -> 1
-        | Spec.Data_type.Other -> 2
-      in
-      let t0_rel = R.elapsed_us cluster in
-      let t0 = Prelude.Mclock.now_us () in
-      let trace =
-        if Obs.Recorder.active () then Obs.Trace_id.fresh ~origin:wid else 0
-      in
-      (* In recovery mode each attempt carries the same op id, so a replay
-         the replica already holds is answered idempotently; a replay it
-         cannot answer yet asks us to back off (capped exponential, with
-         seeded jitter) and retry. *)
-      let op_id = mint () in
-      (* Under a quorum fallback a rejected replay also rotates to the next
-         replica: the one it was talking to may be permanently dead (or a
-         stalled minority), and the op id makes the hand-off idempotent. *)
-      let rec attempt backoff k =
-        match R.invoke ~trace ~op_id cluster ~pid:((wid + k) mod n) op with
-        | r -> r
-        | exception R.Retry_later _ ->
-            let pause = backoff + Prelude.Rng.int rng (backoff + 1) in
-            Unix.sleepf (float_of_int pause /. 1e6);
-            attempt (min (backoff * 2) 200_000) (if rotate then k + 1 else k)
-      in
-      ignore (attempt 1_000 0);
-      let slot = if in_windows windows t0_rel then slot + 3 else slot in
-      Histogram.add hists.(slot) (Prelude.Mclock.now_us () - t0)
-    done;
-    hists
+  let slot_of op =
+    match kind_of op with
+    | Spec.Data_type.Pure_mutator -> 0
+    | Spec.Data_type.Pure_accessor -> 1
+    | Spec.Data_type.Other -> 2
 
-  (* Replay the plan's crash/restart instants against a live cluster:
-     freeze the replica at the crash time (so it stops applying — the
-     in-process realisation of the process path's SIGKILL) and thaw it
-     through peer catch-up at the restart time.  Pairs without a restart
-     are skipped: an in-process replica that never recovers would wedge
-     its workers forever. *)
-  let crash_scheduler cluster ~permanent crashes =
-    match
-      List.concat_map
-        (fun (pid, crash_at, restart_at) ->
-          if restart_at = max_int then
-            (* Permanent kills only make sense when the survivors can take
-               over (quorum fallback armed): without one, a replica that
-               never recovers would wedge its workers forever. *)
-            if permanent then [ (crash_at, `Crash pid) ] else []
-          else [ (crash_at, `Crash pid); (restart_at, `Recover pid) ])
-        crashes
-      |> List.sort compare
-    with
-    | [] -> None
-    | events ->
-        Some
-          (Domain.spawn (fun () ->
-               List.iter
-                 (fun (at, action) ->
-                   let rec wait () =
-                     let now = R.elapsed_us cluster in
-                     if now < at then begin
-                       Unix.sleepf
-                         (float_of_int (min 2_000 (at - now)) /. 1e6);
-                       wait ()
-                     end
-                   in
-                   wait ();
-                   match action with
-                   | `Crash pid -> R.crash cluster ~pid
-                   | `Recover pid -> R.recover cluster ~pid)
-                 events))
+  (* A run with no completion for this long (virtual µs), and no crash or
+     restart of the plan still to come, is wedged — a stalled minority, a
+     replica frozen for good — and ends; its missing operations make the
+     verdict UNCHECKED.  A control that fires counts as progress: the
+     clients it unblocks get the full window to finish. *)
+  let stall_us = 60_000_000
 
   let run ~n ~d ~u ?eps ?(x = 0) ?(slack = 5000) ?workers ?(round = 48)
-      ?(mix = (50, 40, 10)) ?(loss = 0) ?skews ?wrap ?(fault_windows = [])
+      ?(mix = (50, 40, 10)) ?(loss = 0) ?skews ?fault ?(fault_windows = [])
       ?(recovery = false) ?(crashes = []) ?fallback ?sync ~ops ~seed () =
     if round < 1 || round > 62 then
       invalid_arg "Loadgen.run: round must be in [1, 62]";
@@ -319,11 +256,10 @@ module Make (L : Workloads.LIVE) = struct
       invalid_arg "Loadgen.run: mix weights must be non-negative, not all 0";
     let eps = match eps with Some e -> e | None -> Core.Params.optimal_eps ~n ~u in
     let workers = match workers with Some w -> w | None -> n in
-    (* The replicas assume d+slack / u+slack: the injected delays stay in
-       [d − u, d], and the slack absorbs mailbox-poll and scheduling jitter
-       (which the admissibility condition of the model does not know about).
-       Note (d+slack) − (u+slack) = d − u: the self-delivery wait is
-       unchanged; only the execute hold and the accessor wait stretch. *)
+    (* The replicas assume d+slack / u+slack while the injected delays stay
+       in [d − u, d].  Note (d+slack) − (u+slack) = d − u: the
+       self-delivery wait is unchanged; only the execute hold and the
+       accessor wait stretch. *)
     let params = Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x () in
     let rng = Prelude.Rng.make seed in
     let rng_delay, rng = Prelude.Rng.split rng in
@@ -360,12 +296,9 @@ module Make (L : Workloads.LIVE) = struct
           }
     in
     (* The fallback's mode hook also feeds the availability log: every
-       replica-local transition is timestamped on the run timeline (the
-       cluster ref is filled right after [start]; transitions only fire
-       once the event loops run, well after). *)
-    let switches = ref [] in
-    let switches_lock = Mutex.create () in
-    let cluster_ref = ref None in
+       replica-local transition is timestamped on the run timeline
+       (transitions only fire once the loop runs, after [loop] is set). *)
+    let switches = ref [] and loop = ref None in
     let fallback =
       Option.map
         (fun (cfg : Quorum.Config.t) ->
@@ -374,62 +307,122 @@ module Make (L : Workloads.LIVE) = struct
             cfg with
             Quorum.Config.on_mode =
               (fun ~quorum ~epoch ~seq ->
-                let at =
-                  match !cluster_ref with
-                  | Some c -> R.elapsed_us c
-                  | None -> 0
-                in
-                Mutex.lock switches_lock;
+                let at = Option.fold ~none:0 ~some:V.now !loop in
                 switches := (at, quorum, epoch) :: !switches;
-                Mutex.unlock switches_lock;
                 outer ~quorum ~epoch ~seq);
           })
         fallback
     in
-    let cluster =
-      R.start ~params ~policy ~offsets ?wrap ?recovery:recovery_cfg ?fallback
-        ?sync ()
+    let v =
+      V.create ~params ~policy ~offsets ?fault ?recovery:recovery_cfg
+        ?fallback ?sync ()
     in
-    cluster_ref := Some cluster;
-    let scheduler =
-      crash_scheduler cluster ~permanent:(fallback <> None) crashes
+    loop := Some v;
+    (* The plan's crash/restart instants: freeze the replica at the crash
+       (the in-process realisation of the process path's SIGKILL) and thaw
+       it through peer catch-up at the restart.  A permanent kill only
+       makes sense when the survivors can take over (quorum fallback
+       armed): otherwise a replica that never recovers would wedge its
+       clients. *)
+    let controls = ref 0 and progress = ref 0 in
+    let control at pid ctl =
+      incr controls;
+      V.at v at (fun () ->
+          decr controls;
+          progress := V.now v;
+          V.control v ~pid ctl)
     in
-    let op_ids = Atomic.make 1 in
+    List.iter
+      (fun (pid, crash_at, restart_at) ->
+        if restart_at < max_int then begin
+          control crash_at pid R.Crash;
+          control restart_at pid R.Recover
+        end
+        else if fallback <> None then control crash_at pid R.Crash)
+      crashes;
+    let next_op_id = ref 1 in
     let mint () =
-      if recovery || fallback <> None then Atomic.fetch_and_add op_ids 1 else 0
+      if recovery || fallback <> None then begin
+        let id = !next_op_id in
+        incr next_op_id;
+        id
+      end
+      else 0
     in
-    let t0 = Prelude.Mclock.now_us () in
-    let merged = Array.init 6 (fun _ -> Histogram.create ()) in
-    let cuts = ref [] in
+    let rotate = fallback <> None in
+    let hists = Array.init 6 (fun _ -> Histogram.create ()) in
+    let cuts = ref [] and remaining = ref ops and finished = ref false in
     let rng_workers = ref rng_workers in
-    let remaining = ref ops in
-    while !remaining > 0 do
-      let quota = min round !remaining in
-      remaining := !remaining - quota;
-      let spawned =
-        List.init workers (fun wid ->
-            let mine, rest = Prelude.Rng.split !rng_workers in
-            rng_workers := rest;
-            (* spread the round's quota over the workers *)
-            let share =
-              (quota / workers) + (if wid < quota mod workers then 1 else 0)
-            in
-            Domain.spawn (fun () ->
-                worker_body cluster mine ~n ~mix ~total ~quota:share ~wid
-                  ~windows:fault_windows ~mint ~rotate:(fallback <> None)))
-      in
-      List.iter
-        (fun dom ->
-          let hists = Domain.join dom in
-          Array.iteri (fun i h -> Histogram.merge_into ~into:merged.(i) h) hists)
-        spawned;
-      (* All of this round's operations have responded: a quiescent cut,
-         recorded on the history timeline (µs since cluster start). *)
-      cuts := R.elapsed_us cluster :: !cuts
-    done;
-    let wall_us = Prelude.Mclock.now_us () - t0 in
-    Option.iter Domain.join scheduler;
-    R.stop cluster;
+    (* One closed-loop client: its share of the round, one operation at a
+       time.  In recovery mode each attempt carries the same op id, so a
+       replay the replica already holds is answered idempotently; a replay
+       it cannot answer yet asks us to back off (capped exponential, with
+       seeded jitter) and retry.  Under a quorum fallback a rejected replay
+       also rotates to the next replica: the one it was talking to may be
+       permanently dead (or a stalled minority), and the op id makes the
+       hand-off idempotent. *)
+    let rec client ~wid ~rng ~left ~finish =
+      if left = 0 then finish ()
+      else begin
+        let op = draw rng mix total in
+        let t0 = V.now v in
+        let trace =
+          if Obs.Recorder.active () then Obs.Trace_id.fresh ~origin:wid else 0
+        in
+        let op_id = mint () in
+        let rec attempt backoff k =
+          V.invoke v ~pid:((wid + k) mod n) ~trace ~op_id op (function
+            | R.Done _ ->
+                let faulty = in_windows fault_windows t0 in
+                Histogram.add
+                  hists.(slot_of op + if faulty then 3 else 0)
+                  (V.now v - t0);
+                progress := V.now v;
+                client ~wid ~rng ~left:(left - 1) ~finish
+            | R.Rejected _ ->
+                let pause = backoff + Prelude.Rng.int rng (backoff + 1) in
+                V.at v (V.now v + pause) (fun () ->
+                    attempt (min (backoff * 2) 200_000)
+                      (if rotate then k + 1 else k))
+            | R.Cancelled -> ())
+        in
+        attempt 1_000 0
+      end
+    in
+    (* Rounds of at most [round] operations.  Once every client of a round
+       is done, the next µs is a quiescent cut: every invocation of the
+       round was stepped before it, every one of the next round after. *)
+    let rec start_round () =
+      if !remaining = 0 then finished := true
+      else begin
+        let quota = min round !remaining in
+        remaining := !remaining - quota;
+        let busy = ref workers in
+        let finish () =
+          decr busy;
+          if !busy = 0 then begin
+            let cut = V.now v + 1 in
+            cuts := cut :: !cuts;
+            V.at v cut start_round
+          end
+        in
+        for wid = 0 to workers - 1 do
+          let mine, rest = Prelude.Rng.split !rng_workers in
+          rng_workers := rest;
+          (* spread the round's quota over the clients *)
+          let share =
+            (quota / workers) + if wid < quota mod workers then 1 else 0
+          in
+          client ~wid ~rng:mine ~left:share ~finish
+        done
+      end
+    in
+    start_round ();
+    let stalled () = !controls = 0 && V.now v - !progress > stall_us in
+    V.run v ~until:(fun () -> !finished || stalled ());
+    let wall_us = V.now v in
+    (* The plan's remaining restarts still happen, after the load. *)
+    V.run v ~until:(fun () -> !controls = 0);
     let entries =
       List.map
         (fun (r : R.record) ->
@@ -440,7 +433,7 @@ module Make (L : Workloads.LIVE) = struct
             invoke = r.R.invoke_us;
             response = r.R.response_us;
           })
-        (R.history cluster)
+        (V.stop v)
     in
     let cuts = List.rev !cuts in
     let verdict =
@@ -448,10 +441,7 @@ module Make (L : Workloads.LIVE) = struct
         Unchecked
           (Printf.sprintf "expected %d completed ops, recorded %d" ops
              (List.length entries))
-      else check_history entries (List.sort compare cuts)
-    in
-    let classes =
-      classes_of ~params ~windowed:(fault_windows <> []) merged
+      else check_history entries cuts
     in
     {
       label = L.label;
@@ -468,10 +458,10 @@ module Make (L : Workloads.LIVE) = struct
       throughput =
         (if wall_us = 0 then 0.
          else float_of_int ops /. (float_of_int wall_us /. 1e6));
-      classes;
-      net = R.transport_stats cluster;
+      classes = classes_of ~params ~windowed:(fault_windows <> []) hists;
+      net = V.stats v;
       offsets;
-      cuts = List.sort compare cuts;
+      cuts;
       mode_switches = List.sort compare (List.rev !switches);
       verdict;
     }

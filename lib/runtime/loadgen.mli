@@ -1,24 +1,25 @@
 (** Closed-loop load generator with post-hoc linearizability verification.
 
-    Worker domains drive a live {!Replica} cluster: each worker repeatedly
-    draws an operation (mutator/accessor/other, per the configured mix),
-    invokes it synchronously and records the client-observed wall-clock
-    latency into a per-class {!Histogram}.
+    Closed-loop clients drive an in-process cluster on one virtual-time
+    loop ({!Vloop}): each client repeatedly draws an operation
+    (mutator/accessor/other, per the configured mix), invokes it and
+    records its client-observed latency, in virtual µs, into a per-class
+    {!Histogram}.  Nothing sleeps and nothing races, so a run is a pure
+    function of its arguments: the same seed gives the same report.
 
-    The run proceeds in {e rounds} of at most [round] operations: after
-    each round every worker quiesces (domain join) before the next starts.
+    The run proceeds in {e rounds} of at most [round] operations: once
+    every client of a round is done, the next round starts one µs later.
     The quiescent cuts let the ≤ 62-operation Wing–Gong checker
     ({!Linearize.Make}) verify the full history exactly, segment by
-    segment, carrying the witness state across cuts — so live executions
-    are linearizability-verified post hoc exactly like simulated ones.
+    segment, carrying the witness state across cuts — so in-process
+    executions are linearizability-verified post hoc exactly like
+    simulated ones.
 
-    Timing: the network-facing delays are drawn in [[d − u, d]] µs, but the
-    replicas run Algorithm 1 with [d + slack] and [u + slack]: [slack] is
-    scheduling-jitter headroom (thread wake-up latency, OS preemption)
-    that the discrete-event simulator does not need but a real executor
-    does.
-    The simulator's tick bounds thus become latency {e targets}; whether a
-    run met the model's guarantees is decided by the post-hoc check. *)
+    Timing: the network delays are drawn in [[d − u, d]] µs, but the
+    replicas run Algorithm 1 with [d + slack] and [u + slack].  A virtual
+    clock has no scheduling jitter, so [slack] only stretches the holds;
+    it is kept so that an in-process run times exactly like a TCP cluster
+    with the same flags, where it is the jitter headroom. *)
 
 type verdict =
   | Linearizable of int  (** number of verified history segments *)
@@ -69,10 +70,10 @@ type report = {
   seed : int;
   loss : int;
   ops : int;
-  wall_us : int;
+  wall_us : int;  (** µs of run time until the last operation completed *)
   throughput : float;  (** completed operations per second *)
   classes : class_report list;
-  net : Transport.stats;
+  net : Transport_intf.stats;
   offsets : int array;
       (** effective per-replica clock offsets (seeded draw + any injected
           skew) — spread > ε means the skew assumption was violated *)
@@ -114,7 +115,7 @@ module Make (L : Workloads.LIVE) : sig
     ?mix:int * int * int ->
     ?loss:int ->
     ?skews:int array ->
-    ?wrap:Transport_intf.wrapper ->
+    ?fault:Transport_intf.fault ->
     ?fault_windows:(int * int) list ->
     ?recovery:bool ->
     ?crashes:(int * int * int) list ->
@@ -131,7 +132,7 @@ module Make (L : Workloads.LIVE) : sig
       - [x]: Algorithm 1's trade-off knob, [0 ≤ X ≤ d + ε − u];
       - [slack] (µs, default 5000): jitter headroom added to the [d]/[u]
         the replicas assume (see module doc);
-      - [workers] (default [n]): closed-loop client domains;
+      - [workers] (default [n]): closed-loop clients;
       - [round] (default 48, max 62): operations per quiescent round;
       - [mix] (default [(50, 40, 10)]): percentage weights for
         mutators/accessors/others, normalised over their sum;
@@ -139,8 +140,8 @@ module Make (L : Workloads.LIVE) : sig
         retransmission layer, so expect a [Violation] verdict;
       - [skews]: per-replica extra clock offsets added to the seeded draw
         (the chaos layer's skew injection); length must be [n];
-      - [wrap]: transport decorator applied outermost (see
-        {!Replica.Make.start}) — the chaos layer's fault-injection hook;
+      - [fault]: consulted on every send (see {!Vloop.Make.create}) —
+        the chaos layer's fault-injection hook;
       - [fault_windows]: [(from, until)] µs intervals on the run timeline;
         ops invoked inside any of them are recorded into the [faulty]
         histograms so degraded latency is reported separately;
@@ -151,17 +152,21 @@ module Make (L : Workloads.LIVE) : sig
       - [crashes]: [(pid, crash_at, restart_at)] µs instants on the run
         timeline (the plan's {!Fault.Fault_plan.crash_schedule}): freeze
         the replica at the crash, thaw it through peer catch-up at the
-        restart.  Entries with [restart_at = max_int] (permanent kills) are
+        restart — also when the restart falls after the last operation.  Entries with [restart_at = max_int] (permanent kills) are
         skipped unless [fallback] is armed — without a degraded mode a
         replica that never thaws would wedge its workers.  Only effective
         together with [recovery] or [fallback];
-      - [fallback]: arm the adaptive quorum fallback ({!Replica.Make.node})
+      - [fallback]: arm the adaptive quorum fallback ({!Replica.Make.driver})
         on every replica.  Workers then mint op ids, retry idempotently and
         rotate to the next replica when one asks them to back off (it may
         be permanently dead), and the report's [mode_switches] log records
         every fast↔quorum transition;
-      - [sync]: arm live clock synchronization ({!Replica.Make.node}) on
+      - [sync]: arm live clock synchronization ({!Replica.Make.driver}) on
         every replica — each reads a slew-corrected clock and publishes
         its achieved ε per round;
-      - [seed]: all randomness (delays, offsets, op draws, backoff). *)
+      - [seed]: all randomness (delays, offsets, op draws, backoff).
+
+      A run that completes nothing for 60 virtual seconds (a stalled
+      minority, a replica frozen for good) ends there with an
+      [Unchecked] verdict. *)
 end

@@ -7,7 +7,7 @@
     as one {!Sim.Protocol.S} state machine.  Each step takes the raw local
     clock as [~clock] and returns {!Sim.Action.t} outputs: sends,
     broadcasts, timer sets/cancels and completions.  It never reads
-    [Mclock], never calls {!Transport_intf} and owns no timer wheel.  Its
+    a clock, never touches a network and owns no timer wheel.  Its
     only effects are the configuration hooks ([on_apply] for the WAL,
     [on_mode], [on_suspect], [on_eps]) and {!Obs.Recorder.emit}.  Its
     sync-corrected clock, failure detector, drain barrier and forward
@@ -15,25 +15,23 @@
     core under virtual time with exact µs.
 
     {b The driver} ({!driver}) holds one core, its timer list and the
-    clock translation.  A loop feeds it inputs with the [Mclock] reading
-    it took ({!invoke_at}, {!deliver_at}, {!control_at}, {!fire_due}); the
-    driver steps the core on the replica's raw local clock, files timer
-    outputs into its list and hands sends and completions to the loop's
-    [out] callback in emitted order.  It is the only place that translates
-    absolute time: client deadlines arrive in [Mclock] µs and move onto
-    the local clock, and history-record times move onto the cluster
-    timeline.  Two loops drive it: [Shard.Host]'s single poll loop, which
-    steps every shard's driver straight from the sockets in each TCP host
-    process, and {!node}'s in-process loop, one domain per replica waiting
-    on its {!Mailbox} until the next arrival or timer — {!start} below
-    assembles the in-process cluster by pointing [n] nodes at one shared
-    bus transport.
+    clock translation.  A loop feeds it inputs with the time it read
+    ({!invoke_at}, {!deliver_at}, {!control_at}, {!fire_due}); the driver
+    steps the core on the replica's raw local clock, files timer outputs
+    into its list and hands sends and completions to the loop's [out]
+    callback in emitted order.  It is the only place that translates
+    absolute time: client deadlines arrive in loop µs and move onto the
+    local clock, and history-record times move onto the cluster timeline.
+    Two loops drive it: [Shard.Host]'s single poll loop, which steps every
+    shard's driver straight from the sockets in each TCP host process on
+    the {!Prelude.Mclock} timeline, and {!Vloop}, which steps [n] drivers
+    of an in-process cluster on one virtual clock.
 
-    Clocks: replica [i]'s raw clock reads [Mclock.now_us () − start +
-    offset] — real time plus a fixed per-replica offset, exactly the
-    thesis' clock model with skew [ε = max offset spread].  Timer delays
-    are clock-time delays, and clocks run at the rate of real time, as in
-    the model.  With a {!Sync.Config.t} (the [?sync] argument below) the
+    Clocks: replica [i]'s raw clock reads [now − start + offset] — loop
+    time plus a fixed per-replica offset, exactly the thesis' clock model
+    with skew [ε = max offset spread].  Timer delays are clock-time
+    delays, and clocks run at the rate of loop time, as in the model.
+    With a {!Sync.Config.t} (the [?sync] argument below) the
     core instead stamps with a {e corrected} clock: the raw clock plus a
     correction earned over the wire by the clock-synchronization subsystem
     (DESIGN.md §14).  Every [interval_us] the replica broadcasts
@@ -111,28 +109,9 @@ module Make (D : Spec.Data_type.S) : sig
     include Replica_core.Make (D)
   end
 
-  exception Stopped
-  (** Raised by {!invoke} when the replica shut down before responding
-      (the operation is lost, not retried). *)
-
-  exception Retry_later of string
-  (** Raised by {!invoke} on [Rejected]: a replayed operation id still
-      in flight, a shed, or a replica that cannot serve right now.  The
-      client must back off and retry with the same op id. *)
-
-  type event =
-    | Net of wire  (** a peer's message — all that ever crosses a wire *)
-    | Invoke of D.op * int * int * int * (outcome -> unit)
-        (** op, trace, op id, deadline (absolute µs, 0 = none), and the
-            completion the replica's own loop calls exactly once *)
-    | Control of control  (** crash, recover or stop (see {!on_control}) *)
-  (** What flows through an in-process replica's transport: network
-      messages, local client invocations (which carry an unserialisable
-      completion callback) and control inputs. *)
-
   val trace_of : wire -> int
-  (** The operation a message belongs to ([0] = none), for the
-      transport's [Send] observability events. *)
+  (** The operation a message belongs to ([0] = none), for the [Send]
+      observability events and the fault hook. *)
 
   (** {2 The driver} *)
 
@@ -152,12 +131,15 @@ module Make (D : Spec.Data_type.S) : sig
     int ->
     driver
   (** [driver ~params ~start_us ~offset pid]: replica [pid]'s fresh core.
-      Its raw clock reads [now − start_us + offset] for an [Mclock]
-      reading [now]; [start_us] is also the origin of its record
-      timeline.  See {!node} for the optional configurations. *)
+      Its raw clock reads [now − start_us + offset] for a loop reading
+      [now]; [start_us] is also the origin of its record timeline.
+      [recovery] enables the durability machinery, [fallback] arms the
+      adaptive quorum fallback (heartbeats, failure detection, the
+      degraded ABD mode — DESIGN.md §13) and [sync] live clock
+      synchronization (DESIGN.md §14); see the module docs. *)
 
   val next_due : driver -> int
-  (** [Mclock] µs of the earliest pending timer; [max_int] if none. *)
+  (** Loop µs of the earliest pending timer; [max_int] if none. *)
 
   val fire_due : driver -> now:int -> out:(output -> unit) -> unit
   (** Fire every timer due at [now], in due order — including timers
@@ -166,7 +148,7 @@ module Make (D : Spec.Data_type.S) : sig
   val invoke_at :
     driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->
     deadline:int -> ticket:int -> D.op -> unit
-  (** Step a client invocation.  [deadline] is absolute [Mclock] µs
+  (** Step a client invocation.  [deadline] is absolute loop µs
       ([0] = none); the completion comes back through [out] as a
       [Respond] carrying [ticket]. *)
 
@@ -183,96 +165,4 @@ module Make (D : Spec.Data_type.S) : sig
 
   val driver_records : driver -> record list
   (** Completed operations on the cluster timeline, invocation order. *)
-
-  (** {2 Single node (one replica on its own domain, any transport)} *)
-
-  type node
-
-  val node :
-    params:Core.Params.t ->
-    transport:event Transport_intf.t ->
-    pid:int ->
-    ?offset:int ->
-    ?start_us:int ->
-    ?recovery:recovery ->
-    ?fallback:Quorum.Config.t ->
-    ?sync:Sync.Config.t ->
-    unit ->
-    node
-  (** Spawn one replica domain with identity [pid] over [transport].
-      [offset] (default 0) is its clock offset in µs; [start_us] (default
-      now) is the origin of its record timeline — the in-process cluster
-      passes one shared origin so all records are comparable.  [recovery]
-      enables the durability machinery (see the module docs).  [fallback] arms
-      the adaptive quorum fallback (heartbeats, failure detection, the
-      degraded ABD mode — see the module docs and DESIGN.md §13).
-      [sync] arms live clock synchronization: the replica reads a
-      slew-corrected clock and measures its achieved ε over the wire
-      (see the module docs and DESIGN.md §14). *)
-
-  val node_stop : node -> record list
-  (** Post the stop signal, join the domain, and return the node's
-      completed-operation records (invocation order).  Clients still
-      waiting are completed with [Cancelled].  Idempotent ([[]]
-      thereafter).  The node does not own its transport: close it
-      afterwards. *)
-
-  (** {2 In-process cluster (n nodes on one bus)} *)
-
-  type cluster
-
-  val start :
-    params:Core.Params.t ->
-    ?policy:Sim.Delay.t ->
-    ?offsets:int array ->
-    ?wrap:Transport_intf.wrapper ->
-    ?recovery:recovery ->
-    ?fallback:Quorum.Config.t ->
-    ?sync:Sync.Config.t ->
-    unit ->
-    cluster
-  (** Spawn [params.n] replica domains connected by an in-process bus —
-      wrapped in a delay-injecting transport when [policy] is given (delays
-      in µs; negative = loss).  [offsets] (default all 0) are the
-      per-replica clock offsets; their spread must be ≤ [params.eps] for
-      the timing guarantees to be targets.  [wrap] decorates the assembled
-      transport (applied outermost, after the delay policy) — the hook the
-      chaos layer ([Fault.Chaos_transport]) uses to inject faults; the
-      cluster's start time is passed as the wrapper's [start_us].
-      [recovery] (shared by all nodes; [recovered] should be [None]) arms
-      the crash/recover/catch-up machinery for {!crash}/{!recover};
-      [fallback] (shared by all nodes) arms the quorum fallback; [sync]
-      (shared by all nodes) arms live clock synchronization, letting the
-      cluster measure and shrink the very skew [offsets] injects. *)
-
-  val invoke : ?trace:int -> ?op_id:int -> cluster -> pid:int -> D.op -> D.result
-  (** Post an invocation to replica [pid] and block the caller until the
-      replica's loop completes it.  Concurrent invocations on one replica
-      are queued — the model allows one pending operation per process.
-      [op_id] (default 0 = none) identifies the client operation for
-      idempotent retries: invoking twice with the same id executes once.
-      @raise Retry_later on [Rejected];
-      @raise Stopped on [Cancelled]. *)
-
-  val crash : cluster -> pid:int -> unit
-  (** Freeze replica [pid] as if it crashed ([Control Crash]) — the
-      in-process realisation of a crash fault; pair it with the chaos
-      layer's transport isolation. *)
-
-  val recover : cluster -> pid:int -> unit
-  (** Thaw replica [pid] through the catch-up protocol ([Control Recover];
-      a no-op without a [recovery] config, or if already catching up). *)
-
-  val stop : cluster -> unit
-  (** Shut every replica down, join its domain and close the cluster's
-      transport.  Idempotent. *)
-
-  val history : cluster -> record list
-  (** Completed operations of a {e stopped} cluster, sorted by invocation
-      time (ties by [(pid, seq)], preserving per-replica program order). *)
-
-  val elapsed_us : cluster -> int
-  (** µs since cluster start — the timeline {!record} times live on. *)
-
-  val transport_stats : cluster -> Transport_intf.stats
 end

@@ -1,26 +1,41 @@
-(** The transport *interface*, factored out of {!Transport}: what the
-    in-process bus offers {!Replica}'s nodes, and what a decorator such as
-    [Fault.Chaos_transport] wraps.  A TCP host ([Shard.Host]) steps its
-    replicas straight from its socket set instead; it presents a shard's
-    sends as one of these only so that a chaos plan can wrap them.
+(** What a network is to the runtime: the pure fault hook a loop consults
+    on every send, and the counters every vehicle reports.
 
-    A transport is a first-class record of closures, polymorphic in the
-    message type: one value serves every [Replica.Make] instantiation, and
-    implementations live wherever their dependencies do.
+    Two loops own sends.  [Runtime.Vloop] steps [n] replica drivers in
+    virtual time over in-process links; [Shard.Host] steps a TCP host's
+    shards straight from its socket set.  Both apply a {!fault} the same
+    way, at send time, and both keep per-link FIFO order on the links
+    themselves. *)
 
-    Contract, shared by all implementations:
+type fate = { copies : int; extra_us : int }
+(** What the network does to one send.  [copies = 0] loses it; with
+    [copies = k ≥ 1], [k − 1] extra copies enter the link at once and the
+    original is parked for [extra_us] µs (0 = on time) before it enters
+    the link — so a delayed message may be overtaken by later traffic on
+    its link, exactly the misbehaviour a delay fault asks for. *)
 
-    - {!send} is the network: it may delay, reorder across links, or drop
-      (counted in {!stats}); per-link FIFO order is preserved.
-    - {!post} is the local client/control port: immediate, reliable,
-      in-process delivery to [dst]'s mailbox — in the system model this is
-      the co-located application layer invoking an operation, not a
-      network hop.
-    - {!recv} blocks on endpoint [me]'s mailbox with {!Mailbox.take}
-      deadline semantics.
-    - {!close} releases any OS resources (threads, sockets, the
-      mailboxes' wake-up pipes) once the endpoints' replicas are
-      stopped. *)
+let on_time = { copies = 1; extra_us = 0 }
+
+(** Carry out a {!fate}, the one way every loop does: [lost ()] when it
+    loses the send; otherwise [enter ()] once per extra copy, then once
+    more for the original — or [park extra_us] to make the original enter
+    later. *)
+let apply fate ~lost ~enter ~park =
+  if fate.copies = 0 then lost ()
+  else begin
+    for _ = 2 to fate.copies do
+      enter ()
+    done;
+    if fate.extra_us > 0 then park fate.extra_us else enter ()
+  end
+
+type fault = now_us:int -> src:int -> dst:int -> trace:int -> fate
+(** Decide one send's {!fate}.  [now_us] is the send time on the run
+    timeline (µs since the run's epoch); [trace] is the id of the
+    operation the message belongs to ([Obs.Trace_id.none] when untraced),
+    so a hook can emit [Fault] observability events against it without
+    inspecting the opaque message.  [Fault.Chaos_transport.decide] is the
+    one implementation; it numbers each link's sends itself. *)
 
 type link_stats = {
   reconnects : int;
@@ -46,52 +61,13 @@ type link_stats = {
 }
 
 type stats = {
-  sent : int;  (** messages handed to {!send} (including later-dropped) *)
+  sent : int;  (** messages offered to the network (including later-dropped) *)
   dropped : int;
-      (** messages lost: marked by the delay policy (bus) or shed from a
-          full/disconnected peer queue (TCP) *)
+      (** messages lost: by a fault or the delay policy (in-process), or
+          shed from a full/disconnected peer queue (TCP) *)
   link : link_stats option;
-      (** socket-level counters; [None] for in-process transports *)
+      (** socket-level counters; [None] for in-process links *)
 }
-
-type 'msg t = {
-  n : int;
-  send : src:int -> dst:int -> trace:int -> 'msg -> unit;
-      (** [trace] is the id of the operation this message belongs to
-          ([Obs.Trace_id.none] when untraced) — transports and their
-          wrappers emit [Send]/[Fault] observability events against it
-          without inspecting the opaque message. *)
-  post : src:int -> dst:int -> 'msg -> unit;
-  recv : me:int -> deadline:int option -> (int * 'msg) option;
-  depth : me:int -> int;
-      (** Current queue depth of endpoint [me]'s inbound mailbox — sampled
-          into [Deliver]/[Mbox_depth] observability events. *)
-  stats : unit -> stats;
-  close : unit -> unit;
-}
-
-type wrapper = { wrap : 'msg. start_us:int -> 'msg t -> 'msg t }
-(** A transport decorator that is polymorphic in the message type, so one
-    value (e.g. [Fault.Chaos_transport]'s) can wrap the in-process bus and
-    the TCP transport alike.  [start_us] is the run's clock epoch on the
-    {!Prelude.Mclock} timeline — wrappers that schedule behaviour in run
-    time (fault windows) measure from it. *)
-
-let n t = t.n
-let send t ?(trace = 0) ~src ~dst msg = t.send ~src ~dst ~trace msg
-
-(** {!send} to every endpoint except [src] — the system model's broadcast
-    (a process never sends to itself; its own copy is handled locally). *)
-let broadcast t ?(trace = 0) ~src msg =
-  for dst = 0 to t.n - 1 do
-    if dst <> src then t.send ~src ~dst ~trace msg
-  done
-
-let post t ~src ~dst msg = t.post ~src ~dst msg
-let recv t ~me ~deadline = t.recv ~me ~deadline
-let depth t ~me = t.depth ~me
-let stats t = t.stats ()
-let close t = t.close ()
 
 let no_links =
   {

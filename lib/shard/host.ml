@@ -27,10 +27,9 @@
     replies pass {!Net.Tcp_transport.reply_cap} instead of stalling the
     loop.  Checkpoints and the parent watch are loop timers.
 
-    Off-loop callers — a chaos layer's delayed sends and {!stop} — enter
-    through {!Net.Tcp_transport.inject}'s mutex-guarded inbox, whose wake
-    pipe is in the poll set; the hot path never touches it.
-    [timebounds serve] runs the loop on its main thread
+    Nothing enters the loop from another thread: {!stop} sets the stop
+    flag and wakes the poll through {!Net.Tcp_transport.wake}, as SIGINT
+    does.  [timebounds serve] runs the loop on its main thread
     ({!run_until_signalled}, where SIGINT/SIGTERM interrupt the poll);
     {!start} runs it on one thread per host for in-process callers.
 
@@ -40,9 +39,10 @@
       [root/shard-<k>/] with a META naming the shard, so a mixed-up
       directory handoff fails loudly;
     - a chaos plan is projected per shard ({!Fault.Fault_plan.for_shard}):
-      shard [k]'s sends go through a chaos wrapper only when the
-      projection is non-empty, so a [%k]-scoped fault never touches a
-      sibling;
+      shard [k]'s sends consult its own {!Fault.Chaos_transport.decide}
+      only when the projection is non-empty, so a [%k]-scoped fault never
+      touches a sibling; a delayed frame waits on a loop timer before it
+      enters its link;
     - each shard has its own admission controller, failure detector, mode
       controller and clock-sync estimator.
 
@@ -410,10 +410,9 @@ module Make (W : Net.Wire.WIRED) = struct
 
   type shard = {
     drv : R.driver;
-    send : dst:int -> trace:int -> R.wire -> unit;
-    chaos : R.wire T.t option;
-        (** the shard's chaos-wrapped view of the links, when its projected
-            plan is non-empty; [send] goes through it *)
+    chaos : Fault.Chaos_transport.t option;
+        (** the shard's fault controller, when its projected plan is
+            non-empty *)
     store : Durable.Store.t option;
     admission : Net.Admission.t;
         (** shards have independent service rates (their own cores,
@@ -429,8 +428,26 @@ module Make (W : Net.Wire.WIRED) = struct
     admitted_us : int;
   }
 
+  (* A frame a fault parked: it enters its link at [due]; [pseq] keeps
+     frames parked until the same µs in the order they were sent. *)
+  type parked = {
+    due : int;
+    pseq : int;
+    pk : int;
+    pdst : int;
+    ptrace : int;
+    pw : R.wire;
+  }
+
+  module Parked = Prelude.Heap.Make (struct
+    type t = parked
+
+    let compare a b = compare (a.due, a.pseq) (b.due, b.pseq)
+  end)
+
   type loop = {
     cfg : config;
+    epoch : int;  (** [Mclock] µs the fault windows are measured from *)
     tcp : (int * R.wire) Net.Tcp_transport.t;
     shards : shard array;
     mutable outs : (R.output -> unit) array;
@@ -442,7 +459,9 @@ module Make (W : Net.Wire.WIRED) = struct
     mutable now : int;  (** this cycle's clock reading *)
     stop_flag : bool Atomic.t;
     recovering : bool array;  (** shards that step [Recover] after [Start] *)
-    loop_thread : int Atomic.t;  (** [Thread.id] of the loop; -1 before *)
+    mutable parked : Parked.t;
+    mutable parked_seq : int;  (** frames parked so far *)
+    mutable chaos_dropped : int;  (** frames a fault lost, all shards *)
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
         (** installed recorder and its trace-file closer *)
     watch_parent : int option;
@@ -485,14 +504,51 @@ module Make (W : Net.Wire.WIRED) = struct
           C.Shed { reason = why; shard }
         else C.Error_msg ("retry: " ^ why)
 
+  (* A fault's losses count as sent and dropped, so loss stays visible. *)
   let stats lp =
-    match lp.shards.(0).chaos with
-    | Some view -> T.stats view
-    | None -> Net.Tcp_transport.stats lp.tcp
+    let s = Net.Tcp_transport.stats lp.tcp and lost = lp.chaos_dropped in
+    { s with T.sent = s.T.sent + lost; dropped = s.T.dropped + lost }
 
-  (* What a shard's step outputs become: sends ride the shared links with
-     the shard tag; a completion appends its reply frame straight to the
-     invoking connection. *)
+  (* Shard [k]'s send: straight onto the shared link with the shard tag,
+     unless its fault plan drops, copies or parks the frame. *)
+  let send lp k ~dst ~trace w =
+    match lp.shards.(k).chaos with
+    | None -> Net.Tcp_transport.send lp.tcp ~dst ~trace (k, w)
+    | Some chaos ->
+        T.apply
+          (Fault.Chaos_transport.decide chaos ~now_us:(lp.now - lp.epoch)
+             ~src:lp.cfg.pid ~dst ~trace)
+          ~lost:(fun () -> lp.chaos_dropped <- lp.chaos_dropped + 1)
+          ~enter:(fun () -> Net.Tcp_transport.send lp.tcp ~dst ~trace (k, w))
+          ~park:(fun extra_us ->
+            let p =
+              {
+                due = lp.now + extra_us;
+                pseq = lp.parked_seq;
+                pk = k;
+                pdst = dst;
+                ptrace = trace;
+                pw = w;
+              }
+            in
+            lp.parked_seq <- lp.parked_seq + 1;
+            lp.parked <- Parked.insert p lp.parked)
+
+  (* Parked frames whose time came (all of them at [~all]) enter their
+     links. *)
+  let release_parked ?(all = false) lp =
+    let due, rest =
+      Parked.pop_while (fun p -> all || p.due <= lp.now) lp.parked
+    in
+    lp.parked <- rest;
+    List.iter
+      (fun p ->
+        Net.Tcp_transport.send lp.tcp ~dst:p.pdst ~trace:p.ptrace (p.pk, p.pw))
+      due
+
+  (* What a shard's step outputs become: sends go through {!send}; a
+     completion appends its reply frame straight to the invoking
+     connection. *)
   let perform lp k = function
     | Sim.Action.Respond (r : R.reply) -> (
         match Hashtbl.find_opt lp.tickets r.R.ticket with
@@ -505,11 +561,11 @@ module Make (W : Net.Wire.WIRED) = struct
               (Net.Tcp_transport.conn_write p.conn
                  (C.encode (reply_of p.pshard r.R.outcome)))
         | None -> ())
-    | Sim.Action.Send (dst, w) -> lp.shards.(k).send ~dst ~trace:(R.trace_of w) w
+    | Sim.Action.Send (dst, w) -> send lp k ~dst ~trace:(R.trace_of w) w
     | Sim.Action.Broadcast w ->
         let trace = R.trace_of w in
         for dst = 0 to Array.length lp.cfg.addrs - 1 do
-          if dst <> lp.cfg.pid then lp.shards.(k).send ~dst ~trace w
+          if dst <> lp.cfg.pid then send lp k ~dst ~trace w
         done
     | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
 
@@ -626,14 +682,14 @@ module Make (W : Net.Wire.WIRED) = struct
         step_inputs lp
 
   (* One cycle per iteration: poll until the earliest deadline, read the
-     clock once, fire the due timers, step the inputs in arrival order,
-     fire the timers those steps made due (a zero hold answers within its
-     own cycle), write.  On stop, the shards answer their waiting clients
-     ("replica stopped") before the last write; the chaos views close on
-     this thread, so their parked sends go straight to the lanes. *)
+     clock once, fire the due timers and release the due parked frames,
+     step the inputs in arrival order, fire the timers those steps made
+     due (a zero hold answers within its own cycle), write.  On stop, the
+     shards answer their waiting clients ("replica stopped") and every
+     parked frame enters its link before the last write: a fault delays a
+     frame, it never loses one it decided to deliver. *)
   let run lp =
     Prelude.Os.set_timer_slack_ns 1;
-    Atomic.set lp.loop_thread (Thread.id (Thread.self ()));
     lp.now <- Prelude.Mclock.now_us ();
     Array.iteri
       (fun k sh ->
@@ -646,13 +702,16 @@ module Make (W : Net.Wire.WIRED) = struct
       let deadline =
         Array.fold_left
           (fun acc sh -> min acc (R.next_due sh.drv))
-          (min lp.next_checkpoint lp.next_watch)
+          (match Parked.find_min lp.parked with
+          | Some p -> min p.due (min lp.next_checkpoint lp.next_watch)
+          | None -> min lp.next_checkpoint lp.next_watch)
           lp.shards
       in
       Net.Tcp_transport.poll lp.tcp
         ~deadline_us:(min deadline (Net.Tcp_transport.next_wake_us lp.tcp));
       lp.now <- Prelude.Mclock.now_us ();
       fire_due lp;
+      release_parked lp;
       step_inputs lp;
       fire_due lp;
       loop_timers lp lp.now;
@@ -666,45 +725,10 @@ module Make (W : Net.Wire.WIRED) = struct
           R.driver_records sh.drv)
         lp.shards
     in
+    release_parked ~all:true lp;
     let stats = stats lp in
-    Array.iter (fun sh -> Option.iter T.close sh.chaos) lp.shards;
     Net.Tcp_transport.flush lp.tcp ~now_us:(Prelude.Mclock.now_us ());
-    Net.Tcp_transport.close lp.tcp;
     (records, stats)
-
-  (* A [%k]-scoped chaos plan wraps shard [k]'s sends.  The wrapper's
-     drainer thread re-sends delayed messages off the loop: those enter
-     through the inbox. *)
-  let chaos_view (cfg : config) tcp loop_thread k =
-    match cfg.chaos with
-    | None -> None
-    | Some plan ->
-        let scoped = Fault.Fault_plan.for_shard plan k in
-        if Fault.Fault_plan.is_empty scoped then None
-        else
-          let send ~src:_ ~dst ~trace w =
-            if Thread.id (Thread.self ()) = Atomic.get loop_thread then
-              Net.Tcp_transport.send tcp ~dst ~trace (k, w)
-            else
-              Net.Tcp_transport.inject tcp (fun () ->
-                  Net.Tcp_transport.send tcp ~dst ~trace (k, w))
-          in
-          let no_mailbox _ = invalid_arg "Host: a shard has no mailbox" in
-          let links =
-            {
-              T.n = Array.length cfg.addrs;
-              send;
-              post = (fun ~src:_ ~dst:_ m -> no_mailbox m);
-              recv = (fun ~me:_ ~deadline -> no_mailbox deadline);
-              depth = (fun ~me:_ -> 0);
-              stats = (fun () -> Net.Tcp_transport.stats tcp);
-              close = ignore;
-            }
-          in
-          let w =
-            Fault.Chaos_transport.wrapper (Fault.Chaos_transport.create scoped)
-          in
-          Some (w.T.wrap ~start_us:(epoch_of cfg) links)
 
   (* Everything before the first cycle: the recorder (so connection races
      at startup are already traced — it is process-global, one traced host
@@ -735,7 +759,6 @@ module Make (W : Net.Wire.WIRED) = struct
         ~decode_peer:(decode_peer ~shards:cfg.shards ~me:cfg.pid)
         ~encode_peer ~lane_of ~log:cfg.log ()
     in
-    let loop_thread = Atomic.make (-1) in
     let durable =
       Array.init cfg.shards (fun k ->
           Option.map (fun root -> open_store cfg root k) cfg.durable)
@@ -744,19 +767,17 @@ module Make (W : Net.Wire.WIRED) = struct
     let shards =
       Array.init cfg.shards (fun k ->
           let recovery = Option.map (fun (_, r, _, _, _) -> r) durable.(k) in
-          let chaos = chaos_view cfg tcp loop_thread k in
+          let chaos =
+            Option.bind cfg.chaos (fun plan ->
+                let scoped = Fault.Fault_plan.for_shard plan k in
+                if Fault.Fault_plan.is_empty scoped then None
+                else Some (Fault.Chaos_transport.create scoped))
+          in
           {
             drv =
               R.driver ~params:cfg.params ?recovery
                 ?fallback:(fallback_for cfg k) ?sync:(sync_for cfg k)
                 ~start_us ~offset:cfg.offset cfg.pid;
-            send =
-              (match chaos with
-              | None ->
-                  fun ~dst ~trace w ->
-                    Net.Tcp_transport.send tcp ~dst ~trace (k, w)
-              | Some view ->
-                  fun ~dst ~trace w -> T.send view ~trace ~src:cfg.pid ~dst w);
             chaos;
             store = Option.map (fun (store, _, _, _, _) -> store) durable.(k);
             admission = Net.Admission.create ();
@@ -786,6 +807,7 @@ module Make (W : Net.Wire.WIRED) = struct
     let lp =
       {
         cfg;
+        epoch = start_us;
         tcp;
         shards;
         outs = [||];
@@ -795,7 +817,9 @@ module Make (W : Net.Wire.WIRED) = struct
         now;
         stop_flag;
         recovering;
-        loop_thread;
+        parked = Parked.empty;
+        parked_seq = 0;
+        chaos_dropped = 0;
         recorder;
         watch_parent;
         next_checkpoint =
@@ -809,10 +833,13 @@ module Make (W : Net.Wire.WIRED) = struct
     lp.outs <- Array.init cfg.shards (fun k o -> perform lp k o);
     lp
 
-  (* After the loop: no more [on_apply] appends, so sync what the fsync
-     policy may still be buffering and close the stores; the recorder goes
-     last, after every emitter is gone. *)
+  (* After the loop: close the sockets (here, not on the loop, so a late
+     {!Net.Tcp_transport.wake} from {!stop} never meets a closed pipe); no
+     more [on_apply] appends, so sync what the fsync policy may still be
+     buffering and close the stores; the recorder goes last, after every
+     emitter is gone. *)
   let finish lp =
+    Net.Tcp_transport.close lp.tcp;
     Array.iter
       (fun sh ->
         Option.iter
@@ -847,16 +874,16 @@ module Make (W : Net.Wire.WIRED) = struct
     in
     { lp; thread; result; stopped_with = None }
 
-  (* Stop the loop through its inbox and join it: the shards answer every
-     client still waiting ("replica stopped") before the sockets close.
-     Returns per-shard completed-operation records (empty on a repeated
-     call). *)
+  (* Stop the loop as SIGINT does — set the flag, wake the poll — and join
+     it: the shards answer every client still waiting ("replica stopped")
+     before the sockets close.  Returns per-shard completed-operation
+     records (empty on a repeated call). *)
   let stop h =
     match h.stopped_with with
     | Some stats -> ([||], stats)
     | None -> (
-        Net.Tcp_transport.inject h.lp.tcp (fun () ->
-            Atomic.set h.lp.stop_flag true);
+        Atomic.set h.lp.stop_flag true;
+        Net.Tcp_transport.wake h.lp.tcp;
         Thread.join h.thread;
         finish h.lp;
         match !(h.result) with

@@ -3,8 +3,8 @@
    - the plan parser is total and the compiled decision function is pure
      (same seed + coordinates ⇒ same fault), which is what makes seeded
      chaos runs reproducible bit-for-bit;
-   - a no-fault [Chaos_transport] is observationally identical to the
-     transport it wraps;
+   - a no-fault [Chaos_transport] decides every send on time, so a run
+     through it is identical to one without it;
    - injected assumption violations are *excused* by the monitor, never
      reported as genuine safety bugs — and a linearizable run under faults
      is reported as "safety held while assumptions held". *)
@@ -132,103 +132,56 @@ let decide_seed_sensitivity () =
 
 (* ---- chaos transport ---- *)
 
-(* A minimal in-process transport: n mailboxes, synchronous delivery. *)
-let toy_transport n =
-  let boxes = Array.init n (fun _ -> Runtime.Mailbox.create ()) in
-  let sent = Atomic.make 0 in
-  let deliver ~src ~dst msg =
-    Runtime.Mailbox.put boxes.(dst)
-      ~deliver_at:(Prelude.Mclock.now_us ())
-      (src, msg)
-  in
-  {
-    Runtime.Transport_intf.n;
-    send =
-      (fun ~src ~dst ~trace:_ msg ->
-        Atomic.incr sent;
-        deliver ~src ~dst msg);
-    post = deliver;
-    recv = (fun ~me ~deadline -> Runtime.Mailbox.take boxes.(me) ~deadline);
-    depth = (fun ~me -> Runtime.Mailbox.length boxes.(me));
-    stats =
-      (fun () ->
-        {
-          Runtime.Transport_intf.sent = Atomic.get sent;
-          dropped = 0;
-          link = None;
-        });
-    close = (fun () -> ());
-  }
-
-let drain t ~me =
-  let rec go acc =
-    match
-      Runtime.Transport_intf.recv t ~me
-        ~deadline:(Some (Prelude.Mclock.now_us ()))
-    with
-    | Some item -> go (item :: acc)
-    | None -> List.rev acc
-  in
-  go []
-
-(* Wrapping with a plan that injects nothing must not change what any
-   endpoint receives — for the empty plan (the wrapper short-circuits) and
-   for a non-empty plan none of whose rules fire (the full chaos path). *)
+(* A plan that injects nothing must not change a run — for the empty plan
+   and for a non-empty plan none of whose rules fire (the full decision
+   path).  Runs are deterministic, so "unchanged" is equality of the
+   whole report. *)
 let no_fault_transparent =
   QCheck.Test.make ~count:60
     ~name:"no-fault chaos transport is observationally identical"
-    QCheck.(pair (int_bound 1000) (list_of_size Gen.(1 -- 40) small_nat))
-    (fun (seed, payloads) ->
-      let n = 3 in
-      let run plan =
-        let chaos = Fault.Chaos_transport.create plan in
-        let inner = toy_transport n in
-        let t =
-          (Fault.Chaos_transport.wrapper chaos).Runtime.Transport_intf.wrap
-            ~start_us:(Prelude.Mclock.now_us ())
-            inner
-        in
-        List.iteri
-          (fun i p ->
-            let src = i mod n in
-            Runtime.Transport_intf.send t ~src ~dst:((src + 1) mod n) p)
-          payloads;
-        let got = List.init n (fun me -> drain t ~me) in
-        Runtime.Transport_intf.close t;
-        got
+    QCheck.(pair (int_bound 1000) (int_range 1 40))
+    (fun (seed, ops) ->
+      let module G = Runtime.Loadgen.Make (Runtime.Workloads.Kv_map_live) in
+      let run fault = G.run ~n:3 ~d:2000 ~u:500 ?fault ~ops ~seed () in
+      let through plan =
+        run
+          (Some
+             (Fault.Chaos_transport.decide (Fault.Chaos_transport.create plan)))
       in
-      let bare = run (Fault.Fault_plan.empty ~seed) in
-      let inert = run (plan_of "drop(0);dup(0);spike(0us);jitter(0ms)" ~seed) in
-      bare = inert)
+      let bare = run None in
+      bare = through (Fault.Fault_plan.empty ~seed)
+      && bare = through (plan_of "drop(0);dup(0);spike(0us);jitter(0ms)" ~seed))
 
 let test_chaos_transport_drops_and_logs () =
   let plan = plan_of "drop(100)/0>1" ~seed:9 in
   let chaos = Fault.Chaos_transport.create plan in
-  let inner = toy_transport 3 in
-  let t =
-    (Fault.Chaos_transport.wrapper chaos).Runtime.Transport_intf.wrap
-      ~start_us:(Prelude.Mclock.now_us ())
-      inner
+  let decide dst =
+    Fault.Chaos_transport.decide chaos ~now_us:0 ~src:0 ~dst ~trace:0
   in
-  for _ = 1 to 5 do
-    Runtime.Transport_intf.send t ~src:0 ~dst:1 42
-  done;
-  Runtime.Transport_intf.send t ~src:0 ~dst:2 43;
-  Alcotest.(check (list (pair int int))) "0>1 fully dropped" [] (drain t ~me:1);
-  Alcotest.(check (list (pair int int)))
-    "0>2 untouched"
-    [ (0, 43) ]
-    (drain t ~me:2);
+  let to_1 = List.init 5 (fun _ -> decide 1) in
+  Alcotest.(check bool) "0>1 fully dropped" true
+    (List.for_all (fun f -> f.Runtime.Transport_intf.copies = 0) to_1);
+  Alcotest.(check bool) "0>2 untouched" true
+    (decide 2 = Runtime.Transport_intf.on_time);
   let drops, dups, delays = Fault.Chaos_transport.injected chaos in
   Alcotest.(check (triple int int int)) "injection counters" (5, 0, 0)
     (drops, dups, delays);
-  let s = Runtime.Transport_intf.stats t in
-  Alcotest.(check int) "drops visible in stats" 5
-    s.Runtime.Transport_intf.dropped;
-  Alcotest.(check int) "sent includes dropped" 6 s.Runtime.Transport_intf.sent;
   Alcotest.(check int) "log has one event per fault" 5
     (List.length (Fault.Chaos_transport.events chaos));
-  Runtime.Transport_intf.close t
+  (* On the virtual-time loop every fault drop is counted as sent and
+     dropped: with every link cut, all traffic is fault drops, so the
+     three counts agree exactly. *)
+  let r =
+    Fault.Chaos_run.run ~workload:Runtime.Workloads.kv_map ~n:3 ~d:2000 ~u:500
+      ~plan:(plan_of "drop(100)" ~seed:9) ~ops:24 ~seed:9 ()
+  in
+  let drops, _, _ = r.Fault.Chaos_run.injected in
+  let s = r.Fault.Chaos_run.run.Runtime.Loadgen.net in
+  Alcotest.(check bool) "faults dropped messages" true (drops > 0);
+  Alcotest.(check int) "drops visible in stats" drops
+    s.Runtime.Transport_intf.dropped;
+  Alcotest.(check int) "sent includes dropped" drops
+    s.Runtime.Transport_intf.sent
 
 (* ---- end-to-end chaos runs (in-process cluster) ---- *)
 
@@ -307,10 +260,24 @@ let test_crash_recovery_linearizable () =
         (Format.asprintf "%a" Fault.Assumption_monitor.pp_assessment a));
   Alcotest.(check bool) "run passes" true (Fault.Chaos_run.ok r)
 
+let test_late_restart_is_awaited () =
+  (* A restart more than the stall window after the crash: the clients
+     stuck on the frozen replica are not a wedged run, because the plan
+     still has a control to come.  The run waits for it and checks the
+     whole history. *)
+  let plan = plan_of "crash(1)@60ms;restart(1)@70s" ~seed:2 in
+  let r =
+    Fault.Chaos_run.run ~workload:kv ~n:3 ~d:2000 ~u:500 ~plan ~recovery:true
+      ~ops:200 ~seed:3 ()
+  in
+  Alcotest.(check bool) "the load outlived the crash" true
+    (r.Fault.Chaos_run.run.Runtime.Loadgen.wall_us > 70_000_000);
+  Alcotest.(check bool) "linearizable, not unchecked" true
+    (Runtime.Loadgen.is_linearizable r.Fault.Chaos_run.run)
+
 let test_seeded_runs_reproduce () =
   (* The acceptance bar: same seed ⇒ the same injected-fault log, down to
-     the per-link message indices.  One worker keeps the per-link send
-     sequence deterministic; the canonical log excludes wall-clock times. *)
+     the per-link message indices. *)
   let go () =
     let plan = plan_of "drop(30);dup(20)" ~seed:21 in
     let r =
@@ -322,6 +289,28 @@ let test_seeded_runs_reproduce () =
   let a = go () and b = go () in
   Alcotest.(check bool) "faults were injected" true (a <> []);
   Alcotest.(check (list string)) "canonical fault logs identical" a b
+
+(* Same seeds, same everything: the whole load report (histograms, cuts,
+   counters, mode switches, verdict), the injected-fault log with its
+   virtual send times, and the canonical log. *)
+let same_seed_same_report ?recovery ?fallback spec () =
+  let go () =
+    Fault.Chaos_run.run ~workload:kv ~n:3 ~d:2000 ~u:500 ?recovery ?fallback
+      ~plan:(plan_of spec ~seed:4) ~ops:200 ~seed:8 ()
+  in
+  let a = go () and b = go () in
+  Alcotest.(check bool) "identical load reports" true
+    (a.Fault.Chaos_run.run = b.Fault.Chaos_run.run);
+  Alcotest.(check bool) "identical fault events" true
+    (a.Fault.Chaos_run.events = b.Fault.Chaos_run.events);
+  Alcotest.(check (list string)) "identical canonical logs"
+    a.Fault.Chaos_run.canonical b.Fault.Chaos_run.canonical;
+  Alcotest.(check bool) "faults were injected" true
+    (a.Fault.Chaos_run.canonical <> [])
+
+let fallback_cfg =
+  (* same tight detector as test_quorum: milliseconds, not seconds *)
+  { Quorum.Config.default with hb_us = 2_000; suspect_after = 25 }
 
 (* ---- flood (overload) ---- *)
 
@@ -362,17 +351,13 @@ let test_flood_parse_and_decide () =
   Alcotest.(check int) "flood window is a violation window" 1
     (List.length windows)
 
-let fallback_cfg =
-  (* same tight detector as test_quorum: milliseconds, not seconds *)
-  { Quorum.Config.default with hb_us = 2_000; suspect_after = 25 }
-
 let test_flood_no_false_suspicions () =
   (* ISSUE acceptance: a 3-replica cluster under ×8 message amplification
      with the failure detector armed must keep heartbeats flowing — zero
      false suspicions, zero mode switches — because control frames are
-     never queued behind the data flood.  The in-process transport has no
-     lanes, but the mailbox path and the detector cadence must still
-     absorb the amplification.  Sheds (if any) are retried by the
+     never queued behind the data flood.  The in-process links have no
+     lanes, but the detector cadence must still absorb the
+     amplification.  Sheds (if any) are retried by the
      idempotent clients, so the run must stay linearizable or excused. *)
   let sink, contents = Obs.Recorder.memory_sink () in
   let rec_ = Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink () in
@@ -502,8 +487,16 @@ let () =
             test_crash_restart_in_process;
           Alcotest.test_case "crash/restart with recovery linearizes" `Quick
             test_crash_recovery_linearizable;
+          Alcotest.test_case "a restart after the stall window is awaited"
+            `Quick test_late_restart_is_awaited;
           Alcotest.test_case "seeded runs reproduce bit-for-bit" `Quick
             test_seeded_runs_reproduce;
+          Alcotest.test_case "same seed, same report: crash/restart, recovery"
+            `Quick
+            (same_seed_same_report ~recovery:true
+               "crash(1)@60ms;restart(1)@200ms");
+          Alcotest.test_case "same seed, same report: fallback, kill" `Quick
+            (same_seed_same_report ~fallback:fallback_cfg "crash(2)@40ms");
         ] );
       ( "flood",
         [

@@ -1,11 +1,9 @@
 (* Tests for the live runtime: histogram bucketing/percentile/merge math,
-   the delivery-ordered mailbox, workload sampler classification, and full
-   live executions — Algorithm 1 replicas on real domains for three sample
-   data types, with the post-hoc segmented linearizability verdict.
-
-   Live timing parameters are deliberately slack-heavy: on a loaded CI
-   machine a domain can lose the CPU for milliseconds, and the assertions
-   here must hold under any scheduling, not just a quiet one. *)
+   workload sampler classification, the virtual-time loop's links and
+   determinism, full in-process executions — the live replicas on the
+   virtual-time loop for three sample data types, with the post-hoc
+   segmented linearizability verdict — and the sans-I/O replica core
+   stepped by hand and under [Sim.Engine]. *)
 
 (* ---- histogram ---- *)
 
@@ -131,90 +129,6 @@ let hist_merge_quantiles =
                 = Runtime.Histogram.bucket_of (exact p))
            [ 1.; 25.; 50.; 90.; 99.; 100. ])
 
-(* ---- mailbox ---- *)
-
-let test_mailbox_order_and_deadline () =
-  let box = Runtime.Mailbox.create () in
-  let now = Prelude.Mclock.now_us () in
-  (* two ripe items: surfaced in deliver_at order, not insertion order *)
-  Runtime.Mailbox.put box ~deliver_at:(now - 10) "second";
-  Runtime.Mailbox.put box ~deliver_at:(now - 20) "first";
-  Alcotest.(check (option string))
-    "earliest ripe first" (Some "first")
-    (Runtime.Mailbox.take box ~deadline:None);
-  Alcotest.(check (option string))
-    "then the next" (Some "second")
-    (Runtime.Mailbox.take box ~deadline:None);
-  (* an unripe item is not surfaced before a deadline that precedes it *)
-  let now = Prelude.Mclock.now_us () in
-  Runtime.Mailbox.put box ~deliver_at:(now + 500_000) "late";
-  Alcotest.(check (option string))
-    "deadline fires before unripe item" None
-    (Runtime.Mailbox.take box ~deadline:(Some (now + 2_000)));
-  (* a ripe item with deliver_at after the deadline yields to the deadline *)
-  let now = Prelude.Mclock.now_us () in
-  Runtime.Mailbox.put box ~deliver_at:(now - 1) "after-deadline";
-  Alcotest.(check (option string))
-    "chronological merge with timers" None
-    (Runtime.Mailbox.take box ~deadline:(Some (now - 100)));
-  Alcotest.(check (option string))
-    "…but surfaced once the deadline is later" (Some "after-deadline")
-    (Runtime.Mailbox.take box ~deadline:None)
-
-(* A [put] from another domain must wake a taker parked on a far
-   deadline at once — the replica loop parks on its next hold timer, and
-   an invoke or entry arriving meanwhile must not wait it out. *)
-let test_mailbox_put_wakes_parked_take () =
-  let box = Runtime.Mailbox.create () in
-  let t0 = Prelude.Mclock.now_us () in
-  let putter =
-    Domain.spawn (fun () ->
-        Prelude.Mclock.sleep_us 20_000;
-        Runtime.Mailbox.put box ~deliver_at:(Prelude.Mclock.now_us ()) "hi")
-  in
-  let got = Runtime.Mailbox.take box ~deadline:(Some (t0 + 1_000_000)) in
-  let waited = Prelude.Mclock.now_us () - t0 in
-  Domain.join putter;
-  Runtime.Mailbox.close box;
-  Alcotest.(check (option string)) "the put item" (Some "hi") got;
-  Alcotest.(check bool)
-    (Printf.sprintf "woken long before the 1 s deadline (%d us)" waited)
-    true (waited < 500_000)
-
-(* Hold safety: a bounded take on an empty mailbox returns [None] only
-   once its deadline has passed — a timer must never fire early. *)
-let test_mailbox_deadline_never_early () =
-  let box = Runtime.Mailbox.create () in
-  let early = ref 0 in
-  for i = 1 to 400 do
-    let deadline = Prelude.Mclock.now_us () + (i mod 200) + 1 in
-    (match Runtime.Mailbox.take box ~deadline:(Some deadline) with
-    | Some _ -> Alcotest.fail "empty mailbox returned an item"
-    | None -> ());
-    if Prelude.Mclock.now_us () < deadline then incr early
-  done;
-  Runtime.Mailbox.close box;
-  Alcotest.(check int) "takes that returned before their deadline" 0 !early
-
-(* The wake-up pipe is released by [close]: 2 000 mailboxes created,
-   parked on and closed leave the open-descriptor count unchanged.  (A
-   leak would also trip [select]-style limits at 1024.) *)
-let test_mailbox_close_releases_fds () =
-  let fd_dir = "/proc/self/fd" in
-  if Sys.file_exists fd_dir then begin
-    let open_fds () = Array.length (Sys.readdir fd_dir) in
-    let before = open_fds () in
-    for _ = 1 to 2_000 do
-      let box = Runtime.Mailbox.create () in
-      ignore
-        (Runtime.Mailbox.take box
-           ~deadline:(Some (Prelude.Mclock.now_us () + 1)));
-      Runtime.Mailbox.put box ~deliver_at:0 ();
-      Runtime.Mailbox.close box
-    done;
-    Alcotest.(check int) "open descriptors" before (open_fds ())
-  end
-
 (* ---- workload samplers agree with the data type's classification ---- *)
 
 let test_samplers_classify () =
@@ -236,9 +150,7 @@ let test_samplers_classify () =
 
 (* ---- live executions ---- *)
 
-(* Slack-heavy timing so the verdict is stable under CI load; see the
-   module comment.  36 ops keeps each run in one quiescent segment and the
-   whole suite under a few seconds. *)
+(* 36 ops keeps each run in one quiescent segment. *)
 let live_run (module L : Runtime.Workloads.LIVE) =
   let module Gen = Runtime.Loadgen.Make (L) in
   Gen.run ~n:3 ~d:3000 ~u:1000 ~slack:25_000 ~round:36 ~ops:36
@@ -260,8 +172,7 @@ let test_live (module L : Runtime.Workloads.LIVE) () =
       0 r.Runtime.Loadgen.classes
   in
   Alcotest.(check int) "every op measured exactly once" 36 total;
-  (* At X = 0 mutators respond in ≈ ε and accessors in ≈ d + slack + ε: a
-     ~40× gap that no scheduling jitter plausibly closes. *)
+  (* At X = 0 mutators respond in ε and accessors in d + slack + ε. *)
   let p50 name =
     let c =
       List.find
@@ -287,7 +198,88 @@ let test_live_loss_is_detected () =
       ~mix:(60, 40, 0) ~loss:60 ~seed:3 ()
   in
   Alcotest.(check bool) "messages were dropped" true
-    (r.Runtime.Loadgen.net.Runtime.Transport.dropped > 0)
+    (r.Runtime.Loadgen.net.Runtime.Transport_intf.dropped > 0)
+
+(* ---- the virtual-time loop ---- *)
+
+(* Every link delivers in the order messages entered it, and with no
+   fault every delivered message took a delay inside [d − u, d] — also
+   when independent draws would overtake (writes 100 µs apart, delays
+   1.5 ms apart) and when the policy loses messages.  Read off the [Send]
+   and [Deliver] events, which the loop stamps with virtual time. *)
+let vloop_links_fifo =
+  QCheck.Test.make ~count:60
+    ~name:"per-link FIFO, fault-free delays in [d − u, d]"
+    QCheck.(pair small_nat (int_bound 2))
+    (fun (seed, kind) ->
+      let n = 3 and d = 2000 and u = 1500 in
+      let rng = Prelude.Rng.make seed in
+      let base = Sim.Delay.random rng ~d ~u in
+      let policy =
+        match kind with
+        | 0 -> base
+        | 1 -> Sim.Delay.lossy base ~rng ~percent:30
+        | _ -> Sim.Delay.lossy_bounded base ~rng ~percent:50 ~max_consecutive:2
+      in
+      let params =
+        Core.Params.make ~n ~d ~u ~eps:(Core.Params.optimal_eps ~n ~u) ()
+      in
+      let module V = Runtime.Vloop.Make (Spec.Register) in
+      let sink, contents = Obs.Recorder.memory_sink () in
+      let r = Obs.Recorder.start ~epoch_us:0 ~sink () in
+      Obs.Recorder.install r;
+      let v = V.create ~params ~policy () in
+      for i = 0 to 29 do
+        V.at v (i * 100) (fun () ->
+            V.invoke v ~pid:(i mod n) ~trace:(i + 1) (Spec.Register.Write i)
+              ignore)
+      done;
+      V.run v ~until:(fun () -> false);
+      ignore (V.stop v);
+      Obs.Recorder.uninstall ();
+      Obs.Recorder.stop r;
+      let on kind ~from ~to_ =
+        List.filter_map
+          (fun (e : Obs.Event.t) ->
+            if e.kind = kind && e.pid = from && e.a = to_ then
+              Some (e.trace, e.t_us)
+            else None)
+          (contents ())
+      in
+      List.for_all
+        (fun (src, dst) ->
+          let sent = on Obs.Event.Send ~from:src ~to_:dst in
+          let delivered = on Obs.Event.Deliver ~from:dst ~to_:src in
+          (* delivered traces, in delivery order, are a subsequence of the
+             sent ones in send order *)
+          let rec in_order sent delivered =
+            match (sent, delivered) with
+            | _, [] -> true
+            | [], _ :: _ -> false
+            | (s, _) :: sent, (t, _) :: rest ->
+                in_order sent (if s = t then rest else delivered)
+          in
+          sent <> [] && in_order sent delivered
+          && List.for_all
+               (fun (trace, at) ->
+                 let delay = at - List.assoc trace sent in
+                 d - u <= delay && delay <= d)
+               delivered)
+        [ (0, 1); (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ])
+
+(* A run is a pure function of its arguments: the same seed gives the
+   same report — histograms, cuts, counters and verdict. *)
+let test_vloop_same_seed_same_report () =
+  let module Gen = Runtime.Loadgen.Make (Runtime.Workloads.Kv_map_live) in
+  let run () =
+    Gen.run ~n:3 ~d:2000 ~u:500 ~round:24 ~ops:120 ~mix:(40, 40, 20) ~loss:5
+      ~seed:9 ()
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "identical reports" true (a = b);
+  Alcotest.(check bool) "the run did something" true
+    (a.Runtime.Loadgen.net.Runtime.Transport_intf.dropped > 0
+    && List.length a.Runtime.Loadgen.cuts = 5)
 
 (* ---- the sans-I/O replica core, stepped by hand ---- *)
 
@@ -685,16 +677,11 @@ let () =
           Alcotest.test_case "merge" `Quick test_hist_merge;
           QCheck_alcotest.to_alcotest ~long:false hist_merge_quantiles;
         ] );
-      ( "mailbox",
+      ( "vloop",
         [
-          Alcotest.test_case "ordering & deadlines" `Quick
-            test_mailbox_order_and_deadline;
-          Alcotest.test_case "put wakes a parked take" `Quick
-            test_mailbox_put_wakes_parked_take;
-          Alcotest.test_case "a deadline is never cut short" `Quick
-            test_mailbox_deadline_never_early;
-          Alcotest.test_case "close releases the wake-up pipe" `Quick
-            test_mailbox_close_releases_fds;
+          QCheck_alcotest.to_alcotest ~long:false vloop_links_fifo;
+          Alcotest.test_case "same seed, same report" `Quick
+            test_vloop_same_seed_same_report;
         ] );
       ( "workloads",
         [ Alcotest.test_case "samplers classify" `Quick test_samplers_classify ] );

@@ -610,7 +610,8 @@ let test_host_stop_answers_inflight () =
 
 (* Starting and stopping an armed in-process trio leaves no thread and
    no descriptor behind: every host loop is joined and every socket, pipe
-   and listener closed by [stop]. *)
+   and listener closed by [stop].  A [%k]-scoped delay plan adds no
+   thread either: its parked frames wait on the host's own loop. *)
 let test_host_stop_leaks_nothing () =
   let count dir = Array.length (Sys.readdir dir) in
   (* A joined thread's kernel task can outlive [Thread.join] by a moment:
@@ -653,6 +654,12 @@ let test_host_stop_leaks_nothing () =
               Some
                 (Sync.Config.make ~interval_us:20_000 ~d:params.Core.Params.d
                    ~u:params.Core.Params.u ());
+            chaos =
+              (match
+                 Fault.Fault_plan.compile ~seed:3 ~spec:"spike(3ms)%1"
+               with
+              | Ok plan -> Some plan
+              | Error e -> Alcotest.failf "plan: %s" e);
           })
   in
   Array.iteri

@@ -8,9 +8,9 @@
      achieved ε widens with staleness — the partition rule;
    - the slewed clock never steps backward and never exceeds its slew
      rate, whatever correction/advance sequences it sees (qcheck);
-   - end to end, three bus replicas skewed ±2 ms converge to an achieved
-     ε below the configured bound within a handful of rounds, zero
-     faults;
+   - end to end, three replicas on the virtual-time loop, skewed ±2 ms,
+     converge to an achieved ε below the configured bound within a
+     handful of rounds, zero faults;
    - the analyzer interpolates per-pid measured-ε timelines between sync
      rounds and substitutes them into the paper's bound formulas. *)
 
@@ -135,47 +135,27 @@ let clock_absorbs_correction =
       done;
       Sync.Clock.pending clk = 0 && Sync.Clock.applied clk = delta)
 
-(* ---- end to end: three skewed replicas on one bus ---- *)
+(* ---- end to end: three skewed replicas on the virtual-time loop ---- *)
 
 let test_convergence_below_configured () =
   let n = 3 in
   let configured_eps = 4_000 in
   let params = Core.Params.make ~n ~d:2_000 ~u:500 ~eps:configured_eps ~x:0 () in
   let interval_us = 10_000 in
-  let lock = Mutex.create () in
-  let history = Array.make n [] in
-  let sync_for pid =
-    Sync.Config.make ~interval_us ~d:2_000 ~u:500
-      ~on_eps:(fun ~eps_us ~peers:_ ->
-        Mutex.lock lock;
-        history.(pid) <- eps_us :: history.(pid);
-        Mutex.unlock lock)
+  let module V = Runtime.Vloop.Make (Spec.Register) in
+  let v =
+    V.create ~params
+      ~policy:(Sim.Delay.random (Prelude.Rng.make 3) ~d:2_000 ~u:500)
+      ~offsets:[| 2_000; 0; -2_000 |]
+      ~sync:(Sync.Config.make ~interval_us ~d:2_000 ~u:500 ())
       ()
   in
-  let module R = Runtime.Replica.Make (Spec.Register) in
-  let bus = Runtime.Transport.bus ~n () in
-  let transport = Runtime.Transport.intf bus in
-  let start_us = Prelude.Mclock.now_us () in
-  let offsets = [| 2_000; 0; -2_000 |] in
-  let nodes =
-    Array.init n (fun pid ->
-        R.node ~params ~transport ~pid ~offset:offsets.(pid) ~start_us
-          ~sync:(sync_for pid) ())
-  in
   let rounds_done () =
-    Mutex.lock lock;
-    let k =
-      Array.fold_left (fun k h -> min k (List.length h)) max_int history
-    in
-    Mutex.unlock lock;
-    k
+    Array.fold_left (fun k h -> min k (List.length h)) max_int (V.sync_rounds v)
   in
-  let deadline = Prelude.Mclock.now_us () + 5_000_000 in
-  while rounds_done () < 8 && Prelude.Mclock.now_us () < deadline do
-    Prelude.Mclock.sleep_us 2_000
-  done;
-  Array.iter (fun node -> ignore (R.node_stop node)) nodes;
-  Runtime.Transport_intf.close transport;
+  V.run v ~until:(fun () -> rounds_done () >= 8 || V.now v > 5_000_000);
+  ignore (V.stop v);
+  let history = Array.map (fun h -> List.rev_map fst h) (V.sync_rounds v) in
   Alcotest.(check bool) "every replica published at least 8 rounds" true
     (rounds_done () >= 8);
   Array.iteri
