@@ -110,6 +110,55 @@ module Buf = struct
         | (Codec.Corrupt _ | Codec.Need_more _) as p -> p
 end
 
+(* ---- waking early ---- *)
+
+module Lead = struct
+  let window = 16
+
+  (* One bucket per floor(log2 wait_ns): a ring of its last [window]
+     lateness samples and their median, read off a sorted copy in the
+     preallocated [sorted] so an update allocates nothing. *)
+  type t = {
+    samples : int array;  (** bucket b's ring at [b * window] *)
+    count : int array;
+    next : int array;
+    lead : int array;
+    sorted : int array;
+  }
+
+  let buckets = 63
+
+  let create () =
+    {
+      samples = Array.make (buckets * window) 0;
+      count = Array.make buckets 0;
+      next = Array.make buckets 0;
+      lead = Array.make buckets 0;
+      sorted = Array.make window 0;
+    }
+
+  let bucket wait_ns =
+    let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
+    go 0 wait_ns
+
+  let lead_ns t ~wait_ns =
+    if wait_ns <= 0 then 0 else min t.lead.(bucket wait_ns) (wait_ns / 2)
+
+  let observe t ~wait_ns ~ready ~late_ns =
+    if ready = 0 && wait_ns > 0 then begin
+      let b = bucket wait_ns in
+      let base = b * window in
+      t.samples.(base + t.next.(b)) <- max 0 late_ns;
+      t.next.(b) <- (t.next.(b) + 1) mod window;
+      let c = min window (t.count.(b) + 1) in
+      t.count.(b) <- c;
+      Array.blit t.samples base t.sorted 0 c;
+      Array.fill t.sorted c (window - c) max_int;
+      Array.sort Int.compare t.sorted;
+      t.lead.(b) <- t.sorted.((c - 1) / 2)
+    end
+end
+
 (* ---- counters ---- *)
 
 type counters = {
@@ -238,6 +287,7 @@ type 'msg t = {
   mutable pfds : Unix.file_descr array;
   mutable pev : int array;
   mutable prev : int array;
+  lead : Lead.t;
   (* the wake pipe *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -305,6 +355,7 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
     pfds = Array.make slots listener.listen_fd;
     pev = Array.make slots 0;
     prev = Array.make slots 0;
+    lead = Lead.create ();
     wake_r;
     wake_w;
     closed = false;
@@ -619,6 +670,33 @@ let ensure_slots t k =
     t.prev <- Array.make k 0
   end
 
+(* Wait [wait_ns] on [CLOCK_MONOTONIC] (read after the caller's [Mclock],
+   so the wait never ends before its [Mclock] deadline): one sleeping
+   [ppoll] until the wait's learned lead before the end, then zero-timeout
+   ones over the same set until the end, so a ready fd, [wake] or a signal
+   still ends it at once.  Only a sleep that timed out teaches [t.lead]
+   how late it woke.  The spin is bounded by the lead, which is at most
+   half the wait. *)
+let rec spin t ~count ~until =
+  if Prelude.Os.monotonic_ns () >= until then 0
+  else
+    match
+      Prelude.Os.poll t.pfds ~events:t.pev ~revents:t.prev ~count ~timeout_ns:0
+    with
+    | 0 -> spin t ~count ~until
+    | r -> r
+
+let sleep_then_spin t ~count ~wait_ns =
+  let sleep_ns = wait_ns - Lead.lead_ns t.lead ~wait_ns in
+  let t0 = Prelude.Os.monotonic_ns () in
+  let ready =
+    Prelude.Os.poll t.pfds ~events:t.pev ~revents:t.prev ~count
+      ~timeout_ns:sleep_ns
+  in
+  Lead.observe t.lead ~wait_ns ~ready
+    ~late_ns:(Prelude.Os.monotonic_ns () - t0 - sleep_ns);
+  if ready <> 0 then ready else spin t ~count ~until:(t0 + wait_ns)
+
 (* Poll-set layout: 0 = listener, 1 = wake pipe, then one slot per link
    with a socket, then one per live accepted socket — the same order the
    results are read back in. *)
@@ -662,7 +740,8 @@ let poll t ~deadline_us =
     else 1000 * max 0 (deadline_us - Prelude.Mclock.now_us ())
   in
   let ready =
-    poll t.pfds ~events:t.pev ~revents:t.prev ~count:!k ~timeout_ns
+    if timeout_ns > 0 then sleep_then_spin t ~count:!k ~wait_ns:timeout_ns
+    else poll t.pfds ~events:t.pev ~revents:t.prev ~count:!k ~timeout_ns
   in
   if ready < 0 then Array.fill t.prev 0 !k 0;
   if t.prev.(0) land pollin <> 0 then accept_all t;
@@ -692,6 +771,7 @@ let poll t ~deadline_us =
     polled;
   if t.prev.(1) land pollin <> 0 then drain_wake t
 
+let lead t = t.lead
 let next_input t = Queue.take_opt t.inputs
 let queued_inputs t = Queue.length t.inputs
 

@@ -1,12 +1,13 @@
 (** Real TCP sockets between Algorithm 1 replicas — the transport that
     puts each replica in its own OS process — as a {e thread-free socket
     set} that its owner's loop steps.  It runs no thread: the loop calls
-    {!poll} (one [ppoll] over every socket, then accepts, connect
-    completions and reads), takes the decoded {!input}s in arrival order
-    per connection, steps whatever it hosts, and calls {!flush} to write
-    everything the cycle queued — one write per socket.  Shards, cores and
-    timers are the caller's business.  Apart from {!wake}, every function
-    must be called from the owning loop's thread.
+    {!poll} (a wait on every socket until its deadline, then accepts,
+    connect completions and reads), takes the decoded {!input}s in
+    arrival order per connection, steps whatever it hosts, and calls
+    {!flush} to write everything the cycle queued — one write per
+    socket.  Shards, cores and timers are the caller's business.  Apart
+    from {!wake}, every function must be called from the owning loop's
+    thread.
 
     Topology: every replica listens on one address ([addrs.(pid)]) and
     keeps one {e outgoing} connection per peer, used only for sending;
@@ -167,13 +168,46 @@ val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
     observability event. *)
 
 val poll : 'msg t -> deadline_us:int -> unit
-(** One cycle's wait and reads: a single [ppoll] over the listener, the
-    wake pipe, every connection and every outgoing link (asking for
-    [POLLOUT] only where bytes are pending), until an fd is ready, a
-    signal arrives or [Mclock] reaches [deadline_us] — at once while
-    inputs are still queued.  Then accept, complete connects, read each
-    ready connection once, decode into inputs (emitting through the
-    caller's [decode_peer]), and drain the wake pipe. *)
+(** One cycle's wait and reads: wait on the listener, the wake pipe,
+    every connection and every outgoing link (asking for [POLLOUT] only
+    where bytes are pending) until an fd is ready, a signal arrives or
+    [Mclock] reaches [deadline_us] — at once while inputs are still
+    queued.  Then accept, complete connects, read each ready connection
+    once, decode into inputs (emitting through the caller's
+    [decode_peer]), and drain the wake pipe.
+
+    Returns at the deadline, never before it and not one VM wake-up
+    after it: the wait is one sleeping [ppoll] that times out the
+    {!Lead} learned for waits of its length before the deadline, then
+    zero-timeout [ppoll]s over the same set until the deadline, timed on
+    [CLOCK_MONOTONIC] ({!Prelude.Os.monotonic_ns}) so a wall-clock step
+    never stretches them.  A ready fd, {!wake} or a signal ends either
+    part at once. *)
+
+(** How early {!poll} stops sleeping so that it returns on time: on a VM
+    an idle vCPU wakes from a [ppoll] tens of µs after its timeout, more
+    the longer it slept.  Per log2 bucket of wait length the estimator
+    keeps that bucket's last 16 lateness samples; the lead is their
+    median, so one stolen wake-up does not make every later wait spin. *)
+module Lead : sig
+  type t
+
+  val create : unit -> t
+
+  val lead_ns : t -> wait_ns:int -> int
+  (** How long before the end of a [wait_ns] wait to stop sleeping: the
+      median of its bucket's samples, 0 before the first, and never more
+      than half the wait. *)
+
+  val observe : t -> wait_ns:int -> ready:int -> late_ns:int -> unit
+  (** One sleep of a [wait_ns] wait returned [ready] (the [ppoll]
+      result), [late_ns] after its timeout.  Only a timeout ([ready = 0])
+      is a sample: a wake that found an fd ready or a signal says nothing
+      about timer lateness. *)
+end
+
+val lead : 'msg t -> Lead.t
+(** The socket set's estimator. *)
 
 val next_input : 'msg t -> 'msg input option
 (** The next queued input; [None] once this cycle's are taken. *)

@@ -4,7 +4,15 @@
 val set_timer_slack_ns : int -> unit
 (** Set the {e calling thread's} timer slack: how late the kernel may
     fire its sleeps and poll timeouts to batch wake-ups (Linux defaults
-    to 50 µs).  A no-op off Linux. *)
+    to 50 µs).  A no-op off Linux.  Slack 1 ns removes the batching, not
+    the wake-up itself: on a VM an idle vCPU still returns from a
+    [ppoll] tens of µs late (see EXPERIMENTS.md, "Timer precision on a
+    VM"), which [Net.Tcp_transport.poll] absorbs by waking early. *)
+
+val monotonic_ns : unit -> int
+(** [CLOCK_MONOTONIC] in nanoseconds: the clock [ppoll] measures its
+    timeouts on, which never steps (unlike {!Mclock}, which holds still
+    after the wall clock steps back).  Allocation-free. *)
 
 val send_nowait : Unix.file_descr -> string -> int -> int -> int
 (** [send_nowait fd s off len] sends what the socket buffer takes right

@@ -23,6 +23,14 @@ value prelude_os_set_timer_slack_ns(value ns)
   return Val_unit;
 }
 
+value prelude_os_monotonic_ns(value unit)
+{
+  struct timespec ts;
+  (void)unit;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return Val_long((long)ts.tv_sec * 1000000000L + ts.tv_nsec);
+}
+
 value prelude_os_send_nowait(value fd, value buf, value ofs, value len)
 {
   int flags = MSG_DONTWAIT;

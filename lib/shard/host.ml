@@ -13,9 +13,11 @@
 
     One loop, one thread.  A host is a single poll loop that owns every
     socket ({!Net.Tcp_transport}'s thread-free socket set) and every
-    shard's {!Runtime.Replica.driver}.  Each cycle it makes one [ppoll]
-    over the listener, the accepted connections and the outgoing peer
-    links, with the earliest due timer across shards as its timeout; reads
+    shard's {!Runtime.Replica.driver}.  Each cycle it waits in
+    {!Net.Tcp_transport.poll} on the listener, the accepted connections
+    and the outgoing peer links until the earliest due timer across
+    shards (one sleeping [ppoll], then zero-timeout ones inside the lead
+    the socket set learned, so the timer fires on time); reads
     the clock once; fires every timer due at that reading, in due order;
     steps each decoded frame in arrival order per connection; and flushes
     each link's lanes and each client's replies, one write per socket.  A

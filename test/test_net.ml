@@ -939,6 +939,261 @@ let test_client_retry_classification () =
   Alcotest.(check bool) "semantic errors are not retryable" false
     (Cl.retryable "replica error: unknown op")
 
+(* ---- waking on time ---- *)
+
+module Lead = Net.Tcp_transport.Lead
+
+let ms = 1_000_000 (* ns *)
+
+let test_lead_starts_at_zero () =
+  let l = Lead.create () in
+  List.iter
+    (fun wait_ns ->
+      Alcotest.(check int) (Printf.sprintf "lead for %d ns" wait_ns) 0
+        (Lead.lead_ns l ~wait_ns))
+    [ 0; 1; 100_000; ms; 12 * ms + (ms / 2); 1_000 * ms ]
+
+let test_lead_timeouts_only () =
+  let l = Lead.create () and wait_ns = 12 * ms + (ms / 2) in
+  (* a wake that found an fd ready (woken 7 ms early, say) or a signal *)
+  Lead.observe l ~wait_ns ~ready:1 ~late_ns:(-7 * ms);
+  Lead.observe l ~wait_ns ~ready:3 ~late_ns:900_000;
+  Lead.observe l ~wait_ns ~ready:(-1) ~late_ns:500_000;
+  Alcotest.(check int) "ready and interrupted wakes are no samples" 0
+    (Lead.lead_ns l ~wait_ns);
+  Lead.observe l ~wait_ns ~ready:0 ~late_ns:70_000;
+  Alcotest.(check int) "a timeout is" 70_000 (Lead.lead_ns l ~wait_ns);
+  for _ = 1 to 20 do
+    Lead.observe l ~wait_ns ~ready:1 ~late_ns:(-2 * ms)
+  done;
+  Alcotest.(check int) "ready wakes leave it alone" 70_000
+    (Lead.lead_ns l ~wait_ns)
+
+(* One stolen wake-up must not make every later wait spin: the median
+   ignores it, wherever it falls in the window. *)
+let test_lead_ignores_an_outlier () =
+  let wait_ns = 12 * ms + (ms / 2) in
+  for at = 0 to 15 do
+    let l = Lead.create () in
+    for i = 0 to 15 do
+      let late_ns = if i = at then 5 * ms else 28_000 + (i mod 5 * 1_000) in
+      Lead.observe l ~wait_ns ~ready:0 ~late_ns
+    done;
+    let lead = Lead.lead_ns l ~wait_ns in
+    Alcotest.(check bool)
+      (Printf.sprintf "outlier at %d: lead %d ns" at lead)
+      true
+      (lead >= 28_000 && lead <= 32_000)
+  done;
+  (* ...while a lasting change moves it within one window *)
+  let l = Lead.create () in
+  for _ = 1 to 16 do Lead.observe l ~wait_ns ~ready:0 ~late_ns:30_000 done;
+  for _ = 1 to 16 do Lead.observe l ~wait_ns ~ready:0 ~late_ns:80_000 done;
+  Alcotest.(check int) "the window moved on" 80_000 (Lead.lead_ns l ~wait_ns)
+
+let test_lead_buckets () =
+  let l = Lead.create () in
+  let long = 12 * ms + (ms / 2) and short = 100_000 in
+  for _ = 1 to 16 do Lead.observe l ~wait_ns:long ~ready:0 ~late_ns:80_000 done;
+  Alcotest.(check int) "a 100 µs wait inherits nothing" 0
+    (Lead.lead_ns l ~wait_ns:short);
+  Alcotest.(check int) "nor does a 1 ms one" 0 (Lead.lead_ns l ~wait_ns:ms);
+  Alcotest.(check int) "the same bucket does" 80_000
+    (Lead.lead_ns l ~wait_ns:(long + (2 * ms)));
+  for _ = 1 to 16 do Lead.observe l ~wait_ns:short ~ready:0 ~late_ns:7_000 done;
+  Alcotest.(check int) "short waits learn their own" 7_000
+    (Lead.lead_ns l ~wait_ns:short);
+  Alcotest.(check int) "long ones keep theirs" 80_000
+    (Lead.lead_ns l ~wait_ns:long);
+  (* a lead never eats more than half its wait *)
+  for _ = 1 to 16 do Lead.observe l ~wait_ns:short ~ready:0 ~late_ns:60_000 done;
+  Alcotest.(check int) "at most half the wait" 35_000
+    (Lead.lead_ns l ~wait_ns:70_000)
+
+(* A one-replica socket set with nothing to send. *)
+let idle_set () =
+  let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let t =
+    reg_set ~me:0 ~listener:l
+      ~addrs:[| ("127.0.0.1", l.Net.Tcp_transport.port) |]
+      ()
+  in
+  (t, l.Net.Tcp_transport.port)
+
+let test_poll_never_early () =
+  let t, _ = idle_set () in
+  let rng = rng_of 20 in
+  let waits =
+    List.init 200 (fun _ -> Prelude.Rng.int rng 3_001) @ List.init 4 (fun _ -> 12_500)
+  in
+  List.iter
+    (fun wait_us ->
+      let deadline_us = Prelude.Mclock.now_us () + wait_us in
+      Net.Tcp_transport.poll t ~deadline_us;
+      let now = Prelude.Mclock.now_us () in
+      if now < deadline_us then
+        Alcotest.failf "a %d µs wait returned %d µs early" wait_us
+          (deadline_us - now))
+    waits;
+  (* the set learned a lead, so the waits above woke early and spun *)
+  Alcotest.(check bool) "a lead was learned" true
+    (Lead.lead_ns (Net.Tcp_transport.lead t) ~wait_ns:(12_500 * 1_000) > 0);
+  Net.Tcp_transport.close t
+
+(* Seed a 50 ms lead for 100 ms waits: the sleep ends 50 ms in, and the
+   rest of the wait is the spin. *)
+let long_wait_us = 100_000
+
+let seed_long_lead t =
+  for _ = 1 to 16 do
+    Lead.observe (Net.Tcp_transport.lead t) ~wait_ns:(long_wait_us * 1_000)
+      ~ready:0 ~late_ns:(50 * ms)
+  done
+
+let lead_of t =
+  Lead.lead_ns (Net.Tcp_transport.lead t) ~wait_ns:(long_wait_us * 1_000)
+
+(* Poll [long_wait_us] ahead, running [during] on another thread 75 ms
+   in — mid-spin; return how early the poll came back. *)
+let poll_with t ~during =
+  let t0 = Prelude.Mclock.now_us () in
+  let th =
+    Thread.create
+      (fun () ->
+        Prelude.Mclock.sleep_us (t0 + 75_000 - Prelude.Mclock.now_us ());
+        during ())
+      ()
+  in
+  let deadline_us = t0 + long_wait_us in
+  Net.Tcp_transport.poll t ~deadline_us;
+  let early = deadline_us - Prelude.Mclock.now_us () in
+  Thread.join th;
+  early
+
+let test_poll_spin_serves_sockets () =
+  let t, port = idle_set () in
+  let c = connect_to port in
+  (* accept the client *)
+  for _ = 1 to 3 do ignore (cycle ~wait_us:1_000 t) done;
+  seed_long_lead t;
+  let seeded = lead_of t in
+  let early = poll_with t ~during:(fun () -> write_all c (invoke_frame 1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes mid-spin end the wait (%d µs early)" early)
+    true (early > 10_000);
+  (match Net.Tcp_transport.next_input t with
+  | Some (Net.Tcp_transport.From_client _) -> ()
+  | _ -> Alcotest.fail "the frame is queued as an input");
+  (* bytes already there end the sleep at once, and such wakes are no
+     lateness samples *)
+  for i = 2 to 20 do
+    write_all c (invoke_frame i);
+    let deadline_us = Prelude.Mclock.now_us () + long_wait_us in
+    Net.Tcp_transport.poll t ~deadline_us;
+    Alcotest.(check bool) "ready at once" true
+      (Prelude.Mclock.now_us () < deadline_us);
+    ignore (Net.Tcp_transport.next_input t)
+  done;
+  Alcotest.(check int) "ready wakes taught the lead nothing" seeded (lead_of t);
+  Unix.close c;
+  Net.Tcp_transport.close t
+
+let test_poll_spin_wakes () =
+  let t, _ = idle_set () in
+  seed_long_lead t;
+  let early = poll_with t ~during:(fun () -> Net.Tcp_transport.wake t) in
+  Alcotest.(check bool)
+    (Printf.sprintf "wake ends the spin (%d µs early)" early)
+    true (early > 10_000);
+  Net.Tcp_transport.close t
+
+(* The safety half of waking early: over real sockets, with the host
+   loop's early wake-ups, no replica answers an operation before its
+   class's hold — Respond's [b] is the replica's own invoke-to-response
+   time on its loop clock — and the clients' history is linearizable.
+   Pure mutators and accessors are answered by their own timer alone, so
+   they run concurrently.  An OOP is answered when its entry executes,
+   which a later-stamped entry's execute timer may do before the OOP's
+   own d + ε (loopback delivers far under d − u), so OOPs run one at a
+   time, after the rest. *)
+module Kv_lin = Linearize.Make (Spec.Kv_map)
+
+let test_holds_never_cut_short () =
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  let n = 3 in
+  let params =
+    Core.Params.make ~n ~d:2_000 ~u:800
+      ~eps:(Core.Params.optimal_eps ~n ~u:800)
+      ~x:200 ()
+  in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port)) listeners
+  in
+  let sink, contents = Obs.Recorder.memory_sink () in
+  let recorder = Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink () in
+  Obs.Recorder.install recorder;
+  let start_us = Some (Prelude.Mclock.now_us ()) in
+  let handles =
+    Array.init n (fun pid ->
+        H.start ~listener:listeners.(pid)
+          (host_config ?start_us ~pid ~addrs params))
+  in
+  let conns =
+    Array.map
+      (fun (_, port) ->
+        match Cl.connect ~host:"127.0.0.1" ~port () with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "client connect: %s" e)
+      addrs
+  in
+  let histories = Array.make n [] in
+  let run pid op =
+    let invoke = Prelude.Mclock.now_us () in
+    match Cl.invoke conns.(pid) op with
+    | Ok result ->
+        let response = Prelude.Mclock.now_us () in
+        histories.(pid) <-
+          { Kv_lin.pid; op; result; invoke; response } :: histories.(pid)
+    | Error e -> Alcotest.failf "invoke: %s" e
+  in
+  let per_client = 12 in
+  let client pid =
+    let rng = rng_of (pid + 1) in
+    for i = 1 to per_client do
+      run pid
+        (match Prelude.Rng.int rng 3 with
+        | 0 -> Spec.Kv_map.Put (Prelude.Rng.int rng 3, (100 * pid) + i)
+        | 1 -> Spec.Kv_map.Del (Prelude.Rng.int rng 3)
+        | _ -> Spec.Kv_map.Get (Prelude.Rng.int rng 3))
+    done
+  in
+  List.iter Thread.join (List.init n (fun pid -> Thread.create client pid));
+  let oops = 12 in
+  for i = 1 to oops do
+    run (i mod n) (Spec.Kv_map.Swap (i mod 3, 1_000 + i))
+  done;
+  Array.iter Cl.close conns;
+  Array.iter (fun h -> ignore (H.stop h)) handles;
+  Obs.Recorder.uninstall ();
+  Obs.Recorder.stop recorder;
+  let responds =
+    List.filter (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Respond) (contents ())
+  in
+  Alcotest.(check int) "every op traced" ((n * per_client) + oops) (List.length responds);
+  List.iter
+    (fun (e : Obs.Event.t) ->
+      let bound = Obs.Analyze.bound_us params e.Obs.Event.a in
+      if e.Obs.Event.b < bound then
+        Alcotest.failf "a %s answered in %d µs, under its %d µs hold"
+          (Obs.Event.class_name e.Obs.Event.a) e.Obs.Event.b bound)
+    responds;
+  let history = List.concat_map List.rev (Array.to_list histories) in
+  Alcotest.(check bool) "LINEARIZABLE" true
+    (Kv_lin.is_linearizable (Kv_lin.check history))
+
 (* ---- overload protection: lanes + admission ---- *)
 
 (* Random pushes/pops against the two-lane queue.  Frames are (id, bytes);
@@ -1080,6 +1335,22 @@ let () =
             `Quick test_corrupt_frame_drops_one_connection;
           Alcotest.test_case "multi-MiB frames reassemble linearly" `Quick
             test_reassembly_linear;
+          Alcotest.test_case "poll never returns before its deadline" `Quick
+            test_poll_never_early;
+          Alcotest.test_case "bytes end the spin, queued" `Quick
+            test_poll_spin_serves_sockets;
+          Alcotest.test_case "wake ends the spin" `Quick test_poll_spin_wakes;
+          Alcotest.test_case "holds are never cut short" `Quick
+            test_holds_never_cut_short;
+        ] );
+      ( "wake-lead",
+        [
+          Alcotest.test_case "starts at 0" `Quick test_lead_starts_at_zero;
+          Alcotest.test_case "only timeouts are samples" `Quick
+            test_lead_timeouts_only;
+          Alcotest.test_case "one outlier moves nothing" `Quick
+            test_lead_ignores_an_outlier;
+          Alcotest.test_case "buckets are independent" `Quick test_lead_buckets;
         ] );
       ( "durable",
         [
