@@ -1343,7 +1343,7 @@ let () =
           Alcotest.test_case "holds are never cut short" `Quick
             test_holds_never_cut_short;
         ] );
-      ( "wake-lead",
+      ( "wakelead",
         [
           Alcotest.test_case "starts at 0" `Quick test_lead_starts_at_zero;
           Alcotest.test_case "only timeouts are samples" `Quick
