@@ -2,17 +2,21 @@
     load generator (and any external tool) speaks.
 
     A client connection opens with an [Invoke] frame (no [Hello]): the
-    replica's acceptor classifies it as a client and serves it for the
-    connection's lifetime.  The protocol is strict request/response —
-    [Invoke op → Result r | Error_msg e] and [Stats_req → Stats s] — so a
-    blocking read after each request is a complete client. *)
+    host's poll loop classifies the connection by that first frame and
+    serves it as a client for its lifetime.  The protocol is strict
+    request/response — [Invoke op → Result r | Error_msg e] and
+    [Stats_req → Stats s] — so a blocking read after each request is a
+    complete client.  Replies are reassembled in the connection's
+    {!Tcp_transport.Buf}, the same cursor buffer the host reads frames
+    with. *)
 
 module Make (W : Wire.WIRED) = struct
   module C = Codec.Make (W.C)
 
   type t = {
     fd : Unix.file_descr;
-    mutable residual : string;  (** bytes read past the last frame *)
+    buf : Tcp_transport.Buf.t;  (** reply bytes read, not yet decoded *)
+    mutable rcv_timeout : int option;  (** the [SO_RCVTIMEO] last set *)
   }
 
   let connect ~host ~port ?(attempts = 50) ?(retry_delay_us = 100_000) () =
@@ -26,7 +30,7 @@ module Make (W : Wire.WIRED) = struct
         Unix.connect fd addr;
         Unix.setsockopt fd Unix.TCP_NODELAY true
       with
-      | () -> Ok { fd; residual = "" }
+      | () -> Ok { fd; buf = Tcp_transport.Buf.create (); rcv_timeout = None }
       | exception Unix.Unix_error (err, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());
           if k <= 1 then
@@ -57,34 +61,31 @@ module Make (W : Wire.WIRED) = struct
      timed-out request leaves the connection in an unknown state (the
      reply may still be in flight), so callers should close and reconnect
      before retrying — which is exactly what the idempotent-retry loop in
-     [Cluster] does. *)
+     [Cluster] does.  The option is set only when it changes. *)
   let set_timeout t us =
-    try
-      Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO
-        (match us with
-        | None -> 0.
-        | Some us -> float_of_int (max 1 us) /. 1e6)
-    with Unix.Unix_error _ -> ()
+    if us <> t.rcv_timeout then
+      try
+        Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO
+          (match us with
+          | None -> 0.
+          | Some us -> float_of_int (max 1 us) /. 1e6);
+        t.rcv_timeout <- us
+      with Unix.Unix_error _ -> ()
 
-  let recv t =
-    let chunk = Bytes.create 8192 in
-    let rec go acc =
-      match C.decode acc with
-      | Codec.Got (msg, next) ->
-          t.residual <- String.sub acc next (String.length acc - next);
-          Ok msg
-      | Codec.Corrupt e -> Error ("corrupt reply: " ^ e)
-      | Codec.Need_more _ -> (
-          match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Error "connection closed by replica"
-          | n -> go (acc ^ Bytes.sub_string chunk 0 n)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              Error "timeout waiting for reply"
-          | exception (Unix.Unix_error _ | Sys_error _) ->
-              Error "connection lost")
-    in
-    go t.residual
+  let rec recv t =
+    match Tcp_transport.Buf.next_frame t.buf with
+    | Codec.Got (frame, _) -> (
+        match C.decode_payload frame with
+        | Ok msg -> Ok msg
+        | Error e -> Error ("corrupt reply: " ^ e))
+    | Codec.Corrupt e -> Error ("corrupt reply: " ^ e)
+    | Codec.Need_more _ -> (
+        match Tcp_transport.Buf.fill t.buf (Unix.read t.fd) with
+        | 0 -> Error "connection closed by replica"
+        | _ -> recv t
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Error "timeout waiting for reply"
+        | exception (Unix.Unix_error _ | Sys_error _) -> Error "connection lost")
 
   let rpc t msg =
     match send t msg with Error e -> Error e | Ok () -> recv t

@@ -112,9 +112,14 @@ let encode_frame ~kind ~payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let decode_frame ?(pos = 0) s =
-  let avail = String.length s - pos in
-  if pos < 0 || avail < 0 then Corrupt "negative offset"
+(* In place: the CRC runs over [s] itself (bytes 2..7 of the header are
+   exactly the version, kind and length [frame_crc] covers), and only a
+   verified payload is copied out. *)
+let decode_frame ?(pos = 0) ?len s =
+  let size = String.length s in
+  let avail = match len with Some l -> l | None -> size - pos in
+  if pos < 0 || avail < 0 || avail > size - pos then
+    Corrupt "bounds outside the string"
   else if avail < header_len then Need_more (header_len - avail)
   else if s.[pos] <> magic0 || s.[pos + 1] <> magic1 then Corrupt "bad magic"
   else if Char.code s.[pos + 2] <> version then
@@ -126,10 +131,13 @@ let decode_frame ?(pos = 0) s =
       Corrupt (Printf.sprintf "oversized frame (%d bytes)" len)
     else if avail < header_len + len then Need_more (header_len + len - avail)
     else
-      let payload = String.sub s (pos + header_len) len in
-      let crc = u32_be s (pos + 8) in
-      if frame_crc ~kind ~payload <> crc then Corrupt "checksum mismatch"
-      else Got ({ kind; payload }, pos + header_len + len)
+      let crc = crc32_update 0xffffffff s ~pos:(pos + 2) ~len:6 in
+      let crc = crc32_update crc s ~pos:(pos + header_len) ~len lxor 0xffffffff in
+      if crc <> u32_be s (pos + 8) then Corrupt "checksum mismatch"
+      else
+        Got
+          ( { kind; payload = String.sub s (pos + header_len) len },
+            pos + header_len + len )
 
 (* ---- payload primitives ---- *)
 
@@ -164,15 +172,15 @@ module Rd = struct
       c
     end
 
-  let uint t =
-    let rec go shift acc =
-      if shift > 62 then fail "varint overflow"
-      else
-        let c = byte t in
-        let acc = acc lor ((c land 0x7f) lsl shift) in
-        if c land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  (* Top-level, not a local closure: a varint read allocates nothing. *)
+  let rec uint_from t shift acc =
+    if shift > 62 then fail "varint overflow"
+    else
+      let c = byte t in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c land 0x80 = 0 then acc else uint_from t (shift + 7) acc
+
+  let uint t = uint_from t 0 0
 
   let int t =
     let n = uint t in

@@ -54,10 +54,14 @@ val encode_frame : kind:int -> payload:string -> string
 (** @raise Invalid_argument if [kind] is not a byte or the payload exceeds
     {!max_payload}. *)
 
-val decode_frame : ?pos:int -> string -> frame progress
-(** Decode one frame starting at [pos] (default 0).  Total function: bad
-    magic, bad version, oversized length and checksum mismatch are
-    {!Corrupt}; an incomplete frame is {!Need_more}. *)
+val decode_frame : ?pos:int -> ?len:int -> string -> frame progress
+(** Decode one frame from the [len] bytes starting at [pos] (defaults: 0
+    and the rest of the string).  Total function: bad magic, bad version,
+    oversized length and checksum mismatch are {!Corrupt}, and so is a
+    [pos]/[len] outside the string; an incomplete frame is {!Need_more}.
+    The header is judged as soon as it is in, before the bytes its length
+    promises.  Only the payload is copied, once its checksum holds, so a
+    stream reader can decode straight from its receive buffer. *)
 
 val crc32 : string -> pos:int -> len:int -> int
 (** IEEE CRC-32 of a substring (exposed for tests). *)

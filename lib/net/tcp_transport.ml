@@ -85,29 +85,20 @@ module Buf = struct
     if n > 0 then t.hi <- t.hi + n;
     n
 
-  let frame_len t =
-    Codec.header_len + (Int32.to_int (Bytes.get_int32_be t.buf (t.lo + 4)) land 0xffff_ffff)
-
-  (* The header is validated (magic, version, size bound) as soon as it is
-     in, so a corrupt stream is dropped without waiting for the bytes its
-     bogus length promises; a frame is decoded only once it is whole. *)
+  (* Decoded in place: [Codec.decode_frame] judges the header as soon as
+     it is in, so a corrupt stream is dropped without waiting for the
+     bytes its bogus length promises, and copies out only the payload of
+     a whole, checksummed frame.  The string view of [buf] does not
+     outlive the call. *)
   let next_frame t =
-    let avail = length t in
-    if avail < Codec.header_len then Codec.Need_more (Codec.header_len - avail)
-    else
-      let total = frame_len t in
-      if total > avail || total - Codec.header_len > Codec.max_payload then
-        match
-          Codec.decode_frame (Bytes.sub_string t.buf t.lo Codec.header_len)
-        with
-        | Codec.Corrupt e -> Codec.Corrupt e
-        | Codec.Got _ | Codec.Need_more _ -> Codec.Need_more (total - avail)
-      else
-        match Codec.decode_frame (Bytes.sub_string t.buf t.lo total) with
-        | Codec.Got (frame, _) ->
-            consume t total;
-            Codec.Got (frame, total)
-        | (Codec.Corrupt _ | Codec.Need_more _) as p -> p
+    match
+      Codec.decode_frame ~pos:t.lo ~len:(length t) (Bytes.unsafe_to_string t.buf)
+    with
+    | Codec.Got (frame, next) ->
+        let total = next - t.lo in
+        consume t total;
+        Codec.Got (frame, total)
+    | (Codec.Corrupt _ | Codec.Need_more _) as p -> p
 end
 
 (* ---- waking early ---- *)

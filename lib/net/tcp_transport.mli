@@ -81,7 +81,8 @@ module Buf : sig
 
   val next_frame : t -> Codec.frame Codec.progress
   (** Consume the next complete frame ([Got (frame, its length)]), or
-      report [Need_more]/[Corrupt] without consuming. *)
+      report [Need_more]/[Corrupt] without consuming.  Decodes in place:
+      only the frame's payload is copied. *)
 end
 
 (** An accepted connection that opened as a client. *)

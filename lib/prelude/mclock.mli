@@ -6,11 +6,17 @@
     convention of {!Ticks}, so the [d]/[u]/[ε]/[X] parameters of
     {!Core.Params} carry over unchanged between simulated and live runs.
 
-    OCaml's stdlib exposes no monotonic clock without external packages
-    ([Mtime]), so this is a shim over [Unix.gettimeofday] that is
+    A true monotonic clock is at hand — {!Os.monotonic_ns} reads
+    [CLOCK_MONOTONIC] — but this clock stays a shim over
+    [Unix.gettimeofday] on purpose: its readings must mean the same
+    instant in every process of a cluster.  The shared origin a cluster's
+    replicas start from ([serve --epoch], µs on the wall clock) and the
+    absolute deadlines clients mint on it are wall times that one process
+    hands to another, possibly on another host.  The shim is
     *monotonized*: concurrent readers in any domain observe non-decreasing
     values even if the wall clock steps backwards (NTP adjustment); after a
-    backward step the clock holds still until real time catches up. *)
+    backward step the clock holds still until real time catches up, which
+    is why timed waits measure their sleep on {!Os.monotonic_ns}. *)
 
 val now_us : unit -> int
 (** Current time in microseconds since the Unix epoch, monotonized across

@@ -11,6 +11,7 @@
 #include <sys/prctl.h>
 #endif
 #include <stdlib.h>
+#include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
 #include <caml/unixsupport.h>
@@ -56,10 +57,14 @@ value prelude_os_send_nowait(value fd, value buf, value ofs, value len)
    [events] are read, [revents] is written.  The pollfd scratch lives on
    the C stack (heap only past 256 fds), so a call allocates nothing on
    the OCaml heap.  Returns the number of ready fds, 0 on timeout, -1 when
-   a signal interrupted the wait (after running its OCaml handler). */
+   a signal interrupted the wait (after running its OCaml handler).  The
+   arguments are registered roots: while the wait has released the
+   runtime, another thread's minor collection may move a young [revents],
+   and the results must be written where it now lives. */
 value prelude_os_poll(value fds, value events, value revents, value count,
                       value timeout_ns)
 {
+  CAMLparam5(fds, events, revents, count, timeout_ns);
   struct pollfd stack[256];
   struct pollfd *p = stack;
   long n = Long_val(count), ns = Long_val(timeout_ns), i;
@@ -104,7 +109,7 @@ value prelude_os_poll(value fds, value events, value revents, value count,
       caml_uerror("ppoll", Nothing);
     }
     caml_process_pending_actions();
-    return Val_long(-1);
+    CAMLreturn(Val_long(-1));
   }
-  return Val_long(r);
+  CAMLreturn(Val_long(r));
 }

@@ -59,6 +59,30 @@ let frame_bit_flip =
              magic in a way that starves the reader — never for payload *)
           i < Net.Codec.header_len)
 
+(* A stream reader decodes straight from its buffer with [~pos ~len]: any
+   window, in bounds or not, never raises, and an in-bounds one reads
+   exactly what the same bytes copied out would. *)
+let frame_window =
+  QCheck.Test.make ~count:500 ~name:"a pos/len window decodes as its copy"
+    QCheck.(
+      pair
+        (pair (string_of_size Gen.(0 -- 16)) (string_of_size Gen.(0 -- 64)))
+        (pair (oneof [ always 0; int_range (-20) 20 ]) (int_range (-90) 4)))
+    (fun ((garbage, payload), (shift, short)) ->
+      let s = garbage ^ Net.Codec.encode_frame ~kind:5 ~payload ^ garbage in
+      (* around the frame's start, up to a few bytes past the end *)
+      let pos = String.length garbage + shift in
+      let len = String.length s - pos + short in
+      let in_bounds = pos >= 0 && len >= 0 && pos + len <= String.length s in
+      match (Net.Codec.decode_frame ~pos ~len s, in_bounds) with
+      | Net.Codec.Corrupt _, false -> true
+      | _, false -> false
+      | Net.Codec.Got (f, next), true -> (
+          match Net.Codec.decode_frame (String.sub s pos len) with
+          | Net.Codec.Got (g, k) -> f = g && next = pos + k
+          | _ -> false)
+      | p, true -> p = Net.Codec.decode_frame (String.sub s pos len))
+
 (* ---- wire version mismatch ---- *)
 
 (* Re-stamp a well-formed frame with another version byte, recomputing the
@@ -939,6 +963,156 @@ let test_client_retry_classification () =
   Alcotest.(check bool) "semantic errors are not retryable" false
     (Cl.retryable "replica error: unknown op")
 
+(* ---- the client port ---- *)
+
+(* [Net.Client.recv] against a raw accepted loopback socket: the test
+   writes reply frames by hand, however split, and reads what the client
+   makes of them. *)
+module Kcl = Net.Client.Make (Net.Wire.Kv_wired)
+module Kc = Kcl.C
+
+let client_pair () =
+  let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let cl =
+    match Kcl.connect ~host:"127.0.0.1" ~port:l.Net.Tcp_transport.port () with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "client connect: %s" e
+  in
+  let server, _ = Unix.accept l.Net.Tcp_transport.listen_fd in
+  Unix.close l.Net.Tcp_transport.listen_fd;
+  Unix.setsockopt server Unix.TCP_NODELAY true;
+  (cl, server)
+
+let reply i = Kc.encode (Kc.Result { result = Spec.Kv_map.Found i; shard = 0 })
+
+let expect_reply cl i =
+  match Kcl.recv cl with
+  | Ok (Kc.Result { result = Spec.Kv_map.Found j; shard = 0 }) when j = i -> ()
+  | Ok m -> Alcotest.failf "reply %d: got %s" i (Format.asprintf "%a" Kc.pp_msg m)
+  | Error e -> Alcotest.failf "reply %d: %s" i e
+
+let expect_error cl want =
+  match Kcl.recv cl with
+  | Ok m -> Alcotest.failf "want %S, got %s" want (Format.asprintf "%a" Kc.pp_msg m)
+  | Error e ->
+      Alcotest.(check string) "error" want e;
+      e
+
+let test_client_coalesced () =
+  let cl, server = client_pair () in
+  write_all server (reply 1 ^ reply 2);
+  expect_reply cl 1;
+  expect_reply cl 2;
+  write_all server (reply 3);
+  expect_reply cl 3;
+  Kcl.close cl;
+  Unix.close server
+
+let test_client_byte_at_a_time () =
+  let cl, server = client_pair () in
+  let stream = reply 1 ^ reply 200_000 in
+  let writer =
+    Thread.create
+      (fun () ->
+        String.iter
+          (fun c ->
+            write_all server (String.make 1 c);
+            Unix.sleepf 0.0002)
+          stream)
+      ()
+  in
+  expect_reply cl 1;
+  expect_reply cl 200_000;
+  Thread.join writer;
+  Kcl.close cl;
+  Unix.close server
+
+let test_client_corrupt () =
+  let cl, server = client_pair () in
+  let b = Bytes.of_string (reply 1) in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  write_all server (Bytes.to_string b);
+  ignore (expect_error cl "corrupt reply: checksum mismatch");
+  Kcl.close cl;
+  Unix.close server
+
+let test_client_eof_mid_frame () =
+  let cl, server = client_pair () in
+  let r = reply 1 in
+  write_all server (String.sub r 0 (String.length r - 3));
+  Unix.close server;
+  ignore (expect_error cl "connection closed by replica");
+  Kcl.close cl
+
+(* A timeout mid-frame keeps the half it read: once the rest arrives, the
+   same connection yields the whole reply. *)
+let test_client_timeout_mid_frame () =
+  let cl, server = client_pair () in
+  Kcl.set_timeout cl (Some 20_000);
+  let r = reply 1 in
+  let half = String.length r / 2 in
+  write_all server (String.sub r 0 half);
+  let e = expect_error cl "timeout waiting for reply" in
+  Alcotest.(check bool) "retryable" true (Kcl.retryable e);
+  write_all server (String.sub r half (String.length r - half));
+  expect_reply cl 1;
+  Kcl.close cl;
+  Unix.close server
+
+(* [SO_RCVTIMEO] is a syscall per op on a retrying driver: the client sets
+   it only when the wanted timeout changes.  Resetting the option behind
+   the client's back shows whether it called again. *)
+let test_client_timeout_cached () =
+  let cl, server = client_pair () in
+  let kernel () = Unix.getsockopt_float cl.Kcl.fd Unix.SO_RCVTIMEO in
+  Kcl.set_timeout cl (Some 250_000);
+  Alcotest.(check (float 0.01)) "set" 0.25 (kernel ());
+  Unix.setsockopt_float cl.Kcl.fd Unix.SO_RCVTIMEO 0.;
+  Kcl.set_timeout cl (Some 250_000);
+  Alcotest.(check (float 0.01)) "same timeout: no call" 0. (kernel ());
+  Kcl.set_timeout cl None;
+  Kcl.set_timeout cl (Some 500_000);
+  Alcotest.(check (float 0.01)) "changed: set again" 0.5 (kernel ());
+  Kcl.close cl;
+  Unix.close server
+
+(* The allocation gate: 10 000 replies, 100 per write, through one
+   connection.  Reading into the connection's buffer puts nothing on the
+   major heap per reply (a fresh 8 KiB read buffer per call put ~1 035
+   words there); the minor words bound is about twice what a reply costs
+   now (26 words).  GC counters do not move with scheduling, so the bounds are
+   tight. *)
+let test_client_allocation_gate () =
+  let cl, server = client_pair () in
+  let batch = String.concat "" (List.init 100 reply) in
+  let replies = 10_000 in
+  let run () =
+    for _ = 1 to replies / 100 do
+      write_all server batch;
+      for _ = 1 to 100 do
+        match Kcl.recv cl with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "recv: %s" e
+      done
+    done
+  in
+  run () (* warm: the buffer and the codec's tables exist *);
+  let g0 = Gc.quick_stat () in
+  run ();
+  let g1 = Gc.quick_stat () in
+  Kcl.close cl;
+  Unix.close server;
+  let per x = x /. float_of_int replies in
+  let major = per (g1.Gc.major_words -. g0.Gc.major_words)
+  and minor = per (g1.Gc.minor_words -. g0.Gc.minor_words) in
+  Alcotest.(check bool)
+    (Printf.sprintf "major words per reply %.2f <= 16" major)
+    true (major <= 16.);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per reply %.1f <= 52" minor)
+    true (minor <= 52.)
+
 (* ---- waking on time ---- *)
 
 module Lead = Net.Tcp_transport.Lead
@@ -1311,7 +1485,7 @@ let () =
       ( "codec",
         qsuite
           ([ frame_roundtrip; frame_trailing_bytes; frame_truncation;
-             frame_bit_flip; msg_corrupt_payloads ]
+             frame_bit_flip; frame_window; msg_corrupt_payloads ]
           @ msg_roundtrip_tests ())
         @ [
             Alcotest.test_case "other wire versions rejected" `Quick
@@ -1342,6 +1516,23 @@ let () =
           Alcotest.test_case "wake ends the spin" `Quick test_poll_spin_wakes;
           Alcotest.test_case "holds are never cut short" `Quick
             test_holds_never_cut_short;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "two replies coalesced in one write" `Quick
+            test_client_coalesced;
+          Alcotest.test_case "a reply written a byte at a time" `Quick
+            test_client_byte_at_a_time;
+          Alcotest.test_case "a corrupt frame is a corrupt reply" `Quick
+            test_client_corrupt;
+          Alcotest.test_case "EOF mid-frame closes" `Quick
+            test_client_eof_mid_frame;
+          Alcotest.test_case "a timeout mid-frame is retryable" `Quick
+            test_client_timeout_mid_frame;
+          Alcotest.test_case "SO_RCVTIMEO set only on change" `Quick
+            test_client_timeout_cached;
+          Alcotest.test_case "no major words per reply" `Quick
+            test_client_allocation_gate;
         ] );
       ( "wakelead",
         [

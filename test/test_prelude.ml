@@ -235,6 +235,38 @@ let test_poll_signal () =
     (Printf.sprintf "returned promptly (%d us)" took)
     true (took < 2_000_000)
 
+(* While one thread waits, another may run a minor collection that moves
+   the caller's young arrays: the readiness must land in the arrays the
+   caller holds, not where they were before the collection. *)
+let test_poll_gc_mid_wait () =
+  let ps = pairs 1 in
+  let a, b = ps.(0) in
+  let byte = Bytes.create 1 in
+  for round = 1 to 10 do
+    let fds = Array.make 1 a
+    and events = Array.make 1 Prelude.Os.pollin
+    and revents = Array.make 1 0 in
+    let writer =
+      Thread.create
+        (fun () ->
+          Prelude.Mclock.sleep_us 5_000;
+          Gc.minor ();
+          ignore (Unix.write_substring b "x" 0 1))
+        ()
+    in
+    let r =
+      Prelude.Os.poll fds ~events ~revents ~count:1 ~timeout_ns:5_000_000_000
+    in
+    Thread.join writer;
+    ignore (Unix.read a byte 0 1);
+    Alcotest.(check int) (Printf.sprintf "round %d: one ready" round) 1 r;
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: readiness in the caller's array" round)
+      true
+      (revents.(0) land Prelude.Os.pollin <> 0)
+  done;
+  close_pairs ps
+
 (* The caller owns the arrays: a call allocates nothing on the heap. *)
 let test_poll_no_alloc () =
   let ps = pairs 3 in
@@ -278,5 +310,7 @@ let () =
             test_poll_timeout;
           Alcotest.test_case "a signal ends the wait" `Quick test_poll_signal;
           Alcotest.test_case "allocation-free" `Quick test_poll_no_alloc;
+          Alcotest.test_case "a GC mid-wait moves no result" `Quick
+            test_poll_gc_mid_wait;
         ] );
     ]
