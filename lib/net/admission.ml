@@ -1,7 +1,6 @@
 type t = {
   budget : int;
   alpha : float;
-  lock : Mutex.t;
   mutable inflight : int;
   mutable ewma_us : float;
   mutable admitted : int;
@@ -16,7 +15,6 @@ let create ?(budget = 64) ?(alpha = 0.2) () =
   {
     budget;
     alpha;
-    lock = Mutex.create ();
     inflight = 0;
     ewma_us = 0.0;
     admitted = 0;
@@ -27,71 +25,50 @@ let create ?(budget = 64) ?(alpha = 0.2) () =
 type verdict = Admitted | Shed of string
 
 let try_admit t ~now_us ~deadline_us =
-  Mutex.lock t.lock;
-  let v =
-    if t.inflight >= t.budget then begin
-      t.shed_budget <- t.shed_budget + 1;
-      Shed
-        (Printf.sprintf "shed: inflight budget full (%d/%d)" t.inflight
-           t.budget)
-    end
-    else if
-      (* Predicted completion = now + queue-ahead-of-us service time + our
-         own; a fresh estimator (no completions yet) predicts 0 and admits
-         everything — it learns the real service time from the first few
-         completions instead of guessing. *)
-      deadline_us > 0
-      && now_us
-         + int_of_float (t.ewma_us *. float_of_int (t.inflight + 1))
-         > deadline_us
-    then begin
-      t.shed_deadline <- t.shed_deadline + 1;
-      Shed
-        (Printf.sprintf
-           "shed: deadline unmeetable (est %dus, %dus left)"
-           (int_of_float (t.ewma_us *. float_of_int (t.inflight + 1)))
-           (deadline_us - now_us))
-    end
-    else begin
-      t.inflight <- t.inflight + 1;
-      t.admitted <- t.admitted + 1;
-      Admitted
-    end
-  in
-  Mutex.unlock t.lock;
-  v
+  if t.inflight >= t.budget then begin
+    t.shed_budget <- t.shed_budget + 1;
+    Shed
+      (Printf.sprintf "shed: inflight budget full (%d/%d)" t.inflight
+         t.budget)
+  end
+  else if
+    (* Predicted completion = now + queue-ahead-of-us service time + our
+       own; a fresh estimator (no completions yet) predicts 0 and admits
+       everything — it learns the real service time from the first few
+       completions instead of guessing. *)
+    deadline_us > 0
+    && now_us
+       + int_of_float (t.ewma_us *. float_of_int (t.inflight + 1))
+       > deadline_us
+  then begin
+    t.shed_deadline <- t.shed_deadline + 1;
+    Shed
+      (Printf.sprintf
+         "shed: deadline unmeetable (est %dus, %dus left)"
+         (int_of_float (t.ewma_us *. float_of_int (t.inflight + 1)))
+         (deadline_us - now_us))
+  end
+  else begin
+    t.inflight <- t.inflight + 1;
+    t.admitted <- t.admitted + 1;
+    Admitted
+  end
 
 let finish t ~elapsed_us =
-  Mutex.lock t.lock;
   if t.inflight > 0 then t.inflight <- t.inflight - 1;
   let e = float_of_int (max 0 elapsed_us) in
   t.ewma_us <-
     (if t.ewma_us = 0.0 then e
-     else (t.alpha *. e) +. ((1.0 -. t.alpha) *. t.ewma_us));
-  Mutex.unlock t.lock
+     else (t.alpha *. e) +. ((1.0 -. t.alpha) *. t.ewma_us))
 
-let inflight t =
-  Mutex.lock t.lock;
-  let v = t.inflight in
-  Mutex.unlock t.lock;
-  v
-
-let ewma_us t =
-  Mutex.lock t.lock;
-  let v = int_of_float t.ewma_us in
-  Mutex.unlock t.lock;
-  v
+let inflight t = t.inflight
+let ewma_us t = int_of_float t.ewma_us
 
 type totals = { admitted : int; shed_budget : int; shed_deadline : int }
 
-let totals t =
-  Mutex.lock t.lock;
-  let v =
-    {
-      admitted = t.admitted;
-      shed_budget = t.shed_budget;
-      shed_deadline = t.shed_deadline;
-    }
-  in
-  Mutex.unlock t.lock;
-  v
+let totals (t : t) =
+  {
+    admitted = t.admitted;
+    shed_budget = t.shed_budget;
+    shed_deadline = t.shed_deadline;
+  }

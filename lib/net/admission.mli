@@ -10,7 +10,8 @@
     now + EWMA service time × (queue ahead + 1) — exceeds the op's
     deadline.
 
-    Thread-safe: client connections admit from their own reader threads. *)
+    Not thread-safe: each controller is owned by one host loop, the only
+    caller. *)
 
 type t
 

@@ -60,8 +60,7 @@ module Make (W : Wire.WIRED) = struct
   (* [timeout_us]: bound the wait for a reply via [SO_RCVTIMEO].  A
      timed-out request leaves the connection in an unknown state (the
      reply may still be in flight), so callers should close and reconnect
-     before retrying — which is exactly what the idempotent-retry loop in
-     [Cluster] does.  The option is set only when it changes. *)
+     before retrying.  The option is set only when it changes. *)
   let set_timeout t us =
     if us <> t.rcv_timeout then
       try
@@ -72,28 +71,37 @@ module Make (W : Wire.WIRED) = struct
         t.rcv_timeout <- us
       with Unix.Unix_error _ -> ()
 
-  let rec recv t =
+  (* The next whole reply already in [t.buf], if there is one. *)
+  let buffered t =
     match Tcp_transport.Buf.next_frame t.buf with
     | Codec.Got (frame, _) -> (
         match C.decode_payload frame with
-        | Ok msg -> Ok msg
-        | Error e -> Error ("corrupt reply: " ^ e))
-    | Codec.Corrupt e -> Error ("corrupt reply: " ^ e)
-    | Codec.Need_more _ -> (
+        | Ok msg -> Some (Ok msg)
+        | Error e -> Some (Error ("corrupt reply: " ^ e)))
+    | Codec.Corrupt e -> Some (Error ("corrupt reply: " ^ e))
+    | Codec.Need_more _ -> None
+
+  (* For a poll loop: called once [t.fd] polled readable, it reads once
+     and never blocks; [None] while the reply is still partial. *)
+  let recv_ready t =
+    match buffered t with
+    | Some _ as reply -> reply
+    | None -> (
         match Tcp_transport.Buf.fill t.buf (Unix.read t.fd) with
-        | 0 -> Error "connection closed by replica"
-        | _ -> recv t
+        | 0 -> Some (Error "connection closed by replica")
+        | _ -> buffered t
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            Error "timeout waiting for reply"
-        | exception (Unix.Unix_error _ | Sys_error _) -> Error "connection lost")
+            Some (Error "timeout waiting for reply")
+        | exception (Unix.Unix_error _ | Sys_error _) ->
+            Some (Error "connection lost"))
+
+  let rec recv t =
+    match recv_ready t with Some reply -> reply | None -> recv t
 
   let rpc t msg =
     match send t msg with Error e -> Error e | Ok () -> recv t
 
-  let invoke ?(trace = 0) ?(op_id = 0) ?(shard = 0) ?(deadline = 0) ?timeout_us
-      t op =
-    set_timeout t timeout_us;
-    match rpc t (C.Invoke { op; trace; op_id; shard; deadline }) with
+  let result_of ~shard = function
     | Ok (C.Result { result; shard = rs }) ->
         if rs = shard then Ok result
         else
@@ -107,6 +115,11 @@ module Make (W : Wire.WIRED) = struct
     | Ok (C.Error_msg e) -> Error ("replica error: " ^ e)
     | Ok m -> Error (Format.asprintf "unexpected reply %a" C.pp_msg m)
     | Error e -> Error e
+
+  let invoke ?(trace = 0) ?(op_id = 0) ?(shard = 0) ?(deadline = 0) ?timeout_us
+      t op =
+    set_timeout t timeout_us;
+    result_of ~shard (rpc t (C.Invoke { op; trace; op_id; shard; deadline }))
 
   (* Which invocation errors are safe and useful to retry (with the same
      op id)?  Timeouts and lost/closed connections — the op may or may not

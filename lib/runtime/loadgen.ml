@@ -1,6 +1,6 @@
-(** See the interface for the run structure: closed-loop clients are
-    continuations on one {!Vloop}, so a run is a pure function of its
-    arguments. *)
+(** See the interface for the run structure: the closed-loop client is
+    continuations over a port, so it runs on {!Vloop} (where a run is a
+    pure function of its arguments) as on a TCP poll loop. *)
 
 type verdict =
   | Linearizable of int
@@ -108,6 +108,17 @@ let pp_verdict fmt = function
       Format.fprintf fmt "VIOLATION in segment %d: %s" segment reason
   | Unchecked reason -> Format.fprintf fmt "UNCHECKED (%s)" reason
 
+let pp_classes fmt =
+  List.iter (fun c ->
+      Format.fprintf fmt "  %-3s %a  (target %s %dµs)@," c.class_name
+        Histogram.pp c.hist
+        (if String.equal c.class_name "OOP" then "≤" else "≈")
+        c.target_us;
+      match c.faulty with
+      | None -> ()
+      | Some h ->
+          Format.fprintf fmt "      in fault windows: %a@," Histogram.pp h)
+
 let pp_report fmt r =
   let m, a, o = r.mix in
   Format.fprintf fmt
@@ -120,17 +131,7 @@ let pp_report fmt r =
     r.ops
     (float_of_int r.wall_us /. 1e6)
     r.throughput Transport_intf.pp_stats r.net;
-  List.iter
-    (fun c ->
-      Format.fprintf fmt "  %-3s %a  (target %s %dµs)@," c.class_name
-        Histogram.pp c.hist
-        (if String.equal c.class_name "OOP" then "≤" else "≈")
-        c.target_us;
-      match c.faulty with
-      | None -> ()
-      | Some h ->
-          Format.fprintf fmt "      in fault windows: %a@," Histogram.pp h)
-    r.classes;
+  pp_classes fmt r.classes;
   (match r.mode_switches with
   | [] -> ()
   | switches ->
@@ -144,20 +145,63 @@ let pp_report fmt r =
       Format.fprintf fmt "@,");
   Format.fprintf fmt "post-hoc linearizability: %a@]" pp_verdict r.verdict
 
+type 'op source = {
+  shards : int;
+  mix : int * int * int;
+  describe : string;
+  draw : Prelude.Rng.t -> int * 'op;
+  home : wid:int -> shard:int -> int;
+}
+
+type 'r outcome = Done of 'r | Retry of string | Failed of string
+
+type ('op, 'r) port = {
+  replicas : int;
+  now : unit -> int;
+  at : int -> (unit -> unit) -> unit;
+  invoke :
+    wid:int ->
+    replica:int ->
+    shard:int ->
+    trace:int ->
+    op_id:int ->
+    deadline:int ->
+    'op ->
+    ('r outcome -> unit) ->
+    unit;
+  backoff_us : int;
+  backoff_cap_us : int;
+  max_retries : int;
+}
+
+(* Overload refusals, from admission control or a replica's deadline
+   check, say so first. *)
+let shed why = String.starts_with ~prefix:"shed" why
+
+let in_windows windows t =
+  List.exists (fun (from_us, until_us) -> from_us <= t && t < until_us) windows
+
 module Make (L : Workloads.LIVE) = struct
   module V = Vloop.Make (L.D)
   module R = V.R
   module Lin = Linearize.Make (L.D)
-  module Seq = Spec.Data_type.Run (L.D)
 
-  let kind_of op = L.D.classify op
-
-  (* Draw one operation according to the (mutator, accessor, other) weights. *)
-  let draw rng (m, a, _o) total =
-    let toss = Prelude.Rng.int rng total in
-    if toss < m then L.sample_mutator rng
-    else if toss < m + a then L.sample_accessor rng
-    else L.sample_other rng
+  (* The object's own mix on one shard; worker [wid] is homed on replica
+     [wid mod n], so every replica serves clients. *)
+  let object_source ~n ~mix =
+    let m, a, o = mix in
+    let total = m + a + o in
+    let draw rng =
+      let toss = Prelude.Rng.int rng total in
+      let op =
+        if toss < m then L.sample_mutator rng
+        else if toss < m + a then L.sample_accessor rng
+        else L.sample_other rng
+      in
+      (0, op)
+    in
+    let home ~wid ~shard:_ = wid mod n in
+    { shards = 1; mix; describe = ""; draw; home }
 
   (* ---- post-hoc check: segment the history at the quiescent cuts and run
      Wing–Gong on each segment, threading the witness state through. ---- *)
@@ -224,19 +268,152 @@ module Make (L : Workloads.LIVE) = struct
           in
           blame 0 L.D.initial)
 
-  (* ---- the closed loop, in virtual time ---- *)
+  (* ---- the closed-loop client, on any port ---- *)
 
-  (* Six histograms: three op classes × (clean, fault-window).  An op
-     lands in the fault-window half when its *invocation* fell inside any
-     declared fault window — the chaos layer's latency split. *)
-  let in_windows windows t =
-    List.exists (fun (from_us, until_us) -> from_us <= t && t < until_us) windows
+  type tally = {
+    hists : (int, Histogram.t array) Hashtbl.t;
+    mutable entries : (int * Lin.entry) list;
+    mutable cuts : int list;
+    mutable failed : int;
+    mutable sheds : int;
+    mutable first_error : string option;
+    mutable progress : int;
+    mutable finished : bool;
+    mutable gave_up : bool;
+  }
 
-  let slot_of op =
-    match kind_of op with
+  (* A shard's six histograms: three op classes × (clean, fault-window).
+     An op lands in the fault-window half when its {e invocation} fell
+     inside a declared fault window — the chaos layer's latency split. *)
+  let shard_hists t shard =
+    match Hashtbl.find_opt t.hists shard with
+    | Some hs -> hs
+    | None ->
+        let hs = Array.init 6 (fun _ -> Histogram.create ()) in
+        Hashtbl.replace t.hists shard hs;
+        hs
+
+  let slot_of op ~faulty =
+    (match L.D.classify op with
     | Spec.Data_type.Pure_mutator -> 0
     | Spec.Data_type.Pure_accessor -> 1
-    | Spec.Data_type.Other -> 2
+    | Spec.Data_type.Other -> 2)
+    + if faulty then 3 else 0
+
+  let drive port source ~workers ~round ~ops ~windows ~first_op_id
+      ~deadline_us ~traced ~resilient ~rotate ~rng ~seed =
+    let t =
+      {
+        hists = Hashtbl.create 16;
+        entries = [];
+        cuts = [];
+        failed = 0;
+        sheds = 0;
+        first_error = None;
+        progress = port.now ();
+        finished = false;
+        gave_up = false;
+      }
+    in
+    let next_op_id = ref first_op_id in
+    let mint () =
+      let id = !next_op_id in
+      if id <> 0 then incr next_op_id;
+      id
+    in
+    (* One closed-loop worker: its share of the round, one op at a time. *)
+    let rec client ~wid ~rng ~left ~finish =
+      if left = 0 then finish ()
+      else begin
+        let shard, op = source.draw rng in
+        let t0 = port.now () in
+        (* The trace id's origin bits carry the shard, so per-shard bound
+           attribution falls out of the merged trace files for free. *)
+        let trace = if traced then Obs.Trace_id.fresh ~origin:shard else 0 in
+        let op_id = mint () in
+        (* The deadline belongs to the operation, not the attempt: every
+           retry re-sends it unchanged, so an overloaded replica's
+           admission check measures the client's real remaining
+           patience. *)
+        let deadline = if deadline_us > 0 then t0 + deadline_us else 0 in
+        let next () = client ~wid ~rng ~left:(left - 1) ~finish in
+        (* An op with an id is replayed under that id when it was refused
+           or lost, after a capped exponential backoff; the replica dedups
+           the replay, so the history records one operation from the first
+           invocation to the answered one.  The jitter is hashed from the
+           retry site, not drawn from [rng]: a retry must not shift the op
+           draws. *)
+        let rec attempt backoff tries =
+          (* Under [rotate] each replay goes to the next replica: the one
+             that refused may be dead, or a stalled minority. *)
+          let hop = if rotate then tries else 0 in
+          let replica = (source.home ~wid ~shard + hop) mod port.replicas in
+          port.invoke ~wid ~replica ~shard ~trace ~op_id ~deadline op
+            (function
+            | Done result ->
+                let t1 = port.now () in
+                let faulty = in_windows windows t0 in
+                Histogram.add (shard_hists t shard).(slot_of op ~faulty)
+                  (t1 - t0);
+                t.entries <-
+                  ( shard,
+                    { Lin.pid = wid; op; result; invoke = t0; response = t1 }
+                  )
+                  :: t.entries;
+                t.progress <- t1;
+                next ()
+            | Retry why
+              when op_id <> 0 && tries < port.max_retries
+                   && (* a shed past the op's own deadline is final: every
+                         further attempt would be shed again *)
+                   ((not (shed why)) || deadline = 0 || port.now () < deadline)
+              ->
+                if shed why then t.sheds <- t.sheds + 1;
+                let jitter =
+                  Prelude.Rng.hash [ seed; wid; op_id; tries ]
+                  mod (1 + (backoff / 2))
+                in
+                port.at (port.now () + backoff + jitter) (fun () ->
+                    attempt (min (2 * backoff) port.backoff_cap_us) (tries + 1))
+            | Retry why | Failed why ->
+                if shed why then t.sheds <- t.sheds + 1;
+                t.failed <- t.failed + 1;
+                if t.first_error = None then t.first_error <- Some why;
+                if resilient then next () else t.gave_up <- true)
+        in
+        attempt port.backoff_us 0
+      end
+    in
+    (* Rounds of at most [round] operations.  Once every worker of a round
+       is done, the next µs is a quiescent cut: every invocation of the
+       round came before it, every one of the next round after. *)
+    let remaining = ref ops and rng = ref rng in
+    let rec start_round () =
+      if !remaining = 0 then t.finished <- true
+      else begin
+        let quota = min round !remaining in
+        remaining := !remaining - quota;
+        let busy = ref workers in
+        let finish () =
+          decr busy;
+          if !busy = 0 then begin
+            let cut = port.now () + 1 in
+            t.cuts <- cut :: t.cuts;
+            port.at cut start_round
+          end
+        in
+        for wid = 0 to workers - 1 do
+          let mine, rest = Prelude.Rng.split !rng in
+          rng := rest;
+          let share =
+            (quota / workers) + if wid < quota mod workers then 1 else 0
+          in
+          client ~wid ~rng:mine ~left:share ~finish
+        done
+      end
+    in
+    start_round ();
+    t
 
   (* A run with no completion for this long (virtual µs), and no crash or
      restart of the plan still to come, is wedged — a stalled minority, a
@@ -340,86 +517,34 @@ module Make (L : Workloads.LIVE) = struct
         end
         else if fallback <> None then control crash_at pid R.Crash)
       crashes;
-    let next_op_id = ref 1 in
-    let mint () =
-      if recovery || fallback <> None then begin
-        let id = !next_op_id in
-        incr next_op_id;
-        id
-      end
-      else 0
+    (* A replica asks a replay it cannot answer yet to back off. *)
+    let port =
+      {
+        replicas = n;
+        now = (fun () -> V.now v);
+        at = V.at v;
+        invoke =
+          (fun ~wid:_ ~replica ~shard:_ ~trace ~op_id ~deadline:_ op k ->
+            V.invoke v ~pid:replica ~trace ~op_id op (function
+              | R.Done r -> k (Done r)
+              | R.Rejected why -> k (Retry why)
+              | R.Cancelled -> ()));
+        backoff_us = 1_000;
+        backoff_cap_us = 200_000;
+        max_retries = max_int;
+      }
     in
-    let rotate = fallback <> None in
-    let hists = Array.init 6 (fun _ -> Histogram.create ()) in
-    let cuts = ref [] and remaining = ref ops and finished = ref false in
-    let rng_workers = ref rng_workers in
-    (* One closed-loop client: its share of the round, one operation at a
-       time.  In recovery mode each attempt carries the same op id, so a
-       replay the replica already holds is answered idempotently; a replay
-       it cannot answer yet asks us to back off (capped exponential, with
-       seeded jitter) and retry.  Under a quorum fallback a rejected replay
-       also rotates to the next replica: the one it was talking to may be
-       permanently dead (or a stalled minority), and the op id makes the
-       hand-off idempotent. *)
-    let rec client ~wid ~rng ~left ~finish =
-      if left = 0 then finish ()
-      else begin
-        let op = draw rng mix total in
-        let t0 = V.now v in
-        let trace =
-          if Obs.Recorder.active () then Obs.Trace_id.fresh ~origin:wid else 0
-        in
-        let op_id = mint () in
-        let rec attempt backoff k =
-          V.invoke v ~pid:((wid + k) mod n) ~trace ~op_id op (function
-            | R.Done _ ->
-                let faulty = in_windows fault_windows t0 in
-                Histogram.add
-                  hists.(slot_of op + if faulty then 3 else 0)
-                  (V.now v - t0);
-                progress := V.now v;
-                client ~wid ~rng ~left:(left - 1) ~finish
-            | R.Rejected _ ->
-                let pause = backoff + Prelude.Rng.int rng (backoff + 1) in
-                V.at v (V.now v + pause) (fun () ->
-                    attempt (min (backoff * 2) 200_000)
-                      (if rotate then k + 1 else k))
-            | R.Cancelled -> ())
-        in
-        attempt 1_000 0
-      end
+    let tally =
+      drive port (object_source ~n ~mix) ~workers ~round ~ops
+        ~windows:fault_windows
+        ~first_op_id:(if recovery || fallback <> None then 1 else 0)
+        ~deadline_us:0 ~traced:(Obs.Recorder.active ()) ~resilient:true
+        ~rotate:(fallback <> None) ~rng:rng_workers ~seed
     in
-    (* Rounds of at most [round] operations.  Once every client of a round
-       is done, the next µs is a quiescent cut: every invocation of the
-       round was stepped before it, every one of the next round after. *)
-    let rec start_round () =
-      if !remaining = 0 then finished := true
-      else begin
-        let quota = min round !remaining in
-        remaining := !remaining - quota;
-        let busy = ref workers in
-        let finish () =
-          decr busy;
-          if !busy = 0 then begin
-            let cut = V.now v + 1 in
-            cuts := cut :: !cuts;
-            V.at v cut start_round
-          end
-        in
-        for wid = 0 to workers - 1 do
-          let mine, rest = Prelude.Rng.split !rng_workers in
-          rng_workers := rest;
-          (* spread the round's quota over the clients *)
-          let share =
-            (quota / workers) + if wid < quota mod workers then 1 else 0
-          in
-          client ~wid ~rng:mine ~left:share ~finish
-        done
-      end
+    let stalled () =
+      !controls = 0 && V.now v - max !progress tally.progress > stall_us
     in
-    start_round ();
-    let stalled () = !controls = 0 && V.now v - !progress > stall_us in
-    V.run v ~until:(fun () -> !finished || stalled ());
+    V.run v ~until:(fun () -> tally.finished || stalled ());
     let wall_us = V.now v in
     (* The plan's remaining restarts still happen, after the load. *)
     V.run v ~until:(fun () -> !controls = 0);
@@ -435,7 +560,7 @@ module Make (L : Workloads.LIVE) = struct
           })
         (V.stop v)
     in
-    let cuts = List.rev !cuts in
+    let cuts = List.rev tally.cuts in
     let verdict =
       if List.length entries <> ops then
         Unchecked
@@ -458,7 +583,9 @@ module Make (L : Workloads.LIVE) = struct
       throughput =
         (if wall_us = 0 then 0.
          else float_of_int ops /. (float_of_int wall_us /. 1e6));
-      classes = classes_of ~params ~windowed:(fault_windows <> []) hists;
+      classes =
+        classes_of ~params ~windowed:(fault_windows <> [])
+          (shard_hists tally 0);
       net = V.stats v;
       offsets;
       cuts;

@@ -1,25 +1,27 @@
-(** Closed-loop load generator with post-hoc linearizability verification.
+(** The closed-loop client, and the in-process load generator it drives.
 
-    Closed-loop clients drive an in-process cluster on one virtual-time
-    loop ({!Vloop}): each client repeatedly draws an operation
-    (mutator/accessor/other, per the configured mix), invokes it and
-    records its client-observed latency, in virtual µs, into a per-class
-    {!Histogram}.  Nothing sleeps and nothing races, so a run is a pure
-    function of its arguments: the same seed gives the same report.
+    {!Make.drive} is the one closed-loop client: [workers] clients, each
+    drawing an operation from an op {!source}, invoking it through a
+    {!port} and waiting for its outcome before drawing the next.  It owns
+    the op draw, op and trace ids, the deadline, the retry (capped
+    exponential backoff, seeded jitter), the failover rotation, the
+    per-shard latency histograms and the rounds: at most [round]
+    operations each, and once every client of a round is done the next
+    µs is a {e quiescent cut}.  The cuts let the ≤ 62-operation Wing–Gong
+    checker ({!Linearize.Make}) verify the whole history exactly, segment
+    by segment, carrying the witness state across cuts.
 
-    The run proceeds in {e rounds} of at most [round] operations: once
-    every client of a round is done, the next round starts one µs later.
-    The quiescent cuts let the ≤ 62-operation Wing–Gong checker
-    ({!Linearize.Make}) verify the full history exactly, segment by
-    segment, carrying the witness state across cuts — so in-process
-    executions are linearizability-verified post hoc exactly like
-    simulated ones.
+    A port is a clock, a timer and an [invoke] that answers through a
+    continuation, so the client runs on any single-threaded loop:
+    {!Make.run} puts it on {!Vloop} (in-process, virtual time: a run is a
+    pure function of its arguments), [Shard.Cluster] on a poll loop over
+    TCP sockets to [serve] processes.
 
-    Timing: the network delays are drawn in [[d − u, d]] µs, but the
-    replicas run Algorithm 1 with [d + slack] and [u + slack].  A virtual
-    clock has no scheduling jitter, so [slack] only stretches the holds;
-    it is kept so that an in-process run times exactly like a TCP cluster
-    with the same flags, where it is the jitter headroom. *)
+    In-process timing: the network delays are drawn in [[d − u, d]] µs,
+    but the replicas run Algorithm 1 with [d + slack] and [u + slack].  A
+    virtual clock has no scheduling jitter, so [slack] only stretches the
+    holds; it is kept so that an in-process run times exactly like a TCP
+    cluster with the same flags, where it is the jitter headroom. *)
 
 type verdict =
   | Linearizable of int  (** number of verified history segments *)
@@ -54,6 +56,10 @@ type shard_report = {
           these *)
 }
 (** Per-shard slice of a sharded run's report ([Shard.Cluster]). *)
+
+val pp_classes : Format.formatter -> class_report list -> unit
+(** One line per class (latency histogram against its target), and one
+    for its fault-window half when there is one. *)
 
 val pp_shard_report : Format.formatter -> shard_report -> unit
 (** One line: ops routed there, per-class p99 against target, verdict —
@@ -90,8 +96,94 @@ val is_linearizable : report -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit
 
+type 'op source = {
+  shards : int;  (** shard instances per replica *)
+  mix : int * int * int;  (** mutator:accessor:other weights *)
+  describe : string;  (** report line naming the source's shape *)
+  draw : Prelude.Rng.t -> int * 'op;  (** the next [(shard, op)] *)
+  home : wid:int -> shard:int -> int;
+      (** the replica client [wid] sends a [shard] op to first *)
+}
+(** Where a run's operations come from. *)
+
+type 'r outcome =
+  | Done of 'r
+  | Retry of string
+      (** refused or lost: an op with an id is replayed under it — a
+          refusal starting ["shed"] only until the op's deadline *)
+  | Failed of string  (** final *)
+
+type ('op, 'r) port = {
+  replicas : int;  (** replicas [0 .. replicas − 1] *)
+  now : unit -> int;  (** µs on the run timeline *)
+  at : int -> (unit -> unit) -> unit;
+      (** [at time f] runs [f] from the loop at [time] (at once, in order,
+          when it has passed) *)
+  invoke :
+    wid:int ->
+    replica:int ->
+    shard:int ->
+    trace:int ->
+    op_id:int ->
+    deadline:int ->
+    'op ->
+    ('r outcome -> unit) ->
+    unit;
+      (** hand client [wid]'s op to [replica] ([deadline] on the run
+          timeline, [0] = none); the loop calls the continuation at most
+          once, with its outcome *)
+  backoff_us : int;  (** first pause before a replay *)
+  backoff_cap_us : int;  (** the pause doubles up to this *)
+  max_retries : int;  (** replays of one op before it fails *)
+}
+(** A loop the client runs on. *)
+
 module Make (L : Workloads.LIVE) : sig
   module Lin : module type of Linearize.Make (L.D)
+
+  val object_source : n:int -> mix:int * int * int -> L.D.op source
+  (** The object's own samplers, on shard 0, drawn per the [mix] weights;
+      client [wid] is homed on replica [wid mod n]. *)
+
+  type tally = {
+    hists : (int, Histogram.t array) Hashtbl.t;
+        (** shard → 6 latency histograms (see {!classes_of}) *)
+    mutable entries : (int * Lin.entry) list;
+        (** [(shard, client-observed entry)], newest first; [pid] = client *)
+    mutable cuts : int list;  (** quiescent cuts, newest first *)
+    mutable failed : int;  (** ops given up on *)
+    mutable sheds : int;  (** overload refusals seen *)
+    mutable first_error : string option;
+    mutable progress : int;  (** when the last op completed *)
+    mutable finished : bool;  (** every round done *)
+    mutable gave_up : bool;  (** a non-[resilient] client failed an op *)
+  }
+
+  val drive :
+    (L.D.op, L.D.result) port ->
+    L.D.op source ->
+    workers:int ->
+    round:int ->
+    ops:int ->
+    windows:(int * int) list ->
+    first_op_id:int ->
+    deadline_us:int ->
+    traced:bool ->
+    resilient:bool ->
+    rotate:bool ->
+    rng:Prelude.Rng.t ->
+    seed:int ->
+    tally
+  (** Hand the first round's invocations to [port] and return the tally
+      the loop fills in; the caller runs its loop until [finished] or
+      [gave_up].  [windows]: an op invoked in one is recorded in its
+      class's fault-window histogram.  [first_op_id]: ids are minted from
+      it ([0]: no ids, and no replays).  [deadline_us]: each op's
+      deadline after its first invocation ([0]: none).  [traced]: mint
+      trace ids, their origin the op's shard.  [resilient]: a failed op
+      costs only itself, else the client gives up.  [rotate]: each replay of an
+      op goes to the next replica.  [rng] splits
+      into the clients' op draws; [seed] hashes the replay jitter. *)
 
   val check_history : ?initial:L.D.state -> Lin.entry list -> int list -> verdict
   (** [check_history entries cuts] splits the history (in invocation
@@ -147,8 +239,8 @@ module Make (L : Workloads.LIVE) : sig
         histograms so degraded latency is reported separately;
       - [recovery]: arm the replicas' crash/recover/catch-up machinery
         (see {!Replica.Make}); workers then mint per-operation ids and
-        retry idempotently (capped exponential backoff) when a replica
-        asks them to back off;
+        retry idempotently (capped exponential backoff, 1 ms doubling to
+        200 ms) when a replica asks them to back off;
       - [crashes]: [(pid, crash_at, restart_at)] µs instants on the run
         timeline (the plan's {!Fault.Fault_plan.crash_schedule}): freeze
         the replica at the crash, thaw it through peer catch-up at the
@@ -164,7 +256,8 @@ module Make (L : Workloads.LIVE) : sig
       - [sync]: arm live clock synchronization ({!Replica.Make.driver}) on
         every replica — each reads a slew-corrected clock and publishes
         its achieved ε per round;
-      - [seed]: all randomness (delays, offsets, op draws, backoff).
+      - [seed]: all randomness (delays, offsets, op draws, replay
+        jitter).
 
       A run that completes nothing for 60 virtual seconds (a stalled
       minority, a replica frozen for good) ends there with an

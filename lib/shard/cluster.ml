@@ -1,17 +1,17 @@
-(** Multi-process cluster supervisor and closed-loop TCP load driver — the
-    body of [timebounds cluster], [chaos --processes], [trace --processes],
+(** Multi-process cluster supervisor and TCP load driver — the body of
+    [timebounds cluster], [chaos --processes], [trace --processes],
     [shards cluster] (fork [n] [timebounds serve] hosts on loopback, drive,
     verify, tear down) and [shards loadgen] (drive an already-running
     cluster).  One module for every shard count: an unsharded cluster is a
     cluster of one-shard hosts.
 
-    Load: an op {!source} draws [(shard, op)] pairs and names each shard's
-    home replica.  {!Make.object_source} samples the object's own mix on
-    shard 0, each worker homed on one replica; {!zipf_source} draws hot
-    keys from a zipfian rank sampler ({!Runtime.Workloads.Zipf}) over the
-    sharded KV map and resolves them through the {!Directory}.  Workers
-    keep one lazy connection per replica, so an operation for a shard homed
-    elsewhere reuses the existing socket rather than paying a connect.
+    Load: {!Runtime.Loadgen}'s closed-loop client, on the parent's one
+    loop — a heap of timers and one poll over the client sockets and a
+    SIGCHLD self-pipe, on the main thread.  Its op {!Runtime.Loadgen.source}
+    is the object's own mix ({!Make.object_source}) or {!zipf_source}'s
+    hot keys over the sharded KV map, resolved through the {!Directory}.
+    Each worker keeps one lazy connection per replica, so an op for a
+    shard homed elsewhere reuses the existing socket.
 
     Timeline: all client-observed invoke/response times are stamped on the
     {e parent's} monotonic clock, so the history is on one timeline even
@@ -31,18 +31,13 @@
     at once); linearizability composes, so the namespace verdict is the
     conjunction of the per-shard ones.
 
-    Failure handling: a monitor thread owns all [waitpid] reaping; an
-    unexpected child exit (e.g. a replica killed mid-run) raises the abort
-    flag, workers cut their rounds short, and the run reports a clean
-    failure instead of hanging.  A chaos plan's unscoped crash/restart
-    rules become real SIGKILLs and supervised respawns at every shard
-    count; [%k]-scoped rules stay inside the hosts. *)
-
-type child = {
-  child_pid : int;  (** replica pid (0..n-1) *)
-  mutable os_pid : int;  (** updated in place on supervised restart *)
-  port : int;
-}
+    Failure handling: the loop reaps children with [waitpid WNOHANG] when
+    the self-pipe wakes it; an unexpected child exit (e.g. a replica
+    killed mid-run) raises the abort flag, which ends the loop, and the
+    run reports a clean failure instead of hanging.  A chaos plan's
+    unscoped crash/restart rules become loop timers that SIGKILL and
+    respawn a host at every shard count; [%k]-scoped rules stay inside
+    the hosts. *)
 
 type report = {
   label : string;
@@ -100,19 +95,7 @@ let pp_report fmt r =
   (match r.aborted with
   | Some why -> Format.fprintf fmt "aborted: %s@," why
   | None -> ());
-  List.iter
-    (fun (c : Runtime.Loadgen.class_report) ->
-      Format.fprintf fmt "  %-3s %a  (target %s %dµs)@,"
-        c.Runtime.Loadgen.class_name Runtime.Histogram.pp
-        c.Runtime.Loadgen.hist
-        (if String.equal c.Runtime.Loadgen.class_name "OOP" then "≤" else "≈")
-        c.Runtime.Loadgen.target_us;
-      match c.Runtime.Loadgen.faulty with
-      | None -> ()
-      | Some h ->
-          Format.fprintf fmt "      in fault windows: %a@," Runtime.Histogram.pp
-            h)
-    r.classes;
+  Runtime.Loadgen.pp_classes fmt r.classes;
   List.iter
     (fun s -> Format.fprintf fmt "  %a@," Runtime.Loadgen.pp_shard_report s)
     r.per_shard;
@@ -167,128 +150,6 @@ let status_string = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
 
-(* The monitor thread is the sole reaper: everyone else consults the
-   table.  [expected] is flipped before teardown so deliberate
-   terminations don't raise the abort flag; individual planned kills (the
-   chaos crash schedule) are announced via [plan_kill] instead, and a
-   supervised respawn re-registers the new process with [adopt]. *)
-type monitor = {
-  mutable reaped : (int * Unix.process_status) list;
-  mutable left : int;  (** live (unreaped) children *)
-  mutable planned : int list;  (** os pids whose death is scheduled chaos *)
-  lock : Mutex.t;
-  expected : bool Atomic.t;
-  abort : bool Atomic.t;
-  mutable abort_why : string option;
-  mutable thread : Thread.t option;
-}
-
-let plan_kill mon os_pid =
-  Mutex.lock mon.lock;
-  mon.planned <- os_pid :: mon.planned;
-  Mutex.unlock mon.lock
-
-let adopt mon =
-  Mutex.lock mon.lock;
-  mon.left <- mon.left + 1;
-  Mutex.unlock mon.lock
-
-let start_monitor children ~abort ~log =
-  let mon =
-    {
-      reaped = [];
-      left = Array.length children;
-      planned = [];
-      lock = Mutex.create ();
-      expected = Atomic.make false;
-      abort;
-      abort_why = None;
-      thread = None;
-    }
-  in
-  let live () =
-    Mutex.lock mon.lock;
-    let l = mon.left in
-    Mutex.unlock mon.lock;
-    l
-  in
-  let thread =
-    Thread.create
-      (fun () ->
-        while live () > 0 do
-          match Unix.waitpid [] (-1) with
-          | os_pid, status ->
-              Mutex.lock mon.lock;
-              mon.left <- mon.left - 1;
-              mon.reaped <- (os_pid, status) :: mon.reaped;
-              let was_planned = List.mem os_pid mon.planned in
-              if was_planned then
-                mon.planned <- List.filter (fun p -> p <> os_pid) mon.planned;
-              Mutex.unlock mon.lock;
-              let who =
-                match Array.find_opt (fun c -> c.os_pid = os_pid) children with
-                | Some c -> Printf.sprintf "replica %d" c.child_pid
-                | None -> Printf.sprintf "child %d" os_pid
-              in
-              if was_planned then
-                log
-                  (Printf.sprintf "cluster: %s %s (scheduled chaos)" who
-                     (status_string status))
-              else if not (Atomic.get mon.expected) then begin
-                let why =
-                  Printf.sprintf "%s %s mid-run" who (status_string status)
-                in
-                log ("cluster: " ^ why);
-                if mon.abort_why = None then mon.abort_why <- Some why;
-                Atomic.set mon.abort true
-              end
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-              (* No children right now.  Mid-run that can only mean every
-                 replica is inside a crash window awaiting respawn, so keep
-                 watching; during teardown it means we are done. *)
-              if Atomic.get mon.expected then begin
-                Mutex.lock mon.lock;
-                mon.left <- 0;
-                Mutex.unlock mon.lock
-              end
-              else Prelude.Mclock.sleep_us 20_000
-        done)
-      ()
-  in
-  mon.thread <- Some thread;
-  mon
-
-let reaped mon os_pid =
-  Mutex.lock mon.lock;
-  let r = List.mem_assoc os_pid mon.reaped in
-  Mutex.unlock mon.lock;
-  r
-
-let teardown mon children ~log =
-  Atomic.set mon.expected true;
-  Array.iter
-    (fun c ->
-      if not (reaped mon c.os_pid) then
-        try Unix.kill c.os_pid Sys.sigterm with Unix.Unix_error _ -> ())
-    children;
-  (* Give children 5 s to exit cleanly, then SIGKILL stragglers. *)
-  let deadline = Prelude.Mclock.now_us () + 5_000_000 in
-  let all_reaped () = Array.for_all (fun c -> reaped mon c.os_pid) children in
-  while (not (all_reaped ())) && Prelude.Mclock.now_us () < deadline do
-    Prelude.Mclock.sleep_us 20_000
-  done;
-  Array.iter
-    (fun c ->
-      if not (reaped mon c.os_pid) then begin
-        log
-          (Printf.sprintf "cluster: replica %d unresponsive, SIGKILL"
-             c.child_pid);
-        try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ()
-      end)
-    children;
-  match mon.thread with Some t -> Thread.join t | None -> ()
-
 (* The crash rules the parent carries out as real SIGKILLs: unscoped ones.
    A [%k]-scoped crash is one shard's affair, realised inside its host by
    the per-shard chaos transport. *)
@@ -301,57 +162,65 @@ let process_crashes plan =
       | _ -> None)
     (Fault.Fault_plan.rules plan)
 
-let slot_of_class = function
-  | Spec.Data_type.Pure_mutator -> 0
-  | Spec.Data_type.Pure_accessor -> 1
-  | Spec.Data_type.Other -> 2
+(* ---- the parent's one loop ---- *)
 
-let shed e = String.length e >= 4 && String.sub e 0 4 = "shed"
+(* Everything the parent waits for is a timer on the run timeline or a
+   readable fd: a reply on a client socket, or a byte on the SIGCHLD
+   self-pipe.  One [Prelude.Os.poll] waits for the earliest. *)
+type timer = { due : int; seq : int; fire : unit -> unit }
 
-(* A shard's 6 latency histograms: 3 classes × clean/fault-window. *)
-let hists_for tbl shard =
-  match Hashtbl.find_opt tbl shard with
-  | Some hs -> hs
-  | None ->
-      let hs = Array.init 6 (fun _ -> Runtime.Histogram.create ()) in
-      Hashtbl.replace tbl shard hs;
-      hs
+module Timers = Prelude.Heap.Make (struct
+  type t = timer
+
+  let compare a b =
+    if a.due <> b.due then Int.compare a.due b.due else Int.compare a.seq b.seq
+end)
+
+type loop = {
+  epoch : int;
+  mutable timers : Timers.t;
+  mutable seq : int;
+  readers : (Unix.file_descr, unit -> unit) Hashtbl.t;
+}
+
+let now l = Prelude.Mclock.now_us () - l.epoch
+
+let at l due fire =
+  l.timers <- Timers.insert { due; seq = l.seq; fire } l.timers;
+  l.seq <- l.seq + 1
+
+(* One cycle: fire the earliest timer if it is due, else wait for a
+   reader or that timer.  The readers are collected before the wait, as
+   their handlers add and remove readers. *)
+let cycle l =
+  match Timers.delete_min l.timers with
+  | Some (tm, rest) when tm.due <= now l ->
+      l.timers <- rest;
+      tm.fire ()
+  | next ->
+      let readers =
+        Array.of_seq (Hashtbl.to_seq l.readers) and timeout_ns =
+        match next with
+        | None -> -1
+        | Some (tm, _) -> 1000 * max 0 (tm.due - now l)
+      in
+      let count = Array.length readers in
+      let revents = Array.make count 0 in
+      if
+        Prelude.Os.poll (Array.map fst readers)
+          ~events:(Array.make count Prelude.Os.pollin) ~revents ~count
+          ~timeout_ns
+        > 0
+      then Array.iteri (fun j (_, f) -> if revents.(j) <> 0 then f ()) readers
+
+let run_until l until = while not (until ()) do cycle l done
 
 module Make (W : Net.Wire.WIRED) = struct
   module Cl = Net.Client.Make (W)
   module Gen = Runtime.Loadgen.Make (W.L)
   module P = Net.Persist.Make (W.C)
 
-  type source = {
-    shards : int;  (** shard instances per host *)
-    mix : int * int * int;  (** mutator:accessor:other weights *)
-    describe : string;  (** report line naming the source's shape *)
-    draw : Prelude.Rng.t -> int * W.L.D.op;  (** next (shard, op) *)
-    home : wid:int -> shard:int -> int;
-        (** the replica worker [wid] sends a [shard] op to first *)
-  }
-
-  (* The object's own sampler on one shard: each worker is homed on one
-     replica, so every replica serves clients. *)
-  let object_source ~n ~mix =
-    let m, a, o = mix in
-    let total = m + a + o in
-    let draw rng =
-      let toss = Prelude.Rng.int rng total in
-      let op =
-        if toss < m then W.L.sample_mutator rng
-        else if toss < m + a then W.L.sample_accessor rng
-        else W.L.sample_other rng
-      in
-      (0, op)
-    in
-    {
-      shards = 1;
-      mix;
-      describe = "";
-      draw;
-      home = (fun ~wid ~shard:_ -> wid mod n);
-    }
+  let object_source = Gen.object_source
 
   (* Argv contract with [timebounds serve] (bin/cli.ml parses both
      [--flag v] and [-flag v]).  The children never see the ring: key →
@@ -411,173 +280,6 @@ module Make (W : Net.Wire.WIRED) = struct
           ]
     in
     Array.of_list (base @ extra)
-
-  (* ---- one worker's share of a round ---- *)
-
-  type worker_out = {
-    w_entries : (int * Gen.Lin.entry) list;
-        (** (shard, entry), reverse invocation order *)
-    w_hists : (int, Runtime.Histogram.t array) Hashtbl.t;
-        (** shard → 6 histograms (3 classes × clean/faulty) *)
-    w_failed : int;
-    w_sheds : int;  (** shed replies seen (each followed by a retry) *)
-    w_error : string option;
-  }
-
-  (* In [resilient] mode (chaos runs) an invocation error costs the op but
-     not the round: the worker drops the connection, re-establishes it with
-     the client's capped retries, and carries on — the path a crashed
-     replica's clients take through its supervised restart.  Only a failed
-     reconnect (replica still gone after ~2 s of retries) aborts.
-
-     In [rotate] mode (quorum fallback armed) the worker additionally fails
-     over: a replica that refuses a retryable op (permanently dead, or a
-     stalled minority asking clients to go elsewhere) rotates the worker to
-     the next replica, and only exhausting every replica gives up. *)
-  let worker_round ~host ~ports ~source ~origin_us ~abort ~resilient ~rotate
-      ~traced ~windows ~mint ~timeout_us ~deadline_budget_us rng ~seed ~quota
-      ~wid =
-    let hists = Hashtbl.create 16 in
-    let n = Array.length ports in
-    let conns = Array.make n None in
-    let shift = ref 0 in
-    (* Rotation keeps per-port retries short: failing over to a live
-       replica beats waiting ~2 s for a dead one to answer. *)
-    let attempts = if rotate then 10 else if resilient then 40 else 3 in
-    let drop_conn pid =
-      (match conns.(pid) with Some c -> Cl.close c | None -> ());
-      conns.(pid) <- None
-    in
-    (* The connection for an op homed on [home]: one lazy socket per
-       replica, reused across every shard homed there. *)
-    let connect home =
-      let rec go k =
-        let pid = (home + !shift) mod n in
-        match conns.(pid) with
-        | Some c -> Ok (pid, c)
-        | None -> (
-            match
-              Cl.connect ~host ~port:ports.(pid) ~attempts
-                ~retry_delay_us:50_000 ()
-            with
-            | Ok c ->
-                conns.(pid) <- Some c;
-                Ok (pid, c)
-            | Error e ->
-                if rotate && k + 1 < n then begin
-                  incr shift;
-                  go (k + 1)
-                end
-                else Error e)
-      in
-      go 0
-    in
-    let in_windows t = List.exists (fun (f, u) -> f <= t && t < u) windows in
-    let entries = ref [] in
-    let failed = ref 0 in
-    let shed_count = ref 0 in
-    let error = ref None in
-    let note_error e =
-      match !error with None -> error := Some e | Some _ -> ()
-    in
-    let gave_up = ref false in
-    let i = ref 0 in
-    while !i < quota && (not !gave_up) && not (Atomic.get abort) do
-      incr i;
-      let shard, op = source.draw rng in
-      let home = source.home ~wid ~shard in
-      (* The trace id's origin bits carry the shard, so per-shard bound
-         attribution falls out of the merged trace files for free. *)
-      let trace = if traced then Obs.Trace_id.fresh ~origin:shard else 0 in
-      let op_id = match mint with None -> 0 | Some m -> m () in
-      let t0 = Prelude.Mclock.now_us () in
-      (* The deadline belongs to the operation, not the attempt: minted
-         once, at first invocation, as the client's total willingness to
-         wait — every retry re-sends it unchanged, so an overloaded
-         replica's admission check measures real remaining patience, not a
-         sliding window. *)
-      let deadline =
-        if deadline_budget_us > 0 then t0 + deadline_budget_us else 0
-      in
-      (* Idempotent path (durable, fallback or chaos clusters): a timed-out,
-         refused or dropped invocation is replayed with the {e same} op id
-         on a fresh connection, with capped exponential backoff + jitter.
-         The replica dedups the replay, so the history records one
-         operation spanning invoke at first attempt to response at the
-         successful one — exactly the interval the client observed.  The
-         jitter is hashed from the run seed and the retry site ([wid],
-         [op_id], attempt), not drawn from the worker's generator: a retry
-         must not perturb the op-draw sequence, so chaos runs replay
-         bit-for-bit. *)
-      let rec attempt backoff tries =
-        match connect home with
-        | Error e -> `Unreachable e
-        | Ok (pid, c) -> (
-            match Cl.invoke ~trace ~op_id ~shard ~deadline ?timeout_us c op with
-            | Ok r -> `Done r
-            | Error e
-              when op_id <> 0 && Cl.retryable e && tries < 25
-                   && (* a shed past the op's own deadline is final: every
-                         further attempt would be shed again *)
-                   ((not (shed e))
-                   || deadline = 0
-                   || Prelude.Mclock.now_us () < deadline)
-                   && not (Atomic.get abort) ->
-                if shed e then incr shed_count;
-                drop_conn pid;
-                let jitter =
-                  Prelude.Rng.hash [ seed; wid; op_id; tries ]
-                  mod (1 + (backoff / 2))
-                in
-                Prelude.Mclock.sleep_us (backoff + jitter);
-                (* The refusing replica may be dead or a stalled minority —
-                   under the fallback, fail over. *)
-                if rotate then incr shift;
-                attempt (min (2 * backoff) 400_000) (tries + 1)
-            | Error e ->
-                if shed e then incr shed_count;
-                `Failed (pid, e))
-      in
-      match attempt 20_000 0 with
-      | `Done result ->
-          let t1 = Prelude.Mclock.now_us () in
-          let slot = slot_of_class (W.L.D.classify op) in
-          let slot = if in_windows (t0 - origin_us) then slot + 3 else slot in
-          Runtime.Histogram.add (hists_for hists shard).(slot) (t1 - t0);
-          entries :=
-            ( shard,
-              {
-                Gen.Lin.pid = wid;
-                op;
-                result;
-                invoke = t0 - origin_us;
-                response = t1 - origin_us;
-              } )
-            :: !entries
-      | `Failed (pid, e) ->
-          incr failed;
-          note_error e;
-          if resilient then drop_conn pid
-          else begin
-            gave_up := true;
-            Atomic.set abort true
-          end
-      | `Unreachable e ->
-          (* Every replica this op may go to stayed unreachable through the
-             client's retries: the rest of the quota cannot run either. *)
-          note_error e;
-          failed := !failed + (quota - !i + 1);
-          gave_up := true;
-          Atomic.set abort true
-    done;
-    Array.iteri (fun pid _ -> drop_conn pid) conns;
-    {
-      w_entries = !entries;
-      w_hists = hists;
-      w_failed = !failed;
-      w_sheds = !shed_count;
-      w_error = !error;
-    }
 
   (* A restart over existing durable directories serves each shard's
      persisted history, so shard k's checker must start Wing–Gong from
@@ -652,31 +354,22 @@ module Make (W : Net.Wire.WIRED) = struct
       else
         (* Linearizability composes across independent objects: the
            namespace passes iff every shard's own history does. *)
-        Array.to_seq shard_checks
-        |> Seq.fold_lefti
-             (fun acc k check ->
-               match (acc, check) with
-               | (Runtime.Loadgen.Violation _ | Runtime.Loadgen.Unchecked _), _
-                 ->
-                   acc
-               | _, None -> acc
-               | Runtime.Loadgen.Linearizable total, Some v -> (
-                   match v with
-                   | Runtime.Loadgen.Linearizable segs ->
-                       Runtime.Loadgen.Linearizable (total + segs)
-                   | Runtime.Loadgen.Violation { segment; reason } ->
-                       Runtime.Loadgen.Violation
-                         {
-                           segment;
-                           reason =
-                             (if shards = 1 then reason
-                              else Printf.sprintf "shard %d: %s" k reason);
-                         }
-                   | Runtime.Loadgen.Unchecked why ->
-                       Runtime.Loadgen.Unchecked
-                         (if shards = 1 then why
-                          else Printf.sprintf "shard %d: %s" k why)))
-             (Runtime.Loadgen.Linearizable 0)
+        let tag k why =
+          if shards = 1 then why else Printf.sprintf "shard %d: %s" k why
+        in
+        let rec conj k total =
+          if k = shards then Runtime.Loadgen.Linearizable total
+          else
+            match shard_checks.(k) with
+            | None -> conj (k + 1) total
+            | Some (Runtime.Loadgen.Linearizable segs) ->
+                conj (k + 1) (total + segs)
+            | Some (Runtime.Loadgen.Violation { segment; reason }) ->
+                Runtime.Loadgen.Violation { segment; reason = tag k reason }
+            | Some (Runtime.Loadgen.Unchecked why) ->
+                Runtime.Loadgen.Unchecked (tag k why)
+        in
+        conj 0 0
     in
     let per_shard =
       List.init shards Fun.id
@@ -717,11 +410,12 @@ module Make (W : Net.Wire.WIRED) = struct
 
      [spawn = false] drives an already-running cluster (whose hosts were
      started by hand on [base_port + i]) instead of forking one. *)
-  let run ?(spawn = true) ~n ~source ~d ~u ?eps ?(x = 0) ?(slack = 5000)
-      ?workers ?(round = 24) ?(host = "127.0.0.1") ?(base_port = 7600)
-      ?(exe = Sys.executable_name) ?(log = fun _ -> ()) ?abort ?plan
-      ?trace_dir ?durable_dir ?(fsync = "interval") ?(snapshot_every = 1024)
-      ?fallback ?sync ~ops ~seed () =
+  let run ?(spawn = true) ~n ~(source : W.L.D.op Runtime.Loadgen.source) ~d
+      ~u ?eps ?(x = 0) ?(slack = 5000) ?workers ?(round = 24)
+      ?(host = "127.0.0.1") ?(base_port = 7600) ?(exe = Sys.executable_name)
+      ?(log = fun _ -> ()) ?abort ?plan ?trace_dir ?durable_dir
+      ?(fsync = "interval") ?(snapshot_every = 1024) ?fallback ?sync ~ops
+      ~seed () =
     if n < 1 then invalid_arg "Cluster.run: n must be >= 1";
     if source.shards < 1 then invalid_arg "Cluster.run: shards must be >= 1";
     if round < 1 || round > 62 then
@@ -767,13 +461,12 @@ module Make (W : Net.Wire.WIRED) = struct
         Array.iteri
           (fun i k -> offsets.(i) <- offsets.(i) + k)
           (Fault.Fault_plan.skews p ~n));
-    let resilient = plan <> None in
     let ports = Array.init n (fun i -> base_port + i) in
     (* A dead parent must not leave orphan replicas: each child also
        watches our pid (see [serve_argv]). *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* [?abort] lets the CLI share the flag with a SIGINT handler: raising
-       it cuts the round loop short and falls through to teardown. *)
+       it ends the loop and falls through to teardown. *)
     let abort = match abort with Some a -> a | None -> Atomic.make false in
     (* One clock epoch for the whole cluster: replica clocks must differ
        only by the drawn offsets (≤ ε), not by process spawn deltas.  The
@@ -784,7 +477,6 @@ module Make (W : Net.Wire.WIRED) = struct
     | Some dir -> (
         try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     | None -> ());
-    let traced = trace_dir <> None in
     (* Durable, fallback and chaos clusters run idempotent clients: every
        invocation carries a cluster-unique op id and a reply deadline, so an
        op lost to a crash, refused by a degrading replica or shed under a
@@ -797,25 +489,80 @@ module Make (W : Net.Wire.WIRED) = struct
        24-bit counter keep ids unique across every run that can share a
        directory, and never 0 (the "no id" sentinel). *)
     let idempotent = durable_dir <> None || fallback <> None || plan <> None in
-    let mint =
-      if idempotent then begin
-        let op_ids =
-          Atomic.make (((epoch land ((1 lsl 38) - 1)) lsl 24) lor 1)
-        in
-        Some (fun () -> Atomic.fetch_and_add op_ids 1)
-      end
-      else None
+    let first_op_id =
+      if idempotent then ((epoch land ((1 lsl 38) - 1)) lsl 24) lor 1 else 0
     in
+    (* An unanswered invocation is given up (and replayed) after this. *)
     let timeout_us =
-      if idempotent then Some ((2 * (d + slack + eps)) + 2_000_000) else None
+      if idempotent then (2 * (d + slack + eps)) + 2_000_000 else 0
     in
     (* The op deadline covers the whole retry horizon (per-attempt timeout
        plus the capped-backoff budget), so admission only sheds ops that
        genuinely cannot make it — not every op that needed one retry. *)
-    let deadline_budget_us =
+    let deadline_us =
       if idempotent then (2 * (d + slack + eps)) + 4_000_000 else 0
     in
     let initials = durable_initials durable_dir ~n ~shards in
+    let l =
+      {
+        epoch;
+        timers = Timers.empty;
+        seq = 0;
+        readers = Hashtbl.create 16;
+      }
+    in
+    (* Child exits: the SIGCHLD handler writes a byte to a self-pipe the
+       loop polls, and the loop reaps with [WNOHANG].  [live] is every
+       spawned, unreaped child in spawn order, as (os pid, replica);
+       [planned] the os pids the crash schedule killed; [expected] is set
+       before teardown, so only other exits abort the run. *)
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_w;
+    let live = ref [] and planned = ref [] and expected = ref false in
+    let abort_why = ref None in
+    let reap () =
+      live :=
+        List.filter
+          (fun (os_pid, i) ->
+            match Unix.waitpid [ Unix.WNOHANG ] os_pid with
+            | 0, _ -> true
+            | _, status ->
+                if List.mem os_pid !planned then
+                  log
+                    (Printf.sprintf "cluster: replica %d %s (scheduled chaos)"
+                       i (status_string status))
+                else if not !expected then begin
+                  let why =
+                    Printf.sprintf "replica %d %s mid-run" i
+                      (status_string status)
+                  in
+                  log ("cluster: " ^ why);
+                  if !abort_why = None then abort_why := Some why;
+                  Atomic.set abort true
+                end;
+                false
+            | exception Unix.Unix_error _ -> false)
+          !live
+    in
+    let drain = Bytes.create 64 in
+    Hashtbl.replace l.readers wake_r (fun () ->
+        (try ignore (Unix.read wake_r drain 0 64) with Unix.Unix_error _ -> ());
+        reap ());
+    let previous_sigchld =
+      Sys.signal Sys.sigchld
+        (Sys.Signal_handle
+           (fun _ ->
+             try ignore (Unix.single_write_substring wake_w "c" 0 1)
+             with Unix.Unix_error _ -> ()))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigchld previous_sigchld;
+        Unix.close wake_r;
+        Unix.close wake_w)
+    @@ fun () ->
+    (* Each replica's current os pid: a respawn replaces it. *)
+    let os_pids = Array.make n 0 in
     let spawn_one i =
       let argv =
         serve_argv ~exe ~peers:(peers_of ~host ~ports) ~pid:i ~shards ~d ~u
@@ -827,143 +574,152 @@ module Make (W : Net.Wire.WIRED) = struct
       let os_pid =
         Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr
       in
+      os_pids.(i) <- os_pid;
+      live := !live @ [ (os_pid, i) ];
       log
         (Printf.sprintf "cluster: spawned replica %d (os pid %d, port %d)" i
-           os_pid ports.(i));
-      { child_pid = i; os_pid; port = ports.(i) }
+           os_pid ports.(i))
     in
-    let children = if spawn then Array.init n spawn_one else [||] in
-    let mon = start_monitor children ~abort ~log in
-    (* The crash scheduler: one supervisor thread per crash rule.  It
-       SIGKILLs at the planned time (announced to the monitor first, so the
-       death does not abort the run) and, when the rule has a restart,
-       respawns the replica — same pid, port, offset and epoch — with
-       capped-backoff retries, then re-registers it with the reaper.
-       SO_REUSEADDR lets the respawn rebind immediately. *)
-    let finished = Atomic.make false in
+    if spawn then Array.iteri (fun i _ -> spawn_one i) os_pids;
+    (* The crash schedule: SIGKILL at the planned time (announced first,
+       so the death does not abort the run) and, when the rule has a
+       restart, a respawn — same pid, port, offset and epoch — retried
+       with capped backoff.  SO_REUSEADDR lets it rebind at once. *)
     let restarts = ref [] in
-    let restarts_lock = Mutex.create () in
-    let sleep_until t =
-      while
-        Prelude.Mclock.now_us () < t
-        && (not (Atomic.get abort))
-        && not (Atomic.get finished)
-      do
-        Prelude.Mclock.sleep_us
-          (min 20_000 (max 1 (t - Prelude.Mclock.now_us ())))
-      done;
-      (not (Atomic.get abort)) && not (Atomic.get finished)
+    let rec respawn i backoff tries =
+      match spawn_one i with
+      | () ->
+          let t = now l in
+          restarts := (i, t) :: !restarts;
+          log
+            (Printf.sprintf "cluster: supervised restart of replica %d at \
+                             t=%dµs"
+               i t)
+      | exception (Unix.Unix_error _ | Sys_error _) ->
+          if tries >= 5 then begin
+            log (Printf.sprintf "cluster: could not respawn replica %d" i);
+            Atomic.set abort true
+          end
+          else
+            at l (now l + backoff) (fun () ->
+                respawn i (min (2 * backoff) 1_000_000) (tries + 1))
     in
-    let supervise (pid, crash_at, restart_at) =
-      if
-        pid >= 0
-        && pid < Array.length children
-        && sleep_until (epoch + crash_at)
-      then begin
-        let c = children.(pid) in
-        plan_kill mon c.os_pid;
-        (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        log
-          (Printf.sprintf "cluster: chaos killed replica %d at t=%dµs" pid
-             (Prelude.Mclock.now_us () - epoch));
-        if restart_at < max_int && sleep_until (epoch + restart_at) then begin
-          let rec respawn backoff attempt =
-            match spawn_one pid with
-            | fresh -> Some fresh
-            | exception (Unix.Unix_error _ | Sys_error _) ->
-                if attempt >= 5 then None
-                else begin
-                  Prelude.Mclock.sleep_us backoff;
-                  respawn (min (2 * backoff) 1_000_000) (attempt + 1)
-                end
-          in
-          match respawn 50_000 0 with
-          | Some fresh ->
-              adopt mon;
-              c.os_pid <- fresh.os_pid;
-              let at = Prelude.Mclock.now_us () - epoch in
-              Mutex.lock restarts_lock;
-              restarts := (pid, at) :: !restarts;
-              Mutex.unlock restarts_lock;
-              log
-                (Printf.sprintf "cluster: supervised restart of replica %d at \
-                                 t=%dµs"
-                   pid at)
-          | None ->
-              log (Printf.sprintf "cluster: could not respawn replica %d" pid);
-              Atomic.set abort true
-        end
-      end
+    Option.iter
+      (fun p ->
+        List.iter
+          (fun (i, crash_at, restart_at) ->
+            if spawn && i >= 0 && i < n then
+              at l crash_at (fun () ->
+                  planned := os_pids.(i) :: !planned;
+                  (try Unix.kill os_pids.(i) Sys.sigkill
+                   with Unix.Unix_error _ -> ());
+                  log
+                    (Printf.sprintf "cluster: chaos killed replica %d at t=%dµs"
+                       i (now l));
+                  if restart_at < max_int then
+                    at l restart_at (fun () -> respawn i 50_000 0)))
+          (process_crashes p))
+      plan;
+    (* Readiness: one admin connection per replica, retried every 100 ms
+       while the children bind their ports; kept open for the final
+       Stats_req. *)
+    let admin = Array.make n None in
+    let rec ready i tries () =
+      if not (Atomic.get abort) then
+        match Cl.connect ~host ~port:ports.(i) ~attempts:1 () with
+        | Ok conn -> admin.(i) <- Some conn
+        | Error _ when tries < 100 ->
+            at l (now l + 100_000) (ready i (tries + 1))
+        | Error e ->
+            log (Printf.sprintf "cluster: replica %d not reachable: %s" i e);
+            Atomic.set abort true
     in
-    let supervisors =
-      match plan with
-      | None -> []
-      | Some p -> List.map (Thread.create supervise) (process_crashes p)
+    Array.iteri (fun i _ -> ready i 1 ()) ports;
+    run_until l (fun () ->
+        Atomic.get abort || Array.for_all Option.is_some admin);
+    (* The load: the shared closed-loop client on this loop, through one
+       lazy connection per (worker, replica) — an op for a shard homed
+       elsewhere reuses the worker's socket there.  Any error closes the
+       connection (a timed-out one may still carry the late reply), and
+       only a connect failure or a retryable error is worth a replay. *)
+    let conns = Array.make_matrix workers n None in
+    let drop wid replica =
+      match conns.(wid).(replica) with
+      | None -> ()
+      | Some c ->
+          Hashtbl.remove l.readers c.Cl.fd;
+          Cl.close c;
+          conns.(wid).(replica) <- None
     in
-    (* Readiness: one admin connection per replica, retried while the
-       children bind their ports; kept open for the final Stats_req. *)
-    let admin =
-      Array.map
-        (fun port ->
-          match Cl.connect ~host ~port ~attempts:100 () with
-          | Ok conn -> Some conn
+    let invoke ~wid ~replica ~shard ~trace ~op_id ~deadline op k =
+      let answered = ref false in
+      let answer reply =
+        if not !answered then begin
+          answered := true;
+          match Cl.result_of ~shard reply with
+          | Ok result -> k (Runtime.Loadgen.Done result)
           | Error e ->
-              log
-                (Printf.sprintf "cluster: replica %d not reachable: %s"
-                   (port - base_port) e);
-              Atomic.set abort true;
-              None)
-        ports
+              drop wid replica;
+              k
+                (if Cl.retryable e then Runtime.Loadgen.Retry e
+                 else Runtime.Loadgen.Failed e)
+        end
+      in
+      match
+        match conns.(wid).(replica) with
+        | Some c -> Ok c
+        | None -> Cl.connect ~host ~port:ports.(replica) ~attempts:1 ()
+      with
+      | Error e ->
+          (* Never sent, so always safe to replay. *)
+          at l (now l) (fun () -> k (Runtime.Loadgen.Retry e))
+      | Ok c -> (
+          conns.(wid).(replica) <- Some c;
+          (* Replicas read deadlines on the shared clock, not the run's. *)
+          let deadline = if deadline = 0 then 0 else l.epoch + deadline in
+          let msg = Cl.C.Invoke { op; trace; op_id; shard; deadline } in
+          match Cl.send c msg with
+          | Error e -> at l (now l) (fun () -> answer (Error e))
+          | Ok () ->
+              Hashtbl.replace l.readers c.Cl.fd (fun () ->
+                  if not !answered then
+                    match Cl.recv_ready c with
+                    | None -> ()
+                    | Some reply ->
+                        Hashtbl.remove l.readers c.Cl.fd;
+                        answer reply);
+              if timeout_us > 0 then
+                at l (now l + timeout_us) (fun () ->
+                    answer (Error "timeout waiting for reply")))
+    in
+    let port =
+      {
+        Runtime.Loadgen.replicas = n;
+        now = (fun () -> now l);
+        at = at l;
+        invoke;
+        backoff_us = 20_000;
+        backoff_cap_us = 400_000;
+        max_retries = 25;
+      }
     in
     let start_us = Prelude.Mclock.now_us () in
-    let matrix = Hashtbl.create 64 in
-    let entries = ref [] in
-    let cuts = ref [] in
-    let failed = ref 0 in
-    let sheds = ref 0 in
-    let first_error = ref None in
-    let rng_workers = ref rng_workers in
-    let remaining = ref ops in
-    while !remaining > 0 && not (Atomic.get abort) do
-      let quota = min round !remaining in
-      remaining := !remaining - quota;
-      let spawned =
-        List.init workers (fun wid ->
-            let mine, rest = Prelude.Rng.split !rng_workers in
-            rng_workers := rest;
-            let share =
-              (quota / workers) + if wid < quota mod workers then 1 else 0
-            in
-            Domain.spawn (fun () ->
-                worker_round ~host ~ports ~source ~origin_us:epoch ~abort
-                  ~resilient ~rotate:(fallback <> None) ~traced
-                  ~windows:fault_windows ~mint ~timeout_us ~deadline_budget_us
-                  mine ~seed ~quota:share ~wid))
-      in
-      List.iter
-        (fun dom ->
-          let out = Domain.join dom in
-          entries := List.rev_append out.w_entries !entries;
-          failed := !failed + out.w_failed;
-          sheds := !sheds + out.w_sheds;
-          (match (out.w_error, !first_error) with
-          | Some e, None -> first_error := Some e
-          | _ -> ());
-          Hashtbl.iter
-            (fun shard hs ->
-              let into = hists_for matrix shard in
-              Array.iteri
-                (fun i h -> Runtime.Histogram.merge_into ~into:into.(i) h)
-                hs)
-            out.w_hists)
-        spawned;
-      (* Every in-flight operation has responded: one cut, quiescent for
-         every shard at once — each per-shard checker segments at it. *)
-      cuts := Prelude.Mclock.now_us () - epoch :: !cuts
-    done;
+    (* A run aborted before the load draws no op. *)
+    let tally =
+      Gen.drive port source ~workers ~round
+        ~ops:(if Atomic.get abort then 0 else ops)
+        ~windows:fault_windows ~first_op_id ~deadline_us
+        ~traced:(trace_dir <> None) ~resilient:(plan <> None)
+        ~rotate:(fallback <> None) ~rng:rng_workers ~seed
+    in
+    run_until l (fun () ->
+        tally.Gen.finished || tally.Gen.gave_up || Atomic.get abort);
+    if tally.Gen.gave_up then Atomic.set abort true;
     let wall_us = Prelude.Mclock.now_us () - start_us in
-    Atomic.set finished true;
-    List.iter Thread.join supervisors;
+    (* The load is over: its pending timers (replays, timeouts, the rest of
+       the crash schedule) go with it. *)
+    l.timers <- Timers.empty;
+    Array.iteri (fun wid row -> Array.iteri (fun i _ -> drop wid i) row) conns;
     let replica_stats =
       Array.to_list admin
       |> List.mapi (fun i conn ->
@@ -975,20 +731,40 @@ module Make (W : Net.Wire.WIRED) = struct
                  Result.to_option s |> Option.map (fun s -> (i, s)))
       |> List.filter_map Fun.id
     in
-    teardown mon children ~log;
+    (* Teardown: SIGTERM, then 5 s for the children to exit cleanly, then
+       SIGKILL the stragglers. *)
+    expected := true;
+    List.iter
+      (fun (os_pid, _) ->
+        try Unix.kill os_pid Sys.sigterm with Unix.Unix_error _ -> ())
+      !live;
+    let grace = now l + 5_000_000 in
+    at l grace ignore;
+    run_until l (fun () -> !live = [] || now l >= grace);
+    List.iter
+      (fun (os_pid, i) ->
+        log (Printf.sprintf "cluster: replica %d unresponsive, SIGKILL" i);
+        try
+          Unix.kill os_pid Sys.sigkill;
+          ignore (Unix.waitpid [] os_pid)
+        with Unix.Unix_error _ -> ())
+      !live;
+    let { Gen.entries; hists = matrix; failed; sheds; first_error; _ } =
+      tally
+    in
+    let cuts = List.rev tally.Gen.cuts in
     let aborted =
-      match (mon.abort_why, !first_error) with
+      match (!abort_why, first_error) with
       | Some why, _ -> Some why
       | None, Some e when Atomic.get abort -> Some e
       | None, _ -> if Atomic.get abort then Some "aborted" else None
     in
-    let cuts = List.sort compare !cuts in
     let verdict, per_shard, classes =
       verdict_and_shards ~shards ~initials ~params
-        ~windowed:(fault_windows <> []) ~matrix ~cuts ~entries:!entries
-        ~expected:ops ~failed:!failed ~first_error:!first_error ~aborted
+        ~windowed:(fault_windows <> []) ~matrix ~cuts ~entries ~expected:ops
+        ~failed ~first_error ~aborted
     in
-    let completed = List.length !entries in
+    let completed = List.length entries in
     {
       label = W.L.label;
       describe = source.describe;
@@ -1001,8 +777,8 @@ module Make (W : Net.Wire.WIRED) = struct
       seed;
       ops;
       completed;
-      failed = !failed;
-      sheds = !sheds;
+      failed;
+      sheds;
       wall_us;
       throughput =
         (if wall_us = 0 then 0.
@@ -1047,7 +823,7 @@ let zipf_source ~n ~shards ~keys ~theta ~vnodes ~ring_seed ~mix =
     (Directory.shard_of dir ~key, op)
   in
   {
-    Kv.shards;
+    Runtime.Loadgen.shards;
     mix;
     describe =
       Printf.sprintf "shards=%d keys=%d theta=%.2f vnodes=%d ring-seed=%d"

@@ -690,6 +690,120 @@ let test_status_names_signals () =
   Alcotest.(check string) "exit code" "exited 2"
     (Shard.Cluster.status_string (Unix.WEXITED 2))
 
+(* ---- the TCP driver against in-process hosts ---- *)
+
+(* [k] listeners on consecutive loopback ports, as [Cluster.run] addresses
+   its replicas: the first base port (from a scan) where all of them bind. *)
+let consecutive_listeners k =
+  let rec from base =
+    if base > 60_000 then Alcotest.fail "no run of free consecutive ports";
+    let rec bind i acc =
+      if i = k then Some (Array.of_list (List.rev acc))
+      else
+        match Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:(base + i) with
+        | l -> bind (i + 1) (l :: acc)
+        | exception Unix.Unix_error _ ->
+            List.iter
+              (fun (l : Net.Tcp_transport.listener) ->
+                Unix.close l.Net.Tcp_transport.listen_fd)
+              acc;
+            None
+    in
+    match bind 0 [] with Some ls -> (base, ls) | None -> from (base + k)
+  in
+  from (20_000 + (Unix.getpid () mod 1000 * 30))
+
+(* [Cluster.run ~spawn:false] drives three in-process hosts over real
+   sockets: every op completes, none fails, and every shard that saw
+   traffic, and so the namespace, verdicts LINEARIZABLE. *)
+let cluster_drives_hosts ~shards source () =
+  let n = 3 and d = 2000 and u = 500 and slack = 5000 in
+  let eps = Core.Params.optimal_eps ~n ~u in
+  let params =
+    Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x:0 ()
+  in
+  let base_port, listeners = consecutive_listeners n in
+  let addrs = Array.init n (fun i -> ("127.0.0.1", base_port + i)) in
+  let start_us = Some (Prelude.Mclock.now_us ()) in
+  let handles =
+    Array.init n (fun pid ->
+        H.start ~listener:listeners.(pid)
+          (host_config ?start_us ~pid ~shards ~addrs params))
+  in
+  let ops = 72 in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Array.iter (fun h -> ignore (H.stop h)) handles)
+      (fun () ->
+        Shard.Cluster.Kv.run ~spawn:false ~n ~source ~d ~u ~eps ~slack
+          ~base_port ~ops ~seed:5 ())
+  in
+  Alcotest.(check int) "every op completed" ops r.Shard.Cluster.completed;
+  Alcotest.(check int) "no op failed" 0 r.Shard.Cluster.failed;
+  Alcotest.(check (option string)) "not aborted" None r.Shard.Cluster.aborted;
+  let linearizable = function
+    | Runtime.Loadgen.Linearizable _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "namespace LINEARIZABLE" true
+    (linearizable r.Shard.Cluster.verdict);
+  Alcotest.(check int) "the shard reports cover every op" ops
+    (List.fold_left
+       (fun acc (s : Runtime.Loadgen.shard_report) -> acc + s.shard_ops)
+       0 r.Shard.Cluster.per_shard);
+  List.iter
+    (fun (s : Runtime.Loadgen.shard_report) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d LINEARIZABLE" s.shard)
+        true
+        (s.shard_ops > 0 && linearizable s.shard_verdict))
+    r.Shard.Cluster.per_shard
+
+let test_cluster_object_mix =
+  cluster_drives_hosts ~shards:1
+    (Shard.Cluster.Kv.object_source ~n:3 ~mix:(50, 40, 10))
+
+let test_cluster_zipf =
+  cluster_drives_hosts ~shards:4
+    (Shard.Cluster.zipf_source ~n:3 ~shards:4 ~keys:1000 ~theta:0.99
+       ~vnodes:16 ~ring_seed:42 ~mix:(50, 40, 10))
+
+(* Children that die at start-up end the run at once — the readiness
+   connects do not outwait them — and the run leaves SIGCHLD as it found
+   it. *)
+let test_cluster_child_death_aborts () =
+  let base_port, listeners = consecutive_listeners 3 in
+  Array.iter
+    (fun (l : Net.Tcp_transport.listener) ->
+      Unix.close l.Net.Tcp_transport.listen_fd)
+    listeners;
+  let before = Sys.signal Sys.sigchld Sys.Signal_default in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Shard.Cluster.Kv.run ~exe:"false" ~n:3
+      ~source:(Shard.Cluster.Kv.object_source ~n:3 ~mix:(50, 40, 10))
+      ~d:2000 ~u:500 ~base_port ~ops:24 ~seed:1 ()
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  let after = Sys.signal Sys.sigchld before in
+  Alcotest.(check bool) "SIGCHLD disposition restored" true
+    (after = Sys.Signal_default);
+  let named =
+    match r.Shard.Cluster.aborted with
+    | Some why ->
+        Scanf.sscanf_opt why "replica %d exited 1 mid-run%!" (fun i ->
+            i >= 0 && i < 3)
+        = Some true
+    | None -> false
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "aborted names the exit (%s)"
+       (Option.value r.Shard.Cluster.aborted ~default:"not aborted"))
+    true named;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned at once (%.1f s)" took)
+    true (took < 3.0)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -738,5 +852,11 @@ let () =
         [
           Alcotest.test_case "exit statuses name their signal" `Quick
             test_status_names_signals;
+          Alcotest.test_case "drives hosts with the object mix" `Quick
+            test_cluster_object_mix;
+          Alcotest.test_case "drives hosts with zipfian shards" `Quick
+            test_cluster_zipf;
+          Alcotest.test_case "a child dying at start-up aborts" `Quick
+            test_cluster_child_death_aborts;
         ] );
     ]
