@@ -150,6 +150,55 @@ module Lead = struct
     end
 end
 
+(* ---- staying awake for the next request ---- *)
+
+module Awake = struct
+  let window = 16
+
+  (* The last [window] samples of one quantity and their upper median —
+     once half the window reads long, it reads long — kept [max_int]
+     until the ring is full. *)
+  type ring = {
+    samples : int array;
+    mutable count : int;
+    mutable next : int;
+    mutable median : int;
+    sorted : int array;
+  }
+
+  let ring () =
+    {
+      samples = Array.make window 0;
+      count = 0;
+      next = 0;
+      median = max_int;
+      sorted = Array.make window 0;
+    }
+
+  let add r v =
+    r.samples.(r.next) <- max 0 v;
+    r.next <- (r.next + 1) mod window;
+    r.count <- min window (r.count + 1);
+    if r.count = window then begin
+      Array.blit r.samples 0 r.sorted 0 window;
+      Array.sort Int.compare r.sorted;
+      r.median <- r.sorted.(window / 2)
+    end
+
+  type t = { turns : ring; wakes : ring }
+
+  let create () = { turns = ring (); wakes = ring () }
+  let observe t ~turnaround_ns = add t.turns turnaround_ns
+  let woke t ~late_ns = add t.wakes late_ns
+
+  (* Two wake-ups: a client that blocks between requests spends one of
+     its own inside every turnaround, so this weighs its work against
+     ours. *)
+  let budget_ns t ~wait_ns =
+    let m = t.turns.median and w = t.wakes.median in
+    if w = max_int || m > 2 * w then 0 else min wait_ns (2 * m)
+end
+
 (* ---- counters ---- *)
 
 type counters = {
@@ -163,6 +212,16 @@ type counters = {
   mutable queue_hwm : int;  (** data-lane high-water mark, max over links *)
   mutable ctrl_hwm : int;  (** control-lane high-water mark, max over links *)
   mutable lane_shed : int;  (** frames shed from full data lanes *)
+}
+
+(* The loop's own work, kept off the wire. *)
+type poll_counters = {
+  mutable sleeps : int;
+  mutable zero_polls : int;
+  mutable spins : int;
+  mutable spins_caught : int;
+  mutable reads : int;
+  mutable writes : int;
 }
 
 (* ---- outgoing peer links ---- *)
@@ -279,6 +338,15 @@ type 'msg t = {
   mutable pev : int array;
   mutable prev : int array;
   lead : Lead.t;
+  awake : Awake.t;
+  mutable replied : bool;  (** the last [flush] wrote a client reply *)
+  age : int array;  (** [Os.recv_aged]'s out-parameter *)
+  mutable arrived : int;
+      (** earliest arrival of the bytes read from clients this cycle,
+          [CLOCK_MONOTONIC] ns; [max_int] if none *)
+  mutable slept : bool;  (** the last [ppoll] had a timeout, or none *)
+  mutable slept_from : int;  (** when it started *)
+  lc : poll_counters;
   (* the wake pipe *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -347,6 +415,21 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
     pev = Array.make slots 0;
     prev = Array.make slots 0;
     lead = Lead.create ();
+    awake = Awake.create ();
+    replied = false;
+    age = [| -1 |];
+    arrived = max_int;
+    slept = false;
+    slept_from = 0;
+    lc =
+      {
+        sleeps = 0;
+        zero_polls = 0;
+        spins = 0;
+        spins_caught = 0;
+        reads = 0;
+        writes = 0;
+      };
     wake_r;
     wake_w;
     closed = false;
@@ -354,7 +437,9 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
 
 (* ---- sending ---- *)
 
-let send t ~dst ~trace msg =
+(* [frame] is [msg] encoded, forced by the first destination that is a
+   peer, so a broadcast encodes once. *)
+let enqueue t ~dst ~trace msg frame =
   t.ctrs.sent <- t.ctrs.sent + 1;
   Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Send ~trace ~a:dst ();
   if dst = t.me then Queue.push (From_peer (t.me, msg)) t.inputs
@@ -362,7 +447,7 @@ let send t ~dst ~trace msg =
     invalid_arg "Tcp_transport.send: dst out of range"
   else begin
     let link = t.links.(dst) in
-    let shed = Lanes.push link.lanes (t.lane_of msg) (t.encode_peer msg) in
+    let shed = Lanes.push link.lanes (t.lane_of msg) (Lazy.force frame) in
     if shed > 0 then begin
       t.ctrs.dropped <- t.ctrs.dropped + shed;
       t.ctrs.lane_shed <- t.ctrs.lane_shed + shed;
@@ -387,6 +472,12 @@ let send t ~dst ~trace msg =
         ~a:Obs.Event.lane_data ~b:data_depth ()
     end
   end
+
+let send_all t ~dsts ~trace msg =
+  let frame = lazy (t.encode_peer msg) in
+  List.iter (fun dst -> enqueue t ~dst ~trace msg frame) dsts
+
+let send t ~dst ~trace msg = send_all t ~dsts:[ dst ] ~trace msg
 
 (* ---- link state machine ---- *)
 
@@ -494,6 +585,7 @@ let refill link =
   go ()
 
 let write_buf t fd (b : Buf.t) =
+  t.lc.writes <- t.lc.writes + 1;
   match
     Prelude.Os.send_nowait fd (Bytes.unsafe_to_string b.Buf.buf) b.Buf.lo
       (Buf.length b)
@@ -542,7 +634,9 @@ let rec flush_link t link now =
 let flush_sock t s =
   if s.live && Buf.length s.outb > 0 && not s.wblocked then begin
     match write_buf t s.sfd s.outb with
-    | Ok done_ -> s.wblocked <- not done_
+    | Ok done_ ->
+        t.replied <- true;
+        s.wblocked <- not done_
     | Error () -> kill_sock s
   end;
   if s.live && s.closing && Buf.length s.outb = 0 then kill_sock s
@@ -550,12 +644,18 @@ let flush_sock t s =
 (* ---- reading ---- *)
 
 let read_sock t s =
+  t.lc.reads <- t.lc.reads + 1;
   match
-    Buf.fill s.inb (fun buf off len -> Unix.read s.sfd buf off len)
+    Buf.fill s.inb (fun buf off len ->
+        Prelude.Os.recv_aged s.sfd buf off len ~age:t.age)
   with
   | 0 -> `Eof
   | k ->
       t.ctrs.bytes_in <- t.ctrs.bytes_in + k;
+      (match s.role with
+      | Client_role when t.age.(0) >= 0 ->
+          t.arrived <- min t.arrived (Prelude.Os.monotonic_ns () - t.age.(0))
+      | Client_role | Peer_from _ | Unknown -> ());
       `Data
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -615,6 +715,7 @@ let accept_all t =
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
+        Prelude.Os.stamp_arrivals fd;
         let s =
           {
             sid = t.next_sid;
@@ -661,6 +762,15 @@ let ensure_slots t k =
     t.prev <- Array.make k 0
   end
 
+let os_poll t ~count ~timeout_ns =
+  t.slept <- timeout_ns <> 0;
+  if t.slept then begin
+    t.lc.sleeps <- t.lc.sleeps + 1;
+    t.slept_from <- Prelude.Os.monotonic_ns ()
+  end
+  else t.lc.zero_polls <- t.lc.zero_polls + 1;
+  Prelude.Os.poll t.pfds ~events:t.pev ~revents:t.prev ~count ~timeout_ns
+
 (* Wait [wait_ns] on [CLOCK_MONOTONIC] (read after the caller's [Mclock],
    so the wait never ends before its [Mclock] deadline): one sleeping
    [ppoll] until the wait's learned lead before the end, then zero-timeout
@@ -671,22 +781,56 @@ let ensure_slots t k =
 let rec spin t ~count ~until =
   if Prelude.Os.monotonic_ns () >= until then 0
   else
-    match
-      Prelude.Os.poll t.pfds ~events:t.pev ~revents:t.prev ~count ~timeout_ns:0
-    with
+    match os_poll t ~count ~timeout_ns:0 with
     | 0 -> spin t ~count ~until
     | r -> r
 
 let sleep_then_spin t ~count ~wait_ns =
   let sleep_ns = wait_ns - Lead.lead_ns t.lead ~wait_ns in
   let t0 = Prelude.Os.monotonic_ns () in
-  let ready =
-    Prelude.Os.poll t.pfds ~events:t.pev ~revents:t.prev ~count
-      ~timeout_ns:sleep_ns
-  in
+  let ready = os_poll t ~count ~timeout_ns:sleep_ns in
   Lead.observe t.lead ~wait_ns ~ready
     ~late_ns:(Prelude.Os.monotonic_ns () - t0 - sleep_ns);
   if ready <> 0 then ready else spin t ~count ~until:(t0 + wait_ns)
+
+(* A wait of [timeout_ns] ([< 0]: no deadline) that began at [from]
+   after a reply: spin for {!Awake}'s budget first, then sleep what is
+   left as any wait does. *)
+let wait_after_reply t ~count ~timeout_ns ~from =
+  let wait_ns = if timeout_ns < 0 then max_int else timeout_ns in
+  let budget = Awake.budget_ns t.awake ~wait_ns in
+  let caught =
+    if budget <= 0 then 0
+    else begin
+      t.lc.spins <- t.lc.spins + 1;
+      let r = spin t ~count ~until:(from + budget) in
+      if r > 0 then t.lc.spins_caught <- t.lc.spins_caught + 1;
+      r
+    end
+  in
+  if caught <> 0 then caught
+  else if timeout_ns < 0 then os_poll t ~count ~timeout_ns
+  else
+    let rest = wait_ns - (Prelude.Os.monotonic_ns () - from) in
+    if rest > 0 then sleep_then_spin t ~count ~wait_ns:rest else 0
+
+(* What the cycle's wait, which began at [from] and ended with [ready]
+   ([woke]: when a sleeping [ppoll] returned with fds ready, else 0),
+   teaches {!Awake} once the reads placed the clients' bytes in time: a
+   sleep that client bytes ended, how long after their arrival it woke;
+   a wait after a reply, the client's turnaround — until its bytes
+   arrived, or the whole wait when nothing came.  Bytes that were there
+   before the wait began say nothing about how long to wait. *)
+let learn t ~after_reply ~from ~woke ~ready ~timeout_ns =
+  if t.arrived < max_int then begin
+    if woke > 0 && t.arrived >= t.slept_from && t.arrived <= woke then
+      Awake.woke t.awake ~late_ns:(woke - t.arrived);
+    if after_reply && t.arrived > from then
+      Awake.observe t.awake ~turnaround_ns:(t.arrived - from)
+  end
+  else if after_reply && ready = 0 then
+    Awake.observe t.awake ~turnaround_ns:timeout_ns;
+  t.arrived <- max_int
 
 (* Poll-set layout: 0 = listener, 1 = wake pipe, then one slot per link
    with a socket, then one per live accepted socket — the same order the
@@ -730,10 +874,15 @@ let poll t ~deadline_us =
     else if deadline_us = max_int then -1
     else 1000 * max 0 (deadline_us - Prelude.Mclock.now_us ())
   in
+  let after_reply = timeout_ns <> 0 && t.replied in
+  if after_reply then t.replied <- false;
+  let from = Prelude.Os.monotonic_ns () in
   let ready =
-    if timeout_ns > 0 then sleep_then_spin t ~count:!k ~wait_ns:timeout_ns
-    else poll t.pfds ~events:t.pev ~revents:t.prev ~count:!k ~timeout_ns
+    if after_reply then wait_after_reply t ~count:!k ~timeout_ns ~from
+    else if timeout_ns > 0 then sleep_then_spin t ~count:!k ~wait_ns:timeout_ns
+    else os_poll t ~count:!k ~timeout_ns
   in
+  let woke = if ready > 0 && t.slept then Prelude.Os.monotonic_ns () else 0 in
   if ready < 0 then Array.fill t.prev 0 !k 0;
   if t.prev.(0) land pollin <> 0 then accept_all t;
   let i = ref 2 in
@@ -760,9 +909,13 @@ let poll t ~deadline_us =
         decode_sock t s ~limit:(if eof then max_int else frames_per_cycle);
       if eof then kill_sock s)
     polled;
+  learn t ~after_reply ~from ~woke ~ready ~timeout_ns;
   if t.prev.(1) land pollin <> 0 then drain_wake t
 
 let lead t = t.lead
+let awake t = t.awake
+
+let poll_counters t = { t.lc with sleeps = t.lc.sleeps }
 let next_input t = Queue.take_opt t.inputs
 let queued_inputs t = Queue.length t.inputs
 

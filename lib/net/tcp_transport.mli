@@ -168,6 +168,10 @@ val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
     queues it as an input of this cycle instead.  [trace] tags the [Send]
     observability event. *)
 
+val send_all : 'msg t -> dsts:int list -> trace:int -> 'msg -> unit
+(** {!send} to each of [dsts] in order (a destination may repeat),
+    calling [encode_peer] once: every peer's lane gets the same bytes. *)
+
 val poll : 'msg t -> deadline_us:int -> unit
 (** One cycle's wait and reads: wait on the listener, the wake pipe,
     every connection and every outgoing link (asking for [POLLOUT] only
@@ -183,7 +187,14 @@ val poll : 'msg t -> deadline_us:int -> unit
     zero-timeout [ppoll]s over the same set until the deadline, timed on
     [CLOCK_MONOTONIC] ({!Prelude.Os.monotonic_ns}) so a wall-clock step
     never stretches them.  A ready fd, {!wake} or a signal ends either
-    part at once. *)
+    part at once.
+
+    The wait right after a cycle whose {!flush} wrote a client reply
+    first spins with zero-timeout [ppoll]s for {!Awake}'s budget — a
+    client that answers sooner than this vCPU wakes from a sleep is
+    caught awake — and hands the rest of the wait to the sleep above.
+    A poll that may not wait (inputs queued, the deadline passed) leaves
+    the reply pending for the next one that does. *)
 
 (** How early {!poll} stops sleeping so that it returns on time: on a VM
     an idle vCPU wakes from a [ppoll] tens of µs after its timeout, more
@@ -209,6 +220,52 @@ end
 
 val lead : 'msg t -> Lead.t
 (** The socket set's estimator. *)
+
+(** How long {!poll} stays awake after a client reply: the competitive
+    spin-then-block rule (Karlin et al., SOSP '91) — spin only while the
+    client's expected turnaround is short against a wake-up, and then
+    for at most twice that turnaround.  Both are measured on the
+    clients' own bytes, placed in time by the kernel's arrival stamps
+    ({!Prelude.Os.recv_aged}): a {e turnaround} runs from the start of a
+    wait after a reply until the client's next bytes arrived (the whole
+    wait when none came), a {e wake-up} from their arrival until a sleep
+    they ended returned.  Each is a ring of the last 16 samples and its
+    upper median, so 8 timed-out waits after replies turn the
+    turnaround long. *)
+module Awake : sig
+  type t
+
+  val create : unit -> t
+
+  val observe : t -> turnaround_ns:int -> unit
+
+  val woke : t -> late_ns:int -> unit
+
+  val budget_ns : t -> wait_ns:int -> int
+  (** How long to spin before sleeping a [wait_ns] wait ([max_int]: no
+      deadline): [min wait_ns (2 × turnaround)] when the turnaround is at
+      most two wake-ups — a client that blocks between requests spends
+      one wake-up of its own inside each turnaround, so this weighs its
+      work against ours — else 0, and 0 before 16 samples of each. *)
+end
+
+val awake : 'msg t -> Awake.t
+(** The socket set's turnaround ring. *)
+
+(** The loop's own work since {!create}, kept off the wire. *)
+type poll_counters = private {
+  mutable sleeps : int;  (** [ppoll]s with a timeout, or none *)
+  mutable zero_polls : int;
+      (** zero-timeout [ppoll]s: spin steps, and polls with inputs queued
+          or a deadline already passed *)
+  mutable spins : int;  (** pre-sleep spins started after a client reply *)
+  mutable spins_caught : int;  (** of those, the ones that found an fd ready *)
+  mutable reads : int;  (** [read]s of accepted connections *)
+  mutable writes : int;  (** [send]s on links and client connections *)
+}
+
+val poll_counters : 'msg t -> poll_counters
+(** A copy of the counters as they stand. *)
 
 val next_input : 'msg t -> 'msg input option
 (** The next queued input; [None] once this cycle's are taken. *)

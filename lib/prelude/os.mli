@@ -20,6 +20,19 @@ val send_nowait : Unix.file_descr -> string -> int -> int -> int
     count (0 = buffer full).
     @raise Unix.Unix_error on a dead connection. *)
 
+val stamp_arrivals : Unix.file_descr -> unit
+(** Ask the kernel to stamp every packet arriving on this socket
+    ([SO_TIMESTAMPNS]); a no-op where that does not exist. *)
+
+val recv_aged : Unix.file_descr -> Bytes.t -> int -> int -> age:int array -> int
+(** [recv_aged fd buf ofs len ~age] reads what is there, like
+    [Unix.read] on a non-blocking socket (0 = end of stream), and sets
+    [age.(0)] to how many ns ago the last packet it read arrived, or -1
+    without an arrival stamp (see {!stamp_arrivals}).  Allocation-free.
+    @raise Invalid_argument on a bad range or an empty [age].
+    @raise Unix.Unix_error as [read] does ([EAGAIN] when nothing is
+    there). *)
+
 val pollin : int
 (** Event bit: readable (also reported on hang-up or error, so a read
     sees the EOF or the error). *)

@@ -11,6 +11,8 @@
 #include <sys/prctl.h>
 #endif
 #include <stdlib.h>
+#include <string.h>
+#include <sys/uio.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
@@ -45,6 +47,62 @@ value prelude_os_send_nowait(value fd, value buf, value ofs, value len)
       return Val_long(0);
     caml_uerror("send", Nothing);
   }
+  return Val_long(n);
+}
+
+/* Arrival stamps: with SO_TIMESTAMPNS the kernel stamps each packet
+   (CLOCK_REALTIME) as it arrives, and recvmsg hands the stamp of the
+   last one read over as a control message.  [age] gets how long ago
+   that was, read on the same clock right after the call, so the caller
+   can place the arrival on its own clock; -1 when no stamp came (stamps
+   off, or not Linux).  The socket is non-blocking and the runtime is
+   never released, so [buf] cannot move under the call. */
+value prelude_os_stamp_arrivals(value fd)
+{
+#ifdef SO_TIMESTAMPNS
+  int one = 1;
+  setsockopt(Int_val(fd), SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof one);
+#else
+  (void)fd;
+#endif
+  return Val_unit;
+}
+
+value prelude_os_recv_aged(value fd, value buf, value ofs, value len,
+                           value age)
+{
+  struct iovec iov;
+  struct msghdr msg;
+  union {
+    char b[CMSG_SPACE(sizeof(struct timespec))];
+    struct cmsghdr align;
+  } ctl;
+  long a = -1;
+  ssize_t n;
+  iov.iov_base = Bytes_val(buf) + Long_val(ofs);
+  iov.iov_len = Long_val(len);
+  memset(&msg, 0, sizeof msg);
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = ctl.b;
+  msg.msg_controllen = sizeof ctl.b;
+  n = recvmsg(Int_val(fd), &msg, MSG_DONTWAIT);
+  if (n < 0) caml_uerror("recvmsg", Nothing);
+#ifdef SCM_TIMESTAMPNS
+  {
+    struct cmsghdr *c;
+    for (c = CMSG_FIRSTHDR(&msg); c != NULL; c = CMSG_NXTHDR(&msg, c))
+      if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SCM_TIMESTAMPNS) {
+        struct timespec at, now;
+        memcpy(&at, CMSG_DATA(c), sizeof at);
+        clock_gettime(CLOCK_REALTIME, &now);
+        a = (long)(now.tv_sec - at.tv_sec) * 1000000000L
+            + (now.tv_nsec - at.tv_nsec);
+        if (a < 0) a = 0;
+      }
+  }
+#endif
+  Field(age, 0) = Val_long(a);
   return Val_long(n);
 }
 

@@ -451,6 +451,7 @@ module Make (W : Net.Wire.WIRED) = struct
     cfg : config;
     epoch : int;  (** [Mclock] µs the fault windows are measured from *)
     tcp : (int * R.wire) Net.Tcp_transport.t;
+    peers : int list;  (** every pid but this one: a broadcast's targets *)
     shards : shard array;
     mutable outs : (R.output -> unit) array;
         (** per shard: performs its outputs *)
@@ -511,30 +512,39 @@ module Make (W : Net.Wire.WIRED) = struct
     let s = Net.Tcp_transport.stats lp.tcp and lost = lp.chaos_dropped in
     { s with T.sent = s.T.sent + lost; dropped = s.T.dropped + lost }
 
-  (* Shard [k]'s send: straight onto the shared link with the shard tag,
-     unless its fault plan drops, copies or parks the frame. *)
-  let send lp k ~dst ~trace w =
-    match lp.shards.(k).chaos with
-    | None -> Net.Tcp_transport.send lp.tcp ~dst ~trace (k, w)
-    | Some chaos ->
-        T.apply
-          (Fault.Chaos_transport.decide chaos ~now_us:(lp.now - lp.epoch)
-             ~src:lp.cfg.pid ~dst ~trace)
-          ~lost:(fun () -> lp.chaos_dropped <- lp.chaos_dropped + 1)
-          ~enter:(fun () -> Net.Tcp_transport.send lp.tcp ~dst ~trace (k, w))
-          ~park:(fun extra_us ->
-            let p =
-              {
-                due = lp.now + extra_us;
-                pseq = lp.parked_seq;
-                pk = k;
-                pdst = dst;
-                ptrace = trace;
-                pw = w;
-              }
-            in
-            lp.parked_seq <- lp.parked_seq + 1;
-            lp.parked <- Parked.insert p lp.parked)
+  (* Shard [k]'s send to [dsts]: straight onto the shared links with the
+     shard tag, encoded once, unless its fault plan drops, copies or
+     parks the frame — decided per destination. *)
+  let send lp k ~dsts ~trace w =
+    let dsts =
+      match lp.shards.(k).chaos with
+      | None -> dsts
+      | Some chaos ->
+          List.concat_map
+            (fun dst ->
+              let entered = ref [] in
+              T.apply
+                (Fault.Chaos_transport.decide chaos ~now_us:(lp.now - lp.epoch)
+                   ~src:lp.cfg.pid ~dst ~trace)
+                ~lost:(fun () -> lp.chaos_dropped <- lp.chaos_dropped + 1)
+                ~enter:(fun () -> entered := dst :: !entered)
+                ~park:(fun extra_us ->
+                  let p =
+                    {
+                      due = lp.now + extra_us;
+                      pseq = lp.parked_seq;
+                      pk = k;
+                      pdst = dst;
+                      ptrace = trace;
+                      pw = w;
+                    }
+                  in
+                  lp.parked_seq <- lp.parked_seq + 1;
+                  lp.parked <- Parked.insert p lp.parked);
+              !entered)
+            dsts
+    in
+    Net.Tcp_transport.send_all lp.tcp ~dsts ~trace (k, w)
 
   (* Parked frames whose time came (all of them at [~all]) enter their
      links. *)
@@ -563,12 +573,8 @@ module Make (W : Net.Wire.WIRED) = struct
               (Net.Tcp_transport.conn_write p.conn
                  (C.encode (reply_of p.pshard r.R.outcome)))
         | None -> ())
-    | Sim.Action.Send (dst, w) -> send lp k ~dst ~trace:(R.trace_of w) w
-    | Sim.Action.Broadcast w ->
-        let trace = R.trace_of w in
-        for dst = 0 to Array.length lp.cfg.addrs - 1 do
-          if dst <> lp.cfg.pid then send lp k ~dst ~trace w
-        done
+    | Sim.Action.Send (dst, w) -> send lp k ~dsts:[ dst ] ~trace:(R.trace_of w) w
+    | Sim.Action.Broadcast w -> send lp k ~dsts:lp.peers ~trace:(R.trace_of w) w
     | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
 
   let on_client lp conn frame =
@@ -811,6 +817,9 @@ module Make (W : Net.Wire.WIRED) = struct
         cfg;
         epoch = start_us;
         tcp;
+        peers =
+          List.filter (( <> ) cfg.pid)
+            (List.init (Array.length cfg.addrs) Fun.id);
         shards;
         outs = [||];
         tickets = Hashtbl.create 64;
@@ -924,5 +933,11 @@ module Make (W : Net.Wire.WIRED) = struct
     let total = Array.fold_left (fun k rs -> k + List.length rs) 0 records in
     cfg.log
       (Printf.sprintf "replica %d: stopped after %d ops; %s" cfg.pid total
-         (Format.asprintf "%a" T.pp_stats stats))
+         (Format.asprintf "%a" T.pp_stats stats));
+    let c = Net.Tcp_transport.poll_counters lp.tcp in
+    cfg.log
+      (Printf.sprintf
+         "replica %d: loop: %d sleeping ppolls, %d zero-timeout ppolls, %d \
+          pre-sleep spins (%d caught input), %d reads, %d writes"
+         cfg.pid c.sleeps c.zero_polls c.spins c.spins_caught c.reads c.writes)
 end

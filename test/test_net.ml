@@ -1227,14 +1227,14 @@ let seed_long_lead t =
 let lead_of t =
   Lead.lead_ns (Net.Tcp_transport.lead t) ~wait_ns:(long_wait_us * 1_000)
 
-(* Poll [long_wait_us] ahead, running [during] on another thread 75 ms
-   in — mid-spin; return how early the poll came back. *)
-let poll_with t ~during =
+(* Poll [long_wait_us] ahead, running [during] on another thread [at_us]
+   in (75 ms: mid-spin); return how early the poll came back. *)
+let poll_with ?(at_us = 75_000) t ~during =
   let t0 = Prelude.Mclock.now_us () in
   let th =
     Thread.create
       (fun () ->
-        Prelude.Mclock.sleep_us (t0 + 75_000 - Prelude.Mclock.now_us ());
+        Prelude.Mclock.sleep_us (t0 + at_us - Prelude.Mclock.now_us ());
         during ())
       ()
   in
@@ -1280,6 +1280,226 @@ let test_poll_spin_wakes () =
     (Printf.sprintf "wake ends the spin (%d µs early)" early)
     true (early > 10_000);
   Net.Tcp_transport.close t
+
+(* ---- staying awake after a reply ---- *)
+
+module Awake = Net.Tcp_transport.Awake
+
+let us = 1_000 (* ns *)
+
+(* Turnarounds and wake-ups as a loop would have measured them. *)
+let awake_with ?(wakes = List.init 16 (fun _ -> 12 * us)) turnarounds =
+  let a = Awake.create () in
+  List.iter (fun late_ns -> Awake.woke a ~late_ns) wakes;
+  List.iter (fun turnaround_ns -> Awake.observe a ~turnaround_ns) turnarounds;
+  a
+
+let test_awake_needs_a_window () =
+  let a = awake_with (List.init 15 (fun _ -> 12 * us)) in
+  Alcotest.(check int) "15 turnarounds: no spin" 0
+    (Awake.budget_ns a ~wait_ns:(100 * ms));
+  Awake.observe a ~turnaround_ns:(12 * us);
+  Alcotest.(check int) "16: twice the median" (24 * us)
+    (Awake.budget_ns a ~wait_ns:(100 * ms));
+  let a =
+    awake_with ~wakes:(List.init 15 (fun _ -> 12 * us))
+      (List.init 16 (fun _ -> 12 * us))
+  in
+  Alcotest.(check int) "15 wake-ups: no spin" 0
+    (Awake.budget_ns a ~wait_ns:(100 * ms))
+
+let test_awake_short_turnarounds_spin () =
+  let a = awake_with (List.init 16 (fun i -> (10 * us) + (i * 200))) in
+  List.iter
+    (fun wait_ns ->
+      let b = Awake.budget_ns a ~wait_ns in
+      if b <= 0 || b > wait_ns then
+        Alcotest.failf "a %d ns wait got a %d ns spin" wait_ns b)
+    [ 100 * ms; 70 * ms; max_int; 5 * us ];
+  Alcotest.(check int) "a short wait spins whole" (5 * us)
+    (Awake.budget_ns a ~wait_ns:(5 * us));
+  (* the upper median of 10.0, 10.2, ... 13.0 µs is 11.6 µs *)
+  Alcotest.(check int) "twice the median" (2 * 11_600)
+    (Awake.budget_ns a ~wait_ns:(100 * ms))
+
+let test_awake_slow_clients_sleep () =
+  let a = awake_with (List.init 16 (fun _ -> 2 * ms)) in
+  Alcotest.(check int) "2 ms turnarounds: no spin" 0
+    (Awake.budget_ns a ~wait_ns:(100 * ms));
+  let a = awake_with (List.init 16 (fun _ -> 25 * us)) in
+  Alcotest.(check int) "just above two 12 µs wake-ups: no spin" 0
+    (Awake.budget_ns a ~wait_ns:(100 * ms));
+  let a = awake_with (List.init 16 (fun _ -> 24 * us)) in
+  Alcotest.(check int) "two wake-ups: spin" (48 * us)
+    (Awake.budget_ns a ~wait_ns:(100 * ms))
+
+let test_awake_quiet_client_stops () =
+  let a = awake_with (List.init 16 (fun _ -> 12 * us)) in
+  for k = 1 to 8 do
+    Awake.observe a ~turnaround_ns:(100 * ms);
+    let b = Awake.budget_ns a ~wait_ns:(100 * ms) in
+    if k < 8 && b = 0 then Alcotest.failf "stopped after %d timeouts" k;
+    if k = 8 then Alcotest.(check int) "8 timed-out waits stop it" 0 b
+  done
+
+(* One stolen wake-up among the samples leaves the wake cost where it
+   was, so a client slower than two real wake-ups still gets no spin. *)
+let test_awake_outlier_wake () =
+  for at = 0 to 15 do
+    let wakes = List.init 16 (fun i -> if i = at then 5 * ms else 30 * us) in
+    let a = awake_with ~wakes (List.init 16 (fun _ -> 1 * ms)) in
+    Alcotest.(check int)
+      (Printf.sprintf "outlier at %d: 1 ms turnarounds still sleep" at)
+      0
+      (Awake.budget_ns a ~wait_ns:(100 * ms))
+  done
+
+(* The kernel stamps a socket's bytes as they arrive: a read 20 ms after
+   a write reports them about 20 ms old.  Linux turns stamping on for
+   the first such socket a little later (a deferred switch), so the
+   first bytes may come unstamped. *)
+let test_arrivals_are_stamped () =
+  let srv = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+  let c = connect_to srv.Net.Tcp_transport.port in
+  let s, _ = Unix.accept srv.Net.Tcp_transport.listen_fd in
+  Prelude.Os.stamp_arrivals s;
+  let age = [| -1 |] and buf = Bytes.create 16 in
+  let rec warm k =
+    write_all c "x";
+    Unix.sleepf 0.002;
+    ignore (Prelude.Os.recv_aged s buf 0 16 ~age);
+    if age.(0) < 0 && k > 0 then warm (k - 1)
+  in
+  warm 100;
+  write_all c "hello";
+  Unix.sleepf 0.02;
+  let k = Prelude.Os.recv_aged s buf 0 16 ~age in
+  Alcotest.(check string) "the bytes" "hello" (Bytes.sub_string buf 0 k);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d ns old" age.(0))
+    true
+    (age.(0) >= 20 * ms && age.(0) < 1_000 * ms);
+  (match Prelude.Os.recv_aged s buf 0 16 ~age with
+  | _ -> Alcotest.fail "an empty socket reads EAGAIN"
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+  Unix.close c;
+  Unix.close s;
+  Unix.close srv.Net.Tcp_transport.listen_fd
+
+(* A socket set with one accepted client whose ring says: turnarounds of
+   20 ms, wake-ups of 50 ms — after a reply, a 100 ms wait spins 40 ms
+   before it sleeps. *)
+let awake_set () =
+  let t, port = idle_set () in
+  let c = connect_to port in
+  write_all c (invoke_frame 1);
+  let rec accept k =
+    match cycle ~wait_us:1_000 t with
+    | Net.Tcp_transport.From_client (conn, _) :: _ -> conn
+    | _ when k > 0 -> accept (k - 1)
+    | _ -> Alcotest.fail "the client was never served"
+  in
+  let conn = accept 100 in
+  let a = Net.Tcp_transport.awake t in
+  for _ = 1 to 16 do
+    Awake.woke a ~late_ns:(50 * ms);
+    Awake.observe a ~turnaround_ns:(20 * ms)
+  done;
+  (t, c, conn)
+
+let test_awake_bytes_end_the_spin () =
+  let t, c, conn = awake_set () in
+  ignore (Net.Tcp_transport.conn_write conn (invoke_frame 1));
+  Net.Tcp_transport.flush t ~now_us:(Prelude.Mclock.now_us ());
+  (* a poll whose deadline has passed is no wait: the spin waits for the
+     next one *)
+  Net.Tcp_transport.poll t ~deadline_us:0;
+  let before = Net.Tcp_transport.poll_counters t in
+  let early = poll_with ~at_us:10_000 t ~during:(fun () -> write_all c (invoke_frame 2)) in
+  let after = Net.Tcp_transport.poll_counters t in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes mid-spin end the wait (%d µs early)" early)
+    true (early > 50_000);
+  Alcotest.(check int) "one spin started" 1
+    (after.Net.Tcp_transport.spins - before.Net.Tcp_transport.spins);
+  Alcotest.(check int) "and caught the input" 1
+    (after.Net.Tcp_transport.spins_caught - before.Net.Tcp_transport.spins_caught);
+  Alcotest.(check int) "without sleeping" 0
+    (after.Net.Tcp_transport.sleeps - before.Net.Tcp_transport.sleeps);
+  (match Net.Tcp_transport.next_input t with
+  | Some (Net.Tcp_transport.From_client _) -> ()
+  | _ -> Alcotest.fail "the frame is queued as an input");
+  Unix.close c;
+  Net.Tcp_transport.close t
+
+let test_awake_no_reply_no_spin () =
+  let t, c, _ = awake_set () in
+  let before = Net.Tcp_transport.poll_counters t in
+  for _ = 1 to 50 do
+    ignore (cycle ~wait_us:1_000 t)
+  done;
+  let after = Net.Tcp_transport.poll_counters t in
+  Alcotest.(check int) "no spin in 50 waits" 0
+    (after.Net.Tcp_transport.spins - before.Net.Tcp_transport.spins);
+  (* a wait whose deadline passed while the loop was preempted polls
+     without sleeping *)
+  Alcotest.(check bool) "the waits slept" true
+    (after.Net.Tcp_transport.sleeps - before.Net.Tcp_transport.sleeps >= 45);
+  Unix.close c;
+  Net.Tcp_transport.close t
+
+(* A broadcast to n − 1 peers runs [encode_peer] once, and every peer
+   still reads the bytes a lone send would have written: its hello, then
+   the frame. *)
+let test_broadcast_encodes_once () =
+  let n = 4 in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map (fun l -> ("127.0.0.1", l.Net.Tcp_transport.port)) listeners
+  in
+  let encodes = ref 0 in
+  let t =
+    Net.Tcp_transport.create ~me:0 ~addrs ~listener:listeners.(0)
+      ~hello:(reg_hello 0) ~classify_hello:reg_classify
+      ~decode_peer:(fun ~src:_ _ -> None)
+      ~encode_peer:(fun m ->
+        incr encodes;
+        Rc.encode m)
+      ~log:ignore ()
+  in
+  let entry =
+    Rc.Entry
+      { op = Spec.Register.Write 5; time = 3; pid = 0; trace = 0; op_id = 1;
+        shard = 0 }
+  in
+  Net.Tcp_transport.send_all t ~dsts:[ 1; 2; 3 ] ~trace:0 entry;
+  Alcotest.(check int) "one encode for three peers" 1 !encodes;
+  let want = reg_hello 0 ^ Rc.encode entry in
+  for _ = 1 to 20 do ignore (cycle ~wait_us:1_000 t) done;
+  for dst = 1 to n - 1 do
+    let fd, _ = Unix.accept listeners.(dst).Net.Tcp_transport.listen_fd in
+    let buf = Bytes.create (String.length want) in
+    let rec read off =
+      if off < Bytes.length buf then
+        match Unix.select [ fd ] [] [] 2.0 with
+        | [], _, _ -> off
+        | _ ->
+            let k = Unix.read fd buf off (Bytes.length buf - off) in
+            if k = 0 then off else read (off + k)
+      else off
+    in
+    let got = read 0 in
+    Alcotest.(check string)
+      (Printf.sprintf "peer %d reads hello then the frame" dst)
+      want (Bytes.sub_string buf 0 got);
+    Unix.close fd
+  done;
+  Net.Tcp_transport.close t;
+  Array.iteri
+    (fun i l -> if i > 0 then Unix.close l.Net.Tcp_transport.listen_fd)
+    listeners
 
 (* The safety half of waking early: over real sockets, with the host
    loop's early wake-ups, no replica answers an operation before its
@@ -1516,6 +1736,8 @@ let () =
           Alcotest.test_case "wake ends the spin" `Quick test_poll_spin_wakes;
           Alcotest.test_case "holds are never cut short" `Quick
             test_holds_never_cut_short;
+          Alcotest.test_case "a broadcast encodes once" `Quick
+            test_broadcast_encodes_once;
         ] );
       ( "client",
         [
@@ -1542,6 +1764,25 @@ let () =
           Alcotest.test_case "one outlier moves nothing" `Quick
             test_lead_ignores_an_outlier;
           Alcotest.test_case "buckets are independent" `Quick test_lead_buckets;
+        ] );
+      ( "awake",
+        [
+          Alcotest.test_case "16 samples before a spin" `Quick
+            test_awake_needs_a_window;
+          Alcotest.test_case "short turnarounds spin within the wait" `Quick
+            test_awake_short_turnarounds_spin;
+          Alcotest.test_case "slow clients get no spin" `Quick
+            test_awake_slow_clients_sleep;
+          Alcotest.test_case "8 timed-out waits stop the spin" `Quick
+            test_awake_quiet_client_stops;
+          Alcotest.test_case "one outlier wake-up inflates nothing" `Quick
+            test_awake_outlier_wake;
+          Alcotest.test_case "arrivals carry their age" `Quick
+            test_arrivals_are_stamped;
+          Alcotest.test_case "client bytes end the pre-sleep spin" `Quick
+            test_awake_bytes_end_the_spin;
+          Alcotest.test_case "no reply, no spin" `Quick
+            test_awake_no_reply_no_spin;
         ] );
       ( "durable",
         [
