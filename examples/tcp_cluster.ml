@@ -101,11 +101,7 @@ let () =
   | Error e -> failwith e);
   Array.iter Cl.close conns;
   let total =
-    Array.fold_left
-      (fun acc h ->
-        let records, _ = H.stop h in
-        acc + List.length records.(0))
-      0 handles
+    Array.fold_left (fun acc h -> acc + (fst (H.stop h)).(0)) 0 handles
   in
-  Format.printf "%d ops recorded across %d replicas@." total n;
+  Format.printf "%d ops answered across %d replicas@." total n;
   if total <> ops then exit 1

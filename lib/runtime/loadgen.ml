@@ -415,6 +415,78 @@ module Make (L : Workloads.LIVE) = struct
     start_round ();
     t
 
+  (* The one place a history becomes a verdict, for every port: each
+     shard's client-observed entries in invocation order, checked on their
+     own (linearizability composes, so the namespace verdict is the
+     conjunction), unless ops failed, the run was aborted or completions
+     are missing. *)
+  let judge ?initials ?aborted ~params ~windowed ~shards ~expected t =
+    let by_shard = Array.make shards [] in
+    List.iter
+      (fun (s, e) ->
+        if s >= 0 && s < shards then by_shard.(s) <- e :: by_shard.(s))
+      t.entries;
+    let checks =
+      Array.mapi
+        (fun k rev ->
+          match rev with
+          | [] -> None
+          | _ ->
+              let sorted =
+                List.sort
+                  (fun (a : Lin.entry) (b : Lin.entry) ->
+                    compare (a.Lin.invoke, a.Lin.pid) (b.Lin.invoke, b.Lin.pid))
+                  rev
+              in
+              let initial = Option.bind initials (fun a -> a.(k)) in
+              Some (check_history ?initial sorted (List.rev t.cuts)))
+        by_shard
+    in
+    let completed = List.length t.entries in
+    let verdict =
+      match aborted with
+      | _ when t.failed > 0 ->
+          Unchecked
+            (Printf.sprintf "%d invocation%s failed (%s)" t.failed
+               (if t.failed = 1 then "" else "s")
+               (Option.value t.first_error ~default:"unknown error"))
+      | Some why -> Unchecked why
+      | None when completed <> expected ->
+          Unchecked
+            (Printf.sprintf "expected %d completed ops, recorded %d" expected
+               completed)
+      | None ->
+          let tag k why =
+            if shards = 1 then why else Printf.sprintf "shard %d: %s" k why
+          in
+          let rec conj k total =
+            if k = shards then Linearizable total
+            else
+              match checks.(k) with
+              | None -> conj (k + 1) total
+              | Some (Linearizable segs) -> conj (k + 1) (total + segs)
+              | Some (Violation { segment; reason }) ->
+                  Violation { segment; reason = tag k reason }
+              | Some (Unchecked why) -> Unchecked (tag k why)
+          in
+          conj 0 0
+    in
+    let per_shard =
+      List.init shards Fun.id
+      |> List.filter_map (fun k ->
+             Hashtbl.find_opt t.hists k
+             |> Option.map (fun hs ->
+                    {
+                      shard = k;
+                      shard_ops = List.length by_shard.(k);
+                      shard_classes = classes_of ~params ~windowed hs;
+                      shard_verdict =
+                        Option.value checks.(k) ~default:(Linearizable 0);
+                    }))
+      |> List.sort (fun a b -> compare b.shard_ops a.shard_ops)
+    in
+    (verdict, per_shard)
+
   (* A run with no completion for this long (virtual µs), and no crash or
      restart of the plan still to come, is wedged — a stalled minority, a
      replica frozen for good — and ends; its missing operations make the
@@ -548,26 +620,9 @@ module Make (L : Workloads.LIVE) = struct
     let wall_us = V.now v in
     (* The plan's remaining restarts still happen, after the load. *)
     V.run v ~until:(fun () -> !controls = 0);
-    let entries =
-      List.map
-        (fun (r : R.record) ->
-          {
-            Lin.pid = r.R.pid;
-            op = r.R.op;
-            result = r.R.result;
-            invoke = r.R.invoke_us;
-            response = r.R.response_us;
-          })
-        (V.stop v)
-    in
-    let cuts = List.rev tally.cuts in
-    let verdict =
-      if List.length entries <> ops then
-        Unchecked
-          (Printf.sprintf "expected %d completed ops, recorded %d" ops
-             (List.length entries))
-      else check_history entries cuts
-    in
+    V.stop v;
+    let windowed = fault_windows <> [] in
+    let verdict, _ = judge ~params ~windowed ~shards:1 ~expected:ops tally in
     {
       label = L.label;
       params;
@@ -583,12 +638,10 @@ module Make (L : Workloads.LIVE) = struct
       throughput =
         (if wall_us = 0 then 0.
          else float_of_int ops /. (float_of_int wall_us /. 1e6));
-      classes =
-        classes_of ~params ~windowed:(fault_windows <> [])
-          (shard_hists tally 0);
+      classes = classes_of ~params ~windowed (shard_hists tally 0);
       net = V.stats v;
       offsets;
-      cuts;
+      cuts = List.rev tally.cuts;
       mode_switches = List.sort compare (List.rev !switches);
       verdict;
     }

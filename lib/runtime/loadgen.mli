@@ -185,6 +185,26 @@ module Make (L : Workloads.LIVE) : sig
       op goes to the next replica.  [rng] splits
       into the clients' op draws; [seed] hashes the replay jitter. *)
 
+  val judge :
+    ?initials:L.D.state option array ->
+    ?aborted:string ->
+    params:Core.Params.t ->
+    windowed:bool ->
+    shards:int ->
+    expected:int ->
+    tally ->
+    verdict * shard_report list
+  (** The one place a client-observed history becomes a verdict, for
+      {!run} as for [Shard.Cluster]: the tally's entries are split by
+      shard, put in invocation order (ties by client) and checked per
+      shard with {!check_history} from [initials.(k)] (default: fresh),
+      sharing the tally's cuts.  The verdict is [Unchecked] when an op
+      failed, when the run was [aborted] (the reason), or when the tally
+      holds other than [expected] completions; else the conjunction of the
+      shards' checks (linearizability composes).  Also returns a
+      {!shard_report} per shard that completed an op, hottest first, its
+      classes named under [params] ({!classes_of} with [windowed]). *)
+
   val check_history : ?initial:L.D.state -> Lin.entry list -> int list -> verdict
   (** [check_history entries cuts] splits the history (in invocation
       order, times on one µs timeline) at the quiescent [cuts] and runs

@@ -100,14 +100,4 @@ module Make (D : Spec.Data_type.S) = struct
     step d ~now ~out (fun c st ~clock -> on_control c st ~clock ctl)
 
   let driver_snapshot d = snapshot d.core
-
-  (* History-record times move onto the cluster timeline (µs since
-     [start_us]). *)
-  let driver_records d =
-    let timeline at = if at = min_int then 0 else at - d.offset in
-    List.map
-      (fun (r : record) ->
-        { r with invoke_us = timeline r.invoke_us;
-          response_us = timeline r.response_us })
-      (records d.core)
 end

@@ -21,7 +21,7 @@
     into its list and hands sends and completions to the loop's [out]
     callback in emitted order.  It is the only place that translates
     absolute time: client deadlines arrive in loop µs and move onto the
-    local clock, and history-record times move onto the cluster timeline.
+    local clock.
     Two loops drive it: [Shard.Host]'s single poll loop, which steps every
     shard's driver straight from the sockets in each TCP host process on
     the {!Prelude.Mclock} timeline, and {!Vloop}, which steps [n] drivers
@@ -42,11 +42,10 @@
     round it publishes the achieved skew bound ε as an
     {!Obs.Event.Sync_eps} event and through the config's [on_eps] hook.
 
-    The cluster records every completed operation with its replica-side
-    invocation/response times (µs since cluster start); these feed the
-    post-hoc linearizability check.  Replica-side intervals are contained
-    in the client-observed ones, so a history that passes the check with
-    them is also linearizable from the clients' point of view.
+    A replica keeps no log of its answers: the operation history the
+    post-hoc linearizability check reads is the one its clients observe
+    ({!Loadgen.Make.drive}'s tally), invocation and response stamped at
+    the client, in process as over TCP.
 
     {2 Crash recovery (PR 5)}
 
@@ -132,7 +131,7 @@ module Make (D : Spec.Data_type.S) : sig
     driver
   (** [driver ~params ~start_us ~offset pid]: replica [pid]'s fresh core.
       Its raw clock reads [now − start_us + offset] for a loop reading
-      [now]; [start_us] is also the origin of its record timeline.
+      [now].
       [recovery] enables the durability machinery, [fallback] arms the
       adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — DESIGN.md §13) and [sync] live clock
@@ -162,7 +161,4 @@ module Make (D : Spec.Data_type.S) : sig
 
   val driver_snapshot : driver -> snapshot_view
   (** A consistent cut of the durable state, for checkpoints. *)
-
-  val driver_records : driver -> record list
-  (** Completed operations on the cluster timeline, invocation order. *)
 end

@@ -14,15 +14,6 @@
 module Make (D : Spec.Data_type.S) = struct
   module Alg = Core.Algorithm1.Make (D)
 
-  type record = {
-    pid : int;
-    seq : int;
-    op : D.op;
-    result : D.result;
-    invoke_us : int;
-    response_us : int;
-  }
-
   type outcome = Done of D.result | Cancelled | Rejected of string
 
   type snapshot_view = {
@@ -144,11 +135,7 @@ module Make (D : Spec.Data_type.S) = struct
 
   type id_state =
     | Queued
-    | Applied_id of D.result * int
-        (** recorded result and the local-clock instant it applied
-            ([min_int] = before this incarnation), so a replay served from
-            the table can log a history interval that still brackets the
-            original linearization point *)
+    | Applied_id of D.result  (** the recorded result *)
 
   (* The origin-side record of an operation routed through the quorum
      path: enough to re-send the forward (same [f_qid], so the sequencer
@@ -214,12 +201,10 @@ module Make (D : Spec.Data_type.S) = struct
     mutable out : action list;  (** the step's outputs, newest first *)
     mutable booted : bool;
     mutable st : Alg.state;
-    mutable inflight : (call * int * int) option;  (** call, invoked at, seq *)
+    mutable inflight : (call * int) option;  (** call, invoked at *)
     mutable inflight_ts : Prelude.Stamp.t;
         (** stamp of the in-flight fast-path op (what the gate keys on) *)
     backlog : call Queue.t;
-    mutable next_seq : int;
-    mutable records : record list;  (** reversed *)
     mutable mode : mode;
     mutable deferred : (Alg.timer * int) list;  (** newest first *)
     mutable awaiting : int list;  (** peers owing a catch-up reply *)
@@ -285,8 +270,6 @@ module Make (D : Spec.Data_type.S) = struct
         inflight = None;
         inflight_ts = no_hwm;
         backlog = Queue.create ();
-        next_seq = 0;
-        records = [];
         mode = Up;
         deferred = [];
         awaiting = [];
@@ -315,7 +298,7 @@ module Make (D : Spec.Data_type.S) = struct
             Hashtbl.replace t.seen e.ts ();
             if op_id <> 0 then begin
               Hashtbl.replace t.stamp_ids e.ts op_id;
-              Hashtbl.replace t.id_index op_id (Applied_id (r, min_int))
+              Hashtbl.replace t.id_index op_id (Applied_id r)
             end;
             if Prelude.Stamp.( < ) t.hwm e.ts then t.hwm <- e.ts)
           rs.r_applied
@@ -381,7 +364,7 @@ module Make (D : Spec.Data_type.S) = struct
           Hashtbl.replace t.seen e.ts ();
           let op_id = op_id_of t e.ts in
           if op_id <> 0 then
-            Hashtbl.replace t.id_index op_id (Applied_id (r, t.now));
+            Hashtbl.replace t.id_index op_id (Applied_id r);
           if Prelude.Stamp.( < ) t.hwm e.ts then t.hwm <- e.ts;
           match t.rec_mode with
           | Some rc -> rc.on_apply e r op_id
@@ -421,11 +404,7 @@ module Make (D : Spec.Data_type.S) = struct
   let respond t r =
     match t.inflight with
     | None -> ()  (* cannot happen: Algorithm 1 responds only when pending *)
-    | Some (c, invoke_us, seq) ->
-        t.records <-
-          { pid = t.pid; seq; op = c.op; result = r; invoke_us;
-            response_us = t.now }
-          :: t.records;
+    | Some (c, invoke_us) ->
         t.inflight <- None;
         Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Respond ~trace:c.trace
           ~a:(class_of c.op) ~b:(t.now - invoke_us) ();
@@ -435,12 +414,7 @@ module Make (D : Spec.Data_type.S) = struct
      not be executed twice.  Applied → answer from the recorded result;
      still queued → a pure mutator's reply is state-independent (answer
      now), anything else must wait for the first attempt (tell the
-     client to retry).  Accessors have no effect and are never deduped.
-     Each [Done] comes with the invoke instant a history record for the
-     replayed completion should carry: the apply time for an applied op
-     (its linearization point lies between then and now), now for a
-     queued pure mutator (stamp order places it before anything invoked
-     later). *)
+     client to retry).  Accessors have no effect and are never deduped. *)
   let dedup_check t op op_id =
     if (not t.dedup) || op_id = 0 then None
     else
@@ -448,13 +422,13 @@ module Make (D : Spec.Data_type.S) = struct
       | Spec.Data_type.Pure_accessor -> None
       | cls -> (
           match Hashtbl.find_opt t.id_index op_id with
-          | Some (Applied_id (r, at)) -> Some (Done r, at)
+          | Some (Applied_id r) -> Some (Done r)
           | Some Queued -> (
               match cls with
               | Spec.Data_type.Pure_mutator ->
                   let _, r = D.apply t.st.Alg.local_obj op in
-                  Some (Done r, t.now)
-              | _ -> Some (Rejected "in flight; retry", 0))
+                  Some (Done r)
+              | _ -> Some (Rejected "in flight; retry"))
           | None -> None)
 
   (* The fast path's response release gate (armed only under fallback,
@@ -476,7 +450,7 @@ module Make (D : Spec.Data_type.S) = struct
   let gate_passes t f (ts : Prelude.Stamp.t) =
     let mop =
       match t.inflight with
-      | Some (c, _, _) -> D.classify c.op = Spec.Data_type.Pure_mutator
+      | Some (c, _) -> D.classify c.op = Spec.Data_type.Pure_mutator
       | None -> false
     in
     Quorum.Gate.ready f.gate ~fd:f.fd ~mop ~stamp:ts.Prelude.Stamp.time
@@ -578,9 +552,7 @@ module Make (D : Spec.Data_type.S) = struct
     | _ -> ()
 
   and begin_op t c =
-    let seq = t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    t.inflight <- Some (c, t.now, seq);
+    t.inflight <- Some (c, t.now);
     Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Invoke ~trace:c.trace
       ~a:(class_of c.op) ()
 
@@ -710,7 +682,7 @@ module Make (D : Spec.Data_type.S) = struct
   and answer_all t outcome =
     (match t.inflight with
     | None -> ()
-    | Some (c, _, _) -> complete t c.ticket outcome);
+    | Some (c, _) -> complete t c.ticket outcome);
     t.inflight <- None;
     Queue.iter (fun (c : call) -> complete t c.ticket outcome) t.backlog;
     Queue.clear t.backlog
@@ -796,23 +768,7 @@ module Make (D : Spec.Data_type.S) = struct
 
   and submit t c =
     match dedup_check t c.op c.op_id with
-    | Some ((Done r as outcome), invoke_us) ->
-        (* A replay answered from the dedup table is a client-visible
-           completion like any other: without a record the history would
-           come up one op short (the bounced first attempt recorded
-           nothing).  The record rides a fresh virtual pid (≥ n, unique
-           per record): its [applied-at, now] interval overlaps this
-           replica's one-inflight-at-a-time sequence, so putting it on
-           [pid] would fabricate program-order constraints the checker
-           must not see — only real time orders a replayed completion. *)
-        let seq = t.next_seq in
-        t.next_seq <- t.next_seq + 1;
-        t.records <-
-          { pid = (t.p.Core.Params.n * (1 + seq)) + t.pid; seq; op = c.op;
-            result = r; invoke_us; response_us = t.now }
-          :: t.records;
-        complete t c.ticket outcome
-    | Some (outcome, _) -> complete t c.ticket outcome
+    | Some outcome -> complete t c.ticket outcome
     | None -> (
         if t.inflight <> None then Queue.push c t.backlog
         else
@@ -1020,7 +976,7 @@ module Make (D : Spec.Data_type.S) = struct
                  client rather than loop forever. *)
               f.pending_fwd <- None;
               match t.inflight with
-              | Some (c, _, _) ->
+              | Some (c, _) ->
                   t.inflight <- None;
                   complete t c.ticket (Rejected "retry: quorum reroute");
                   next_from_backlog t
@@ -1225,7 +1181,7 @@ module Make (D : Spec.Data_type.S) = struct
     (if t.mode = Up && in_quorum f then begin
        let timeout = Quorum.Config.timeout_us f.qcfg in
        (match (f.pending_fwd, t.inflight) with
-       | Some w, Some (c, _, _) when t.now - w.f_sent_us > 2 * timeout ->
+       | Some w, Some (c, _) when t.now - w.f_sent_us > 2 * timeout ->
            f.pending_fwd <- None;
            t.inflight <- None;
            complete t c.ticket (Rejected "retry: quorum timeout");
@@ -1338,6 +1294,4 @@ module Make (D : Spec.Data_type.S) = struct
           (fun ((e : Alg.entry), r) -> (e, r, op_id_of t e.ts))
           t.st.Alg.applied;
     }
-
-  let records t = List.rev t.records
 end

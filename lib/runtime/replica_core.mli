@@ -12,15 +12,6 @@
 module Make (D : Spec.Data_type.S) : sig
   module Alg : module type of Core.Algorithm1.Make (D)
 
-  type record = {
-    pid : int;
-    seq : int;  (** per-replica invocation sequence number *)
-    op : D.op;
-    result : D.result;
-    invoke_us : int;  (** replica-side, on the core's local clock *)
-    response_us : int;
-  }
-
   type outcome =
     | Done of D.result
     | Cancelled  (** the replica stopped before responding *)
@@ -180,10 +171,4 @@ module Make (D : Spec.Data_type.S) : sig
 
   val snapshot : state -> snapshot_view
   (** The durable state right now; pure. *)
-
-  val records : state -> record list
-  (** Completed operations, invocation order; replays answered from the
-      dedup table ride virtual pids [≥ n] (see [Runtime.Replica]).  A
-      replay of an op applied before this incarnation has
-      [invoke_us = min_int]. *)
 end

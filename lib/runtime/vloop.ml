@@ -178,13 +178,7 @@ module Make (D : Spec.Data_type.S) = struct
       (fun () ->
         Array.iteri
           (fun pid d -> R.control_at d ~now:t.now ~out:t.outs.(pid) R.Stop)
-          t.drivers);
-    Array.to_list t.drivers
-    |> List.concat_map R.driver_records
-    |> List.sort (fun (a : R.record) b ->
-           match compare a.invoke_us b.invoke_us with
-           | 0 -> compare (a.pid, a.seq) (b.pid, b.seq)
-           | c -> c)
+          t.drivers)
 
   let stats t =
     { Transport_intf.sent = t.sent; dropped = t.dropped; link = None }

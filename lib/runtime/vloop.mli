@@ -22,8 +22,8 @@
     [Send] observability event, each delivery the driver's [Deliver].
 
     While {!run} steps, {!Obs.Recorder} stamps events with the virtual
-    [now] (µs since the run's start) — the timeline history records use
-    too.  A driver takes at most one step per µs, so an input that lands
+    [now] (µs since the run's start) — the timeline a caller's clients
+    stamp their invocations and responses on too.  A driver takes at most one step per µs, so an input that lands
     on a replica in a µs it already stepped in is stepped a µs later;
     that is the only gap between an event's stamp and the replica's
     clock. *)
@@ -74,10 +74,8 @@ module Make (D : Spec.Data_type.S) : sig
   (** Step until [until ()] holds (checked after every step) or nothing
       is left to do: no event pending and no timer armed. *)
 
-  val stop : t -> R.record list
-  (** Stop every replica (waiting clients get [Cancelled]) and return the
-      completed operations, sorted by invocation time (ties by
-      [(pid, seq)], preserving per-replica program order). *)
+  val stop : t -> unit
+  (** Stop every replica: waiting clients get [Cancelled]. *)
 
   val stats : t -> Transport_intf.stats
   (** Messages offered to the links ([sent]) and lost to a fault or the

@@ -19,9 +19,9 @@
     {e worker} id as the linearizability pid — two workers sharing a
     replica have overlapping intervals, and labelling them with the
     replica's pid would impose false same-process precedence constraints.
-    The client-observed intervals are a superset of the replica-side ones
-    ([invoke ≤ execute ≤ response]), so a history linearizable on the
-    wider intervals is sound evidence (a violation is always real).
+    The client-observed history is the one linearizability is defined
+    on; {!Runtime.Loadgen.Make.judge} turns it into the verdict, as for
+    an in-process run.
 
     Measurement and verification are keyed by {e shard}: a zipfian mix
     makes some shards much hotter than others, and an aggregate histogram
@@ -314,94 +314,16 @@ module Make (W : Net.Wire.WIRED) = struct
                W.L.D.initial
           |> Option.some)
 
-  (* Per-shard checks and histograms, and their namespace conjunction. *)
-  let verdict_and_shards ~shards ~initials ~params ~windowed ~matrix ~cuts
-      ~entries ~expected ~failed ~first_error ~aborted =
-    let by_shard = Array.make shards [] in
-    List.iter
-      (fun (s, e) ->
-        if s >= 0 && s < shards then by_shard.(s) <- e :: by_shard.(s))
-      entries;
-    let shard_checks =
-      Array.mapi
-        (fun k rev ->
-          match rev with
-          | [] -> None
-          | _ ->
-              let sorted =
-                List.sort
-                  (fun (a : Gen.Lin.entry) (b : Gen.Lin.entry) ->
-                    compare (a.Gen.Lin.invoke, a.Gen.Lin.pid)
-                      (b.Gen.Lin.invoke, b.Gen.Lin.pid))
-                  rev
-              in
-              Some (Gen.check_history ?initial:initials.(k) sorted cuts))
-        by_shard
-    in
-    let completed = List.length entries in
-    let namespace =
-      if failed > 0 then
-        Runtime.Loadgen.Unchecked
-          (Printf.sprintf "%d invocation%s failed (%s)" failed
-             (if failed = 1 then "" else "s")
-             (Option.value first_error ~default:"unknown error"))
-      else if aborted <> None then
-        Runtime.Loadgen.Unchecked (Option.value aborted ~default:"run aborted")
-      else if completed <> expected then
-        Runtime.Loadgen.Unchecked
-          (Printf.sprintf "expected %d completed ops, recorded %d" expected
-             completed)
-      else
-        (* Linearizability composes across independent objects: the
-           namespace passes iff every shard's own history does. *)
-        let tag k why =
-          if shards = 1 then why else Printf.sprintf "shard %d: %s" k why
-        in
-        let rec conj k total =
-          if k = shards then Runtime.Loadgen.Linearizable total
-          else
-            match shard_checks.(k) with
-            | None -> conj (k + 1) total
-            | Some (Runtime.Loadgen.Linearizable segs) ->
-                conj (k + 1) (total + segs)
-            | Some (Runtime.Loadgen.Violation { segment; reason }) ->
-                Runtime.Loadgen.Violation { segment; reason = tag k reason }
-            | Some (Runtime.Loadgen.Unchecked why) ->
-                Runtime.Loadgen.Unchecked (tag k why)
-        in
-        conj 0 0
-    in
-    let per_shard =
-      List.init shards Fun.id
-      |> List.filter_map (fun k ->
-             match Hashtbl.find_opt matrix k with
-             | None -> None
-             | Some hs ->
-                 Some
-                   {
-                     Runtime.Loadgen.shard = k;
-                     shard_ops = List.length by_shard.(k);
-                     shard_classes =
-                       Runtime.Loadgen.classes_of ~params ~windowed hs;
-                     shard_verdict =
-                       (match shard_checks.(k) with
-                       | Some v -> v
-                       | None -> Runtime.Loadgen.Linearizable 0);
-                   })
-      |> List.sort (fun a b ->
-             compare b.Runtime.Loadgen.shard_ops a.Runtime.Loadgen.shard_ops)
-    in
-    let aggregate =
-      let merged = Array.init 6 (fun _ -> Runtime.Histogram.create ()) in
-      Hashtbl.iter
-        (fun _ hs ->
-          Array.iteri
-            (fun i h -> Runtime.Histogram.merge_into ~into:merged.(i) h)
-            hs)
-        matrix;
-      Runtime.Loadgen.classes_of ~params ~windowed merged
-    in
-    (namespace, per_shard, aggregate)
+  (* The aggregate class report: every shard's histograms merged. *)
+  let aggregate_classes ~params ~windowed matrix =
+    let merged = Array.init 6 (fun _ -> Runtime.Histogram.create ()) in
+    Hashtbl.iter
+      (fun _ hs ->
+        Array.iteri
+          (fun i h -> Runtime.Histogram.merge_into ~into:merged.(i) h)
+          hs)
+      matrix;
+    Runtime.Loadgen.classes_of ~params ~windowed merged
 
   (* Default round of 24 (not the in-process generator's 48): shorter
      segments cut concurrent-mutator ambiguity windows sooner, which keeps
@@ -749,20 +671,17 @@ module Make (W : Net.Wire.WIRED) = struct
           ignore (Unix.waitpid [] os_pid)
         with Unix.Unix_error _ -> ())
       !live;
-    let { Gen.entries; hists = matrix; failed; sheds; first_error; _ } =
-      tally
-    in
-    let cuts = List.rev tally.Gen.cuts in
+    let { Gen.entries; failed; sheds; first_error; _ } = tally in
     let aborted =
       match (!abort_why, first_error) with
       | Some why, _ -> Some why
       | None, Some e when Atomic.get abort -> Some e
       | None, _ -> if Atomic.get abort then Some "aborted" else None
     in
-    let verdict, per_shard, classes =
-      verdict_and_shards ~shards ~initials ~params
-        ~windowed:(fault_windows <> []) ~matrix ~cuts ~entries ~expected:ops
-        ~failed ~first_error ~aborted
+    let windowed = fault_windows <> [] in
+    let verdict, per_shard =
+      Gen.judge ~initials ?aborted ~params ~windowed ~shards ~expected:ops
+        tally
     in
     let completed = List.length entries in
     {
@@ -783,11 +702,11 @@ module Make (W : Net.Wire.WIRED) = struct
       throughput =
         (if wall_us = 0 then 0.
          else float_of_int completed /. (float_of_int wall_us /. 1e6));
-      classes;
+      classes = aggregate_classes ~params ~windowed tally.Gen.hists;
       per_shard;
       replica_stats;
       offsets;
-      cuts;
+      cuts = List.rev tally.Gen.cuts;
       restarts = List.sort compare !restarts;
       aborted;
       verdict;

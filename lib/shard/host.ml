@@ -470,6 +470,8 @@ module Make (W : Net.Wire.WIRED) = struct
     watch_parent : int option;
     mutable next_checkpoint : int;  (** [Mclock] µs; [max_int] = never *)
     mutable next_watch : int;
+    answered : int array;  (** per shard: [Done] completions *)
+    mutable cycles : int;  (** loop iterations so far *)
   }
 
   (* A pipelining client stops being read while this many of its
@@ -563,6 +565,9 @@ module Make (W : Net.Wire.WIRED) = struct
      connection. *)
   let perform lp k = function
     | Sim.Action.Respond (r : R.reply) -> (
+        (match r.R.outcome with
+        | R.Done _ -> lp.answered.(k) <- lp.answered.(k) + 1
+        | R.Cancelled | R.Rejected _ -> ());
         match Hashtbl.find_opt lp.tickets r.R.ticket with
         | Some p ->
             Hashtbl.remove lp.tickets r.R.ticket;
@@ -692,10 +697,13 @@ module Make (W : Net.Wire.WIRED) = struct
   (* One cycle per iteration: poll until the earliest deadline, read the
      clock once, fire the due timers and release the due parked frames,
      step the inputs in arrival order, fire the timers those steps made
-     due (a zero hold answers within its own cycle), write.  On stop, the
+     due, write.  A zero hold set by a step the one-step-per-µs rule
+     bumped past the cycle's reading falls due 1 µs after it, so it
+     answers only in the next cycle (ROADMAP item 12).  On stop, the
      shards answer their waiting clients ("replica stopped") and every
      parked frame enters its link before the last write: a fault delays a
-     frame, it never loses one it decided to deliver. *)
+     frame, it never loses one it decided to deliver.  Returns the
+     per-shard [Done] counts and the transport stats. *)
   let run lp =
     Prelude.Os.set_timer_slack_ns 1;
     lp.now <- Prelude.Mclock.now_us ();
@@ -707,6 +715,7 @@ module Make (W : Net.Wire.WIRED) = struct
       lp.shards;
     Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
     while not (Atomic.get lp.stop_flag) do
+      lp.cycles <- lp.cycles + 1;
       let deadline =
         Array.fold_left
           (fun acc sh -> min acc (R.next_due sh.drv))
@@ -726,17 +735,13 @@ module Make (W : Net.Wire.WIRED) = struct
       Net.Tcp_transport.flush lp.tcp ~now_us:lp.now
     done;
     lp.now <- Prelude.Mclock.now_us ();
-    let records =
-      Array.mapi
-        (fun k sh ->
-          R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Stop;
-          R.driver_records sh.drv)
-        lp.shards
-    in
+    Array.iteri
+      (fun k sh -> R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Stop)
+      lp.shards;
     release_parked ~all:true lp;
     let stats = stats lp in
     Net.Tcp_transport.flush lp.tcp ~now_us:(Prelude.Mclock.now_us ());
-    (records, stats)
+    (lp.answered, stats)
 
   (* Everything before the first cycle: the recorder (so connection races
      at startup are already traced — it is process-global, one traced host
@@ -839,6 +844,8 @@ module Make (W : Net.Wire.WIRED) = struct
            else max_int);
         next_watch =
           (if watch_parent = None then max_int else now + watch_every_us);
+        answered = Array.make cfg.shards 0;
+        cycles = 0;
       }
     in
     lp.outs <- Array.init cfg.shards (fun k o -> perform lp k o);
@@ -871,8 +878,8 @@ module Make (W : Net.Wire.WIRED) = struct
   type handle = {
     lp : loop;
     thread : Thread.t;
-    result : (R.record list array * T.stats, exn) result option ref;
-    mutable stopped_with : T.stats option;
+    result : (int array * T.stats, exn) result option ref;
+    mutable stopped_with : (int array * T.stats) option;
   }
 
   let start ?listener cfg =
@@ -887,20 +894,20 @@ module Make (W : Net.Wire.WIRED) = struct
 
   (* Stop the loop as SIGINT does — set the flag, wake the poll — and join
      it: the shards answer every client still waiting ("replica stopped")
-     before the sockets close.  Returns per-shard completed-operation
-     records (empty on a repeated call). *)
+     before the sockets close.  Returns {!run}'s per-shard [Done] counts
+     and stats (the same again on a repeated call). *)
   let stop h =
     match h.stopped_with with
-    | Some stats -> ([||], stats)
+    | Some r -> r
     | None -> (
         Atomic.set h.lp.stop_flag true;
         Net.Tcp_transport.wake h.lp.tcp;
         Thread.join h.thread;
         finish h.lp;
         match !(h.result) with
-        | Some (Ok (records, stats)) ->
-            h.stopped_with <- Some stats;
-            (records, stats)
+        | Some (Ok r) ->
+            h.stopped_with <- Some r;
+            r
         | Some (Error e) -> raise e
         | None -> failwith "Host.stop: the loop thread vanished")
 
@@ -928,9 +935,9 @@ module Make (W : Net.Wire.WIRED) = struct
          port W.L.label cfg.params.Core.Params.n
          (if cfg.shards = 1 then ""
           else Printf.sprintf ", %d shards" cfg.shards));
-    let records, stats = run lp in
+    let answered, stats = run lp in
     finish lp;
-    let total = Array.fold_left (fun k rs -> k + List.length rs) 0 records in
+    let total = Array.fold_left ( + ) 0 answered in
     cfg.log
       (Printf.sprintf "replica %d: stopped after %d ops; %s" cfg.pid total
          (Format.asprintf "%a" T.pp_stats stats));
@@ -938,6 +945,7 @@ module Make (W : Net.Wire.WIRED) = struct
     cfg.log
       (Printf.sprintf
          "replica %d: loop: %d sleeping ppolls, %d zero-timeout ppolls, %d \
-          pre-sleep spins (%d caught input), %d reads, %d writes"
-         cfg.pid c.sleeps c.zero_polls c.spins c.spins_caught c.reads c.writes)
+          pre-sleep spins (%d caught input), %d reads, %d writes, %d cycles"
+         cfg.pid c.sleeps c.zero_polls c.spins c.spins_caught c.reads c.writes
+         lp.cycles)
 end

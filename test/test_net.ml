@@ -485,8 +485,8 @@ let test_tcp_cluster_in_process () =
   Array.iter Cl.close conns;
   Array.iter
     (fun h ->
-      let records, _stats = H.stop h in
-      Alcotest.(check bool) "replica recorded ops" true (records.(0) <> []))
+      let answered, _stats = H.stop h in
+      Alcotest.(check bool) "replica answered ops" true (answered.(0) > 0))
     handles
 
 (* ---- the socket set, stepped by hand ---- *)

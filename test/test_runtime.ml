@@ -281,6 +281,42 @@ let test_vloop_same_seed_same_report () =
     (a.Runtime.Loadgen.net.Runtime.Transport_intf.dropped > 0
     && List.length a.Runtime.Loadgen.cuts = 5)
 
+(* What a replica keeps per operation served: one bare n = 1 driver with
+   every hold 0, a closed-loop client of kv puts and gets, live heap words
+   read after a full major GC at 10k and at 40k ops while the loop is
+   still live.  Counted words, not time.  The growth left is the applied
+   history ([Alg.state.applied], ~7.5 words per op here); with recovery or
+   the fallback armed the dedup tables ([seen], [stamp_ids], [id_index])
+   grow too.  Bounding those is ROADMAP item 1. *)
+let test_vloop_words_per_op () =
+  let module V = Runtime.Vloop.Make (Spec.Kv_map) in
+  let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
+  let v =
+    V.create ~params ~policy:(Sim.Delay.random (Prelude.Rng.make 1) ~d:0 ~u:0) ()
+  in
+  let answered = ref 0 in
+  let rec client i =
+    let op =
+      if i mod 2 = 0 then Spec.Kv_map.Put (i mod 64, i)
+      else Spec.Kv_map.Get (i mod 64)
+    in
+    V.invoke v ~pid:0 op (fun _ ->
+        incr answered;
+        client (i + 1))
+  in
+  client 0;
+  let live_words_at ops =
+    V.run v ~until:(fun () -> !answered >= ops);
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let w10k = live_words_at 10_000 in
+  let w40k = live_words_at 40_000 in
+  let per_op = float_of_int (w40k - w10k) /. 30_000. in
+  V.stop v;
+  if per_op > 10. then
+    Alcotest.failf "%.1f live words per op (bound 10)" per_op
+
 (* ---- the sans-I/O replica core, stepped by hand ---- *)
 
 (* Every step names its exact local clock and every timer fires at exactly
@@ -682,6 +718,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false vloop_links_fifo;
           Alcotest.test_case "same seed, same report" `Quick
             test_vloop_same_seed_same_report;
+          Alcotest.test_case "driver words per op" `Quick
+            test_vloop_words_per_op;
         ] );
       ( "workloads",
         [ Alcotest.test_case "samplers classify" `Quick test_samplers_classify ] );

@@ -262,9 +262,9 @@ let test_host_cluster_in_process () =
   Array.iter Cl.close conns;
   Array.iter
     (fun h ->
-      let records, stats = H.stop h in
-      Alcotest.(check bool) "host recorded ops on some shard" true
-        (Array.exists (fun per_shard -> per_shard <> []) records);
+      let answered, stats = H.stop h in
+      Alcotest.(check bool) "host answered ops on some shard" true
+        (Array.exists (fun k -> k > 0) answered);
       Alcotest.(check bool) "host transport sent messages" true
         (stats.Runtime.Transport_intf.sent > 0))
     handles
