@@ -161,7 +161,9 @@ module Core_sim_bench = struct
     in
     let out =
       E.run
-        ~config:{ C.params; recovery = None; fallback = None; sync = None }
+        ~config:
+          { C.params; recovery = None; fallback = None; sync = None;
+            dedup_window_us = max_int }
         ~n ~offsets
         ~delay:(Sim.Delay.random rng_delay ~d ~u)
         script

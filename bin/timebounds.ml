@@ -884,10 +884,11 @@ let recover_cmd () =
       Format.printf "  wal records: %d (%d decodable)@."
         (List.length view.Durable.Store.r_records)
         decoded;
-      Format.printf "  recovers:    %d mutations, high-water mark \
-                     (time=%d, pid=%d)@."
-        (List.length snap.P.s_applied)
+      Format.printf "  recovers:    the object at high-water mark \
+                     (time=%d, pid=%d), %d op ids to dedup@."
         snap.P.s_hwm_time snap.P.s_hwm_pid
+        (List.length
+           (List.filter (fun (a : P.applied) -> a.P.op_id <> 0) snap.P.s_applied))
 
 (* ---- trace ---- *)
 

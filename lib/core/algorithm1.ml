@@ -51,10 +51,6 @@ module Make (D : Data_type.S) = struct
     local_obj : D.state;  (** this process's copy of the object *)
     to_execute : Queue.t;  (** received but not yet executed, keyed by ts *)
     pending : pending;
-    applied : (entry * D.result) list;
-        (** every mutation executed on [local_obj], newest first — the
-            replayable totally-ordered history (timestamp order) that the
-            durability layer logs and peer catch-up serves *)
   }
 
   type op = D.op
@@ -75,7 +71,6 @@ module Make (D : Data_type.S) = struct
       local_obj = D.initial;
       to_execute = Queue.empty;
       pending = Idle;
-      applied = [];
     }
 
   let equal_timer (a : timer) (b : timer) =
@@ -90,30 +85,35 @@ module Make (D : Data_type.S) = struct
   (* Pop every queued entry with timestamp ≤ [upto] ([< upto] when
      [inclusive] is false) and execute it on the local copy, in timestamp
      order.  If one of them is this process's own pending OOP, the response
-     becomes due: return its result. *)
+     becomes due.  The batch executed goes back to the caller, oldest
+     first; the state keeps none of it. *)
   let execute_through st ~upto ~inclusive =
     let keep (e : entry) =
       if inclusive then Prelude.Stamp.( <= ) e.ts upto
       else Prelude.Stamp.( < ) e.ts upto
     in
     let batch, rest = Queue.pop_while keep st.to_execute in
-    let obj, applied, response =
-      List.fold_left
-        (fun (obj, applied, response) (e : entry) ->
-          let obj', r = D.apply obj e.op in
-          let response =
-            match st.pending with
-            | Waiting_oop own when Prelude.Stamp.equal own.ts e.ts -> Some r
-            | _ -> response
-          in
-          (obj', (e, r) :: applied, response))
-        (st.local_obj, st.applied, None)
-        batch
-    in
-    let st = { st with local_obj = obj; to_execute = rest; applied } in
-    match response with
-    | Some r -> ({ st with pending = Idle }, [ Sim.Action.Respond r ])
-    | None -> (st, [])
+    match batch with
+    | [] -> (st, [], [])
+    | _ ->
+        let obj, rev_done, response =
+          List.fold_left
+            (fun (obj, rev_done, response) (e : entry) ->
+              let obj', r = D.apply obj e.op in
+              let response =
+                match st.pending with
+                | Waiting_oop own when Prelude.Stamp.equal own.ts e.ts -> Some r
+                | _ -> response
+              in
+              (obj', (e, r) :: rev_done, response))
+            (st.local_obj, [], None)
+            batch
+        in
+        let st = { st with local_obj = obj; to_execute = rest } in
+        let batch = List.rev rev_done in
+        (match response with
+        | Some r -> ({ st with pending = Idle }, [ Sim.Action.Respond r ], batch)
+        | None -> (st, [], batch))
 
   let on_invoke (cfg : config) st ~clock op =
     let t = cfg.timing in
@@ -144,8 +144,10 @@ module Make (D : Data_type.S) = struct
 
   let on_message cfg st ~clock:_ ~src:_ (e : msg) = enqueue cfg st e
 
-  let on_timer cfg st ~clock:_ = function
-    | Add e -> enqueue cfg st e
+  let timer_step cfg st = function
+    | Add e ->
+        let st, actions = enqueue cfg st e in
+        (st, actions, [])
     | Execute e -> execute_through st ~upto:e.ts ~inclusive:true
     | Respond_mutator e -> (
         match st.pending with
@@ -154,14 +156,18 @@ module Make (D : Data_type.S) = struct
                current copy gives the right answer even though the
                operation's effect is applied later in timestamp order. *)
             let _, r = D.apply st.local_obj e.op in
-            ({ st with pending = Idle }, [ Sim.Action.Respond r ])
-        | _ -> (st, []))
+            ({ st with pending = Idle }, [ Sim.Action.Respond r ], [])
+        | _ -> (st, [], []))
     | Respond_accessor e -> (
         match st.pending with
         | Waiting_aop own when Prelude.Stamp.equal own.ts e.ts ->
-            let st, due = execute_through st ~upto:e.ts ~inclusive:false in
+            let st, due, batch = execute_through st ~upto:e.ts ~inclusive:false in
             assert (due = []);
             let _, r = D.apply st.local_obj e.op in
-            ({ st with pending = Idle }, [ Sim.Action.Respond r ])
-        | _ -> (st, []))
+            ({ st with pending = Idle }, [ Sim.Action.Respond r ], batch)
+        | _ -> (st, [], []))
+
+  let on_timer cfg st ~clock:_ tm =
+    let st, actions, _ = timer_step cfg st tm in
+    (st, actions)
 end

@@ -41,14 +41,13 @@ module Make (D : Data_type.S) : sig
     local_obj : D.state;  (** this process's replica of the object *)
     to_execute : Queue.t;  (** received but not yet executed, keyed by ts *)
     pending : pending;
-    applied : (entry * D.result) list;
-        (** every mutation executed on [local_obj], newest first.  This is
-            the replayable history Algorithm 1's (timestamp, origin) total
-            order yields for free: replaying it from the initial state
-            reproduces [local_obj] exactly, which is what the durability
-            layer's WAL records and what peer catch-up serves to a
-            restarted replica. *)
   }
+  (** A process keeps the object, not its history: what it executed goes
+      back to the caller of {!execute_through} / {!timer_step}, oldest
+      first.  Algorithm 1's (timestamp, origin) total order makes those
+      batches a replayable history — what the durability layer's WAL
+      records and what peer catch-up serves — but keeping it is the
+      host's choice. *)
 
   type timer =
     | Add of entry  (** d − u after broadcasting one's own op: self-delivery *)
@@ -73,11 +72,20 @@ module Make (D : Data_type.S) : sig
     state ->
     upto:Prelude.Stamp.t ->
     inclusive:bool ->
-    state * (D.result, entry, timer) Sim.Action.t list
+    state * (D.result, entry, timer) Sim.Action.t list * (entry * D.result) list
   (** Pop every queued entry with timestamp ≤ [upto] ([<] when [inclusive]
       is false) and execute it on the local copy in timestamp order; a
-      [Respond] action is returned if one of them was the pending OOP.
+      [Respond] action is returned if one of them was the pending OOP, and
+      the executed batch, with each entry's result, oldest first.
       Exposed for hosts that impose their own execution barriers — the
       quorum fallback applies committed entries through this so every
       straggler below them executes first, in order. *)
+
+  val timer_step :
+    config ->
+    state ->
+    timer ->
+    state * (D.result, entry, timer) Sim.Action.t list * (entry * D.result) list
+  (** {!on_timer} plus the batch the timer executed (see
+      {!execute_through}); [on_timer] drops it. *)
 end

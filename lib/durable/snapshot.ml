@@ -2,7 +2,11 @@
    big-endian payload length, payload.  The explicit length (rather than
    "rest of file") catches truncation without relying on the CRC alone. *)
 
-let magic = "TBSNAP1\n"
+(* Version 2: the payload's history is a dedup window, not every
+   applied entry.  A version-1 payload (the whole history) still reads as
+   a valid, wider window, so both are accepted. *)
+let magic = "TBSNAP2\n"
+let magic_v1 = "TBSNAP1\n"
 
 let u32_be_put buf v =
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
@@ -48,7 +52,9 @@ let read path =
   | contents ->
       let hdr = String.length magic + 8 in
       if String.length contents < hdr then None
-      else if not (String.equal (String.sub contents 0 (String.length magic)) magic)
+      else if
+        not
+          (List.mem (String.sub contents 0 (String.length magic)) [ magic; magic_v1 ])
       then None
       else
         let crc = u32_be_get contents (String.length magic) in

@@ -1,7 +1,6 @@
 type t = {
   dir : string;
   fsync : Wal.fsync;
-  lock : Mutex.t;
   mutable wal : Wal.t;
   mutable generation : int;
   mutable closed : bool;
@@ -114,50 +113,44 @@ let open_ ~dir ~meta ~fsync =
         ( {
             dir;
             fsync;
-            lock = Mutex.create ();
             wal;
             generation = view.r_generation;
             closed = false;
           },
           view )
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let append t record = locked t (fun () -> Wal.append t.wal record)
+let append t record = Wal.append t.wal record
+let append_with t write = Wal.append_with t.wal write
 
 let snapshot t payload =
-  locked t (fun () ->
-      if not t.closed then begin
-        (* Order matters: open the next generation first so every record
-           not covered by [payload] lands in a file the GC spares, then
-           checkpoint, then GC.  A crash at any point loses no acked
-           record — at worst it leaves an extra WAL to replay. *)
-        Wal.close t.wal;
-        let g = t.generation + 1 in
-        t.wal <- Wal.create ~path:(wal_path t.dir g) ~fsync:t.fsync;
-        t.generation <- g;
-        Snapshot.write ~path:(snap_path t.dir g) payload;
-        let wals, snaps = generations t.dir in
-        List.iter
-          (fun k -> if k < g then try Sys.remove (wal_path t.dir k) with Sys_error _ -> ())
-          wals;
-        List.iter
-          (fun k -> if k < g then try Sys.remove (snap_path t.dir k) with Sys_error _ -> ())
-          snaps
-      end)
+  if not t.closed then begin
+    (* Order matters: open the next generation first so every record not
+       covered by [payload] lands in a file the GC spares, then
+       checkpoint, then GC.  A crash at any point loses no acked record —
+       at worst it leaves an extra WAL to replay. *)
+    Wal.close t.wal;
+    let g = t.generation + 1 in
+    t.wal <- Wal.create ~path:(wal_path t.dir g) ~fsync:t.fsync;
+    t.generation <- g;
+    Snapshot.write ~path:(snap_path t.dir g) payload;
+    let wals, snaps = generations t.dir in
+    List.iter
+      (fun k -> if k < g then try Sys.remove (wal_path t.dir k) with Sys_error _ -> ())
+      wals;
+    List.iter
+      (fun k -> if k < g then try Sys.remove (snap_path t.dir k) with Sys_error _ -> ())
+      snaps
+  end
 
 let generation t = t.generation
 let records_since_snapshot t = Wal.records_written t.wal
-let sync t = locked t (fun () -> if not t.closed then Wal.sync t.wal)
+let sync t = if not t.closed then Wal.sync t.wal
 
 let close t =
-  locked t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        Wal.close t.wal
-      end)
+  if not t.closed then begin
+    t.closed <- true;
+    Wal.close t.wal
+  end
 
 let inspect ~dir =
   match read_meta dir with

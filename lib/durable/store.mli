@@ -16,9 +16,8 @@
     that recovery ignores.  GC deletes generations [< G] only after
     [snap-G] is safely in place.
 
-    The store serialises {!append} and {!snapshot} behind one mutex: the
-    replica loop appends, the snapshot cadence may run on another
-    thread. *)
+    A store has one owner and no lock: a host's single loop appends,
+    checkpoints and (after that loop has ended) closes it. *)
 
 type t
 
@@ -47,6 +46,10 @@ val open_ :
 val append : t -> string -> unit
 (** Durably append one record to the current WAL generation (fsync per
     the open policy). *)
+
+val append_with : t -> (Buffer.t -> unit) -> unit
+(** {!append} the record the callback writes ({!Wal.append_with}: no
+    allocation per record). *)
 
 val snapshot : t -> string -> unit
 (** Rotate to a fresh WAL generation, checkpoint [payload] (which must

@@ -42,13 +42,17 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_bytes b ~pos ~len =
   let table = Lazy.force crc_table in
   let crc = ref 0xffffffff in
-  String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
+  for i = pos to pos + len - 1 do
+    crc :=
+      table.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
+      lxor (!crc lsr 8)
+  done;
   !crc lxor 0xffffffff
+
+let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 (* A record longer than this is damage, not data: the length prefix of a
    real record is bounded by what [append] accepts. *)
@@ -96,11 +100,22 @@ type t = {
   mutable last_sync_us : int;
   mutable written : int;
   mutable closed : bool;
+  payload : Buffer.t;  (** the record being appended, reused *)
+  mutable frame : Bytes.t;  (** its on-disk encoding, reused *)
 }
 
 let create ~path ~fsync =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-  { fd; policy = fsync; dirty = false; last_sync_us = 0; written = 0; closed = false }
+  {
+    fd;
+    policy = fsync;
+    dirty = false;
+    last_sync_us = 0;
+    written = 0;
+    closed = false;
+    payload = Buffer.create 64;
+    frame = Bytes.create 80;
+  }
 
 let do_sync t =
   if t.dirty then begin
@@ -111,20 +126,38 @@ let do_sync t =
 
 let sync t = if not t.closed then do_sync t
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < String.length s then
-      go (off + Unix.write fd b off (String.length s - off))
-  in
+let write_all fd b len =
+  let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
   go 0
 
-let append t payload =
+let rec uleb_len n = if n < 0x80 then 1 else 1 + uleb_len (n lsr 7)
+
+let rec put_uleb_bytes b pos n =
+  if n < 0x80 then Bytes.unsafe_set b pos (Char.unsafe_chr n)
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    put_uleb_bytes b (pos + 1) (n lsr 7)
+  end
+
+(* Frame [t.payload] into [t.frame] — length, CRC, payload, as
+   {!encode_record} lays it out — and write it with one call. *)
+let write_payload t =
+  let len = Buffer.length t.payload in
+  if len > max_record then invalid_arg "Wal.append: record too large";
+  let hdr = uleb_len len + 4 in
+  if Bytes.length t.frame < hdr + len then
+    t.frame <- Bytes.create (2 * (hdr + len));
+  put_uleb_bytes t.frame 0 len;
+  Buffer.blit t.payload 0 t.frame hdr len;
+  let crc = crc32_bytes t.frame ~pos:hdr ~len in
+  Bytes.set_int32_be t.frame (hdr - 4) (Int32.of_int crc);
+  write_all t.fd t.frame (hdr + len)
+
+let append_with t write =
   if t.closed then invalid_arg "Wal.append: closed";
-  if String.length payload > max_record then invalid_arg "Wal.append: record too large";
-  let buf = Buffer.create (String.length payload + 8) in
-  encode_record buf payload;
-  write_all t.fd (Buffer.contents buf);
+  Buffer.clear t.payload;
+  write t.payload;
+  write_payload t;
   t.written <- t.written + 1;
   t.dirty <- true;
   match t.policy with
@@ -133,6 +166,7 @@ let append t payload =
   | Interval us ->
       if Prelude.Mclock.now_us () - t.last_sync_us >= us then do_sync t
 
+let append t payload = append_with t (fun b -> Buffer.add_string b payload)
 let records_written t = t.written
 
 let close t =

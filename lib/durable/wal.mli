@@ -41,8 +41,14 @@ val create : path:string -> fsync:fsync -> t
 (** Open [path] for appending (created if absent). *)
 
 val append : t -> string -> unit
-(** Append one record and apply the fsync policy.  Not thread-safe; the
-    store serialises callers. *)
+(** Append one record and apply the fsync policy.  Not thread-safe: one
+    owner appends. *)
+
+val append_with : t -> (Buffer.t -> unit) -> unit
+(** [append_with t write]: {!append} the bytes [write] adds to an empty
+    buffer.  The log reuses that buffer and the one it frames records in,
+    so an append allocates nothing once they have grown to the record
+    size. *)
 
 val sync : t -> unit
 (** Force an fsync now (no-op on an already-clean log). *)

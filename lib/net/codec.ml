@@ -34,10 +34,14 @@
    Hb payload gains two trailing varints, [ack] (receipt ack of the
    addressee's fast-path entry with that stamp time) and [want] (reply
    with a heartbeat once your clock reaches this value), 0 = none for
-   both.  Peers speaking older versions are
+   both.  v9: bounded replica state — a replica keeps no log of what it
+   applied, so a catch-up asker below its high-water mark gets a state
+   transfer frame (19): the replier's object, high-water mark, dedup
+   window (op, stamp, op id, result) and queued entries.  Peers speaking
+   older versions are
    rejected at decode ("unsupported version N"), which the handshake turns
    into a clean [Error_msg] rather than a crash. *)
-let version = 8
+let version = 9
 let header_len = 12
 let max_payload = 1 lsl 24  (* 16 MiB: far above any entry, guards length bombs *)
 let magic0 = 'T'
@@ -244,6 +248,7 @@ let k_qfill = 15
 let k_ping = 16
 let k_pong = 17
 let k_shed = 18
+let k_catchup_state = 19
 
 module Make (O : OBJ_CODEC) = struct
   type msg =
@@ -274,6 +279,16 @@ module Make (O : OBJ_CODEC) = struct
             (** op, time, pid, op id — stamp order *)
         time : int;
         cpid : int;
+        shard : int;
+      }
+    | Catchup_state of {
+        obj : O.D.state;
+        time : int;
+        cpid : int;  (** the replier's high-water mark *)
+        window : (O.D.op * int * int * int * O.D.result) list;
+            (** op, time, pid, op id, result — stamp order *)
+        entries : (O.D.op * int * int * int) list;
+            (** queued: op, time, pid, op id — stamp order *)
         shard : int;
       }
     | Hb of {
@@ -336,6 +351,20 @@ module Make (O : OBJ_CODEC) = struct
              (fun (o1, t1, p1, i1) (o2, t2, p2, i2) ->
                O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2)
              p1.entries p2.entries
+    | Catchup_state s1, Catchup_state s2 ->
+        O.D.equal_state s1.obj s2.obj
+        && s1.time = s2.time && s1.cpid = s2.cpid && s1.shard = s2.shard
+        && List.length s1.window = List.length s2.window
+        && List.for_all2
+             (fun (o1, t1, p1, i1, r1) (o2, t2, p2, i2, r2) ->
+               O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2
+               && O.D.equal_result r1 r2)
+             s1.window s2.window
+        && List.length s1.entries = List.length s2.entries
+        && List.for_all2
+             (fun (o1, t1, p1, i1) (o2, t2, p2, i2) ->
+               O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2)
+             s1.entries s2.entries
     | Hb h1, Hb h2 ->
         h1.stamp = h2.stamp && h1.epoch = h2.epoch && h1.qmode = h2.qmode
         && h1.seq = h2.seq && h1.floor = h2.floor && h1.ack = h2.ack
@@ -387,6 +416,10 @@ module Make (O : OBJ_CODEC) = struct
     | Catchup_rep p ->
         Format.fprintf fmt "catchup{%d entries, hwm=⟨%d,%d⟩ s=%d}"
           (List.length p.entries) p.time p.cpid p.shard
+    | Catchup_state p ->
+        Format.fprintf fmt
+          "transfer{hwm=⟨%d,%d⟩ window=%d entries=%d s=%d}" p.time p.cpid
+          (List.length p.window) (List.length p.entries) p.shard
     | Hb h ->
         Format.fprintf fmt
           "hb{clk=%d e=%d %s seq=%d floor=%d ack=%d want=%d s=%d}" h.stamp
@@ -482,6 +515,29 @@ module Make (O : OBJ_CODEC) = struct
           Wr.int b p.cpid;
           Wr.int b p.shard;
           k_catchup_rep
+      | Catchup_state p ->
+          O.write_state b p.obj;
+          Wr.int b p.time;
+          Wr.int b p.cpid;
+          Wr.int b (List.length p.window);
+          List.iter
+            (fun (op, time, pid, op_id, result) ->
+              O.write_op b op;
+              Wr.int b time;
+              Wr.int b pid;
+              Wr.int b op_id;
+              O.write_result b result)
+            p.window;
+          Wr.int b (List.length p.entries);
+          List.iter
+            (fun (op, time, pid, op_id) ->
+              O.write_op b op;
+              Wr.int b time;
+              Wr.int b pid;
+              Wr.int b op_id)
+            p.entries;
+          Wr.int b p.shard;
+          k_catchup_state
       | Hb h ->
           Wr.int b h.stamp;
           Wr.int b h.epoch;
@@ -638,6 +694,41 @@ module Make (O : OBJ_CODEC) = struct
           let cpid = Rd.int r in
           let shard = Rd.int r in
           Catchup_rep { entries; time; cpid; shard }
+        end
+        else if frame.kind = k_catchup_state then begin
+          let obj = O.read_state r in
+          let time = Rd.int r in
+          let cpid = Rd.int r in
+          (* A counted run of items, read in order. *)
+          let items what read =
+            let c = Rd.int r in
+            if c < 0 || c > max_payload then
+              Rd.fail (Printf.sprintf "transfer: bad %s count %d" what c);
+            let acc = ref [] in
+            for _ = 1 to c do
+              acc := read () :: !acc
+            done;
+            List.rev !acc
+          in
+          let window =
+            items "window" (fun () ->
+                let op = O.read_op r in
+                let time = Rd.int r in
+                let pid = Rd.int r in
+                let op_id = Rd.int r in
+                let result = O.read_result r in
+                (op, time, pid, op_id, result))
+          in
+          let entries =
+            items "entry" (fun () ->
+                let op = O.read_op r in
+                let time = Rd.int r in
+                let pid = Rd.int r in
+                let op_id = Rd.int r in
+                (op, time, pid, op_id))
+          in
+          let shard = Rd.int r in
+          Catchup_state { obj; time; cpid; window; entries; shard }
         end
         else if frame.kind = k_hb then begin
           let stamp = Rd.int r in

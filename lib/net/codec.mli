@@ -23,7 +23,7 @@
     [Tcp_transport] and README "Wire format". *)
 
 val version : int
-(** Current wire version (8 — v2 added the trace id to [Entry]/[Invoke]
+(** Current wire version (9 — v2 added the trace id to [Entry]/[Invoke]
     payloads; v3 added the client operation id to both, plus the
     catch-up request/reply frames for post-crash peer anti-entropy; v4
     added the shard id to every op/ack/catch-up payload and the shard
@@ -36,7 +36,8 @@ val version : int
     refusal frame, and the two-lane queue counters on [Stats]; v8 added
     [ack] and [want] to [Hb], so the fast path's release gate is freed
     by receipt acks and prompted heartbeats instead of the heartbeat
-    tick).  A
+    tick; v9 added the [Catchup_state] transfer frame, since a replica
+    keeps no log of what it applied).  A
     decoder rejects every other version, so incompatible formats — older
     peers included — fail the handshake cleanly instead of misparsing. *)
 
@@ -175,6 +176,19 @@ module Make (O : OBJ_CODEC) : sig
         cpid : int;  (** the replier's own high-water mark *)
         shard : int;
       }
+    | Catchup_state of {
+        obj : O.D.state;  (** the replier's object at its high-water mark *)
+        time : int;
+        cpid : int;  (** the replier's high-water mark *)
+        window : (O.D.op * int * int * int * O.D.result) list;
+            (** its dedup window: (op, time, pid, op id, result), stamp
+                order *)
+        entries : (O.D.op * int * int * int) list;
+            (** its queued entries: (op, time, pid, op id), stamp order *)
+        shard : int;
+      }
+        (** the catch-up reply to an asker whose high-water mark is below
+            the replier's: a state transfer *)
     | Hb of {
         stamp : int;
         epoch : int;

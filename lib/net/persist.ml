@@ -22,12 +22,16 @@ module Make (O : Codec.OBJ_CODEC) = struct
   let empty_snapshot =
     { s_obj = O.D.initial; s_hwm_time = -1; s_hwm_pid = 0; s_applied = [] }
 
+  let write_record b ~op ~time ~pid ~op_id ~result =
+    O.write_op b op;
+    Codec.Wr.int b time;
+    Codec.Wr.int b pid;
+    Codec.Wr.int b op_id;
+    O.write_result b result
+
   let write_applied b a =
-    O.write_op b a.op;
-    Codec.Wr.int b a.time;
-    Codec.Wr.int b a.pid;
-    Codec.Wr.int b a.op_id;
-    O.write_result b a.result
+    write_record b ~op:a.op ~time:a.time ~pid:a.pid ~op_id:a.op_id
+      ~result:a.result
 
   let read_applied r =
     let op = O.read_op r in

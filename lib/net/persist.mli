@@ -6,9 +6,10 @@
       order Algorithm 1 applied it, which is timestamp order.  Replaying
       records from a known state therefore reproduces the object exactly.
     - a {e snapshot payload} is a checkpoint: the object, the high-water
-      mark, and the applied history with op ids (so a restarted replica
-      can serve catch-up and recognise client retries from before the
-      crash).
+      mark, and the dedup window — the applied entries with op ids still
+      inside it, with their results — so a restarted replica recognises
+      client retries from before the crash.  Its size follows the object
+      and the window, not the operations served.
 
     Both use the codec's varint primitives and the object's
     {!Codec.OBJ_CODEC}, and both decode totally: corrupt input yields
@@ -28,11 +29,24 @@ module Make (O : Codec.OBJ_CODEC) : sig
     s_obj : O.D.state;
     s_hwm_time : int;  (** −1 = nothing applied *)
     s_hwm_pid : int;
-    s_applied : applied list;  (** oldest first *)
+    s_applied : applied list;
+        (** oldest first: the dedup window; after {!replay}, followed by
+            the WAL tail *)
   }
 
   val empty_snapshot : snapshot
-  (** The fresh-boot state: initial object, empty history, hwm −1. *)
+  (** The fresh-boot state: initial object, empty window, hwm −1. *)
+
+  val write_record :
+    Buffer.t ->
+    op:O.D.op ->
+    time:int ->
+    pid:int ->
+    op_id:int ->
+    result:O.D.result ->
+    unit
+  (** Append one record's encoding to the buffer (what {!encode_record}
+      returns, without building the record or the string). *)
 
   val encode_record : applied -> string
   val decode_record : string -> applied option

@@ -166,6 +166,7 @@ type ('op, 'r) port = {
     trace:int ->
     op_id:int ->
     deadline:int ->
+    taken:(unit -> unit) ->
     'op ->
     ('r outcome -> unit) ->
     unit;
@@ -300,8 +301,23 @@ module Make (L : Workloads.LIVE) = struct
     | Spec.Data_type.Other -> 2)
     + if faulty then 3 else 0
 
+  (* History times: a port's µs refined by the order of readings inside
+     that µs.  A loop runs one thing at a time, so a reading taken later
+     is later: a response the client reads before issuing its next op
+     strictly precedes that op even when both fall in one µs. *)
+  let stamps_per_us = 1000
+
   let drive port source ~workers ~round ~ops ~windows ~first_op_id
       ~deadline_us ~traced ~resilient ~rotate ~rng ~seed =
+    let last_us = ref min_int and sub = ref 0 in
+    let stamp us =
+      if us <> !last_us then begin
+        last_us := us;
+        sub := 0
+      end
+      else if !sub < stamps_per_us - 1 then incr sub;
+      (us * stamps_per_us) + !sub
+    in
     let t =
       {
         hists = Hashtbl.create 16;
@@ -327,6 +343,10 @@ module Make (L : Workloads.LIVE) = struct
       else begin
         let shard, op = source.draw rng in
         let t0 = port.now () in
+        (* The invocation's history time: when the port handed its first
+           attempt on. *)
+        let inv = ref min_int in
+        let taken () = if !inv = min_int then inv := stamp (port.now ()) in
         (* The trace id's origin bits carry the shard, so per-shard bound
            attribution falls out of the merged trace files for free. *)
         let trace = if traced then Obs.Trace_id.fresh ~origin:shard else 0 in
@@ -348,16 +368,17 @@ module Make (L : Workloads.LIVE) = struct
              that refused may be dead, or a stalled minority. *)
           let hop = if rotate then tries else 0 in
           let replica = (source.home ~wid ~shard + hop) mod port.replicas in
-          port.invoke ~wid ~replica ~shard ~trace ~op_id ~deadline op
+          port.invoke ~wid ~replica ~shard ~trace ~op_id ~deadline ~taken op
             (function
             | Done result ->
                 let t1 = port.now () in
+                let resp = stamp t1 in
                 let faulty = in_windows windows t0 in
                 Histogram.add (shard_hists t shard).(slot_of op ~faulty)
                   (t1 - t0);
                 t.entries <-
                   ( shard,
-                    { Lin.pid = wid; op; result; invoke = t0; response = t1 }
+                    { Lin.pid = wid; op; result; invoke = !inv; response = resp }
                   )
                   :: t.entries;
                 t.progress <- t1;
@@ -439,7 +460,9 @@ module Make (L : Workloads.LIVE) = struct
                   rev
               in
               let initial = Option.bind initials (fun a -> a.(k)) in
-              Some (check_history ?initial sorted (List.rev t.cuts)))
+              Some
+                (check_history ?initial sorted
+                   (List.rev_map (fun c -> c * stamps_per_us) t.cuts)))
         by_shard
     in
     let completed = List.length t.entries in
@@ -541,6 +564,7 @@ module Make (L : Workloads.LIVE) = struct
             R.catchup_wait_us =
               params.Core.Params.d + params.Core.Params.eps;
             on_apply = (fun _ _ _ -> ());
+            on_transfer = (fun ~src:_ _ -> ());
             recovered = None;
           }
     in
@@ -596,8 +620,8 @@ module Make (L : Workloads.LIVE) = struct
         now = (fun () -> V.now v);
         at = V.at v;
         invoke =
-          (fun ~wid:_ ~replica ~shard:_ ~trace ~op_id ~deadline:_ op k ->
-            V.invoke v ~pid:replica ~trace ~op_id op (function
+          (fun ~wid:_ ~replica ~shard:_ ~trace ~op_id ~deadline:_ ~taken op k ->
+            V.invoke v ~pid:replica ~trace ~op_id ~taken op (function
               | R.Done r -> k (Done r)
               | R.Rejected why -> k (Retry why)
               | R.Cancelled -> ()));

@@ -126,12 +126,15 @@ type ('op, 'r) port = {
     trace:int ->
     op_id:int ->
     deadline:int ->
+    taken:(unit -> unit) ->
     'op ->
     ('r outcome -> unit) ->
     unit;
       (** hand client [wid]'s op to [replica] ([deadline] on the run
-          timeline, [0] = none); the loop calls the continuation at most
-          once, with its outcome *)
+          timeline, [0] = none); the loop calls [taken] when the op is
+          handed on — as late as the port can tell: in process, when the
+          replica takes it — then the continuation at most once, with its
+          outcome *)
   backoff_us : int;  (** first pause before a replay *)
   backoff_cap_us : int;  (** the pause doubles up to this *)
   max_retries : int;  (** replays of one op before it fails *)
@@ -149,8 +152,12 @@ module Make (L : Workloads.LIVE) : sig
     hists : (int, Histogram.t array) Hashtbl.t;
         (** shard → 6 latency histograms (see {!classes_of}) *)
     mutable entries : (int * Lin.entry) list;
-        (** [(shard, client-observed entry)], newest first; [pid] = client *)
-    mutable cuts : int list;  (** quiescent cuts, newest first *)
+        (** [(shard, client-observed entry)], newest first; [pid] = client.
+            Invocation and response times are the port's µs times 1000
+            plus the order of the reading inside that µs (up to 999), so
+            a response and an invocation the loop saw in the same µs still
+            order as it saw them. *)
+    mutable cuts : int list;  (** quiescent cuts (port µs), newest first *)
     mutable failed : int;  (** ops given up on *)
     mutable sheds : int;  (** overload refusals seen *)
     mutable first_error : string option;

@@ -11,7 +11,9 @@ module Make (D : Spec.Data_type.S) = struct
   let trace_of = function
     | Wire_entry (_, trace, _) | Wire_quorum (Forward { trace; _ }) -> trace
     | Wire_quorum (Propose { p; _ }) -> p.q_trace
-    | Wire_catchup_req _ | Wire_catchup_rep _ | Wire_quorum _ | Wire_sync _ -> 0
+    | Wire_catchup_req _ | Wire_catchup_rep _ | Wire_catchup_state _
+    | Wire_quorum _ | Wire_sync _ ->
+        0
 
   (* ---- the driver: one core, its timers and the clock translation ---- *)
 
@@ -32,9 +34,9 @@ module Make (D : Spec.Data_type.S) = struct
     mutable last : int;  (** loop time of the latest step *)
   }
 
-  let driver ~(params : Core.Params.t) ?recovery ?fallback ?sync ~start_us
-      ~offset pid =
-    let config = { params; recovery; fallback; sync } in
+  let driver ~(params : Core.Params.t) ?recovery ?fallback ?sync
+      ?(dedup_window_us = max_int) ~start_us ~offset pid =
+    let config = { params; recovery; fallback; sync; dedup_window_us } in
     {
       config;
       pid;

@@ -125,6 +125,7 @@ module Make (D : Spec.Data_type.S) : sig
     ?recovery:recovery ->
     ?fallback:Quorum.Config.t ->
     ?sync:Sync.Config.t ->
+    ?dedup_window_us:int ->
     start_us:int ->
     offset:int ->
     int ->
@@ -135,7 +136,9 @@ module Make (D : Spec.Data_type.S) : sig
       [recovery] enables the durability machinery, [fallback] arms the
       adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — DESIGN.md §13) and [sync] live clock
-      synchronization (DESIGN.md §14); see the module docs. *)
+      synchronization (DESIGN.md §14); see the module docs.
+      [dedup_window_us] (default [max_int]: forever) bounds how long an
+      applied op id is remembered; see {!config}. *)
 
   val next_due : driver -> int
   (** Loop µs of the earliest pending timer; [max_int] if none. *)

@@ -1,6 +1,6 @@
 (** See the interface for the model mapping and the effect boundary.
 
-    Recovery additions (PR 5): a replica can be {e frozen} — either [Down]
+    Recovery additions: a replica can be {e frozen} — either [Down]
     (an injected crash: it processes nothing, realising the fault the
     process path realises with SIGKILL) or [Catching_up] (just restarted:
     it broadcasts a catch-up request carrying its high-water mark, absorbs
@@ -9,7 +9,13 @@
     applies, so the high-water mark stays contiguous) and client invokes
     are backlogged.  Operation ids ride on every broadcast entry, so a
     replica can recognise a client's replay of an operation it already
-    holds and answer idempotently. *)
+    holds and answer idempotently.
+
+    Bounded state: a replica keeps the object, not its history.  Applied
+    entries stay in a FIFO, in stamp order, only while they are inside the
+    dedup window; the window's floor stands for every older stamp.  A
+    catch-up asker at or above this replica's high-water mark gets the
+    queued entries above its mark, one below it a state transfer. *)
 
 module Make (D : Spec.Data_type.S) = struct
   module Alg = Core.Algorithm1.Make (D)
@@ -20,17 +26,20 @@ module Make (D : Spec.Data_type.S) = struct
     v_obj : D.state;
     v_hwm_time : int;
     v_hwm_pid : int;
-    v_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
+    v_window : (Alg.entry * D.result * int) list;  (** oldest first *)
   }
 
   type recovered_state = {
     r_obj : D.state;
+    r_hwm_time : int;
+    r_hwm_pid : int;
     r_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
   }
 
   type recovery = {
     catchup_wait_us : int;
     on_apply : Alg.entry -> D.result -> int -> unit;
+    on_transfer : src:int -> snapshot_view -> unit;
     recovered : recovered_state option;
   }
 
@@ -79,6 +88,13 @@ module Make (D : Spec.Data_type.S) = struct
         time : int;
         cpid : int;
       }
+    | Wire_catchup_state of {
+        obj : D.state;
+        time : int;
+        cpid : int;
+        window : (Alg.entry * D.result * int) list;
+        entries : (Alg.entry * int) list;
+      }
     | Wire_quorum of qwire
     | Wire_sync of swire
 
@@ -100,7 +116,23 @@ module Make (D : Spec.Data_type.S) = struct
     recovery : recovery option;
     fallback : Quorum.Config.t option;
     sync : Sync.Config.t option;
+    dedup_window_us : int;
   }
+
+  (* An entry stamped ts reaches every replica within max(d, [add_wait])
+     of its stamp and executes at most [execute_wait] after it arrives;
+     clocks are within ε; quorum commits land up to two more round trips
+     (2d) later.  The dedup window is at least twice that, so every
+     replica that is up has applied an entry before it leaves the window
+     and its stamp falls under the floor, with room for drivers that step
+     late. *)
+  let min_window_us (config : config) =
+    let p = config.params in
+    let settle =
+      max p.Core.Params.d p.Core.Params.timing.Core.Params.add_wait
+      + p.Core.Params.timing.Core.Params.execute_wait + p.Core.Params.eps
+    in
+    2 * if config.fallback = None then settle else settle + (2 * p.Core.Params.d)
 
   (* [Catchup_retry_t] re-asks the peers that still owe a catch-up reply:
      over TCP the first write onto a connection whose remote died is
@@ -211,14 +243,20 @@ module Make (D : Spec.Data_type.S) = struct
     mutable reply_hwms : (int * Prelude.Stamp.t) list;
         (** replier high-water marks, pushed back to at thaw *)
     seen : (Prelude.Stamp.t, unit) Hashtbl.t;
-    stamp_ids : (Prelude.Stamp.t, int) Hashtbl.t;
+    mutable seen_floor : Prelude.Stamp.t;
+        (** every stamp at or below it counts as seen: expired from
+            [seen], or folded into the object by recovery or a transfer *)
+    stamp_ids : (Prelude.Stamp.t, int) Hashtbl.t;  (** until applied *)
     id_index : (int, id_state) Hashtbl.t;
     mutable hwm : Prelude.Stamp.t;  (** max applied stamp; time −1 = none *)
-    mutable last_applied : (Alg.entry * D.result) list;
-        (** physical-equality cursor into [st.applied] *)
+    recent : (Alg.entry * int) Queue.t;
+        (** the dedup window: applied entries and their op ids (0 = none),
+            stamp order; empty without dedup *)
+    window_us : int;  (** at least {!min_window_us} *)
   }
 
   let no_hwm = Prelude.Stamp.make ~time:(-1) ~pid:0
+  let bottom = Prelude.Stamp.make ~time:min_int ~pid:0
   let class_of op = Obs.Event.class_code (D.classify op)
 
   let init (config : config) ~n ~pid =
@@ -277,33 +315,28 @@ module Make (D : Spec.Data_type.S) = struct
         seen = Hashtbl.create 256;
         stamp_ids = Hashtbl.create 256;
         id_index = Hashtbl.create 256;
+        seen_floor = bottom;
         hwm = no_hwm;
-        last_applied = [];
+        recent = Queue.create ();
+        window_us = max config.dedup_window_us (min_window_us config);
       }
     in
-    (* Seed the protocol state from the durable prefix, if any: the object,
-       its applied history (so catch-up can serve it), the stamp/id tables
-       (so replayed broadcasts and retried clients are recognised) and the
-       high-water mark. *)
+    (* Seed the protocol state from the durable prefix, if any: the object
+       and its high-water mark, below which every stamp counts as seen, and
+       the recorded results (so retried clients are recognised). *)
     (match config.recovery with
     | Some { recovered = Some rs; _ } ->
-        t.st <-
-          {
-            t.st with
-            Alg.local_obj = rs.r_obj;
-            applied = List.rev_map (fun (e, r, _) -> (e, r)) rs.r_applied;
-          };
+        t.st <- { t.st with Alg.local_obj = rs.r_obj };
+        t.hwm <- Prelude.Stamp.make ~time:rs.r_hwm_time ~pid:rs.r_hwm_pid;
+        t.seen_floor <- t.hwm;
         List.iter
           (fun ((e : Alg.entry), r, op_id) ->
-            Hashtbl.replace t.seen e.ts ();
             if op_id <> 0 then begin
-              Hashtbl.replace t.stamp_ids e.ts op_id;
-              Hashtbl.replace t.id_index op_id (Applied_id r)
-            end;
-            if Prelude.Stamp.( < ) t.hwm e.ts then t.hwm <- e.ts)
+              Hashtbl.replace t.id_index op_id (Applied_id r);
+              Queue.add (e, op_id) t.recent
+            end)
           rs.r_applied
     | _ -> ());
-    t.last_applied <- t.st.Alg.applied;
     t
 
   (* ---- outputs ---- *)
@@ -348,58 +381,109 @@ module Make (D : Spec.Data_type.S) = struct
         Hashtbl.replace t.id_index op_id Queued
     end
 
-  (* Every mutation the algorithm applied since the last call, oldest
-     first: mark it seen, resolve its op id, advance the high-water mark
-     and hand it to the durability hook — before any output (a response
-     in particular) of the same step is performed. *)
-  let drain_applied t =
-    if t.dedup && not (t.st.Alg.applied == t.last_applied) then begin
-      let rec fresh acc = function
-        | l when l == t.last_applied -> acc
-        | [] -> acc
-        | (e, r) :: tl -> fresh ((e, r) :: acc) tl
-      in
-      List.iter
-        (fun ((e : Alg.entry), r) ->
-          Hashtbl.replace t.seen e.ts ();
-          let op_id = op_id_of t e.ts in
-          if op_id <> 0 then
-            Hashtbl.replace t.id_index op_id (Applied_id r);
-          if Prelude.Stamp.( < ) t.hwm e.ts then t.hwm <- e.ts;
-          match t.rec_mode with
-          | Some rc -> rc.on_apply e r op_id
-          | None -> ())
-        (fresh [] t.st.Alg.applied);
-      t.last_applied <- t.st.Alg.applied
-    end
+  let seen t ts =
+    Prelude.Stamp.( <= ) ts t.seen_floor || Hashtbl.mem t.seen ts
 
-  (* Applied and still-queued entries with a stamp above [after], in
-     stamp order, each with its op id — what catch-up serves. *)
-  let entries_after t after =
-    let keep (e : Alg.entry) = Prelude.Stamp.( < ) after e.ts in
-    let applied =
-      List.filter_map
-        (fun ((e : Alg.entry), _) -> if keep e then Some e else None)
-        t.st.Alg.applied
-    in
-    let queued =
-      List.filter keep (Alg.Queue.to_sorted_list t.st.Alg.to_execute)
-    in
-    List.sort
-      (fun (a : Alg.entry) b -> Prelude.Stamp.compare a.ts b.ts)
-      (List.rev_append applied queued)
-    |> List.map (fun (e : Alg.entry) -> (e, op_id_of t e.ts))
+  (* Expire the dedup window's oldest entries: those stamped more than
+     [window_us] below the high-water mark.  Ages are read between stamps,
+     on the clocks that drew them, so sync's corrections shift nothing and
+     no clock is read.  Each entry is popped once: O(1) amortized per
+     apply. *)
+  let trim t =
+    let oldest = t.hwm.Prelude.Stamp.time - t.window_us in
+    while
+      (not (Queue.is_empty t.recent))
+      && (fst (Queue.peek t.recent)).Alg.ts.Prelude.Stamp.time < oldest
+    do
+      let (e : Alg.entry), op_id = Queue.take t.recent in
+      Hashtbl.remove t.seen e.ts;
+      if op_id <> 0 then Hashtbl.remove t.id_index op_id;
+      if Prelude.Stamp.( < ) t.seen_floor e.ts then t.seen_floor <- e.ts
+    done
+
+  (* A batch the algorithm just applied, oldest first: advance the
+     high-water mark; with dedup, mark each entry seen, resolve its op id,
+     window it and hand it to the durability hook — before any output (a
+     response in particular) of the same step is performed. *)
+  let record_applied t batch =
+    match batch with
+    | [] -> ()
+    | _ ->
+        List.iter
+          (fun ((e : Alg.entry), r) ->
+            if Prelude.Stamp.( < ) t.hwm e.ts then t.hwm <- e.ts;
+            if t.dedup then begin
+              Hashtbl.replace t.seen e.ts ();
+              let op_id = op_id_of t e.ts in
+              Hashtbl.remove t.stamp_ids e.ts;
+              if op_id <> 0 then Hashtbl.replace t.id_index op_id (Applied_id r);
+              Queue.add (e, op_id) t.recent;
+              match t.rec_mode with
+              | Some rc -> rc.on_apply e r op_id
+              | None -> ()
+            end)
+          batch;
+        if t.dedup then trim t
+
+  (* Still-queued entries stamped above [after], in stamp order, with op
+     ids. *)
+  let queued_after t after =
+    List.filter_map
+      (fun (e : Alg.entry) ->
+        if Prelude.Stamp.( < ) after e.ts then Some (e, op_id_of t e.ts)
+        else None)
+      (Alg.Queue.to_sorted_list t.st.Alg.to_execute)
+
+  (* The dedup window as a checkpoint or a transfer carries it: every
+     windowed entry with an op id and its recorded result, oldest first. *)
+  let window t =
+    List.filter_map
+      (fun ((e : Alg.entry), op_id) ->
+        match Hashtbl.find_opt t.id_index op_id with
+        | Some (Applied_id r) when op_id <> 0 -> Some (e, r, op_id)
+        | _ -> None)
+      (List.of_seq (Queue.to_seq t.recent))
+
+  let snapshot t =
+    {
+      v_obj = t.st.Alg.local_obj;
+      v_hwm_time = t.hwm.Prelude.Stamp.time;
+      v_hwm_pid = t.hwm.Prelude.Stamp.pid;
+      v_window = window t;
+    }
+
+  (* The object, its high-water mark, the dedup window and every entry
+     still queued: everything a peer behind this replica's mark needs. *)
+  let transfer t =
+    Wire_catchup_state
+      {
+        obj = t.st.Alg.local_obj;
+        time = t.hwm.Prelude.Stamp.time;
+        cpid = t.hwm.Prelude.Stamp.pid;
+        window = window t;
+        entries = queued_after t t.hwm;
+      }
+
+  (* What catch-up owes a peer whose high-water mark is [after]: nothing
+     applied is kept entry by entry, so a peer below our mark gets a state
+     transfer, and one at or above it the queued entries above its mark
+     ([Some]). *)
+  let owed t after =
+    if Prelude.Stamp.( < ) after t.hwm then None else Some (queued_after t after)
 
   let push_back t peer after =
-    let missing = entries_after t after in
-    if missing <> [] then begin
-      Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup
-        ~a:(List.length missing) ~b:peer ();
-      List.iter
-        (fun ((e : Alg.entry), op_id) ->
-          send t ~dst:peer (Wire_entry (e, 0, op_id)))
-        missing
-    end
+    match owed t after with
+    | None ->
+        Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup ~a:0 ~b:peer ();
+        send t ~dst:peer (transfer t)
+    | Some [] -> ()
+    | Some missing ->
+        Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup
+          ~a:(List.length missing) ~b:peer ();
+        List.iter
+          (fun ((e : Alg.entry), op_id) ->
+            send t ~dst:peer (Wire_entry (e, 0, op_id)))
+          missing
 
   let respond t r =
     match t.inflight with
@@ -644,7 +728,7 @@ module Make (D : Spec.Data_type.S) = struct
         let ts = Prelude.Stamp.make ~time:p.q_time ~pid:p.q_origin in
         let st = t.st in
         let st =
-          if Hashtbl.mem t.seen ts then st
+          if seen t ts then st
           else begin
             register t ts p.q_op_id;
             {
@@ -657,19 +741,31 @@ module Make (D : Spec.Data_type.S) = struct
         (* Executing *through* the committed stamp is the follower
            barrier: any straggler fast-path entry below it executes
            first, in stamp order. *)
-        let st, actions = Alg.execute_through st ~upto:ts ~inclusive:true in
+        let st, actions, batch =
+          Alg.execute_through st ~upto:ts ~inclusive:true
+        in
         t.st <- st;
         f.last_q_applied <- max f.last_q_applied p.q_time;
-        drain_applied t;
+        record_applied t batch;
         handle_actions t ~trace:p.q_trace actions;
         match (f.pending_fwd, t.inflight) with
         | Some w, Some _ when p.q_origin = t.pid && w.f_qid = p.q_qid -> (
-            match
-              List.find_map
-                (fun ((e : Alg.entry), r) ->
-                  if Prelude.Stamp.equal e.ts ts then Some r else None)
-                t.st.Alg.applied
-            with
+            (* Applied by this commit, or earlier (catch-up brought the
+               entry first): then its id holds the result. *)
+            let applied =
+              match
+                List.find_map
+                  (fun ((e : Alg.entry), r) ->
+                    if Prelude.Stamp.equal e.ts ts then Some r else None)
+                  batch
+              with
+              | None when w.f_op_id <> 0 -> (
+                  match Hashtbl.find_opt t.id_index w.f_op_id with
+                  | Some (Applied_id r) -> Some r
+                  | _ -> None)
+              | found -> found
+            in
+            match applied with
             | Some r ->
                 f.pending_fwd <- None;
                 respond t r;
@@ -797,9 +893,9 @@ module Make (D : Spec.Data_type.S) = struct
     end
 
   and fire_alg_timer t tm trace =
-    let st', actions = Alg.on_timer t.p t.st ~clock:(clock t) tm in
+    let st', actions, batch = Alg.timer_step t.p t.st tm in
     t.st <- st';
-    drain_applied t;
+    record_applied t batch;
     handle_actions t ~trace actions
 
   and do_unfreeze t =
@@ -822,7 +918,7 @@ module Make (D : Spec.Data_type.S) = struct
   let absorb_catchup t ~src entries =
     let fresh =
       List.filter
-        (fun ((e : Alg.entry), _) -> not (Hashtbl.mem t.seen e.ts))
+        (fun ((e : Alg.entry), _) -> not (seen t e.ts))
         entries
     in
     List.iter
@@ -836,6 +932,75 @@ module Make (D : Spec.Data_type.S) = struct
     if fresh <> [] then
       Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup
         ~a:(List.length fresh) ~b:src ()
+
+  (* A state transfer from [src]: when its high-water mark is above ours,
+     its object replaces ours.  Queued entries at or below the mark are in
+     that object and leave the queue (their pending timers find nothing),
+     and the sender's dedup window joins ours, in stamp order.  A dropped
+     entry's op id stays answerable only if the window records its
+     result; otherwise it is forgotten, so a replay runs afresh.  An
+     in-flight OOP or AOP stamped at or below the mark cannot take its
+     answer from the new object: an OOP answers from the window when its
+     result is there, otherwise both go back to the client to retry, and
+     an OOP's own copy is not queued afterwards. *)
+  let adopt t ~src ~obj ~hwm ~window =
+    if Prelude.Stamp.( < ) t.hwm hwm then begin
+      let dropped, rest =
+        Alg.Queue.pop_while
+          (fun (e : Alg.entry) -> Prelude.Stamp.( <= ) e.ts hwm)
+          t.st.Alg.to_execute
+      in
+      t.st <- { t.st with Alg.local_obj = obj; to_execute = rest };
+      t.hwm <- hwm;
+      if Prelude.Stamp.( < ) t.seen_floor hwm then t.seen_floor <- hwm;
+      let theirs =
+        List.map
+          (fun ((e : Alg.entry), r, op_id) ->
+            Hashtbl.replace t.id_index op_id (Applied_id r);
+            (e, op_id))
+          window
+      in
+      let forget_queued op_id =
+        if Hashtbl.find_opt t.id_index op_id = Some Queued then
+          Hashtbl.remove t.id_index op_id
+      in
+      List.iter
+        (fun (e : Alg.entry) ->
+          forget_queued (op_id_of t e.ts);
+          Hashtbl.remove t.stamp_ids e.ts;
+          Hashtbl.remove t.seen e.ts)
+        dropped;
+      let merged =
+        List.sort_uniq
+          (fun ((a : Alg.entry), _) ((b : Alg.entry), _) ->
+            Prelude.Stamp.compare a.ts b.ts)
+          (List.rev_append (List.of_seq (Queue.to_seq t.recent)) theirs)
+      in
+      Queue.clear t.recent;
+      List.iter (fun x -> Queue.add x t.recent) merged;
+      (match (t.st.Alg.pending, t.inflight) with
+      | (Alg.Waiting_oop e | Alg.Waiting_aop e), Some (c, _)
+        when Prelude.Stamp.( <= ) e.ts hwm -> (
+          t.st <- { t.st with Alg.pending = Alg.Idle };
+          (* An OOP's own copy may not be queued yet: it must not join
+             the queue below the mark later. *)
+          emit t (Sim.Action.Cancel_timer (A (Alg.Add e, 0)));
+          match
+            (D.classify c.op, Hashtbl.find_opt t.id_index c.op_id)
+          with
+          | Spec.Data_type.Other, Some (Applied_id r) when c.op_id <> 0 ->
+              respond t r
+          | _ ->
+              forget_queued c.op_id;
+              t.inflight <- None;
+              complete t c.ticket (Rejected "retry: state transfer")
+        )
+      | _ -> ());
+      (match t.rec_mode with
+      | Some rc -> rc.on_transfer ~src (snapshot t)
+      | None -> ());
+      next_from_backlog t
+    end
 
   let catchup_req t =
     Wire_catchup_req
@@ -1013,12 +1178,12 @@ module Make (D : Spec.Data_type.S) = struct
     let stale_q =
       match t.fb with
       | Some f ->
-          (not (Hashtbl.mem t.seen m.ts))
+          (not (seen t m.ts))
           && m.ts.Prelude.Stamp.time <= f.last_q_applied
       | None -> false
     in
     if stale_q then ()
-    else if t.dedup && Hashtbl.mem t.seen m.ts then
+    else if t.dedup && seen t m.ts then
       ()  (* replayed entry (push-back or duplicate): drop *)
     else begin
       if t.dedup then begin
@@ -1027,7 +1192,6 @@ module Make (D : Spec.Data_type.S) = struct
       end;
       let st', actions = Alg.on_message t.p t.st ~clock:(clock t) ~src m in
       t.st <- st';
-      drain_applied t;
       (* [Apply] marks the entry's hand-off to the protocol state machine;
          Algorithm 1 may defer its execution to ts order. *)
       Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Apply ~trace ~a:src ();
@@ -1093,33 +1257,45 @@ module Make (D : Spec.Data_type.S) = struct
     t.out <- [];
     (t, out)
 
+  let catchup_replied t ~src rh =
+    match t.mode with
+    | Catching_up ->
+        t.reply_hwms <- (src, rh) :: t.reply_hwms;
+        t.awaiting <- List.filter (fun p -> p <> src) t.awaiting;
+        if t.awaiting = [] then do_unfreeze t
+    | Up ->
+        (* Late reply after the timeout already thawed us: push back
+           immediately instead of at thaw. *)
+        push_back t src rh
+    | Down -> ()
+
   let on_message (_ : config) t ~clock ~src w =
     step t ~clock (fun t ->
         if t.mode <> Down then
           (* a down replica loses every message *)
           match w with
           | Wire_entry (m, trace, op_id) -> handle_entry t ~src m trace op_id
-          | Wire_catchup_req { time; cpid } ->
-              let entries = entries_after t (Prelude.Stamp.make ~time ~pid:cpid) in
-              Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup
-                ~a:(List.length entries) ~b:src ();
-              send t ~dst:src
-                (Wire_catchup_rep
-                   { entries; time = t.hwm.Prelude.Stamp.time;
-                     cpid = t.hwm.Prelude.Stamp.pid })
-          | Wire_catchup_rep { entries; time; cpid } -> (
+          | Wire_catchup_req { time; cpid } -> (
+              match owed t (Prelude.Stamp.make ~time ~pid:cpid) with
+              | Some entries ->
+                  Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup
+                    ~a:(List.length entries) ~b:src ();
+                  send t ~dst:src
+                    (Wire_catchup_rep
+                       { entries; time = t.hwm.Prelude.Stamp.time;
+                         cpid = t.hwm.Prelude.Stamp.pid })
+              | None ->
+                  Obs.Recorder.emit ~pid:t.pid ~kind:Obs.Event.Catchup ~a:0
+                    ~b:src ();
+                  send t ~dst:src (transfer t))
+          | Wire_catchup_rep { entries; time; cpid } ->
               absorb_catchup t ~src entries;
+              catchup_replied t ~src (Prelude.Stamp.make ~time ~pid:cpid)
+          | Wire_catchup_state { obj; time; cpid; window; entries } ->
               let rh = Prelude.Stamp.make ~time ~pid:cpid in
-              match t.mode with
-              | Catching_up ->
-                  t.reply_hwms <- (src, rh) :: t.reply_hwms;
-                  t.awaiting <- List.filter (fun p -> p <> src) t.awaiting;
-                  if t.awaiting = [] then do_unfreeze t
-              | Up ->
-                  (* Late reply after the timeout already thawed us: push
-                     back immediately instead of at thaw. *)
-                  push_back t src rh
-              | Down -> ())
+              adopt t ~src ~obj ~hwm:rh ~window;
+              absorb_catchup t ~src entries;
+              catchup_replied t ~src rh
           | Wire_quorum q -> Option.iter (fun f -> handle_quorum t f ~src q) t.fb
           | Wire_sync sw -> Option.iter (fun s -> handle_sync t s ~src sw) t.sy)
 
@@ -1164,13 +1340,13 @@ module Make (D : Spec.Data_type.S) = struct
           [ t.hwm.Prelude.Stamp.time; queued_max;
             Quorum.Mode_controller.floor f.mc; f.last_q_applied ]
     in
-    let st, actions =
+    let st, actions, batch =
       Alg.execute_through t.st
         ~upto:(Prelude.Stamp.make ~time:base ~pid:(-1))
         ~inclusive:false
     in
     t.st <- st;
-    drain_applied t;
+    record_applied t batch;
     handle_actions t ~trace:0 actions;
     f.next_time <- base;
     let buffered = List.rev f.buffered in
@@ -1283,15 +1459,4 @@ module Make (D : Spec.Data_type.S) = struct
             (* Answer every client still waiting: their operations will
                never respond (the replica is gone). *)
             answer_all t Cancelled)
-
-  let snapshot t =
-    {
-      v_obj = t.st.Alg.local_obj;
-      v_hwm_time = t.hwm.Prelude.Stamp.time;
-      v_hwm_pid = t.hwm.Prelude.Stamp.pid;
-      v_applied =
-        List.rev_map
-          (fun ((e : Alg.entry), r) -> (e, r, op_id_of t e.ts))
-          t.st.Alg.applied;
-    }
 end

@@ -25,15 +25,21 @@ module Make (D : Spec.Data_type.S) : sig
     v_obj : D.state;  (** the object right now *)
     v_hwm_time : int;  (** high-water mark stamp (−1 = nothing applied) *)
     v_hwm_pid : int;
-    v_applied : (Alg.entry * D.result * int) list;
-        (** applied history with op ids, oldest first *)
+    v_window : (Alg.entry * D.result * int) list;
+        (** the dedup window: applied entries with an op id, each with
+            its result, oldest first *)
   }
   (** A consistent cut of a replica's durable state — what a checkpoint
-      encodes. *)
+      encodes: the object, not its history, so its size does not grow
+      with the operations served. *)
 
   type recovered_state = {
     r_obj : D.state;
-    r_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
+    r_hwm_time : int;  (** high-water mark of [r_obj] (−1 = none) *)
+    r_hwm_pid : int;
+    r_applied : (Alg.entry * D.result * int) list;
+        (** entries with op ids and their results, oldest first — the
+            checkpoint's dedup window, then the WAL tail *)
   }
   (** The durable prefix a restarted replica seeds itself from: decoded
       snapshot fast-forwarded by the WAL tail. *)
@@ -46,6 +52,10 @@ module Make (D : Spec.Data_type.S) : sig
         (** called for every mutation, in applied (timestamp) order, with
             its op id (0 = none), {e before} the same step's completion is
             output — the WAL-append hook *)
+    on_transfer : src:int -> snapshot_view -> unit;
+        (** a state transfer from peer [src] replaced the object; the
+            view is the new state.  The WAL no longer covers it, so a
+            durable host checkpoints it before the next [on_apply]. *)
     recovered : recovered_state option;  (** [None] = fresh boot *)
   }
 
@@ -106,6 +116,18 @@ module Make (D : Spec.Data_type.S) : sig
         time : int;
         cpid : int;  (** replier's high-water mark *)
       }
+        (** the catch-up reply to an asker at or above the replier's
+            high-water mark: the entries still queued above the asker's *)
+    | Wire_catchup_state of {
+        obj : D.state;  (** the replier's object at its high-water mark *)
+        time : int;
+        cpid : int;  (** replier's high-water mark *)
+        window : (Alg.entry * D.result * int) list;
+            (** its dedup window: (entry, result, op id), stamp order *)
+        entries : (Alg.entry * int) list;  (** its queued entries *)
+      }
+        (** the catch-up reply to an asker whose high-water mark is below
+            the replier's: a state transfer *)
     | Wire_quorum of qwire
     | Wire_sync of swire
   (** Everything replicas say to each other — what the codec carries. *)
@@ -141,7 +163,21 @@ module Make (D : Spec.Data_type.S) : sig
     recovery : recovery option;  (** arms crash recovery and dedup *)
     fallback : Quorum.Config.t option;  (** arms the quorum fallback *)
     sync : Sync.Config.t option;  (** arms live clock synchronization *)
+    dedup_window_us : int;
+        (** with dedup (recovery or fallback armed): how long, by stamp
+            distance below the high-water mark, an applied op id stays
+            answerable from its recorded result; [max_int] = forever.  A
+            window shorter than {!min_window_us} counts as that. *)
   }
+
+  val min_window_us : config -> int
+  (** The shortest dedup window: twice the longest an entry takes from
+      its stamp to its last apply at a replica that is up (within the
+      timing assumptions, fault-free) — max(d, d − u) + (u + ε) + ε from
+      [params.timing], plus two round trips (2d) for quorum commits with
+      the fallback armed.  Every stamp at or below the window's floor
+      counts as seen, so this keeps the floor below every entry still to
+      be applied. *)
 
   type timer =
     | A of Alg.timer * int  (** an Algorithm 1 timer and its op's trace *)

@@ -4,13 +4,18 @@
 module Make (D : Spec.Data_type.S) = struct
   module R = Replica.Make (D)
 
-  type event = { at : int; seq : int; go : unit -> unit }
+  (* A [late] event (a client invocation) runs after every other input
+     and every timer due in its µs: each answer the loop gives in a µs is
+     out before an invocation issued in that µs is taken. *)
+  type event = { at : int; late : bool; seq : int; go : unit -> unit }
 
   module H = Prelude.Heap.Make (struct
     type t = event
 
     let compare a b =
-      if a.at <> b.at then Int.compare a.at b.at else Int.compare a.seq b.seq
+      if a.at <> b.at then Int.compare a.at b.at
+      else if a.late <> b.late then Bool.compare a.late b.late
+      else Int.compare a.seq b.seq
   end)
 
   type t = {
@@ -34,9 +39,11 @@ module Make (D : Spec.Data_type.S) = struct
 
   let now t = t.now
 
-  let at t time go =
-    t.heap <- H.insert { at = max time t.now; seq = t.seq; go } t.heap;
+  let schedule t ~late time go =
+    t.heap <- H.insert { at = max time t.now; late; seq = t.seq; go } t.heap;
     t.seq <- t.seq + 1
+
+  let at t time go = schedule t ~late:false time go
 
   (* The message enters link [src → dst] now. *)
   let enter t ~src ~dst ~trace w =
@@ -135,11 +142,12 @@ module Make (D : Spec.Data_type.S) = struct
     done;
     t
 
-  let invoke t ~pid ?(trace = 0) ?(op_id = 0) op k =
+  let invoke t ~pid ?(trace = 0) ?(op_id = 0) ?(taken = ignore) op k =
     let ticket = t.ticket in
     t.ticket <- ticket + 1;
     Hashtbl.replace t.waiting ticket k;
-    at t t.now (fun () ->
+    schedule t ~late:true t.now (fun () ->
+        taken ();
         R.invoke_at t.drivers.(pid) ~now:t.now ~out:t.outs.(pid) ~trace ~op_id
           ~deadline:0 ~ticket op)
 
@@ -156,7 +164,7 @@ module Make (D : Spec.Data_type.S) = struct
         end)
       t.drivers;
     match H.find_min t.heap with
-    | Some e when e.at <= !due ->
+    | Some e when e.at < !due || (e.at = !due && not e.late) || !pid < 0 ->
         t.heap <- Option.fold ~none:H.empty ~some:snd (H.delete_min t.heap);
         t.now <- max t.now e.at;
         e.go ();

@@ -50,7 +50,9 @@ module Make (D : Spec.Data_type.S) : sig
       be ≤ [params.eps] for the timing guarantees to hold.  [fault]
       (default: every send on time) is consulted on every send, with the
       send's virtual time.  [recovery], [fallback] and [sync] arm every
-      replica as in {!Replica.Make.driver}. *)
+      replica as in {!Replica.Make.driver}; its dedup window is the
+      default, forever (in-process clients give their operations no
+      deadline, so a replay may come at any time). *)
 
   val now : t -> int
   (** Virtual µs since the run's start. *)
@@ -60,12 +62,15 @@ module Make (D : Spec.Data_type.S) : sig
       order, when [time ≤ now]). *)
 
   val invoke :
-    t -> pid:int -> ?trace:int -> ?op_id:int -> D.op ->
-    (R.outcome -> unit) -> unit
+    t -> pid:int -> ?trace:int -> ?op_id:int -> ?taken:(unit -> unit) ->
+    D.op -> (R.outcome -> unit) -> unit
   (** Hand replica [pid] a client invocation now; the loop calls the
       continuation with its outcome when the replica completes it.  A
       replica may hold several at once; the closed-loop callers keep one
-      per client. *)
+      per client.  The replica takes the invocation after every other
+      input and timer of this µs, calling [taken] first: whatever the
+      loop answers in a µs is answered before an invocation issued in
+      that µs starts. *)
 
   val control : t -> pid:int -> R.control -> unit
   (** Step a crash, recover or stop on replica [pid] now. *)

@@ -282,14 +282,15 @@ module Make (W : Net.Wire.WIRED) = struct
     Array.of_list (base @ extra)
 
   (* A restart over existing durable directories serves each shard's
-     persisted history, so shard k's checker must start Wing–Gong from
-     shard k's recovered state, not the fresh object: the replicas' applied
-     lists for that shard, merged by ⟨time, pid⟩ stamp (every replica
-     applies in stamp order, so the union replayed in stamp order is the
-     cluster state).  Read before the children reopen the stores. *)
+     persisted state, so shard k's checker must start Wing–Gong from
+     shard k's recovered object, not the fresh one: each replica's
+     snapshot fast-forwarded by its WAL tail, taking the one with the
+     highest high-water mark (every replica applies in stamp order, so the
+     furthest prefix contains every other).  Read before the children
+     reopen the stores. *)
   let durable_initials durable_dir ~n ~shards =
     Array.init shards (fun k ->
-        let tbl = Hashtbl.create 64 in
+        let best = ref None in
         for i = 0 to n - 1 do
           match durable_path durable_dir i with
           | None -> ()
@@ -299,20 +300,14 @@ module Make (W : Net.Wire.WIRED) = struct
                   ~dir:(Host.store_dir ~shards replica_dir k)
               with
               | Error _ -> ()
-              | Ok (_meta, view) ->
-                  List.iter
-                    (fun (a : P.applied) ->
-                      Hashtbl.replace tbl (a.P.time, a.P.pid) a.P.op)
-                    (P.recovered_of view).P.s_applied)
+              | Ok (_meta, view) -> (
+                  let s = P.recovered_of view in
+                  let mark = (s.P.s_hwm_time, s.P.s_hwm_pid) in
+                  match !best with
+                  | Some (m, _) when compare m mark >= 0 -> ()
+                  | _ -> if s.P.s_hwm_time >= 0 then best := Some (mark, s.P.s_obj)))
         done;
-        if Hashtbl.length tbl = 0 then None
-        else
-          Hashtbl.fold (fun key op acc -> (key, op) :: acc) tbl []
-          |> List.sort compare
-          |> List.fold_left
-               (fun st (_, op) -> fst (W.L.D.apply st op))
-               W.L.D.initial
-          |> Option.some)
+        Option.map snd !best)
 
   (* The aggregate class report: every shard's histograms merged. *)
   let aggregate_classes ~params ~windowed matrix =
@@ -422,7 +417,7 @@ module Make (W : Net.Wire.WIRED) = struct
        plus the capped-backoff budget), so admission only sheds ops that
        genuinely cannot make it — not every op that needed one retry. *)
     let deadline_us =
-      if idempotent then (2 * (d + slack + eps)) + 4_000_000 else 0
+      if idempotent then Host.op_deadline_us params else 0
     in
     let initials = durable_initials durable_dir ~n ~shards in
     let l =
@@ -573,7 +568,7 @@ module Make (W : Net.Wire.WIRED) = struct
           Cl.close c;
           conns.(wid).(replica) <- None
     in
-    let invoke ~wid ~replica ~shard ~trace ~op_id ~deadline op k =
+    let invoke ~wid ~replica ~shard ~trace ~op_id ~deadline ~taken op k =
       let answered = ref false in
       let answer reply =
         if not !answered then begin
@@ -600,6 +595,7 @@ module Make (W : Net.Wire.WIRED) = struct
           (* Replicas read deadlines on the shared clock, not the run's. *)
           let deadline = if deadline = 0 then 0 else l.epoch + deadline in
           let msg = Cl.C.Invoke { op; trace; op_id; shard; deadline } in
+          taken ();
           match Cl.send c msg with
           | Error e -> at l (now l) (fun () -> answer (Error e))
           | Ok () ->

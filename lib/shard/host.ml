@@ -108,6 +108,20 @@ type config = {
    constant only caps the unresponsive-peer case. *)
 let catchup_grace_us = 1_500_000
 
+(* The deadline a cluster client ([Shard.Cluster]'s port) gives each
+   operation from its first invocation: the per-attempt reply timeout
+   plus the capped-backoff retry budget, over the effective [params]
+   (slack folded into d). *)
+let op_deadline_us (p : Core.Params.t) =
+  (2 * (p.Core.Params.d + p.Core.Params.eps)) + 4_000_000
+
+(* How long a replica remembers an applied op id: a client replays an op
+   under its id only until the op's deadline (a later replay is shed
+   before any dedup check, whatever retries are left), and the client's
+   timeline and the stamp differ by at most ε on each side. *)
+let dedup_window_us (p : Core.Params.t) =
+  op_deadline_us p + (2 * p.Core.Params.eps)
+
 (* A one-shard host keeps its store at [root] itself — the layout
    [timebounds recover DIR] and the benchmark's WAL inspection read. *)
 let store_dir ~shards root k =
@@ -198,6 +212,20 @@ module Make (W : Net.Wire.WIRED) = struct
             entries
         in
         Some (shard, R.Wire_catchup_rep { entries; time; cpid })
+    | Ok (C.Catchup_state { obj; time; cpid; window; entries; shard })
+      when ok shard ->
+        let window =
+          List.map
+            (fun (op, time, pid, op_id, result) ->
+              (entry_of ~op ~time ~pid, result, op_id))
+            window
+        in
+        let entries =
+          List.map
+            (fun (op, time, pid, op_id) -> (entry_of ~op ~time ~pid, op_id))
+            entries
+        in
+        Some (shard, R.Wire_catchup_state { obj; time; cpid; window; entries })
     | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard })
       when ok shard ->
         Some
@@ -267,6 +295,25 @@ module Make (W : Net.Wire.WIRED) = struct
             entries
         in
         C.encode (C.Catchup_rep { entries; time; cpid; shard })
+    | R.Wire_catchup_state { obj; time; cpid; window; entries } ->
+        let stamp (e : R.Alg.entry) =
+          (e.R.Alg.ts.Prelude.Stamp.time, e.R.Alg.ts.Prelude.Stamp.pid)
+        in
+        let window =
+          List.map
+            (fun (e, result, op_id) ->
+              let time, pid = stamp e in
+              (e.R.Alg.op, time, pid, op_id, result))
+            window
+        in
+        let entries =
+          List.map
+            (fun (e, op_id) ->
+              let time, pid = stamp e in
+              (e.R.Alg.op, time, pid, op_id))
+            entries
+        in
+        C.encode (C.Catchup_state { obj; time; cpid; window; entries; shard })
     | R.Wire_quorum q ->
         C.encode
           (match q with
@@ -307,7 +354,8 @@ module Make (W : Net.Wire.WIRED) = struct
   let lane_of (_shard, w) =
     match w with
     | R.Wire_quorum (R.Hb _)
-    | R.Wire_sync _ | R.Wire_catchup_req _ | R.Wire_catchup_rep _ ->
+    | R.Wire_sync _ | R.Wire_catchup_req _ | R.Wire_catchup_rep _
+    | R.Wire_catchup_state _ ->
         Net.Lanes.Ctrl
     | _ -> Net.Lanes.Data
 
@@ -350,9 +398,37 @@ module Make (W : Net.Wire.WIRED) = struct
         })
       cfg.sync
 
+  (* Checkpoint [view] (taken between steps, or by a state transfer inside
+     one: the loop is the only thread that appends, so either cut is
+     consistent): the object, its high-water mark and the dedup window. *)
+  let checkpoint cfg store (view : R.snapshot_view) =
+    let folded = Durable.Store.records_since_snapshot store in
+    Durable.Store.snapshot store
+      (P.encode_snapshot
+         {
+           P.s_obj = view.R.v_obj;
+           s_hwm_time = view.R.v_hwm_time;
+           s_hwm_pid = view.R.v_hwm_pid;
+           s_applied =
+             List.map
+               (fun ((e : R.Alg.entry), result, op_id) ->
+                 {
+                   P.op = e.R.Alg.op;
+                   time = e.R.Alg.ts.Prelude.Stamp.time;
+                   pid = e.R.Alg.ts.Prelude.Stamp.pid;
+                   op_id;
+                   result;
+                 })
+               view.R.v_window;
+         });
+    Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
+      ~b:(Durable.Store.generation store)
+      ()
+
   (* Open shard [k]'s store and turn what it recovered into the node's
      recovery config.  Returns the store, the recovery, whether the store
-     was fresh (genesis), the replayed mutation count and the time taken. *)
+     was fresh (genesis), the replayed WAL record count and the time
+     taken. *)
   let open_store cfg root k =
     let t0 = Prelude.Mclock.now_us () in
     let dir = store_dir ~shards:cfg.shards root k in
@@ -373,6 +449,8 @@ module Make (W : Net.Wire.WIRED) = struct
         let rs =
           {
             R.r_obj = snap.P.s_obj;
+            r_hwm_time = snap.P.s_hwm_time;
+            r_hwm_pid = snap.P.s_hwm_pid;
             r_applied =
               List.map
                 (fun (a : P.applied) ->
@@ -383,15 +461,21 @@ module Make (W : Net.Wire.WIRED) = struct
           }
         in
         let on_apply (e : R.Alg.entry) result op_id =
-          Durable.Store.append store
-            (P.encode_record
-               {
-                 P.op = e.R.Alg.op;
-                 time = e.R.Alg.ts.Prelude.Stamp.time;
-                 pid = e.R.Alg.ts.Prelude.Stamp.pid;
-                 op_id;
-                 result;
-               })
+          Durable.Store.append_with store (fun b ->
+              P.write_record b ~op:e.R.Alg.op
+                ~time:e.R.Alg.ts.Prelude.Stamp.time
+                ~pid:e.R.Alg.ts.Prelude.Stamp.pid ~op_id ~result)
+        in
+        (* The WAL does not cover an object a peer transferred: checkpoint
+           it before the next append. *)
+        let on_transfer ~src (view : R.snapshot_view) =
+          cfg.log
+            (Printf.sprintf
+               "%s: recovered by state transfer from replica %d at hwm \
+                <%d,%d> (%d ids in the dedup window)"
+               (who cfg k) src view.R.v_hwm_time view.R.v_hwm_pid
+               (List.length view.R.v_window));
+          checkpoint cfg store view
         in
         let recovery =
           {
@@ -399,13 +483,14 @@ module Make (W : Net.Wire.WIRED) = struct
               cfg.params.Core.Params.d + cfg.params.Core.Params.eps
               + catchup_grace_us;
             on_apply;
+            on_transfer;
             recovered = Some rs;
           }
         in
         ( store,
           recovery,
           recovered.Durable.Store.r_fresh,
-          List.length snap.P.s_applied,
+          List.length recovered.Durable.Store.r_records,
           Prelude.Mclock.now_us () - t0 )
 
   (* ---- the loop ---- *)
@@ -624,33 +709,6 @@ module Make (W : Net.Wire.WIRED) = struct
         reply (C.Error_msg ("bad frame: " ^ e));
         Net.Tcp_transport.conn_close conn
 
-  (* Checkpoint: the loop is the only thread that appends, so the cut it
-     takes between steps is consistent; fold the WAL into a snapshot. *)
-  let checkpoint cfg drv store =
-    let view = R.driver_snapshot drv in
-    let folded = Durable.Store.records_since_snapshot store in
-    Durable.Store.snapshot store
-      (P.encode_snapshot
-         {
-           P.s_obj = view.R.v_obj;
-           s_hwm_time = view.R.v_hwm_time;
-           s_hwm_pid = view.R.v_hwm_pid;
-           s_applied =
-             List.map
-               (fun ((e : R.Alg.entry), result, op_id) ->
-                 {
-                   P.op = e.R.Alg.op;
-                   time = e.R.Alg.ts.Prelude.Stamp.time;
-                   pid = e.R.Alg.ts.Prelude.Stamp.pid;
-                   op_id;
-                   result;
-                 })
-               view.R.v_applied;
-         });
-    Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
-      ~b:(Durable.Store.generation store)
-      ()
-
   (* Loop timers: the checkpoint sweep (one cadence for every shard's WAL
      bounds checkpoint lag without a timer per shard) and the parent
      watch. *)
@@ -663,7 +721,7 @@ module Make (W : Net.Wire.WIRED) = struct
           | Some store
             when Durable.Store.records_since_snapshot store
                  >= lp.cfg.snapshot_every ->
-              checkpoint lp.cfg sh.drv store
+              checkpoint lp.cfg store (R.driver_snapshot sh.drv)
           | _ -> ())
         lp.shards
     end;
@@ -790,7 +848,8 @@ module Make (W : Net.Wire.WIRED) = struct
             drv =
               R.driver ~params:cfg.params ?recovery
                 ?fallback:(fallback_for cfg k) ?sync:(sync_for cfg k)
-                ~start_us ~offset:cfg.offset cfg.pid;
+                ~dedup_window_us:(dedup_window_us cfg.params) ~start_us
+                ~offset:cfg.offset cfg.pid;
             chaos;
             store = Option.map (fun (store, _, _, _, _) -> store) durable.(k);
             admission = Net.Admission.create ();

@@ -119,7 +119,7 @@ let test_version_rejected_by_decoder () =
             msg
       | Net.Codec.Got _ | Net.Codec.Need_more _ ->
           Alcotest.failf "version %d frame must be Corrupt" v)
-    [ 1; 2; 3; 4; 5; 6; 7; 9; 255 ]
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 10; 255 ]
 
 (* A one-shard host — what [timebounds serve] runs — for the in-process
    TCP tests. *)
@@ -341,7 +341,18 @@ let msg_roundtrip_tests () =
                       })
               && roundtrip
                    (C.Catchup_rep
-                      { entries = []; time = -1; cpid = 0; shard = 0 }))
+                      { entries = []; time = -1; cpid = 0; shard = 0 })
+              && roundtrip
+                   (C.Catchup_state
+                      {
+                        obj = fst (W.L.D.apply W.L.D.initial op);
+                        time = seed * 7919;
+                        cpid = seed mod 16;
+                        window =
+                          [ (op, (seed * 7919) - 3, seed mod 16, seed * 17, result) ];
+                        entries = [ (op, (seed * 7919) + 1, (seed + 1) mod 16, 0) ];
+                        shard;
+                      }))
             (sampled_pairs seed 20)
           && roundtrip
                (C.Hello

@@ -156,6 +156,22 @@ let live_run (module L : Runtime.Workloads.LIVE) =
   Gen.run ~n:3 ~d:3000 ~u:1000 ~slack:25_000 ~round:36 ~ops:36
     ~mix:(40, 40, 20) ~seed:5 ()
 
+(* [timebounds live --object queue --n 3 --ops 300 --seed 3]: in
+   lockstep a client's next invocation shares the µs of another client's
+   answer.  Ordered as the loop took them (answers first), the history
+   decides in milliseconds; with the two counted as concurrent the queue's
+   enqueue orders multiply until the checker's budget runs out. *)
+let test_live_queue_same_us () =
+  let module Gen = Runtime.Loadgen.Make (Runtime.Workloads.Fifo_queue_live) in
+  let r =
+    Gen.run ~n:3 ~d:2000 ~u:500 ~slack:5000 ~mix:(50, 40, 10) ~ops:300 ~seed:3
+      ()
+  in
+  match r.Runtime.Loadgen.verdict with
+  | Runtime.Loadgen.Linearizable segments ->
+      Alcotest.(check int) "every segment verified" 7 segments
+  | v -> Alcotest.failf "%a" Runtime.Loadgen.pp_verdict v
+
 let test_live (module L : Runtime.Workloads.LIVE) () =
   let r = live_run (module L) in
   (match r.Runtime.Loadgen.verdict with
@@ -267,6 +283,30 @@ let vloop_links_fifo =
                delivered)
         [ (0, 1); (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ])
 
+(* Two replicas answer writes in the same µs (both ε + X holds fall due
+   together); the first client's next invocation, issued from its answer,
+   is taken only after the second client's answer is out. *)
+let test_vloop_answers_before_invokes () =
+  let module V = Runtime.Vloop.Make (Spec.Register) in
+  let params = Core.Params.make ~n:2 ~d:1000 ~u:0 ~eps:0 ~x:100 () in
+  let v =
+    V.create ~params ~policy:(Sim.Delay.random (Prelude.Rng.make 1) ~d:1000 ~u:0) ()
+  in
+  let log = ref [] in
+  let note what = log := (what, V.now v) :: !log in
+  V.invoke v ~pid:0 (Spec.Register.Write 1) (fun _ ->
+      note "answer A";
+      V.invoke v ~pid:0 ~taken:(fun () -> note "take A2") Spec.Register.Read
+        (fun _ -> ()));
+  V.invoke v ~pid:1 (Spec.Register.Write 2) (fun _ -> note "answer B");
+  V.run v ~until:(fun () -> List.length !log = 3);
+  V.stop v;
+  let events = List.rev !log in
+  Alcotest.(check (list string)) "loop order" [ "answer A"; "answer B"; "take A2" ]
+    (List.map fst events);
+  Alcotest.(check int) "all in one µs" 1
+    (List.length (List.sort_uniq compare (List.map snd events)))
+
 (* A run is a pure function of its arguments: the same seed gives the
    same report — histograms, cuts, counters and verdict. *)
 let test_vloop_same_seed_same_report () =
@@ -282,40 +322,191 @@ let test_vloop_same_seed_same_report () =
     && List.length a.Runtime.Loadgen.cuts = 5)
 
 (* What a replica keeps per operation served: one bare n = 1 driver with
-   every hold 0, a closed-loop client of kv puts and gets, live heap words
-   read after a full major GC at 10k and at 40k ops while the loop is
-   still live.  Counted words, not time.  The growth left is the applied
-   history ([Alg.state.applied], ~7.5 words per op here); with recovery or
-   the fallback armed the dedup tables ([seen], [stamp_ids], [id_index])
-   grow too.  Bounding those is ROADMAP item 1. *)
-let test_vloop_words_per_op () =
-  let module V = Runtime.Vloop.Make (Spec.Kv_map) in
+   every hold 0, stepped in virtual time by a closed-loop client of kv
+   puts and gets (each op invoked as its predecessor completes, timers
+   fired when due), live heap words read after a full major GC while the
+   driver is still live.  Counted words, not time.  Nothing grows with
+   ops served: the object is bounded (64 keys), Algorithm 1 keeps no
+   history, and with recovery armed the dedup window and tables hold only
+   the entries stamped inside the window. *)
+module Kv_rep = Runtime.Replica.Make (Spec.Kv_map)
+
+let bare_driver ?recovery ?dedup_window_us () =
   let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
-  let v =
-    V.create ~params ~policy:(Sim.Delay.random (Prelude.Rng.make 1) ~d:0 ~u:0) ()
+  let d =
+    Kv_rep.driver ~params ?recovery ?dedup_window_us ~start_us:0 ~offset:0 0
   in
-  let answered = ref 0 in
-  let rec client i =
-    let op =
-      if i mod 2 = 0 then Spec.Kv_map.Put (i mod 64, i)
-      else Spec.Kv_map.Get (i mod 64)
-    in
-    V.invoke v ~pid:0 op (fun _ ->
-        incr answered;
-        client (i + 1))
+  let now = ref 0 and issued = ref 0 and answered = ref 0 in
+  let out = function Sim.Action.Respond _ -> incr answered | _ -> () in
+  let run_to ops =
+    while !answered < ops do
+      if !issued = !answered then begin
+        let i = !issued in
+        let op =
+          if i mod 2 = 0 then Spec.Kv_map.Put (i mod 64, i)
+          else Spec.Kv_map.Get (i mod 64)
+        in
+        incr issued;
+        Kv_rep.invoke_at d ~now:!now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
+          ~ticket:i op
+      end
+      else begin
+        let due = Kv_rep.next_due d in
+        if due = max_int then Alcotest.fail "the driver stalled";
+        now := max !now due;
+        Kv_rep.fire_due d ~now:!now ~out
+      end
+    done
   in
-  client 0;
   let live_words_at ops =
-    V.run v ~until:(fun () -> !answered >= ops);
+    run_to ops;
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
+  (d, live_words_at)
+
+let test_vloop_words_per_op () =
+  let _, live_words_at = bare_driver () in
   let w10k = live_words_at 10_000 in
   let w40k = live_words_at 40_000 in
   let per_op = float_of_int (w40k - w10k) /. 30_000. in
-  V.stop v;
-  if per_op > 10. then
-    Alcotest.failf "%.1f live words per op (bound 10)" per_op
+  if per_op > 1. then
+    Alcotest.failf "%.2f live words per op (bound 1)" per_op
+
+let armed_recovery =
+  {
+    Kv_rep.catchup_wait_us = 0;
+    on_apply = (fun _ _ _ -> ());
+    on_transfer = (fun ~src:_ _ -> ());
+    recovered = None;
+  }
+
+(* A million operations through one driver, recovery off and armed with
+   a 20 ms dedup window (~10k ops at this rate): the live heap after them
+   is within a fixed allowance of the heap after 10k — 40k words, against
+   the ~7.5M a history of 7.5 words per op would add.  The armed case
+   covers drivers with a finite window, as TCP hosts run them (the client
+   deadline, ~4 s); in process, [Vloop]'s replicas keep every id, since
+   their clients have no deadline. *)
+let test_vloop_million_ops_bounded () =
+  List.iter
+    (fun (what, recovery) ->
+      let _, live_words_at =
+        bare_driver ?recovery ~dedup_window_us:20_000 ()
+      in
+      let w10k = live_words_at 10_000 in
+      let w1m = live_words_at 1_000_000 in
+      if w1m - w10k > 40_000 then
+        Alcotest.failf "%s: %d live words after 1M ops, %d after 10k" what
+          w1m w10k)
+    [ ("recovery off", None); ("recovery armed", Some armed_recovery) ]
+
+(* A checkpoint is the object, the high-water mark and the dedup window:
+   its encoding after 100k ops is the size it was after 10k (varint
+   widths aside), not ten times it. *)
+let test_checkpoint_bytes_flat () =
+  let module P = Net.Persist.Make (Net.Wire.Kv_codec) in
+  let d, live_words_at =
+    bare_driver ~recovery:armed_recovery ~dedup_window_us:5_000 ()
+  in
+  let bytes_at ops =
+    ignore (live_words_at ops);
+    let view = Kv_rep.driver_snapshot d in
+    String.length
+      (P.encode_snapshot
+         {
+           P.s_obj = view.Kv_rep.v_obj;
+           s_hwm_time = view.v_hwm_time;
+           s_hwm_pid = view.v_hwm_pid;
+           s_applied =
+             List.map
+               (fun ((e : Kv_rep.Alg.entry), result, op_id) ->
+                 {
+                   P.op = e.op;
+                   time = e.ts.Prelude.Stamp.time;
+                   pid = e.ts.Prelude.Stamp.pid;
+                   op_id;
+                   result;
+                 })
+               view.v_window;
+         })
+  in
+  let b10k = bytes_at 10_000 in
+  let b100k = bytes_at 100_000 in
+  if b10k = 0 || float_of_int (abs (b100k - b10k)) > 0.1 *. float_of_int b10k
+  then Alcotest.failf "checkpoint %d bytes after 10k ops, %d after 100k" b10k b100k
+
+(* The dedup window's floor is a stable frontier: with every delay in
+   [d − u, d] and clocks within ε, no replica applies an entry stamped
+   more than [min_window_us] below the highest stamp any replica has
+   applied — so an entry that has left a window of that length (its
+   stamp now counts as seen) is never still to be applied.  Closed-loop
+   clients on all three replicas, recovery armed so every apply is seen;
+   50 seeded runs on the raw clocks, 10 with sync armed over clocks 4 ms
+   apart (stamps then come from the corrected clocks). *)
+let test_frontier_holds () =
+  let module V = Runtime.Vloop.Make (Spec.Register) in
+  let run ~params ~offsets ?sync seed =
+    let window =
+      V.R.min_window_us
+        { V.R.params; recovery = None; fallback = None; sync;
+          dedup_window_us = max_int }
+    in
+    let top = ref min_int and worst = ref max_int and applies = ref 0 in
+    let recovery =
+      {
+        V.R.catchup_wait_us = 0;
+        on_apply =
+          (fun (e : V.R.Alg.entry) _ _ ->
+            let ts = e.ts.Prelude.Stamp.time in
+            incr applies;
+            top := max !top ts;
+            worst := min !worst (ts - (!top - window)));
+        on_transfer = (fun ~src:_ _ -> ());
+        recovered = None;
+      }
+    in
+    let d = params.Core.Params.d and u = params.Core.Params.u in
+    let v =
+      V.create ~params ~offsets ~recovery ?sync
+        ~policy:(Sim.Delay.random (Prelude.Rng.make seed) ~d ~u)
+        ()
+    in
+    let rng = Prelude.Rng.make (1000 + seed)
+    and answered = ref 0
+    and next_id = ref 0 in
+    let rec client pid =
+      let op =
+        match Prelude.Rng.int rng 3 with
+        | 0 -> Spec.Register.Write (Prelude.Rng.int rng 100)
+        | 1 -> Spec.Register.Read
+        | _ -> Spec.Register.Rmw (Prelude.Rng.int rng 100)
+      in
+      incr next_id;
+      V.invoke v ~pid ~op_id:!next_id op (fun _ ->
+          incr answered;
+          client pid)
+    in
+    for pid = 0 to 2 do
+      client pid;
+      client pid
+    done;
+    V.run v ~until:(fun () -> !answered >= 3_000);
+    V.stop v;
+    if !applies < 1_000 then Alcotest.failf "seed %d: %d applies" seed !applies;
+    if !worst < 0 then
+      Alcotest.failf "seed %d: an entry applied %d µs below the frontier" seed
+        (- !worst)
+  in
+  for seed = 1 to 50 do
+    run seed ~offsets:[| 0; 200; 90 |]
+      ~params:(Core.Params.make ~n:3 ~d:1000 ~u:300 ~eps:200 ~x:100 ())
+  done;
+  for seed = 1 to 10 do
+    run seed ~offsets:[| 2_000; 0; -2_000 |]
+      ~params:(Core.Params.make ~n:3 ~d:2_000 ~u:500 ~eps:4_000 ~x:100 ())
+      ~sync:(Sync.Config.make ~interval_us:10_000 ~d:2_000 ~u:500 ())
+  done
 
 (* ---- the sans-I/O replica core, stepped by hand ---- *)
 
@@ -338,8 +529,11 @@ type harness = {
   mutable on_step : (RC.reply, RC.wire, RC.timer) Sim.Action.t list -> unit;
 }
 
-let harness ?(n = 3) ?recovery ?fallback () =
-  let cfg = { RC.params = core_params ~n (); recovery; fallback; sync = None } in
+let harness ?(n = 3) ?recovery ?fallback ?(dedup_window_us = max_int) () =
+  let cfg =
+    { RC.params = core_params ~n (); recovery; fallback; sync = None;
+      dedup_window_us }
+  in
   { cfg; st = RC.init cfg ~n ~pid:0; timers = []; tseq = 0; on_step = ignore }
 
 let by_due (a, s, _) (b, t, _) = compare (a, s) (b, t)
@@ -405,7 +599,12 @@ let hb ?(ack = 0) stamp =
          want = 0 })
 
 let noop_recovery =
-  { RC.catchup_wait_us = 5000; on_apply = (fun _ _ _ -> ()); recovered = None }
+  {
+    RC.catchup_wait_us = 5000;
+    on_apply = (fun _ _ _ -> ());
+    on_transfer = (fun ~src:_ _ -> ());
+    recovered = None;
+  }
 
 open Spec.Register
 
@@ -461,15 +660,18 @@ let test_core_apply_before_completion () =
   in
   let h = harness ~recovery () in
   let completions = ref [] in
-  (* Checked inside every step that emits a completion: each mutation the
-     core applied so far already went through [on_apply]. *)
+  (* Checked inside every step that emits a completion: the mutation the
+     core applied last (its high-water mark) already went through
+     [on_apply], and [on_apply] sees mutations in the order applied. *)
   h.on_step <-
     (fun outs ->
       if replies outs <> [] then begin
         completions := replies outs @ !completions;
         Alcotest.(check int) "on_apply ran before the completion output"
-          (List.length (RC.snapshot h.st).v_applied)
-          (List.length !applied)
+          (RC.snapshot h.st).v_hwm_time
+          (match !applied with
+          | (e : RC.Alg.entry) :: _ -> e.ts.Prelude.Stamp.time
+          | [] -> -1)
       end);
   ignore (deliver h 100 ~src:1 (RC.Wire_entry (entry 50 1 (Write 9), 0, 0)));
   ignore (invoke h 200 (RC.call ~ticket:1 (Rmw 3)));
@@ -514,7 +716,7 @@ let test_core_dedup_replay () =
   check_replies "first attempt" [ (1, RC.Done (Value 0)) ] (run_until h 1300);
   check_replies "applied: the recorded result" [ (2, RC.Done (Value 0)) ]
     (invoke h 1400 (RC.call ~ticket:2 ~op_id:7 (Rmw 3)));
-  Alcotest.(check int) "executed once" 1 (List.length (RC.snapshot h.st).v_applied);
+  Alcotest.(check int) "executed once" 1 (List.length (RC.snapshot h.st).v_window);
   ignore (invoke h 1500 (RC.call ~ticket:3 ~op_id:8 (Write 5)));
   check_replies "queued MOP: answered at once" [ (4, RC.Done Ack) ]
     (invoke h 1510 (RC.call ~ticket:4 ~op_id:8 (Write 5)));
@@ -524,6 +726,126 @@ let test_core_dedup_replay () =
     (invoke h 1530 (RC.call ~ticket:5 ~op_id:9 (Rmw 4)));
   check_replies "the first MOP attempt still completes" [ (3, RC.Done Ack) ]
     (run_until h 1800)
+
+(* The dedup window (4000 µs here, above its 3400 µs floor for these
+   params), measured below the high-water mark: a replay inside it is
+   answered from the recorded result; once an entry stamped more than the
+   window above an id's has been applied, the id has expired and a replay
+   is a new operation. *)
+let test_core_dedup_window () =
+  let h = harness ~recovery:noop_recovery ~dedup_window_us:4000 () in
+  ignore (invoke h 100 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
+  check_replies "first attempt" [ (1, RC.Done (Value 0)) ] (run_until h 1300);
+  ignore (invoke h 1500 (RC.call ~ticket:2 ~op_id:8 (Write 5)));
+  ignore (run_until h 3000);
+  check_replies "a replay 3000 µs after the stamp: the recorded result"
+    [ (3, RC.Done (Value 0)) ]
+    (invoke h 3100 (RC.call ~ticket:3 ~op_id:7 (Rmw 3)));
+  ignore (invoke h 6000 (RC.call ~ticket:4 ~op_id:9 (Write 6)));
+  ignore (run_until h 7500);
+  Alcotest.(check (list int)) "the window now holds only the last write" [ 9 ]
+    (List.map (fun (_, _, id) -> id) (RC.snapshot h.st).v_window);
+  let outs = invoke h 7600 (RC.call ~ticket:5 ~op_id:7 (Rmw 3)) in
+  check_replies "an expired id is not answered" [] outs;
+  Alcotest.(check bool) "it runs as a new operation" true
+    (List.exists
+       (function
+         | Sim.Action.Broadcast (RC.Wire_entry (e, _, 7)) -> e.RC.Alg.op = Rmw 3
+         | _ -> false)
+       outs)
+
+let sent_to dst outs =
+  List.filter_map
+    (function Sim.Action.Send (d, w) when d = dst -> Some w | _ -> None)
+    outs
+
+let reruns_as_new id outs =
+  List.exists
+    (function
+      | Sim.Action.Broadcast (RC.Wire_entry (_, _, i)) -> i = id
+      | _ -> false)
+    outs
+
+(* Catch-up without a log: an asker whose mark is below ours gets a state
+   transfer — object, mark, dedup window, queued entries — and one at our
+   mark the entries still queued above it.  A restarted asker adopts the
+   transfer, reports it through [on_transfer], and answers replays from
+   the window it carried. *)
+let test_core_state_transfer () =
+  let h = harness ~recovery:noop_recovery () in
+  ignore (invoke h 100 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
+  ignore (deliver h 1500 ~src:1 (RC.Wire_entry (entry 1400 1 (Write 5), 0, 9)));
+  ignore (run_until h 2500);
+  ignore (invoke h 5000 (RC.call ~ticket:2 ~op_id:11 (Write 6)));
+  ignore (run_until h 6500);
+  let transfer =
+    match
+      sent_to 2 (deliver h 6600 ~src:2 (RC.Wire_catchup_req { time = 1400; cpid = 1 }))
+    with
+    | [ (RC.Wire_catchup_state { obj; time; cpid; window; entries } as w) ] ->
+        Alcotest.(check int) "the object" 6 obj;
+        Alcotest.(check (pair int int)) "its mark" (5000, 0) (time, cpid);
+        Alcotest.(check (list int)) "the dedup window" [ 7; 9; 11 ]
+          (List.map (fun (_, _, id) -> id) window);
+        Alcotest.(check int) "nothing queued" 0 (List.length entries);
+        w
+    | _ -> Alcotest.fail "a mark below ours: expected one state transfer"
+  in
+  ignore (deliver h 6605 ~src:1 (RC.Wire_entry (entry 6500 1 (Write 8), 0, 13)));
+  (match
+     sent_to 2 (deliver h 6610 ~src:2 (RC.Wire_catchup_req { time = 5000; cpid = 0 }))
+   with
+  | [ RC.Wire_catchup_rep { entries = [ (e, 13) ]; time = 5000; cpid = 0 } ] ->
+      Alcotest.(check int) "the queued entry" 6500 e.RC.Alg.ts.Prelude.Stamp.time
+  | _ -> Alcotest.fail "a mark at ours: expected the queued entries");
+  let transfers = ref [] in
+  let h2 =
+    harness
+      ~recovery:
+        { noop_recovery with
+          on_transfer = (fun ~src v -> transfers := (src, v.RC.v_hwm_time) :: !transfers) }
+      ()
+  in
+  ignore (control h2 10 RC.Crash);
+  ignore (control h2 20 RC.Recover);
+  ignore (deliver h2 30 ~src:1 transfer);
+  ignore
+    (deliver h2 40 ~src:2 (RC.Wire_catchup_rep { entries = []; time = -1; cpid = 0 }));
+  Alcotest.(check (list (pair int int))) "adopted once, from replica 1"
+    [ (1, 5000) ] !transfers;
+  Alcotest.(check int) "the object came over" 6 (RC.snapshot h2.st).v_obj;
+  check_replies "a replay answered from the carried window"
+    [ (1, RC.Done (Value 0)) ]
+    (invoke h2 50 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
+  check_replies "an entry at or below the mark is a duplicate" []
+    (deliver h2 60 ~src:1 (RC.Wire_entry (entry 1400 1 (Write 5), 0, 9))
+    @ run_until h2 2000)
+
+(* A transfer whose mark passes an in-flight OOP the sender never applied
+   (a fault: its window does not record the id): the client is told to
+   retry, and the dropped entry's id is forgotten, so the retry runs
+   afresh on the transferred object instead of meeting "in flight; retry"
+   until its deadline.  The OOP's own copy is dropped whether it was
+   already queued (the transfer at 1000 µs) or still waiting to be added
+   (at 500 µs): either way it never applies on top of the new object. *)
+let test_core_transfer_forgets_dropped_ids () =
+  List.iter
+    (fun at ->
+      let h = harness ~recovery:noop_recovery () in
+      ignore (invoke h 100 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
+      ignore (run_until h at);
+      check_replies "the in-flight OOP goes back to the client"
+        [ (1, RC.Rejected "retry: state transfer") ]
+        (deliver h at ~src:1
+           (RC.Wire_catchup_state
+              { obj = 42; time = 150; cpid = 1; window = []; entries = [] }));
+      let outs = invoke h (at + 100) (RC.call ~ticket:2 ~op_id:7 (Rmw 3)) in
+      check_replies "the retry is not refused" [] outs;
+      Alcotest.(check bool) "it runs as a new operation" true
+        (reruns_as_new 7 outs);
+      check_replies "on the transferred object" [ (2, RC.Done (Value 42)) ]
+        (run_until h (at + 2000)))
+    [ 1000; 500 ]
 
 let is_execute_set = function
   | Sim.Action.Set_timer (_, RC.A (RC.Alg.Execute _, _)) -> true
@@ -555,8 +877,8 @@ let test_core_frozen_defers () =
   ignore (deliver h 1050 ~src:2 (RC.Wire_entry (entry 950 2 (Write 9), 0, 0)));
   ignore (control h 1100 RC.Crash);
   check_replies "both deferred" [] (run_until h 2200);
-  Alcotest.(check int) "nothing applied while down" 0
-    (List.length (RC.snapshot h.st).v_applied);
+  Alcotest.(check int) "nothing applied while down" (-1)
+    (RC.snapshot h.st).v_hwm_time;
   ignore (control h 2300 RC.Recover);
   ignore (deliver h 2400 ~src:1 rep);
   check_replies "replayed in due order" [ (1, RC.Done (Value 9)) ]
@@ -600,7 +922,9 @@ module Core_vs_alg (D : Spec.Data_type.S) = struct
     in
     let c =
       CE.run
-        ~config:{ C.params; recovery = None; fallback = None; sync = None }
+        ~config:
+          { C.params; recovery = None; fallback = None; sync = None;
+            dedup_window_us = max_int }
         ~n ~offsets ~delay ~check_delays:(1000, 300)
         (List.map
            (fun (i : _ Sim.Workload.invocation) -> { i with op = C.call i.op })
@@ -673,7 +997,9 @@ let test_core_engine_fallback () =
   in
   let out =
     RCE.run
-      ~config:{ RC.params; recovery = None; fallback = Some fallback; sync = None }
+      ~config:
+        { RC.params; recovery = None; fallback = Some fallback; sync = None;
+          dedup_window_us = max_int }
       ~n:3 ~offsets:[| 0; 120; -60 |]
       ~delay:(Sim.Delay.random rng ~d:1000 ~u:300)
       ~check_delays:(1000, 300) ~stop_after:200_000 script
@@ -720,6 +1046,14 @@ let () =
             test_vloop_same_seed_same_report;
           Alcotest.test_case "driver words per op" `Quick
             test_vloop_words_per_op;
+          Alcotest.test_case "same-µs answers precede invocations" `Quick
+            test_vloop_answers_before_invokes;
+          Alcotest.test_case "1M ops: live words stay flat" `Quick
+            test_vloop_million_ops_bounded;
+          Alcotest.test_case "checkpoint bytes flat in ops served" `Quick
+            test_checkpoint_bytes_flat;
+          Alcotest.test_case "no apply below the stable frontier" `Quick
+            test_frontier_holds;
         ] );
       ( "workloads",
         [ Alcotest.test_case "samplers classify" `Quick test_samplers_classify ] );
@@ -733,6 +1067,8 @@ let () =
             (test_live Runtime.Workloads.fifo_queue);
           Alcotest.test_case "loss leaves a trace" `Quick
             test_live_loss_is_detected;
+          Alcotest.test_case "queue seed 3: answers precede same-µs invokes"
+            `Quick test_live_queue_same_us;
         ] );
       ( "core",
         [
@@ -745,6 +1081,12 @@ let () =
           Alcotest.test_case "expired deadlines are shed" `Quick
             test_core_deadline_shed;
           Alcotest.test_case "dedup replays" `Quick test_core_dedup_replay;
+          Alcotest.test_case "dedup window expires old ids" `Quick
+            test_core_dedup_window;
+          Alcotest.test_case "state transfer below the mark" `Quick
+            test_core_state_transfer;
+          Alcotest.test_case "a transfer forgets dropped ids" `Quick
+            test_core_transfer_forgets_dropped_ids;
           Alcotest.test_case "frozen replica defers and replays" `Quick
             test_core_frozen_defers;
         ] );
