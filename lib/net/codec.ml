@@ -75,49 +75,43 @@ let crc32_update crc s ~pos ~len =
 
 let crc32 s ~pos ~len = crc32_update 0xffffffff s ~pos ~len lxor 0xffffffff
 
-let frame_crc ~kind ~payload =
-  (* Cover version, kind and length exactly as laid out on the wire, then
-     the payload — so any single-bit flip in bytes 2.. is detected. *)
-  let hdr = Bytes.create 6 in
-  Bytes.set hdr 0 (Char.chr version);
-  Bytes.set hdr 1 (Char.chr kind);
-  let len = String.length payload in
-  Bytes.set hdr 2 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set hdr 3 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set hdr 4 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set hdr 5 (Char.chr (len land 0xff));
-  let crc = crc32_update 0xffffffff (Bytes.unsafe_to_string hdr) ~pos:0 ~len:6 in
-  crc32_update crc payload ~pos:0 ~len lxor 0xffffffff
-
 let u32_be s pos =
   (Char.code s.[pos] lsl 24)
   lor (Char.code s.[pos + 1] lsl 16)
   lor (Char.code s.[pos + 2] lsl 8)
   lor Char.code s.[pos + 3]
 
-let encode_frame ~kind ~payload =
+(* The header of a frame whose [len]-byte payload already sits at
+   [pos + header_len] in [dst]; the CRC runs over [dst] itself, covering
+   version, kind and length exactly as laid out on the wire, then the
+   payload — so any single-bit flip in bytes 2.. is detected. *)
+let seal dst ~pos ~kind ~len =
   if kind < 0 || kind > 0xff then invalid_arg "Codec.encode_frame: kind";
-  let len = String.length payload in
   if len > max_payload then invalid_arg "Codec.encode_frame: payload too large";
-  let crc = frame_crc ~kind ~payload in
-  let b = Buffer.create (header_len + len) in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
-  Buffer.add_char b (Char.chr version);
-  Buffer.add_char b (Char.chr kind);
-  Buffer.add_char b (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (len land 0xff));
-  Buffer.add_char b (Char.chr ((crc lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((crc lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((crc lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (crc land 0xff));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  Bytes.set dst pos magic0;
+  Bytes.set dst (pos + 1) magic1;
+  Bytes.set dst (pos + 2) (Char.chr version);
+  Bytes.set dst (pos + 3) (Char.chr kind);
+  Bytes.set_int32_be dst (pos + 4) (Int32.of_int len);
+  let s = Bytes.unsafe_to_string dst in
+  let crc = crc32_update 0xffffffff s ~pos:(pos + 2) ~len:6 in
+  let crc = crc32_update crc s ~pos:(pos + header_len) ~len lxor 0xffffffff in
+  Bytes.set_int32_be dst (pos + 8) (Int32.of_int crc)
+
+let encode_frame ~kind ~payload =
+  let len = String.length payload in
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string payload 0 b header_len len;
+  seal b ~pos:0 ~kind ~len;
+  Bytes.unsafe_to_string b
+
+let frame_into dst ~pos ~kind payload =
+  let len = Buffer.length payload in
+  Buffer.blit payload 0 dst (pos + header_len) len;
+  seal dst ~pos ~kind ~len
 
 (* In place: the CRC runs over [s] itself (bytes 2..7 of the header are
-   exactly the version, kind and length [frame_crc] covers), and only a
+   exactly the version, kind and length [seal] covers), and only a
    verified payload is copied out. *)
 let decode_frame ?(pos = 0) ?len s =
   let size = String.length s in
@@ -445,164 +439,165 @@ module Make (O : OBJ_CODEC) = struct
           p.t_rx p.t_tx p.shard
     | Shed s -> Format.fprintf fmt "shed{%s s=%d}" s.reason s.shard
 
+  let write_payload b msg =
+    match msg with
+    | Hello h ->
+        Wr.int b h.pid;
+        Wr.int b h.n;
+        Wr.int b h.d;
+        Wr.int b h.u;
+        Wr.int b h.eps;
+        Wr.int b h.x;
+        Wr.int b h.obj_tag;
+        Wr.int b h.shards;
+        k_hello
+    | Entry e ->
+        O.write_op b e.op;
+        Wr.int b e.time;
+        Wr.int b e.pid;
+        Wr.int b e.trace;
+        Wr.int b e.op_id;
+        Wr.int b e.shard;
+        k_entry
+    | Invoke i ->
+        O.write_op b i.op;
+        Wr.int b i.trace;
+        Wr.int b i.op_id;
+        Wr.int b i.shard;
+        Wr.int b i.deadline;
+        k_invoke
+    | Result r ->
+        O.write_result b r.result;
+        Wr.int b r.shard;
+        k_result
+    | Stats_req -> k_stats_req
+    | Stats s ->
+        Wr.int b s.Runtime.Transport_intf.sent;
+        Wr.int b s.dropped;
+        (match s.link with
+        | None -> Wr.int b 0
+        | Some l ->
+            Wr.int b 1;
+            Wr.int b l.reconnects;
+            Wr.int b l.bytes_out;
+            Wr.int b l.bytes_in;
+            Wr.int b l.disconnected_us;
+            Wr.int b l.queue_hwm;
+            Wr.int b l.ctrl_hwm;
+            Wr.int b l.lane_shed);
+        k_stats
+    | Error_msg e ->
+        Wr.string b e;
+        k_error
+    | Catchup_req q ->
+        Wr.int b q.time;
+        Wr.int b q.cpid;
+        Wr.int b q.shard;
+        k_catchup_req
+    | Catchup_rep p ->
+        Wr.int b (List.length p.entries);
+        List.iter
+          (fun (op, time, pid, op_id) ->
+            O.write_op b op;
+            Wr.int b time;
+            Wr.int b pid;
+            Wr.int b op_id)
+          p.entries;
+        Wr.int b p.time;
+        Wr.int b p.cpid;
+        Wr.int b p.shard;
+        k_catchup_rep
+    | Catchup_state p ->
+        O.write_state b p.obj;
+        Wr.int b p.time;
+        Wr.int b p.cpid;
+        Wr.int b (List.length p.window);
+        List.iter
+          (fun (op, time, pid, op_id, result) ->
+            O.write_op b op;
+            Wr.int b time;
+            Wr.int b pid;
+            Wr.int b op_id;
+            O.write_result b result)
+          p.window;
+        Wr.int b (List.length p.entries);
+        List.iter
+          (fun (op, time, pid, op_id) ->
+            O.write_op b op;
+            Wr.int b time;
+            Wr.int b pid;
+            Wr.int b op_id)
+          p.entries;
+        Wr.int b p.shard;
+        k_catchup_state
+    | Hb h ->
+        Wr.int b h.stamp;
+        Wr.int b h.epoch;
+        Wr.int b (if h.qmode then 1 else 0);
+        Wr.int b h.seq;
+        Wr.int b h.floor;
+        Wr.int b h.ack;
+        Wr.int b h.want;
+        Wr.int b h.shard;
+        k_hb
+    | Forward f ->
+        Wr.int b f.qid;
+        Wr.int b f.origin;
+        O.write_op b f.op;
+        Wr.int b f.op_id;
+        Wr.int b f.trace;
+        Wr.int b f.shard;
+        k_forward
+    | Propose p ->
+        Wr.int b p.epoch;
+        Wr.int b p.qseq;
+        Wr.int b p.time;
+        Wr.int b p.origin;
+        Wr.int b p.qid;
+        O.write_op b p.op;
+        Wr.int b p.op_id;
+        Wr.int b p.trace;
+        Wr.int b p.shard;
+        k_propose
+    | Qack a ->
+        Wr.int b a.epoch;
+        Wr.int b a.qseq;
+        Wr.int b a.shard;
+        k_qack
+    | Qcommit c ->
+        Wr.int b c.epoch;
+        Wr.int b c.qseq;
+        Wr.int b c.shard;
+        k_qcommit
+    | Fnack n ->
+        Wr.int b n.qid;
+        Wr.int b n.shard;
+        k_fnack
+    | Qfill q ->
+        Wr.int b q.epoch;
+        Wr.int b q.from_seq;
+        Wr.int b q.shard;
+        k_qfill
+    | Ping p ->
+        Wr.int b p.seq;
+        Wr.int b p.t0;
+        Wr.int b p.shard;
+        k_ping
+    | Pong p ->
+        Wr.int b p.seq;
+        Wr.int b p.t0;
+        Wr.int b p.t_rx;
+        Wr.int b p.t_tx;
+        Wr.int b p.shard;
+        k_pong
+    | Shed s ->
+        Wr.string b s.reason;
+        Wr.int b s.shard;
+        k_shed
+
   let encode msg =
     let b = Buffer.create 32 in
-    let kind =
-      match msg with
-      | Hello h ->
-          Wr.int b h.pid;
-          Wr.int b h.n;
-          Wr.int b h.d;
-          Wr.int b h.u;
-          Wr.int b h.eps;
-          Wr.int b h.x;
-          Wr.int b h.obj_tag;
-          Wr.int b h.shards;
-          k_hello
-      | Entry e ->
-          O.write_op b e.op;
-          Wr.int b e.time;
-          Wr.int b e.pid;
-          Wr.int b e.trace;
-          Wr.int b e.op_id;
-          Wr.int b e.shard;
-          k_entry
-      | Invoke i ->
-          O.write_op b i.op;
-          Wr.int b i.trace;
-          Wr.int b i.op_id;
-          Wr.int b i.shard;
-          Wr.int b i.deadline;
-          k_invoke
-      | Result r ->
-          O.write_result b r.result;
-          Wr.int b r.shard;
-          k_result
-      | Stats_req -> k_stats_req
-      | Stats s ->
-          Wr.int b s.Runtime.Transport_intf.sent;
-          Wr.int b s.dropped;
-          (match s.link with
-          | None -> Wr.int b 0
-          | Some l ->
-              Wr.int b 1;
-              Wr.int b l.reconnects;
-              Wr.int b l.bytes_out;
-              Wr.int b l.bytes_in;
-              Wr.int b l.disconnected_us;
-              Wr.int b l.queue_hwm;
-              Wr.int b l.ctrl_hwm;
-              Wr.int b l.lane_shed);
-          k_stats
-      | Error_msg e ->
-          Wr.string b e;
-          k_error
-      | Catchup_req q ->
-          Wr.int b q.time;
-          Wr.int b q.cpid;
-          Wr.int b q.shard;
-          k_catchup_req
-      | Catchup_rep p ->
-          Wr.int b (List.length p.entries);
-          List.iter
-            (fun (op, time, pid, op_id) ->
-              O.write_op b op;
-              Wr.int b time;
-              Wr.int b pid;
-              Wr.int b op_id)
-            p.entries;
-          Wr.int b p.time;
-          Wr.int b p.cpid;
-          Wr.int b p.shard;
-          k_catchup_rep
-      | Catchup_state p ->
-          O.write_state b p.obj;
-          Wr.int b p.time;
-          Wr.int b p.cpid;
-          Wr.int b (List.length p.window);
-          List.iter
-            (fun (op, time, pid, op_id, result) ->
-              O.write_op b op;
-              Wr.int b time;
-              Wr.int b pid;
-              Wr.int b op_id;
-              O.write_result b result)
-            p.window;
-          Wr.int b (List.length p.entries);
-          List.iter
-            (fun (op, time, pid, op_id) ->
-              O.write_op b op;
-              Wr.int b time;
-              Wr.int b pid;
-              Wr.int b op_id)
-            p.entries;
-          Wr.int b p.shard;
-          k_catchup_state
-      | Hb h ->
-          Wr.int b h.stamp;
-          Wr.int b h.epoch;
-          Wr.int b (if h.qmode then 1 else 0);
-          Wr.int b h.seq;
-          Wr.int b h.floor;
-          Wr.int b h.ack;
-          Wr.int b h.want;
-          Wr.int b h.shard;
-          k_hb
-      | Forward f ->
-          Wr.int b f.qid;
-          Wr.int b f.origin;
-          O.write_op b f.op;
-          Wr.int b f.op_id;
-          Wr.int b f.trace;
-          Wr.int b f.shard;
-          k_forward
-      | Propose p ->
-          Wr.int b p.epoch;
-          Wr.int b p.qseq;
-          Wr.int b p.time;
-          Wr.int b p.origin;
-          Wr.int b p.qid;
-          O.write_op b p.op;
-          Wr.int b p.op_id;
-          Wr.int b p.trace;
-          Wr.int b p.shard;
-          k_propose
-      | Qack a ->
-          Wr.int b a.epoch;
-          Wr.int b a.qseq;
-          Wr.int b a.shard;
-          k_qack
-      | Qcommit c ->
-          Wr.int b c.epoch;
-          Wr.int b c.qseq;
-          Wr.int b c.shard;
-          k_qcommit
-      | Fnack n ->
-          Wr.int b n.qid;
-          Wr.int b n.shard;
-          k_fnack
-      | Qfill q ->
-          Wr.int b q.epoch;
-          Wr.int b q.from_seq;
-          Wr.int b q.shard;
-          k_qfill
-      | Ping p ->
-          Wr.int b p.seq;
-          Wr.int b p.t0;
-          Wr.int b p.shard;
-          k_ping
-      | Pong p ->
-          Wr.int b p.seq;
-          Wr.int b p.t0;
-          Wr.int b p.t_rx;
-          Wr.int b p.t_tx;
-          Wr.int b p.shard;
-          k_pong
-      | Shed s ->
-          Wr.string b s.reason;
-          Wr.int b s.shard;
-          k_shed
-    in
+    let kind = write_payload b msg in
     encode_frame ~kind ~payload:(Buffer.contents b)
 
   let decode_payload frame =

@@ -55,6 +55,12 @@ val encode_frame : kind:int -> payload:string -> string
 (** @raise Invalid_argument if [kind] is not a byte or the payload exceeds
     {!max_payload}. *)
 
+val frame_into : Bytes.t -> pos:int -> kind:int -> Buffer.t -> unit
+(** [frame_into dst ~pos ~kind payload] writes {!encode_frame}'s bytes
+    at [pos] in [dst], which must have [header_len + Buffer.length
+    payload] bytes of room there — a frame encoded straight into a send
+    buffer.  @raise Invalid_argument as {!encode_frame}. *)
+
 val decode_frame : ?pos:int -> ?len:int -> string -> frame progress
 (** Decode one frame from the [len] bytes starting at [pos] (defaults: 0
     and the rest of the string).  Total function: bad magic, bad version,
@@ -252,6 +258,10 @@ module Make (O : OBJ_CODEC) : sig
 
   val encode : msg -> string
   (** Full frame bytes, ready for the wire. *)
+
+  val write_payload : Buffer.t -> msg -> int
+  (** Append [msg]'s payload to the buffer and return its frame kind, for
+      {!frame_into}. *)
 
   val decode_payload : frame -> (msg, string) result
   (** Interpret an already-framed payload; [Error] on unknown kind,

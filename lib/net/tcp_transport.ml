@@ -101,101 +101,102 @@ module Buf = struct
     | (Codec.Corrupt _ | Codec.Need_more _) as p -> p
 end
 
+(* ---- windowed medians ---- *)
+
+(* The last [size] samples of one quantity, clamped at 0, as a ring in
+   arrival order and the same values kept sorted: a sample evicts the
+   ring's oldest from the sorted copy and slides into its place, so a
+   median is one read and an update allocates nothing. *)
+module Window = struct
+  let size = 16
+
+  type t = {
+    ring : int array;
+    sorted : int array;  (** the first [count] hold the ring's values *)
+    mutable count : int;
+    mutable next : int;
+  }
+
+  let create () =
+    { ring = Array.make size 0; sorted = Array.make size 0; count = 0; next = 0 }
+
+  let add w v =
+    let v = max 0 v and s = w.sorted in
+    (* the hole: where the evicted sample sat, or one past the end *)
+    let hole =
+      if w.count < size then begin
+        w.count <- w.count + 1;
+        w.count - 1
+      end
+      else begin
+        let old = w.ring.(w.next) and i = ref 0 in
+        while s.(!i) <> old do incr i done;
+        !i
+      end
+    in
+    w.ring.(w.next) <- v;
+    w.next <- (w.next + 1) mod size;
+    let i = ref hole in
+    while !i > 0 && s.(!i - 1) > v do
+      s.(!i) <- s.(!i - 1);
+      decr i
+    done;
+    while !i < w.count - 1 && s.(!i + 1) < v do
+      s.(!i) <- s.(!i + 1);
+      incr i
+    done;
+    s.(!i) <- v
+
+  let count w = w.count
+
+  (* The [i]th smallest sample; [max_int] past the samples there are. *)
+  let nth w i = if i < w.count then w.sorted.(i) else max_int
+end
+
 (* ---- waking early ---- *)
 
 module Lead = struct
-  let window = 16
+  (* One window of lateness samples per floor(log2 wait_ns). *)
+  type t = Window.t array
 
-  (* One bucket per floor(log2 wait_ns): a ring of its last [window]
-     lateness samples and their median, read off a sorted copy in the
-     preallocated [sorted] so an update allocates nothing. *)
-  type t = {
-    samples : int array;  (** bucket b's ring at [b * window] *)
-    count : int array;
-    next : int array;
-    lead : int array;
-    sorted : int array;
-  }
-
-  let buckets = 63
-
-  let create () =
-    {
-      samples = Array.make (buckets * window) 0;
-      count = Array.make buckets 0;
-      next = Array.make buckets 0;
-      lead = Array.make buckets 0;
-      sorted = Array.make window 0;
-    }
+  let create () = Array.init 63 (fun _ -> Window.create ())
 
   let bucket wait_ns =
     let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
     go 0 wait_ns
 
+  (* The lower median, at most half the wait. *)
   let lead_ns t ~wait_ns =
-    if wait_ns <= 0 then 0 else min t.lead.(bucket wait_ns) (wait_ns / 2)
+    if wait_ns <= 0 then 0
+    else
+      let w = t.(bucket wait_ns) in
+      let c = Window.count w in
+      if c = 0 then 0 else min (Window.nth w ((c - 1) / 2)) (wait_ns / 2)
 
   let observe t ~wait_ns ~ready ~late_ns =
-    if ready = 0 && wait_ns > 0 then begin
-      let b = bucket wait_ns in
-      let base = b * window in
-      t.samples.(base + t.next.(b)) <- max 0 late_ns;
-      t.next.(b) <- (t.next.(b) + 1) mod window;
-      let c = min window (t.count.(b) + 1) in
-      t.count.(b) <- c;
-      Array.blit t.samples base t.sorted 0 c;
-      Array.fill t.sorted c (window - c) max_int;
-      Array.sort Int.compare t.sorted;
-      t.lead.(b) <- t.sorted.((c - 1) / 2)
-    end
+    if ready = 0 && wait_ns > 0 then Window.add t.(bucket wait_ns) late_ns
 end
 
 (* ---- staying awake for the next request ---- *)
 
 module Awake = struct
-  let window = 16
+  type t = { turns : Window.t; wakes : Window.t }
 
-  (* The last [window] samples of one quantity and their upper median —
-     once half the window reads long, it reads long — kept [max_int]
-     until the ring is full. *)
-  type ring = {
-    samples : int array;
-    mutable count : int;
-    mutable next : int;
-    mutable median : int;
-    sorted : int array;
-  }
+  let create () = { turns = Window.create (); wakes = Window.create () }
+  let observe t ~turnaround_ns = Window.add t.turns turnaround_ns
+  let woke t ~late_ns = Window.add t.wakes late_ns
 
-  let ring () =
-    {
-      samples = Array.make window 0;
-      count = 0;
-      next = 0;
-      median = max_int;
-      sorted = Array.make window 0;
-    }
-
-  let add r v =
-    r.samples.(r.next) <- max 0 v;
-    r.next <- (r.next + 1) mod window;
-    r.count <- min window (r.count + 1);
-    if r.count = window then begin
-      Array.blit r.samples 0 r.sorted 0 window;
-      Array.sort Int.compare r.sorted;
-      r.median <- r.sorted.(window / 2)
-    end
-
-  type t = { turns : ring; wakes : ring }
-
-  let create () = { turns = ring (); wakes = ring () }
-  let observe t ~turnaround_ns = add t.turns turnaround_ns
-  let woke t ~late_ns = add t.wakes late_ns
+  (* The upper median — once half the window reads long, it reads long —
+     and [max_int] until the window is full. *)
+  let median w =
+    if Window.count w < Window.size then max_int
+    else Window.nth w (Window.size / 2)
 
   (* Two wake-ups: a client that blocks between requests spends one of
      its own inside every turnaround, so this weighs its work against
      ours. *)
   let budget_ns t ~wait_ns =
-    let m = t.turns.median and w = t.wakes.median in
+    let m = median t.turns and w = median t.wakes in
     if w = max_int || m > 2 * w then 0 else min wait_ns (2 * m)
 end
 
@@ -216,6 +217,7 @@ type counters = {
 
 (* The loop's own work, kept off the wire. *)
 type poll_counters = {
+  mutable cycles : int;
   mutable sleeps : int;
   mutable zero_polls : int;
   mutable spins : int;
@@ -287,15 +289,18 @@ let kill_sock s =
     quiet_close s.sfd
   end
 
-let conn_write c s =
+let conn_write_frame c ~kind payload =
+  let len = Codec.header_len + Buffer.length payload in
   c.live && (not c.closing)
   &&
-  if Buf.length c.outb + String.length s > reply_cap then begin
+  if Buf.length c.outb + len > reply_cap then begin
     kill_sock c;
     false
   end
   else begin
-    Buf.add c.outb s;
+    Buf.reserve c.outb len;
+    Codec.frame_into c.outb.Buf.buf ~pos:c.outb.Buf.hi ~kind payload;
+    c.outb.Buf.hi <- c.outb.Buf.hi + len;
     true
   end
 
@@ -423,6 +428,7 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
     slept_from = 0;
     lc =
       {
+        cycles = 0;
         sleeps = 0;
         zero_polls = 0;
         spins = 0;
@@ -836,6 +842,7 @@ let learn t ~after_reply ~from ~woke ~ready ~timeout_ns =
    with a socket, then one per live accepted socket — the same order the
    results are read back in. *)
 let poll t ~deadline_us =
+  t.lc.cycles <- t.lc.cycles + 1;
   if List.exists (fun s -> not s.live) t.socks then
     t.socks <- List.filter (fun s -> s.live) t.socks;
   ensure_slots t (2 + t.n + List.length t.socks);

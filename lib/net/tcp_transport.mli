@@ -96,10 +96,12 @@ val reply_cap : int
     on top of its kernel send buffer, which is pinned to 32 KiB: a client
     is cut off once ~128 KiB of its replies sit unread. *)
 
-val conn_write : client_conn -> string -> bool
-(** Queue bytes (a pre-encoded frame) for the next {!flush}; never
-    blocks.  [false] if the connection is closed — or is closed now,
-    because the queued replies would pass {!reply_cap}. *)
+val conn_write_frame : client_conn -> kind:int -> Buffer.t -> bool
+(** Queue the frame of [kind] around the buffer's payload for the next
+    {!flush}, encoded straight into the connection's reply buffer
+    ({!Codec.frame_into}); never blocks.  [false] if the connection is
+    closed — or is closed now, because the queued replies would pass
+    {!reply_cap}. *)
 
 val conn_close : client_conn -> unit
 (** Close the connection once its queued replies are flushed. *)
@@ -254,6 +256,7 @@ val awake : 'msg t -> Awake.t
 
 (** The loop's own work since {!create}, kept off the wire. *)
 type poll_counters = private {
+  mutable cycles : int;  (** {!poll} calls: one per cycle of a loop *)
   mutable sleeps : int;  (** [ppoll]s with a timeout, or none *)
   mutable zero_polls : int;
       (** zero-timeout [ppoll]s: spin steps, and polls with inputs queued

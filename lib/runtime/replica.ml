@@ -17,9 +17,16 @@ module Make (D : Spec.Data_type.S) = struct
 
   (* ---- the driver: one core, its timers and the clock translation ---- *)
 
-  type timer_entry = { due : int; tseq : int; timer : timer }
+  type timer_entry = {
+    due : int;
+    tseq : int;
+    timer : timer;
+    zero : bool;  (** set with no delay: due at its own step *)
+  }
 
-  let by_due a b = compare (a.due, a.tseq) (b.due, b.tseq)
+  let by_due a b =
+    let c = Int.compare a.due b.due in
+    if c <> 0 then c else Int.compare a.tseq b.tseq
 
   type output = (reply, wire, timer) Sim.Action.t
 
@@ -67,7 +74,8 @@ module Make (D : Spec.Data_type.S) = struct
       (function
         | Sim.Action.Set_timer (delay, timer) ->
             d.timers <-
-              List.merge by_due d.timers [ { due = now + delay; tseq = d.tseq; timer } ];
+              List.merge by_due d.timers
+                [ { due = now + delay; tseq = d.tseq; timer; zero = delay = 0 } ];
             d.tseq <- d.tseq + 1
         | Sim.Action.Cancel_timer timer ->
             d.timers <- List.filter (fun e -> not (equal_timer e.timer timer)) d.timers
@@ -81,6 +89,22 @@ module Make (D : Spec.Data_type.S) = struct
         step d ~now ~out (fun c st ~clock -> on_timer c st ~clock e.timer);
         fire_due d ~now ~out
     | _ -> ()
+
+  (* A zero delay set by a step bumped past [now] is due at that step,
+     which has happened; any other timer waits for [now] to reach it.
+     The steps this takes are bumped past [d.last] as read here, so a
+     zero delay they set waits for a later call. *)
+  let fire_caught_up d ~now ~out =
+    let stepped = d.last in
+    let rec go fired =
+      match d.timers with
+      | e :: rest when e.due <= now || (e.zero && e.due <= stepped) ->
+          d.timers <- rest;
+          step d ~now ~out (fun c st ~clock -> on_timer c st ~clock e.timer);
+          go true
+      | _ -> fired
+    in
+    go false
 
   (* Client deadlines arrive in loop µs and move onto the local clock. *)
   let invoke_at d ~now ~out ~trace ~op_id ~deadline ~ticket op =

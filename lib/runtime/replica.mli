@@ -147,6 +147,15 @@ module Make (D : Spec.Data_type.S) : sig
   (** Fire every timer due at [now], in due order — including timers
       those steps set due by [now]. *)
 
+  val fire_caught_up : driver -> now:int -> out:(output -> unit) -> bool
+  (** {!fire_due}, and also, in due order, each zero-delay timer that a
+      step already taken set past [now] — a replica takes one step per
+      µs, so a cycle that stepped several inputs carries its steps, and
+      the zero holds they set, past the cycle's clock reading.  A timer
+      with a delay still waits for [now] to reach its due time, and a
+      zero delay set by one of these steps waits for a later call.  True
+      if any fired. *)
+
   val invoke_at :
     driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->
     deadline:int -> ticket:int -> D.op -> unit

@@ -19,13 +19,16 @@
     shards (one sleeping [ppoll], then zero-timeout ones inside the lead
     the socket set learned, so the timer fires on time); reads
     the clock once; fires every timer due at that reading, in due order;
-    steps each decoded frame in arrival order per connection; and flushes
-    each link's lanes and each client's replies, one write per socket.  A
+    steps each decoded frame in arrival order per connection; flushes
+    each link's lanes and each client's replies, one write per socket;
+    and reads the clock again to fire what is due by then, the zero
+    holds those steps set past the first reading included, flushing
+    again if anything fired (see {!run}).  A
     client [Invoke] is admitted and stepped into the addressed shard's
     core on the spot, its ticket remembered with the connection, the shard
-    and the admission time, so the [Respond] output appends the
-    [Result]/[Shed]/[Error_msg] frame straight to that connection's reply
-    buffer.  A client that stops reading is cut off once its unsent
+    and the admission time, so the [Respond] output encodes the
+    [Result]/[Shed]/[Error_msg] frame straight into that connection's
+    reply buffer.  A client that stops reading is cut off once its unsent
     replies pass {!Net.Tcp_transport.reply_cap} instead of stalling the
     loop.  Checkpoints and the parent watch are loop timers.
 
@@ -556,7 +559,7 @@ module Make (W : Net.Wire.WIRED) = struct
     mutable next_checkpoint : int;  (** [Mclock] µs; [max_int] = never *)
     mutable next_watch : int;
     answered : int array;  (** per shard: [Done] completions *)
-    mutable cycles : int;  (** loop iterations so far *)
+    reply_buf : Buffer.t;  (** the reply being encoded *)
   }
 
   (* A pipelining client stops being read while this many of its
@@ -645,6 +648,13 @@ module Make (W : Net.Wire.WIRED) = struct
         Net.Tcp_transport.send lp.tcp ~dst:p.pdst ~trace:p.ptrace (p.pk, p.pw))
       due
 
+  (* A reply frame, encoded straight into the connection's reply
+     buffer. *)
+  let reply lp conn msg =
+    Buffer.clear lp.reply_buf;
+    let kind = C.write_payload lp.reply_buf msg in
+    ignore (Net.Tcp_transport.conn_write_frame conn ~kind lp.reply_buf)
+
   (* What a shard's step outputs become: sends go through {!send}; a
      completion appends its reply frame straight to the invoking
      connection. *)
@@ -659,9 +669,7 @@ module Make (W : Net.Wire.WIRED) = struct
             conn_answered lp p.conn;
             Net.Admission.finish lp.shards.(p.pshard).admission
               ~elapsed_us:(lp.now - p.admitted_us);
-            ignore
-              (Net.Tcp_transport.conn_write p.conn
-                 (C.encode (reply_of p.pshard r.R.outcome)))
+            reply lp p.conn (reply_of p.pshard r.R.outcome)
         | None -> ())
     | Sim.Action.Send (dst, w) -> send lp k ~dsts:[ dst ] ~trace:(R.trace_of w) w
     | Sim.Action.Broadcast w -> send lp k ~dsts:lp.peers ~trace:(R.trace_of w) w
@@ -669,7 +677,7 @@ module Make (W : Net.Wire.WIRED) = struct
 
   let on_client lp conn frame =
     let cfg = lp.cfg in
-    let reply msg = ignore (Net.Tcp_transport.conn_write conn (C.encode msg)) in
+    let reply = reply lp conn in
     match C.decode_payload frame with
     | Ok (C.Invoke { op; trace; op_id; shard; deadline }) -> (
         if shard < 0 || shard >= cfg.shards then
@@ -752,12 +760,29 @@ module Make (W : Net.Wire.WIRED) = struct
         on_client lp conn frame;
         step_inputs lp
 
+  (* The caught-up pass, after the write: a second clock reading, and
+     each shard's timers due by it or set with no delay by a step the
+     one-step-per-µs rule carried past the first ({!R.fire_caught_up}) —
+     a zero hold answers in the cycle that stepped it, and no hold with a
+     delay fires before the clock reaches it.  True if any fired. *)
+  let fire_caught_up lp =
+    lp.now <- Prelude.Mclock.now_us ();
+    let fired = ref false in
+    Array.iteri
+      (fun k sh ->
+        if R.fire_caught_up sh.drv ~now:lp.now ~out:lp.outs.(k) then
+          fired := true)
+      lp.shards;
+    !fired
+
   (* One cycle per iteration: poll until the earliest deadline, read the
      clock once, fire the due timers and release the due parked frames,
      step the inputs in arrival order, fire the timers those steps made
-     due, write.  A zero hold set by a step the one-step-per-µs rule
-     bumped past the cycle's reading falls due 1 µs after it, so it
-     answers only in the next cycle (ROADMAP item 12).  On stop, the
+     due, write; then the caught-up pass and, if it fired anything,
+     another write.  The pass comes after the first write so a reply
+     already made does not wait behind the steps it runs (a MOP's or
+     AOP's entry reaching Add and Execute), and a zero hold a bumped step
+     set still answers in the cycle that stepped it.  On stop, the
      shards answer their waiting clients ("replica stopped") and every
      parked frame enters its link before the last write: a fault delays a
      frame, it never loses one it decided to deliver.  Returns the
@@ -773,7 +798,6 @@ module Make (W : Net.Wire.WIRED) = struct
       lp.shards;
     Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
     while not (Atomic.get lp.stop_flag) do
-      lp.cycles <- lp.cycles + 1;
       let deadline =
         Array.fold_left
           (fun acc sh -> min acc (R.next_due sh.drv))
@@ -790,7 +814,8 @@ module Make (W : Net.Wire.WIRED) = struct
       step_inputs lp;
       fire_due lp;
       loop_timers lp lp.now;
-      Net.Tcp_transport.flush lp.tcp ~now_us:lp.now
+      Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
+      if fire_caught_up lp then Net.Tcp_transport.flush lp.tcp ~now_us:lp.now
     done;
     lp.now <- Prelude.Mclock.now_us ();
     Array.iteri
@@ -904,7 +929,7 @@ module Make (W : Net.Wire.WIRED) = struct
         next_watch =
           (if watch_parent = None then max_int else now + watch_every_us);
         answered = Array.make cfg.shards 0;
-        cycles = 0;
+        reply_buf = Buffer.create 64;
       }
     in
     lp.outs <- Array.init cfg.shards (fun k o -> perform lp k o);
@@ -970,6 +995,10 @@ module Make (W : Net.Wire.WIRED) = struct
         | Some (Error e) -> raise e
         | None -> failwith "Host.stop: the loop thread vanished")
 
+  (* The loop's counters (cycles, [ppoll]s, reads, writes); read them
+     after {!stop}. *)
+  let counters h = Net.Tcp_transport.poll_counters h.lp.tcp
+
   (* ---- the [timebounds serve] process body ---- *)
 
   let run_until_signalled ?watch_parent (cfg : config) =
@@ -1006,5 +1035,5 @@ module Make (W : Net.Wire.WIRED) = struct
          "replica %d: loop: %d sleeping ppolls, %d zero-timeout ppolls, %d \
           pre-sleep spins (%d caught input), %d reads, %d writes, %d cycles"
          cfg.pid c.sleeps c.zero_polls c.spins c.spins_caught c.reads c.writes
-         lp.cycles)
+         c.cycles)
 end

@@ -1420,7 +1420,14 @@ let awake_set () =
 
 let test_awake_bytes_end_the_spin () =
   let t, c, conn = awake_set () in
-  ignore (Net.Tcp_transport.conn_write conn (invoke_frame 1));
+  let payload = Buffer.create 16 in
+  let kind =
+    Rc.write_payload payload
+      (Rc.Invoke
+         { op = Spec.Register.Write 1; trace = 0; op_id = 1; shard = 0;
+           deadline = 0 })
+  in
+  ignore (Net.Tcp_transport.conn_write_frame conn ~kind payload);
   Net.Tcp_transport.flush t ~now_us:(Prelude.Mclock.now_us ());
   (* a poll whose deadline has passed is no wait: the spin waits for the
      next one *)
@@ -1458,6 +1465,36 @@ let test_awake_no_reply_no_spin () =
     (after.Net.Tcp_transport.sleeps - before.Net.Tcp_transport.sleeps >= 45);
   Unix.close c;
   Net.Tcp_transport.close t
+
+(* The sorted windows read the medians that sorting a copy of the last
+   16 samples reads: the lower median for {!Lead}, the upper one of a
+   full window for {!Awake}, over duplicates, negatives (clamped to 0),
+   and partial and full windows, after every sample. *)
+let windowed_medians =
+  QCheck.Test.make ~count:300 ~name:"windowed medians match a sorted copy"
+    QCheck.(list_of_size Gen.(0 -- 64) (int_range (-50) 200))
+    (fun samples ->
+      let l = Lead.create () and a = Awake.create () in
+      (* a wait long enough that the lead is the median itself, and
+         wake-ups long enough that every turnaround earns a spin *)
+      let wait_ns = 1 lsl 40 in
+      for _ = 1 to 16 do Awake.woke a ~late_ns:ms done;
+      let seen = ref [] in
+      List.for_all
+        (fun v ->
+          Lead.observe l ~wait_ns ~ready:0 ~late_ns:v;
+          Awake.observe a ~turnaround_ns:v;
+          seen := v :: !seen;
+          let last = List.filteri (fun i _ -> i < 16) !seen in
+          let c = List.length last in
+          let sorted = Array.make 16 max_int in
+          List.iteri (fun i v -> sorted.(i) <- max 0 v) last;
+          Array.sort Int.compare sorted;
+          let lead = if c = 0 then 0 else sorted.((c - 1) / 2) in
+          let budget = if c < 16 then 0 else 2 * sorted.(8) in
+          Lead.lead_ns l ~wait_ns = lead
+          && Awake.budget_ns a ~wait_ns:max_int = budget)
+        samples)
 
 (* A broadcast to n − 1 peers runs [encode_peer] once, and every peer
    still reads the bytes a lone send would have written: its hello, then
@@ -1794,7 +1831,8 @@ let () =
             test_awake_bytes_end_the_spin;
           Alcotest.test_case "no reply, no spin" `Quick
             test_awake_no_reply_no_spin;
-        ] );
+        ]
+        @ qsuite [ windowed_medians ] );
       ( "durable",
         [
           Alcotest.test_case "restart recovers from the durable dir" `Quick

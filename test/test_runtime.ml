@@ -401,6 +401,56 @@ let test_vloop_million_ops_bounded () =
           w1m w10k)
     [ ("recovery off", None); ("recovery armed", Some armed_recovery) ]
 
+(* The host's caught-up pass on one driver.  A replica serves one
+   operation at a time and takes one step per µs, so inputs stepped at one
+   clock reading carry its steps past that reading: a zero hold such a
+   step sets is due at a step already taken and fires in the pass, while
+   a hold with a delay waits for the clock itself, not for the steps that
+   ran ahead of it.  Puts (pure mutators) wait ε + X = 0, gets (pure
+   accessors) d + ε − X = d. *)
+let test_caught_up_fires_zero_holds_only () =
+  let now = 100 in
+  let burst ~d first =
+    let params = Core.Params.make ~n:1 ~d ~u:0 ~eps:0 ~x:0 () in
+    let d = Kv_rep.driver ~params ~start_us:0 ~offset:0 0 in
+    let puts = ref 0 and gets = ref 0 in
+    let out = function
+      | Sim.Action.Respond r ->
+          incr
+            (match first with
+            | Spec.Kv_map.Get _ when r.Kv_rep.ticket = 0 -> gets
+            | _ -> puts)
+      | _ -> ()
+    in
+    for i = 0 to 31 do
+      let op = if i = 0 then first else Spec.Kv_map.Put (i, i) in
+      Kv_rep.invoke_at d ~now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
+        ~ticket:i op
+    done;
+    Kv_rep.fire_due d ~now ~out;
+    (d, out, puts, gets)
+  in
+  (* the first put answers at the reading, at a step past the burst's,
+     and the next put's zero hold is due at that step (its entry's own
+     timers wait d = 1 ms) *)
+  let d, out, puts, _ = burst ~d:1_000 (Spec.Kv_map.Put (0, 0)) in
+  Alcotest.(check int) "one put at the reading" 1 !puts;
+  Alcotest.(check bool) "the pass fired" true (Kv_rep.fire_caught_up d ~now ~out);
+  Alcotest.(check int) "the next put in the pass" 2 !puts;
+  Alcotest.(check bool) "the zero hold the pass set, in a later one" true
+    (Kv_rep.fire_caught_up d ~now ~out);
+  Alcotest.(check int) "one put per pass" 3 !puts;
+  (* a get stepped at the reading is due d = 10 µs after it, inside the
+     32 µs the burst's steps ran ahead *)
+  let d, out, _, gets = burst ~d:10 (Spec.Kv_map.Get 0) in
+  Alcotest.(check bool) "the pass fires nothing" false
+    (Kv_rep.fire_caught_up d ~now ~out);
+  Kv_rep.fire_due d ~now:(now + 9) ~out;
+  Alcotest.(check int) "no get before its 10 µs" 0 !gets;
+  Alcotest.(check bool) "the get at its due time" true
+    (Kv_rep.fire_caught_up d ~now:(now + 10) ~out);
+  Alcotest.(check int) "the get answered" 1 !gets
+
 (* A checkpoint is the object, the high-water mark and the dedup window:
    its encoding after 100k ops is the size it was after 10k (varint
    widths aside), not ten times it. *)
@@ -1044,6 +1094,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false vloop_links_fifo;
           Alcotest.test_case "same seed, same report" `Quick
             test_vloop_same_seed_same_report;
+          Alcotest.test_case "the caught-up pass fires zero holds only" `Quick
+            test_caught_up_fires_zero_holds_only;
           Alcotest.test_case "driver words per op" `Quick
             test_vloop_words_per_op;
           Alcotest.test_case "same-µs answers precede invocations" `Quick

@@ -476,6 +476,37 @@ let test_host_pipelined_invokes () =
   Alcotest.(check bool) "second frame answered, after the put" true
     (second = ok (Spec.Kv_map.Found 70))
 
+(* Every hold 0 on one replica: each request is served in the loop cycle
+   that read it, its zero holds included — the caught-up pass fires the
+   timers the one-step-per-µs rule carried past the cycle's clock
+   reading.  Firing them a cycle later costs ~1.5 cycles per op. *)
+let test_host_one_cycle_per_request () =
+  let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
+  let handle, conn = solo_host params in
+  let ops = 2_000 in
+  let rng = Prelude.Rng.make 33 in
+  for i = 1 to ops do
+    let key = Prelude.Rng.int rng 16 in
+    let op =
+      match i mod 4 with
+      | 0 -> Spec.Kv_map.Put (key, i)
+      | 1 -> Spec.Kv_map.Get key
+      | 2 -> Spec.Kv_map.Swap (key, i)
+      | _ -> Spec.Kv_map.Del key
+    in
+    match Kcl.invoke ~op_id:i conn op with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "op %d: %s" i e
+  done;
+  Kcl.close conn;
+  let answered, _ = H.stop handle in
+  Alcotest.(check int) "every op answered" ops answered.(0);
+  let cycles = (H.counters handle).Net.Tcp_transport.cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cycles for %d ops (<= 1.05 per op)" cycles ops)
+    true
+    (float_of_int cycles <= 1.05 *. float_of_int ops)
+
 (* A client that pipelines invokes and never reads fills its socket
    buffers; the replica loop, which writes the replies, must drop that
    connection rather than wait on it.  Meanwhile a second connection's
@@ -841,6 +872,8 @@ let () =
             `Quick test_host_drops_out_of_range_shard;
           Alcotest.test_case "answers pipelined invokes in order" `Quick
             test_host_pipelined_invokes;
+          Alcotest.test_case "one loop cycle per request" `Quick
+            test_host_one_cycle_per_request;
           Alcotest.test_case "a non-reading client cannot stall the replica"
             `Quick test_host_non_reading_client_cannot_stall;
           Alcotest.test_case "stop answers an in-flight invoke" `Quick
