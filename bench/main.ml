@@ -231,7 +231,7 @@ module Codec_bench = struct
     let payload = String.make 4096 '\x5a' in
     Test.make ~name:"crc32-4k"
       (Staged.stage (fun () ->
-           ignore (Net.Codec.crc32 payload ~pos:0 ~len:(String.length payload))))
+           ignore (Prelude.Crc32.string payload)))
 end
 
 let codec_tests = [ Codec_bench.encode_test; Codec_bench.decode_test; Codec_bench.crc_test ]
@@ -278,7 +278,7 @@ let fault_tests =
   [ Fault_bench.decide_test; Fault_bench.compile_test; Fault_bench.chaos_run_test ]
 
 (* Obs group: what tracing costs.  [recorder-emit-10k] prices the hot path
-   (one CAS + two stores per event, drainer running); the encode/decode
+   (one CAS + two stores per event) and the drain at [stop]; the encode/decode
    pair prices the binary trace format; and the traced/untraced live-run
    pair measures the end-to-end overhead of recording a full closed-loop
    run — the delta is the number EXPERIMENTS.md quotes. *)

@@ -23,7 +23,7 @@ let u32_be_get s pos =
 let write ~path payload =
   let buf = Buffer.create (String.length payload + 16) in
   Buffer.add_string buf magic;
-  u32_be_put buf (Wal.crc32 payload);
+  u32_be_put buf (Prelude.Crc32.string payload);
   u32_be_put buf (String.length payload);
   Buffer.add_string buf payload;
   let tmp = path ^ ".tmp" in
@@ -61,5 +61,5 @@ let read path =
         let len = u32_be_get contents (String.length magic + 4) in
         if len < 0 || String.length contents < hdr + len then None
         else
-          let payload = String.sub contents hdr len in
-          if Wal.crc32 payload <> crc then None else Some payload
+          if Prelude.Crc32.sub contents ~pos:hdr ~len <> crc then None
+          else Some (String.sub contents hdr len)

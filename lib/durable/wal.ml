@@ -31,29 +31,6 @@ let fsync_to_string = function
   | Never -> "never"
   | Interval n -> Printf.sprintf "interval:%d" n
 
-(* ---- CRC-32 (IEEE 802.3, reflected), same table as the wire codec ---- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_bytes b ~pos ~len =
-  let table = Lazy.force crc_table in
-  let crc = ref 0xffffffff in
-  for i = pos to pos + len - 1 do
-    crc :=
-      table.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xff)
-      lxor (!crc lsr 8)
-  done;
-  !crc lxor 0xffffffff
-
-let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
-
 (* A record longer than this is damage, not data: the length prefix of a
    real record is bounded by what [append] accepts. *)
 let max_record = 1 lsl 24
@@ -84,7 +61,7 @@ let get_uleb s ~pos =
 
 let encode_record buf payload =
   put_uleb buf (String.length payload);
-  let crc = crc32 payload in
+  let crc = Prelude.Crc32.string payload in
   Buffer.add_char buf (Char.chr ((crc lsr 24) land 0xff));
   Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((crc lsr 8) land 0xff));
@@ -149,7 +126,7 @@ let write_payload t =
     t.frame <- Bytes.create (2 * (hdr + len));
   put_uleb_bytes t.frame 0 len;
   Buffer.blit t.payload 0 t.frame hdr len;
-  let crc = crc32_bytes t.frame ~pos:hdr ~len in
+  let crc = Prelude.Crc32.sub (Bytes.unsafe_to_string t.frame) ~pos:hdr ~len in
   Bytes.set_int32_be t.frame (hdr - 4) (Int32.of_int crc);
   write_all t.fd t.frame (hdr + len)
 
@@ -195,9 +172,9 @@ let of_string s =
               lor (Char.code s.[pos + 2] lsl 8)
               lor Char.code s.[pos + 3]
             in
-            let payload = String.sub s (pos + 4) rlen in
-            if crc32 payload <> crc then List.rev acc
-            else go (pos + 4 + rlen) (payload :: acc)
+            if Prelude.Crc32.sub s ~pos:(pos + 4) ~len:rlen <> crc then
+              List.rev acc
+            else go (pos + 4 + rlen) (String.sub s (pos + 4) rlen :: acc)
   in
   go 0 []
 

@@ -74,7 +74,3 @@ val of_string : string -> string list
 val encode_record : Buffer.t -> string -> unit
 (** Append one record's on-disk encoding to [buf] (what {!append}
     writes). *)
-
-val crc32 : string -> int
-(** The IEEE CRC-32 used for records (exposed for tests and for
-    [Snapshot], which shares the checksum). *)

@@ -249,23 +249,19 @@ module Make (D : Data_type.S) = struct
     check_gen ~sequential_only:true entries
 
   (** Build a history from a simulation trace whose operations/results are
-      already of this data type.  [include_pending]=false (default) ignores
-      operations that never responded — use only on traces where every
-      scripted operation completed (the engine's normal mode) or on
-      deliberately chopped runs where pending operations took no effect
-      visible to others within the kept prefix. *)
-  let of_trace ?(include_pending = false)
-      (trace : (D.op, D.result, 'msg) Sim.Trace.t) : entry list =
+      already of this data type.  Operations that never responded are
+      skipped — use only on traces where every scripted operation
+      completed (the engine's normal mode) or on deliberately chopped runs
+      where pending operations took no effect visible to others within the
+      kept prefix. *)
+  let of_trace (trace : (D.op, D.result, 'msg) Sim.Trace.t) : entry list =
     List.filter_map
       (fun (r : (D.op, D.result) Sim.Trace.op_record) ->
         match (r.result, r.response_real) with
         | Some result, Some response ->
             Some { pid = r.pid; op = r.op; result; invoke = r.invoke_real; response }
-        | _ ->
-            if include_pending then
-              invalid_arg "Linearize.of_trace: pending operations unsupported"
-            else None)
+        | _ -> None)
       trace.ops
 
-  let check_trace ?include_pending trace = check (of_trace ?include_pending trace)
+  let check_trace trace = check (of_trace trace)
 end

@@ -63,11 +63,9 @@ module Make (D : Spec.Data_type.S) : sig
       Chapter I contrasts with linearizability: the permutation need only
       respect per-process program order, not real time. *)
 
-  val of_trace :
-    ?include_pending:bool -> (D.op, D.result, 'msg) Sim.Trace.t -> entry list
+  val of_trace : (D.op, D.result, 'msg) Sim.Trace.t -> entry list
   (** Entries of a simulation trace; operations that never responded are
-      skipped (default) — pending operations are not supported. *)
+      skipped — pending operations are not supported. *)
 
-  val check_trace :
-    ?include_pending:bool -> (D.op, D.result, 'msg) Sim.Trace.t -> verdict
+  val check_trace : (D.op, D.result, 'msg) Sim.Trace.t -> verdict
 end

@@ -1,6 +1,5 @@
 type t = {
   budget : int;
-  alpha : float;
   mutable inflight : int;
   mutable ewma_us : float;
   mutable admitted : int;
@@ -8,13 +7,13 @@ type t = {
   mutable shed_deadline : int;
 }
 
-let create ?(budget = 64) ?(alpha = 0.2) () =
+(* The EWMA weight of the newest completion. *)
+let alpha = 0.2
+
+let create ?(budget = 64) () =
   if budget < 1 then invalid_arg "Admission.create: budget < 1";
-  if not (alpha > 0.0 && alpha <= 1.0) then
-    invalid_arg "Admission.create: alpha outside (0, 1]";
   {
     budget;
-    alpha;
     inflight = 0;
     ewma_us = 0.0;
     admitted = 0;
@@ -59,7 +58,7 @@ let finish t ~elapsed_us =
   let e = float_of_int (max 0 elapsed_us) in
   t.ewma_us <-
     (if t.ewma_us = 0.0 then e
-     else (t.alpha *. e) +. ((1.0 -. t.alpha) *. t.ewma_us))
+     else (alpha *. e) +. ((1.0 -. alpha) *. t.ewma_us))
 
 let inflight t = t.inflight
 let ewma_us t = int_of_float t.ewma_us

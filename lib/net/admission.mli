@@ -15,10 +15,10 @@
 
 type t
 
-val create : ?budget:int -> ?alpha:float -> unit -> t
-(** [budget] is the max concurrently admitted ops (default 64); [alpha]
-    the EWMA weight of the newest completion (default 0.2).
-    @raise Invalid_argument on a non-positive budget or alpha ∉ (0, 1]. *)
+val create : ?budget:int -> unit -> t
+(** [budget] is the max concurrently admitted ops (default 64).  The EWMA
+    weighs the newest completion 0.2.
+    @raise Invalid_argument on a non-positive budget. *)
 
 type verdict =
   | Admitted  (** proceed; pair with exactly one {!finish} *)

@@ -54,37 +54,21 @@ type 'a progress =
   | Need_more of int
   | Corrupt of string
 
-(* ---- CRC-32 (IEEE 802.3, reflected, poly 0xedb88320) ---- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_update crc s ~pos ~len =
-  let table = Lazy.force crc_table in
-  let crc = ref crc in
-  for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor Char.code s.[i]) land 0xff) lxor (!crc lsr 8)
-  done;
-  !crc
-
-let crc32 s ~pos ~len = crc32_update 0xffffffff s ~pos ~len lxor 0xffffffff
-
 let u32_be s pos =
   (Char.code s.[pos] lsl 24)
   lor (Char.code s.[pos + 1] lsl 16)
   lor (Char.code s.[pos + 2] lsl 8)
   lor Char.code s.[pos + 3]
 
+(* The CRC of the frame at [pos] with a [len]-byte payload: version,
+   kind and length exactly as laid out on the wire, then the payload. *)
+let frame_crc s ~pos ~len =
+  let r = Prelude.Crc32.update 0xffffffff s ~pos:(pos + 2) ~len:6 in
+  Prelude.Crc32.update r s ~pos:(pos + header_len) ~len lxor 0xffffffff
+
 (* The header of a frame whose [len]-byte payload already sits at
-   [pos + header_len] in [dst]; the CRC runs over [dst] itself, covering
-   version, kind and length exactly as laid out on the wire, then the
-   payload — so any single-bit flip in bytes 2.. is detected. *)
+   [pos + header_len] in [dst]; the CRC runs over [dst] itself, so any
+   single-bit flip in bytes 2.. is detected. *)
 let seal dst ~pos ~kind ~len =
   if kind < 0 || kind > 0xff then invalid_arg "Codec.encode_frame: kind";
   if len > max_payload then invalid_arg "Codec.encode_frame: payload too large";
@@ -93,9 +77,7 @@ let seal dst ~pos ~kind ~len =
   Bytes.set dst (pos + 2) (Char.chr version);
   Bytes.set dst (pos + 3) (Char.chr kind);
   Bytes.set_int32_be dst (pos + 4) (Int32.of_int len);
-  let s = Bytes.unsafe_to_string dst in
-  let crc = crc32_update 0xffffffff s ~pos:(pos + 2) ~len:6 in
-  let crc = crc32_update crc s ~pos:(pos + header_len) ~len lxor 0xffffffff in
+  let crc = frame_crc (Bytes.unsafe_to_string dst) ~pos ~len in
   Bytes.set_int32_be dst (pos + 8) (Int32.of_int crc)
 
 let encode_frame ~kind ~payload =
@@ -129,9 +111,8 @@ let decode_frame ?(pos = 0) ?len s =
       Corrupt (Printf.sprintf "oversized frame (%d bytes)" len)
     else if avail < header_len + len then Need_more (header_len + len - avail)
     else
-      let crc = crc32_update 0xffffffff s ~pos:(pos + 2) ~len:6 in
-      let crc = crc32_update crc s ~pos:(pos + header_len) ~len lxor 0xffffffff in
-      if crc <> u32_be s (pos + 8) then Corrupt "checksum mismatch"
+      if frame_crc s ~pos ~len <> u32_be s (pos + 8) then
+        Corrupt "checksum mismatch"
       else
         Got
           ( { kind; payload = String.sub s (pos + header_len) len },

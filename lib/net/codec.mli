@@ -70,9 +70,6 @@ val decode_frame : ?pos:int -> ?len:int -> string -> frame progress
     promises.  Only the payload is copied, once its checksum holds, so a
     stream reader can decode straight from its receive buffer. *)
 
-val crc32 : string -> pos:int -> len:int -> int
-(** IEEE CRC-32 of a substring (exposed for tests). *)
-
 (** {2 Payload primitives} *)
 
 exception Bad_payload of string

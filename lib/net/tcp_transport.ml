@@ -334,7 +334,6 @@ type 'msg t = {
   mutable next_sid : int;
   inputs : 'msg input Queue.t;
   ctrs : counters;
-  write_stall_us : int;
   backoff_min_us : int;
   backoff_max_us : int;
   log : string -> unit;
@@ -358,9 +357,14 @@ type 'msg t = {
   mutable closed : bool;
 }
 
+(* Each link's data lane holds at most this many frames and bytes; a link
+   whose pending bytes make no progress for [write_stall_us] is cut. *)
+let max_queue = 4096
+let max_lane_bytes = 4 lsl 20
+let write_stall_us = 2_000_000
+
 let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
-    ~encode_peer ?(max_queue = 4096) ?(max_lane_bytes = 4 lsl 20) ?lane_of
-    ?(write_stall_us = 2_000_000) ?(backoff_min_us = 20_000)
+    ~encode_peer ?lane_of ?(backoff_min_us = 20_000)
     ?(backoff_max_us = 1_000_000)
     ?(log = fun s -> prerr_endline s) () =
   let n = Array.length addrs in
@@ -412,7 +416,6 @@ let create ~me ~addrs ~listener ~hello ~classify_hello ~decode_peer
         ctrl_hwm = 0;
         lane_shed = 0;
       };
-    write_stall_us;
     backoff_min_us;
     backoff_max_us;
     log;
@@ -610,7 +613,7 @@ let rec flush_link t link now =
         match link.state with Up _ -> flush_link t link now | _ -> ()
       end
   | Connecting (fd, since) ->
-      if now - since >= t.write_stall_us then begin
+      if now - since >= write_stall_us then begin
         quiet_close fd;
         connect_failed t link now
       end
@@ -632,7 +635,7 @@ let rec flush_link t link now =
         | Error () -> drop_link link now
       end;
       (match link.state with
-      | Up _ when link.blocked && now - link.stalled_since >= t.write_stall_us
+      | Up _ when link.blocked && now - link.stalled_since >= write_stall_us
         ->
           drop_link link now
       | _ -> ())
@@ -945,9 +948,9 @@ let next_wake_us t =
     (fun acc link ->
       match link.state with
       | Down at when wants link -> min acc at
-      | Connecting (_, since) -> min acc (since + t.write_stall_us)
+      | Connecting (_, since) -> min acc (since + write_stall_us)
       | Up _ when link.blocked && link.stalled_since >= 0 ->
-          min acc (link.stalled_since + t.write_stall_us)
+          min acc (link.stalled_since + write_stall_us)
       | _ -> acc)
     max_int t.links
 

@@ -35,9 +35,9 @@
     ({!Lanes}).  [lane_of] classifies each outgoing message; control
     frames (heartbeats, sync probes, catch-up) always preempt data frames,
     so the failure detector and ε estimator stay live at saturation.  The
-    data lane is bounded ([max_queue] frames and [max_lane_bytes] bytes
-    per link); overflow sheds oldest-first, counted in [dropped] and
-    [lane_shed] and emitted as [Obs.Event.Shed] events — never silent.
+    data lane is bounded (4096 frames and 4 MiB per link); overflow sheds
+    oldest-first, counted in [dropped] and [lane_shed] and emitted as
+    [Obs.Event.Shed] events — never silent.
     Frames leave the lanes only when the link's previous batch is fully
     written, so a wedged peer backs frames up into the lanes, where they
     are bounded.  Within a lane the links stay FIFO, as in the paper's
@@ -45,8 +45,8 @@
     — Algorithm 1 assumes reliable links, and a run that loses frames is
     caught by the post-hoc linearizability check.
 
-    A link whose pending bytes make no progress for [write_stall_us] is
-    cut and goes back through the reconnect path.  A client that leaves
+    A link whose pending bytes make no progress for 2 s is cut and goes
+    back through the reconnect path.  A client that leaves
     ~128 KiB of replies unread is cut off (see {!reply_cap}): its op-id
     retry covers the lost replies, and it can never stall the loop. *)
 
@@ -141,10 +141,7 @@ val create :
   classify_hello:(Codec.frame -> hello_verdict) ->
   decode_peer:(src:int -> Codec.frame -> 'msg option) ->
   encode_peer:('msg -> string) ->
-  ?max_queue:int ->
-  ?max_lane_bytes:int ->
   ?lane_of:('msg -> Lanes.lane) ->
-  ?write_stall_us:int ->
   ?backoff_min_us:int ->
   ?backoff_max_us:int ->
   ?log:(string -> unit) ->
@@ -161,9 +158,7 @@ val create :
     [lane_of] assigns each message a {!Lanes.lane}; when omitted every
     message rides the (bounded) data lane.
 
-    Defaults: [max_queue] 4096 frames/link, [max_lane_bytes] 4 MiB/link,
-    [write_stall_us] 2 s, backoff 20 ms → 1 s, [log] writes to
-    [stderr]. *)
+    Defaults: backoff 20 ms → 1 s, [log] writes to [stderr]. *)
 
 val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
 (** Queue [msg] on peer [dst]'s lane for the next {!flush}.  [dst = me]

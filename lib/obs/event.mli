@@ -31,8 +31,8 @@ type kind =
       (** chaos-layer injection on a send. [a] = action code
           (0 drop, 1 duplicate, 2 delay), [b] = extra delay in µs. *)
   | Drops
-      (** drainer-emitted accounting record: [a] events were lost to
-          ring-buffer wrap-around since the previous [Drops] (or start). *)
+      (** accounting record a drain emits: [a] events were lost to a full
+          ring since the previous [Drops] (or start). *)
   | Recover
       (** replica recovered its durable prefix at boot. [a] = mutations
           replayed (snapshot + WAL tail), [b] = recovery wall time in µs. *)

@@ -13,17 +13,13 @@ type t = {
   slots : slot array;
   mask : int;
   head : int Atomic.t;
-  mutable tail : int; (* drainer-owned *)
+  mutable tail : int; (* consumer-owned *)
   recorded : int Atomic.t;
   dropped : int Atomic.t;
-  reported_drops : int Atomic.t; (* drops already accounted by a Drops event *)
+  mutable reported_drops : int; (* drops already accounted by a Drops event *)
   epoch_us : int;
   sink : Event.t -> unit;
   flush : unit -> unit;
-  running : bool Atomic.t;
-  consumer : Mutex.t; (* held by whoever drains: the drainer, [stop], a loop *)
-  mutable thread : Thread.t option;
-  mutable stopped : bool;
 }
 
 let next_pow2 n =
@@ -64,85 +60,55 @@ let stamp t =
   | None -> Prelude.Mclock.now_us () - t.epoch_us
   | Some now -> now ()
 
-(* Single consumer only: callers hold [t.consumer]. *)
-let pop t =
+(* Single consumer only: pop every published event into the sink. *)
+let rec pop_all t =
   let pos = t.tail in
   let slot = t.slots.(pos land t.mask) in
-  if Atomic.get slot.seq = pos + 1 then (
+  if Atomic.get slot.seq = pos + 1 then begin
     let ev = slot.ev in
     Atomic.set slot.seq (pos + Array.length t.slots);
     t.tail <- pos + 1;
-    Some ev)
-  else None
+    t.sink ev;
+    pop_all t
+  end
 
 let account_drops t =
   let d = Atomic.get t.dropped in
-  let seen = Atomic.get t.reported_drops in
-  if d > seen then (
-    Atomic.set t.reported_drops d;
+  if d > t.reported_drops then begin
     t.sink
       {
         Event.t_us = stamp t;
         pid = -1;
         kind = Event.Drops;
         trace = 0;
-        a = d - seen;
+        a = d - t.reported_drops;
         b = 0;
-      })
+      };
+    t.reported_drops <- d
+  end
 
-let drain_once t =
-  Mutex.protect t.consumer (fun () ->
-      let n = ref 0 in
-      let continue = ref true in
-      while !continue do
-        match pop t with
-        | Some ev ->
-            t.sink ev;
-            incr n
-        | None -> continue := false
-      done;
-      account_drops t;
-      if !n > 0 then t.flush ();
-      !n)
-
-let drainer t () =
-  while Atomic.get t.running do
-    if drain_once t = 0 then Thread.delay 0.001
-  done
+let drain t =
+  pop_all t;
+  account_drops t;
+  t.flush ()
 
 let start ?(capacity = 65536) ~epoch_us ~sink ?(flush = fun () -> ()) () =
   let capacity = next_pow2 (max 2 capacity) in
-  let t =
-    {
-      slots =
-        Array.init capacity (fun i ->
-            { seq = Atomic.make i; ev = dummy_event });
-      mask = capacity - 1;
-      head = Atomic.make 0;
-      tail = 0;
-      recorded = Atomic.make 0;
-      dropped = Atomic.make 0;
-      reported_drops = Atomic.make 0;
-      epoch_us;
-      sink;
-      flush;
-      running = Atomic.make true;
-      consumer = Mutex.create ();
-      thread = None;
-      stopped = false;
-    }
-  in
-  t.thread <- Some (Thread.create (drainer t) ());
-  t
+  {
+    slots =
+      Array.init capacity (fun i -> { seq = Atomic.make i; ev = dummy_event });
+    mask = capacity - 1;
+    head = Atomic.make 0;
+    tail = 0;
+    recorded = Atomic.make 0;
+    dropped = Atomic.make 0;
+    reported_drops = 0;
+    epoch_us;
+    sink;
+    flush;
+  }
 
-let stop t =
-  if not t.stopped then (
-    t.stopped <- true;
-    Atomic.set t.running false;
-    (match t.thread with Some th -> Thread.join th | None -> ());
-    (* drainer is gone: we are the single consumer now *)
-    ignore (drain_once t);
-    t.flush ())
+let stop = drain
 
 let stats t = (Atomic.get t.recorded, Atomic.get t.dropped)
 
@@ -153,16 +119,12 @@ let install t = Atomic.set state (Some t)
 let uninstall () = Atomic.set state None
 let active () = Atomic.get state <> None
 
-let installed_stats () =
-  match Atomic.get state with Some t -> Some (stats t) | None -> None
-
 let with_clock now f =
   Atomic.set virtual_clock (Some now);
   Fun.protect ~finally:(fun () -> Atomic.set virtual_clock None) f
 
-(* Under a virtual clock the loop is the only producer and never waits, so
-   the drainer thread may not get to run for a long stretch: a full ring
-   is drained in place instead of dropping. *)
+(* Under a virtual clock the loop is the only producer and the one
+   consumer: a full ring is drained in place instead of dropping. *)
 let emit ~pid ~kind ?(trace = 0) ?(a = 0) ?(b = 0) () =
   match Atomic.get state with
   | None -> ()
@@ -170,7 +132,7 @@ let emit ~pid ~kind ?(trace = 0) ?(a = 0) ?(b = 0) () =
       let ev = { Event.t_us = stamp t; pid; kind; trace; a; b } in
       if not (try_push t ev) then
         if Atomic.get virtual_clock <> None then begin
-          ignore (drain_once t);
+          drain t;
           ignore (push t ev)
         end
         else Atomic.incr t.dropped
@@ -179,19 +141,7 @@ let emit ~pid ~kind ?(trace = 0) ?(a = 0) ?(b = 0) () =
 
 let memory_sink () =
   let acc = ref [] in
-  let lock = Mutex.create () in
-  let sink ev =
-    Mutex.lock lock;
-    acc := ev :: !acc;
-    Mutex.unlock lock
-  in
-  let contents () =
-    Mutex.lock lock;
-    let evs = List.rev !acc in
-    Mutex.unlock lock;
-    evs
-  in
-  (sink, contents)
+  ((fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
 
 let file_magic = "TBTRACE1"
 

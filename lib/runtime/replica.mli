@@ -54,7 +54,7 @@
     - Algorithm 1's (timestamp, origin) total order makes the applied
       history replayable; the [on_apply] hook sees every mutation in
       exactly that order, which is what [Shard.Host] appends to the WAL.
-    - A restarted replica seeds itself from {!recovered_state} (decoded
+    - A restarted replica seeds itself from its {!durable} state (decoded
       snapshot + WAL), then {e catches up from peers}: it freezes,
       broadcasts a catch-up request carrying its high-water mark (the
       largest applied stamp), absorbs replies, and thaws when every peer
@@ -171,6 +171,6 @@ module Make (D : Spec.Data_type.S) : sig
 
   val control_at : driver -> now:int -> out:(output -> unit) -> control -> unit
 
-  val driver_snapshot : driver -> snapshot_view
+  val driver_snapshot : driver -> durable
   (** A consistent cut of the durable state, for checkpoints. *)
 end

@@ -22,25 +22,18 @@ module Make (D : Spec.Data_type.S) = struct
 
   type outcome = Done of D.result | Cancelled | Rejected of string
 
-  type snapshot_view = {
-    v_obj : D.state;
-    v_hwm_time : int;
-    v_hwm_pid : int;
-    v_window : (Alg.entry * D.result * int) list;  (** oldest first *)
-  }
-
-  type recovered_state = {
-    r_obj : D.state;
-    r_hwm_time : int;
-    r_hwm_pid : int;
-    r_applied : (Alg.entry * D.result * int) list;  (** oldest first *)
+  type durable = {
+    obj : D.state;
+    hwm_time : int;
+    hwm_pid : int;
+    window : (Alg.entry * D.result * int) list;  (** oldest first *)
   }
 
   type recovery = {
     catchup_wait_us : int;
     on_apply : Alg.entry -> D.result -> int -> unit;
-    on_transfer : src:int -> snapshot_view -> unit;
-    recovered : recovered_state option;
+    on_transfer : src:int -> durable -> unit;
+    recovered : durable option;
   }
 
   (* ---- quorum fallback wire protocol (DESIGN.md §13) ---- *)
@@ -326,8 +319,8 @@ module Make (D : Spec.Data_type.S) = struct
        the recorded results (so retried clients are recognised). *)
     (match config.recovery with
     | Some { recovered = Some rs; _ } ->
-        t.st <- { t.st with Alg.local_obj = rs.r_obj };
-        t.hwm <- Prelude.Stamp.make ~time:rs.r_hwm_time ~pid:rs.r_hwm_pid;
+        t.st <- { t.st with Alg.local_obj = rs.obj };
+        t.hwm <- Prelude.Stamp.make ~time:rs.hwm_time ~pid:rs.hwm_pid;
         t.seen_floor <- t.hwm;
         List.iter
           (fun ((e : Alg.entry), r, op_id) ->
@@ -335,7 +328,7 @@ module Make (D : Spec.Data_type.S) = struct
               Hashtbl.replace t.id_index op_id (Applied_id r);
               Queue.add (e, op_id) t.recent
             end)
-          rs.r_applied
+          rs.window
     | _ -> ());
     t
 
@@ -446,10 +439,10 @@ module Make (D : Spec.Data_type.S) = struct
 
   let snapshot t =
     {
-      v_obj = t.st.Alg.local_obj;
-      v_hwm_time = t.hwm.Prelude.Stamp.time;
-      v_hwm_pid = t.hwm.Prelude.Stamp.pid;
-      v_window = window t;
+      obj = t.st.Alg.local_obj;
+      hwm_time = t.hwm.Prelude.Stamp.time;
+      hwm_pid = t.hwm.Prelude.Stamp.pid;
+      window = window t;
     }
 
   (* The object, its high-water mark, the dedup window and every entry

@@ -21,28 +21,19 @@ module Make (D : Spec.Data_type.S) : sig
             stalled in a minority or rerouting a quorum op *)
   (** How an invocation ends. *)
 
-  type snapshot_view = {
-    v_obj : D.state;  (** the object right now *)
-    v_hwm_time : int;  (** high-water mark stamp (−1 = nothing applied) *)
-    v_hwm_pid : int;
-    v_window : (Alg.entry * D.result * int) list;
+  type durable = {
+    obj : D.state;
+    hwm_time : int;  (** high-water mark stamp of [obj] (−1 = nothing applied) *)
+    hwm_pid : int;
+    window : (Alg.entry * D.result * int) list;
         (** the dedup window: applied entries with an op id, each with
             its result, oldest first *)
   }
-  (** A consistent cut of a replica's durable state — what a checkpoint
-      encodes: the object, not its history, so its size does not grow
-      with the operations served. *)
-
-  type recovered_state = {
-    r_obj : D.state;
-    r_hwm_time : int;  (** high-water mark of [r_obj] (−1 = none) *)
-    r_hwm_pid : int;
-    r_applied : (Alg.entry * D.result * int) list;
-        (** entries with op ids and their results, oldest first — the
-            checkpoint's dedup window, then the WAL tail *)
-  }
-  (** The durable prefix a restarted replica seeds itself from: decoded
-      snapshot fast-forwarded by the WAL tail. *)
+  (** A replica's durable state: the object, not its history, so its size
+      does not grow with the operations served.  {!snapshot} cuts it for
+      a checkpoint or a state transfer; a restarted replica seeds itself
+      from it (decoded snapshot fast-forwarded by the WAL tail, whose
+      entries extend the window). *)
 
   type recovery = {
     catchup_wait_us : int;
@@ -52,11 +43,11 @@ module Make (D : Spec.Data_type.S) : sig
         (** called for every mutation, in applied (timestamp) order, with
             its op id (0 = none), {e before} the same step's completion is
             output — the WAL-append hook *)
-    on_transfer : src:int -> snapshot_view -> unit;
+    on_transfer : src:int -> durable -> unit;
         (** a state transfer from peer [src] replaced the object; the
             view is the new state.  The WAL no longer covers it, so a
             durable host checkpoints it before the next [on_apply]. *)
-    recovered : recovered_state option;  (** [None] = fresh boot *)
+    recovered : durable option;  (** [None] = fresh boot *)
   }
 
   (** {2 Wire messages} *)
@@ -205,6 +196,6 @@ module Make (D : Spec.Data_type.S) : sig
     control ->
     state * (reply, wire, timer) Sim.Action.t list
 
-  val snapshot : state -> snapshot_view
+  val snapshot : state -> durable
   (** The durable state right now; pure. *)
 end

@@ -404,14 +404,14 @@ module Make (W : Net.Wire.WIRED) = struct
   (* Checkpoint [view] (taken between steps, or by a state transfer inside
      one: the loop is the only thread that appends, so either cut is
      consistent): the object, its high-water mark and the dedup window. *)
-  let checkpoint cfg store (view : R.snapshot_view) =
+  let checkpoint cfg store (view : R.durable) =
     let folded = Durable.Store.records_since_snapshot store in
     Durable.Store.snapshot store
       (P.encode_snapshot
          {
-           P.s_obj = view.R.v_obj;
-           s_hwm_time = view.R.v_hwm_time;
-           s_hwm_pid = view.R.v_hwm_pid;
+           P.s_obj = view.R.obj;
+           s_hwm_time = view.R.hwm_time;
+           s_hwm_pid = view.R.hwm_pid;
            s_applied =
              List.map
                (fun ((e : R.Alg.entry), result, op_id) ->
@@ -422,7 +422,7 @@ module Make (W : Net.Wire.WIRED) = struct
                    op_id;
                    result;
                  })
-               view.R.v_window;
+               view.R.window;
          });
     Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Checkpoint ~a:folded
       ~b:(Durable.Store.generation store)
@@ -451,10 +451,10 @@ module Make (W : Net.Wire.WIRED) = struct
         let snap = P.recovered_of recovered in
         let rs =
           {
-            R.r_obj = snap.P.s_obj;
-            r_hwm_time = snap.P.s_hwm_time;
-            r_hwm_pid = snap.P.s_hwm_pid;
-            r_applied =
+            R.obj = snap.P.s_obj;
+            hwm_time = snap.P.s_hwm_time;
+            hwm_pid = snap.P.s_hwm_pid;
+            window =
               List.map
                 (fun (a : P.applied) ->
                   ( entry_of ~op:a.P.op ~time:a.P.time ~pid:a.P.pid,
@@ -471,13 +471,13 @@ module Make (W : Net.Wire.WIRED) = struct
         in
         (* The WAL does not cover an object a peer transferred: checkpoint
            it before the next append. *)
-        let on_transfer ~src (view : R.snapshot_view) =
+        let on_transfer ~src (view : R.durable) =
           cfg.log
             (Printf.sprintf
                "%s: recovered by state transfer from replica %d at hwm \
                 <%d,%d> (%d ids in the dedup window)"
-               (who cfg k) src view.R.v_hwm_time view.R.v_hwm_pid
-               (List.length view.R.v_window));
+               (who cfg k) src view.R.hwm_time view.R.hwm_pid
+               (List.length view.R.window));
           checkpoint cfg store view
         in
         let recovery =
@@ -554,7 +554,8 @@ module Make (W : Net.Wire.WIRED) = struct
     mutable parked_seq : int;  (** frames parked so far *)
     mutable chaos_dropped : int;  (** frames a fault lost, all shards *)
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
-        (** installed recorder and its trace-file closer *)
+        (** installed recorder and its trace-file closer; the loop drains
+            it *)
     watch_parent : int option;
     mutable next_checkpoint : int;  (** [Mclock] µs; [max_int] = never *)
     mutable next_watch : int;
@@ -785,7 +786,9 @@ module Make (W : Net.Wire.WIRED) = struct
      set still answers in the cycle that stepped it.  On stop, the
      shards answer their waiting clients ("replica stopped") and every
      parked frame enters its link before the last write: a fault delays a
-     frame, it never loses one it decided to deliver.  Returns the
+     frame, it never loses one it decided to deliver.  A traced host is
+     its recorder's consumer: the cycle ends by draining the ring into the
+     trace file, after the writes, so no reply waits on it.  Returns the
      per-shard [Done] counts and the transport stats. *)
   let run lp =
     Prelude.Os.set_timer_slack_ns 1;
@@ -815,7 +818,8 @@ module Make (W : Net.Wire.WIRED) = struct
       fire_due lp;
       loop_timers lp lp.now;
       Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
-      if fire_caught_up lp then Net.Tcp_transport.flush lp.tcp ~now_us:lp.now
+      if fire_caught_up lp then Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
+      Option.iter (fun (r, _) -> Obs.Recorder.drain r) lp.recorder
     done;
     lp.now <- Prelude.Mclock.now_us ();
     Array.iteri

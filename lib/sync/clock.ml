@@ -6,16 +6,14 @@
     stepped: each read moves [applied] toward [target] by at most
     [slew_ppm] parts-per-million of the raw time elapsed since the
     previous read, so the corrected clock's rate stays within
-    (1 ± slew_ppm/10⁶) of real time.  A final clamp guarantees readings
-    are non-decreasing even if the slew bound is ever misconfigured past
-    10⁶ ppm.
+    (1 ± slew_ppm/10⁶) of real time.  A final clamp keeps readings
+    non-decreasing even when the raw clock steps back.
 
     Single-owner: the replica event loop is the only caller, so no lock.
     All arithmetic is on OCaml's 63-bit ints — µs quantities cannot
     overflow it. *)
 
 type t = {
-  slew_ppm : int;
   mutable applied : int;  (* correction currently reflected in readings *)
   mutable target : int;  (* correction the estimator wants *)
   mutable last_raw : int;  (* raw clock at the previous read *)
@@ -26,12 +24,10 @@ type t = {
 (* 10% — fast enough to absorb a 2 ms skew in 20 ms of real time, gentle
    enough that timestamps drawn during the slew stay within the paper's
    rate model. *)
-let default_slew_ppm = 100_000
+let slew_ppm = 100_000
 
-let create ?(slew_ppm = default_slew_ppm) () =
-  if slew_ppm <= 0 then invalid_arg "Sync.Clock.create: slew_ppm <= 0";
+let create () =
   {
-    slew_ppm;
     applied = 0;
     target = 0;
     last_raw = 0;
@@ -45,7 +41,7 @@ let read t ~now =
     t.initialized <- true
   end;
   let dt = max 0 (now - t.last_raw) in
-  let budget = dt * t.slew_ppm / 1_000_000 in
+  let budget = dt * slew_ppm / 1_000_000 in
   let diff = t.target - t.applied in
   let move = if diff >= 0 then min diff budget else -(min (-diff) budget) in
   t.applied <- t.applied + move;

@@ -8,11 +8,10 @@
 
 type t
 
-val default_slew_ppm : int
+val slew_ppm : int
 (** 100 000 ppm (10%): a 2 ms correction completes in 20 ms. *)
 
-val create : ?slew_ppm:int -> unit -> t
-(** Raises [Invalid_argument] if [slew_ppm <= 0]. *)
+val create : unit -> t
 
 val read : t -> now:int -> int
 (** Corrected reading for raw local clock [now] (µs).  Advances the slew

@@ -33,29 +33,27 @@ type sample = {
 type t = {
   n : int;
   me : int;
-  drift_ppm : int;
   samples : sample option array;  (* index = peer pid; [me] stays None *)
 }
 
 (* 250 ppm of relative drift allowance: a sample cut off by a partition
    widens by 250 µs per second of staleness — visible within one fault
    window, negligible between 50 ms probe rounds. *)
-let default_drift_ppm = 250
+let drift_ppm = 250
 
-let create ?(drift_ppm = default_drift_ppm) ~n ~me () =
+let create ~n ~me () =
   if n <= 0 || me < 0 || me >= n then invalid_arg "Sync.Estimator.create";
-  if drift_ppm < 0 then invalid_arg "Sync.Estimator.create: drift_ppm < 0";
-  { n; me; drift_ppm; samples = Array.make n None }
+  { n; me; samples = Array.make n None }
 
-let widened t (s : sample) ~now =
-  s.uncertainty + (max 0 (now - s.at) * t.drift_ppm / 1_000_000)
+let widened (s : sample) ~now =
+  s.uncertainty + (max 0 (now - s.at) * drift_ppm / 1_000_000)
 
 let store t ~peer ~now (candidate : sample) =
   if peer <> t.me && peer >= 0 && peer < t.n then
     match t.samples.(peer) with
     | None -> t.samples.(peer) <- Some candidate
     | Some old ->
-        if candidate.uncertainty <= widened t old ~now then
+        if candidate.uncertainty <= widened old ~now then
           t.samples.(peer) <- Some candidate
 
 let observe_two_way t ~peer ~now ~t0 ~t1 ~t_rx ~t_tx =
@@ -85,14 +83,14 @@ let shift t ~by:c =
       | Some s -> t.samples.(i) <- Some { s with offset = s.offset - c })
     t.samples
 
-let peer_bound t ~now = function
+let peer_bound ~now = function
   | None -> None
-  | Some s -> Some (abs s.offset + widened t s ~now)
+  | Some s -> Some (abs s.offset + widened s ~now)
 
 let achieved_eps t ~now =
   Array.fold_left
     (fun acc s ->
-      match peer_bound t ~now s with None -> acc | Some b -> max acc b)
+      match peer_bound ~now s with None -> acc | Some b -> max acc b)
     0 t.samples
 
 let peers t =
@@ -105,6 +103,6 @@ let view t ~now =
       else
         Option.map
           (fun smp ->
-            (smp.offset, widened t smp ~now, max 0 (now - smp.at)))
+            (smp.offset, widened smp ~now, max 0 (now - smp.at)))
           s)
     t.samples

@@ -9,10 +9,10 @@
 
 type t
 
-val default_drift_ppm : int
+val drift_ppm : int
 (** 250 ppm: staleness widening per second ≈ 250 µs. *)
 
-val create : ?drift_ppm:int -> n:int -> me:int -> unit -> t
+val create : n:int -> me:int -> unit -> t
 
 val observe_two_way :
   t -> peer:int -> now:int -> t0:int -> t1:int -> t_rx:int -> t_tx:int -> unit

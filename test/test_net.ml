@@ -96,7 +96,7 @@ let forge_version frame ~version =
     Bytes.sub_string b 2 6
     ^ Bytes.sub_string b Net.Codec.header_len payload_len
   in
-  let crc = Net.Codec.crc32 covered ~pos:0 ~len:(String.length covered) in
+  let crc = Prelude.Crc32.sub covered ~pos:0 ~len:(String.length covered) in
   Bytes.set b 8 (Char.chr ((crc lsr 24) land 0xff));
   Bytes.set b 9 (Char.chr ((crc lsr 16) land 0xff));
   Bytes.set b 10 (Char.chr ((crc lsr 8) land 0xff));
@@ -1238,22 +1238,32 @@ let seed_long_lead t =
 let lead_of t =
   Lead.lead_ns (Net.Tcp_transport.lead t) ~wait_ns:(long_wait_us * 1_000)
 
-(* Poll [long_wait_us] ahead, running [during] on another thread [at_us]
-   in (75 ms: mid-spin); return how early the poll came back. *)
+(* Poll [long_wait_us] ahead while a forked child runs [during] [at_us]
+   in (75 ms: mid-spin); return how early the poll came back.  A child
+   process, not a thread: the spinning poll holds the runtime lock, so a
+   thread's stimulus can run late.  The child exits only once the poll
+   is over (the parent closes [hold_w]): tearing down its copy of this
+   address space would slow the polling parent by milliseconds. *)
 let poll_with ?(at_us = 75_000) t ~during =
   let t0 = Prelude.Mclock.now_us () in
-  let th =
-    Thread.create
-      (fun () ->
-        Prelude.Mclock.sleep_us (t0 + at_us - Prelude.Mclock.now_us ());
-        during ())
-      ()
-  in
-  let deadline_us = t0 + long_wait_us in
-  Net.Tcp_transport.poll t ~deadline_us;
-  let early = deadline_us - Prelude.Mclock.now_us () in
-  Thread.join th;
-  early
+  let hold_r, hold_w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close hold_w;
+      Prelude.Mclock.sleep_us (t0 + at_us - Prelude.Mclock.now_us ());
+      let status = match during () with () -> 0 | exception _ -> 1 in
+      ignore (Unix.read hold_r (Bytes.create 1) 0 1);
+      Unix._exit status
+  | child ->
+      Unix.close hold_r;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close hold_w;
+          ignore (Unix.waitpid [] child))
+        (fun () ->
+          let deadline_us = t0 + long_wait_us in
+          Net.Tcp_transport.poll t ~deadline_us;
+          deadline_us - Prelude.Mclock.now_us ())
 
 let test_poll_spin_serves_sockets () =
   let t, port = idle_set () in

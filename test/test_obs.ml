@@ -67,21 +67,34 @@ let sum_drops evs =
       if e.kind = Obs.Event.Drops then acc + e.a else acc)
     0 evs
 
+(* Spawn [producers] domains running [push p] and be their one consumer:
+   drain on this thread until every producer is done, then join them and
+   return what each returned. *)
+let drain_while_pushing r ~producers push =
+  let running = Atomic.make producers in
+  let doms =
+    List.init producers (fun p ->
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Atomic.decr running) (fun () ->
+                push p)))
+  in
+  while Atomic.get running > 0 do
+    Obs.Recorder.drain r;
+    Domain.cpu_relax ()
+  done;
+  List.map Domain.join doms
+
 let test_recorder_multidomain () =
   let sink, contents = Obs.Recorder.memory_sink () in
   let r = Obs.Recorder.start ~capacity:1024 ~epoch_us:0 ~sink () in
   let producers = 4 and per = 5_000 in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 1 to per do
-              ignore
-                (Obs.Recorder.push r
-                   (ev Obs.Event.Send ~t:i ~pid:p ~trace:((p * per) + i) ~a:p
-                      ~b:i))
-            done))
-  in
-  List.iter Domain.join doms;
+  ignore
+    (drain_while_pushing r ~producers (fun p ->
+         for i = 1 to per do
+           ignore
+             (Obs.Recorder.push r
+                (ev Obs.Event.Send ~t:i ~pid:p ~trace:((p * per) + i) ~a:p ~b:i))
+         done));
   Obs.Recorder.stop r;
   let recorded, dropped = Obs.Recorder.stats r in
   let evs = contents () in
@@ -116,16 +129,15 @@ let test_recorder_overload_drops () =
   in
   let r = Obs.Recorder.start ~capacity:4 ~epoch_us:0 ~sink () in
   let producers = 2 and per = 400 in
-  let t0 = Prelude.Mclock.now_us () in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 1 to per do
-              ignore (Obs.Recorder.push r (ev Obs.Event.Send ~t:i ~pid:p))
-            done))
+  let push_wall =
+    List.fold_left max 0
+      (drain_while_pushing r ~producers (fun p ->
+           let t0 = Prelude.Mclock.now_us () in
+           for i = 1 to per do
+             ignore (Obs.Recorder.push r (ev Obs.Event.Send ~t:i ~pid:p))
+           done;
+           Prelude.Mclock.now_us () - t0))
   in
-  List.iter Domain.join doms;
-  let push_wall = Prelude.Mclock.now_us () - t0 in
   Obs.Recorder.stop r;
   let recorded, dropped = Obs.Recorder.stats r in
   Alcotest.(check int) "accounting closed" (producers * per)
@@ -138,6 +150,20 @@ let test_recorder_overload_drops () =
   (* The sink sees the recorded events plus the Drops accounting records. *)
   Alcotest.(check bool) "slow sink saw every recorded event" true
     (Atomic.get drained >= recorded)
+
+(* The recorder's consumer is whoever owns it, so starting one adds no
+   thread to the process.  (A domain joined by an earlier test may still
+   be leaving, so the count may fall; it must not rise.) *)
+let test_recorder_starts_no_thread () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  let tasks () = Array.length (Sys.readdir "/proc/self/task") in
+  let before = tasks () in
+  let r = Obs.Recorder.start ~epoch_us:0 ~sink:ignore () in
+  let during = tasks () in
+  Obs.Recorder.stop r;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d threads before start, %d after" before during)
+    true (during <= before)
 
 (* ---- trace-file sink ---- *)
 
@@ -463,10 +489,9 @@ let test_traced_live_run () =
     (contains_sub prom "timebounds_bound_us")
 
 (* A long in-process traced run emits far more events than the ring
-   holds, faster than a drainer thread that only gets the runtime lock
-   now and then could keep up with.  The virtual-time loop is then the
-   only producer, so a full ring is drained in place: nothing is lost,
-   every span completes, and the run's timeline stays virtual. *)
+   holds, and nothing else drains it before [stop].  The virtual-time
+   loop is the only producer, so a full ring is drained in place: nothing
+   is lost, every span completes, and the run's timeline stays virtual. *)
 let test_traced_long_run_loses_nothing () =
   let module Gen = Runtime.Loadgen.Make (Runtime.Workloads.Register_live) in
   let sink, contents = Obs.Recorder.memory_sink () in
@@ -517,6 +542,8 @@ let () =
             test_recorder_multidomain;
           Alcotest.test_case "overload drops are counted, never block" `Quick
             test_recorder_overload_drops;
+          Alcotest.test_case "start adds no thread" `Quick
+            test_recorder_starts_no_thread;
           Alcotest.test_case "file sink roundtrip + append + corruption"
             `Quick test_file_sink_roundtrip;
         ] );

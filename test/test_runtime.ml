@@ -465,9 +465,9 @@ let test_checkpoint_bytes_flat () =
     String.length
       (P.encode_snapshot
          {
-           P.s_obj = view.Kv_rep.v_obj;
-           s_hwm_time = view.v_hwm_time;
-           s_hwm_pid = view.v_hwm_pid;
+           P.s_obj = view.Kv_rep.obj;
+           s_hwm_time = view.hwm_time;
+           s_hwm_pid = view.hwm_pid;
            s_applied =
              List.map
                (fun ((e : Kv_rep.Alg.entry), result, op_id) ->
@@ -478,7 +478,7 @@ let test_checkpoint_bytes_flat () =
                    op_id;
                    result;
                  })
-               view.v_window;
+               view.window;
          })
   in
   let b10k = bytes_at 10_000 in
@@ -718,7 +718,7 @@ let test_core_apply_before_completion () =
       if replies outs <> [] then begin
         completions := replies outs @ !completions;
         Alcotest.(check int) "on_apply ran before the completion output"
-          (RC.snapshot h.st).v_hwm_time
+          (RC.snapshot h.st).hwm_time
           (match !applied with
           | (e : RC.Alg.entry) :: _ -> e.ts.Prelude.Stamp.time
           | [] -> -1)
@@ -766,7 +766,7 @@ let test_core_dedup_replay () =
   check_replies "first attempt" [ (1, RC.Done (Value 0)) ] (run_until h 1300);
   check_replies "applied: the recorded result" [ (2, RC.Done (Value 0)) ]
     (invoke h 1400 (RC.call ~ticket:2 ~op_id:7 (Rmw 3)));
-  Alcotest.(check int) "executed once" 1 (List.length (RC.snapshot h.st).v_window);
+  Alcotest.(check int) "executed once" 1 (List.length (RC.snapshot h.st).window);
   ignore (invoke h 1500 (RC.call ~ticket:3 ~op_id:8 (Write 5)));
   check_replies "queued MOP: answered at once" [ (4, RC.Done Ack) ]
     (invoke h 1510 (RC.call ~ticket:4 ~op_id:8 (Write 5)));
@@ -794,7 +794,7 @@ let test_core_dedup_window () =
   ignore (invoke h 6000 (RC.call ~ticket:4 ~op_id:9 (Write 6)));
   ignore (run_until h 7500);
   Alcotest.(check (list int)) "the window now holds only the last write" [ 9 ]
-    (List.map (fun (_, _, id) -> id) (RC.snapshot h.st).v_window);
+    (List.map (fun (_, _, id) -> id) (RC.snapshot h.st).window);
   let outs = invoke h 7600 (RC.call ~ticket:5 ~op_id:7 (Rmw 3)) in
   check_replies "an expired id is not answered" [] outs;
   Alcotest.(check bool) "it runs as a new operation" true
@@ -853,7 +853,7 @@ let test_core_state_transfer () =
     harness
       ~recovery:
         { noop_recovery with
-          on_transfer = (fun ~src v -> transfers := (src, v.RC.v_hwm_time) :: !transfers) }
+          on_transfer = (fun ~src v -> transfers := (src, v.RC.hwm_time) :: !transfers) }
       ()
   in
   ignore (control h2 10 RC.Crash);
@@ -863,7 +863,7 @@ let test_core_state_transfer () =
     (deliver h2 40 ~src:2 (RC.Wire_catchup_rep { entries = []; time = -1; cpid = 0 }));
   Alcotest.(check (list (pair int int))) "adopted once, from replica 1"
     [ (1, 5000) ] !transfers;
-  Alcotest.(check int) "the object came over" 6 (RC.snapshot h2.st).v_obj;
+  Alcotest.(check int) "the object came over" 6 (RC.snapshot h2.st).obj;
   check_replies "a replay answered from the carried window"
     [ (1, RC.Done (Value 0)) ]
     (invoke h2 50 (RC.call ~ticket:1 ~op_id:7 (Rmw 3)));
@@ -928,7 +928,7 @@ let test_core_frozen_defers () =
   ignore (control h 1100 RC.Crash);
   check_replies "both deferred" [] (run_until h 2200);
   Alcotest.(check int) "nothing applied while down" (-1)
-    (RC.snapshot h.st).v_hwm_time;
+    (RC.snapshot h.st).hwm_time;
   ignore (control h 2300 RC.Recover);
   ignore (deliver h 2400 ~src:1 rep);
   check_replies "replayed in due order" [ (1, RC.Done (Value 9)) ]

@@ -442,12 +442,16 @@ let write_all fd s =
   in
   go 0
 
-let solo_host params =
+let solo_host ?trace params =
   let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let port = listener.Net.Tcp_transport.port in
   let handle =
     H.start ~listener
-      (host_config ~pid:0 ~shards:1 ~addrs:[| ("127.0.0.1", port) |] params)
+      {
+        (host_config ~pid:0 ~shards:1 ~addrs:[| ("127.0.0.1", port) |] params)
+        with
+        Shard.Host.trace;
+      }
   in
   let conn =
     match Kcl.connect ~host:"127.0.0.1" ~port () with
@@ -506,6 +510,35 @@ let test_host_one_cycle_per_request () =
     (Printf.sprintf "%d cycles for %d ops (<= 1.05 per op)" cycles ops)
     true
     (float_of_int cycles <= 1.05 *. float_of_int ops)
+
+(* A traced host is its recorder's consumer: the loop drains the ring
+   into the trace file every cycle, so the events reach the file while it
+   serves, not only when {!H.stop} drains what is left. *)
+let test_host_traced_drains_while_running () =
+  let path = Filename.temp_file "timebounds-host" ".trace" in
+  let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
+  let handle, conn = solo_host ~trace:path params in
+  let ops = 300 in
+  for i = 1 to ops do
+    match Kcl.invoke ~op_id:i conn (Spec.Kv_map.Put (i mod 8, i)) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "op %d: %s" i e
+  done;
+  let while_running = (Unix.stat path).Unix.st_size in
+  Kcl.close conn;
+  ignore (H.stop handle);
+  let responds =
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) -> e.kind = Obs.Event.Respond)
+         (Obs.Recorder.read_file path))
+  in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes on file before stop" while_running)
+    true
+    (while_running > String.length Obs.Recorder.file_magic);
+  Alcotest.(check int) "every op's Respond in the file" ops responds
 
 (* A client that pipelines invokes and never reads fills its socket
    buffers; the replica loop, which writes the replies, must drop that
@@ -874,6 +907,8 @@ let () =
             test_host_pipelined_invokes;
           Alcotest.test_case "one loop cycle per request" `Quick
             test_host_one_cycle_per_request;
+          Alcotest.test_case "a traced loop drains while it serves" `Quick
+            test_host_traced_drains_while_running;
           Alcotest.test_case "a non-reading client cannot stall the replica"
             `Quick test_host_non_reading_client_cannot_stall;
           Alcotest.test_case "stop answers an in-flight invoke" `Quick

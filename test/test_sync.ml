@@ -111,7 +111,7 @@ let clock_monotone_rate_bounded =
           Sync.Clock.adjust clk ~delta;
           now := !now + dt;
           let r = Sync.Clock.read clk ~now:!now in
-          let budget = dt * Sync.Clock.default_slew_ppm / 1_000_000 in
+          let budget = dt * Sync.Clock.slew_ppm / 1_000_000 in
           let ok = r >= !last && r - !last <= dt + budget + 1 in
           last := r;
           ok)
