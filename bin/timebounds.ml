@@ -671,8 +671,8 @@ let serve_cmd () =
     @ [
         Cli.value "offset" "this replica's clock offset, µs (default 0)";
         Cli.value "epoch"
-          "shared clock epoch, µs on the wall clock (default: now); every \
-           replica of a cluster must use the same value";
+          "run origin for trace times and fault windows, µs on the wall \
+           clock (default: now); replica clocks do not depend on it";
         Cli.value "watch-parent" "exit when this OS pid disappears";
         Cli.value "trace"
           "write this replica's observability events to FILE (binary; read \
@@ -869,7 +869,7 @@ let recover_cmd () =
       exit 1
   | Ok (meta, view) ->
       let module P = Net.Persist.Make (W.C) in
-      let snap = P.recovered_of view in
+      let snap, folded, skipped = P.recover view in
       let decoded =
         List.length
           (List.filter_map P.decode_record view.Durable.Store.r_records)
@@ -884,6 +884,9 @@ let recover_cmd () =
       Format.printf "  wal records: %d (%d decodable)@."
         (List.length view.Durable.Store.r_records)
         decoded;
+      Format.printf "  replays:     %d folded, %d skipped below the \
+                     high-water mark@."
+        folded skipped;
       Format.printf "  recovers:    the object at high-water mark \
                      (time=%d, pid=%d), %d op ids to dedup@."
         snap.P.s_hwm_time snap.P.s_hwm_pid

@@ -36,9 +36,8 @@ let () =
     (fun pid (host, port) ->
       Format.printf "replica %d: %s:%d@." pid host port)
     addrs;
-  (* One shared clock epoch: replica clocks read now − start_us + offset,
-     so the offsets below are the *entire* inter-replica skew, as ε assumes. *)
-  let start_us = Some (Prelude.Mclock.now_us ()) in
+  (* Replica clocks read the shared clock plus their offset, so the
+     offsets below are the *entire* inter-replica skew, as ε assumes. *)
   let rng = Prelude.Rng.make 42 in
   let handles =
     Array.init n (fun pid ->
@@ -49,7 +48,7 @@ let () =
             addrs;
             params;
             offset = (if pid = 0 then 0 else Prelude.Rng.int rng eps);
-            start_us;
+            start_us = None;
             trace = None;
             durable = None;
             fsync = Durable.Wal.Never;

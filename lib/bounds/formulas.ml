@@ -28,8 +28,6 @@ let d_plus_eps = f "d + ε" (fun p -> p.Core.Params.d + p.Core.Params.eps)
 let d_plus_2eps =
   f "d + 2ε" (fun p -> p.Core.Params.d + (2 * p.Core.Params.eps))
 
-let just_eps = f "ε" (fun p -> p.Core.Params.eps)
-
 (* Pure accessor upper bound: d + ε − X, which is u at X = d + ε − u. *)
 let accessor_upper =
   f "d + ε − X" (fun p -> p.Core.Params.d + p.Core.Params.eps - p.Core.Params.x)

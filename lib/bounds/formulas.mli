@@ -21,7 +21,6 @@ val half_u : formula
 val frac_u : formula
 val d_plus_eps : formula
 val d_plus_2eps : formula
-val just_eps : formula
 val accessor_upper : formula
 val mutator_upper : formula
 

@@ -25,17 +25,6 @@ module Make (D : Data_type.SAMPLED) = struct
     note : string;
   }
 
-  let pp_witness fmt w =
-    Format.fprintf fmt "ρ=[%a]; ops=[%a]; %s"
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f "∘")
-         D.pp_op)
-      w.prefix
-      (Format.pp_print_list
-         ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-         (Data_type.Instance.pp D.pp_op D.pp_result))
-      w.instances w.note
-
   (* All instances of operation type [ty], committed (given their unique
      legal return value) at [state]. *)
   let instances_of_type ty state : instance list =

@@ -20,8 +20,6 @@ module Make (D : Data_type.SAMPLED) : sig
     note : string;
   }
 
-  val pp_witness : Format.formatter -> witness -> unit
-
   (** {2 Commutation (Definitions B.1–B.3, C.3, C.6)} *)
 
   val immediately_non_commuting : string -> string -> witness option

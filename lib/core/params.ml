@@ -75,11 +75,5 @@ let without_hold t = { t with timing = { t.timing with execute_wait = 0 } }
     operations with smaller timestamps. *)
 let without_self_delay t = { t with timing = { t.timing with add_wait = 0 } }
 
-(** Ablate the accessor's back-dated timestamp (keep its wait): a pure
-    accessor may then order itself before a mutator that already responded
-    to its caller. *)
-let without_backdating t =
-  { t with timing = { t.timing with accessor_ts_back = 0 } }
-
 let pp fmt t =
   Format.fprintf fmt "n=%d d=%d u=%d ε=%d X=%d" t.n t.d t.u t.eps t.x

@@ -51,7 +51,4 @@ val without_hold : t -> t
 val without_self_delay : t -> t
 (** Add one's own operations to To_Execute immediately (drop d − u). *)
 
-val without_backdating : t -> t
-(** Do not back-date accessor timestamps by X. *)
-
 val pp : Format.formatter -> t -> unit

@@ -37,11 +37,12 @@
    both.  v9: bounded replica state — a replica keeps no log of what it
    applied, so a catch-up asker below its high-water mark gets a state
    transfer frame (19): the replier's object, high-water mark, dedup
-   window (op, stamp, op id, result) and queued entries.  Peers speaking
-   older versions are
-   rejected at decode ("unsupported version N"), which the handshake turns
+   window (op, stamp, op id, result) and queued entries.  v10: no byte
+   changes, but stamps are read on the shared clock plus the offset, with
+   no run epoch subtracted, so a v9 peer's stamps would sit far below
+   every v10 stamp.  Peers speaking other versions are rejected at decode ("unsupported version N"), which the handshake turns
    into a clean [Error_msg] rather than a crash. *)
-let version = 9
+let version = 10
 let header_len = 12
 let max_payload = 1 lsl 24  (* 16 MiB: far above any entry, guards length bombs *)
 let magic0 = 'T'

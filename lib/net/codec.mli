@@ -23,7 +23,7 @@
     [Tcp_transport] and README "Wire format". *)
 
 val version : int
-(** Current wire version (9 — v2 added the trace id to [Entry]/[Invoke]
+(** Current wire version (10 — v2 added the trace id to [Entry]/[Invoke]
     payloads; v3 added the client operation id to both, plus the
     catch-up request/reply frames for post-crash peer anti-entropy; v4
     added the shard id to every op/ack/catch-up payload and the shard
@@ -37,9 +37,12 @@ val version : int
     [ack] and [want] to [Hb], so the fast path's release gate is freed
     by receipt acks and prompted heartbeats instead of the heartbeat
     tick; v9 added the [Catchup_state] transfer frame, since a replica
-    keeps no log of what it applied).  A
-    decoder rejects every other version, so incompatible formats — older
-    peers included — fail the handshake cleanly instead of misparsing. *)
+    keeps no log of what it applied; v10 changed no byte, only the
+    meaning of a stamp — the shared clock plus the offset, with no run
+    epoch subtracted — so a v9 peer, whose stamps sit far below, fails
+    the handshake instead of corrupting the order).  A decoder rejects
+    every other version, so incompatible formats — older peers included
+    — fail the handshake cleanly instead of misparsing. *)
 
 val header_len : int
 val max_payload : int

@@ -1,6 +1,5 @@
 type lane = Ctrl | Data
 
-let lane_code = function Ctrl -> 0 | Data -> 1
 let lane_name = function Ctrl -> "ctrl" | Data -> "data"
 
 type 'a t = {

@@ -20,9 +20,6 @@
 
 type lane = Ctrl | Data
 
-val lane_code : lane -> int
-(** 0 for [Ctrl], 1 for [Data] — matches [Obs.Event.lane_ctrl]/[lane_data]. *)
-
 val lane_name : lane -> string
 
 type 'a t

@@ -90,20 +90,20 @@ module Make (O : Codec.OBJ_CODEC) = struct
     | v -> v
     | exception Codec.Bad_payload _ -> None
 
-  (* Fold the WAL tail into the checkpoint.  Records below the
-     checkpoint's high-water mark are skipped (belt-and-braces: the
-     store's rotation order should make them impossible) and the fold
-     stops at the first undecodable record, extending the WAL layer's
+  (* Fold the WAL tail into the checkpoint.  Records at or below the
+     mark reached so far are skipped and counted — the count says when a
+     writer stamped below what it had already logged — and the fold stops
+     at the first undecodable record, extending the WAL layer's
      longest-clean-prefix discipline to the typed layer. *)
   let replay base records =
     let after_hwm s a =
       a.time > s.s_hwm_time || (a.time = s.s_hwm_time && a.pid > s.s_hwm_pid)
     in
-    let rec go s rev_extra = function
-      | [] -> (s, rev_extra)
+    let rec go s rev_extra skipped = function
+      | [] -> (s, rev_extra, skipped)
       | raw :: rest -> (
           match decode_record raw with
-          | None -> (s, rev_extra)
+          | None -> (s, rev_extra, skipped)
           | Some a ->
               if after_hwm s a then
                 let obj, _ = O.D.apply s.s_obj a.op in
@@ -114,13 +114,15 @@ module Make (O : Codec.OBJ_CODEC) = struct
                     s_hwm_time = a.time;
                     s_hwm_pid = a.pid;
                   }
-                  (a :: rev_extra) rest
-              else go s rev_extra rest)
+                  (a :: rev_extra) skipped rest
+              else go s rev_extra (skipped + 1) rest)
     in
-    let s, rev_extra = go base [] records in
-    { s with s_applied = s.s_applied @ List.rev rev_extra }
+    let s, rev_extra, skipped = go base [] 0 records in
+    ( { s with s_applied = s.s_applied @ List.rev rev_extra },
+      List.length rev_extra,
+      skipped )
 
-  let recovered_of (r : Durable.Store.recovered) =
+  let recover (r : Durable.Store.recovered) =
     let base =
       match r.Durable.Store.r_snapshot with
       | None -> empty_snapshot
@@ -130,4 +132,8 @@ module Make (O : Codec.OBJ_CODEC) = struct
           | None -> empty_snapshot)
     in
     replay base r.Durable.Store.r_records
+
+  let recovered_of r =
+    let s, _, _ = recover r in
+    s
 end

@@ -57,13 +57,17 @@ module Make (O : Codec.OBJ_CODEC) : sig
   (** [None] on a payload for another object (tag mismatch) or malformed
       bytes. *)
 
-  val replay : snapshot -> string list -> snapshot
+  val replay : snapshot -> string list -> snapshot * int * int
   (** Fold raw WAL records (oldest first) into a checkpoint: decode,
       apply, advance the high-water mark.  Stops at the first undecodable
-      record; skips records at or below the base high-water mark. *)
+      record; skips records at or below the mark reached so far.  Returns
+      the checkpoint, the records folded and the records skipped. *)
 
-  val recovered_of : Durable.Store.recovered -> snapshot
+  val recover : Durable.Store.recovered -> snapshot * int * int
   (** The full recovery pipeline: decode the store's snapshot payload
       (falling back to {!empty_snapshot} when absent or undecodable) and
       {!replay} the WAL tail onto it. *)
+
+  val recovered_of : Durable.Store.recovered -> snapshot
+  (** {!recover}'s checkpoint alone. *)
 end

@@ -148,7 +148,7 @@ let check_span ~params ~grace_us ~windows ~qwindows ~timelines ~shed (s : Span.t
     | None -> params.Core.Params.eps
   in
   let bound =
-    if in_quorum then (4 * params.Core.Params.d) + eps
+    if in_quorum then quorum_bound_us { params with Core.Params.eps }
     else bound_with_eps params s.cls eps
   in
   let verdict =

@@ -109,8 +109,9 @@ val quorum_windows : Event.t list -> (int * int) list
 (** Intervals during which any replica ran in quorum mode, reconstructed
     from [Mode_switch] events; an unmatched entry switch yields an
     interval closed at [max_int].  Spans invoked inside one are checked
-    against {!quorum_bound_us}; spans straddling a boundary are excused
-    as ["mode switch"]. *)
+    against {!quorum_bound_us}, at the measured ε when the origin
+    published one; spans straddling a boundary are excused as
+    ["mode switch"]. *)
 
 val check :
   params:Core.Params.t ->

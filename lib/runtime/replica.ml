@@ -33,7 +33,6 @@ module Make (D : Spec.Data_type.S) = struct
   type driver = {
     config : config;
     pid : int;
-    start_us : int;
     offset : int;
     mutable core : state;
     mutable timers : timer_entry list;  (** sorted by [(due, tseq)] *)
@@ -42,12 +41,11 @@ module Make (D : Spec.Data_type.S) = struct
   }
 
   let driver ~(params : Core.Params.t) ?recovery ?fallback ?sync
-      ?(dedup_window_us = max_int) ~start_us ~offset pid =
+      ?(dedup_window_us = max_int) ~offset pid =
     let config = { params; recovery; fallback; sync; dedup_window_us } in
     {
       config;
       pid;
-      start_us;
       offset;
       core = init config ~n:params.Core.Params.n ~pid;
       timers = [];
@@ -57,8 +55,8 @@ module Make (D : Spec.Data_type.S) = struct
 
   let next_due d = match d.timers with [] -> max_int | e :: _ -> e.due
 
-  (* Step the core on the replica's raw local clock ([now − start_us +
-     offset], [now] on the loop's timeline) and perform its
+  (* Step the core on the replica's raw local clock ([now + offset],
+     [now] on the loop's timeline) and perform its
      outputs in emitted order: timers go into the driver's list — clocks
      advance at the rate of loop time, so a [δ]-delay timer is due at
      [now + δ] — and sends and completions go to [out].  A replica never
@@ -68,7 +66,7 @@ module Make (D : Spec.Data_type.S) = struct
   let step d ~now ~out f =
     let now = if now > d.last then now else d.last + 1 in
     d.last <- now;
-    let st, outputs = f d.config d.core ~clock:(now - d.start_us + d.offset) in
+    let st, outputs = f d.config d.core ~clock:(now + d.offset) in
     d.core <- st;
     List.iter
       (function
@@ -108,9 +106,7 @@ module Make (D : Spec.Data_type.S) = struct
 
   (* Client deadlines arrive in loop µs and move onto the local clock. *)
   let invoke_at d ~now ~out ~trace ~op_id ~deadline ~ticket op =
-    let deadline =
-      if deadline = 0 then max_int else deadline - d.start_us + d.offset
-    in
+    let deadline = if deadline = 0 then max_int else deadline + d.offset in
     step d ~now ~out (fun c st ~clock ->
         on_invoke c st ~clock (call ~trace ~op_id ~deadline ~ticket op))
 

@@ -27,10 +27,15 @@
     the {!Prelude.Mclock} timeline, and {!Vloop}, which steps [n] drivers
     of an in-process cluster on one virtual clock.
 
-    Clocks: replica [i]'s raw clock reads [now − start + offset] — loop
-    time plus a fixed per-replica offset, exactly the thesis' clock model
-    with skew [ε = max offset spread].  Timer delays are clock-time
-    delays, and clocks run at the rate of loop time, as in the model.
+    Clocks: replica [i]'s raw clock reads [now + offset] — the loop's
+    shared-clock reading plus a fixed per-replica offset, exactly the
+    thesis' clock model with skew [ε = max offset spread].  There is no
+    per-run origin: {!Prelude.Mclock} is wall-clock based, so a later run
+    over the same durable directory stamps above every stamp an earlier
+    one logged (unless the wall clock was set back in between), and its
+    recovered high-water mark does not hide its new writes.  Timer
+    delays are clock-time delays, and clocks run at the rate of loop
+    time, as in the model.
     With a {!Sync.Config.t} (the [?sync] argument below) the
     core instead stamps with a {e corrected} clock: the raw clock plus a
     correction earned over the wire by the clock-synchronization subsystem
@@ -126,13 +131,11 @@ module Make (D : Spec.Data_type.S) : sig
     ?fallback:Quorum.Config.t ->
     ?sync:Sync.Config.t ->
     ?dedup_window_us:int ->
-    start_us:int ->
     offset:int ->
     int ->
     driver
-  (** [driver ~params ~start_us ~offset pid]: replica [pid]'s fresh core.
-      Its raw clock reads [now − start_us + offset] for a loop reading
-      [now].
+  (** [driver ~params ~offset pid]: replica [pid]'s fresh core.  Its raw
+      clock reads [now + offset] for a loop reading [now].
       [recovery] enables the durability machinery, [fallback] arms the
       adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — DESIGN.md §13) and [sync] live clock
@@ -160,7 +163,7 @@ module Make (D : Spec.Data_type.S) : sig
     driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->
     deadline:int -> ticket:int -> D.op -> unit
   (** Step a client invocation.  [deadline] is absolute loop µs
-      ([0] = none); the completion comes back through [out] as a
+      ([0] = none), read on the local clock as [deadline + offset]; the completion comes back through [out] as a
       [Respond] carrying [ticket]. *)
 
   val deliver_at :

@@ -121,7 +121,7 @@ module Make (D : Spec.Data_type.S) = struct
         drivers =
           Array.init n (fun pid ->
               R.driver ~params ?recovery ?fallback ?sync:(sync_for pid)
-                ~start_us:0 ~offset:offsets.(pid) pid);
+                ~offset:offsets.(pid) pid);
         outs = [||];
         heap = H.empty;
         seq = 0;

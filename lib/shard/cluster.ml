@@ -385,10 +385,10 @@ module Make (W : Net.Wire.WIRED) = struct
     (* [?abort] lets the CLI share the flag with a SIGINT handler: raising
        it ends the loop and falls through to teardown. *)
     let abort = match abort with Some a -> a | None -> Atomic.make false in
-    (* One clock epoch for the whole cluster: replica clocks must differ
-       only by the drawn offsets (≤ ε), not by process spawn deltas.  The
-       epoch is also the run-time origin — history entries, quiescent cuts,
-       fault windows and the crash schedule all measure from it. *)
+    (* The run's origin: history entries, quiescent cuts, fault windows,
+       trace times and the crash schedule all measure from it.  Replica
+       clocks do not: they read the shared clock plus the drawn offsets,
+       so they differ by at most ε however the processes were spawned. *)
     let epoch = Prelude.Mclock.now_us () in
     (match trace_dir with
     | Some dir -> (

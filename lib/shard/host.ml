@@ -64,16 +64,15 @@ type config = {
   params : Core.Params.t;  (** effective (slack already folded into d, u) *)
   offset : int;  (** this replica's clock offset, µs *)
   start_us : int option;
-      (** shared clock epoch (µs on {!Prelude.Mclock}'s timeline, which is
-          wall-clock based and hence comparable across local processes).
-          Every replica of a cluster must use the same epoch: replica
-          clocks read [now − start_us + offset], so per-process epochs
-          would skew them by the process spawn deltas — far beyond the ε
-          the algorithm assumes.  [None] means "now" (single-replica or
+      (** the run's origin (µs on {!Prelude.Mclock}'s timeline, which is
+          wall-clock based and hence comparable across local processes)
+          for trace times and fault windows only.  Replica clocks read
+          [now + offset] whatever it is, so a missing or mismatched origin
+          cannot skew them.  [None] means "now" (single-replica or
           in-process use). *)
   trace : string option;
       (** when set, install an [Obs.Recorder] writing this process's trace
-          file, timestamped from [start_us] — the same epoch in every
+          file, timestamped from [start_us] — the same origin in every
           replica makes the per-process files merge onto one timeline. *)
   durable : string option;
       (** durable directory ({!Durable.Store}, see {!store_dir}): WAL every
@@ -448,7 +447,7 @@ module Make (W : Net.Wire.WIRED) = struct
         cfg.log (Printf.sprintf "%s: %s" (who cfg k) e);
         failwith e
     | Ok (store, recovered) ->
-        let snap = P.recovered_of recovered in
+        let snap, folded, skipped = P.recover recovered in
         let rs =
           {
             R.obj = snap.P.s_obj;
@@ -493,7 +492,7 @@ module Make (W : Net.Wire.WIRED) = struct
         ( store,
           recovery,
           recovered.Durable.Store.r_fresh,
-          List.length recovered.Durable.Store.r_records,
+          (folded, skipped),
           Prelude.Mclock.now_us () - t0 )
 
   (* ---- the loop ---- *)
@@ -843,12 +842,13 @@ module Make (W : Net.Wire.WIRED) = struct
       | Some l -> l
       | None -> Net.Tcp_transport.listen ~host ~port
     in
+    let epoch = epoch_of cfg in
     let recorder =
       match cfg.trace with
       | None -> None
       | Some path ->
           let sink, flush, close = Obs.Recorder.file_sink path in
-          let r = Obs.Recorder.start ~epoch_us:(epoch_of cfg) ~sink ~flush () in
+          let r = Obs.Recorder.start ~epoch_us:epoch ~sink ~flush () in
           Obs.Recorder.install r;
           Some (r, close)
     in
@@ -863,7 +863,6 @@ module Make (W : Net.Wire.WIRED) = struct
       Array.init cfg.shards (fun k ->
           Option.map (fun root -> open_store cfg root k) cfg.durable)
     in
-    let start_us = epoch_of cfg in
     let shards =
       Array.init cfg.shards (fun k ->
           let recovery = Option.map (fun (_, r, _, _, _) -> r) durable.(k) in
@@ -877,7 +876,7 @@ module Make (W : Net.Wire.WIRED) = struct
             drv =
               R.driver ~params:cfg.params ?recovery
                 ?fallback:(fallback_for cfg k) ?sync:(sync_for cfg k)
-                ~dedup_window_us:(dedup_window_us cfg.params) ~start_us
+                ~dedup_window_us:(dedup_window_us cfg.params)
                 ~offset:cfg.offset cfg.pid;
             chaos;
             store = Option.map (fun (store, _, _, _, _) -> store) durable.(k);
@@ -891,15 +890,19 @@ module Make (W : Net.Wire.WIRED) = struct
       Array.mapi
         (fun k entry ->
           match entry with
-          | Some (_, _, false, replayed, took) ->
+          | Some (_, _, false, (folded, skipped), took) ->
               cfg.log
                 (Printf.sprintf
-                   "%s: recovered %d mutations from %s in %dµs; catching up"
-                   (who cfg k) replayed
+                   "%s: recovered %d mutations from %s in %dµs; catching up%s"
+                   (who cfg k) folded
                    (store_dir ~shards:cfg.shards (Option.get cfg.durable) k)
-                   took);
+                   took
+                   (if skipped = 0 then ""
+                    else
+                      Printf.sprintf "; skipped %d below the high-water mark"
+                        skipped));
               Obs.Recorder.emit ~pid:cfg.pid ~kind:Obs.Event.Recover
-                ~a:replayed ~b:took ();
+                ~a:folded ~b:took ();
               true
           | Some _ | None -> false)
         durable
@@ -908,7 +911,7 @@ module Make (W : Net.Wire.WIRED) = struct
     let lp =
       {
         cfg;
-        epoch = start_us;
+        epoch;
         tcp;
         peers =
           List.filter (( <> ) cfg.pid)

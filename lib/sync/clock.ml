@@ -1,7 +1,7 @@
 (** A smoothly-slewed, never-backward logical clock.
 
-    The replica's raw local clock (monotonic µs since the shared epoch,
-    plus its fixed configured offset) is corrected by an [applied] term
+    The replica's raw local clock (the loop's shared-clock µs plus its
+    fixed configured offset) is corrected by an [applied] term
     that chases a [target] set by the estimator.  The correction is never
     stepped: each read moves [applied] toward [target] by at most
     [slew_ppm] parts-per-million of the raw time elapsed since the

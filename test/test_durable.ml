@@ -300,15 +300,17 @@ let test_persist_snapshot_and_replay () =
   in
   let r1 = mk (Spec.Kv_map.Put (1, 10)) 100 7 in
   let r2 = mk (Spec.Kv_map.Put (2, 20)) 200 8 in
-  let snap = P.replay P.empty_snapshot [ P.encode_record r1 ] in
+  let snap, _, _ = P.replay P.empty_snapshot [ P.encode_record r1 ] in
   Alcotest.(check int) "hwm follows replay" 100 snap.P.s_hwm_time;
   (* records at or below the base hwm are skipped; later ones apply *)
-  let snap2 =
+  let snap2, folded, skipped =
     P.replay snap [ P.encode_record r1; P.encode_record r2; "corrupt" ]
   in
   Alcotest.(check int) "replay advances past the base" 200 snap2.P.s_hwm_time;
   Alcotest.(check int) "duplicate below hwm skipped, corrupt tail stops" 2
     (List.length snap2.P.s_applied);
+  Alcotest.(check (pair int int)) "one folded, one skipped" (1, 1)
+    (folded, skipped);
   let encoded = P.encode_snapshot snap2 in
   match P.decode_snapshot encoded with
   | Some s ->
@@ -317,6 +319,35 @@ let test_persist_snapshot_and_replay () =
         (let module PR = Net.Persist.Make (Net.Wire.Register_codec) in
          PR.decode_snapshot encoded = None)
   | None -> Alcotest.fail "clean snapshot must decode"
+
+(* A WAL whose writer stamped one record below an earlier one — what a
+   rerun that restarted its clock at 0 left behind: recovery folds the
+   others and reports the one it skipped. *)
+let test_persist_recover_counts_skipped () =
+  with_dir (fun dir ->
+      let t, _ = open_store dir in
+      List.iter
+        (fun (key, time) ->
+          Durable.Store.append t
+            (P.encode_record
+               {
+                 P.op = Spec.Kv_map.Put (key, key * 10);
+                 time;
+                 pid = 0;
+                 op_id = 0;
+                 result = Spec.Kv_map.Ack;
+               }))
+        [ (1, 200); (2, 100); (3, 300) ];
+      Durable.Store.close t;
+      let _, view = open_store dir in
+      let snap, folded, skipped = P.recover view in
+      Alcotest.(check (pair int int)) "two folded, one skipped" (2, 1)
+        (folded, skipped);
+      Alcotest.(check int) "the mark is the last folded stamp" 300
+        snap.P.s_hwm_time;
+      Alcotest.(check bool) "the skipped write is not in the object" true
+        (Spec.Kv_map.apply snap.P.s_obj (Spec.Kv_map.Get 2)
+        |> snd = Spec.Kv_map.Absent))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -357,5 +388,7 @@ let () =
             test_persist_record_roundtrip;
           Alcotest.test_case "snapshot encode/decode + replay" `Quick
             test_persist_snapshot_and_replay;
+          Alcotest.test_case "recovery counts records below the mark" `Quick
+            test_persist_recover_counts_skipped;
         ] );
     ]

@@ -119,21 +119,21 @@ let test_version_rejected_by_decoder () =
             msg
       | Net.Codec.Got _ | Net.Codec.Need_more _ ->
           Alcotest.failf "version %d frame must be Corrupt" v)
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 10; 255 ]
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 255 ]
 
 (* A one-shard host — what [timebounds serve] runs — for the in-process
    TCP tests. *)
 module H = Shard.Host.Make (Net.Wire.Kv_wired)
 
-let host_config ?(offset = 0) ?start_us ?durable ?(log = fun _ -> ()) ~pid
-    ~addrs params =
+let host_config ?(offset = 0) ?durable ?(log = fun _ -> ()) ~pid ~addrs
+    params =
   {
     Shard.Host.pid;
     shards = 1;
     addrs;
     params;
     offset;
-    start_us;
+    start_us = None;
     trace = None;
     durable;
     fsync = (if durable = None then Durable.Wal.Never else Durable.Wal.Always);
@@ -438,11 +438,10 @@ let test_tcp_cluster_in_process () =
   let addrs =
     Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port)) listeners
   in
-  let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
-          (host_config ~offset:(pid * 100) ?start_us ~pid ~addrs kv_params))
+          (host_config ~offset:(pid * 100) ~pid ~addrs kv_params))
   in
   let conns =
     Array.map
@@ -845,15 +844,12 @@ let test_corrupt_frame_drops_one_connection () =
 
 (* ---- durable restart over TCP ---- *)
 
-(* One replica stack with a durable directory: mutate, stop, restart on
-   the same directory — the WAL must bring the object back, and a client
-   replaying an op id must get the recorded result without a re-apply. *)
-let test_tcp_durable_restart_recovers () =
-  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+(* Run [f] on a fresh durable directory, removed afterwards. *)
+let with_durable_dir name f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tb-net-durable-%d" (Unix.getpid ()))
+      (Printf.sprintf "tb-net-%s-%d" name (Unix.getpid ()))
   in
   let cleanup () =
     if Sys.file_exists dir then begin
@@ -864,7 +860,14 @@ let test_tcp_durable_restart_recovers () =
     end
   in
   cleanup ();
-  Fun.protect ~finally:cleanup @@ fun () ->
+  Fun.protect ~finally:cleanup (fun () -> f dir)
+
+(* One replica stack with a durable directory: mutate, stop, restart on
+   the same directory — the WAL must bring the object back, and a client
+   replaying an op id must get the recorded result without a re-apply. *)
+let test_tcp_durable_restart_recovers () =
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  with_durable_dir "durable" @@ fun dir ->
   let params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
   let recovered_line = ref false in
   let recovered_text = ref "" in
@@ -957,6 +960,54 @@ let test_tcp_durable_restart_recovers () =
       Alcotest.(check int) "Recover b = the logged recovery time" took
         e.Obs.Event.b)
     recovers
+
+(* Three boots of one durable host, each a fresh run.  The first runs
+   300 ms before it writes, so its stamp is far above anything a clock
+   restarted at the second boot could read: the second boot's write must
+   still land above the recovered mark, and the third boot must read
+   both. *)
+let test_tcp_durable_reruns_keep_writes () =
+  let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
+  with_durable_dir "reruns" @@ fun dir ->
+  let params = Core.Params.make ~n:1 ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
+  let boot ?(wait_us = 0) ops =
+    let l = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
+    let port = l.Net.Tcp_transport.port in
+    let h =
+      H.start ~listener:l
+        (host_config ~durable:dir ~pid:0 ~addrs:[| ("127.0.0.1", port) |] params)
+    in
+    Prelude.Mclock.sleep_us wait_us;
+    let results =
+      match Cl.connect ~host:"127.0.0.1" ~port () with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok conn ->
+          let rs =
+            List.map
+              (fun op ->
+                match Cl.invoke conn op with
+                | Ok r -> r
+                | Error e -> Alcotest.failf "invoke: %s" e)
+              ops
+          in
+          Cl.close conn;
+          rs
+    in
+    (* let every mutation reach its Execute timer and hence the WAL *)
+    Prelude.Mclock.sleep_us 100_000;
+    ignore (H.stop h);
+    results
+  in
+  let check what expected got =
+    Alcotest.(check bool) what true (got = expected)
+  in
+  check "boot 1 put" [ Spec.Kv_map.Ack ]
+    (boot ~wait_us:300_000 [ Spec.Kv_map.Put (1, 10) ]);
+  check "boot 2 put and read back" [ Spec.Kv_map.Ack; Spec.Kv_map.Found 20 ]
+    (boot [ Spec.Kv_map.Put (2, 20); Spec.Kv_map.Get 2 ]);
+  check "boot 3 reads both boots' writes"
+    [ Spec.Kv_map.Found 10; Spec.Kv_map.Found 20 ]
+    (boot [ Spec.Kv_map.Get 1; Spec.Kv_map.Get 2 ])
 
 let test_client_retry_classification () =
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
@@ -1587,11 +1638,10 @@ let test_holds_never_cut_short () =
   let sink, contents = Obs.Recorder.memory_sink () in
   let recorder = Obs.Recorder.start ~epoch_us:(Prelude.Mclock.now_us ()) ~sink () in
   Obs.Recorder.install recorder;
-  let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
-          (host_config ?start_us ~pid ~addrs params))
+          (host_config ~pid ~addrs params))
   in
   let conns =
     Array.map
@@ -1847,6 +1897,8 @@ let () =
         [
           Alcotest.test_case "restart recovers from the durable dir" `Quick
             test_tcp_durable_restart_recovers;
+          Alcotest.test_case "reruns keep every boot's writes" `Quick
+            test_tcp_durable_reruns_keep_writes;
           Alcotest.test_case "retryable error classification" `Quick
             test_client_retry_classification;
         ] );

@@ -334,7 +334,7 @@ module Kv_rep = Runtime.Replica.Make (Spec.Kv_map)
 let bare_driver ?recovery ?dedup_window_us () =
   let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
   let d =
-    Kv_rep.driver ~params ?recovery ?dedup_window_us ~start_us:0 ~offset:0 0
+    Kv_rep.driver ~params ?recovery ?dedup_window_us ~offset:0 0
   in
   let now = ref 0 and issued = ref 0 and answered = ref 0 in
   let out = function Sim.Action.Respond _ -> incr answered | _ -> () in
@@ -412,7 +412,7 @@ let test_caught_up_fires_zero_holds_only () =
   let now = 100 in
   let burst ~d first =
     let params = Core.Params.make ~n:1 ~d ~u:0 ~eps:0 ~x:0 () in
-    let d = Kv_rep.driver ~params ~start_us:0 ~offset:0 0 in
+    let d = Kv_rep.driver ~params ~offset:0 0 in
     let puts = ref 0 and gets = ref 0 in
     let out = function
       | Sim.Action.Respond r ->

@@ -193,7 +193,6 @@ let test_host_cluster_in_process () =
       (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
       listeners
   in
-  let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
@@ -203,7 +202,7 @@ let test_host_cluster_in_process () =
             addrs;
             params;
             offset = pid * 100;
-            start_us;
+            start_us = None;
             trace = None;
             durable = None;
             fsync = Durable.Wal.Never;
@@ -276,15 +275,15 @@ let dead_port () =
   Unix.close l.Net.Tcp_transport.listen_fd;
   l.Net.Tcp_transport.port
 
-let host_config ?(offset = 0) ?start_us ?fallback ?(log = fun _ -> ()) ~pid
-    ~shards ~addrs params =
+let host_config ?(offset = 0) ?fallback ?(log = fun _ -> ()) ~pid ~shards
+    ~addrs params =
   {
     Shard.Host.pid;
     shards;
     addrs;
     params;
     offset;
-    start_us;
+    start_us = None;
     trace = None;
     durable = None;
     fsync = Durable.Wal.Never;
@@ -338,11 +337,10 @@ let test_host_logs_suspicion () =
     seen
   in
   let t0 = Prelude.Mclock.now_us () in
-  let start_us = Some t0 in
   let handles =
     Array.init 2 (fun pid ->
         H.start ~listener:listeners.(pid)
-          (host_config ?start_us ~fallback ~log ~pid ~shards:1 ~addrs params))
+          (host_config ~fallback ~log ~pid ~shards:1 ~addrs params))
   in
   let timeout = Quorum.Config.timeout_us fallback in
   let deadline = t0 + timeout (* boot grace *) + timeout + 250_000 in
@@ -357,10 +355,10 @@ let test_host_logs_suspicion () =
   Alcotest.(check bool) "replica 0 logs its suspicion of the dead peer" true
     seen
 
-(* The reader threads index a shard's mailbox by the frame's shard tag; a
-   frame tagged past the host's shard count must be dropped by the decode
-   range check — the connection keeps flowing (a later valid frame on it
-   still lands) and clients keep being answered. *)
+(* The host's loop steps a frame on the shard its tag names; a frame
+   tagged past the host's shard count must be dropped by the decode range
+   check — the connection keeps flowing (a later valid frame on it still
+   lands) and clients keep being answered. *)
 let test_host_drops_out_of_range_shard () =
   let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
   let module Cl = Net.Client.Make (Net.Wire.Kv_wired) in
@@ -369,11 +367,7 @@ let test_host_drops_out_of_range_shard () =
   let listener = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0 in
   let port = listener.Net.Tcp_transport.port in
   let addrs = [| ("127.0.0.1", port); ("127.0.0.1", dead_port ()) |] in
-  let t0 = Prelude.Mclock.now_us () in
-  let handle =
-    H.start ~listener
-      (host_config ~start_us:t0 ~pid:0 ~shards ~addrs params)
-  in
+  let handle = H.start ~listener (host_config ~pid:0 ~shards ~addrs params) in
   (* Pose as replica 1 with matching parameters. *)
   let hello =
     C.encode
@@ -394,7 +388,7 @@ let test_host_drops_out_of_range_shard () =
       (C.Entry
          {
            op = Spec.Kv_map.Put (key, v);
-           time = Prelude.Mclock.now_us () - t0;
+           time = Prelude.Mclock.now_us ();
            pid = 1;
            trace = 0;
            op_id = 0;
@@ -568,11 +562,10 @@ let test_host_non_reading_client_cannot_stall () =
     if List.mem "suspecting" (String.split_on_char ' ' line) then
       Atomic.incr suspicions
   in
-  let start_us = Prelude.Mclock.now_us () in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
-          (host_config ~start_us ~fallback ~log ~pid ~shards:1 ~addrs params))
+          (host_config ~fallback ~log ~pid ~shards:1 ~addrs params))
   in
   let port = snd addrs.(0) in
   let good =
@@ -708,12 +701,11 @@ let test_host_stop_leaks_nothing () =
     Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
       listeners
   in
-  let start_us = Prelude.Mclock.now_us () in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
           {
-            (host_config ~start_us ~fallback ~pid ~shards:2 ~addrs params) with
+            (host_config ~fallback ~pid ~shards:2 ~addrs params) with
             Shard.Host.sync =
               Some
                 (Sync.Config.make ~interval_us:20_000 ~d:params.Core.Params.d
@@ -788,11 +780,10 @@ let cluster_drives_hosts ~shards source () =
   in
   let base_port, listeners = consecutive_listeners n in
   let addrs = Array.init n (fun i -> ("127.0.0.1", base_port + i)) in
-  let start_us = Some (Prelude.Mclock.now_us ()) in
   let handles =
     Array.init n (fun pid ->
         H.start ~listener:listeners.(pid)
-          (host_config ?start_us ~pid ~shards ~addrs params))
+          (host_config ~pid ~shards ~addrs params))
   in
   let ops = 72 in
   let r =
