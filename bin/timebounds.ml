@@ -344,23 +344,26 @@ let fallback_args c =
          suspicions, so verbose logging is attached here (hosts log their
          own). *)
       let verbose = Cli.given c "verbose" in
+      let at_least_1 flag ~default =
+        match Cli.int c flag ~default with
+        | v when v >= 1 -> v
+        | v -> Cli.fail c (Printf.sprintf "bad --%s %d (need >= 1)" flag v)
+      in
       Some
-        {
-          Quorum.Config.hb_us = Cli.int c "hb-us" ~default:2_500;
-          suspect_after = Cli.int c "suspect-after" ~default:40;
-          on_mode =
-            (fun ~quorum ~epoch ~seq ->
-              if verbose then
-                Printf.eprintf "[fallback] mode: %s(epoch=%d seq=%d)\n%!"
-                  (if quorum then "quorum" else "fast")
-                  epoch seq);
-          on_suspect =
-            (fun ~peer ~suspected ->
-              if verbose then
-                Printf.eprintf "[fallback] %s peer %d\n%!"
-                  (if suspected then "suspecting" else "cleared")
-                  peer);
-        }
+        (Quorum.Config.make
+           ~hb_us:(at_least_1 "hb-us" ~default:2_500)
+           ~suspect_after:(at_least_1 "suspect-after" ~default:40)
+           ~on_mode:(fun ~quorum ~epoch ~seq ->
+             if verbose then
+               Printf.eprintf "[fallback] mode: %s(epoch=%d seq=%d)\n%!"
+                 (if quorum then "quorum" else "fast")
+                 epoch seq)
+           ~on_suspect:(fun ~peer ~suspected ->
+             if verbose then
+               Printf.eprintf "[fallback] %s peer %d\n%!"
+                 (if suspected then "suspecting" else "cleared")
+                 peer)
+           ())
   | other -> Cli.fail c (Printf.sprintf "bad --fallback %s (quorum|none)" other)
 
 let sync_specs =

@@ -1,5 +1,5 @@
 (** See the interface for the model mapping.  This file holds the
-    {!driver} — one core, its timer list and the clock translation — that
+    {!driver} — one core, its timer heap and the clock translation — that
     both loops step: [Shard.Host]'s poll loop on the wall clock and
     {!Vloop}'s in virtual time. *)
 
@@ -17,16 +17,15 @@ module Make (D : Spec.Data_type.S) = struct
 
   (* ---- the driver: one core, its timers and the clock translation ---- *)
 
-  type timer_entry = {
-    due : int;
-    tseq : int;
-    timer : timer;
-    zero : bool;  (** set with no delay: due at its own step *)
-  }
+  type timer_entry = { due : int; tseq : int; timer : timer }
 
-  let by_due a b =
-    let c = Int.compare a.due b.due in
-    if c <> 0 then c else Int.compare a.tseq b.tseq
+  module Timers = Prelude.Heap.Make (struct
+    type t = timer_entry
+
+    let compare a b =
+      let c = Int.compare a.due b.due in
+      if c <> 0 then c else Int.compare a.tseq b.tseq
+  end)
 
   type output = (reply, wire, timer) Sim.Action.t
 
@@ -35,9 +34,8 @@ module Make (D : Spec.Data_type.S) = struct
     pid : int;
     offset : int;
     mutable core : state;
-    mutable timers : timer_entry list;  (** sorted by [(due, tseq)] *)
+    mutable timers : Timers.t;  (** by [(due, tseq)] *)
     mutable tseq : int;
-    mutable last : int;  (** loop time of the latest step *)
   }
 
   let driver ~(params : Core.Params.t) ?recovery ?fallback ?sync
@@ -48,61 +46,41 @@ module Make (D : Spec.Data_type.S) = struct
       pid;
       offset;
       core = init config ~n:params.Core.Params.n ~pid;
-      timers = [];
+      timers = Timers.empty;
       tseq = 0;
-      last = min_int;
     }
 
-  let next_due d = match d.timers with [] -> max_int | e :: _ -> e.due
+  let next_due d =
+    match Timers.find_min d.timers with None -> max_int | Some e -> e.due
 
   (* Step the core on the replica's raw local clock ([now + offset],
-     [now] on the loop's timeline) and perform its
-     outputs in emitted order: timers go into the driver's list — clocks
-     advance at the rate of loop time, so a [δ]-delay timer is due at
-     [now + δ] — and sends and completions go to [out].  A replica never
-     takes two steps at one clock value: two invocations stepped in the
-     same µs (or the same loop cycle) would otherwise share a timestamp,
-     and Algorithm 1 orders a process's operations by theirs. *)
+     [now] on the loop's timeline) and perform its outputs in emitted
+     order: timers go into the driver's heap — clocks advance at the rate
+     of loop time, so a [δ]-delay timer is due at [now + δ] — and sends
+     and completions go to [out].  Cancels are rare (thaw, transfer), so
+     one rebuilds the heap. *)
   let step d ~now ~out f =
-    let now = if now > d.last then now else d.last + 1 in
-    d.last <- now;
     let st, outputs = f d.config d.core ~clock:(now + d.offset) in
     d.core <- st;
     List.iter
       (function
         | Sim.Action.Set_timer (delay, timer) ->
             d.timers <-
-              List.merge by_due d.timers
-                [ { due = now + delay; tseq = d.tseq; timer; zero = delay = 0 } ];
+              Timers.insert { due = now + delay; tseq = d.tseq; timer } d.timers;
             d.tseq <- d.tseq + 1
         | Sim.Action.Cancel_timer timer ->
-            d.timers <- List.filter (fun e -> not (equal_timer e.timer timer)) d.timers
+            let keep e = not (equal_timer e.timer timer) in
+            d.timers <- Timers.(of_list (List.filter keep (to_sorted_list d.timers)))
         | o -> out o)
       outputs
 
   let rec fire_due d ~now ~out =
-    match d.timers with
-    | e :: rest when e.due <= now ->
-        d.timers <- rest;
+    match Timers.find_min d.timers with
+    | Some e when e.due <= now ->
+        d.timers <- Option.fold ~none:Timers.empty ~some:snd (Timers.delete_min d.timers);
         step d ~now ~out (fun c st ~clock -> on_timer c st ~clock e.timer);
         fire_due d ~now ~out
     | _ -> ()
-
-  (* A zero delay set by a step bumped past [now] is due at that step,
-     which has happened; any other timer waits for [now] to reach it.
-     The steps this takes are bumped past [d.last] as read here, so a
-     zero delay they set waits for a later call. *)
-  let fire_caught_up d ~now ~out =
-    let stepped = d.last in
-    let rec go fired =
-      match d.timers with
-      | e :: rest when e.due <= now || (e.zero && e.due <= stepped) ->
-          d.timers <- rest;
-          step d ~now ~out (fun c st ~clock -> on_timer c st ~clock e.timer);
-          go true
-      | _ -> fired
-    in
-    go false
 
   (* Client deadlines arrive in loop µs and move onto the local clock. *)
   let invoke_at d ~now ~out ~trace ~op_id ~deadline ~ticket op =

@@ -14,14 +14,16 @@
     timeouts all run on that local clock, so {!Sim.Engine} runs the same
     core under virtual time with exact µs.
 
-    {b The driver} ({!driver}) holds one core, its timer list and the
+    {b The driver} ({!driver}) holds one core, its timer heap and the
     clock translation.  A loop feeds it inputs with the time it read
     ({!invoke_at}, {!deliver_at}, {!control_at}, {!fire_due}); the driver
-    steps the core on the replica's raw local clock, files timer outputs
-    into its list and hands sends and completions to the loop's [out]
-    callback in emitted order.  It is the only place that translates
-    absolute time: client deadlines arrive in loop µs and move onto the
-    local clock.
+    steps the core at that reading on the replica's raw local clock, files
+    timer outputs into its heap and hands sends and completions to the
+    loop's [out] callback in emitted order.  Several inputs may be stepped
+    at one reading: the core itself starts an operation only once its
+    stamp clears the replica's previous one.  The driver is the only
+    place that translates absolute time: client deadlines arrive in loop
+    µs and move onto the local clock.
     Two loops drive it: [Shard.Host]'s single poll loop, which steps every
     shard's driver straight from the sockets in each TCP host process on
     the {!Prelude.Mclock} timeline, and {!Vloop}, which steps [n] drivers
@@ -147,17 +149,9 @@ module Make (D : Spec.Data_type.S) : sig
   (** Loop µs of the earliest pending timer; [max_int] if none. *)
 
   val fire_due : driver -> now:int -> out:(output -> unit) -> unit
-  (** Fire every timer due at [now], in due order — including timers
-      those steps set due by [now]. *)
-
-  val fire_caught_up : driver -> now:int -> out:(output -> unit) -> bool
-  (** {!fire_due}, and also, in due order, each zero-delay timer that a
-      step already taken set past [now] — a replica takes one step per
-      µs, so a cycle that stepped several inputs carries its steps, and
-      the zero holds they set, past the cycle's clock reading.  A timer
-      with a delay still waits for [now] to reach its due time, and a
-      zero delay set by one of these steps waits for a later call.  True
-      if any fired. *)
+  (** Fire every timer due by [now], in [(due, set)] order — including
+      the zero-delay ones those steps set, and those an earlier step at
+      [now] set. *)
 
   val invoke_at :
     driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->

@@ -142,6 +142,7 @@ module Make (D : Spec.Data_type.S) = struct
     | Qtick_t
     | Prompt_t of int
     | Sync_t
+    | Fresh_t
 
   let equal_timer a b =
     match (a, b) with
@@ -227,8 +228,10 @@ module Make (D : Spec.Data_type.S) = struct
     mutable booted : bool;
     mutable st : Alg.state;
     mutable inflight : (call * int) option;  (** call, invoked at *)
-    mutable inflight_ts : Prelude.Stamp.t;
-        (** stamp of the in-flight fast-path op (what the gate keys on) *)
+    mutable own_ts : Prelude.Stamp.t;
+        (** stamp of the latest own fast-path op: the in-flight one's
+            (what the gate keys on), and the one the next must sort above *)
+    mutable fresh_armed : bool;  (** a [Fresh_t] is pending *)
     backlog : call Queue.t;
     mutable mode : mode;
     mutable deferred : (Alg.timer * int) list;  (** newest first *)
@@ -299,7 +302,8 @@ module Make (D : Spec.Data_type.S) = struct
         booted = false;
         st = Alg.init p ~n ~pid;
         inflight = None;
-        inflight_ts = no_hwm;
+        own_ts = bottom;
+        fresh_armed = false;
         backlog = Queue.create ();
         mode = Up;
         deferred = [];
@@ -567,11 +571,11 @@ module Make (D : Spec.Data_type.S) = struct
               when t.inflight <> None
                    && (not (in_quorum f))
                    && (not (Quorum.Mode_controller.stalled f.mc))
-                   && not (gate_passes t f t.inflight_ts) ->
+                   && not (gate_passes t f t.own_ts) ->
                 (* Withhold until the gate passes (or a mode switch
                    supersedes it); the single-inflight invariant means at
                    most one response is ever held. *)
-                f.gated <- Some (r, t.inflight_ts)
+                f.gated <- Some (r, t.own_ts)
             | _ ->
                 respond t r;
                 (* The model allows one pending operation per process;
@@ -604,7 +608,7 @@ module Make (D : Spec.Data_type.S) = struct
     t.st <- st';
     (match t.st.Alg.pending with
     | Alg.Waiting_mop e | Alg.Waiting_oop e | Alg.Waiting_aop e ->
-        t.inflight_ts <- e.ts
+        t.own_ts <- e.ts
     | Alg.Idle -> ());
     prompt_peers t;
     (* The broadcast below carries the op id, so every replica can tie
@@ -859,13 +863,26 @@ module Make (D : Spec.Data_type.S) = struct
     match dedup_check t c.op c.op_id with
     | Some outcome -> complete t c.ticket outcome
     | None -> (
-        if t.inflight <> None then Queue.push c t.backlog
-        else
-          match t.fb with
-          | Some f when in_quorum f -> start_quorum_invoke t f c
-          | _ ->
-              begin_op t c;
-              dispatch_alg_invoke t c.op c.trace c.op_id)
+        match t.fb with
+        | Some f when in_quorum f -> start_quorum_invoke t f c
+        | _ ->
+            begin_op t c;
+            dispatch_alg_invoke t c.op c.trace c.op_id)
+
+  (* µs until [c]'s fast-path stamp sorts above this replica's last own
+     one (0: now).  Algorithm 1 orders a process's operations by their
+     stamps; with zero holds a call taken in the µs its predecessor
+     answered would tie with it, and a read, stamped X back, may fall
+     below it.  In a quorum era the sequencer assigns the stamps. *)
+  and stale_by t c =
+    let back = t.p.Core.Params.timing.accessor_ts_back in
+    let ts =
+      if D.classify c.op = Spec.Data_type.Pure_accessor then eff_clock t - back
+      else eff_clock t
+    and last = t.own_ts.Prelude.Stamp.time in
+    match t.fb with
+    | Some f when in_quorum f -> 0
+    | _ -> if ts > last then 0 else last - ts + 1
 
   (* The deadline already passed: doing the work now is dead work the
      client stopped waiting for — refuse it (visibly, as a counted [Shed]
@@ -877,12 +894,22 @@ module Make (D : Spec.Data_type.S) = struct
       ~a:Obs.Event.shed_deadline ();
     complete t c.ticket (Rejected "shed: deadline passed")
 
+  (* Start the backlog's head unless it must wait for a fresh stamp: then
+     it stays at the head, and what arrives meanwhile queues behind it. *)
   and next_from_backlog t =
     if t.inflight = None && t.mode = Up && not (Queue.is_empty t.backlog)
     then begin
-      let c = Queue.pop t.backlog in
-      if t.now > c.deadline then shed_expired t c else submit t c;
-      next_from_backlog t
+      let c = Queue.peek t.backlog in
+      match if t.now > c.deadline then 0 else stale_by t c with
+      | 0 ->
+          ignore (Queue.pop t.backlog);
+          if t.now > c.deadline then shed_expired t c else submit t c;
+          next_from_backlog t
+      | wait ->
+          if not t.fresh_armed then begin
+            t.fresh_armed <- true;
+            set_timer t wait Fresh_t
+          end
     end
 
   and fire_alg_timer t tm trace =
@@ -1301,7 +1328,14 @@ module Make (D : Spec.Data_type.S) = struct
               complete t c.ticket (Rejected "retry: replica down")
           | Some f when Quorum.Mode_controller.stalled f.mc ->
               complete t c.ticket (Rejected "retry: minority stall")
-          | _ -> if t.mode <> Up then Queue.push c t.backlog else submit t c)
+          | _ when t.mode <> Up -> Queue.push c t.backlog
+          | _ -> (
+              (* A replay is answered at once, even behind other calls. *)
+              match dedup_check t c.op c.op_id with
+              | Some outcome -> complete t c.ticket outcome
+              | None ->
+                  Queue.push c t.backlog;
+                  next_from_backlog t))
 
   let heartbeat t f =
     if t.mode = Up then begin
@@ -1419,6 +1453,9 @@ module Make (D : Spec.Data_type.S) = struct
         | Qtick_t -> Option.iter (quorum_tick t) t.fb
         | Prompt_t src -> Option.iter (fun f -> serve_prompt t f src) t.fb
         | Sync_t -> Option.iter (sync_round t) t.sy
+        | Fresh_t ->
+            t.fresh_armed <- false;
+            next_from_backlog t
         | A ((Alg.Add _ as tm), trace) ->
             (* Self-delivery of an already-broadcast entry: enqueue even
                while frozen, keeping the local queue consistent with what

@@ -179,6 +179,9 @@ module Make (D : Spec.Data_type.S) : sig
     | Qtick_t  (** fallback: re-send forwards, request Qfills *)
     | Prompt_t of int  (** fallback: a heartbeat this peer asked for is due *)
     | Sync_t  (** sync: apply the round's correction, broadcast pings *)
+    | Fresh_t
+        (** the backlog's head may start: its stamp now clears the
+            replica's last own one *)
   (** [equal_timer] ignores an [A] timer's trace. *)
 
   include

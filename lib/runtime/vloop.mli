@@ -23,10 +23,9 @@
 
     While {!run} steps, {!Obs.Recorder} stamps events with the virtual
     [now] (µs since the run's start) — the timeline a caller's clients
-    stamp their invocations and responses on too.  A driver takes at most one step per µs, so an input that lands
-    on a replica in a µs it already stepped in is stepped a µs later;
-    that is the only gap between an event's stamp and the replica's
-    clock. *)
+    stamp their invocations and responses on too.  A driver steps every
+    input at the loop's [now], so an event's stamp is the replica's clock
+    minus its offset, and a span lasts exactly its bound. *)
 
 module Make (D : Spec.Data_type.S) : sig
   module R : module type of struct

@@ -19,11 +19,10 @@
     shards (one sleeping [ppoll], then zero-timeout ones inside the lead
     the socket set learned, so the timer fires on time); reads
     the clock once; fires every timer due at that reading, in due order;
-    steps each decoded frame in arrival order per connection; flushes
-    each link's lanes and each client's replies, one write per socket;
-    and reads the clock again to fire what is due by then, the zero
-    holds those steps set past the first reading included, flushing
-    again if anything fired (see {!run}).  A
+    steps each decoded frame in arrival order per connection at the same
+    reading, and fires the zero holds those steps set; then flushes each
+    link's lanes and each client's replies, one write per socket (see
+    {!run}).  A
     client [Invoke] is admitted and stepped into the addressed shard's
     core on the spot, its ticket remembered with the connection, the shard
     and the admission time, so the [Respond] output encodes the
@@ -760,29 +759,11 @@ module Make (W : Net.Wire.WIRED) = struct
         on_client lp conn frame;
         step_inputs lp
 
-  (* The caught-up pass, after the write: a second clock reading, and
-     each shard's timers due by it or set with no delay by a step the
-     one-step-per-µs rule carried past the first ({!R.fire_caught_up}) —
-     a zero hold answers in the cycle that stepped it, and no hold with a
-     delay fires before the clock reaches it.  True if any fired. *)
-  let fire_caught_up lp =
-    lp.now <- Prelude.Mclock.now_us ();
-    let fired = ref false in
-    Array.iteri
-      (fun k sh ->
-        if R.fire_caught_up sh.drv ~now:lp.now ~out:lp.outs.(k) then
-          fired := true)
-      lp.shards;
-    !fired
-
   (* One cycle per iteration: poll until the earliest deadline, read the
      clock once, fire the due timers and release the due parked frames,
-     step the inputs in arrival order, fire the timers those steps made
-     due, write; then the caught-up pass and, if it fired anything,
-     another write.  The pass comes after the first write so a reply
-     already made does not wait behind the steps it runs (a MOP's or
-     AOP's entry reaching Add and Execute), and a zero hold a bumped step
-     set still answers in the cycle that stepped it.  On stop, the
+     step the inputs in arrival order at that reading, fire the timers
+     those steps made due (the zero holds among them answer in the cycle
+     that stepped them), write.  On stop, the
      shards answer their waiting clients ("replica stopped") and every
      parked frame enters its link before the last write: a fault delays a
      frame, it never loses one it decided to deliver.  A traced host is
@@ -817,7 +798,6 @@ module Make (W : Net.Wire.WIRED) = struct
       fire_due lp;
       loop_timers lp lp.now;
       Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
-      if fire_caught_up lp then Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
       Option.iter (fun (r, _) -> Obs.Recorder.drain r) lp.recorder
     done;
     lp.now <- Prelude.Mclock.now_us ();

@@ -446,18 +446,15 @@ let test_traced_live_run () =
   Alcotest.(check bool) "run linearizable" true
     (Runtime.Loadgen.is_linearizable run);
   let events = contents () in
-  (* The run is in virtual time, so spans are exact up to one rule: a
-     replica takes at most one step per µs.  Each client invokes in the µs
-     its previous operation completed (the first in the µs its replica
-     booted), so the replica steps the invocation one µs after the Invoke
-     event's stamp and every span lasts exactly its bound + 1 µs. *)
+  (* The run is in virtual time, and a replica steps every input at the
+     loop's clock, so every span lasts exactly its bound. *)
   let report =
-    Obs.Analyze.check ~params:run.Runtime.Loadgen.params ~grace_us:1 events
+    Obs.Analyze.check ~params:run.Runtime.Loadgen.params ~grace_us:0 events
   in
   Alcotest.(check int) "every operation became a span" ops
     report.Obs.Analyze.total;
   Alcotest.(check int) "all spans complete" 0 report.Obs.Analyze.incomplete;
-  Alcotest.(check int) "nothing violates at bound + 1 µs" 0
+  Alcotest.(check int) "nothing violates its bound" 0
     report.Obs.Analyze.violations;
   Alcotest.(check bool) "some class stats" true
     (report.Obs.Analyze.classes <> []);
@@ -512,7 +509,7 @@ let test_traced_long_run_loses_nothing () =
          e.Obs.Event.t_us >= 0 && e.Obs.Event.t_us <= run.Runtime.Loadgen.wall_us)
        events);
   let report =
-    Obs.Analyze.check ~params:run.Runtime.Loadgen.params ~grace_us:1 events
+    Obs.Analyze.check ~params:run.Runtime.Loadgen.params ~grace_us:0 events
   in
   Alcotest.(check int) "every operation became a span" ops
     report.Obs.Analyze.total;

@@ -22,6 +22,25 @@ let plan_of spec ~seed =
   | Ok p -> p
   | Error e -> Alcotest.failf "compile %S: %s" spec e
 
+(* ---- configuration ---- *)
+
+(* A heartbeat period or a suspicion count below 1 is refused where the
+   config is made: a zero period would re-arm the heartbeat at one clock
+   value forever and divide by zero in the detector's tick. *)
+let test_config_rejects_bad_timing () =
+  let rejects what f =
+    match f () with
+    | (_ : Quorum.Config.t) -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "hb_us 0" (fun () -> Quorum.Config.make ~hb_us:0 ());
+  rejects "hb_us -5" (fun () -> Quorum.Config.make ~hb_us:(-5) ());
+  rejects "suspect_after 0" (fun () -> Quorum.Config.make ~suspect_after:0 ());
+  let c = Quorum.Config.make ~hb_us:1 ~suspect_after:1 () in
+  Alcotest.(check int) "1 × 1 µs accepted" 1 (Quorum.Config.timeout_us c);
+  Alcotest.(check int) "the default's timeout" 100_000
+    (Quorum.Config.timeout_us Quorum.Config.default)
+
 (* ---- failure detector ---- *)
 
 let test_fd_boot_grace_and_suspicion () =
@@ -370,6 +389,11 @@ let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 let () =
   Alcotest.run "quorum"
     [
+      ( "config",
+        [
+          Alcotest.test_case "bad timing is rejected" `Quick
+            test_config_rejects_bad_timing;
+        ] );
       ( "failure-detector",
         [
           Alcotest.test_case "boot grace and suspicion" `Quick

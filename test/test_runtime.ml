@@ -401,59 +401,46 @@ let test_vloop_million_ops_bounded () =
           w1m w10k)
     [ ("recovery off", None); ("recovery armed", Some armed_recovery) ]
 
-(* The host's caught-up pass on one driver.  A replica serves one
-   operation at a time and takes one step per µs, so inputs stepped at one
-   clock reading carry its steps past that reading: a zero hold such a
-   step sets is due at a step already taken and fires in the pass, while
-   a hold with a delay waits for the clock itself, not for the steps that
-   ran ahead of it.  Puts (pure mutators) wait ε + X = 0, gets (pure
-   accessors) d + ε − X = d. *)
-let test_caught_up_fires_zero_holds_only () =
-  let now = 100 in
-  let burst ~d first =
-    let params = Core.Params.make ~n:1 ~d ~u:0 ~eps:0 ~x:0 () in
-    let d = Kv_rep.driver ~params ~offset:0 0 in
-    let puts = ref 0 and gets = ref 0 in
-    let out = function
-      | Sim.Action.Respond r ->
-          incr
-            (match first with
-            | Spec.Kv_map.Get _ when r.Kv_rep.ticket = 0 -> gets
-            | _ -> puts)
-      | _ -> ()
-    in
-    for i = 0 to 31 do
-      let op = if i = 0 then first else Spec.Kv_map.Put (i, i) in
-      Kv_rep.invoke_at d ~now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
-        ~ticket:i op
-    done;
-    Kv_rep.fire_due d ~now ~out;
-    (d, out, puts, gets)
+(* A burst stepped at one loop reading: every hold 0, n = 2, 32 puts
+   invoked at one [now].  The replica starts one at a time, each once its
+   stamp clears the previous one, so the broadcast stamps strictly
+   increase and none runs ahead of the loop time of the step that sent
+   it. *)
+let test_stamps_follow_loop_clock () =
+  let params = Core.Params.make ~n:2 ~d:0 ~u:0 ~eps:0 ~x:0 () in
+  let d = Kv_rep.driver ~params ~offset:0 0 in
+  let now = ref 100 and answered = ref 0 and sent = ref [] in
+  let out = function
+    | Sim.Action.Respond _ -> incr answered
+    | Sim.Action.Broadcast (Kv_rep.Wire_entry (e, _, _)) ->
+        sent := (e.Kv_rep.Alg.ts.Prelude.Stamp.time, !now) :: !sent
+    | _ -> ()
   in
-  (* the first put answers at the reading, at a step past the burst's,
-     and the next put's zero hold is due at that step (its entry's own
-     timers wait d = 1 ms) *)
-  let d, out, puts, _ = burst ~d:1_000 (Spec.Kv_map.Put (0, 0)) in
-  Alcotest.(check int) "one put at the reading" 1 !puts;
-  Alcotest.(check bool) "the pass fired" true (Kv_rep.fire_caught_up d ~now ~out);
-  Alcotest.(check int) "the next put in the pass" 2 !puts;
-  Alcotest.(check bool) "the zero hold the pass set, in a later one" true
-    (Kv_rep.fire_caught_up d ~now ~out);
-  Alcotest.(check int) "one put per pass" 3 !puts;
-  (* a get stepped at the reading is due d = 10 µs after it, inside the
-     32 µs the burst's steps ran ahead *)
-  let d, out, _, gets = burst ~d:10 (Spec.Kv_map.Get 0) in
-  Alcotest.(check bool) "the pass fires nothing" false
-    (Kv_rep.fire_caught_up d ~now ~out);
-  Kv_rep.fire_due d ~now:(now + 9) ~out;
-  Alcotest.(check int) "no get before its 10 µs" 0 !gets;
-  Alcotest.(check bool) "the get at its due time" true
-    (Kv_rep.fire_caught_up d ~now:(now + 10) ~out);
-  Alcotest.(check int) "the get answered" 1 !gets
+  for i = 0 to 31 do
+    Kv_rep.invoke_at d ~now:!now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
+      ~ticket:i (Spec.Kv_map.Put (i, i))
+  done;
+  Kv_rep.fire_due d ~now:!now ~out;
+  while !answered < 32 do
+    let due = Kv_rep.next_due d in
+    if due = max_int then Alcotest.fail "the driver stalled";
+    now := max !now due;
+    Kv_rep.fire_due d ~now:!now ~out
+  done;
+  let sent = List.rev !sent in
+  Alcotest.(check int) "every put broadcast" 32 (List.length sent);
+  List.iteri
+    (fun i (ts, at) ->
+      if ts > at then Alcotest.failf "put %d stamped %d at loop time %d" i ts at;
+      if i > 0 && ts <= fst (List.nth sent (i - 1)) then
+        Alcotest.failf "put %d stamped %d, not above its predecessor" i ts)
+    sent
 
 (* A checkpoint is the object, the high-water mark and the dedup window:
-   its encoding after 100k ops is the size it was after 10k (varint
-   widths aside), not ten times it. *)
+   its encoding after 200k ops is the size it was after 20k, not ten
+   times it.  Both points lie past the ops where the window's stamps
+   (one op per µs here) widen their zigzag varints from 2 to 3 bytes, at
+   8,192. *)
 let test_checkpoint_bytes_flat () =
   let module P = Net.Persist.Make (Net.Wire.Kv_codec) in
   let d, live_words_at =
@@ -481,10 +468,10 @@ let test_checkpoint_bytes_flat () =
                view.window;
          })
   in
-  let b10k = bytes_at 10_000 in
-  let b100k = bytes_at 100_000 in
-  if b10k = 0 || float_of_int (abs (b100k - b10k)) > 0.1 *. float_of_int b10k
-  then Alcotest.failf "checkpoint %d bytes after 10k ops, %d after 100k" b10k b100k
+  let b20k = bytes_at 20_000 in
+  let b200k = bytes_at 200_000 in
+  if b20k = 0 || float_of_int (abs (b200k - b20k)) > 0.1 *. float_of_int b20k
+  then Alcotest.failf "checkpoint %d bytes after 20k ops, %d after 200k" b20k b200k
 
 (* The dedup window's floor is a stable frontier: with every delay in
    [d − u, d] and clocks within ε, no replica applies an entry stamped
@@ -1094,8 +1081,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false vloop_links_fifo;
           Alcotest.test_case "same seed, same report" `Quick
             test_vloop_same_seed_same_report;
-          Alcotest.test_case "the caught-up pass fires zero holds only" `Quick
-            test_caught_up_fires_zero_holds_only;
+          Alcotest.test_case "stamps never run ahead of the loop clock" `Quick
+            test_stamps_follow_loop_clock;
           Alcotest.test_case "driver words per op" `Quick
             test_vloop_words_per_op;
           Alcotest.test_case "same-µs answers precede invocations" `Quick

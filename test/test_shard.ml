@@ -475,9 +475,9 @@ let test_host_pipelined_invokes () =
     (second = ok (Spec.Kv_map.Found 70))
 
 (* Every hold 0 on one replica: each request is served in the loop cycle
-   that read it, its zero holds included — the caught-up pass fires the
-   timers the one-step-per-µs rule carried past the cycle's clock
-   reading.  Firing them a cycle later costs ~1.5 cycles per op. *)
+   that read it, its zero holds included: they are due at the cycle's
+   clock reading, so the fire after the steps answers them before the
+   write.  Firing them a cycle later costs ~1.5 cycles per op. *)
 let test_host_one_cycle_per_request () =
   let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
   let handle, conn = solo_host params in
