@@ -196,33 +196,36 @@ let runtime_tests =
    bottleneck. *)
 module Codec_bench = struct
   module C = Net.Codec.Make (Net.Wire.Kv_codec)
+  module R = Runtime.Replica_core.Make (Net.Wire.Kv_codec.D)
 
   let entries =
     List.init 64 (fun i ->
-        C.Entry
-          {
-            op = Spec.Kv_map.Put (i mod 16, i * 17);
-            time = i * 997;
-            pid = i mod 5;
-            trace = i * 1_048_583;
-            op_id = i + 1;
-            shard = i mod 8;
-          })
+        ( i mod 8,
+          R.Wire_entry
+            ( {
+                R.Alg.op = Spec.Kv_map.Put (i mod 16, i * 17);
+                ts = Prelude.Stamp.make ~time:(i * 997) ~pid:(i mod 5);
+              },
+              i * 1_048_583,
+              i + 1 ) ))
 
-  let blob = String.concat "" (List.map C.encode entries)
+  let blob = String.concat "" (List.map C.encode_peer entries)
 
   let encode_test =
     Test.make ~name:"codec-encode-64-entries"
-      (Staged.stage (fun () -> List.iter (fun m -> ignore (C.encode m)) entries))
+      (Staged.stage (fun () ->
+           List.iter (fun m -> ignore (C.encode_peer m)) entries))
 
   let decode_test =
     Test.make ~name:"codec-decode-64-entries"
       (Staged.stage (fun () ->
            let rec go pos =
              if pos < String.length blob then
-               match C.decode ~pos blob with
-               | Net.Codec.Got (_, next) -> go next
-               | Net.Codec.Need_more _ | Net.Codec.Corrupt _ ->
+               match Net.Codec.decode_frame ~pos blob with
+               | Net.Codec.Got (f, next) when Result.is_ok (C.decode_peer f) ->
+                   go next
+               | Net.Codec.Got _ | Net.Codec.Need_more _ | Net.Codec.Corrupt _
+                 ->
                    failwith "codec bench: blob must decode cleanly"
            in
            go 0))
@@ -510,7 +513,7 @@ module Quorum_bench = struct
            done))
 
   let fallback =
-    { Quorum.Config.default with hb_us = 2_000; suspect_after = 15 }
+    Quorum.Config.make ~hb_us:2_000 ~suspect_after:15 ()
 
   let inert =
     match Fault.Fault_plan.compile ~seed:11 ~spec:"drop(0)" with
@@ -556,16 +559,20 @@ let quorum_tests =
    probe rounds. *)
 module Sync_bench = struct
   module C = Net.Codec.Make (Net.Wire.Kv_codec)
+  module R = Runtime.Replica_core.Make (Net.Wire.Kv_codec.D)
 
   let probe_codec_test =
     let pong =
-      C.Pong { seq = 7; t0 = 123_456; t_rx = 123_956; t_tx = 123_970; shard = 0 }
+      ( 0,
+        R.Wire_sync
+          (R.Spong { seq = 7; t0 = 123_456; t_rx = 123_956; t_tx = 123_970 })
+      )
     in
     Test.make ~name:"sync-probe-roundtrip"
       (Staged.stage (fun () ->
-           match C.decode (C.encode pong) with
-           | Net.Codec.Got _ -> ()
-           | Net.Codec.Need_more _ | Net.Codec.Corrupt _ ->
+           match Net.Codec.decode_frame (C.encode_peer pong) with
+           | Net.Codec.Got (f, _) when Result.is_ok (C.decode_peer f) -> ()
+           | Net.Codec.Got _ | Net.Codec.Need_more _ | Net.Codec.Corrupt _ ->
                failwith "sync bench: pong frame must roundtrip"))
 
   let estimator_test =

@@ -326,6 +326,12 @@ let chaos_args ?(flag = "chaos") ?default c ~seed =
       | Error e -> Cli.fail c (Printf.sprintf "bad --%s: %s" flag e)
       | Ok p -> Some p)
 
+(* A positive integer flag; zero or below exits 2 like any bad value. *)
+let at_least_1 c flag ~default =
+  match Cli.int c flag ~default with
+  | v when v >= 1 -> v
+  | v -> Cli.fail c (Printf.sprintf "bad --%s %d (need >= 1)" flag v)
+
 let fallback_specs =
   [
     Cli.value "fallback"
@@ -344,15 +350,10 @@ let fallback_args c =
          suspicions, so verbose logging is attached here (hosts log their
          own). *)
       let verbose = Cli.given c "verbose" in
-      let at_least_1 flag ~default =
-        match Cli.int c flag ~default with
-        | v when v >= 1 -> v
-        | v -> Cli.fail c (Printf.sprintf "bad --%s %d (need >= 1)" flag v)
-      in
       Some
         (Quorum.Config.make
-           ~hb_us:(at_least_1 "hb-us" ~default:2_500)
-           ~suspect_after:(at_least_1 "suspect-after" ~default:40)
+           ~hb_us:(at_least_1 c "hb-us" ~default:2_500)
+           ~suspect_after:(at_least_1 c "suspect-after" ~default:40)
            ~on_mode:(fun ~quorum ~epoch ~seq ->
              if verbose then
                Printf.eprintf "[fallback] mode: %s(epoch=%d seq=%d)\n%!"
@@ -366,14 +367,21 @@ let fallback_args c =
            ())
   | other -> Cli.fail c (Printf.sprintf "bad --fallback %s (quorum|none)" other)
 
+let sync_interval_spec =
+  Cli.value "sync-interval-us"
+    (Printf.sprintf "clock-sync probe round interval, µs (default %d)"
+       Sync.Config.default_interval_us)
+
+let sync_interval c =
+  at_least_1 c "sync-interval-us" ~default:Sync.Config.default_interval_us
+
 let sync_specs =
   [
     Cli.value "sync"
       "live clock synchronization: on (measure ε over the wire and slew \
        each replica's clock toward the Lundelius-Lynch midpoint) or off \
        (default off)";
-    Cli.value "sync-interval-us"
-      "clock-sync probe round interval, µs (default 50000)";
+    sync_interval_spec;
     Cli.value "sync-u"
       "one-way uncertainty bound for piggybacked heartbeat samples, µs \
        (default: the effective u)";
@@ -386,10 +394,14 @@ let sync_args c ~d ~u =
   match Cli.str c "sync" ~default:"off" with
   | "off" -> None
   | "on" ->
-      let interval_us =
-        Cli.int c "sync-interval-us" ~default:Sync.Config.default_interval_us
+      let interval_us = sync_interval c in
+      let su =
+        match Cli.int c "sync-u" ~default:u with
+        | v when v >= 0 && v <= d -> v
+        | v ->
+            Cli.fail c
+              (Printf.sprintf "bad --sync-u %d (need 0 <= N <= %d)" v d)
       in
-      let su = Cli.int c "sync-u" ~default:u in
       (* In-process runs have no host to log achieved ε, so verbose logging
          is attached here (hosts log their own). *)
       let verbose = Cli.given c "verbose" in
@@ -561,12 +573,7 @@ let sync_cmd () =
          2000)";
       Cli.value "rounds" "sync rounds to observe before judging (default 10)";
     ]
-    @ timing_specs
-    @ [
-        Cli.value "sync-interval-us"
-          (Printf.sprintf "probe-round interval, µs (default %d)"
-             Sync.Config.default_interval_us);
-      ]
+    @ timing_specs @ [ sync_interval_spec ]
   in
   let c = Cli.parse ~prog ~specs argv in
   let n = Cli.int c "n" ~default:3 in
@@ -584,9 +591,7 @@ let sync_cmd () =
     | None -> max (2 * skew) (Core.Params.optimal_eps ~n ~u)
   in
   let params = Core.Params.make ~n ~d:(d + slack) ~u:(u + slack) ~eps ~x () in
-  let interval_us =
-    Cli.int c "sync-interval-us" ~default:Sync.Config.default_interval_us
-  in
+  let interval_us = sync_interval c in
   (* Evenly-spaced offsets over [+skew, −skew]: pid 0 fastest, n−1 slowest. *)
   let offsets = Array.init n (fun i -> skew - (2 * skew * i / (n - 1))) in
   let module V = Runtime.Vloop.Make (Spec.Register) in

@@ -35,32 +35,8 @@ let fsync_to_string = function
    real record is bounded by what [append] accepts. *)
 let max_record = 1 lsl 24
 
-let put_uleb buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let byte = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
-let get_uleb s ~pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len || shift > 56 then None
-    else
-      let byte = Char.code s.[pos] in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then Some (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
 let encode_record buf payload =
-  put_uleb buf (String.length payload);
+  Prelude.Varint.add_uint buf (String.length payload);
   let crc = Prelude.Crc32.string payload in
   Buffer.add_char buf (Char.chr ((crc lsr 24) land 0xff));
   Buffer.add_char buf (Char.chr ((crc lsr 16) land 0xff));
@@ -107,24 +83,15 @@ let write_all fd b len =
   let rec go off = if off < len then go (off + Unix.write fd b off (len - off)) in
   go 0
 
-let rec uleb_len n = if n < 0x80 then 1 else 1 + uleb_len (n lsr 7)
-
-let rec put_uleb_bytes b pos n =
-  if n < 0x80 then Bytes.unsafe_set b pos (Char.unsafe_chr n)
-  else begin
-    Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-    put_uleb_bytes b (pos + 1) (n lsr 7)
-  end
-
 (* Frame [t.payload] into [t.frame] — length, CRC, payload, as
    {!encode_record} lays it out — and write it with one call. *)
 let write_payload t =
   let len = Buffer.length t.payload in
   if len > max_record then invalid_arg "Wal.append: record too large";
-  let hdr = uleb_len len + 4 in
+  let hdr = Prelude.Varint.uint_size len + 4 in
   if Bytes.length t.frame < hdr + len then
     t.frame <- Bytes.create (2 * (hdr + len));
-  put_uleb_bytes t.frame 0 len;
+  Prelude.Varint.set_uint t.frame 0 len;
   Buffer.blit t.payload 0 t.frame hdr len;
   let crc = Prelude.Crc32.sub (Bytes.unsafe_to_string t.frame) ~pos:hdr ~len in
   Bytes.set_int32_be t.frame (hdr - 4) (Int32.of_int crc);
@@ -157,12 +124,14 @@ let close t =
 
 let of_string s =
   let len = String.length s in
-  let rec go pos acc =
-    if pos >= len then List.rev acc
+  let r = { Prelude.Varint.src = s; pos = 0 } in
+  let rec go acc =
+    if r.pos >= len then List.rev acc
     else
-      match get_uleb s ~pos with
-      | None -> List.rev acc
-      | Some (rlen, pos) ->
+      match Prelude.Varint.get_uint r with
+      | exception Prelude.Varint.Malformed _ -> List.rev acc
+      | rlen ->
+          let pos = r.pos in
           if rlen < 0 || rlen > max_record || pos + 4 + rlen > len then
             List.rev acc
           else
@@ -174,9 +143,12 @@ let of_string s =
             in
             if Prelude.Crc32.sub s ~pos:(pos + 4) ~len:rlen <> crc then
               List.rev acc
-            else go (pos + 4 + rlen) (String.sub s (pos + 4) rlen :: acc)
+            else begin
+              r.pos <- pos + 4 + rlen;
+              go (String.sub s (pos + 4) rlen :: acc)
+            end
   in
-  go 0 []
+  go []
 
 let read_file path =
   match

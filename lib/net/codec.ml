@@ -121,62 +121,35 @@ let decode_frame ?(pos = 0) ?len s =
 
 (* ---- payload primitives ---- *)
 
-exception Bad_payload of string
+(* A malformed varint is a malformed payload: one exception for both. *)
+exception Bad_payload = Prelude.Varint.Malformed
 
 module Wr = struct
-  let rec uint b n =
-    if n land lnot 0x7f = 0 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-      uint b (n lsr 7)
-    end
-
-  let int b i = uint b ((i lsl 1) lxor (i asr 62))
+  let int = Prelude.Varint.add_int
 
   let string b s =
-    uint b (String.length s);
+    Prelude.Varint.add_uint b (String.length s);
     Buffer.add_string b s
 end
 
 module Rd = struct
-  type t = { buf : string; mutable pos : int }
+  type t = Prelude.Varint.reader
 
-  let of_string s = { buf = s; pos = 0 }
+  let of_string s = { Prelude.Varint.src = s; pos = 0 }
   let fail msg = raise (Bad_payload msg)
+  let int = Prelude.Varint.get_int
 
-  let byte t =
-    if t.pos >= String.length t.buf then fail "truncated payload"
-    else begin
-      let c = Char.code t.buf.[t.pos] in
-      t.pos <- t.pos + 1;
-      c
-    end
-
-  (* Top-level, not a local closure: a varint read allocates nothing. *)
-  let rec uint_from t shift acc =
-    if shift > 62 then fail "varint overflow"
-    else
-      let c = byte t in
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then acc else uint_from t (shift + 7) acc
-
-  let uint t = uint_from t 0 0
-
-  let int t =
-    let n = uint t in
-    (n lsr 1) lxor (-(n land 1))
-
-  let string t =
-    let len = uint t in
-    if len < 0 || t.pos + len > String.length t.buf then
+  let string (t : t) =
+    let len = Prelude.Varint.get_uint t in
+    if len < 0 || t.pos + len > String.length t.src then
       fail "truncated string"
     else begin
-      let s = String.sub t.buf t.pos len in
+      let s = String.sub t.src t.pos len in
       t.pos <- t.pos + len;
       s
     end
 
-  let at_end t = t.pos = String.length t.buf
+  let at_end (t : t) = t.pos = String.length t.src
 end
 
 (* ---- typed messages ---- *)
@@ -227,6 +200,10 @@ let k_shed = 18
 let k_catchup_state = 19
 
 module Make (O : OBJ_CODEC) = struct
+  module R = Runtime.Replica_core.Make (O.D)
+
+  type wire = R.wire
+
   type msg =
     | Hello of hello
     | Entry of {
@@ -249,59 +226,6 @@ module Make (O : OBJ_CODEC) = struct
     | Stats_req
     | Stats of Runtime.Transport_intf.stats
     | Error_msg of string
-    | Catchup_req of { time : int; cpid : int; shard : int }
-    | Catchup_rep of {
-        entries : (O.D.op * int * int * int) list;
-            (** op, time, pid, op id — stamp order *)
-        time : int;
-        cpid : int;
-        shard : int;
-      }
-    | Catchup_state of {
-        obj : O.D.state;
-        time : int;
-        cpid : int;  (** the replier's high-water mark *)
-        window : (O.D.op * int * int * int * O.D.result) list;
-            (** op, time, pid, op id, result — stamp order *)
-        entries : (O.D.op * int * int * int) list;
-            (** queued: op, time, pid, op id — stamp order *)
-        shard : int;
-      }
-    | Hb of {
-        stamp : int;
-        epoch : int;
-        qmode : bool;
-        seq : int;
-        floor : int;
-        ack : int;
-        want : int;
-        shard : int;
-      }
-    | Forward of {
-        qid : int;
-        origin : int;
-        op : O.D.op;
-        op_id : int;
-        trace : int;
-        shard : int;
-      }
-    | Propose of {
-        epoch : int;
-        qseq : int;
-        time : int;
-        origin : int;
-        qid : int;
-        op : O.D.op;
-        op_id : int;
-        trace : int;
-        shard : int;
-      }
-    | Qack of { epoch : int; qseq : int; shard : int }
-    | Qcommit of { epoch : int; qseq : int; shard : int }
-    | Fnack of { qid : int; shard : int }
-    | Qfill of { epoch : int; from_seq : int; shard : int }
-    | Ping of { seq : int; t0 : int; shard : int }
-    | Pong of { seq : int; t0 : int; t_rx : int; t_tx : int; shard : int }
     | Shed of { reason : string; shard : int }
 
   let equal_msg a b =
@@ -318,54 +242,6 @@ module Make (O : OBJ_CODEC) = struct
     | Stats_req, Stats_req -> true
     | Stats s1, Stats s2 -> s1 = s2
     | Error_msg e1, Error_msg e2 -> String.equal e1 e2
-    | Catchup_req q1, Catchup_req q2 ->
-        q1.time = q2.time && q1.cpid = q2.cpid && q1.shard = q2.shard
-    | Catchup_rep p1, Catchup_rep p2 ->
-        p1.time = p2.time && p1.cpid = p2.cpid && p1.shard = p2.shard
-        && List.length p1.entries = List.length p2.entries
-        && List.for_all2
-             (fun (o1, t1, p1, i1) (o2, t2, p2, i2) ->
-               O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2)
-             p1.entries p2.entries
-    | Catchup_state s1, Catchup_state s2 ->
-        O.D.equal_state s1.obj s2.obj
-        && s1.time = s2.time && s1.cpid = s2.cpid && s1.shard = s2.shard
-        && List.length s1.window = List.length s2.window
-        && List.for_all2
-             (fun (o1, t1, p1, i1, r1) (o2, t2, p2, i2, r2) ->
-               O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2
-               && O.D.equal_result r1 r2)
-             s1.window s2.window
-        && List.length s1.entries = List.length s2.entries
-        && List.for_all2
-             (fun (o1, t1, p1, i1) (o2, t2, p2, i2) ->
-               O.D.equal_op o1 o2 && t1 = t2 && p1 = p2 && i1 = i2)
-             s1.entries s2.entries
-    | Hb h1, Hb h2 ->
-        h1.stamp = h2.stamp && h1.epoch = h2.epoch && h1.qmode = h2.qmode
-        && h1.seq = h2.seq && h1.floor = h2.floor && h1.ack = h2.ack
-        && h1.want = h2.want && h1.shard = h2.shard
-    | Forward f1, Forward f2 ->
-        f1.qid = f2.qid && f1.origin = f2.origin && O.D.equal_op f1.op f2.op
-        && f1.op_id = f2.op_id && f1.trace = f2.trace && f1.shard = f2.shard
-    | Propose p1, Propose p2 ->
-        p1.epoch = p2.epoch && p1.qseq = p2.qseq && p1.time = p2.time
-        && p1.origin = p2.origin && p1.qid = p2.qid
-        && O.D.equal_op p1.op p2.op && p1.op_id = p2.op_id
-        && p1.trace = p2.trace && p1.shard = p2.shard
-    | Qack a1, Qack a2 ->
-        a1.epoch = a2.epoch && a1.qseq = a2.qseq && a1.shard = a2.shard
-    | Qcommit c1, Qcommit c2 ->
-        c1.epoch = c2.epoch && c1.qseq = c2.qseq && c1.shard = c2.shard
-    | Fnack n1, Fnack n2 -> n1.qid = n2.qid && n1.shard = n2.shard
-    | Qfill q1, Qfill q2 ->
-        q1.epoch = q2.epoch && q1.from_seq = q2.from_seq
-        && q1.shard = q2.shard
-    | Ping p1, Ping p2 ->
-        p1.seq = p2.seq && p1.t0 = p2.t0 && p1.shard = p2.shard
-    | Pong p1, Pong p2 ->
-        p1.seq = p2.seq && p1.t0 = p2.t0 && p1.t_rx = p2.t_rx
-        && p1.t_tx = p2.t_tx && p1.shard = p2.shard
     | Shed s1, Shed s2 ->
         String.equal s1.reason s2.reason && s1.shard = s2.shard
     | _ -> false
@@ -387,39 +263,252 @@ module Make (O : OBJ_CODEC) = struct
     | Stats s ->
         Format.fprintf fmt "stats{%a}" Runtime.Transport_intf.pp_stats s
     | Error_msg e -> Format.fprintf fmt "error{%s}" e
-    | Catchup_req q ->
-        Format.fprintf fmt "catchup?{hwm=⟨%d,%d⟩ s=%d}" q.time q.cpid q.shard
-    | Catchup_rep p ->
-        Format.fprintf fmt "catchup{%d entries, hwm=⟨%d,%d⟩ s=%d}"
-          (List.length p.entries) p.time p.cpid p.shard
-    | Catchup_state p ->
-        Format.fprintf fmt
-          "transfer{hwm=⟨%d,%d⟩ window=%d entries=%d s=%d}" p.time p.cpid
-          (List.length p.window) (List.length p.entries) p.shard
-    | Hb h ->
-        Format.fprintf fmt
-          "hb{clk=%d e=%d %s seq=%d floor=%d ack=%d want=%d s=%d}" h.stamp
-          h.epoch
-          (if h.qmode then "quorum" else "fast")
-          h.seq h.floor h.ack h.want h.shard
-    | Forward f ->
-        Format.fprintf fmt "fwd{%a qid=%d from=%d id=%d t=%x s=%d}" O.D.pp_op
-          f.op f.qid f.origin f.op_id f.trace f.shard
-    | Propose p ->
-        Format.fprintf fmt "propose{e=%d #%d %a @@ ⟨%d,%d⟩ qid=%d id=%d s=%d}"
-          p.epoch p.qseq O.D.pp_op p.op p.time p.origin p.qid p.op_id p.shard
-    | Qack a -> Format.fprintf fmt "qack{e=%d #%d s=%d}" a.epoch a.qseq a.shard
-    | Qcommit c ->
-        Format.fprintf fmt "qcommit{e=%d #%d s=%d}" c.epoch c.qseq c.shard
-    | Fnack n -> Format.fprintf fmt "fnack{qid=%d s=%d}" n.qid n.shard
-    | Qfill q ->
-        Format.fprintf fmt "qfill{e=%d from=%d s=%d}" q.epoch q.from_seq
-          q.shard
-    | Ping p -> Format.fprintf fmt "ping{#%d t0=%d s=%d}" p.seq p.t0 p.shard
-    | Pong p ->
-        Format.fprintf fmt "pong{#%d t0=%d rx=%d tx=%d s=%d}" p.seq p.t0
-          p.t_rx p.t_tx p.shard
     | Shed s -> Format.fprintf fmt "shed{%s s=%d}" s.reason s.shard
+
+  (* ---- peer frames: the core's wire, one writer and one reader per kind,
+     every payload ending in its shard id ---- *)
+
+  (* ⟨op, ⟨time, pid⟩⟩, as every entry travels *)
+  let put_entry b (e : R.Alg.entry) =
+    O.write_op b e.op;
+    Wr.int b e.ts.time;
+    Wr.int b e.ts.pid
+
+  let get_entry r =
+    let op = O.read_op r in
+    let time = Rd.int r in
+    let pid = Rd.int r in
+    { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
+
+  let put_list b put l =
+    Wr.int b (List.length l);
+    List.iter put l
+
+  let get_list r what get =
+    let c = Rd.int r in
+    if c < 0 || c > max_payload then
+      Rd.fail (Printf.sprintf "bad %s count %d" what c);
+    List.init c (fun _ -> get r)
+
+  let put_queued b (e, op_id) =
+    put_entry b e;
+    Wr.int b op_id
+
+  let get_queued r =
+    let e = get_entry r in
+    let op_id = Rd.int r in
+    (e, op_id)
+
+  let write_wire b = function
+    | R.Wire_entry (e, trace, op_id) ->
+        put_entry b e;
+        Wr.int b trace;
+        Wr.int b op_id;
+        k_entry
+    | R.Wire_catchup_req { time; cpid } ->
+        Wr.int b time;
+        Wr.int b cpid;
+        k_catchup_req
+    | R.Wire_catchup_rep { entries; time; cpid } ->
+        put_list b (put_queued b) entries;
+        Wr.int b time;
+        Wr.int b cpid;
+        k_catchup_rep
+    | R.Wire_catchup_state { obj; time; cpid; window; entries } ->
+        O.write_state b obj;
+        Wr.int b time;
+        Wr.int b cpid;
+        put_list b
+          (fun (e, result, op_id) ->
+            put_queued b (e, op_id);
+            O.write_result b result)
+          window;
+        put_list b (put_queued b) entries;
+        k_catchup_state
+    | R.Wire_quorum (R.Hb h) ->
+        Wr.int b h.stamp;
+        Wr.int b h.epoch;
+        Wr.int b (if h.qmode then 1 else 0);
+        Wr.int b h.seq;
+        Wr.int b h.floor;
+        Wr.int b h.ack;
+        Wr.int b h.want;
+        k_hb
+    | R.Wire_quorum (R.Forward f) ->
+        Wr.int b f.qid;
+        Wr.int b f.origin;
+        O.write_op b f.op;
+        Wr.int b f.op_id;
+        Wr.int b f.trace;
+        k_forward
+    | R.Wire_quorum (R.Propose { epoch; qseq; p }) ->
+        Wr.int b epoch;
+        Wr.int b qseq;
+        Wr.int b p.q_time;
+        Wr.int b p.q_origin;
+        Wr.int b p.q_qid;
+        O.write_op b p.q_op;
+        Wr.int b p.q_op_id;
+        Wr.int b p.q_trace;
+        k_propose
+    | R.Wire_quorum (R.Qack { epoch; qseq }) ->
+        Wr.int b epoch;
+        Wr.int b qseq;
+        k_qack
+    | R.Wire_quorum (R.Qcommit { epoch; qseq }) ->
+        Wr.int b epoch;
+        Wr.int b qseq;
+        k_qcommit
+    | R.Wire_quorum (R.Fnack { qid }) ->
+        Wr.int b qid;
+        k_fnack
+    | R.Wire_quorum (R.Qfill { epoch; from_seq }) ->
+        Wr.int b epoch;
+        Wr.int b from_seq;
+        k_qfill
+    | R.Wire_sync (R.Sping { seq; t0 }) ->
+        Wr.int b seq;
+        Wr.int b t0;
+        k_ping
+    | R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx }) ->
+        Wr.int b seq;
+        Wr.int b t0;
+        Wr.int b t_rx;
+        Wr.int b t_tx;
+        k_pong
+
+  let read_wire kind r =
+    if kind = k_entry then begin
+      let e = get_entry r in
+      let trace = Rd.int r in
+      let op_id = Rd.int r in
+      R.Wire_entry (e, trace, op_id)
+    end
+    else if kind = k_catchup_req then begin
+      let time = Rd.int r in
+      let cpid = Rd.int r in
+      R.Wire_catchup_req { time; cpid }
+    end
+    else if kind = k_catchup_rep then begin
+      let entries = get_list r "catchup entry" get_queued in
+      let time = Rd.int r in
+      let cpid = Rd.int r in
+      R.Wire_catchup_rep { entries; time; cpid }
+    end
+    else if kind = k_catchup_state then begin
+      let obj = O.read_state r in
+      let time = Rd.int r in
+      let cpid = Rd.int r in
+      let window =
+        get_list r "transfer window" (fun r ->
+            let e, op_id = get_queued r in
+            let result = O.read_result r in
+            (e, result, op_id))
+      in
+      let entries = get_list r "transfer entry" get_queued in
+      R.Wire_catchup_state { obj; time; cpid; window; entries }
+    end
+    else if kind = k_hb then begin
+      let stamp = Rd.int r in
+      let epoch = Rd.int r in
+      let qmode =
+        match Rd.int r with
+        | 0 -> false
+        | 1 -> true
+        | t -> Rd.fail (Printf.sprintf "hb: bad mode tag %d" t)
+      in
+      let seq = Rd.int r in
+      let floor = Rd.int r in
+      let ack = Rd.int r in
+      let want = Rd.int r in
+      R.Wire_quorum (R.Hb { stamp; epoch; qmode; seq; floor; ack; want })
+    end
+    else if kind = k_forward then begin
+      let qid = Rd.int r in
+      let origin = Rd.int r in
+      let op = O.read_op r in
+      let op_id = Rd.int r in
+      let trace = Rd.int r in
+      R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace })
+    end
+    else if kind = k_propose then begin
+      let epoch = Rd.int r in
+      let qseq = Rd.int r in
+      let q_time = Rd.int r in
+      let q_origin = Rd.int r in
+      let q_qid = Rd.int r in
+      let q_op = O.read_op r in
+      let q_op_id = Rd.int r in
+      let q_trace = Rd.int r in
+      R.Wire_quorum
+        (R.Propose
+           {
+             epoch;
+             qseq;
+             p = { R.q_time; q_op; q_origin; q_qid; q_op_id; q_trace };
+           })
+    end
+    else if kind = k_qack then begin
+      let epoch = Rd.int r in
+      let qseq = Rd.int r in
+      R.Wire_quorum (R.Qack { epoch; qseq })
+    end
+    else if kind = k_qcommit then begin
+      let epoch = Rd.int r in
+      let qseq = Rd.int r in
+      R.Wire_quorum (R.Qcommit { epoch; qseq })
+    end
+    else if kind = k_fnack then R.Wire_quorum (R.Fnack { qid = Rd.int r })
+    else if kind = k_qfill then begin
+      let epoch = Rd.int r in
+      let from_seq = Rd.int r in
+      R.Wire_quorum (R.Qfill { epoch; from_seq })
+    end
+    else if kind = k_ping then begin
+      let seq = Rd.int r in
+      let t0 = Rd.int r in
+      R.Wire_sync (R.Sping { seq; t0 })
+    end
+    else if kind = k_pong then begin
+      let seq = Rd.int r in
+      let t0 = Rd.int r in
+      let t_rx = Rd.int r in
+      let t_tx = Rd.int r in
+      R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx })
+    end
+    else Rd.fail (Printf.sprintf "not a peer frame kind %d" kind)
+
+  let write_peer b (shard, w) =
+    let kind = write_wire b w in
+    Wr.int b shard;
+    kind
+
+  let encode_with write v =
+    let b = Buffer.create 32 in
+    let kind = write b v in
+    encode_frame ~kind ~payload:(Buffer.contents b)
+
+  let encode_peer = encode_with write_peer
+
+  (* A whole payload read by [read] (top-level, so passing it allocates
+     nothing), or why not. *)
+  let read_payload read frame =
+    match
+      let r = Rd.of_string frame.payload in
+      let v = read frame.kind r in
+      if Rd.at_end r then Ok v else Error "trailing payload bytes"
+    with
+    | verdict -> verdict
+    | exception Bad_payload msg -> Error msg
+
+  let read_peer kind r =
+    let w = read_wire kind r in
+    let shard = Rd.int r in
+    (shard, w)
+
+  let decode_peer = read_payload read_peer
+
+  (* ---- client and handshake frames ---- *)
 
   let write_payload b msg =
     match msg with
@@ -433,14 +522,11 @@ module Make (O : OBJ_CODEC) = struct
         Wr.int b h.obj_tag;
         Wr.int b h.shards;
         k_hello
-    | Entry e ->
-        O.write_op b e.op;
-        Wr.int b e.time;
-        Wr.int b e.pid;
-        Wr.int b e.trace;
-        Wr.int b e.op_id;
-        Wr.int b e.shard;
-        k_entry
+    | Entry { op; time; pid; trace; op_id; shard } ->
+        write_peer b
+          ( shard,
+            R.Wire_entry
+              ({ R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }, trace, op_id) )
     | Invoke i ->
         O.write_op b i.op;
         Wr.int b i.trace;
@@ -471,327 +557,91 @@ module Make (O : OBJ_CODEC) = struct
     | Error_msg e ->
         Wr.string b e;
         k_error
-    | Catchup_req q ->
-        Wr.int b q.time;
-        Wr.int b q.cpid;
-        Wr.int b q.shard;
-        k_catchup_req
-    | Catchup_rep p ->
-        Wr.int b (List.length p.entries);
-        List.iter
-          (fun (op, time, pid, op_id) ->
-            O.write_op b op;
-            Wr.int b time;
-            Wr.int b pid;
-            Wr.int b op_id)
-          p.entries;
-        Wr.int b p.time;
-        Wr.int b p.cpid;
-        Wr.int b p.shard;
-        k_catchup_rep
-    | Catchup_state p ->
-        O.write_state b p.obj;
-        Wr.int b p.time;
-        Wr.int b p.cpid;
-        Wr.int b (List.length p.window);
-        List.iter
-          (fun (op, time, pid, op_id, result) ->
-            O.write_op b op;
-            Wr.int b time;
-            Wr.int b pid;
-            Wr.int b op_id;
-            O.write_result b result)
-          p.window;
-        Wr.int b (List.length p.entries);
-        List.iter
-          (fun (op, time, pid, op_id) ->
-            O.write_op b op;
-            Wr.int b time;
-            Wr.int b pid;
-            Wr.int b op_id)
-          p.entries;
-        Wr.int b p.shard;
-        k_catchup_state
-    | Hb h ->
-        Wr.int b h.stamp;
-        Wr.int b h.epoch;
-        Wr.int b (if h.qmode then 1 else 0);
-        Wr.int b h.seq;
-        Wr.int b h.floor;
-        Wr.int b h.ack;
-        Wr.int b h.want;
-        Wr.int b h.shard;
-        k_hb
-    | Forward f ->
-        Wr.int b f.qid;
-        Wr.int b f.origin;
-        O.write_op b f.op;
-        Wr.int b f.op_id;
-        Wr.int b f.trace;
-        Wr.int b f.shard;
-        k_forward
-    | Propose p ->
-        Wr.int b p.epoch;
-        Wr.int b p.qseq;
-        Wr.int b p.time;
-        Wr.int b p.origin;
-        Wr.int b p.qid;
-        O.write_op b p.op;
-        Wr.int b p.op_id;
-        Wr.int b p.trace;
-        Wr.int b p.shard;
-        k_propose
-    | Qack a ->
-        Wr.int b a.epoch;
-        Wr.int b a.qseq;
-        Wr.int b a.shard;
-        k_qack
-    | Qcommit c ->
-        Wr.int b c.epoch;
-        Wr.int b c.qseq;
-        Wr.int b c.shard;
-        k_qcommit
-    | Fnack n ->
-        Wr.int b n.qid;
-        Wr.int b n.shard;
-        k_fnack
-    | Qfill q ->
-        Wr.int b q.epoch;
-        Wr.int b q.from_seq;
-        Wr.int b q.shard;
-        k_qfill
-    | Ping p ->
-        Wr.int b p.seq;
-        Wr.int b p.t0;
-        Wr.int b p.shard;
-        k_ping
-    | Pong p ->
-        Wr.int b p.seq;
-        Wr.int b p.t0;
-        Wr.int b p.t_rx;
-        Wr.int b p.t_tx;
-        Wr.int b p.shard;
-        k_pong
     | Shed s ->
         Wr.string b s.reason;
         Wr.int b s.shard;
         k_shed
 
-  let encode msg =
-    let b = Buffer.create 32 in
-    let kind = write_payload b msg in
-    encode_frame ~kind ~payload:(Buffer.contents b)
+  let encode = encode_with write_payload
+
+  let read_msg kind r =
+    if kind = k_hello then
+      let pid = Rd.int r in
+      let n = Rd.int r in
+      let d = Rd.int r in
+      let u = Rd.int r in
+      let eps = Rd.int r in
+      let x = Rd.int r in
+      let obj_tag = Rd.int r in
+      let shards = Rd.int r in
+      Hello { pid; n; d; u; eps; x; obj_tag; shards }
+    else if kind = k_invoke then begin
+      let op = O.read_op r in
+      let trace = Rd.int r in
+      let op_id = Rd.int r in
+      let shard = Rd.int r in
+      let deadline = Rd.int r in
+      Invoke { op; trace; op_id; shard; deadline }
+    end
+    else if kind = k_result then begin
+      let result = O.read_result r in
+      let shard = Rd.int r in
+      Result { result; shard }
+    end
+    else if kind = k_stats_req then Stats_req
+    else if kind = k_stats then begin
+      let sent = Rd.int r in
+      let dropped = Rd.int r in
+      let link =
+        match Rd.int r with
+        | 0 -> None
+        | 1 ->
+            let reconnects = Rd.int r in
+            let bytes_out = Rd.int r in
+            let bytes_in = Rd.int r in
+            let disconnected_us = Rd.int r in
+            let queue_hwm = Rd.int r in
+            let ctrl_hwm = Rd.int r in
+            let lane_shed = Rd.int r in
+            Some
+              {
+                Runtime.Transport_intf.reconnects;
+                bytes_out;
+                bytes_in;
+                disconnected_us;
+                queue_hwm;
+                ctrl_hwm;
+                lane_shed;
+              }
+        | t -> Rd.fail (Printf.sprintf "stats: bad link tag %d" t)
+      in
+      Stats { Runtime.Transport_intf.sent; dropped; link }
+    end
+    else if kind = k_error then Error_msg (Rd.string r)
+    else if kind = k_shed then begin
+      let reason = Rd.string r in
+      let shard = Rd.int r in
+      Shed { reason; shard }
+    end
+    else Rd.fail (Printf.sprintf "not a client frame kind %d" kind)
 
   let decode_payload frame =
-    match
-      let r = Rd.of_string frame.payload in
-      let msg =
-        if frame.kind = k_hello then
-          let pid = Rd.int r in
-          let n = Rd.int r in
-          let d = Rd.int r in
-          let u = Rd.int r in
-          let eps = Rd.int r in
-          let x = Rd.int r in
-          let obj_tag = Rd.int r in
-          let shards = Rd.int r in
-          Hello { pid; n; d; u; eps; x; obj_tag; shards }
-        else if frame.kind = k_entry then begin
-          let op = O.read_op r in
-          let time = Rd.int r in
-          let pid = Rd.int r in
-          let trace = Rd.int r in
-          let op_id = Rd.int r in
-          let shard = Rd.int r in
-          Entry { op; time; pid; trace; op_id; shard }
-        end
-        else if frame.kind = k_invoke then begin
-          let op = O.read_op r in
-          let trace = Rd.int r in
-          let op_id = Rd.int r in
-          let shard = Rd.int r in
-          let deadline = Rd.int r in
-          Invoke { op; trace; op_id; shard; deadline }
-        end
-        else if frame.kind = k_result then begin
-          let result = O.read_result r in
-          let shard = Rd.int r in
-          Result { result; shard }
-        end
-        else if frame.kind = k_stats_req then Stats_req
-        else if frame.kind = k_stats then begin
-          let sent = Rd.int r in
-          let dropped = Rd.int r in
-          let link =
-            match Rd.int r with
-            | 0 -> None
-            | 1 ->
-                let reconnects = Rd.int r in
-                let bytes_out = Rd.int r in
-                let bytes_in = Rd.int r in
-                let disconnected_us = Rd.int r in
-                let queue_hwm = Rd.int r in
-                let ctrl_hwm = Rd.int r in
-                let lane_shed = Rd.int r in
-                Some
-                  {
-                    Runtime.Transport_intf.reconnects;
-                    bytes_out;
-                    bytes_in;
-                    disconnected_us;
-                    queue_hwm;
-                    ctrl_hwm;
-                    lane_shed;
-                  }
-            | t -> Rd.fail (Printf.sprintf "stats: bad link tag %d" t)
-          in
-          Stats { Runtime.Transport_intf.sent; dropped; link }
-        end
-        else if frame.kind = k_error then Error_msg (Rd.string r)
-        else if frame.kind = k_catchup_req then begin
-          let time = Rd.int r in
-          let cpid = Rd.int r in
-          let shard = Rd.int r in
-          Catchup_req { time; cpid; shard }
-        end
-        else if frame.kind = k_catchup_rep then begin
-          let count = Rd.int r in
-          if count < 0 || count > max_payload then
-            Rd.fail (Printf.sprintf "catchup: bad entry count %d" count);
-          let entries = ref [] in
-          for _ = 1 to count do
-            let op = O.read_op r in
-            let time = Rd.int r in
-            let pid = Rd.int r in
-            let op_id = Rd.int r in
-            entries := (op, time, pid, op_id) :: !entries
-          done;
-          let entries = List.rev !entries in
-          let time = Rd.int r in
-          let cpid = Rd.int r in
-          let shard = Rd.int r in
-          Catchup_rep { entries; time; cpid; shard }
-        end
-        else if frame.kind = k_catchup_state then begin
-          let obj = O.read_state r in
-          let time = Rd.int r in
-          let cpid = Rd.int r in
-          (* A counted run of items, read in order. *)
-          let items what read =
-            let c = Rd.int r in
-            if c < 0 || c > max_payload then
-              Rd.fail (Printf.sprintf "transfer: bad %s count %d" what c);
-            let acc = ref [] in
-            for _ = 1 to c do
-              acc := read () :: !acc
-            done;
-            List.rev !acc
-          in
-          let window =
-            items "window" (fun () ->
-                let op = O.read_op r in
-                let time = Rd.int r in
-                let pid = Rd.int r in
-                let op_id = Rd.int r in
-                let result = O.read_result r in
-                (op, time, pid, op_id, result))
-          in
-          let entries =
-            items "entry" (fun () ->
-                let op = O.read_op r in
-                let time = Rd.int r in
-                let pid = Rd.int r in
-                let op_id = Rd.int r in
-                (op, time, pid, op_id))
-          in
-          let shard = Rd.int r in
-          Catchup_state { obj; time; cpid; window; entries; shard }
-        end
-        else if frame.kind = k_hb then begin
-          let stamp = Rd.int r in
-          let epoch = Rd.int r in
-          let qmode =
-            match Rd.int r with
-            | 0 -> false
-            | 1 -> true
-            | t -> Rd.fail (Printf.sprintf "hb: bad mode tag %d" t)
-          in
-          let seq = Rd.int r in
-          let floor = Rd.int r in
-          let ack = Rd.int r in
-          let want = Rd.int r in
-          let shard = Rd.int r in
-          Hb { stamp; epoch; qmode; seq; floor; ack; want; shard }
-        end
-        else if frame.kind = k_forward then begin
-          let qid = Rd.int r in
-          let origin = Rd.int r in
-          let op = O.read_op r in
-          let op_id = Rd.int r in
-          let trace = Rd.int r in
-          let shard = Rd.int r in
-          Forward { qid; origin; op; op_id; trace; shard }
-        end
-        else if frame.kind = k_propose then begin
-          let epoch = Rd.int r in
-          let qseq = Rd.int r in
-          let time = Rd.int r in
-          let origin = Rd.int r in
-          let qid = Rd.int r in
-          let op = O.read_op r in
-          let op_id = Rd.int r in
-          let trace = Rd.int r in
-          let shard = Rd.int r in
-          Propose { epoch; qseq; time; origin; qid; op; op_id; trace; shard }
-        end
-        else if frame.kind = k_qack then begin
-          let epoch = Rd.int r in
-          let qseq = Rd.int r in
-          let shard = Rd.int r in
-          Qack { epoch; qseq; shard }
-        end
-        else if frame.kind = k_qcommit then begin
-          let epoch = Rd.int r in
-          let qseq = Rd.int r in
-          let shard = Rd.int r in
-          Qcommit { epoch; qseq; shard }
-        end
-        else if frame.kind = k_fnack then begin
-          let qid = Rd.int r in
-          let shard = Rd.int r in
-          Fnack { qid; shard }
-        end
-        else if frame.kind = k_qfill then begin
-          let epoch = Rd.int r in
-          let from_seq = Rd.int r in
-          let shard = Rd.int r in
-          Qfill { epoch; from_seq; shard }
-        end
-        else if frame.kind = k_ping then begin
-          let seq = Rd.int r in
-          let t0 = Rd.int r in
-          let shard = Rd.int r in
-          Ping { seq; t0; shard }
-        end
-        else if frame.kind = k_pong then begin
-          let seq = Rd.int r in
-          let t0 = Rd.int r in
-          let t_rx = Rd.int r in
-          let t_tx = Rd.int r in
-          let shard = Rd.int r in
-          Pong { seq; t0; t_rx; t_tx; shard }
-        end
-        else if frame.kind = k_shed then begin
-          let reason = Rd.string r in
-          let shard = Rd.int r in
-          Shed { reason; shard }
-        end
-        else Rd.fail (Printf.sprintf "unknown frame kind %d" frame.kind)
-      in
-      if Rd.at_end r then Ok msg else Error "trailing payload bytes"
-    with
-    | verdict -> verdict
-    | exception Bad_payload msg -> Error msg
+    if frame.kind = k_entry then
+      match decode_peer frame with
+      | Ok (shard, R.Wire_entry (e, trace, op_id)) ->
+          Ok
+            (Entry
+               {
+                 op = e.op;
+                 time = e.ts.time;
+                 pid = e.ts.pid;
+                 trace;
+                 op_id;
+                 shard;
+               })
+      | Ok _ -> Error "not an entry"
+      | Error e -> Error e
+    else read_payload read_msg frame
 
   let decode ?(pos = 0) s =
     match decode_frame ~pos s with

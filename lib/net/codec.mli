@@ -12,12 +12,14 @@
       surfaces as {!Corrupt} or {!Need_more}.  Decoding {e never raises}:
       a stream reader can feed arbitrary bytes and always gets a
       three-valued verdict.
-    - a {e typed message layer} ({!Make}): the Algorithm 1 / client
-      protocol messages, generic over a per-object (de)serialiser
-      ({!OBJ_CODEC}; the registered objects live in {!Wire}).  Payloads
-      use zigzag-varint integers and length-prefixed strings; a malformed
-      payload inside a well-framed frame decodes to {!Corrupt}, not an
-      exception.
+    - a {e typed layer} ({!Make}), generic over a per-object (de)serialiser
+      ({!OBJ_CODEC}; the registered objects live in {!Wire}).  Peer frames
+      are the replica core's own {!Runtime.Replica_core.Make.wire},
+      serialised in place with the shard id last ({!Make.encode_peer},
+      {!Make.decode_peer}); client and handshake frames are {!Make.msg}.
+      Payloads use {!Prelude.Varint} integers (zigzag) and
+      length-prefixed strings; a malformed payload inside a well-framed
+      frame decodes to an error, not an exception.
 
     The wire protocol (who sends which message) is documented in
     [Tcp_transport] and README "Wire format". *)
@@ -77,8 +79,8 @@ val decode_frame : ?pos:int -> ?len:int -> string -> frame progress
 
 exception Bad_payload of string
 (** Raised by {!Rd} accessors and {!OBJ_CODEC} readers on malformed
-    payloads; confined to the codec — {!Make.decode} catches it and
-    returns {!Corrupt}. *)
+    payloads — the same exception as {!Prelude.Varint.Malformed}; confined
+    to the codec: {!Make}'s decoders catch it and return an error. *)
 
 module Wr : sig
   val int : Buffer.t -> int -> unit  (** zigzag LEB128 varint *)
@@ -139,6 +141,20 @@ type hello = {
     (or route operations to the wrong object) instead. *)
 
 module Make (O : OBJ_CODEC) : sig
+  type wire = Runtime.Replica_core.Make(O.D).wire
+  (** Everything replicas say to each other.  Frame kinds: entry 1,
+      catch-up request 7, reply 8 and state transfer 19, heartbeat 9,
+      forward 10, propose 11, quorum ack 12, commit 13, nack 14, fill 15,
+      sync ping 16 and pong 17. *)
+
+  val encode_peer : int * wire -> string
+  (** The frame of a shard's message, shard id last in the payload. *)
+
+  val decode_peer : frame -> (int * wire, string) result
+  (** The shard and message of a peer frame; [Error] on a kind that is not
+      a peer frame's, a malformed payload, or trailing bytes.  The shard
+      id is not range-checked. *)
+
   type msg =
     | Hello of hello  (** first frame on a replica→replica connection *)
     | Entry of {
@@ -152,7 +168,9 @@ module Make (O : OBJ_CODEC) : sig
         (** an Algorithm 1 protocol message: operation + ⟨time, pid⟩ stamp
             + originating trace id (0 when untraced) + client operation id
             (0 when the client did not ask for idempotence) + shard id of
-            the instance it belongs to (0 = the only shard) *)
+            the instance it belongs to (0 = the only shard).  The bytes of
+            the peer frame [(shard, Wire_entry _)], for callers that
+            speak to a replica without its core's types. *)
     | Invoke of {
         op : O.D.op;
         trace : int;
@@ -172,86 +190,13 @@ module Make (O : OBJ_CODEC) : sig
     | Stats_req  (** client → replica: transport stats probe *)
     | Stats of Runtime.Transport_intf.stats  (** replica → client *)
     | Error_msg of string  (** replica → client: invocation failed *)
-    | Catchup_req of { time : int; cpid : int; shard : int }
-        (** restarted replica → peers: "send me everything above my
-            high-water mark ⟨time, cpid⟩" (time −1 = empty), per shard *)
-    | Catchup_rep of {
-        entries : (O.D.op * int * int * int) list;
-            (** (op, time, pid, op id) in stamp order *)
-        time : int;
-        cpid : int;  (** the replier's own high-water mark *)
-        shard : int;
-      }
-    | Catchup_state of {
-        obj : O.D.state;  (** the replier's object at its high-water mark *)
-        time : int;
-        cpid : int;  (** the replier's high-water mark *)
-        window : (O.D.op * int * int * int * O.D.result) list;
-            (** its dedup window: (op, time, pid, op id, result), stamp
-                order *)
-        entries : (O.D.op * int * int * int) list;
-            (** its queued entries: (op, time, pid, op id), stamp order *)
-        shard : int;
-      }
-        (** the catch-up reply to an asker whose high-water mark is below
-            the replier's: a state transfer *)
-    | Hb of {
-        stamp : int;
-        epoch : int;
-        qmode : bool;
-        seq : int;
-        floor : int;
-        ack : int;
-        want : int;
-        shard : int;
-      }
-        (** replica → replicas: failure-detector heartbeat carrying the
-            sender's clock, doubling as the mode announcement (epoch,
-            fast/quorum, sequencer pid, stamp floor) — see DESIGN.md §13.
-            Addressed to one peer it may also carry [ack], a receipt ack
-            of that peer's fast-path entry with this stamp time, or
-            [want], a request for a heartbeat once the addressee's clock
-            reaches this value (0 = none, for both). *)
-    | Forward of {
-        qid : int;
-        origin : int;
-        op : O.D.op;
-        op_id : int;
-        trace : int;
-        shard : int;
-      }  (** origin replica → sequencer: order this op in the quorum log *)
-    | Propose of {
-        epoch : int;
-        qseq : int;
-        time : int;  (** assigned stamp time; the stamp pid is [origin] *)
-        origin : int;
-        qid : int;
-        op : O.D.op;
-        op_id : int;
-        trace : int;
-        shard : int;
-      }  (** sequencer → replicas: slot [qseq] of era [epoch] holds this *)
-    | Qack of { epoch : int; qseq : int; shard : int }
-        (** follower → sequencer: slot stored *)
-    | Qcommit of { epoch : int; qseq : int; shard : int }
-        (** sequencer → replicas: majority reached; apply in slot order *)
-    | Fnack of { qid : int; shard : int }
-        (** addressee was not the sequencer: re-route the forward *)
-    | Qfill of { epoch : int; from_seq : int; shard : int }
-        (** follower → sequencer: re-send payloads from [from_seq] up *)
-    | Ping of { seq : int; t0 : int; shard : int }
-        (** replica → replicas: sync probe; [t0] is the prober's corrected
-            clock at send (µs) *)
-    | Pong of { seq : int; t0 : int; t_rx : int; t_tx : int; shard : int }
-        (** probe echo: [seq]/[t0] copied from the ping, [t_rx]/[t_tx] the
-            responder's corrected clock at receipt and reply — the four
-            NTP timestamps of a two-way offset sample *)
     | Shed of { reason : string; shard : int }
         (** replica → client: the op was refused (or abandoned) by
             overload protection — deadline already passed, admission
             control predicted a miss, or the inflight budget was full.
             A distinct retryable class: the op was {e not} executed, so
             an idempotent retry with capped backoff is always safe. *)
+  (** Client, handshake and bare entry frames. *)
 
   val equal_msg : msg -> msg -> bool
   val pp_msg : Format.formatter -> msg -> unit
@@ -264,8 +209,9 @@ module Make (O : OBJ_CODEC) : sig
       {!frame_into}. *)
 
   val decode_payload : frame -> (msg, string) result
-  (** Interpret an already-framed payload; [Error] on unknown kind,
-      malformed payload, or trailing bytes. *)
+  (** Interpret an already-framed payload; [Error] on a kind that is no
+      {!msg}'s (peer frames other than an entry included), malformed
+      payload, or trailing bytes. *)
 
   val decode : ?pos:int -> string -> msg progress
   (** {!decode_frame} followed by {!decode_payload}; total. *)

@@ -124,43 +124,13 @@ let pp ppf e =
   Format.fprintf ppf "@[%8dus p%d %-10s trace=%x a=%d b=%d@]" e.t_us e.pid
     (kind_name e.kind) e.trace e.a e.b
 
-(* Zigzag LEB128, same scheme as the wire codec but self-contained: obs sits
-   below lib/net in the dependency order. *)
-
-let zigzag v = (v lsl 1) lxor (v asr 62)
-let unzigzag v = (v lsr 1) lxor (-(v land 1))
-
-let put_varint buf v =
-  let v = ref (zigzag v) in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then (
-      Buffer.add_char buf (Char.chr byte);
-      continue := false)
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
-let get_varint s ~pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len || shift > 62 then None
-    else
-      let byte = Char.code s.[pos] in
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then Some (unzigzag acc, pos + 1)
-      else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
-
 let encode buf e =
   Buffer.add_char buf (Char.chr (kind_code e.kind));
-  put_varint buf e.t_us;
-  put_varint buf e.pid;
-  put_varint buf e.trace;
-  put_varint buf e.a;
-  put_varint buf e.b
+  Prelude.Varint.add_int buf e.t_us;
+  Prelude.Varint.add_int buf e.pid;
+  Prelude.Varint.add_int buf e.trace;
+  Prelude.Varint.add_int buf e.a;
+  Prelude.Varint.add_int buf e.b
 
 let decode s ~pos =
   if pos >= String.length s then None
@@ -168,19 +138,14 @@ let decode s ~pos =
     match kind_of_code (Char.code s.[pos]) with
     | None -> None
     | Some kind -> (
-        match get_varint s ~pos:(pos + 1) with
-        | None -> None
-        | Some (t_us, pos) -> (
-            match get_varint s ~pos with
-            | None -> None
-            | Some (pid, pos) -> (
-                match get_varint s ~pos with
-                | None -> None
-                | Some (trace, pos) -> (
-                    match get_varint s ~pos with
-                    | None -> None
-                    | Some (a, pos) -> (
-                        match get_varint s ~pos with
-                        | None -> None
-                        | Some (b, pos) ->
-                            Some ({ t_us; pid; kind; trace; a; b }, pos))))))
+        let r = { Prelude.Varint.src = s; pos = pos + 1 } in
+        match
+          let t_us = Prelude.Varint.get_int r in
+          let pid = Prelude.Varint.get_int r in
+          let trace = Prelude.Varint.get_int r in
+          let a = Prelude.Varint.get_int r in
+          let b = Prelude.Varint.get_int r in
+          { t_us; pid; kind; trace; a; b }
+        with
+        | e -> Some (e, r.pos)
+        | exception Prelude.Varint.Malformed _ -> None)

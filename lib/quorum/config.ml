@@ -1,22 +1,8 @@
-(** Tuning knobs for the quorum fallback, shared by every layer that arms
-    it (in-process clusters and [Shard.Host] processes).
-
-    The defaults aim CI-sized clusters: heartbeats every 2.5 ms and
-    suspicion after 40 consecutive missed intervals put the failure
-    detector's timeout at 100 ms — far above any scheduler stall a loaded
-    2-core runner produces, far below the seconds a load run lasts. *)
-
 type t = {
-  hb_us : int;  (** heartbeat period, µs *)
+  hb_us : int;
   suspect_after : int;
-      (** consecutive missed heartbeat intervals before a peer is
-          suspected; the detector's timeout is [hb_us * suspect_after] *)
   on_mode : quorum:bool -> epoch:int -> seq:int -> unit;
-      (** called from inside the replica's event loop on every mode
-          transition — the hook [Shard.Host] logs (and CI greps) and the
-          chaos harness turns into an availability report *)
   on_suspect : peer:int -> suspected:bool -> unit;
-      (** called on every suspicion transition of the failure detector *)
 }
 
 (* Below 1 there is no detector: a zero period re-arms the heartbeat at

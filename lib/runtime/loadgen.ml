@@ -575,15 +575,13 @@ module Make (L : Workloads.LIVE) = struct
     let fallback =
       Option.map
         (fun (cfg : Quorum.Config.t) ->
-          let outer = cfg.Quorum.Config.on_mode in
-          {
-            cfg with
-            Quorum.Config.on_mode =
-              (fun ~quorum ~epoch ~seq ->
-                let at = Option.fold ~none:0 ~some:V.now !loop in
-                switches := (at, quorum, epoch) :: !switches;
-                outer ~quorum ~epoch ~seq);
-          })
+          Quorum.Config.make ~hb_us:cfg.hb_us ~suspect_after:cfg.suspect_after
+            ~on_suspect:cfg.on_suspect
+            ~on_mode:(fun ~quorum ~epoch ~seq ->
+              let at = Option.fold ~none:0 ~some:V.now !loop in
+              switches := (at, quorum, epoch) :: !switches;
+              cfg.on_mode ~quorum ~epoch ~seq)
+            ())
         fallback
     in
     let v =

@@ -139,7 +139,9 @@ let epoch_of cfg =
 
 module Make (W : Net.Wire.WIRED) = struct
   module C = Net.Codec.Make (W.C)
-  module R = Runtime.Replica.Make (W.L.D)
+  (* Over the codec's object, so [R.wire] is the type the codec reads and
+     writes. *)
+  module R = Runtime.Replica.Make (W.C.D)
   module P = Net.Persist.Make (W.C)
 
   let hello_of cfg =
@@ -189,162 +191,19 @@ module Make (W : Net.Wire.WIRED) = struct
     | Ok _ -> Net.Tcp_transport.Client
     | Error e -> Net.Tcp_transport.Reject ("bad handshake: " ^ e)
 
-  let entry_of ~op ~time ~pid =
-    { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
-
-  (* Frames decode to (shard, wire).  This range check is the only guard
-     before the shard's driver is indexed: the handshake guarantees
-     matching topologies, so an out-of-range shard id is a corrupt or
-     foreign frame and is skipped like any other undecodable one. *)
+  (* This range check is the only guard before the shard's driver is
+     indexed: the handshake guarantees matching topologies, so an
+     out-of-range shard id is a corrupt or foreign frame and is skipped
+     like any other undecodable one. *)
   let decode_peer ~shards ~me ~src frame =
-    let ok shard = shard >= 0 && shard < shards in
-    match C.decode_payload frame with
-    | Ok (C.Entry { op; time; pid; trace; op_id; shard }) when ok shard ->
-        Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Recv ~trace ~a:src ();
-        Some
-          ( shard,
-            R.Wire_entry (entry_of ~op ~time ~pid, trace, op_id) )
-    | Ok (C.Catchup_req { time; cpid; shard }) when ok shard ->
-        Some (shard, R.Wire_catchup_req { time; cpid })
-    | Ok (C.Catchup_rep { entries; time; cpid; shard }) when ok shard ->
-        let entries =
-          List.map
-            (fun (op, time, pid, op_id) -> (entry_of ~op ~time ~pid, op_id))
-            entries
-        in
-        Some (shard, R.Wire_catchup_rep { entries; time; cpid })
-    | Ok (C.Catchup_state { obj; time; cpid; window; entries; shard })
-      when ok shard ->
-        let window =
-          List.map
-            (fun (op, time, pid, op_id, result) ->
-              (entry_of ~op ~time ~pid, result, op_id))
-            window
-        in
-        let entries =
-          List.map
-            (fun (op, time, pid, op_id) -> (entry_of ~op ~time ~pid, op_id))
-            entries
-        in
-        Some (shard, R.Wire_catchup_state { obj; time; cpid; window; entries })
-    | Ok (C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard })
-      when ok shard ->
-        Some
-          ( shard,
-            R.Wire_quorum
-                 (R.Hb { stamp; epoch; qmode; seq; floor; ack; want }) )
-    | Ok (C.Forward { qid; origin; op; op_id; trace; shard }) when ok shard ->
-        Some
-          ( shard,
-            R.Wire_quorum (R.Forward { qid; origin; op; op_id; trace }) )
-    | Ok (C.Propose { epoch; qseq; time; origin; qid; op; op_id; trace; shard })
-      when ok shard ->
-        Some
-          ( shard,
-            R.Wire_quorum
-                 (R.Propose
-                    {
-                      epoch;
-                      qseq;
-                      p =
-                        {
-                          R.q_time = time;
-                          q_op = op;
-                          q_origin = origin;
-                          q_qid = qid;
-                          q_op_id = op_id;
-                          q_trace = trace;
-                        };
-                    }) )
-    | Ok (C.Qack { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.Wire_quorum (R.Qack { epoch; qseq }))
-    | Ok (C.Qcommit { epoch; qseq; shard }) when ok shard ->
-        Some (shard, R.Wire_quorum (R.Qcommit { epoch; qseq }))
-    | Ok (C.Fnack { qid; shard }) when ok shard ->
-        Some (shard, R.Wire_quorum (R.Fnack { qid }))
-    | Ok (C.Qfill { epoch; from_seq; shard }) when ok shard ->
-        Some (shard, R.Wire_quorum (R.Qfill { epoch; from_seq }))
-    | Ok (C.Ping { seq; t0; shard }) when ok shard ->
-        Some (shard, R.Wire_sync (R.Sping { seq; t0 }))
-    | Ok (C.Pong { seq; t0; t_rx; t_tx; shard }) when ok shard ->
-        Some (shard, R.Wire_sync (R.Spong { seq; t0; t_rx; t_tx }))
+    match C.decode_peer frame with
+    | Ok ((shard, w) as m) when shard >= 0 && shard < shards ->
+        (match w with
+        | R.Wire_entry (_, trace, _) ->
+            Obs.Recorder.emit ~pid:me ~kind:Obs.Event.Recv ~trace ~a:src ()
+        | _ -> ());
+        Some m
     | Ok _ | Error _ -> None
-
-  let encode_peer (shard, ev) =
-    match ev with
-    | R.Wire_entry ((e : R.Alg.entry), trace, op_id) ->
-        C.encode
-          (C.Entry
-             {
-               op = e.R.Alg.op;
-               time = e.R.Alg.ts.Prelude.Stamp.time;
-               pid = e.R.Alg.ts.Prelude.Stamp.pid;
-               trace;
-               op_id;
-               shard;
-             })
-    | R.Wire_catchup_req { time; cpid } ->
-        C.encode (C.Catchup_req { time; cpid; shard })
-    | R.Wire_catchup_rep { entries; time; cpid } ->
-        let entries =
-          List.map
-            (fun ((e : R.Alg.entry), op_id) ->
-              ( e.R.Alg.op,
-                e.R.Alg.ts.Prelude.Stamp.time,
-                e.R.Alg.ts.Prelude.Stamp.pid,
-                op_id ))
-            entries
-        in
-        C.encode (C.Catchup_rep { entries; time; cpid; shard })
-    | R.Wire_catchup_state { obj; time; cpid; window; entries } ->
-        let stamp (e : R.Alg.entry) =
-          (e.R.Alg.ts.Prelude.Stamp.time, e.R.Alg.ts.Prelude.Stamp.pid)
-        in
-        let window =
-          List.map
-            (fun (e, result, op_id) ->
-              let time, pid = stamp e in
-              (e.R.Alg.op, time, pid, op_id, result))
-            window
-        in
-        let entries =
-          List.map
-            (fun (e, op_id) ->
-              let time, pid = stamp e in
-              (e.R.Alg.op, time, pid, op_id))
-            entries
-        in
-        C.encode (C.Catchup_state { obj; time; cpid; window; entries; shard })
-    | R.Wire_quorum q ->
-        C.encode
-          (match q with
-          | R.Hb { stamp; epoch; qmode; seq; floor; ack; want } ->
-              C.Hb { stamp; epoch; qmode; seq; floor; ack; want; shard }
-          | R.Forward { qid; origin; op; op_id; trace } ->
-              C.Forward { qid; origin; op; op_id; trace; shard }
-          | R.Propose { epoch; qseq; p } ->
-              C.Propose
-                {
-                  epoch;
-                  qseq;
-                  time = p.R.q_time;
-                  origin = p.R.q_origin;
-                  qid = p.R.q_qid;
-                  op = p.R.q_op;
-                  op_id = p.R.q_op_id;
-                  trace = p.R.q_trace;
-                  shard;
-                }
-          | R.Qack { epoch; qseq } -> C.Qack { epoch; qseq; shard }
-          | R.Qcommit { epoch; qseq } -> C.Qcommit { epoch; qseq; shard }
-          | R.Fnack { qid } -> C.Fnack { qid; shard }
-          | R.Qfill { epoch; from_seq } -> C.Qfill { epoch; from_seq; shard })
-    | R.Wire_sync s ->
-        C.encode
-          (match s with
-          | R.Sping { seq; t0 } -> C.Ping { seq; t0; shard }
-          | R.Spong { seq; t0; t_rx; t_tx } ->
-              C.Pong { seq; t0; t_rx; t_tx; shard })
 
   (* Wire-lane classification: heartbeats (doubling as mode announcements),
      sync probes, and catch-up frames ride the control lane so every
@@ -366,23 +225,20 @@ module Make (W : Net.Wire.WIRED) = struct
   let fallback_for cfg k =
     Option.map
       (fun (q : Quorum.Config.t) ->
-        {
-          q with
-          Quorum.Config.on_mode =
-            (fun ~quorum ~epoch ~seq ->
-              cfg.log
-                (Printf.sprintf "%s: mode: %s(epoch=%d seq=%d)" (who cfg k)
-                   (if quorum then "quorum" else "fast")
-                   epoch seq);
-              q.Quorum.Config.on_mode ~quorum ~epoch ~seq);
-          on_suspect =
-            (fun ~peer ~suspected ->
-              cfg.log
-                (Printf.sprintf "%s: %s peer %d" (who cfg k)
-                   (if suspected then "suspecting" else "cleared")
-                   peer);
-              q.Quorum.Config.on_suspect ~peer ~suspected);
-        })
+        Quorum.Config.make ~hb_us:q.hb_us ~suspect_after:q.suspect_after
+          ~on_mode:(fun ~quorum ~epoch ~seq ->
+            cfg.log
+              (Printf.sprintf "%s: mode: %s(epoch=%d seq=%d)" (who cfg k)
+                 (if quorum then "quorum" else "fast")
+                 epoch seq);
+            q.on_mode ~quorum ~epoch ~seq)
+          ~on_suspect:(fun ~peer ~suspected ->
+            cfg.log
+              (Printf.sprintf "%s: %s peer %d" (who cfg k)
+                 (if suspected then "suspecting" else "cleared")
+                 peer);
+            q.on_suspect ~peer ~suspected)
+          ())
       cfg.fallback
 
   let sync_for cfg k =
@@ -455,7 +311,10 @@ module Make (W : Net.Wire.WIRED) = struct
             window =
               List.map
                 (fun (a : P.applied) ->
-                  ( entry_of ~op:a.P.op ~time:a.P.time ~pid:a.P.pid,
+                  ( {
+                      R.Alg.op = a.P.op;
+                      ts = Prelude.Stamp.make ~time:a.P.time ~pid:a.P.pid;
+                    },
                     a.P.result,
                     a.P.op_id ))
                 snap.P.s_applied;
@@ -837,7 +696,7 @@ module Make (W : Net.Wire.WIRED) = struct
         ~hello:(C.encode (C.Hello (hello_of cfg)))
         ~classify_hello:(classify_hello cfg)
         ~decode_peer:(decode_peer ~shards:cfg.shards ~me:cfg.pid)
-        ~encode_peer ~lane_of ~log:cfg.log ()
+        ~encode_peer:C.encode_peer ~lane_of ~log:cfg.log ()
     in
     let durable =
       Array.init cfg.shards (fun k ->

@@ -310,7 +310,7 @@ let same_seed_same_report ?recovery ?fallback spec () =
 
 let fallback_cfg =
   (* same tight detector as test_quorum: milliseconds, not seconds *)
-  { Quorum.Config.default with hb_us = 2_000; suspect_after = 25 }
+  Quorum.Config.make ~hb_us:2_000 ~suspect_after:25 ()
 
 (* ---- flood (overload) ---- *)
 

@@ -285,10 +285,31 @@ let msg_roundtrip_tests () =
       in
       QCheck.Test.make ~count:50 ~name QCheck.small_int (fun seed ->
           let module C = Net.Codec.Make (W.C) in
+          let module R = Runtime.Replica_core.Make (W.C.D) in
           let roundtrip m =
             match C.decode (C.encode m) with
             | Net.Codec.Got (m', _) -> C.equal_msg m m'
             | _ -> false
+          in
+          (* Peer frames hold plain data but for the object state. *)
+          let same w w' =
+            match (w, w') with
+            | R.Wire_catchup_state s, R.Wire_catchup_state s' ->
+                W.C.D.equal_state s.obj s'.obj
+                && s.time = s'.time && s.cpid = s'.cpid
+                && s.window = s'.window && s.entries = s'.entries
+            | _ -> w = w'
+          in
+          let peer shard w =
+            match Net.Codec.decode_frame (C.encode_peer (shard, w)) with
+            | Net.Codec.Got (f, _) -> (
+                match C.decode_peer f with
+                | Ok (shard', w') -> shard = shard' && same w w'
+                | Error _ -> false)
+            | _ -> false
+          in
+          let entry op time pid =
+            { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid }
           in
           (* Trace ids span the whole 56-bit ⟨origin, counter⟩ layout, so
              the varint length varies across the samples. *)
@@ -327,32 +348,69 @@ let msg_roundtrip_tests () =
                         op_id = seed * 13;
                         shard;
                       })
-              && roundtrip
-                   (C.Catchup_req
-                      { time = seed * 7919; cpid = seed mod 16; shard })
-              && roundtrip
-                   (C.Catchup_rep
+              && peer shard
+                   (R.Wire_entry
+                      (entry op (seed * 7919) (seed mod 16), trace, seed * 13))
+              && peer shard
+                   (R.Wire_catchup_req
+                      { time = seed * 7919; cpid = seed mod 16 })
+              && peer shard
+                   (R.Wire_catchup_rep
                       {
                         entries =
-                          [ (op, seed * 7919, seed mod 16, seed * 17) ];
+                          [ (entry op (seed * 7919) (seed mod 16), seed * 17) ];
                         time = (seed * 7919) - 1;
                         cpid = (seed + 1) mod 16;
-                        shard;
                       })
-              && roundtrip
-                   (C.Catchup_rep
-                      { entries = []; time = -1; cpid = 0; shard = 0 })
-              && roundtrip
-                   (C.Catchup_state
+              && peer 0 (R.Wire_catchup_rep { entries = []; time = -1; cpid = 0 })
+              && peer shard
+                   (R.Wire_catchup_state
                       {
                         obj = fst (W.L.D.apply W.L.D.initial op);
                         time = seed * 7919;
                         cpid = seed mod 16;
                         window =
-                          [ (op, (seed * 7919) - 3, seed mod 16, seed * 17, result) ];
-                        entries = [ (op, (seed * 7919) + 1, (seed + 1) mod 16, 0) ];
-                        shard;
-                      }))
+                          [ (entry op ((seed * 7919) - 3) (seed mod 16), result,
+                             seed * 17) ];
+                        entries =
+                          [ (entry op ((seed * 7919) + 1) ((seed + 1) mod 16), 0) ];
+                      })
+              && peer shard
+                   (R.Wire_quorum
+                      (R.Forward
+                         {
+                           qid = seed * 104_729;
+                           origin = seed mod 16;
+                           op;
+                           op_id = seed * 13;
+                           trace;
+                         }))
+              && peer shard
+                   (R.Wire_quorum
+                      (R.Propose
+                         {
+                           epoch = seed mod 7;
+                           qseq = seed * 389;
+                           p =
+                             {
+                               (* a stamp behind the shared clock's zero *)
+                               R.q_time = -((seed * 7919) + 1);
+                               q_op = op;
+                               q_origin = seed mod 16;
+                               q_qid = (1 lsl 40) + seed;
+                               q_op_id = seed * 31;
+                               q_trace = trace;
+                             };
+                         }))
+              && peer shard
+                   (R.Wire_quorum (R.Qack { epoch = seed; qseq = seed * 1_000_003 }))
+              && peer shard
+                   (R.Wire_quorum
+                      (R.Qcommit { epoch = (1 lsl 20) + seed; qseq = seed * 389 }))
+              && peer shard (R.Wire_quorum (R.Fnack { qid = (1 lsl 35) + seed }))
+              && peer shard
+                   (R.Wire_quorum
+                      (R.Qfill { epoch = seed mod 7; from_seq = seed * 300 })))
             (sampled_pairs seed 20)
           && roundtrip
                (C.Hello
@@ -385,42 +443,174 @@ let msg_roundtrip_tests () =
                         };
                   })
           && roundtrip (C.Error_msg "boom")
-          && roundtrip
-               (C.Hb
-                  { stamp = seed * 7919; epoch = seed mod 7; qmode = false;
-                    seq = seed mod 3; floor = min_int; ack = 0; want = 0;
-                    shard })
-          && roundtrip
+          && peer shard
+               (R.Wire_quorum
+                  (R.Hb
+                     { stamp = seed * 7919; epoch = seed mod 7; qmode = false;
+                       seq = seed mod 3; floor = min_int; ack = 0; want = 0 }))
+          && peer shard
                (* acks and prompts are clock values: large, and (for a
                   corrected clock behind the epoch) possibly negative *)
-               (C.Hb
-                  { stamp = max_int - seed; epoch = seed; qmode = true;
-                    seq = 2; floor = seed * 11; ack = (1 lsl 61) + seed;
-                    want = -(seed + 1); shard })
-          && roundtrip (C.Ping { seq = seed; t0 = seed * 7919; shard })
-          && roundtrip
-               (C.Pong
-                  {
-                    seq = seed;
-                    t0 = seed * 7919;
-                    t_rx = (seed * 7919) + 3;
-                    t_tx = (seed * 7919) + 5;
-                    shard;
-                  })
-          && roundtrip
+               (R.Wire_quorum
+                  (R.Hb
+                     { stamp = max_int - seed; epoch = seed; qmode = true;
+                       seq = 2; floor = seed * 11; ack = (1 lsl 61) + seed;
+                       want = -(seed + 1) }))
+          && peer shard (R.Wire_sync (R.Sping { seq = seed; t0 = seed * 7919 }))
+          && peer shard
+               (R.Wire_sync
+                  (R.Spong
+                     {
+                       seq = seed;
+                       t0 = seed * 7919;
+                       t_rx = (seed * 7919) + 3;
+                       t_tx = (seed * 7919) + 5;
+                     }))
+          && peer 0
                (* a corrected clock can briefly sit behind the epoch, so
                   negative timestamps must survive the varint *)
-               (C.Pong
-                  { seq = 0; t0 = -(seed * 3); t_rx = -1; t_tx = 0; shard = 0 })))
+               (R.Wire_sync
+                  (R.Spong { seq = 0; t0 = -(seed * 3); t_rx = -1; t_tx = 0 }))))
     Net.Wire.all
+
+module Kv_r = Runtime.Replica_core.Make (Net.Wire.Kv_codec.D)
 
 let msg_corrupt_payloads =
   QCheck.Test.make ~count:300 ~name:"corrupt payloads error out, never raise"
-    QCheck.(pair (int_bound 8) (string_of_size Gen.(0 -- 64)))
+    QCheck.(pair (int_bound 20) (string_of_size Gen.(0 -- 64)))
     (fun (kind, payload) ->
       let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
-      match C.decode_payload { Net.Codec.kind; payload } with
-      | Ok _ | Error _ -> true)
+      let frame = { Net.Codec.kind; payload } in
+      (match C.decode_payload frame with Ok _ | Error _ -> true)
+      && match C.decode_peer frame with Ok _ | Error _ -> true)
+
+(* One fixed frame of every peer kind, plus a bare entry and a hello,
+   pinned to their wire-v10 bytes: a peer of the same version must read
+   them, so not one byte may move without a version bump. *)
+let test_golden_frames () =
+  let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
+  let module R = Kv_r in
+  let open Spec.Kv_map in
+  let entry op time pid = { R.Alg.op; ts = Prelude.Stamp.make ~time ~pid } in
+  let obj = fst (apply (fst (apply initial (Put (1, 2)))) (Put (300, -5))) in
+  let q w = R.Wire_quorum w in
+  let peers =
+    [
+      ( "entry",
+        ( 200,
+          R.Wire_entry
+            (entry (Put (300, -70000)) 1_700_000_123_456 2, 0x1234_5678_9abc,
+             1_000_001) ),
+        "54420a010000001999678f6900d804dfc50880a9bafef96204f8eac4e78a8d0982897a9003"
+      );
+      ( "catchup_req",
+        (5, R.Wire_catchup_req { time = -1; cpid = 0 }),
+        "54420a07000000038a40bbee01000a" );
+      ( "catchup_rep",
+        ( 1,
+          R.Wire_catchup_rep
+            {
+              entries =
+                [ (entry (Put (1, 2)) 1_000_000 1, 7);
+                  (entry (Del 300) 1_000_001 2, 0) ];
+              time = 999_999;
+              cpid = 2;
+            } ),
+        "54420a0800000016851191870400020480897a020e02d80482897a0400fe887a0402" );
+      ( "catchup_state",
+        ( 3,
+          R.Wire_catchup_state
+            {
+              obj;
+              time = 2_000_000;
+              cpid = 1;
+              window = [ (entry (Swap (3, 4)) 1_999_000 0, Found 9, 42) ];
+              entries = [ (entry (Get 3) 2_000_100 2, 0) ];
+            } ),
+        "54420a13000000214c556d0d040204d804098092f4010202060608b082f40100540012020406c893f401040006"
+      );
+      ( "hb",
+        ( 129,
+          q
+            (R.Hb
+               { stamp = 1_700_000_000_000; epoch = 3; qmode = true; seq = 1;
+                 floor = -5; ack = 1 lsl 40; want = -(1 lsl 20) }) ),
+        "54420a0900000015cee5c6fa80a0abfef96206020209808080808040ffff7f8202" );
+      ( "forward",
+        ( 64,
+          q
+            (R.Forward
+               { qid = 77; origin = 2; op = Put (8, 9); op_id = 12345;
+                 trace = 99 }) ),
+        "54420a0a0000000d547ba62a9a0104001012f2c001c6018001" );
+      ( "propose",
+        ( 0,
+          q
+            (R.Propose
+               {
+                 epoch = 4;
+                 qseq = 1000;
+                 p =
+                   { R.q_time = -12; q_op = Del 8; q_origin = 1; q_qid = 78;
+                     q_op_id = 0; q_trace = 1 lsl 50 };
+               }) ),
+        "54420a0b00000013fca1392f08d00f17029c01021000808080808080800400" );
+      ( "qack",
+        (2, q (R.Qack { epoch = 4; qseq = 1000 })),
+        "54420a0c000000042fd4686208d00f04" );
+      ( "qcommit",
+        (2, q (R.Qcommit { epoch = 4; qseq = 1001 })),
+        "54420a0d000000043b2ba84f08d20f04" );
+      ("fnack", (63, q (R.Fnack { qid = 79 })), "54420a0e000000032d33db6c9e017e");
+      ( "qfill",
+        (1, q (R.Qfill { epoch = 5; from_seq = 128 })),
+        "54420a0f000000048c2169e40a800202" );
+      ( "ping",
+        (0, R.Wire_sync (R.Sping { seq = 300; t0 = -4_000 })),
+        "54420a1000000005476bf8acd804bf3e00" );
+      ( "pong",
+        ( 0,
+          R.Wire_sync
+            (R.Spong
+               { seq = 300; t0 = -4_000; t_rx = 1_000_000_000;
+                 t_tx = 1_000_000_017 }) ),
+        "54420a110000000fd426f07fd804bf3e80a8d6b907a2a8d6b90700" );
+    ]
+  in
+  let hex s =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (String.to_seq s)))
+  in
+  List.iter
+    (fun (name, m, want) ->
+      let bytes = C.encode_peer m in
+      Alcotest.(check string) (name ^ " bytes") want (hex bytes);
+      (* read back, they write the same bytes again *)
+      match Net.Codec.decode_frame bytes with
+      | Net.Codec.Got (f, _) -> (
+          match C.decode_peer f with
+          | Ok m' ->
+              Alcotest.(check string) (name ^ " reread") want
+                (hex (C.encode_peer m'))
+          | Error e -> Alcotest.failf "%s: %s" name e)
+      | _ -> Alcotest.failf "%s: frame" name)
+    peers;
+  Alcotest.(check string) "hello bytes"
+    "54420a000000000dea38f70f0406b06df8559c05f40304d804"
+    (hex
+       (C.encode
+          (C.Hello
+             { Net.Codec.pid = 2; n = 3; d = 7000; u = 5500; eps = 334;
+               x = 250; obj_tag = Net.Wire.Kv_codec.obj_tag; shards = 300 })));
+  Alcotest.(check string) "bare entry bytes"
+    "54420a010000001999678f6900d804dfc50880a9bafef96204f8eac4e78a8d0982897a9003"
+    (hex
+       (C.encode
+          (C.Entry
+             { op = Put (300, -70000); time = 1_700_000_123_456; pid = 2;
+               trace = 0x1234_5678_9abc; op_id = 1_000_001; shard = 200 })))
 
 (* ---- TCP transport + serve stacks, in process ---- *)
 
@@ -722,12 +912,15 @@ let test_cycle_fairness () =
 let big_catchup () =
   let module C = Net.Codec.Make (Net.Wire.Kv_codec) in
   let entries =
-    List.init 300_000 (fun i -> (Spec.Kv_map.Put (i, i * 7), i * 13, i mod 3, i))
+    List.init 300_000 (fun i ->
+        ( {
+            Kv_r.Alg.op = Spec.Kv_map.Put (i, i * 7);
+            ts = Prelude.Stamp.make ~time:(i * 13) ~pid:(i mod 3);
+          },
+          i ))
   in
-  let s =
-    C.encode (C.Catchup_rep { entries; time = 4_000_000; cpid = 1; shard = 0 })
-  in
-  (C.Catchup_rep { entries; time = 4_000_000; cpid = 1; shard = 0 }, s)
+  let msg = (0, Kv_r.Wire_catchup_rep { entries; time = 4_000_000; cpid = 1 }) in
+  (msg, C.encode_peer msg)
 
 (* Feed [stream] through a connection buffer in chunks of the given sizes
    (cycled); return the frames it yields. *)
@@ -786,8 +979,8 @@ let test_reassembly_linear () =
               && String.equal w.Net.Codec.payload f.Net.Codec.payload)
         | _ -> Alcotest.fail "reference frame")
       frames;
-    (match C.decode_payload (List.hd frames) with
-    | Ok m -> Alcotest.(check bool) (label ^ ": decodes") true (C.equal_msg m msg)
+    (match C.decode_peer (List.hd frames) with
+    | Ok m -> Alcotest.(check bool) (label ^ ": decodes") true (m = msg)
     | Error e -> Alcotest.failf "%s: %s" label e);
     took
   in
@@ -1822,6 +2015,8 @@ let () =
               test_version_rejected_by_handshake;
             Alcotest.test_case "each handshake rejection" `Quick
               test_handshake_rejections;
+            Alcotest.test_case "every frame kind keeps its v10 bytes" `Quick
+              test_golden_frames;
           ] );
       ( "tcp",
         [

@@ -283,11 +283,100 @@ let test_poll_no_alloc () =
     (Printf.sprintf "%.0f words over %d calls" words calls)
     true (words < 64.)
 
+(* ---- varints ---- *)
+
+let uint_bytes n =
+  let b = Buffer.create 10 in
+  Prelude.Varint.add_uint b n;
+  Buffer.contents b
+
+let int_bytes i =
+  let b = Buffer.create 10 in
+  Prelude.Varint.add_int b i;
+  Buffer.contents b
+
+let reads s = { Prelude.Varint.src = s; pos = 0 }
+
+let test_varint_bytes () =
+  Alcotest.(check string) "300 unsigned" "\xac\x02" (uint_bytes 300);
+  Alcotest.(check string) "-1 zigzag" "\x01" (int_bytes (-1));
+  Alcotest.(check string) "64 zigzag" "\x80\x01" (int_bytes 64);
+  Alcotest.(check string) "min_int: nine bytes"
+    "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" (int_bytes min_int);
+  List.iter
+    (fun i ->
+      let s = int_bytes i in
+      let r = reads s in
+      Alcotest.(check int) (Printf.sprintf "%d reads back" i) i
+        (Prelude.Varint.get_int r);
+      Alcotest.(check int) "read to the end" (String.length s) r.pos;
+      let u = uint_bytes i in
+      Alcotest.(check int) "uint_size" (String.length u)
+        (Prelude.Varint.uint_size i);
+      let b = Bytes.make (String.length u) ' ' in
+      Prelude.Varint.set_uint b 0 i;
+      Alcotest.(check string) "set_uint writes add_uint's bytes" u
+        (Bytes.to_string b))
+    [ 0; 1; -1; 63; -64; 64; 127; 128; 300; 1 lsl 40; -(1 lsl 40); max_int;
+      min_int ]
+
+(* Nine bytes carry every bit of an int, so a tenth is over-long.  The
+   wire codec, the trace-event codec and the WAL's record lengths all read
+   through {!Prelude.Varint} and agree on that limit. *)
+let test_varint_overlong () =
+  let nine = String.make 8 '\xff' ^ "\x7f" in
+  let ten = String.make 9 '\x80' ^ "\x00" in
+  let malformed s =
+    match Prelude.Varint.get_uint (reads s) with
+    | _ -> None
+    | exception Prelude.Varint.Malformed m -> Some m
+  in
+  Alcotest.(check (option string)) "nine bytes read" None (malformed nine);
+  Alcotest.(check (option string)) "ten bytes overflow"
+    (Some "varint overflow") (malformed ten);
+  Alcotest.(check (option string)) "cut short"
+    (Some "truncated payload") (malformed "\x80\x80");
+  let codec s =
+    match Net.Codec.Rd.int (Net.Codec.Rd.of_string s) with
+    | _ -> true
+    | exception Net.Codec.Bad_payload _ -> false
+  in
+  Alcotest.(check bool) "codec reads nine" true (codec nine);
+  Alcotest.(check bool) "codec rejects ten" false (codec ten);
+  (* a trace event: kind byte, then five varints *)
+  let event first =
+    let b = Buffer.create 32 in
+    Obs.Event.encode b
+      { Obs.Event.t_us = 0; pid = 0; kind = Obs.Event.Recv; trace = 0; a = 0;
+        b = 0 };
+    let s = Buffer.contents b in
+    Obs.Event.decode (String.sub s 0 1 ^ first ^ String.sub s 2 4) ~pos:0
+    <> None
+  in
+  Alcotest.(check bool) "event reads nine" true (event nine);
+  Alcotest.(check bool) "event rejects ten" false (event ten);
+  (* a WAL record: length, CRC-32, payload *)
+  let record len_bytes =
+    let crc = Prelude.Crc32.string "" in
+    let c = Bytes.create 4 in
+    Bytes.set_int32_be c 0 (Int32.of_int crc);
+    Durable.Wal.of_string (len_bytes ^ Bytes.to_string c)
+  in
+  Alcotest.(check int) "wal reads an over-wide zero length" 1
+    (List.length (record (String.make 8 '\x80' ^ "\x00")));
+  Alcotest.(check int) "wal rejects ten bytes" 0 (List.length (record ten))
+
 let () =
   Alcotest.run "prelude"
     [
       ("ticks", [ Alcotest.test_case "arithmetic" `Quick test_ticks ]);
       ("stamp", [ Alcotest.test_case "ordering" `Quick test_stamp_order ]);
+      ( "varint",
+        [
+          Alcotest.test_case "bytes and round trips" `Quick test_varint_bytes;
+          Alcotest.test_case "over-long rejected by every reader" `Quick
+            test_varint_overlong;
+        ] );
       ( "heap",
         Alcotest.test_case "basics" `Quick test_heap_basics
         :: Alcotest.test_case "pop_while" `Quick test_heap_pop_while

@@ -311,7 +311,7 @@ let log_majority_fires_once =
 let fallback_cfg =
   (* a tight detector so the tests spend milliseconds, not seconds, in
      the pre-switch outage *)
-  { Quorum.Config.default with hb_us = 2_000; suspect_after = 25 }
+  Quorum.Config.make ~hb_us:2_000 ~suspect_after:25 ()
 
 let quorum_entries r =
   List.filter (fun (_, q, _) -> q)

@@ -1011,11 +1011,10 @@ module Reg_lin = Linearize.Make (Spec.Register)
 let test_core_engine_fallback () =
   let suspicions = ref 0 and switches = ref 0 in
   let fallback =
-    {
-      Quorum.Config.default with
-      on_mode = (fun ~quorum:_ ~epoch:_ ~seq:_ -> incr switches);
-      on_suspect = (fun ~peer:_ ~suspected -> if suspected then incr suspicions);
-    }
+    Quorum.Config.make
+      ~on_mode:(fun ~quorum:_ ~epoch:_ ~seq:_ -> incr switches)
+      ~on_suspect:(fun ~peer:_ ~suspected -> if suspected then incr suspicions)
+      ()
   in
   let params = core_params () in
   let rng = Prelude.Rng.make 11 in

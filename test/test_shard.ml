@@ -306,13 +306,7 @@ let test_host_logs_suspicion () =
       ~eps:(Core.Params.optimal_eps ~n ~u:5500)
       ~x:0 ()
   in
-  let fallback =
-    {
-      Quorum.Config.default with
-      Quorum.Config.hb_us = 2_500;
-      suspect_after = 20;
-    }
-  in
+  let fallback = Quorum.Config.make ~hb_us:2_500 ~suspect_after:20 () in
   let listeners =
     Array.init 2 (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
   in
@@ -548,7 +542,7 @@ let test_host_non_reading_client_cannot_stall () =
       ~x:0 ()
   in
   let fallback =
-    { Quorum.Config.default with Quorum.Config.hb_us = 2_500; suspect_after = 80 }
+    Quorum.Config.make ~hb_us:2_500 ~suspect_after:80 ()
   in
   let listeners =
     Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
@@ -692,7 +686,7 @@ let test_host_stop_leaks_nothing () =
       ~x:0 ()
   in
   let fallback =
-    { Quorum.Config.default with Quorum.Config.hb_us = 2_500; suspect_after = 80 }
+    Quorum.Config.make ~hb_us:2_500 ~suspect_after:80 ()
   in
   let listeners =
     Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
