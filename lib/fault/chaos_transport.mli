@@ -2,10 +2,10 @@
 
     A {!t} is the {e controller}: it owns the compiled {!Fault_plan.t}, the
     per-link send counters and the log of every fault actually injected.
-    {!decide} is the one {!Runtime.Transport_intf.fault} hook both loops
-    apply at send time — [Runtime.Vloop] for an in-process cluster,
-    [Shard.Host] in a shard's send path — so one controller serves the
-    virtual-time links and the TCP links alike.
+    {!decide} is the one {!Runtime.Transport_intf.fault} hook, handed to
+    a replica's driver, which applies it at send time — [Runtime.Vloop]
+    passes it for an in-process cluster, [Shard.Host] per shard — so one
+    controller serves the virtual-time links and the TCP links alike.
 
     Per send, {!decide}:
 
@@ -13,7 +13,7 @@
       [Fault_plan.decide] with its run-relative send time and that index;
     - on a {e drop} returns [copies = 0];
     - on a {e duplicate} returns the extra copies;
-    - on an injected {e delay} returns [extra_us]: the caller parks the
+    - on an injected {e delay} returns [extra_us]: the driver parks the
       message that long before it enters the link, so a spike reorders it
       against later undelayed traffic — exactly the misbehaviour the plan
       asked for;

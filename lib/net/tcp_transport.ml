@@ -453,7 +453,7 @@ let enqueue t ~dst ~trace msg frame =
   Obs.Recorder.emit ~pid:t.me ~kind:Obs.Event.Send ~trace ~a:dst ();
   if dst = t.me then Queue.push (From_peer (t.me, msg)) t.inputs
   else if dst < 0 || dst >= t.n then
-    invalid_arg "Tcp_transport.send: dst out of range"
+    invalid_arg "Tcp_transport.send_all: dst out of range"
   else begin
     let link = t.links.(dst) in
     let shed = Lanes.push link.lanes (t.lane_of msg) (Lazy.force frame) in
@@ -485,8 +485,6 @@ let enqueue t ~dst ~trace msg frame =
 let send_all t ~dsts ~trace msg =
   let frame = lazy (t.encode_peer msg) in
   List.iter (fun dst -> enqueue t ~dst ~trace msg frame) dsts
-
-let send t ~dst ~trace msg = send_all t ~dsts:[ dst ] ~trace msg
 
 (* ---- link state machine ---- *)
 

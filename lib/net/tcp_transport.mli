@@ -154,20 +154,19 @@ val create :
     {!poll}.
 
     [decode_peer] turns a frame received from peer [src] into a message
-    ([None] skips the frame) and [encode_peer] is its inverse for {!send}.
+    ([None] skips the frame) and [encode_peer] is its inverse for
+    {!send_all}.
     [lane_of] assigns each message a {!Lanes.lane}; when omitted every
     message rides the (bounded) data lane.
 
     Defaults: backoff 20 ms → 1 s, [log] writes to [stderr]. *)
 
-val send : 'msg t -> dst:int -> trace:int -> 'msg -> unit
-(** Queue [msg] on peer [dst]'s lane for the next {!flush}.  [dst = me]
-    queues it as an input of this cycle instead.  [trace] tags the [Send]
-    observability event. *)
-
 val send_all : 'msg t -> dsts:int list -> trace:int -> 'msg -> unit
-(** {!send} to each of [dsts] in order (a destination may repeat),
-    calling [encode_peer] once: every peer's lane gets the same bytes. *)
+(** Queue [msg] on each of [dsts]' lanes in order (a destination may
+    repeat) for the next {!flush}, calling [encode_peer] once: every
+    peer's lane gets the same bytes.  A destination [= me] queues it as
+    an input of this cycle instead.  [trace] tags the [Send]
+    observability event. *)
 
 val poll : 'msg t -> deadline_us:int -> unit
 (** One cycle's wait and reads: wait on the listener, the wake pipe,

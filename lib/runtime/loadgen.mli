@@ -113,6 +113,10 @@ type 'r outcome =
           refusal starting ["shed"] only until the op's deadline *)
   | Failed of string  (** final *)
 
+val shed : string -> bool
+(** An overload refusal: from admission control or a replica's deadline
+    check, its reason starts with ["shed"]. *)
+
 type ('op, 'r) port = {
   replicas : int;  (** replicas [0 .. replicas − 1] *)
   now : unit -> int;  (** µs on the run timeline *)

@@ -14,20 +14,26 @@
     timeouts all run on that local clock, so {!Sim.Engine} runs the same
     core under virtual time with exact µs.
 
-    {b The driver} ({!driver}) holds one core, its timer heap and the
-    clock translation.  A loop feeds it inputs with the time it read
-    ({!invoke_at}, {!deliver_at}, {!control_at}, {!fire_due}); the driver
-    steps the core at that reading on the replica's raw local clock, files
-    timer outputs into its heap and hands sends and completions to the
-    loop's [out] callback in emitted order.  Several inputs may be stepped
-    at one reading: the core itself starts an operation only once its
-    stamp clears the replica's previous one.  The driver is the only
-    place that translates absolute time: client deadlines arrive in loop
-    µs and move onto the local clock.
-    Two loops drive it: [Shard.Host]'s single poll loop, which steps every
-    shard's driver straight from the sockets in each TCP host process on
-    the {!Prelude.Mclock} timeline, and {!Vloop}, which steps [n] drivers
-    of an in-process cluster on one virtual clock.
+    {b The driver} ({!driver}) holds one core, its timer heap, the
+    clock translation and the fate of its outputs.  A loop feeds it inputs
+    with the time it read ({!invoke_at}, {!deliver_at}, {!control_at},
+    {!fire_due}); the driver steps the core at that reading on the
+    replica's raw local clock, files timer outputs into its heap, hands
+    each completion to its invocation's continuation and each send to the
+    loop's {!link}, in emitted order.  A send first meets the driver's
+    fault hook ({!Transport_intf.fault}), the only place a fate is
+    applied: a lost send is counted ({!lost}), extra copies enter the link
+    at once, and a delayed original waits on the same heap as the timers
+    until it is due.  Several inputs may be stepped at one reading: the
+    core itself starts an operation only once its stamp clears the
+    replica's previous one.  The driver is the only place that translates
+    absolute time: client deadlines arrive in loop µs and move onto the
+    local clock.
+    Two loops drive it, each keeping only its links: [Shard.Host]'s
+    single poll loop, which steps every shard's driver straight from the
+    sockets in each TCP host process on the {!Prelude.Mclock} timeline,
+    and {!Vloop}, which steps [n] drivers of an in-process cluster on one
+    virtual clock.
 
     Clocks: replica [i]'s raw clock reads [now + offset] — the loop's
     shared-clock reading plus a fixed per-replica offset, exactly the
@@ -115,17 +121,17 @@ module Make (D : Spec.Data_type.S) : sig
     include Replica_core.Make (D)
   end
 
-  val trace_of : wire -> int
-  (** The operation a message belongs to ([0] = none), for the [Send]
-      observability events and the fault hook. *)
-
   (** {2 The driver} *)
 
   type driver
-  (** One core, its pending timers and its clock translation.  Not
-      thread-safe: one loop owns it. *)
+  (** One core, its pending timers and parked frames, its clock
+      translation and its waiting invocations.  Not thread-safe: one loop
+      owns it. *)
 
-  type output = (reply, wire, timer) Sim.Action.t
+  type link = dsts:int list -> trace:int -> wire -> unit
+  (** A loop's links: [wire] enters the link to each of [dsts] in order
+      (a destination may repeat).  [trace] is the operation it belongs to
+      ([0] = none), for the [Send] observability event. *)
 
   val driver :
     params:Core.Params.t ->
@@ -133,40 +139,52 @@ module Make (D : Spec.Data_type.S) : sig
     ?fallback:Quorum.Config.t ->
     ?sync:Sync.Config.t ->
     ?dedup_window_us:int ->
+    ?fault:Transport_intf.fault ->
     offset:int ->
+    link:link ->
     int ->
     driver
-  (** [driver ~params ~offset pid]: replica [pid]'s fresh core.  Its raw
-      clock reads [now + offset] for a loop reading [now].
+  (** [driver ~params ~offset ~link pid]: replica [pid]'s fresh core.  Its
+      raw clock reads [now + offset] for a loop reading [now]; its sends
+      go to [link], a broadcast to every other pid below [params.n].
       [recovery] enables the durability machinery, [fallback] arms the
       adaptive quorum fallback (heartbeats, failure detection, the
       degraded ABD mode — DESIGN.md §13) and [sync] live clock
       synchronization (DESIGN.md §14); see the module docs.
       [dedup_window_us] (default [max_int]: forever) bounds how long an
-      applied op id is remembered; see {!config}. *)
+      applied op id is remembered; see {!config}.  [fault] (default: every
+      send on time) decides each send's fate per destination, with the
+      loop's [now] as [now_us]. *)
 
   val next_due : driver -> int
-  (** Loop µs of the earliest pending timer; [max_int] if none. *)
+  (** Loop µs of the earliest pending timer or parked frame; [max_int] if
+      none. *)
 
-  val fire_due : driver -> now:int -> out:(output -> unit) -> unit
-  (** Fire every timer due by [now], in [(due, set)] order — including
-      the zero-delay ones those steps set, and those an earlier step at
-      [now] set. *)
+  val fire_due : driver -> now:int -> unit
+  (** Fire every timer and release every parked frame due by [now], in
+      [(due, set)] order — including the zero-delay timers those steps
+      set, and those an earlier step at [now] set. *)
 
   val invoke_at :
-    driver -> now:int -> out:(output -> unit) -> trace:int -> op_id:int ->
-    deadline:int -> ticket:int -> D.op -> unit
-  (** Step a client invocation.  [deadline] is absolute loop µs
-      ([0] = none), read on the local clock as [deadline + offset]; the completion comes back through [out] as a
-      [Respond] carrying [ticket]. *)
+    driver -> now:int -> trace:int -> op_id:int -> deadline:int -> D.op ->
+    (outcome -> unit) -> unit
+  (** Step a client invocation.  [deadline] is absolute loop µs ([0] =
+      none), read on the local clock as [deadline + offset].  The driver
+      calls the continuation once, with the outcome, from the step that
+      completes the invocation. *)
 
-  val deliver_at :
-    driver -> now:int -> out:(output -> unit) -> src:int -> depth:int ->
-    wire -> unit
+  val deliver_at : driver -> now:int -> src:int -> depth:int -> wire -> unit
   (** Step a peer message; emits the [Deliver] observability event with
       [depth] (inputs still queued behind it). *)
 
-  val control_at : driver -> now:int -> out:(output -> unit) -> control -> unit
+  val control_at : driver -> now:int -> control -> unit
+  (** Step a control.  A fault delays a frame, it never loses one: a
+      [Crash] leaves the parked frames parked, and a [Stop] lets every one
+      enter its link at once. *)
+
+  val lost : driver -> int
+  (** Sends the fault hook lost so far (duplicates and delays lose
+      none). *)
 
   val driver_snapshot : driver -> durable
   (** A consistent cut of the durable state, for checkpoints. *)

@@ -1,11 +1,12 @@
-(** What a network is to the runtime: the pure fault hook a loop consults
-    on every send, and the counters every vehicle reports.
+(** What a network is to the runtime: the pure fault hook a replica's
+    driver consults on every send, and the counters every vehicle reports.
 
-    Two loops own sends.  [Runtime.Vloop] steps [n] replica drivers in
+    Two loops own links.  [Runtime.Vloop] steps [n] replica drivers in
     virtual time over in-process links; [Shard.Host] steps a TCP host's
-    shards straight from its socket set.  Both apply a {!fault} the same
-    way, at send time, and both keep per-link FIFO order on the links
-    themselves. *)
+    shards straight from its socket set.  Neither applies a {!fault}: each
+    hands its driver ({!Replica.Make.driver}) the hook, and the driver
+    applies it at send time, parking a delayed frame on its own timer
+    heap.  Both loops keep per-link FIFO order on the links themselves. *)
 
 type fate = { copies : int; extra_us : int }
 (** What the network does to one send.  [copies = 0] loses it; with
@@ -15,19 +16,6 @@ type fate = { copies : int; extra_us : int }
     its link, exactly the misbehaviour a delay fault asks for. *)
 
 let on_time = { copies = 1; extra_us = 0 }
-
-(** Carry out a {!fate}, the one way every loop does: [lost ()] when it
-    loses the send; otherwise [enter ()] once per extra copy, then once
-    more for the original — or [park extra_us] to make the original enter
-    later. *)
-let apply fate ~lost ~enter ~park =
-  if fate.copies = 0 then lost ()
-  else begin
-    for _ = 2 to fate.copies do
-      enter ()
-    done;
-    if fate.extra_us > 0 then park fate.extra_us else enter ()
-  end
 
 type fault = now_us:int -> src:int -> dst:int -> trace:int -> fate
 (** Decide one send's {!fate}.  [now_us] is the send time on the run

@@ -19,19 +19,14 @@ module Make (D : Spec.Data_type.S) = struct
   end)
 
   type t = {
-    n : int;
     policy : Sim.Delay.t;
-    fault : Transport_intf.fault;
-    drivers : R.driver array;
-    mutable outs : (R.output -> unit) array;
+    mutable drivers : R.driver array;
     mutable heap : H.t;
     mutable seq : int;
     mutable now : int;
     index : int array array;  (** per link: messages that entered it *)
     last : int array array;  (** per link: latest delivery time *)
     inflight : int array;  (** per destination: messages on its links *)
-    waiting : (int, R.outcome -> unit) Hashtbl.t;  (** by ticket *)
-    mutable ticket : int;
     mutable sent : int;
     mutable dropped : int;
     rounds : (int * int) list array;  (** achieved-ε rounds, newest first *)
@@ -59,42 +54,16 @@ module Make (D : Spec.Data_type.S) = struct
       t.inflight.(dst) <- t.inflight.(dst) + 1;
       at t arrival (fun () ->
           t.inflight.(dst) <- t.inflight.(dst) - 1;
-          R.deliver_at t.drivers.(dst) ~now:t.now ~out:t.outs.(dst) ~src
-            ~depth:t.inflight.(dst) w)
+          R.deliver_at t.drivers.(dst) ~now:t.now ~src ~depth:t.inflight.(dst)
+            w)
     end
-
-  let send t ~src ~dst w =
-    let trace = R.trace_of w in
-    Transport_intf.apply
-      (t.fault ~now_us:t.now ~src ~dst ~trace)
-      ~lost:(fun () ->
-        t.sent <- t.sent + 1;
-        t.dropped <- t.dropped + 1)
-      ~enter:(fun () -> enter t ~src ~dst ~trace w)
-      ~park:(fun extra_us ->
-        at t (t.now + extra_us) (fun () -> enter t ~src ~dst ~trace w))
-
-  let perform t src = function
-    | Sim.Action.Respond (r : R.reply) -> (
-        match Hashtbl.find_opt t.waiting r.ticket with
-        | Some k ->
-            Hashtbl.remove t.waiting r.ticket;
-            k r.outcome
-        | None -> ())
-    | Sim.Action.Send (dst, w) -> send t ~src ~dst w
-    | Sim.Action.Broadcast w ->
-        for dst = 0 to t.n - 1 do
-          if dst <> src then send t ~src ~dst w
-        done
-    | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
 
   let control t ~pid ctl =
     at t t.now (fun () ->
-        R.control_at t.drivers.(pid) ~now:t.now ~out:t.outs.(pid) ctl)
+        R.control_at t.drivers.(pid) ~now:t.now ctl)
 
-  let create ~(params : Core.Params.t) ~policy ?offsets
-      ?(fault = fun ~now_us:_ ~src:_ ~dst:_ ~trace:_ -> Transport_intf.on_time)
-      ?recovery ?fallback ?sync () =
+  let create ~(params : Core.Params.t) ~policy ?offsets ?fault ?recovery
+      ?fallback ?sync () =
     let n = params.Core.Params.n in
     let offsets = match offsets with Some o -> o | None -> Array.make n 0 in
     if Array.length offsets <> n then
@@ -115,41 +84,35 @@ module Make (D : Spec.Data_type.S) = struct
     in
     let t =
       {
-        n;
         policy;
-        fault;
-        drivers =
-          Array.init n (fun pid ->
-              R.driver ~params ?recovery ?fallback ?sync:(sync_for pid)
-                ~offset:offsets.(pid) pid);
-        outs = [||];
+        drivers = [||];
         heap = H.empty;
         seq = 0;
         now = 0;
         index = Array.make_matrix n n 0;
         last = Array.make_matrix n n 0;
         inflight = Array.make n 0;
-        waiting = Hashtbl.create 16;
-        ticket = 0;
         sent = 0;
         dropped = 0;
         rounds;
       }
     in
-    t.outs <- Array.init n (fun pid o -> perform t pid o);
+    t.drivers <-
+      Array.init n (fun pid ->
+          R.driver ~params ?recovery ?fallback ?sync:(sync_for pid) ?fault
+            ~offset:offsets.(pid)
+            ~link:(fun ~dsts ~trace w ->
+              List.iter (fun dst -> enter t ~src:pid ~dst ~trace w) dsts)
+            pid);
     for pid = 0 to n - 1 do
       control t ~pid R.Start
     done;
     t
 
   let invoke t ~pid ?(trace = 0) ?(op_id = 0) ?(taken = ignore) op k =
-    let ticket = t.ticket in
-    t.ticket <- ticket + 1;
-    Hashtbl.replace t.waiting ticket k;
     schedule t ~late:true t.now (fun () ->
         taken ();
-        R.invoke_at t.drivers.(pid) ~now:t.now ~out:t.outs.(pid) ~trace ~op_id
-          ~deadline:0 ~ticket op)
+        R.invoke_at t.drivers.(pid) ~now:t.now ~trace ~op_id ~deadline:0 op k)
 
   (* One step: the earliest event, or the earliest due timer when it comes
      strictly first.  [false] when nothing is left. *)
@@ -171,7 +134,7 @@ module Make (D : Spec.Data_type.S) = struct
         true
     | _ when !pid >= 0 ->
         t.now <- max t.now !due;
-        R.fire_due t.drivers.(!pid) ~now:t.now ~out:t.outs.(!pid);
+        R.fire_due t.drivers.(!pid) ~now:t.now;
         true
     | _ -> false
 
@@ -184,12 +147,16 @@ module Make (D : Spec.Data_type.S) = struct
     Obs.Recorder.with_clock
       (fun () -> t.now)
       (fun () ->
-        Array.iteri
-          (fun pid d -> R.control_at d ~now:t.now ~out:t.outs.(pid) R.Stop)
-          t.drivers)
+        Array.iter (fun d -> R.control_at d ~now:t.now R.Stop) t.drivers)
 
+  (* A fault's losses count as sent and dropped, so loss stays visible. *)
   let stats t =
-    { Transport_intf.sent = t.sent; dropped = t.dropped; link = None }
+    let lost = Array.fold_left (fun acc d -> acc + R.lost d) 0 t.drivers in
+    {
+      Transport_intf.sent = t.sent + lost;
+      dropped = t.dropped + lost;
+      link = None;
+    }
 
   let sync_rounds t = Array.map List.rev t.rounds
 end

@@ -6,16 +6,17 @@
     controls and the caller's callbacks ({!at}) — and watches each
     driver's [next_due].  Each step takes the earliest of the two (an
     event before a timer due at the same µs), sets the virtual [now] and
-    steps the driver, whose outputs it routes at once: a [Send] or
-    [Broadcast] goes onto the links, a [Respond] to the callback that
-    holds the invocation's ticket.  Nothing sleeps and nothing races, so
-    a run is a pure function of its arguments: the same seed gives the
-    same history, latencies and counters, to the µs.
+    steps the driver, which answers each invocation through its
+    continuation and hands each send to the loop's links.  Nothing
+    sleeps and nothing races, so a run is a pure function of its
+    arguments: the same seed gives the same history, latencies and
+    counters, to the µs.
 
-    {b Links.}  A send first asks the [fault] hook for its
-    {!Transport_intf.fate} (a drop, extra copies, or a park of
-    [extra_us] before the message enters the link).  On entering link
-    [src → dst] it draws its delay from [policy] with the link's message
+    {b Links.}  The loop keeps only its links: each driver gets the
+    [fault] hook and applies a send's {!Transport_intf.fate} itself (a
+    drop, extra copies, or a park of [extra_us] on its own timer heap
+    before the message enters the link).  On entering link [src → dst] a
+    message draws its delay from [policy] with the link's message
     index, as the simulator does (negative = lost), and is delivered at
     [max (now + delay, previous delivery on the link)]: per-link FIFO, and
     still inside [[d − u, d]] when every draw is.  Each entry emits the
@@ -47,11 +48,12 @@ module Make (D : Spec.Data_type.S) : sig
   (** [params.n] fresh replicas, booted at virtual time 0.  [offsets]
       (default all 0) are the per-replica clock offsets; their spread must
       be ≤ [params.eps] for the timing guarantees to hold.  [fault]
-      (default: every send on time) is consulted on every send, with the
-      send's virtual time.  [recovery], [fallback] and [sync] arm every
-      replica as in {!Replica.Make.driver}; its dedup window is the
-      default, forever (in-process clients give their operations no
-      deadline, so a replay may come at any time). *)
+      (default: every send on time) goes to every driver, which consults
+      it on every send, with the send's virtual time.  [recovery],
+      [fallback] and [sync] arm every replica as in
+      {!Replica.Make.driver}; its dedup window is the default, forever
+      (in-process clients give their operations no deadline, so a replay
+      may come at any time). *)
 
   val now : t -> int
   (** Virtual µs since the run's start. *)
@@ -83,7 +85,8 @@ module Make (D : Spec.Data_type.S) : sig
 
   val stats : t -> Transport_intf.stats
   (** Messages offered to the links ([sent]) and lost to a fault or the
-      policy ([dropped]); duplicates count once per copy. *)
+      policy ([dropped]); a fault's loss counts in both, a duplicate once
+      per copy. *)
 
   val sync_rounds : t -> (int * int) list array
   (** Per replica, every achieved-ε round so far as [(eps_us, peers)],

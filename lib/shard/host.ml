@@ -24,12 +24,14 @@
     link's lanes and each client's replies, one write per socket (see
     {!run}).  A
     client [Invoke] is admitted and stepped into the addressed shard's
-    core on the spot, its ticket remembered with the connection, the shard
-    and the admission time, so the [Respond] output encodes the
+    driver on the spot, with a continuation that holds the connection,
+    the shard and the admission time, so the completion encodes the
     [Result]/[Shed]/[Error_msg] frame straight into that connection's
-    reply buffer.  A client that stops reading is cut off once its unsent
-    replies pass {!Net.Tcp_transport.reply_cap} instead of stalling the
-    loop.  Checkpoints and the parent watch are loop timers.
+    reply buffer.  The loop keeps only its links: each shard's driver
+    sends through {!Net.Tcp_transport.send_all} with its shard tag.  A
+    client that stops reading is cut off once its unsent replies pass
+    {!Net.Tcp_transport.reply_cap} instead of stalling the loop.
+    Checkpoints and the parent watch are loop timers.
 
     Nothing enters the loop from another thread: {!stop} sets the stop
     flag and wakes the poll through {!Net.Tcp_transport.wake}, as SIGINT
@@ -43,10 +45,10 @@
       [root/shard-<k>/] with a META naming the shard, so a mixed-up
       directory handoff fails loudly;
     - a chaos plan is projected per shard ({!Fault.Fault_plan.for_shard}):
-      shard [k]'s sends consult its own {!Fault.Chaos_transport.decide}
-      only when the projection is non-empty, so a [%k]-scoped fault never
-      touches a sibling; a delayed frame waits on a loop timer before it
-      enters its link;
+      shard [k]'s driver gets its own {!Fault.Chaos_transport.decide} as
+      its fault hook only when the projection is non-empty, so a
+      [%k]-scoped fault never touches a sibling; the driver parks a
+      delayed frame on its timer heap before it enters its link;
     - each shard has its own admission controller, failure detector, mode
       controller and clock-sync estimator.
 
@@ -357,9 +359,6 @@ module Make (W : Net.Wire.WIRED) = struct
 
   type shard = {
     drv : R.driver;
-    chaos : Fault.Chaos_transport.t option;
-        (** the shard's fault controller, when its projected plan is
-            non-empty *)
     store : Durable.Store.t option;
     admission : Net.Admission.t;
         (** shards have independent service rates (their own cores,
@@ -367,49 +366,15 @@ module Make (W : Net.Wire.WIRED) = struct
             starving its siblings' budgets *)
   }
 
-  (* An admitted invocation: where its reply goes, and when it was let in
-     (the admission controller learns from the elapsed time). *)
-  type pending = {
-    conn : Net.Tcp_transport.client_conn;
-    pshard : int;
-    admitted_us : int;
-  }
-
-  (* A frame a fault parked: it enters its link at [due]; [pseq] keeps
-     frames parked until the same µs in the order they were sent. *)
-  type parked = {
-    due : int;
-    pseq : int;
-    pk : int;
-    pdst : int;
-    ptrace : int;
-    pw : R.wire;
-  }
-
-  module Parked = Prelude.Heap.Make (struct
-    type t = parked
-
-    let compare a b = compare (a.due, a.pseq) (b.due, b.pseq)
-  end)
-
   type loop = {
     cfg : config;
-    epoch : int;  (** [Mclock] µs the fault windows are measured from *)
     tcp : (int * R.wire) Net.Tcp_transport.t;
-    peers : int list;  (** every pid but this one: a broadcast's targets *)
     shards : shard array;
-    mutable outs : (R.output -> unit) array;
-        (** per shard: performs its outputs *)
-    tickets : (int, pending) Hashtbl.t;
-    mutable next_ticket : int;
     conn_inflight : (int, int) Hashtbl.t;
         (** admitted, unanswered invocations per client connection *)
     mutable now : int;  (** this cycle's clock reading *)
     stop_flag : bool Atomic.t;
     recovering : bool array;  (** shards that step [Recover] after [Start] *)
-    mutable parked : Parked.t;
-    mutable parked_seq : int;  (** frames parked so far *)
-    mutable chaos_dropped : int;  (** frames a fault lost, all shards *)
     recorder : (Obs.Recorder.t * (unit -> unit)) option;
         (** installed recorder and its trace-file closer; the loop drains
             it *)
@@ -451,60 +416,16 @@ module Make (W : Net.Wire.WIRED) = struct
            [Client.retryable] recognises both answers.  A "shed: ..."
            refusal (replica-side deadline check) travels as the dedicated
            frame — the replica already emitted its own [Shed] event. *)
-        if String.length why >= 4 && String.sub why 0 4 = "shed" then
-          C.Shed { reason = why; shard }
+        if Runtime.Loadgen.shed why then C.Shed { reason = why; shard }
         else C.Error_msg ("retry: " ^ why)
 
   (* A fault's losses count as sent and dropped, so loss stays visible. *)
   let stats lp =
-    let s = Net.Tcp_transport.stats lp.tcp and lost = lp.chaos_dropped in
+    let s = Net.Tcp_transport.stats lp.tcp in
+    let lost =
+      Array.fold_left (fun acc sh -> acc + R.lost sh.drv) 0 lp.shards
+    in
     { s with T.sent = s.T.sent + lost; dropped = s.T.dropped + lost }
-
-  (* Shard [k]'s send to [dsts]: straight onto the shared links with the
-     shard tag, encoded once, unless its fault plan drops, copies or
-     parks the frame — decided per destination. *)
-  let send lp k ~dsts ~trace w =
-    let dsts =
-      match lp.shards.(k).chaos with
-      | None -> dsts
-      | Some chaos ->
-          List.concat_map
-            (fun dst ->
-              let entered = ref [] in
-              T.apply
-                (Fault.Chaos_transport.decide chaos ~now_us:(lp.now - lp.epoch)
-                   ~src:lp.cfg.pid ~dst ~trace)
-                ~lost:(fun () -> lp.chaos_dropped <- lp.chaos_dropped + 1)
-                ~enter:(fun () -> entered := dst :: !entered)
-                ~park:(fun extra_us ->
-                  let p =
-                    {
-                      due = lp.now + extra_us;
-                      pseq = lp.parked_seq;
-                      pk = k;
-                      pdst = dst;
-                      ptrace = trace;
-                      pw = w;
-                    }
-                  in
-                  lp.parked_seq <- lp.parked_seq + 1;
-                  lp.parked <- Parked.insert p lp.parked);
-              !entered)
-            dsts
-    in
-    Net.Tcp_transport.send_all lp.tcp ~dsts ~trace (k, w)
-
-  (* Parked frames whose time came (all of them at [~all]) enter their
-     links. *)
-  let release_parked ?(all = false) lp =
-    let due, rest =
-      Parked.pop_while (fun p -> all || p.due <= lp.now) lp.parked
-    in
-    lp.parked <- rest;
-    List.iter
-      (fun p ->
-        Net.Tcp_transport.send lp.tcp ~dst:p.pdst ~trace:p.ptrace (p.pk, p.pw))
-      due
 
   (* A reply frame, encoded straight into the connection's reply
      buffer. *)
@@ -513,25 +434,17 @@ module Make (W : Net.Wire.WIRED) = struct
     let kind = C.write_payload lp.reply_buf msg in
     ignore (Net.Tcp_transport.conn_write_frame conn ~kind lp.reply_buf)
 
-  (* What a shard's step outputs become: sends go through {!send}; a
-     completion appends its reply frame straight to the invoking
-     connection. *)
-  let perform lp k = function
-    | Sim.Action.Respond (r : R.reply) -> (
-        (match r.R.outcome with
-        | R.Done _ -> lp.answered.(k) <- lp.answered.(k) + 1
-        | R.Cancelled | R.Rejected _ -> ());
-        match Hashtbl.find_opt lp.tickets r.R.ticket with
-        | Some p ->
-            Hashtbl.remove lp.tickets r.R.ticket;
-            conn_answered lp p.conn;
-            Net.Admission.finish lp.shards.(p.pshard).admission
-              ~elapsed_us:(lp.now - p.admitted_us);
-            reply lp p.conn (reply_of p.pshard r.R.outcome)
-        | None -> ())
-    | Sim.Action.Send (dst, w) -> send lp k ~dsts:[ dst ] ~trace:(R.trace_of w) w
-    | Sim.Action.Broadcast w -> send lp k ~dsts:lp.peers ~trace:(R.trace_of w) w
-    | Sim.Action.Set_timer _ | Sim.Action.Cancel_timer _ -> ()
+  (* An admitted invocation's end: count a [Done], free the connection's
+     slot, tell the shard's admission how long it took, and append the
+     reply frame to the invoking connection. *)
+  let answer lp conn shard ~admitted_us outcome =
+    (match outcome with
+    | R.Done _ -> lp.answered.(shard) <- lp.answered.(shard) + 1
+    | R.Cancelled | R.Rejected _ -> ());
+    conn_answered lp conn;
+    Net.Admission.finish lp.shards.(shard).admission
+      ~elapsed_us:(lp.now - admitted_us);
+    reply lp conn (reply_of shard outcome)
 
   let on_client lp conn frame =
     let cfg = lp.cfg in
@@ -560,13 +473,9 @@ module Make (W : Net.Wire.WIRED) = struct
                 ~a:Obs.Event.shed_admission ~b:shard ();
               reply (C.Shed { reason; shard })
           | Net.Admission.Admitted ->
-              let ticket = lp.next_ticket in
-              lp.next_ticket <- ticket + 1;
-              Hashtbl.replace lp.tickets ticket
-                { conn; pshard = shard; admitted_us = lp.now };
               conn_admitted lp conn;
-              R.invoke_at sh.drv ~now:lp.now ~out:lp.outs.(shard) ~trace ~op_id
-                ~deadline ~ticket op)
+              R.invoke_at sh.drv ~now:lp.now ~trace ~op_id ~deadline op
+                (answer lp conn shard ~admitted_us:lp.now))
     | Ok C.Stats_req -> reply (C.Stats (stats lp))
     | Ok m ->
         reply (C.Error_msg (Format.asprintf "unexpected frame %a" C.pp_msg m));
@@ -602,15 +511,13 @@ module Make (W : Net.Wire.WIRED) = struct
     | _ -> ()
 
   let fire_due lp =
-    Array.iteri
-      (fun k sh -> R.fire_due sh.drv ~now:lp.now ~out:lp.outs.(k))
-      lp.shards
+    Array.iter (fun sh -> R.fire_due sh.drv ~now:lp.now) lp.shards
 
   let rec step_inputs lp =
     match Net.Tcp_transport.next_input lp.tcp with
     | None -> ()
     | Some (Net.Tcp_transport.From_peer (src, (k, w))) ->
-        R.deliver_at lp.shards.(k).drv ~now:lp.now ~out:lp.outs.(k) ~src
+        R.deliver_at lp.shards.(k).drv ~now:lp.now ~src
           ~depth:(Net.Tcp_transport.queued_inputs lp.tcp)
           w;
         step_inputs lp
@@ -619,13 +526,12 @@ module Make (W : Net.Wire.WIRED) = struct
         step_inputs lp
 
   (* One cycle per iteration: poll until the earliest deadline, read the
-     clock once, fire the due timers and release the due parked frames,
-     step the inputs in arrival order at that reading, fire the timers
-     those steps made due (the zero holds among them answer in the cycle
-     that stepped them), write.  On stop, the
-     shards answer their waiting clients ("replica stopped") and every
-     parked frame enters its link before the last write: a fault delays a
-     frame, it never loses one it decided to deliver.  A traced host is
+     clock once, fire the due timers (a parked frame's release among
+     them), step the inputs in arrival order at that reading, fire the
+     timers those steps made due (the zero holds among them answer in the
+     cycle that stepped them), write.  On stop, the shards answer their
+     waiting clients ("replica stopped") and their drivers let every
+     parked frame enter its link before the last write.  A traced host is
      its recorder's consumer: the cycle ends by draining the ring into the
      trace file, after the writes, so no reply waits on it.  Returns the
      per-shard [Done] counts and the transport stats. *)
@@ -634,25 +540,21 @@ module Make (W : Net.Wire.WIRED) = struct
     lp.now <- Prelude.Mclock.now_us ();
     Array.iteri
       (fun k sh ->
-        R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Start;
-        if lp.recovering.(k) then
-          R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Recover)
+        R.control_at sh.drv ~now:lp.now R.Start;
+        if lp.recovering.(k) then R.control_at sh.drv ~now:lp.now R.Recover)
       lp.shards;
     Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
     while not (Atomic.get lp.stop_flag) do
       let deadline =
         Array.fold_left
           (fun acc sh -> min acc (R.next_due sh.drv))
-          (match Parked.find_min lp.parked with
-          | Some p -> min p.due (min lp.next_checkpoint lp.next_watch)
-          | None -> min lp.next_checkpoint lp.next_watch)
+          (min lp.next_checkpoint lp.next_watch)
           lp.shards
       in
       Net.Tcp_transport.poll lp.tcp
         ~deadline_us:(min deadline (Net.Tcp_transport.next_wake_us lp.tcp));
       lp.now <- Prelude.Mclock.now_us ();
       fire_due lp;
-      release_parked lp;
       step_inputs lp;
       fire_due lp;
       loop_timers lp lp.now;
@@ -660,10 +562,7 @@ module Make (W : Net.Wire.WIRED) = struct
       Option.iter (fun (r, _) -> Obs.Recorder.drain r) lp.recorder
     done;
     lp.now <- Prelude.Mclock.now_us ();
-    Array.iteri
-      (fun k sh -> R.control_at sh.drv ~now:lp.now ~out:lp.outs.(k) R.Stop)
-      lp.shards;
-    release_parked ~all:true lp;
+    Array.iter (fun sh -> R.control_at sh.drv ~now:lp.now R.Stop) lp.shards;
     let stats = stats lp in
     Net.Tcp_transport.flush lp.tcp ~now_us:(Prelude.Mclock.now_us ());
     (lp.answered, stats)
@@ -705,19 +604,28 @@ module Make (W : Net.Wire.WIRED) = struct
     let shards =
       Array.init cfg.shards (fun k ->
           let recovery = Option.map (fun (_, r, _, _, _) -> r) durable.(k) in
-          let chaos =
+          (* The shard's fault controller, on the run's timeline, when
+             its projected plan is non-empty. *)
+          let fault =
             Option.bind cfg.chaos (fun plan ->
                 let scoped = Fault.Fault_plan.for_shard plan k in
                 if Fault.Fault_plan.is_empty scoped then None
-                else Some (Fault.Chaos_transport.create scoped))
+                else
+                  let chaos = Fault.Chaos_transport.create scoped in
+                  Some
+                    (fun ~now_us ->
+                      Fault.Chaos_transport.decide chaos
+                        ~now_us:(now_us - epoch)))
           in
           {
             drv =
               R.driver ~params:cfg.params ?recovery
                 ?fallback:(fallback_for cfg k) ?sync:(sync_for cfg k)
-                ~dedup_window_us:(dedup_window_us cfg.params)
-                ~offset:cfg.offset cfg.pid;
-            chaos;
+                ~dedup_window_us:(dedup_window_us cfg.params) ?fault
+                ~offset:cfg.offset
+                ~link:(fun ~dsts ~trace w ->
+                  Net.Tcp_transport.send_all tcp ~dsts ~trace (k, w))
+                cfg.pid;
             store = Option.map (fun (store, _, _, _, _) -> store) durable.(k);
             admission = Net.Admission.create ();
           })
@@ -750,22 +658,12 @@ module Make (W : Net.Wire.WIRED) = struct
     let lp =
       {
         cfg;
-        epoch;
         tcp;
-        peers =
-          List.filter (( <> ) cfg.pid)
-            (List.init (Array.length cfg.addrs) Fun.id);
         shards;
-        outs = [||];
-        tickets = Hashtbl.create 64;
-        next_ticket = 0;
         conn_inflight = Hashtbl.create 8;
         now;
         stop_flag;
         recovering;
-        parked = Parked.empty;
-        parked_seq = 0;
-        chaos_dropped = 0;
         recorder;
         watch_parent;
         next_checkpoint =
@@ -778,7 +676,6 @@ module Make (W : Net.Wire.WIRED) = struct
         reply_buf = Buffer.create 64;
       }
     in
-    lp.outs <- Array.init cfg.shards (fun k o -> perform lp k o);
     lp
 
   (* After the loop: close the sockets (here, not on the loop, so a late

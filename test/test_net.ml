@@ -743,7 +743,7 @@ let test_tcp_reconnect_backoff () =
       { op = Spec.Register.Write 42; time = 1; pid = 0; trace = 7; op_id = 9;
         shard = 0 }
   in
-  Net.Tcp_transport.send t0 ~dst:1 ~trace:0 entry;
+  Net.Tcp_transport.send_all t0 ~dsts:[ 1 ] ~trace:0 entry;
   (* let several connect attempts fail *)
   let until = Prelude.Mclock.now_us () + 150_000 in
   while Prelude.Mclock.now_us () < until do
@@ -796,11 +796,11 @@ let test_peer_hello_cuts_backoff () =
       { op = Spec.Register.Write i; time = i; pid = 0; trace = 0; op_id = i;
         shard = 0 }
   in
-  Net.Tcp_transport.send t0 ~dst:1 ~trace:0 (entry 1);
+  Net.Tcp_transport.send_all t0 ~dsts:[ 1 ] ~trace:0 (entry 1);
   for _ = 1 to 3 do ignore (cycle t0) done (* refused; now backing off *);
   let l1 = Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:port1 in
   let t1 = reg_set ~me:1 ~listener:l1 ~addrs () in
-  Net.Tcp_transport.send t1 ~dst:0 ~trace:0 (entry 2);
+  Net.Tcp_transport.send_all t1 ~dsts:[ 0 ] ~trace:0 (entry 2);
   let t_up = Prelude.Mclock.now_us () in
   let give_up = t_up + 3_000_000 in
   let rec await () =

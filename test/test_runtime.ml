@@ -334,10 +334,12 @@ module Kv_rep = Runtime.Replica.Make (Spec.Kv_map)
 let bare_driver ?recovery ?dedup_window_us () =
   let params = Core.Params.make ~n:1 ~d:0 ~u:0 ~eps:0 ~x:0 () in
   let d =
-    Kv_rep.driver ~params ?recovery ?dedup_window_us ~offset:0 0
+    Kv_rep.driver ~params ?recovery ?dedup_window_us ~offset:0
+      ~link:(fun ~dsts:_ ~trace:_ _ -> ())
+      0
   in
   let now = ref 0 and issued = ref 0 and answered = ref 0 in
-  let out = function Sim.Action.Respond _ -> incr answered | _ -> () in
+  let k _ = incr answered in
   let run_to ops =
     while !answered < ops do
       if !issued = !answered then begin
@@ -347,14 +349,13 @@ let bare_driver ?recovery ?dedup_window_us () =
           else Spec.Kv_map.Get (i mod 64)
         in
         incr issued;
-        Kv_rep.invoke_at d ~now:!now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
-          ~ticket:i op
+        Kv_rep.invoke_at d ~now:!now ~trace:0 ~op_id:(i + 1) ~deadline:0 op k
       end
       else begin
         let due = Kv_rep.next_due d in
         if due = max_int then Alcotest.fail "the driver stalled";
         now := max !now due;
-        Kv_rep.fire_due d ~now:!now ~out
+        Kv_rep.fire_due d ~now:!now
       end
     done
   in
@@ -408,24 +409,23 @@ let test_vloop_million_ops_bounded () =
    it. *)
 let test_stamps_follow_loop_clock () =
   let params = Core.Params.make ~n:2 ~d:0 ~u:0 ~eps:0 ~x:0 () in
-  let d = Kv_rep.driver ~params ~offset:0 0 in
   let now = ref 100 and answered = ref 0 and sent = ref [] in
-  let out = function
-    | Sim.Action.Respond _ -> incr answered
-    | Sim.Action.Broadcast (Kv_rep.Wire_entry (e, _, _)) ->
+  let link ~dsts:_ ~trace:_ = function
+    | Kv_rep.Wire_entry (e, _, _) ->
         sent := (e.Kv_rep.Alg.ts.Prelude.Stamp.time, !now) :: !sent
     | _ -> ()
   in
+  let d = Kv_rep.driver ~params ~offset:0 ~link 0 in
   for i = 0 to 31 do
-    Kv_rep.invoke_at d ~now:!now ~out ~trace:0 ~op_id:(i + 1) ~deadline:0
-      ~ticket:i (Spec.Kv_map.Put (i, i))
+    Kv_rep.invoke_at d ~now:!now ~trace:0 ~op_id:(i + 1) ~deadline:0
+      (Spec.Kv_map.Put (i, i)) (fun _ -> incr answered)
   done;
-  Kv_rep.fire_due d ~now:!now ~out;
+  Kv_rep.fire_due d ~now:!now;
   while !answered < 32 do
     let due = Kv_rep.next_due d in
     if due = max_int then Alcotest.fail "the driver stalled";
     now := max !now due;
-    Kv_rep.fire_due d ~now:!now ~out
+    Kv_rep.fire_due d ~now:!now
   done;
   let sent = List.rev !sent in
   Alcotest.(check int) "every put broadcast" 32 (List.length sent);
@@ -435,6 +435,72 @@ let test_stamps_follow_loop_clock () =
       if i > 0 && ts <= fst (List.nth sent (i - 1)) then
         Alcotest.failf "put %d stamped %d, not above its predecessor" i ts)
     sent
+
+(* A fault delays a frame, it never loses one: a bare n = 2 driver whose
+   fault hook parks every send by 500 µs and drops every third.  A parked
+   frame enters its link exactly when [fire_due] reaches its due time,
+   [next_due] reports it meanwhile, a [Crash] leaves it parked, and a
+   [Stop] lets every frame still parked enter at once. *)
+let test_driver_parks_faulted_sends () =
+  let params = Core.Params.make ~n:2 ~d:5000 ~u:0 ~eps:0 ~x:0 () in
+  let now = ref 0 and entered = ref [] and decided = ref 0 in
+  let fault ~now_us:_ ~src:_ ~dst:_ ~trace:_ =
+    incr decided;
+    if !decided mod 3 = 0 then
+      { Runtime.Transport_intf.copies = 0; extra_us = 0 }
+    else { copies = 1; extra_us = 500 }
+  in
+  let link ~dsts ~trace:_ = function
+    | Kv_rep.Wire_entry ({ Kv_rep.Alg.op = Spec.Kv_map.Put (key, _); _ }, _, _)
+      ->
+        entered := (!now, dsts, key) :: !entered
+    | _ -> Alcotest.fail "only put entries are sent"
+  in
+  let d =
+    Kv_rep.driver ~params ~recovery:armed_recovery ~fault ~offset:0 ~link 0
+  in
+  let step_to t =
+    now := t;
+    Kv_rep.fire_due d ~now:t
+  in
+  let entered_so_far what expected =
+    Alcotest.(check (list (triple int (list int) int)))
+      what expected (List.rev !entered)
+  in
+  let answered = ref 0 in
+  List.iter
+    (fun t ->
+      now := t;
+      Kv_rep.invoke_at d ~now:t ~trace:0 ~op_id:t ~deadline:0
+        (Spec.Kv_map.Put (t, t))
+        (fun _ -> incr answered);
+      step_to t)
+    [ 100; 200; 300; 400 ];
+  Alcotest.(check int) "every put answered" 4 !answered;
+  Alcotest.(check int) "the third send is lost" 1 (Kv_rep.lost d);
+  entered_so_far "nothing entered before its due time" [];
+  Alcotest.(check int) "next_due is the first parked frame" 600
+    (Kv_rep.next_due d);
+  step_to 599;
+  entered_so_far "not a µs early" [];
+  step_to 600;
+  entered_so_far "the first frame enters at 600" [ (600, [ 1 ], 100) ];
+  Alcotest.(check int) "next_due moves to the second" 700 (Kv_rep.next_due d);
+  now := 650;
+  Kv_rep.control_at d ~now:650 Kv_rep.Crash;
+  Alcotest.(check int) "a crash keeps the parked frames" 700
+    (Kv_rep.next_due d);
+  step_to 700;
+  entered_so_far "the second frame enters at 700 after the crash"
+    [ (600, [ 1 ], 100); (700, [ 1 ], 200) ];
+  Alcotest.(check int) "the fourth is parked until 900" 900
+    (Kv_rep.next_due d);
+  now := 800;
+  Kv_rep.control_at d ~now:800 Kv_rep.Stop;
+  entered_so_far "stop releases the fourth at once"
+    [ (600, [ 1 ], 100); (700, [ 1 ], 200); (800, [ 1 ], 400) ];
+  Alcotest.(check bool) "no frame left parked" true (Kv_rep.next_due d > 900);
+  Alcotest.(check int) "one loss in all" 1 (Kv_rep.lost d)
 
 (* A checkpoint is the object, the high-water mark and the dedup window:
    its encoding after 200k ops is the size it was after 20k, not ten
@@ -1082,6 +1148,8 @@ let () =
             test_vloop_same_seed_same_report;
           Alcotest.test_case "stamps never run ahead of the loop clock" `Quick
             test_stamps_follow_loop_clock;
+          Alcotest.test_case "a fault parks a frame, never loses it" `Quick
+            test_driver_parks_faulted_sends;
           Alcotest.test_case "driver words per op" `Quick
             test_vloop_words_per_op;
           Alcotest.test_case "same-µs answers precede invocations" `Quick

@@ -730,6 +730,84 @@ let test_host_stop_leaks_nothing () =
   Alcotest.(check int) "threads after stop" tasks0 (settled "/proc/self/task");
   Alcotest.(check int) "descriptors after stop" fds0 (count "/proc/self/fd")
 
+(* A host's chaos fates are its shards' drivers' own: a two-host pair
+   with two shards, shard 0 losing every send ([drop(100)%0]) and shard
+   1's sends parked 2 ms ([spike(2ms)%1]).  Both shards answer every
+   invoke; host 1 reads every shard-1 write made on host 0 (the delayed
+   entries reached it) and none of shard 0's; and host 0's [Stats] reply
+   counts each shard-0 loss as both sent and dropped. *)
+let test_host_chaos_fates () =
+  let n = 2 and shards = 2 and puts = 4 in
+  let params = Core.Params.make ~n ~d:7000 ~u:5500 ~eps:0 ~x:0 () in
+  let plan =
+    match
+      Fault.Fault_plan.compile ~seed:5 ~spec:"drop(100)%0;spike(2ms)%1"
+    with
+    | Ok plan -> plan
+    | Error e -> Alcotest.failf "plan: %s" e
+  in
+  let listeners =
+    Array.init n (fun _ -> Net.Tcp_transport.listen ~host:"127.0.0.1" ~port:0)
+  in
+  let addrs =
+    Array.map (fun (l : Net.Tcp_transport.listener) -> ("127.0.0.1", l.port))
+      listeners
+  in
+  let handles =
+    Array.init n (fun pid ->
+        H.start ~listener:listeners.(pid)
+          {
+            (host_config ~pid ~shards ~addrs params) with
+            Shard.Host.chaos = Some plan;
+          })
+  in
+  let conns =
+    Array.map
+      (fun (_, port) ->
+        match Kcl.connect ~host:"127.0.0.1" ~port () with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "client connect: %s" e)
+      addrs
+  in
+  let invoke pid shard op =
+    match Kcl.invoke ~shard conns.(pid) op with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "shard %d on host %d: %s" shard pid e
+  in
+  for key = 1 to puts do
+    for shard = 0 to shards - 1 do
+      Alcotest.(check bool)
+        (Printf.sprintf "put %d on shard %d answered" key shard)
+        true
+        (invoke 0 shard (Spec.Kv_map.Put (key, (10 * key) + shard))
+        = Spec.Kv_map.Ack)
+    done
+  done;
+  for key = 1 to puts do
+    Alcotest.(check bool)
+      (Printf.sprintf "shard 1's delayed put %d reached host 1" key)
+      true
+      (invoke 1 1 (Spec.Kv_map.Get key) = Spec.Kv_map.Found ((10 * key) + 1));
+    Alcotest.(check bool)
+      (Printf.sprintf "shard 0's lost put %d never did" key)
+      true
+      (invoke 1 0 (Spec.Kv_map.Get key) = Spec.Kv_map.Absent)
+  done;
+  let stats =
+    match Kcl.stats conns.(0) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "stats: %s" e
+  in
+  Alcotest.(check int) "dropped: one loss per shard-0 put" puts
+    stats.Runtime.Transport_intf.dropped;
+  Alcotest.(check int) "sent: the losses and the delayed entries" (2 * puts)
+    stats.Runtime.Transport_intf.sent;
+  Array.iter Kcl.close conns;
+  let answered = Array.map (fun h -> fst (H.stop h)) handles in
+  Alcotest.(check (array (array int))) "every invoke answered per shard"
+    [| [| puts; puts |]; [| puts; puts |] |]
+    answered
+
 (* ---- the supervisor's exit-status wording ---- *)
 
 let test_status_names_signals () =
@@ -898,6 +976,8 @@ let () =
             `Quick test_host_non_reading_client_cannot_stall;
           Alcotest.test_case "stop answers an in-flight invoke" `Quick
             test_host_stop_answers_inflight;
+          Alcotest.test_case "a fault's losses and delays per shard" `Quick
+            test_host_chaos_fates;
           Alcotest.test_case "start and stop leak no thread or descriptor"
             `Quick test_host_stop_leaks_nothing;
         ] );
