@@ -192,12 +192,17 @@ module Awake = struct
     if Window.count w < Window.size then max_int
     else Window.nth w (Window.size / 2)
 
-  (* Two wake-ups: a client that blocks between requests spends one of
-     its own inside every turnaround, so this weighs its work against
-     ours. *)
+  (* How many wake-ups a turnaround may last and still earn a spin.  The
+     spin yields between its polls, so it costs the client and the peers
+     that share the vCPUs no time slice: what it risks is our own CPU
+     time, priced against the wake-up it saves.  On the trio workloads
+     turnarounds run 2–4 wake-ups; a client that thinks ~1 ms does not
+     reach 8. *)
+  let wakes_per_turn = 8
+
   let budget_ns t ~wait_ns =
     let m = median t.turns and w = median t.wakes in
-    if w = max_int || m > 2 * w then 0 else min wait_ns (2 * m)
+    if w = max_int || m > wakes_per_turn * w then 0 else min wait_ns (2 * m)
 end
 
 (* ---- counters ---- *)
@@ -784,12 +789,15 @@ let os_poll t ~count ~timeout_ns =
    ones over the same set until the end, so a ready fd, [wake] or a signal
    still ends it at once.  Only a sleep that timed out teaches [t.lead]
    how late it woke.  The spin is bounded by the lead, which is at most
-   half the wait. *)
+   half the wait.  Between polls that find nothing it yields the vCPU, so
+   a client or a peer that is runnable meanwhile runs on it. *)
 let rec spin t ~count ~until =
   if Prelude.Os.monotonic_ns () >= until then 0
   else
     match os_poll t ~count ~timeout_ns:0 with
-    | 0 -> spin t ~count ~until
+    | 0 ->
+        Prelude.Os.sched_yield ();
+        spin t ~count ~until
     | r -> r
 
 let sleep_then_spin t ~count ~wait_ns =

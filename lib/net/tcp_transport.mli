@@ -183,12 +183,14 @@ val poll : 'msg t -> deadline_us:int -> unit
     zero-timeout [ppoll]s over the same set until the deadline, timed on
     [CLOCK_MONOTONIC] ({!Prelude.Os.monotonic_ns}) so a wall-clock step
     never stretches them.  A ready fd, {!wake} or a signal ends either
-    part at once.
+    part at once.  Every zero-timeout [ppoll] that finds nothing ready is
+    followed by {!Prelude.Os.sched_yield}: a spin hands the vCPU to any
+    runnable process between its polls.
 
     The wait right after a cycle whose {!flush} wrote a client reply
-    first spins with zero-timeout [ppoll]s for {!Awake}'s budget — a
-    client that answers sooner than this vCPU wakes from a sleep is
-    caught awake — and hands the rest of the wait to the sleep above.
+    first spins the same way for {!Awake}'s budget — a client that
+    answers sooner than this vCPU wakes from a sleep is caught awake —
+    and hands the rest of the wait to the sleep above.
     A poll that may not wait (inputs queued, the deadline passed) leaves
     the reply pending for the next one that does. *)
 
@@ -219,11 +221,12 @@ val lead : 'msg t -> Lead.t
 
 (** How long {!poll} stays awake after a client reply: the competitive
     spin-then-block rule (Karlin et al., SOSP '91) — spin only while the
-    client's expected turnaround is short against a wake-up, and then
-    for at most twice that turnaround.  Both are measured on the
-    clients' own bytes, placed in time by the kernel's arrival stamps
-    ({!Prelude.Os.recv_aged}): a {e turnaround} runs from the start of a
-    wait after a reply until the client's next bytes arrived (the whole
+    client's expected turnaround is short against a wake-up (at most 8
+    of them), and then for at most twice that turnaround.  Both are
+    measured on the clients' own bytes, placed in time by the kernel's
+    arrival stamps ({!Prelude.Os.recv_aged}): a {e turnaround} runs from
+    the start of a wait after a reply until the client's next bytes
+    arrived (the whole
     wait when none came), a {e wake-up} from their arrival until a sleep
     they ended returned.  Each is a ring of the last 16 samples and its
     upper median, so 8 timed-out waits after replies turn the
@@ -240,9 +243,10 @@ module Awake : sig
   val budget_ns : t -> wait_ns:int -> int
   (** How long to spin before sleeping a [wait_ns] wait ([max_int]: no
       deadline): [min wait_ns (2 × turnaround)] when the turnaround is at
-      most two wake-ups — a client that blocks between requests spends
-      one wake-up of its own inside each turnaround, so this weighs its
-      work against ours — else 0, and 0 before 16 samples of each. *)
+      most 8 wake-ups, else 0, and 0 before 16 samples of each.  The
+      spin yields between its polls, so it takes no CPU from the client
+      or a peer that needs one; 8 keeps a client that thinks for ~1 ms
+      (against wake-ups of tens of µs) from earning one. *)
 end
 
 val awake : 'msg t -> Awake.t

@@ -6,11 +6,19 @@ let dummy_event =
      seq = pos                -> slot free, a producer may claim ticket [pos]
      seq = pos + 1            -> slot published, consumer may read ticket [pos]
      seq = pos + capacity     -> slot consumed, free for ticket [pos + capacity]
-   Producers race on [head] with CAS; the single consumer owns [tail]. *)
+   Producers race on [head] with CAS; the single consumer owns [tail].
+
+   The slots come in chunks of up to 256, allocated on first use: a chunk
+   still [[||]] stands for slots in the state the ring starts in
+   ([seq = i], nothing published), and the first producer to reach it
+   installs it in that state with one CAS.  So [start] costs one word per
+   chunk, and a run pays only for the slots its events reach. *)
 type slot = { seq : int Atomic.t; mutable ev : Event.t }
 
 type t = {
-  slots : slot array;
+  chunks : slot array Atomic.t array;
+  shift : int; (* log2 of the slots per chunk *)
+  cmask : int; (* the slots per chunk, less one *)
   mask : int;
   head : int Atomic.t;
   mutable tail : int; (* consumer-owned *)
@@ -26,10 +34,33 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let chunk_slots = 256
+
+(* The slot of ticket [pos], installing its chunk if no producer has. *)
+let claim_slot t pos =
+  let i = pos land t.mask in
+  let c = t.chunks.(i lsr t.shift) in
+  let a = Atomic.get c in
+  let a =
+    if Array.length a > 0 then a
+    else begin
+      let base = i land lnot t.cmask in
+      let fresh =
+        Array.init (t.cmask + 1) (fun j ->
+            { seq = Atomic.make (base + j); ev = dummy_event })
+      in
+      ignore (Atomic.compare_and_set c [||] fresh);
+      Atomic.get c
+    end
+  in
+  a.(i land t.cmask)
+
 (* [false] = ring full; the caller counts the drop. *)
 let try_push t ev =
   let rec claim pos =
-    let slot = t.slots.(pos land t.mask) in
+    let slot = claim_slot t pos in
     let seq = Atomic.get slot.seq in
     let diff = seq - pos in
     if diff = 0 then
@@ -63,13 +94,18 @@ let stamp t =
 (* Single consumer only: pop every published event into the sink. *)
 let rec pop_all t =
   let pos = t.tail in
-  let slot = t.slots.(pos land t.mask) in
-  if Atomic.get slot.seq = pos + 1 then begin
-    let ev = slot.ev in
-    Atomic.set slot.seq (pos + Array.length t.slots);
-    t.tail <- pos + 1;
-    t.sink ev;
-    pop_all t
+  let i = pos land t.mask in
+  let a = Atomic.get t.chunks.(i lsr t.shift) in
+  (* a chunk no producer installed has nothing published *)
+  if Array.length a > 0 then begin
+    let slot = a.(i land t.cmask) in
+    if Atomic.get slot.seq = pos + 1 then begin
+      let ev = slot.ev in
+      Atomic.set slot.seq (pos + t.mask + 1);
+      t.tail <- pos + 1;
+      t.sink ev;
+      pop_all t
+    end
   end
 
 let account_drops t =
@@ -94,9 +130,11 @@ let drain t =
 
 let start ?(capacity = 65536) ~epoch_us ~sink ?(flush = fun () -> ()) () =
   let capacity = next_pow2 (max 2 capacity) in
+  let per_chunk = min capacity chunk_slots in
   {
-    slots =
-      Array.init capacity (fun i -> { seq = Atomic.make i; ev = dummy_event });
+    chunks = Array.init (capacity / per_chunk) (fun _ -> Atomic.make [||]);
+    shift = log2 per_chunk;
+    cmask = per_chunk - 1;
     mask = capacity - 1;
     head = Atomic.make 0;
     tail = 0;

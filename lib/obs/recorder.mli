@@ -29,7 +29,9 @@ val start :
   unit ->
   t
 (** A recorder with an empty ring; no thread is started.  [capacity]
-    (default 65536) is rounded up to a power of two.  Event timestamps are
+    (default 65536) is rounded up to a power of two; the ring's slots are
+    allocated 256 at a time as events first reach them, so starting costs
+    no per-slot work.  Event timestamps are
     [Mclock.now_us () - epoch_us]; passing the same epoch to every process
     of a cluster makes their trace files merge onto one timeline.  [flush]
     ends every {!drain}. *)

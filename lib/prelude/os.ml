@@ -2,6 +2,7 @@ external set_timer_slack_ns : int -> unit = "prelude_os_set_timer_slack_ns"
 [@@noalloc]
 
 external monotonic_ns : unit -> int = "prelude_os_monotonic_ns" [@@noalloc]
+external sched_yield : unit -> unit = "prelude_os_sched_yield" [@@noalloc]
 
 external send_nowait : Unix.file_descr -> string -> int -> int -> int
   = "prelude_os_send_nowait"

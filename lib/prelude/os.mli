@@ -14,6 +14,13 @@ val monotonic_ns : unit -> int
     timeouts on, which never steps (unlike {!Mclock}, which holds still
     after the wall clock steps back).  Allocation-free. *)
 
+val sched_yield : unit -> unit
+(** Hand the CPU to any other runnable thread or process, or return at
+    once when there is none ([sched_yield(2)]).  What a spin calls
+    between polls, so that spinning costs a process it shares the CPU
+    with no time slice.  Keeps the runtime lock: other threads of this
+    domain do not run meanwhile.  Allocation-free. *)
+
 val send_nowait : Unix.file_descr -> string -> int -> int -> int
 (** [send_nowait fd s off len] sends what the socket buffer takes right
     now, without blocking and without raising SIGPIPE; returns the byte

@@ -4,6 +4,7 @@
 #define _GNU_SOURCE
 #include <errno.h>
 #include <poll.h>
+#include <sched.h>
 #include <time.h>
 #include <sys/types.h>
 #include <sys/socket.h>
@@ -32,6 +33,13 @@ value prelude_os_monotonic_ns(value unit)
   (void)unit;
   clock_gettime(CLOCK_MONOTONIC, &ts);
   return Val_long((long)ts.tv_sec * 1000000000L + ts.tv_nsec);
+}
+
+value prelude_os_sched_yield(value unit)
+{
+  (void)unit;
+  sched_yield();
+  return Val_unit;
 }
 
 value prelude_os_send_nowait(value fd, value buf, value ofs, value len)

@@ -1591,11 +1591,20 @@ let test_awake_slow_clients_sleep () =
   let a = awake_with (List.init 16 (fun _ -> 2 * ms)) in
   Alcotest.(check int) "2 ms turnarounds: no spin" 0
     (Awake.budget_ns a ~wait_ns:(100 * ms));
-  let a = awake_with (List.init 16 (fun _ -> 25 * us)) in
-  Alcotest.(check int) "just above two 12 µs wake-ups: no spin" 0
+  let a = awake_with (List.init 16 (fun _ -> 97 * us)) in
+  Alcotest.(check int) "just above eight 12 µs wake-ups: no spin" 0
     (Awake.budget_ns a ~wait_ns:(100 * ms));
-  let a = awake_with (List.init 16 (fun _ -> 24 * us)) in
-  Alcotest.(check int) "two wake-ups: spin" (48 * us)
+  let a = awake_with (List.init 16 (fun _ -> 96 * us)) in
+  Alcotest.(check int) "eight wake-ups: spin" (192 * us)
+    (Awake.budget_ns a ~wait_ns:(100 * ms))
+
+(* A trio's client as its replicas measured it: wake-ups of 27 µs,
+   turnarounds of 77–106 µs. *)
+let test_awake_trio_client_spins () =
+  let turns = List.init 15 (fun i -> (77 + (2 * i)) * us) @ [ 106 * us ] in
+  let a = awake_with ~wakes:(List.init 16 (fun _ -> 27 * us)) turns in
+  (* the upper median of 77, 79, ... 105, 106 µs is 93 µs *)
+  Alcotest.(check int) "twice the upper median" (2 * 93 * us)
     (Awake.budget_ns a ~wait_ns:(100 * ms))
 
 let test_awake_quiet_client_stops () =
@@ -1608,7 +1617,7 @@ let test_awake_quiet_client_stops () =
   done
 
 (* One stolen wake-up among the samples leaves the wake cost where it
-   was, so a client slower than two real wake-ups still gets no spin. *)
+   was, so a client slower than eight real wake-ups still gets no spin. *)
 let test_awake_outlier_wake () =
   for at = 0 to 15 do
     let wakes = List.init 16 (fun i -> if i = at then 5 * ms else 30 * us) in
@@ -2076,6 +2085,8 @@ let () =
             test_awake_short_turnarounds_spin;
           Alcotest.test_case "slow clients get no spin" `Quick
             test_awake_slow_clients_sleep;
+          Alcotest.test_case "a trio's client spins" `Quick
+            test_awake_trio_client_spins;
           Alcotest.test_case "8 timed-out waits stop the spin" `Quick
             test_awake_quiet_client_stops;
           Alcotest.test_case "one outlier wake-up inflates nothing" `Quick

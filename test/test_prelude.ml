@@ -71,6 +71,53 @@ let shuffle_perm_prop =
       let g = Prelude.Rng.make seed in
       List.sort compare (Prelude.Rng.shuffle g xs) = List.sort compare xs)
 
+(* The byte-wise register update, straight from the polynomial. *)
+let crc_reference r s ~pos ~len =
+  let r = ref r in
+  for i = pos to pos + len - 1 do
+    r := !r lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      r := if !r land 1 = 1 then 0xedb88320 lxor (!r lsr 1) else !r lsr 1
+    done
+  done;
+  !r
+
+let test_crc32_vectors () =
+  Alcotest.(check int) "check value" 0xcbf43926 (Prelude.Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Prelude.Crc32.string "");
+  Alcotest.(check int) "a 4 KiB block"
+    (crc_reference 0xffffffff (String.make 4096 'x') ~pos:0 ~len:4096
+    lxor 0xffffffff)
+    (Prelude.Crc32.string (String.make 4096 'x'));
+  Alcotest.check_raises "a range past the end" (Invalid_argument "Crc32.update")
+    (fun () -> ignore (Prelude.Crc32.sub "abc" ~pos:2 ~len:2))
+
+(* Any string up to 64 KiB, any range of it (so unaligned starts and
+   ragged tails), folded in two pieces from any register. *)
+let crc32_reference_prop =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:char (int_range 0 65536) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >>= fun len ->
+      int_range 0 len >>= fun cut ->
+      int_range 0 0xffffffff >|= fun r -> (s, pos, len, cut, r))
+  in
+  let print (s, pos, len, cut, r) =
+    Printf.sprintf "%d bytes, pos %d, len %d, cut %d, register %#x"
+      (String.length s) pos len cut r
+  in
+  QCheck.Test.make ~name:"slicing-by-8 matches the byte-wise update" ~count:300
+    (QCheck.make ~print gen)
+    (fun (s, pos, len, cut, r) ->
+      let open Prelude.Crc32 in
+      let two =
+        update (update r s ~pos ~len:cut) s ~pos:(pos + cut) ~len:(len - cut)
+      in
+      update r s ~pos ~len = crc_reference r s ~pos ~len
+      && two = crc_reference r s ~pos ~len)
+
 let test_permutations () =
   let p = Prelude.Combinatorics.permutations [ 1; 2; 3 ] in
   Alcotest.(check int) "3! perms" 6 (List.length p);
@@ -384,6 +431,9 @@ let () =
       ( "rng",
         Alcotest.test_case "determinism" `Quick test_rng_determinism
         :: List.map QCheck_alcotest.to_alcotest [ rng_bounds_prop; shuffle_perm_prop ] );
+      ( "crc32",
+        Alcotest.test_case "known values" `Quick test_crc32_vectors
+        :: List.map QCheck_alcotest.to_alcotest [ crc32_reference_prop ] );
       ( "combinatorics",
         [
           Alcotest.test_case "permutations" `Quick test_permutations;
