@@ -2085,8 +2085,6 @@ let () =
             test_awake_short_turnarounds_spin;
           Alcotest.test_case "slow clients get no spin" `Quick
             test_awake_slow_clients_sleep;
-          Alcotest.test_case "a trio's client spins" `Quick
-            test_awake_trio_client_spins;
           Alcotest.test_case "8 timed-out waits stop the spin" `Quick
             test_awake_quiet_client_stops;
           Alcotest.test_case "one outlier wake-up inflates nothing" `Quick
@@ -2097,6 +2095,8 @@ let () =
             test_awake_bytes_end_the_spin;
           Alcotest.test_case "no reply, no spin" `Quick
             test_awake_no_reply_no_spin;
+          Alcotest.test_case "a trio's client spins" `Quick
+            test_awake_trio_client_spins;
         ]
         @ qsuite [ windowed_medians ] );
       ( "durable",
