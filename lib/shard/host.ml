@@ -139,6 +139,40 @@ let who cfg k =
 let epoch_of cfg =
   match cfg.start_us with Some s -> s | None -> Prelude.Mclock.now_us ()
 
+(** The minor heap a [serve] process runs on once set-up is over: 32k
+    words (256 KB), against OCaml 5's default of 256k words (2 MB).  A
+    replica keeps little between operations (the object, its pending
+    operations, the dedup window), so the small heap costs more frequent
+    but cheap collections, and keeps 256 KB resident where the default
+    keeps 2 MB.  The loop shrinks to it once it has allocated this many
+    words itself: after set-up (the first op on a connection costs ~1k
+    words), so no start-up waits on the collection the shrink is, and
+    long before the default heap has been touched through (a peak RSS
+    keeps every page ever touched).  Only a process of its own shrinks:
+    an in-process host shares its heap with clients and checkers. *)
+let lean_minor_heap_words = 32_768
+
+(** Minor words the loop allocated since it started, per part of its
+    cycle, and the minor collections it saw. *)
+type words = {
+  mutable poll : int;  (** waiting in {!Net.Tcp_transport.poll} *)
+  mutable step : int;
+      (** reading the clock, firing timers, stepping inputs (decode, the
+          drivers, reply encoding) and the loop timers *)
+  mutable flush : int;  (** writing, and draining a recorder *)
+  mutable collections : int;  (** minor collections, set when the loop ends *)
+  mutable promoted : int;  (** words promoted, set when the loop ends *)
+}
+
+(* [Gc.minor_words] returns an unboxed float: reading it allocates
+   nothing. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let shrink_minor_heap () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size > lean_minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = lean_minor_heap_words }
+
 module Make (W : Net.Wire.WIRED) = struct
   module C = Net.Codec.Make (W.C)
   (* Over the codec's object, so [R.wire] is the type the codec reads and
@@ -383,6 +417,7 @@ module Make (W : Net.Wire.WIRED) = struct
     mutable next_watch : int;
     answered : int array;  (** per shard: [Done] completions *)
     reply_buf : Buffer.t;  (** the reply being encoded *)
+    words : words;
   }
 
   (* A pipelining client stops being read while this many of its
@@ -533,10 +568,16 @@ module Make (W : Net.Wire.WIRED) = struct
      waiting clients ("replica stopped") and their drivers let every
      parked frame enter its link before the last write.  A traced host is
      its recorder's consumer: the cycle ends by draining the ring into the
-     trace file, after the writes, so no reply waits on it.  Returns the
-     per-shard [Done] counts and the transport stats. *)
-  let run lp =
+     trace file, after the writes, so no reply waits on it.  The loop
+     counts the minor words each part of the cycle allocates; with
+     [~lean] (a process of its own) it shrinks the minor heap to
+     {!lean_minor_heap_words} at the end of the cycle that brings the
+     count to that many.  Returns the per-shard [Done] counts and the
+     transport stats. *)
+  let run ?(lean = false) lp =
     Prelude.Os.set_timer_slack_ns 1;
+    let gc0 = Gc.quick_stat () and w = lp.words in
+    let lean = ref lean in
     lp.now <- Prelude.Mclock.now_us ();
     Array.iteri
       (fun k sh ->
@@ -551,16 +592,31 @@ module Make (W : Net.Wire.WIRED) = struct
           (min lp.next_checkpoint lp.next_watch)
           lp.shards
       in
+      let w0 = minor_words () in
       Net.Tcp_transport.poll lp.tcp
         ~deadline_us:(min deadline (Net.Tcp_transport.next_wake_us lp.tcp));
+      let w1 = minor_words () in
       lp.now <- Prelude.Mclock.now_us ();
       fire_due lp;
       step_inputs lp;
       fire_due lp;
       loop_timers lp lp.now;
+      let w2 = minor_words () in
       Net.Tcp_transport.flush lp.tcp ~now_us:lp.now;
-      Option.iter (fun (r, _) -> Obs.Recorder.drain r) lp.recorder
+      Option.iter (fun (r, _) -> Obs.Recorder.drain r) lp.recorder;
+      let w3 = minor_words () in
+      w.poll <- w.poll + (w1 - w0);
+      w.step <- w.step + (w2 - w1);
+      w.flush <- w.flush + (w3 - w2);
+      if !lean && w.poll + w.step + w.flush >= lean_minor_heap_words then begin
+        lean := false;
+        shrink_minor_heap ()
+      end
     done;
+    let gc1 = Gc.quick_stat () in
+    w.collections <- gc1.Gc.minor_collections - gc0.Gc.minor_collections;
+    w.promoted <-
+      int_of_float (gc1.Gc.promoted_words -. gc0.Gc.promoted_words);
     lp.now <- Prelude.Mclock.now_us ();
     Array.iter (fun sh -> R.control_at sh.drv ~now:lp.now R.Stop) lp.shards;
     let stats = stats lp in
@@ -674,6 +730,8 @@ module Make (W : Net.Wire.WIRED) = struct
           (if watch_parent = None then max_int else now + watch_every_us);
         answered = Array.make cfg.shards 0;
         reply_buf = Buffer.create 64;
+        words =
+          { poll = 0; step = 0; flush = 0; collections = 0; promoted = 0 };
       }
     in
     lp
@@ -742,6 +800,12 @@ module Make (W : Net.Wire.WIRED) = struct
      after {!stop}. *)
   let counters h = Net.Tcp_transport.poll_counters h.lp.tcp
 
+  (* The loop's minor words and collections; read them after {!stop}.
+     In process, a part that blocks (the poll's [ppoll], the flush's
+     writes) lets other threads of the process run, and their words count
+     there too; the step never blocks on a memory-only host. *)
+  let words h = h.lp.words
+
   (* ---- the [timebounds serve] process body ---- *)
 
   let run_until_signalled ?watch_parent (cfg : config) =
@@ -766,17 +830,28 @@ module Make (W : Net.Wire.WIRED) = struct
          port W.L.label cfg.params.Core.Params.n
          (if cfg.shards = 1 then ""
           else Printf.sprintf ", %d shards" cfg.shards));
-    let answered, stats = run lp in
+    let answered, stats = run ~lean:true lp in
     finish lp;
     let total = Array.fold_left ( + ) 0 answered in
     cfg.log
       (Printf.sprintf "replica %d: stopped after %d ops; %s" cfg.pid total
          (Format.asprintf "%a" T.pp_stats stats));
-    let c = Net.Tcp_transport.poll_counters lp.tcp in
+    let c = Net.Tcp_transport.poll_counters lp.tcp and w = lp.words in
+    (* A replica that answered no client (a trio's other two) prints its
+       totals. *)
+    let per, ops = if total = 0 then ("in all", 1) else ("per op", total) in
+    let per_op n = float_of_int n /. float_of_int ops in
+    (* [N cycles] stays the line's last two words: CI's awk reads the
+       number before "cycles". *)
     cfg.log
       (Printf.sprintf
          "replica %d: loop: %d sleeping ppolls, %d zero-timeout ppolls, %d \
-          pre-sleep spins (%d caught input), %d reads, %d writes, %d cycles"
+          pre-sleep spins (%d caught input), %d reads, %d writes, %.1f minor \
+          words %s (poll %.1f, step %.1f, flush %.1f), %d minor collections \
+          (%d words promoted), %d cycles"
          cfg.pid c.sleeps c.zero_polls c.spins c.spins_caught c.reads c.writes
-         c.cycles)
+         (per_op (w.poll + w.step + w.flush))
+         per
+         (per_op w.poll) (per_op w.step) (per_op w.flush) w.collections
+         w.promoted c.cycles)
 end

@@ -468,6 +468,10 @@ let test_host_pipelined_invokes () =
   Alcotest.(check bool) "second frame answered, after the put" true
     (second = ok (Spec.Kv_map.Found 70))
 
+(* The loop's step (decode, admission, the driver, reply encoding) on a
+   kv op at hold 0, in minor words per op: 510.4 measured, plus 10 %. *)
+let step_words_bound = 561.
+
 (* Every hold 0 on one replica: each request is served in the loop cycle
    that read it, its zero holds included: they are due at the cycle's
    clock reading, so the fire after the steps answers them before the
@@ -497,7 +501,14 @@ let test_host_one_cycle_per_request () =
   Alcotest.(check bool)
     (Printf.sprintf "%d cycles for %d ops (<= 1.05 per op)" cycles ops)
     true
-    (float_of_int cycles <= 1.05 *. float_of_int ops)
+    (float_of_int cycles <= 1.05 *. float_of_int ops);
+  (* The step holds no blocking section on a memory-only host, so no
+     client-thread allocation lands in its count. *)
+  let step = float_of_int (H.words handle).Shard.Host.step /. float_of_int ops in
+  Printf.printf "step: %.1f minor words per op\n" step;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f step words per op (<= %.0f)" step step_words_bound)
+    true (step <= step_words_bound)
 
 (* A traced host is its recorder's consumer: the loop drains the ring
    into the trace file every cycle, so the events reach the file while it
