@@ -10,7 +10,8 @@
 # Each revision is exported with `git archive` into its own directory
 # under $AB_DIR (default: a new temporary directory) and built there by
 # perfbench/run.sh, so the working tree and .git are never touched and
-# uncommitted changes are not measured.  Pair p runs seed $AB_SEED + p
+# uncommitted changes are not measured.  A side whose directory already
+# holds its revision is kept, so a reused $AB_DIR builds incrementally.  Pair p runs seed $AB_SEED + p
 # (default AB_SEED=1000) on both sides; odd pairs run A first, even
 # pairs B first, so a box that drifts over the session drifts on both.
 # Extra arguments go to perfbench/run.sh after --workload, --seed and
@@ -41,9 +42,12 @@ mkdir -p "$dir"
 export_rev() { # REV DEST
   local sha
   sha=$(git -C "$repo" rev-parse --verify "$1^{commit}")
-  rm -rf "$2"
-  mkdir -p "$2"
-  git -C "$repo" archive "$sha" | tar -x -C "$2"
+  if [ "$(cat "$2/.ab-rev" 2>/dev/null)" != "$sha" ]; then
+    rm -rf "$2"
+    mkdir -p "$2"
+    git -C "$repo" archive "$sha" | tar -x -C "$2"
+    echo "$sha" > "$2/.ab-rev"
+  fi
   echo "$1 = $sha in $2" >&2
 }
 export_rev "$rev_a" "$dir/a"
