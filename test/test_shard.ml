@@ -505,7 +505,6 @@ let test_host_one_cycle_per_request () =
   (* The step holds no blocking section on a memory-only host, so no
      client-thread allocation lands in its count. *)
   let step = float_of_int (H.words handle).Shard.Host.step /. float_of_int ops in
-  Printf.printf "step: %.1f minor words per op\n" step;
   Alcotest.(check bool)
     (Printf.sprintf "%.1f step words per op (<= %.0f)" step step_words_bound)
     true (step <= step_words_bound)
