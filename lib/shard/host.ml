@@ -142,9 +142,9 @@ let epoch_of cfg =
 (** The minor heap a [serve] process runs on once set-up is over: 32k
     words (256 KB), against OCaml 5's default of 256k words (2 MB).  A
     replica keeps little between operations (the object, its pending
-    operations, the dedup window), so the small heap costs more frequent
-    but cheap collections, and keeps 256 KB resident where the default
-    keeps 2 MB.  The loop shrinks to it once it has allocated this many
+    operations, the dedup window), so the small heap collects more often
+    but promotes only ~8 more words per op, and keeps 256 KB resident
+    where the default keeps 2 MB.  The loop shrinks to it once it has allocated this many
     words itself: after set-up (the first op on a connection costs ~1k
     words), so no start-up waits on the collection the shrink is, and
     long before the default heap has been touched through (a peak RSS
@@ -155,7 +155,8 @@ let lean_minor_heap_words = 32_768
 (** Minor words the loop allocated since it started, per part of its
     cycle, and the minor collections it saw. *)
 type words = {
-  mutable poll : int;  (** waiting in {!Net.Tcp_transport.poll} *)
+  mutable poll : int;
+      (** in {!Net.Tcp_transport.poll}: the wait, the reads, the framing *)
   mutable step : int;
       (** reading the clock, firing timers, stepping inputs (decode, the
           drivers, reply encoding) and the loop timers *)
